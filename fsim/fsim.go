@@ -173,9 +173,12 @@ type Options struct {
 	NVRAMBytes int
 
 	// JournalFrags sizes the on-disk journal region for Scheme ==
-	// Journaling (default 128 fragments = 128 KB). Other schemes ignore it
-	// and format without a journal, keeping their layouts byte-identical to
-	// pre-journal images.
+	// Journaling. The default scales with the file system: one fragment per
+	// 128 KB of FSBytes, clamped to [128, 4096] fragments — 3 MB for the
+	// default 384 MB file system, 128 KB for the few-MB images of the crash
+	// sweeps. One compound transaction may fill a quarter of the region.
+	// Other schemes ignore it and format without a journal, keeping their
+	// layouts byte-identical to pre-journal images.
 	JournalFrags int32
 
 	// AsyncWindow / AsyncInterval tune Scheme == AsyncDurability: the
@@ -226,9 +229,6 @@ func (o *Options) setDefaults() {
 			o.AllocInit = true
 		}
 	}
-	if o.Scheme == Journaling && o.JournalFrags == 0 {
-		o.JournalFrags = 128
-	}
 	if o.Scheme == AsyncDurability {
 		if o.AsyncWindow == 0 {
 			o.AsyncWindow = ordering.DefaultAsyncWindow
@@ -242,6 +242,9 @@ func (o *Options) setDefaults() {
 	}
 	if o.FSBytes == 0 {
 		o.FSBytes = o.DiskBytes
+	}
+	if o.Scheme == Journaling && o.JournalFrags == 0 {
+		o.JournalFrags = int32(min(max(o.FSBytes/(128<<10), 128), 4096))
 	}
 	if o.NInodes == 0 {
 		o.NInodes = 16384

@@ -108,6 +108,11 @@ type Hooks interface {
 	// updates uses it to re-apply (redo) updates that were undone for a
 	// completed write and left lazy.
 	OnAccess(b *Buf)
+	// PrepareWrite runs when a write of b is about to be built, before its
+	// WriteFlag/WriteDeps are consumed: the last point at which a scheme can
+	// order this write behind a request it has yet to submit (journaling
+	// closes its open transaction here and names the commit).
+	PrepareWrite(b *Buf)
 	// BeforeWrite may substitute the write source: returning a non-nil
 	// slice makes it the bytes that reach the platter (soft updates
 	// returns a copy with unresolved updates rolled back — the
@@ -124,6 +129,7 @@ type Hooks interface {
 type NopHooks struct{}
 
 func (NopHooks) OnAccess(*Buf)                   {}
+func (NopHooks) PrepareWrite(*Buf)               {}
 func (NopHooks) BeforeWrite(*Buf, []byte) []byte { return nil }
 func (NopHooks) WriteIssued(*Buf, *dev.Request)  {}
 func (NopHooks) WriteDone(*Buf, *dev.Request)    {}
@@ -415,6 +421,7 @@ func (c *Cache) issueWrite(p *sim.Proc, b *Buf) *dev.Request {
 		b.Dirty = true
 		return nil
 	}
+	c.Hooks.PrepareWrite(b)
 	// Consume ordering state before anything can yield the virtual CPU, so
 	// a concurrent issue (syncer vs. user process under -CB) cannot steal
 	// the flag or dependency list from this write.

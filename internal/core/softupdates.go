@@ -576,6 +576,9 @@ type suHooks struct{ s *SoftUpdates }
 // in-memory buffer is always current.
 func (h suHooks) OnAccess(b *cache.Buf) {}
 
+// PrepareWrite is a no-op: soft updates never orders writes in the driver.
+func (h suHooks) PrepareWrite(b *cache.Buf) {}
+
 // BeforeWrite builds the write source: when some updates in the buffer
 // still have unresolved dependencies, it returns a copy of src with those
 // updates rolled back — the block as written is consistent with the

@@ -183,9 +183,10 @@ func CheckImage(img Image) *Report {
 		rep.add(BadSuperblock, 0, "%v", err)
 		return rep
 	}
-	st := newCheckState(sb)
+	st := getCheckState(sb)
 	st.deriveAll(img)
-	st.merge(img, rep)
+	st.merge(img, rep, nil)
+	checkStates.Put(st)
 	return rep
 }
 

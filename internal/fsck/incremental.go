@@ -66,8 +66,8 @@ func NewBaseline(base Image, workers int) *Baseline {
 	bl.art.rep.Refs = make(map[ffs.Ino]int)
 	bl.art.success = make([]int32, bl.sb.NInodes)
 	bl.art.ownBase = make([]ffs.Ino, bl.sb.TotalFrags-bl.sb.DataStart)
-	own := make([]uint64, bl.sb.TotalFrags-bl.sb.DataStart)
-	mergeReport(&bl.sb, base, bl.st, &bl.art.rep, own, 1, &bl.art)
+	bl.st.merge(base, &bl.art.rep, &bl.art)
+	bl.st.own = nil // the baseline keeps the records, not the merge scratch
 	bl.art.refDirs = make(map[ffs.Ino][]ffs.Ino)
 	for ino := ffs.Ino(2); uint32(ino) < bl.sb.NInodes; ino++ {
 		r := &bl.st.inodes[ino]

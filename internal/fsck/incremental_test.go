@@ -144,6 +144,25 @@ func TestPipelineDeterminism(t *testing.T) {
 	}
 }
 
+// TestCheckImageRecycledState: one-shot checks recycle their record arrays
+// and ownership table through a pool, so a check must report the same
+// whatever image the state served before — here a violating mid-crash image
+// between two checks of a clean one, serial and pipelined.
+func TestCheckImageRecycledState(t *testing.T) {
+	total := totalRuntime(t, "noorder", false)
+	clean := crashAt(t, "noorder", false, total)
+	crashed := crashAt(t, "noorder", false, total/2)
+	for _, workers := range []int{1, 4} {
+		want := fsck.CheckImagePipelined(fsck.Bytes(clean), workers)
+		mid := fsck.CheckImagePipelined(fsck.Bytes(crashed), workers)
+		if len(mid.Findings) == 0 {
+			t.Fatal("mid-crash noorder image unexpectedly clean; nothing to leak into the next check")
+		}
+		reportsEqual(t, "recycled", fsck.CheckImagePipelined(fsck.Bytes(clean), workers), want)
+		reportsEqual(t, "recycled", fsck.CheckImagePipelined(fsck.Bytes(crashed), workers), mid)
+	}
+}
+
 // TestAllocFreeDeltaCheck pins the steady-state incremental check path at
 // zero heap allocations: re-deriving a dirty inode-table sector against a
 // warm DeltaChecker must reuse every piece of scratch (epoch-stamped

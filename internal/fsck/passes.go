@@ -29,6 +29,7 @@ package fsck
 import (
 	"encoding/binary"
 	"fmt"
+	"sync"
 
 	"metaupdate/internal/ffs"
 )
@@ -516,11 +517,14 @@ func mergeDir(sb *ffs.Superblock, pr recProvider, ino ffs.Ino, dr *dirRec, rep *
 
 // checkState is a full set of freshly derived records for one image; it is
 // the trivial recProvider behind CheckImage and CheckImagePipelined, and
-// the construction state of a Baseline.
+// the construction state of a Baseline. own is the merge's fragment-
+// ownership table, allocated on first merge and reused by epoch after.
 type checkState struct {
 	sb     ffs.Superblock
 	inodes []inodeRec
 	dirs   []dirRec
+	own    []uint64
+	epoch  uint64
 }
 
 func newCheckState(sb ffs.Superblock) *checkState {
@@ -529,6 +533,25 @@ func newCheckState(sb ffs.Superblock) *checkState {
 		inodes: make([]inodeRec, sb.NInodes),
 		dirs:   make([]dirRec, sb.NInodes),
 	}
+}
+
+// checkStates recycles the state of one-shot checks: crashmc's recovery
+// path runs a full check per crash state, and two NInodes-long record
+// arrays plus a TotalFrags-long ownership table per call dominated its
+// allocation. Every record is reset as it is derived and the merge reads
+// only records derived from its own image, so a recycled state reports
+// exactly what a fresh one does.
+var checkStates sync.Pool
+
+// getCheckState returns a state for sb's geometry, recycled when the pool
+// has one of that geometry. Callers hand it back with checkStates.Put once
+// the report is complete (a check that panics simply drops it).
+func getCheckState(sb ffs.Superblock) *checkState {
+	if st, _ := checkStates.Get().(*checkState); st != nil && len(st.inodes) == int(sb.NInodes) {
+		st.sb = sb // merge re-sizes the ownership table if the data region differs
+		return st
+	}
+	return newCheckState(sb)
 }
 
 func (st *checkState) inodeRec(ino ffs.Ino) *inodeRec { return &st.inodes[ino] }
@@ -549,8 +572,12 @@ func (st *checkState) deriveAll(img Image) {
 	}
 }
 
-// merge replays st's records into rep with a fresh ownership table.
-func (st *checkState) merge(img Image, rep *Report) {
-	own := make([]uint64, st.sb.TotalFrags-st.sb.DataStart)
-	mergeReport(&st.sb, img, st, rep, own, 1, nil)
+// merge replays st's records into rep (and art, when recording a
+// Baseline's artifacts) under the ownership table's next epoch.
+func (st *checkState) merge(img Image, rep *Report, art *mergeArtifacts) {
+	if n := int(st.sb.TotalFrags - st.sb.DataStart); len(st.own) != n {
+		st.own, st.epoch = make([]uint64, n), 0
+	}
+	st.epoch++
+	mergeReport(&st.sb, img, st, rep, st.own, st.epoch, art)
 }

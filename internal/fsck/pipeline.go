@@ -30,9 +30,10 @@ func CheckImagePipelined(img Image, workers int) *Report {
 		rep.add(BadSuperblock, 0, "%v", err)
 		return rep
 	}
-	st := newCheckState(sb)
+	st := getCheckState(sb)
 	deriveAllParallel(img, st, workers)
-	st.merge(img, rep)
+	st.merge(img, rep, nil)
+	checkStates.Put(st)
 	return rep
 }
 

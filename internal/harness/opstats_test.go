@@ -126,12 +126,7 @@ func TestCrossSchemeCounterInvariants(t *testing.T) {
 			if s == fsim.Conventional {
 				continue
 			}
-			// Journaling is exempt from the ceiling: when the wrapping log
-			// fills faster than the syncer retires home buffers, reclaiming
-			// space forces synchronous checkpoint writebacks (classic
-			// journaling log-pressure), which are Bwrites on top of the
-			// delayed-write pattern and can outnumber Conventional's.
-			if got, conv := phase(p).SyncWrites, phase(conv).SyncWrites; got > conv && s != fsim.Journaling {
+			if got, conv := phase(p).SyncWrites, phase(conv).SyncWrites; got > conv {
 				t.Errorf("%s: %v issued %d sync writes > Conventional's %d", ph, s, got, conv)
 			}
 			// The delayed-write schemes must actually delay something.

@@ -46,6 +46,50 @@ func TestBeginRoundTrip(t *testing.T) {
 	}
 }
 
+// tornShapes are the transaction shapes the torn-write pins run over: the
+// single-buffer transaction and a compound one whose images differ in size.
+var tornShapes = []struct {
+	name  string
+	homes []HomeRun
+}{
+	{"single", []HomeRun{{Frag: 40, NFrags: 1}}},
+	{"compound", []HomeRun{{Frag: 40, NFrags: 2}, {Frag: 50, NFrags: 1}, {Frag: 60, NFrags: 8}}},
+}
+
+// tornFixture lays one committed transaction of the given shape at region
+// offset 1 of a 24-fragment journal in a 72-fragment image whose home
+// fragments hold 0xAA, and returns the image, the payload and the
+// transaction's footprint in fragments.
+func tornFixture(seq uint64, homes []HomeRun) (img, payload []byte, size int32) {
+	const jFrags = 24
+	img = make([]byte, 72*FragSize)
+	var pf int32
+	for _, h := range homes {
+		copy(img[h.Frag*FragSize:], bytes.Repeat([]byte{0xAA}, int(h.NFrags)*FragSize))
+		pf += h.NFrags
+	}
+	EncodeHeader(img, Header{TailSeq: seq, TailOff: 1})
+	payload = make([]byte, int(pf)*FragSize)
+	for i := range payload {
+		payload[i] = byte(i*31 + i>>10)
+	}
+	return img, payload, putTxn(img[:jFrags*FragSize], 1, seq, homes, payload) - 1
+}
+
+// homesHold reports whether every home run of the image holds its slice of
+// the payload.
+func homesHold(img []byte, homes []HomeRun, payload []byte) bool {
+	at := int64(0)
+	for _, h := range homes {
+		n := int64(h.NFrags) * FragSize
+		if !bytes.Equal(img[h.Frag*FragSize:h.Frag*FragSize+n], payload[at:at+n]) {
+			return false
+		}
+		at += n
+	}
+	return true
+}
+
 // TestTornCommitDiscarded is the torn-write pin for the commit record: a
 // crash may leave any byte prefix of the commit fragment durable, with the
 // remainder holding whatever was on the media before — here, adversarially,
@@ -53,50 +97,41 @@ func TestBeginRoundTrip(t *testing.T) {
 // checksum bytes all differ from the real one. For every prefix shorter
 // than the full commit record the transaction must be discarded whole: zero
 // transactions replayed and the image untouched. Once the record is
-// complete the transaction applies in full. There is no prefix length that
-// partially applies.
+// complete the transaction applies in full — every member image. There is
+// no prefix length that partially applies.
 func TestTornCommitDiscarded(t *testing.T) {
-	const jFrags = 8
-	const homeFrag = 10
-	pristine := make([]byte, 12*FragSize)
-	old := bytes.Repeat([]byte{0xAA}, FragSize)
-	copy(pristine[homeFrag*FragSize:], old)
-	EncodeHeader(pristine, Header{TailSeq: 7, TailOff: 1})
-	payload := make([]byte, FragSize)
-	for i := range payload {
-		payload[i] = byte(i * 31)
-	}
-	putTxn(pristine[:jFrags*FragSize], 1, 7, []HomeRun{{Frag: homeFrag, NFrags: 1}}, payload)
-	const commitStart = 3 * FragSize // begin at frag 1, payload at 2, commit at 3
-	goodCommit := append([]byte(nil), pristine[commitStart:commitStart+FragSize]...)
-	realSum, _, _, _ := func() (uint32, uint64, int32, bool) {
-		seq, pf, sum, ok := DecodeCommit(goodCommit)
-		return sum, seq, pf, ok
-	}()
-	stale := make([]byte, FragSize)
-	EncodeCommit(stale, 3, 1, ^realSum)
+	for _, shape := range tornShapes {
+		t.Run(shape.name, func(t *testing.T) {
+			pristine, payload, size := tornFixture(7, shape.homes)
+			commitStart := int(size) * FragSize // begin at frag 1, commit last
+			goodCommit := append([]byte(nil), pristine[commitStart:commitStart+FragSize]...)
+			_, pf, realSum, _ := DecodeCommit(goodCommit)
+			stale := make([]byte, FragSize)
+			EncodeCommit(stale, 3, pf, ^realSum)
 
-	for k := 0; k <= FragSize; k++ {
-		img := append([]byte(nil), pristine...)
-		copy(img[commitStart:], stale)
-		copy(img[commitStart:], goodCommit[:k])
-		before := append([]byte(nil), img...)
-		n := Replay(img, 0, jFrags)
-		if k >= commitSize {
-			if n != 1 {
-				t.Fatalf("prefix %d: replayed %d txns, want 1", k, n)
+			for k := 0; k <= FragSize; k++ {
+				img := append([]byte(nil), pristine...)
+				copy(img[commitStart:], stale)
+				copy(img[commitStart:], goodCommit[:k])
+				before := append([]byte(nil), img...)
+				n := Replay(img, 0, 24)
+				if k >= commitSize {
+					if n != 1 {
+						t.Fatalf("prefix %d: replayed %d txns, want 1", k, n)
+					}
+					if !homesHold(img, shape.homes, payload) {
+						t.Fatalf("prefix %d: home fragments not the journaled images", k)
+					}
+				} else {
+					if n != 0 {
+						t.Fatalf("prefix %d: torn commit replayed %d txns, want 0", k, n)
+					}
+					if !bytes.Equal(img, before) {
+						t.Fatalf("prefix %d: replay mutated the image with no committed txn", k)
+					}
+				}
 			}
-			if !bytes.Equal(img[homeFrag*FragSize:(homeFrag+1)*FragSize], payload) {
-				t.Fatalf("prefix %d: home fragment not the journaled image", k)
-			}
-		} else {
-			if n != 0 {
-				t.Fatalf("prefix %d: torn commit replayed %d txns, want 0", k, n)
-			}
-			if !bytes.Equal(img, before) {
-				t.Fatalf("prefix %d: replay mutated the image with no committed txn", k)
-			}
-		}
+		})
 	}
 }
 
@@ -105,31 +140,63 @@ func TestTornCommitDiscarded(t *testing.T) {
 // fields — must discard the transaction. Only the full first sector makes
 // it valid (the fragment's second sector is never read).
 func TestTornBeginDiscarded(t *testing.T) {
-	const jFrags = 8
-	const homeFrag = 10
-	pristine := make([]byte, 12*FragSize)
-	EncodeHeader(pristine, Header{TailSeq: 2, TailOff: 1})
-	payload := bytes.Repeat([]byte{0x5C}, FragSize)
-	putTxn(pristine[:jFrags*FragSize], 1, 2, []HomeRun{{Frag: homeFrag, NFrags: 1}}, payload)
-	const beginStart = 1 * FragSize
-	goodBegin := append([]byte(nil), pristine[beginStart:beginStart+FragSize]...)
+	for _, shape := range tornShapes {
+		t.Run(shape.name, func(t *testing.T) {
+			pristine, _, _ := tornFixture(2, shape.homes)
+			const beginStart = 1 * FragSize
+			goodBegin := append([]byte(nil), pristine[beginStart:beginStart+FragSize]...)
 
-	for k := 0; k <= SectorSize; k += 16 {
-		img := append([]byte(nil), pristine...)
-		// Pre-write media content: all ones, so every short prefix leaves a
-		// suffix that breaks the commit's checksum over the begin sector.
-		for i := beginStart; i < beginStart+SectorSize; i++ {
-			img[i] = 0xFF
-		}
-		copy(img[beginStart:], goodBegin[:k])
-		n := Replay(img, 0, jFrags)
-		want := 0
-		if k >= SectorSize {
-			want = 1
-		}
-		if n != want {
-			t.Fatalf("begin prefix %d: replayed %d txns, want %d", k, n, want)
-		}
+			for k := 0; k <= SectorSize; k += 16 {
+				img := append([]byte(nil), pristine...)
+				// Pre-write media content: all ones, so every short prefix leaves a
+				// suffix that breaks the commit's checksum over the begin sector.
+				for i := beginStart; i < beginStart+SectorSize; i++ {
+					img[i] = 0xFF
+				}
+				copy(img[beginStart:], goodBegin[:k])
+				n := Replay(img, 0, 24)
+				want := 0
+				if k >= SectorSize {
+					want = 1
+				}
+				if n != want {
+					t.Fatalf("begin prefix %d: replayed %d txns, want %d", k, n, want)
+				}
+			}
+		})
+	}
+}
+
+// TestTornLogWriteDiscarded is the torn-write pin for the write discipline:
+// a transaction reaches the log as one request [begin | images | commit],
+// and a crash leaves a sector prefix of it over whatever the previous lap
+// left there — here a committed transaction of the same shape and an older
+// sequence number, so every record the tear exposes is well-formed. Any
+// strict prefix that stops short of the commit fragment's first sector must
+// discard the transaction whole (nothing replayed, image untouched); from
+// that sector on it applies in full.
+func TestTornLogWriteDiscarded(t *testing.T) {
+	for _, shape := range tornShapes {
+		t.Run(shape.name, func(t *testing.T) {
+			written, payload, size := tornFixture(9, shape.homes)
+			lo, hi := 1*FragSize, int(1+size)*FragSize
+			oldPayload := bytes.Repeat([]byte{0x33}, len(payload))
+			commitSector := (hi - FragSize - lo) / SectorSize
+			for k := 0; k <= (hi-lo)/SectorSize; k++ {
+				img, _, _ := tornFixture(9, shape.homes) // header expects seq 9
+				putTxn(img[:24*FragSize], 1, 5, shape.homes, oldPayload)
+				copy(img[lo:], written[lo:lo+k*SectorSize])
+				before := append([]byte(nil), img...)
+				n := Replay(img, 0, 24)
+				if k > commitSector {
+					if n != 1 || !homesHold(img, shape.homes, payload) {
+						t.Fatalf("%d of %d sectors: replayed %d txns, want the whole transaction", k, (hi-lo)/SectorSize, n)
+					}
+				} else if n != 0 || !bytes.Equal(img, before) {
+					t.Fatalf("%d of %d sectors: torn log write replayed %d txns (or touched the image), want it discarded", k, (hi-lo)/SectorSize, n)
+				}
+			}
+		})
 	}
 }
 
@@ -156,18 +223,23 @@ func TestReplayWrapScan(t *testing.T) {
 
 // TestAllocFreeCommitPath pins the package's contract: every encoder on
 // the transaction commit hot path writes into caller-provided buffers and
-// allocates nothing.
+// allocates nothing — here the way the journaling scheme calls them, on one
+// reused frame holding a compound transaction [begin | images | commit]
+// whose length varies from one transaction to the next.
 func TestAllocFreeCommitPath(t *testing.T) {
-	begin := make([]byte, FragSize)
-	commit := make([]byte, FragSize)
+	frame := make([]byte, 0, 16*FragSize)
 	hdr := make([]byte, FragSize)
-	payload := make([]byte, 2*FragSize)
-	homes := []HomeRun{{Frag: 100, NFrags: 2}}
+	homes := []HomeRun{{Frag: 100, NFrags: 2}, {Frag: 7, NFrags: 1}, {Frag: 300, NFrags: 8}}
+	seq := uint64(42)
 	allocs := testing.AllocsPerRun(200, func() {
-		pf := EncodeBegin(begin, 42, homes)
-		sum := Checksum(begin, payload[:int64(pf)*FragSize])
-		EncodeCommit(commit, 42, pf, sum)
-		EncodeHeader(hdr, Header{TailSeq: 42, TailOff: 9})
+		members := homes[:1+seq%3]
+		frame = frame[:FragSize]
+		pf := EncodeBegin(frame, seq, members)
+		frame = frame[:(2+int(pf))*FragSize]
+		sum := Checksum(frame, frame[FragSize:(1+int(pf))*FragSize])
+		EncodeCommit(frame[(1+int(pf))*FragSize:], seq, pf, sum)
+		EncodeHeader(hdr, Header{TailSeq: seq, TailOff: 9})
+		seq++
 	})
 	if allocs != 0 {
 		t.Fatalf("commit encode path allocates %.1f per txn, want 0", allocs)

@@ -176,6 +176,7 @@ func (s *Scheme) Hooks() cache.Hooks { return nvHooks{s} }
 type nvHooks struct{ s *Scheme }
 
 func (nvHooks) OnAccess(*cache.Buf)                   {}
+func (nvHooks) PrepareWrite(*cache.Buf)               {}
 func (nvHooks) BeforeWrite(*cache.Buf, []byte) []byte { return nil }
 func (nvHooks) WriteIssued(*cache.Buf, *dev.Request)  {}
 func (h nvHooks) WriteDone(b *cache.Buf, r *dev.Request) {

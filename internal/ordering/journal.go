@@ -2,6 +2,7 @@ package ordering
 
 import (
 	"fmt"
+	"slices"
 
 	"metaupdate/internal/cache"
 	"metaupdate/internal/dev"
@@ -15,23 +16,28 @@ import (
 // the paper could not benchmark (section 6 discusses it as related work).
 // All file system updates stay delayed writes, but at every point where
 // the ordering rules would demand a sequenced disk write, the scheme
-// instead writes the affected buffer's current image into a wrapping
-// on-disk log region as one transaction:
+// instead copies the affected buffer's current image into the one open
+// compound transaction (jbd-style: journaling a buffer again overwrites
+// its slot). The transaction reaches the wrapping on-disk log region as a
+// single contiguous write
 //
-//	[ begin | payload (buffer image) | commit ]
+//	[ begin | buffer images ... | commit ]
 //
-// The commit record carries a CRC32 over the begin sector and payload and
-// depends (dev.ModeChains) on the begin write, the payload write, and the
-// previous commit — so durable commits always form a contiguous sequence
-// prefix, and a torn commit (sector 0 absent) discards the whole
-// transaction on replay. Home-location writeback is ordered behind the
-// transaction's commit: the journaled buffer's next write names the
-// commit request, so a crash image can never hold a home update whose
-// transaction is not replayable.
+// submitted at once when no log write is in flight; otherwise it keeps
+// absorbing images until the in-flight one completes, it reaches its size
+// or jlog.MaxHomes cap, or a home write of one of its buffers is about to
+// be issued (group commit with no timer). The commit record carries a
+// CRC32 over the begin sector and payload and sits in the write's last
+// fragment, so a torn write (any strict sector prefix) discards the whole
+// transaction on replay; each log write depends (dev.ModeChains) on its
+// predecessor, so durable commits always form a contiguous sequence
+// prefix. Home-location writeback is ordered behind the commit: a member
+// buffer's next write names the log request, so a crash image can never
+// hold a home update whose transaction is not replayable.
 //
-// Transactions are retired when their buffer's delayed write reaches the
-// home location; the durable header (region fragment 0) is rewritten
-// synchronously before retired space is reused, exactly like a wrapping
+// A transaction is retired once every member buffer's delayed write has
+// reached its home location; the durable header (region fragment 0) is
+// rewritten before retired space is reused, exactly like a wrapping
 // jbd-style log. Crash recovery is fsck.ReplayJournal: scan the committed
 // prefix from the durable tail, apply buffer images oldest-first.
 type Journal struct {
@@ -39,6 +45,9 @@ type Journal struct {
 	drv   *dev.Driver
 	start int32 // journal region start fragment (absolute)
 	frags int32 // journal region size in fragments
+	// maxTxn caps one transaction's footprint so the log always has room
+	// to keep committing while older transactions are checkpointed.
+	maxTxn int32
 
 	head    int32  // region-relative offset of the next transaction
 	nextSeq uint64 // sequence number of the next transaction
@@ -47,39 +56,54 @@ type Journal struct {
 	durTailSeq uint64
 	durTailOff int32
 
-	// Live (unreclaimed) transactions in sequence order. The front is the
-	// durable tail; entries leave only in reclaim, which rewrites the
-	// header first.
+	// open is the transaction absorbing stable() calls; openSlot maps a
+	// member's home fragment to its index in open.homes. Log space for it
+	// is reserved as members are added, so closing never blocks.
+	open     *jtxn
+	openSlot map[int64]int
+	// stalled holds the arguments of stable() calls blocked for log space:
+	// they carry a change that is not journaled yet.
+	stalled []*cache.Buf
+
+	// Submitted, unreclaimed transactions in sequence order. The front is
+	// the durable tail; entries leave only in reclaim, which rewrites the
+	// header.
 	txns []*jtxn
-	// recsByFrag indexes live transactions by journaled home fragment:
-	// any completed write of that buffer retires them.
-	recsByFrag map[int64][]*jtxn
+	// byFrag indexes submitted transactions by the home fragments they
+	// still wait on: any completed write of that buffer checks them off.
+	byFrag map[int64][]*jtxn
 
-	// lastCommit chains each commit behind its predecessor.
-	lastCommit uint64
+	// lastLog and lastHeader are the newest log and header requests: each
+	// log write is chained behind both. inflight counts incomplete log
+	// writes.
+	lastLog, lastHeader uint64
+	inflight            int
 
-	// In-flight journal writes in submission order; completed ones are
-	// swept back to the pools at the next transaction.
+	// Submitted log writes in submission order; completed ones are swept
+	// back to the pools at the next stable().
 	out []outReq
 
-	// Pools: data frames by fragment count, retired txn structs, and the
-	// commit dependency scratch (valid only during Submit).
-	frames   [ffs.BlockFrags + 1][][]byte
-	txnFree  []*jtxn
-	depsBuf  [3]uint64
-	homesBuf [1]jlog.HomeRun
+	// Pools: log frames, reclaimed txn structs, and the log write's
+	// dependency scratch (valid only during Submit).
+	frames  [][]byte
+	txnFree []*jtxn
+	depsBuf [2]uint64
 
 	// Stats.
-	Txns, Wraps, HeaderWrites, Flushes, ForcedRetires int64
+	Txns, Wraps, HeaderWrites, Flushes int64
 }
 
-// jtxn is one live journal transaction (exactly one buffer image).
+// jtxn is one compound transaction. While open, frame holds the begin
+// fragment followed by the member images in homes order; once submitted
+// the frame belongs to the log request and live counts the members whose
+// home write is still outstanding.
 type jtxn struct {
 	seq     uint64
 	off     int32 // region-relative begin fragment
-	size    int32 // begin + payload + commit, fragments
-	frag    int64 // journaled buffer's home fragment
-	retired bool
+	payload int32 // sum of the member images, fragments
+	homes   []jlog.HomeRun
+	frame   []byte
+	live    int
 }
 
 type outReq struct {
@@ -91,11 +115,13 @@ type outReq struct {
 // block-sized transaction plus headroom so placement can always succeed.
 const minJournalFrags = 2*(ffs.BlockFrags+2) + 1
 
+var zeroFrag [ffs.FragSize]byte
+
 // NewJournal returns the journaling scheme. The file system must be
 // formatted with a journal region (ffs.FormatParams.JournalFrags) and the
 // driver configured with dev.ModeChains.
 func NewJournal() *Journal {
-	return &Journal{recsByFrag: make(map[int64]([]*jtxn))}
+	return &Journal{byFrag: make(map[int64][]*jtxn), openSlot: make(map[int64]int)}
 }
 
 // Name implements ffs.Ordering.
@@ -112,9 +138,11 @@ func (o *Journal) Start(fs *ffs.FS) {
 	}
 	o.start = sb.JournalStart
 	o.frags = sb.JournalFrags
+	o.maxTxn = max((o.frags-1)/4, jlog.TxnFrags(ffs.BlockFrags))
 	o.head = 1
 	o.nextSeq = 1
 	o.durTailSeq, o.durTailOff = 1, 1
+	o.open = o.newTxn()
 }
 
 // Hooks implements ffs.Ordering.
@@ -125,91 +153,156 @@ type journalHooks struct{ o *Journal }
 func (journalHooks) OnAccess(*cache.Buf)                   {}
 func (journalHooks) BeforeWrite(*cache.Buf, []byte) []byte { return nil }
 func (journalHooks) WriteIssued(*cache.Buf, *dev.Request)  {}
+
+// PrepareWrite forces the commit a home write must wait for: a write of a
+// buffer that is in the open transaction, or whose stable() is blocked for
+// log space (it carries a change whose prerequisites may sit in the open
+// transaction), closes the transaction and names the newest log write,
+// which by the chain covers every earlier one.
+func (h journalHooks) PrepareWrite(b *cache.Buf) {
+	o := h.o
+	if _, member := o.openSlot[b.Frag]; !member && !slices.Contains(o.stalled, b) {
+		return
+	}
+	o.closeOpen()
+	addDep(b, o.lastLog)
+}
+
 func (h journalHooks) WriteDone(b *cache.Buf, r *dev.Request) {
-	// The buffer's (at least as new) state is at its home location; its
-	// live transactions no longer need replay.
+	// The buffer's (at least as new) state is at its home location; the
+	// submitted transactions holding its image no longer need it replayed.
 	h.o.retireFrag(b.Frag)
 }
 
-// retireFrag marks every live transaction journaling frag as retired.
+// retireFrag checks frag off in every submitted transaction waiting on it.
 func (o *Journal) retireFrag(frag int64) {
-	ts := o.recsByFrag[frag]
+	ts := o.byFrag[frag]
 	if len(ts) == 0 {
 		return
 	}
 	for _, t := range ts {
-		t.retired = true
+		t.live--
 	}
-	delete(o.recsByFrag, frag)
+	delete(o.byFrag, frag)
 }
 
-// stable writes one transaction carrying b's current image and gates b's
-// next home write behind the commit.
+// stable copies b's current image into the open transaction and submits
+// the transaction unless a log write is in flight to absorb behind.
 func (o *Journal) stable(p *sim.Proc, b *cache.Buf) {
 	o.fs.Cache().Bdwrite(b)
 	o.sweep()
+	n := int32(b.NFrags())
+	for {
+		t := o.open
+		i, member := o.openSlot[b.Frag]
+		if member && t.homes[i].NFrags == n {
+			at := int32(1) // past the begin fragment
+			for _, h := range t.homes[:i] {
+				at += h.NFrags
+			}
+			copy(t.frame[int(at)*ffs.FragSize:], b.Data)
+			break
+		}
+		if member || len(t.homes) == jlog.MaxHomes ||
+			(len(t.homes) > 0 && jlog.TxnFrags(t.payload+n) > o.maxTxn) {
+			// Resized member, or the transaction is at its cap.
+			o.closeOpen()
+			continue
+		}
+		if _, ok := o.place(jlog.TxnFrags(t.payload + n)); ok {
+			o.openSlot[b.Frag] = len(t.homes)
+			t.homes = append(t.homes, jlog.HomeRun{Frag: b.Frag, NFrags: n})
+			t.frame = append(t.frame, b.Data...)
+			t.payload += n
+			break
+		}
+		// Log full: checkpoint in process context, then look again — the
+		// open transaction may have changed hands meanwhile.
+		o.stalled = append(o.stalled, b)
+		if !o.reclaim(p) {
+			o.flushOldest(p)
+		}
+		i = slices.Index(o.stalled, b)
+		o.stalled = slices.Delete(o.stalled, i, i+1)
+	}
+	if o.inflight == 0 {
+		o.closeOpen()
+	}
+}
 
-	payload := int32(b.NFrags())
-	size := jlog.TxnFrags(payload)
-	off := o.ensureSpace(p, size)
-
-	seq := o.nextSeq
+// closeOpen submits the open transaction, if it has members, as one log
+// write and starts a new one. It never blocks (the space was reserved as
+// members were added), so it may run in engine context.
+func (o *Journal) closeOpen() {
+	t := o.open
+	if len(t.homes) == 0 {
+		return
+	}
+	size := jlog.TxnFrags(t.payload)
+	off, ok := o.place(size)
+	if !ok {
+		panic("ordering: open journal transaction lost its reserved log space")
+	}
+	if off < o.head {
+		o.Wraps++
+	}
+	t.seq, t.off = o.nextSeq, off
 	o.nextSeq++
 
-	begin := o.getFrame(1)
-	data := o.getFrame(int(payload))
-	commit := o.getFrame(1)
-	o.homesBuf[0] = jlog.HomeRun{Frag: b.Frag, NFrags: payload}
-	jlog.EncodeBegin(begin, seq, o.homesBuf[:1])
-	copy(data, b.Data)
-	sum := jlog.Checksum(begin, data)
-	jlog.EncodeCommit(commit, seq, payload, sum)
+	images := len(t.frame)
+	t.frame = append(t.frame, zeroFrag[:]...) // the commit fragment
+	begin := t.frame[:ffs.FragSize]
+	jlog.EncodeBegin(begin, t.seq, t.homes)
+	jlog.EncodeCommit(t.frame[images:], t.seq, t.payload, jlog.Checksum(begin, t.frame[ffs.FragSize:images]))
 
-	beginReq := o.submit(off, begin, nil)
-	dataReq := o.submit(off+1, data, nil)
-	deps := o.depsBuf[:0]
-	deps = append(deps, beginReq.ID, dataReq.ID)
-	if o.lastCommit != 0 {
-		deps = append(deps, o.lastCommit)
-	}
-	commitReq := o.submit(off+1+payload, commit, deps)
-	o.lastCommit = commitReq.ID
+	r := o.drv.AllocRequest()
+	r.Op = disk.Write
+	r.LBN = int64(o.start+off) * cache.SectorsPerFrag
+	r.Count = len(t.frame) / disk.SectorSize
+	r.Data = t.frame
+	o.depsBuf = [2]uint64{o.lastLog, o.lastHeader}
+	r.DependsOn = o.depsBuf[:] // read inside Submit only
+	o.drv.Submit(r)
+	r.DependsOn = nil
+	o.out = append(o.out, outReq{req: r, frame: t.frame})
+	t.frame = nil
+	o.lastLog = r.ID
+	o.inflight++
+	r.Done.OnFire(o.logWriteDone)
 
 	// Home writeback is ordered behind the commit (rule integrity: a home
 	// update on the media implies its transaction replays).
-	addDep(b, commitReq.ID)
-
-	t := o.newTxn()
-	*t = jtxn{seq: seq, off: off, size: size, frag: b.Frag}
+	c := o.fs.Cache()
+	for _, h := range t.homes {
+		if b := c.Lookup(h.Frag); b != nil {
+			addDep(b, r.ID)
+		}
+		o.byFrag[h.Frag] = append(o.byFrag[h.Frag], t)
+	}
+	t.live = len(t.homes)
 	o.txns = append(o.txns, t)
-	o.recsByFrag[b.Frag] = append(o.recsByFrag[b.Frag], t)
 	o.head = off + size
 	o.Txns++
+	o.open = o.newTxn()
+	clear(o.openSlot)
 }
 
-// submit sends one raw journal write (frame length = whole fragments).
-// deps is valid only during the call (the driver reads DependsOn inside
-// Submit).
-func (o *Journal) submit(regionOff int32, frame []byte, deps []uint64) *dev.Request {
-	r := o.drv.AllocRequest()
-	r.Op = disk.Write
-	r.LBN = int64(o.start+regionOff) * cache.SectorsPerFrag
-	r.Count = len(frame) / disk.SectorSize
-	r.Data = frame
-	r.DependsOn = deps
-	o.drv.Submit(r)
-	o.out = append(o.out, outReq{req: r, frame: frame})
-	return r
+// logWriteDone runs in engine context as a log write completes: with the
+// log idle, whatever gathered behind it commits next.
+func (o *Journal) logWriteDone() {
+	if o.inflight--; o.inflight == 0 {
+		o.closeOpen()
+	}
 }
 
-// sweep recycles completed journal writes (requests and frames) from the
+// sweep recycles completed log writes (requests and frames) from the
 // submission-order front.
 func (o *Journal) sweep() {
-	for len(o.out) > 0 && o.out[0].req.Done != nil && o.out[0].req.Done.Fired() {
+	for len(o.out) > 0 && o.out[0].req.Done.Fired() {
 		or := o.out[0]
 		o.out[0] = outReq{}
 		o.out = o.out[1:]
-		o.putFrame(or.frame)
+		o.frames = append(o.frames, or.frame)
 		o.drv.Release(or.req)
 	}
 	if len(o.out) == 0 && cap(o.out) > 64 {
@@ -217,26 +310,11 @@ func (o *Journal) sweep() {
 	}
 }
 
-// ensureSpace returns a region-relative offset where a transaction of
-// `size` fragments fits, flushing the oldest journaled buffers and
-// advancing the durable tail as needed.
-func (o *Journal) ensureSpace(p *sim.Proc, size int32) int32 {
-	if size > o.frags-1 {
-		panic("ordering: journal transaction larger than the region")
-	}
-	for {
-		if off, ok := o.place(size); ok {
-			return off
-		}
-		if o.reclaim(p) {
-			continue
-		}
-		o.flushOldest(p)
-	}
-}
-
 // place finds a spot for `size` fragments between the durable tail and
-// the head, honouring the no-straddle rule (wrap to offset 1).
+// the head, honouring the no-straddle rule (wrap to offset 1). It is a
+// pure query: space found for the open transaction stays available until
+// the transaction is placed, because only closeOpen moves the head and
+// the tail only ever frees space.
 func (o *Journal) place(size int32) (int32, bool) {
 	if len(o.txns) == 0 {
 		if o.head+size > o.frags {
@@ -253,7 +331,6 @@ func (o *Journal) place(size int32) (int32, bool) {
 			return o.head, true
 		}
 		if 1+size <= tail {
-			o.Wraps++
 			return 1, true
 		}
 		return 0, false
@@ -266,11 +343,12 @@ func (o *Journal) place(size int32) (int32, bool) {
 }
 
 // reclaim pops retired transactions off the tail; when any space was
-// freed it rewrites the durable header (synchronously) before returning,
-// so replay never scans reclaimed-and-reused fragments.
+// freed it rewrites the durable header and waits for it. Log writes
+// submitted meanwhile are chained behind the header write, so replay
+// never scans reclaimed-and-reused fragments.
 func (o *Journal) reclaim(p *sim.Proc) bool {
 	popped := false
-	for len(o.txns) > 0 && o.txns[0].retired {
+	for len(o.txns) > 0 && o.txns[0].live == 0 {
 		t := o.txns[0]
 		o.txns[0] = nil
 		o.txns = o.txns[1:]
@@ -291,79 +369,83 @@ func (o *Journal) reclaim(p *sim.Proc) bool {
 	return true
 }
 
-// writeHeader rewrites the durable journal header and waits for it: space
-// behind the new tail must not be reused before the tail is durable.
+// writeHeader rewrites the durable journal header and waits for it.
 func (o *Journal) writeHeader(p *sim.Proc, tailSeq uint64, tailOff int32) {
 	if tailSeq == o.durTailSeq && tailOff == o.durTailOff {
 		return
 	}
-	frame := o.getFrame(1)
+	frame := o.getFrame()
 	jlog.EncodeHeader(frame, jlog.Header{TailSeq: tailSeq, TailOff: tailOff})
-	clear(frame[jlog.SectorSize:])
 	r := o.drv.AllocRequest()
 	r.Op = disk.Write
 	r.LBN = int64(o.start) * cache.SectorsPerFrag
 	r.Count = len(frame) / disk.SectorSize
 	r.Data = frame
 	o.drv.Submit(r)
+	o.lastHeader = r.ID
 	r.Done.Wait(p)
-	o.putFrame(frame)
+	o.frames = append(o.frames, frame)
 	o.drv.Release(r)
 	o.durTailSeq, o.durTailOff = tailSeq, tailOff
 	o.HeaderWrites++
 }
 
-// flushOldest forces the oldest live transaction's buffer to its home
-// location so the transaction retires (journal backpressure).
+// flushOldest checkpoints the oldest live transaction (journal
+// backpressure): every member buffer still dirty goes to its home location
+// in one asynchronous batch, and the caller waits for one of them. Nothing
+// is held across the wait — the log may look different when it returns —
+// so the caller loops until the transaction retires. A write that fails is
+// retried by the cache like any other and, once abandoned, found moot here.
 func (o *Journal) flushOldest(p *sim.Proc) {
 	t := o.txns[0] // reclaim failed, so the front is live
 	c := o.fs.Cache()
-	b := c.Lookup(t.frag)
-	if b == nil || (!b.Dirty && !b.InFlight()) {
-		// Buffer gone (freed) or its state already durable: the records
-		// are moot.
-		o.retireFrag(t.frag)
-		return
+	var wait *cache.Buf
+	for _, h := range t.homes {
+		if !slices.Contains(o.byFrag[h.Frag], t) {
+			continue // already home
+		}
+		b := c.Lookup(h.Frag)
+		if b == nil || (!b.Dirty && !b.InFlight()) {
+			// Buffer gone (freed) or its state already durable: the image
+			// is moot.
+			o.retireFrag(h.Frag)
+			continue
+		}
+		if !b.InFlight() {
+			o.Flushes++
+			c.Bawrite(p, b) // WriteDone checks the fragment off
+		}
+		wait = b
 	}
-	o.Flushes++
-	c.Bdwrite(b)
-	c.Bwrite(p, b) // WriteDone retires the records
-	if !t.retired {
-		// The write failed terminally (faulted disk): the home state is
-		// lost either way, so retire rather than spin. Recovery degrades
-		// to fsck repair, like any lost write.
-		o.ForcedRetires++
-		o.retireFrag(t.frag)
+	if wait != nil {
+		c.PrepareModify(p, wait) // blocks until its write completes
 	}
 }
 
+// newTxn returns an empty transaction holding a begin fragment.
 func (o *Journal) newTxn() *jtxn {
+	t := &jtxn{}
 	if n := len(o.txnFree); n > 0 {
-		t := o.txnFree[n-1]
+		t = o.txnFree[n-1]
 		o.txnFree[n-1] = nil
 		o.txnFree = o.txnFree[:n-1]
-		return t
 	}
-	return &jtxn{}
+	*t = jtxn{homes: t.homes[:0], frame: o.getFrame()}
+	return t
 }
 
-func (o *Journal) getFrame(nfrags int) []byte {
-	if nfrags >= 1 && nfrags < len(o.frames) {
-		if fl := o.frames[nfrags]; len(fl) > 0 {
-			f := fl[len(fl)-1]
-			fl[len(fl)-1] = nil
-			o.frames[nfrags] = fl[:len(fl)-1]
-			return f
-		}
+// getFrame returns a one-fragment frame (zeroed past the first sector,
+// which every encoder overwrites) with whatever capacity its last use
+// grew it to.
+func (o *Journal) getFrame() []byte {
+	if n := len(o.frames); n > 0 {
+		f := o.frames[n-1][:ffs.FragSize]
+		o.frames[n-1] = nil
+		o.frames = o.frames[:n-1]
+		clear(f[disk.SectorSize:])
+		return f
 	}
-	return make([]byte, nfrags*ffs.FragSize)
-}
-
-func (o *Journal) putFrame(f []byte) {
-	nfrags := len(f) / ffs.FragSize
-	if nfrags >= 1 && nfrags < len(o.frames) && len(f) == nfrags*ffs.FragSize {
-		o.frames[nfrags] = append(o.frames[nfrags], f)
-	}
+	return make([]byte, ffs.FragSize, (2*ffs.BlockFrags+2)*ffs.FragSize)
 }
 
 // AllocInit implements ffs.Ordering (journal the initialized block for

@@ -152,6 +152,7 @@ func (o *Chains) Hooks() cache.Hooks { return chainsHooks{o} }
 type chainsHooks struct{ o *Chains }
 
 func (chainsHooks) OnAccess(*cache.Buf)                   {}
+func (chainsHooks) PrepareWrite(*cache.Buf)               {}
 func (chainsHooks) BeforeWrite(*cache.Buf, []byte) []byte { return nil }
 func (h chainsHooks) WriteIssued(b *cache.Buf, r *dev.Request) {
 	h.o.issued[b] = r.ID
