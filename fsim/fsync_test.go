@@ -2,28 +2,59 @@ package fsim_test
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"metaupdate/fsim"
 	"metaupdate/internal/ffs"
+	"metaupdate/internal/fsck"
 )
 
-// allSchemes includes the five paper schemes plus the NVRAM extension.
-var allSchemes = []fsim.Scheme{
-	fsim.Conventional, fsim.SchedulerFlag, fsim.SchedulerChains,
-	fsim.SoftUpdates, fsim.NoOrder, fsim.NVRAM,
-}
+// allSchemes is the seven schemes of the comparison plus the NVRAM
+// extension.
+var allSchemes = append(append([]fsim.Scheme(nil), fsim.Schemes...), fsim.NVRAM)
 
 // onDiskInode decodes ino directly from the media image.
 func onDiskInode(sys *fsim.System, ino fsim.Ino) ffs.Inode {
-	sb := sys.FS.Superblock()
-	frag, off := sb.InodeFrag(ino)
-	return ffs.DecodeInode(sys.Disk.Image()[int64(frag)*ffs.FragSize+int64(off):])
+	od, _ := fileOnImage(fsck.Bytes(sys.Disk.Image()), sys.FS.Superblock(), ino)
+	return od
 }
 
-// Fsync must make the file durable under every scheme: after Fsync returns,
-// the on-disk inode carries the final size and the on-disk blocks carry the
-// data, with no further flushing.
+// fileOnImage reads ino's inode from a media image and, following its
+// direct pointers, the bytes the image holds for the file (short at the
+// first hole).
+func fileOnImage(img fsck.Image, sb ffs.Superblock, ino fsim.Ino) (ffs.Inode, []byte) {
+	frag, off := sb.InodeFrag(ino)
+	od := ffs.DecodeInode(img.Range(int64(frag)*ffs.FragSize+int64(off), ffs.InodeSize))
+	var data []byte
+	for bi := 0; bi < len(od.Direct) && uint64(len(data)) < od.Size && od.Direct[bi] != 0; bi++ {
+		n := min(int64(od.Size)-int64(len(data)), ffs.BlockSize)
+		data = append(data, img.Range(int64(od.Direct[bi])*ffs.FragSize, n)...)
+	}
+	return od, data
+}
+
+// fsyncedFileLost reports what an image cut after ino's fsync returned (and
+// recovered) fails to hold of it: the size, the block map and the payload
+// must all be there.
+func fsyncedFileLost(img fsck.Image, sb ffs.Superblock, ino fsim.Ino, payload []byte) []string {
+	od, data := fileOnImage(img, sb, ino)
+	switch {
+	case !od.Allocated() || od.Size != uint64(len(payload)):
+		return []string{fmt.Sprintf("fsynced inode %d: mode=%#x size=%d, want size %d", ino, od.Mode, od.Size, len(payload))}
+	case len(data) != len(payload):
+		return []string{fmt.Sprintf("fsynced inode %d: block map ends after %d of %d bytes", ino, len(data), len(payload))}
+	case !bytes.Equal(data, payload):
+		return []string{fmt.Sprintf("fsynced inode %d: data differs from what was written", ino)}
+	}
+	return nil
+}
+
+// Fsync must make the file durable under every scheme: a crash at the very
+// instant Fsync returns — nothing flushed afterwards; journal replay is the
+// one recovery step a scheme may need — leaves the inode with its final
+// size, its block map and the data. The empty file has no data write to
+// wait for: only the inode's own durability point stands behind its fsync.
 func TestFsyncDurableUnderEveryScheme(t *testing.T) {
 	for _, scheme := range allSchemes {
 		scheme := scheme
@@ -32,41 +63,35 @@ func TestFsyncDurableUnderEveryScheme(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			payload := bytes.Repeat([]byte("fsync!"), 3000) // ~18 KB, 3 blocks
-			var ino fsim.Ino
-			sys.Run(func(p *fsim.Proc) {
-				ino, err = sys.FS.Create(p, fsim.RootIno, "f")
-				if err != nil {
-					t.Fatal(err)
+			for _, payload := range [][]byte{bytes.Repeat([]byte("fsync!"), 3000) /* ~18 KB, 3 blocks */, nil} {
+				if payload == nil && (scheme == fsim.SchedulerFlag || scheme == fsim.SchedulerChains) {
+					// Known defect (ROADMAP, known-bad region 4): create leaves
+					// the inode block's write in flight under these two, and
+					// the generic fsync loop looks at dirty buffers only, so it
+					// returns before that write lands.
+					continue
 				}
-				if err := sys.FS.WriteAt(p, ino, 0, payload); err != nil {
-					t.Fatal(err)
+				var ino fsim.Ino
+				var img []byte
+				sys.Run(func(p *fsim.Proc) {
+					ino, err = sys.FS.Create(p, fsim.RootIno, fmt.Sprintf("f%d", len(payload)))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := sys.FS.WriteAt(p, ino, 0, payload); err != nil {
+						t.Fatal(err)
+					}
+					if err := sys.FS.Fsync(p, ino); err != nil {
+						t.Fatal(err)
+					}
+					img = sys.Disk.CloneImage()
+				})
+				if scheme == fsim.Journaling {
+					fsck.ReplayJournal(img)
 				}
-				if err := sys.FS.Fsync(p, ino); err != nil {
-					t.Fatal(err)
+				if lost := fsyncedFileLost(fsck.Bytes(img), sys.FS.Superblock(), ino, payload); lost != nil {
+					t.Fatal(lost[0])
 				}
-			})
-			// Inspect the raw media: the inode and its data must be there.
-			od := onDiskInode(sys, ino)
-			if !od.Allocated() || od.Size != uint64(len(payload)) {
-				t.Fatalf("on-disk inode after Fsync: mode=%#x size=%d want size %d",
-					od.Mode, od.Size, len(payload))
-			}
-			img := sys.Disk.Image()
-			got := make([]byte, 0, len(payload))
-			for bi := 0; uint64(bi*ffs.BlockSize) < od.Size; bi++ {
-				frag := od.Direct[bi]
-				if frag == 0 {
-					t.Fatalf("on-disk hole at block %d after Fsync", bi)
-				}
-				n := ffs.BlockSize
-				if rem := int(od.Size) - bi*ffs.BlockSize; rem < n {
-					n = rem
-				}
-				got = append(got, img[int64(frag)*ffs.FragSize:int64(frag)*ffs.FragSize+int64(n)]...)
-			}
-			if !bytes.Equal(got, payload) {
-				t.Fatal("on-disk data does not match after Fsync")
 			}
 		})
 	}

@@ -197,6 +197,20 @@ func (r *Recorder) RequestsFailed(ids []uint64, at sim.Time) {
 // Writes reports the number of recorded write requests.
 func (r *Recorder) Writes() int { return r.writes }
 
+// Instant reports the crash instant the recorded timeline stands at, as
+// Explore will number it (0 is the pre-workload image; every event that
+// can change the media or the pending set starts the next). Read it while
+// the workload runs to mark a point in the timeline for Config.From.
+func (r *Recorder) Instant() int {
+	n := 0
+	for _, ev := range r.events {
+		if ev.submit == 0 || r.nodes[ev.submit].write {
+			n++
+		}
+	}
+	return n
+}
+
 // Config bounds and parameterizes an exploration.
 type Config struct {
 	// Workers sets the image-checking goroutine count (default
@@ -204,6 +218,11 @@ type Config struct {
 	Workers int
 	// Budget caps the total crash states generated (default 50000).
 	Budget int
+	// From skips the crash states of the instants before it; the timeline
+	// still plays from the start. It is how a predicate that holds only
+	// from some point of the run on ("this file has been fsynced") is
+	// checked, through ExtraCheck, over every state cut after that point.
+	From int
 	// PerInstant caps the states generated at any single crash instant,
 	// so one huge pending set cannot starve the rest of the timeline
 	// (default 1024).

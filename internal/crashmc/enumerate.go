@@ -134,7 +134,9 @@ func (r *Recorder) Explore(cfg Config) *Result {
 		}()
 	}
 
-	x.emitInstant() // the pre-workload image
+	if cfg.From <= 0 {
+		x.emitInstant() // the pre-workload image
+	}
 	for _, ev := range r.events {
 		if x.stopped {
 			break
@@ -203,7 +205,9 @@ func (r *Recorder) Explore(cfg Config) *Result {
 			}
 		}
 		x.instant++
-		x.emitInstant()
+		if x.instant >= cfg.From {
+			x.emitInstant()
+		}
 	}
 	close(x.jobs)
 	wg.Wait()

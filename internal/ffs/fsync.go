@@ -9,9 +9,12 @@ import (
 // acknowledges durability asynchronously (group commit with completion
 // notifications) can make Fsync ride its own notification machinery
 // instead of the generic synchronous write-until-clean loop. WaitDurable
-// must return only once the current contents of every listed fragment are
-// on stable media (or have become moot — the buffer was dropped or a
-// later write already carried the state down).
+// must return only once the current contents of every listed fragment
+// (the file's data and indirect blocks that are dirty or being written,
+// then its inode-table block) are on stable media or recoverable from it
+// (or have become moot — the buffer was dropped or a later write already
+// carried the state down). A non-nil error means a write the scheme waited
+// for failed: the file is NOT durable.
 //
 // The distinction is the whole point of decoupled durability: the generic
 // loop's synchronous writes stall behind whatever dependency chain the
@@ -19,7 +22,7 @@ import (
 // operation; a waiter instead joins the next group-commit sweep, and many
 // concurrent fsyncs are satisfied by the same batched writes.
 type DurabilityWaiter interface {
-	WaitDurable(p *sim.Proc, ino Ino, frags []int64)
+	WaitDurable(p *sim.Proc, ino Ino, frags []int64) error
 }
 
 // Fsync makes ino's current contents and inode durable before returning —
@@ -109,10 +112,11 @@ func (fs *FS) Fsync(p *sim.Proc, ino Ino) error {
 }
 
 // fsyncAwait is the DurabilityWaiter fsync path: collect the fragments
-// whose current contents constitute the file's persistence (resident
-// dirty data and indirect blocks, plus the inode-table block) and hand
-// them to the scheme's wait. The inode lock is held by the caller for the
-// duration, so the registered state is exactly the state fsync promises.
+// whose current contents constitute the file's persistence (resident data
+// and indirect blocks that are dirty or being written, plus the
+// inode-table block) and hand them to the scheme's wait. The inode lock is
+// held by the caller for the duration, so the registered state is exactly
+// the state fsync promises.
 func (fs *FS) fsyncAwait(p *sim.Proc, ino Ino, dw DurabilityWaiter) error {
 	ip, ib, _, err := fs.getInode(p, ino)
 	if err != nil {
@@ -129,7 +133,7 @@ func (fs *FS) fsyncAwait(p *sim.Proc, ino Ino, dw DurabilityWaiter) error {
 	}
 	var frags []int64
 	for _, run := range runs {
-		if b := fs.cache.Lookup(int64(run.Start)); b != nil && b.Dirty {
+		if b := fs.cache.Lookup(int64(run.Start)); b != nil && (b.Dirty || b.InFlight()) {
 			frags = append(frags, int64(run.Start))
 		}
 	}
@@ -140,6 +144,5 @@ func (fs *FS) fsyncAwait(p *sim.Proc, ino Ino, dw DurabilityWaiter) error {
 	if len(frags) == 0 {
 		return nil
 	}
-	dw.WaitDurable(p, ino, frags)
-	return nil
+	return dw.WaitDurable(p, ino, frags)
 }

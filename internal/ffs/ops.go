@@ -401,7 +401,7 @@ func (fs *FS) Rename(p *sim.Proc, sdir Ino, sname string, ddir Ino, dname string
 	if err != nil {
 		return err
 	}
-	defer fs.rele(sdb)
+	defer func() { fs.rele(sdb) }()
 	ip, ib, ioff, err := fs.getInode(p, ino)
 	if err != nil {
 		return err
@@ -448,6 +448,15 @@ func (fs *FS) Rename(p *sim.Proc, sdir Ino, sname string, ddir Ino, dname string
 		}
 		addRec.DirBuf, addRec.EntryOff = db, off
 		fs.ord.AddEntry(p, addRec)
+		if sdir == ddir && db != sdb {
+			// The add may have grown the directory's last block by moving
+			// it (growBlock): db is then the block that holds the old name
+			// and sdb the vacated copy, in which a removal would be lost.
+			if d, moved, _ := findEntry(db.Data, sname); moved {
+				fs.rele(sdb)
+				sdb, soff = db.Hold(), d.Off
+			}
+		}
 		fs.rele(db)
 	default:
 		return derr

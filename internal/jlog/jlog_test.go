@@ -47,13 +47,16 @@ func TestBeginRoundTrip(t *testing.T) {
 }
 
 // tornShapes are the transaction shapes the torn-write pins run over: the
-// single-buffer transaction and a compound one whose images differ in size.
+// single-buffer transaction, a compound one whose images differ in size,
+// and a trimmed one, whose runs are the changed spans of block-sized
+// buffers at 40 and 56 and begin and end inside them.
 var tornShapes = []struct {
 	name  string
 	homes []HomeRun
 }{
 	{"single", []HomeRun{{Frag: 40, NFrags: 1}}},
 	{"compound", []HomeRun{{Frag: 40, NFrags: 2}, {Frag: 50, NFrags: 1}, {Frag: 60, NFrags: 8}}},
+	{"trimmed", []HomeRun{{Frag: 43, NFrags: 1}, {Frag: 50, NFrags: 1}, {Frag: 58, NFrags: 3}}},
 }
 
 // tornFixture lays one committed transaction of the given shape at region
@@ -90,6 +93,18 @@ func homesHold(img []byte, homes []HomeRun, payload []byte) bool {
 	return true
 }
 
+// restSame reports whether replay left everything outside the home runs as
+// it was: the fragments around a trimmed run belong to the same buffer and
+// are not the transaction's to write.
+func restSame(before, after []byte, homes []HomeRun) bool {
+	b, a := append([]byte(nil), before...), append([]byte(nil), after...)
+	for _, h := range homes {
+		clearTail(b[h.Frag*FragSize : (h.Frag+int64(h.NFrags))*FragSize])
+		clearTail(a[h.Frag*FragSize : (h.Frag+int64(h.NFrags))*FragSize])
+	}
+	return bytes.Equal(a, b)
+}
+
 // TestTornCommitDiscarded is the torn-write pin for the commit record: a
 // crash may leave any byte prefix of the commit fragment durable, with the
 // remainder holding whatever was on the media before — here, adversarially,
@@ -119,8 +134,8 @@ func TestTornCommitDiscarded(t *testing.T) {
 					if n != 1 {
 						t.Fatalf("prefix %d: replayed %d txns, want 1", k, n)
 					}
-					if !homesHold(img, shape.homes, payload) {
-						t.Fatalf("prefix %d: home fragments not the journaled images", k)
+					if !homesHold(img, shape.homes, payload) || !restSame(before, img, shape.homes) {
+						t.Fatalf("prefix %d: home fragments not the journaled images, or others touched", k)
 					}
 				} else {
 					if n != 0 {
@@ -189,7 +204,7 @@ func TestTornLogWriteDiscarded(t *testing.T) {
 				before := append([]byte(nil), img...)
 				n := Replay(img, 0, 24)
 				if k > commitSector {
-					if n != 1 || !homesHold(img, shape.homes, payload) {
+					if n != 1 || !homesHold(img, shape.homes, payload) || !restSame(before, img, shape.homes) {
 						t.Fatalf("%d of %d sectors: replayed %d txns, want the whole transaction", k, (hi-lo)/SectorSize, n)
 					}
 				} else if n != 0 || !bytes.Equal(img, before) {
@@ -225,16 +240,36 @@ func TestReplayWrapScan(t *testing.T) {
 // the transaction commit hot path writes into caller-provided buffers and
 // allocates nothing — here the way the journaling scheme calls them, on one
 // reused frame holding a compound transaction [begin | images | commit]
-// whose length varies from one transaction to the next.
+// whose length varies from one transaction to the next. The whole images
+// gather in the frame first; every third transaction is trimmed the way the
+// scheme does it, the changed spans moved down over the rest in place and
+// the runs rewritten to name them.
 func TestAllocFreeCommitPath(t *testing.T) {
 	frame := make([]byte, 0, 16*FragSize)
 	hdr := make([]byte, FragSize)
-	homes := []HomeRun{{Frag: 100, NFrags: 2}, {Frag: 7, NFrags: 1}, {Frag: 300, NFrags: 8}}
+	whole := []HomeRun{{Frag: 100, NFrags: 2}, {Frag: 7, NFrags: 1}, {Frag: 300, NFrags: 8}}
+	homes := make([]HomeRun, len(whole))
 	seq := uint64(42)
 	allocs := testing.AllocsPerRun(200, func() {
-		members := homes[:1+seq%3]
+		members := homes[:copy(homes, whole[:1+seq%3])]
 		frame = frame[:FragSize]
+		for _, h := range members {
+			frame = frame[:len(frame)+int(h.NFrags)*FragSize]
+		}
+		if seq%3 == 2 {
+			// Keep the last fragment of every image.
+			rd, wr := FragSize, FragSize
+			for i, h := range members {
+				rd += int(h.NFrags) * FragSize
+				wr += copy(frame[wr:], frame[rd-FragSize:rd])
+				members[i] = HomeRun{Frag: h.Frag + int64(h.NFrags) - 1, NFrags: 1}
+			}
+			frame = frame[:wr]
+		}
 		pf := EncodeBegin(frame, seq, members)
+		if len(frame) != (1+int(pf))*FragSize {
+			t.Fatalf("frame holds %d bytes of images for a %d-fragment payload", len(frame)-FragSize, pf)
+		}
 		frame = frame[:(2+int(pf))*FragSize]
 		sum := Checksum(frame, frame[FragSize:(1+int(pf))*FragSize])
 		EncodeCommit(frame[(1+int(pf))*FragSize:], seq, pf, sum)

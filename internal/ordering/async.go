@@ -371,7 +371,7 @@ func (o *Async) RemoveEntry(p *sim.Proc, rec *ffs.RemRec) {
 // blocks until its notification — the group-commit flusher's next sweeps
 // carry the writes, so concurrent fsyncs share batched I/O instead of
 // each stalling the driver's dependency chains with synchronous writes.
-func (o *Async) WaitDurable(p *sim.Proc, ino ffs.Ino, frags []int64) {
+func (o *Async) WaitDurable(p *sim.Proc, ino ffs.Ino, frags []int64) error {
 	c := o.fs.Cache()
 	live := frags[:0]
 	for _, frag := range frags {
@@ -380,11 +380,12 @@ func (o *Async) WaitDurable(p *sim.Proc, ino ffs.Ino, frags []int64) {
 		}
 	}
 	if len(live) == 0 {
-		return
+		return nil
 	}
 	done := sim.NewCompletion()
 	o.admit(p, &aop{kind: NoticeFsync, ino: ino, done: done}, live)
 	done.Wait(p)
+	return nil
 }
 
 var _ ffs.DurabilityWaiter = (*Async)(nil)

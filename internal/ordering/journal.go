@@ -1,6 +1,7 @@
 package ordering
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 
@@ -35,6 +36,15 @@ import (
 // buffer's next write names the log request, so a crash image can never
 // hold a home update whose transaction is not replayable.
 //
+// The log holds differences: as a transaction is submitted each member
+// image is trimmed to the span of fragments that changed since the newest
+// image of the same buffer an unretired transaction holds (prev; none after
+// a home write, so that journaling is whole), and replaying any committed
+// prefix still rebuilds the buffer's last committed image byte for byte.
+// And the commit is the durability point: fsync (WaitDurable) journals the
+// inode block and waits for the commit that carries it, shared with every
+// fsync that gathered behind the same log write. DESIGN.md §15 argues both.
+//
 // A transaction is retired once every member buffer's delayed write has
 // reached its home location; the durable header (region fragment 0) is
 // rewritten before retired space is reused, exactly like a wrapping
@@ -51,14 +61,19 @@ type Journal struct {
 
 	head    int32  // region-relative offset of the next transaction
 	nextSeq uint64 // sequence number of the next transaction
+	// doneSeq is the newest transaction whose log write has completed. Log
+	// writes complete in sequence order (the chain), so nextSeq-1-doneSeq
+	// of them are in flight.
+	doneSeq uint64
 
 	// Durable header state as last written (Format wrote {1, 1}).
 	durTailSeq uint64
 	durTailOff int32
 
 	// open is the transaction absorbing stable() calls; openSlot maps a
-	// member's home fragment to its index in open.homes. Log space for it
-	// is reserved as members are added, so closing never blocks.
+	// member's home fragment to its index in open.bufs. Log space for the
+	// whole images is reserved as members are added, so closing never
+	// blocks.
 	open     *jtxn
 	openSlot map[int64]int
 	// stalled holds the arguments of stable() calls blocked for log space:
@@ -72,20 +87,30 @@ type Journal struct {
 	// byFrag indexes submitted transactions by the home fragments they
 	// still wait on: any completed write of that buffer checks them off.
 	byFrag map[int64][]*jtxn
+	// prev holds, by home fragment, the newest journaled image of every
+	// buffer some unretired transaction waits on: what replay of the log
+	// makes of that buffer, and so what the next image is trimmed against.
+	prev map[int64]jprev
 
 	// lastLog and lastHeader are the newest log and header requests: each
-	// log write is chained behind both. inflight counts incomplete log
-	// writes.
+	// log write is chained behind both.
 	lastLog, lastHeader uint64
-	inflight            int
+
+	// waiters are fsyncs parked until the transaction numbered seq is
+	// durable, in seq order; logErr is the first failed log write, after
+	// which no later commit is replayable either.
+	waiters []jwait
+	logErr  error
 
 	// Submitted log writes in submission order; completed ones are swept
 	// back to the pools at the next stable().
 	out []outReq
 
-	// Pools: log frames, reclaimed txn structs, and the log write's
-	// dependency scratch (valid only during Submit).
+	// Pools: log frames, previous-image slabs (one block each), reclaimed
+	// txn structs, and the log write's dependency scratch (valid only
+	// during Submit).
 	frames  [][]byte
+	slabs   [][]byte
 	txnFree []*jtxn
 	depsBuf [2]uint64
 
@@ -94,13 +119,16 @@ type Journal struct {
 }
 
 // jtxn is one compound transaction. While open, frame holds the begin
-// fragment followed by the member images in homes order; once submitted
-// the frame belongs to the log request and live counts the members whose
-// home write is still outstanding.
+// fragment followed by the whole images of the member buffers bufs, and
+// homes[i] names all of bufs[i]; closeOpen trims homes to the on-disk runs
+// and drops the members left with none. Once submitted the frame belongs
+// to the log request and live counts the members whose home write is
+// still outstanding.
 type jtxn struct {
 	seq     uint64
 	off     int32 // region-relative begin fragment
-	payload int32 // sum of the member images, fragments
+	payload int32 // sum of the homes, fragments
+	bufs    []*cache.Buf
 	homes   []jlog.HomeRun
 	frame   []byte
 	live    int
@@ -109,6 +137,17 @@ type jtxn struct {
 type outReq struct {
 	req   *dev.Request
 	frame []byte
+}
+
+// jprev is the newest journaled image of buf, in a pooled slab.
+type jprev struct {
+	buf *cache.Buf
+	img []byte
+}
+
+type jwait struct {
+	seq uint64
+	c   *sim.Completion
 }
 
 // minJournalFrags is the smallest usable region: header plus one
@@ -121,7 +160,7 @@ var zeroFrag [ffs.FragSize]byte
 // formatted with a journal region (ffs.FormatParams.JournalFrags) and the
 // driver configured with dev.ModeChains.
 func NewJournal() *Journal {
-	return &Journal{byFrag: make(map[int64][]*jtxn), openSlot: make(map[int64]int)}
+	return &Journal{byFrag: make(map[int64][]*jtxn), openSlot: make(map[int64]int), prev: make(map[int64]jprev)}
 }
 
 // Name implements ffs.Ordering.
@@ -175,6 +214,7 @@ func (h journalHooks) WriteDone(b *cache.Buf, r *dev.Request) {
 }
 
 // retireFrag checks frag off in every submitted transaction waiting on it.
+// With no unretired image left the buffer's next journaling is whole.
 func (o *Journal) retireFrag(frag int64) {
 	ts := o.byFrag[frag]
 	if len(ts) == 0 {
@@ -184,6 +224,10 @@ func (o *Journal) retireFrag(frag int64) {
 		t.live--
 	}
 	delete(o.byFrag, frag)
+	if pv, ok := o.prev[frag]; ok {
+		o.slabs = append(o.slabs, pv.img)
+		delete(o.prev, frag)
+	}
 }
 
 // stable copies b's current image into the open transaction and submits
@@ -201,6 +245,7 @@ func (o *Journal) stable(p *sim.Proc, b *cache.Buf) {
 				at += h.NFrags
 			}
 			copy(t.frame[int(at)*ffs.FragSize:], b.Data)
+			t.bufs[i] = b
 			break
 		}
 		if member || len(t.homes) == jlog.MaxHomes ||
@@ -211,6 +256,7 @@ func (o *Journal) stable(p *sim.Proc, b *cache.Buf) {
 		}
 		if _, ok := o.place(jlog.TxnFrags(t.payload + n)); ok {
 			o.openSlot[b.Frag] = len(t.homes)
+			t.bufs = append(t.bufs, b)
 			t.homes = append(t.homes, jlog.HomeRun{Frag: b.Frag, NFrags: n})
 			t.frame = append(t.frame, b.Data...)
 			t.payload += n
@@ -225,17 +271,45 @@ func (o *Journal) stable(p *sim.Proc, b *cache.Buf) {
 		i = slices.Index(o.stalled, b)
 		o.stalled = slices.Delete(o.stalled, i, i+1)
 	}
-	if o.inflight == 0 {
+	if o.doneSeq == o.nextSeq-1 {
 		o.closeOpen()
 	}
 }
 
-// closeOpen submits the open transaction, if it has members, as one log
-// write and starts a new one. It never blocks (the space was reserved as
-// members were added), so it may run in engine context.
+// closeOpen trims the open transaction's member images to what changed,
+// submits what is left as one log write and starts a new transaction. It
+// never blocks (space for the whole images was reserved as members were
+// added), so it may run in engine context.
 func (o *Journal) closeOpen() {
 	t := o.open
-	if len(t.homes) == 0 {
+	if len(t.bufs) == 0 {
+		return
+	}
+	clear(o.openSlot)
+	rd, wr, k := ffs.FragSize, ffs.FragSize, 0
+	t.payload = 0
+	for i, b := range t.bufs {
+		img := t.frame[rd : rd+int(t.homes[i].NFrags)*ffs.FragSize]
+		rd += len(img)
+		lo, hi := o.trim(b, img)
+		if lo == hi {
+			continue
+		}
+		t.bufs[k] = b
+		t.homes[k] = jlog.HomeRun{Frag: b.Frag + int64(lo), NFrags: int32(hi - lo)}
+		k++
+		wr += copy(t.frame[wr:], img[lo*ffs.FragSize:hi*ffs.FragSize])
+		t.payload += int32(hi - lo)
+	}
+	clear(t.bufs[k:])
+	t.bufs, t.homes, t.frame = t.bufs[:k], t.homes[:k], t.frame[:wr]
+	if k == 0 {
+		// Every image is already in the log: whoever waits for this
+		// transaction waits for the newest one submitted.
+		for i := len(o.waiters); i > 0 && o.waiters[i-1].seq == o.nextSeq; i-- {
+			o.waiters[i-1].seq--
+		}
+		o.wake()
 		return
 	}
 	size := jlog.TxnFrags(t.payload)
@@ -267,33 +341,129 @@ func (o *Journal) closeOpen() {
 	o.out = append(o.out, outReq{req: r, frame: t.frame})
 	t.frame = nil
 	o.lastLog = r.ID
-	o.inflight++
 	r.Done.OnFire(o.logWriteDone)
 
 	// Home writeback is ordered behind the commit (rule integrity: a home
 	// update on the media implies its transaction replays).
 	c := o.fs.Cache()
-	for _, h := range t.homes {
-		if b := c.Lookup(h.Frag); b != nil {
+	for _, m := range t.bufs {
+		if b := c.Lookup(m.Frag); b != nil {
 			addDep(b, r.ID)
 		}
-		o.byFrag[h.Frag] = append(o.byFrag[h.Frag], t)
+		o.byFrag[m.Frag] = append(o.byFrag[m.Frag], t)
 	}
-	t.live = len(t.homes)
+	t.live = len(t.bufs)
 	o.txns = append(o.txns, t)
 	o.head = off + size
 	o.Txns++
 	o.open = o.newTxn()
-	clear(o.openSlot)
 }
 
-// logWriteDone runs in engine context as a log write completes: with the
-// log idle, whatever gathered behind it commits next.
+// trim returns the span [lo, hi) of fragments in which img, b's image as
+// it enters the log, differs from the newest image of b an unretired
+// transaction holds, and makes img that newest image. With no such image
+// to compare (the first journaling since b's last home write, a new buffer
+// at the address, a resized one) the span is all of img.
+func (o *Journal) trim(b *cache.Buf, img []byte) (lo, hi int) {
+	hi = len(img) / ffs.FragSize
+	pv, ok := o.prev[b.Frag]
+	if !ok || pv.buf != b || len(pv.img) != len(img) {
+		if !ok {
+			pv.img = o.getSlab()
+		}
+		pv = jprev{buf: b, img: pv.img[:len(img)]}
+		copy(pv.img, img)
+		o.prev[b.Frag] = pv
+		return 0, hi
+	}
+	const fs = ffs.FragSize
+	for lo < hi && bytes.Equal(img[lo*fs:(lo+1)*fs], pv.img[lo*fs:(lo+1)*fs]) {
+		lo++
+	}
+	for hi > lo && bytes.Equal(img[(hi-1)*fs:hi*fs], pv.img[(hi-1)*fs:hi*fs]) {
+		hi--
+	}
+	copy(pv.img[lo*fs:hi*fs], img[lo*fs:hi*fs])
+	return lo, hi
+}
+
+// logWriteDone runs in engine context as a log write completes: the
+// fsyncs waiting for it wake, and with the log idle whatever gathered
+// behind it commits next.
 func (o *Journal) logWriteDone() {
-	if o.inflight--; o.inflight == 0 {
+	inflight := int(o.nextSeq - 1 - o.doneSeq) // the last so many of out, oldest first
+	if err := o.out[len(o.out)-inflight].req.Err; err != nil && o.logErr == nil {
+		o.logErr = fmt.Errorf("journal commit %d: %w", o.doneSeq+1, err)
+	}
+	o.doneSeq++
+	o.wake()
+	if o.doneSeq == o.nextSeq-1 {
 		o.closeOpen()
 	}
 }
+
+// wake fires the waiters of every transaction whose log write is done.
+func (o *Journal) wake() {
+	n := 0
+	for n < len(o.waiters) && o.waiters[n].seq <= o.doneSeq {
+		o.waiters[n].c.Fire(o.fs.Engine())
+		n++
+	}
+	o.waiters = slices.Delete(o.waiters, 0, n)
+}
+
+// WaitDurable implements ffs.DurabilityWaiter: fsync at the commit. The
+// file's dirty data and indirect buffers go home as one asynchronous batch
+// (data is not journaled); the inode block's current image — sizes reach
+// it through MetaUpdate, which does not journal — joins the open
+// transaction, and the caller waits for that transaction's commit and for
+// the data. Concurrent fsyncs gather behind one log write and share the
+// next, and the inode block's home write is left to the syncer.
+func (o *Journal) WaitDurable(p *sim.Proc, ino ffs.Ino, frags []int64) error {
+	c := o.fs.Cache()
+	sb := o.fs.Superblock()
+	iblk, _ := sb.InodeFrag(ino)
+	var data []*dev.Request
+	for _, frag := range frags {
+		b := c.Lookup(frag)
+		if b == nil || frag == int64(iblk) {
+			continue
+		}
+		// A write in flight carries b as it stands (no -CB); if it fails,
+		// or was refused a successor, b is dirty afterwards.
+		c.PrepareModify(p, b)
+		if b.Dirty {
+			if r := c.Bawrite(p, b); r != nil {
+				data = append(data, r)
+			}
+		}
+	}
+	if ib := c.Lookup(int64(iblk)); ib != nil && (ib.Dirty || ib.InFlight()) {
+		o.stable(p, ib)
+	}
+	// Everything journaled so far is durable once the open transaction
+	// commits or, if that is empty, the newest submitted one has.
+	seq := o.nextSeq - 1
+	if len(o.open.bufs) > 0 {
+		seq = o.nextSeq
+	}
+	if seq > o.doneSeq {
+		if n := len(o.waiters); n == 0 || o.waiters[n-1].seq != seq {
+			o.waiters = append(o.waiters, jwait{seq: seq, c: sim.NewCompletion()})
+		}
+		o.waiters[len(o.waiters)-1].c.Wait(p)
+	}
+	err := o.logErr
+	for _, r := range data {
+		r.Done.Wait(p)
+		if err == nil {
+			err = r.Err
+		}
+	}
+	return err
+}
+
+var _ ffs.DurabilityWaiter = (*Journal)(nil)
 
 // sweep recycles completed log writes (requests and frames) from the
 // submission-order front.
@@ -400,15 +570,15 @@ func (o *Journal) flushOldest(p *sim.Proc) {
 	t := o.txns[0] // reclaim failed, so the front is live
 	c := o.fs.Cache()
 	var wait *cache.Buf
-	for _, h := range t.homes {
-		if !slices.Contains(o.byFrag[h.Frag], t) {
+	for _, m := range t.bufs {
+		if !slices.Contains(o.byFrag[m.Frag], t) {
 			continue // already home
 		}
-		b := c.Lookup(h.Frag)
+		b := c.Lookup(m.Frag)
 		if b == nil || (!b.Dirty && !b.InFlight()) {
 			// Buffer gone (freed) or its state already durable: the image
 			// is moot.
-			o.retireFrag(h.Frag)
+			o.retireFrag(m.Frag)
 			continue
 		}
 		if !b.InFlight() {
@@ -430,8 +600,20 @@ func (o *Journal) newTxn() *jtxn {
 		o.txnFree[n-1] = nil
 		o.txnFree = o.txnFree[:n-1]
 	}
-	*t = jtxn{homes: t.homes[:0], frame: o.getFrame()}
+	clear(t.bufs)
+	*t = jtxn{bufs: t.bufs[:0], homes: t.homes[:0], frame: o.getFrame()}
 	return t
+}
+
+// getSlab returns a block-sized previous-image slab.
+func (o *Journal) getSlab() []byte {
+	if n := len(o.slabs); n > 0 {
+		s := o.slabs[n-1]
+		o.slabs[n-1] = nil
+		o.slabs = o.slabs[:n-1]
+		return s
+	}
+	return make([]byte, ffs.BlockSize)
 }
 
 // getFrame returns a one-fragment frame (zeroed past the first sector,

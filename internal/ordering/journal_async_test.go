@@ -173,11 +173,17 @@ func TestJournalGroupCommit(t *testing.T) {
 	}
 }
 
-// submitLog records the driver's submissions for TestJournalHomeWrite.
-type submitLog struct{ lbns []int64 }
+// submitLog records the driver's submissions for the home-write tests.
+type submitLog struct {
+	lbns []int64
+	ids  []uint64
+}
 
-func (s *submitLog) RequestSubmitted(r *dev.Request, _ []uint64) { s.lbns = append(s.lbns, r.LBN) }
-func (s *submitLog) RequestsCompleted([]uint64, sim.Time)        {}
+func (s *submitLog) RequestSubmitted(r *dev.Request, _ []uint64) {
+	s.lbns = append(s.lbns, r.LBN)
+	s.ids = append(s.ids, r.ID)
+}
+func (s *submitLog) RequestsCompleted([]uint64, sim.Time) {}
 
 // TestJournalHomeWriteForcesCommit: a home write of a buffer that sits in
 // the open transaction must first submit that transaction and then wait
