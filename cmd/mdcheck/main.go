@@ -9,7 +9,6 @@
 //	mdcheck -schemes softupdates,noorder -files 200
 //	mdcheck -workers 8 -budget 100000 -json
 //	mdcheck -schemes softupdates -seed-bug -shrink   # catch a planted bug
-//	mdcheck -full -pass-workers 4       # no incremental reuse, parallel passes
 //	mdcheck -dist -schemes conventional # sharded dmeta cluster, per-node sweeps
 //
 // Exit status is 1 when any scheme's verdict is unexpected: a violation
@@ -28,28 +27,6 @@ import (
 	"metaupdate/internal/harness"
 )
 
-func parseScheme(s string) (fsim.Scheme, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "conventional":
-		return fsim.Conventional, nil
-	case "flag":
-		return fsim.SchedulerFlag, nil
-	case "chains":
-		return fsim.SchedulerChains, nil
-	case "softupdates", "soft":
-		return fsim.SoftUpdates, nil
-	case "noorder":
-		return fsim.NoOrder, nil
-	case "nvram":
-		return fsim.NVRAM, nil
-	case "journaling", "journal":
-		return fsim.Journaling, nil
-	case "async", "asyncdurability":
-		return fsim.AsyncDurability, nil
-	}
-	return 0, fmt.Errorf("unknown scheme %q (conventional|flag|chains|softupdates|noorder|nvram|journaling|async)", s)
-}
-
 func main() {
 	schemes := flag.String("schemes", "conventional,flag,chains,softupdates,noorder,journaling,async",
 		"comma-separated ordering schemes to check")
@@ -60,10 +37,6 @@ func main() {
 	shrink := flag.Bool("shrink", false, "shrink the first violation to a minimal repro")
 	seedBug := flag.Bool("seed-bug", false,
 		"plant an ordering bug (soft updates drops its directory-entry dependency)")
-	full := flag.Bool("full", false,
-		"disable incremental checking: full fsck per candidate image")
-	passWorkers := flag.Int("pass-workers", 0,
-		"fsck pass-level parallelism per image (0: serial passes)")
 	dist := flag.Bool("dist", false,
 		"check a power-failed sharded dmeta cluster instead of one file system")
 	distNodes := flag.Int("dist-nodes", 4, "cluster shard count for -dist")
@@ -73,7 +46,7 @@ func main() {
 
 	var list []fsim.Scheme
 	for _, name := range strings.Split(*schemes, ",") {
-		s, err := parseScheme(name)
+		s, err := fsim.ParseScheme(name)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "mdcheck:", err)
 			os.Exit(2)
@@ -82,12 +55,10 @@ func main() {
 	}
 
 	mc := crashmc.Config{
-		Workers:     *workers,
-		Budget:      *budget,
-		PerInstant:  *perInstant,
-		Shrink:      *shrink,
-		FullCheck:   *full,
-		PassWorkers: *passWorkers,
+		Workers:    *workers,
+		Budget:     *budget,
+		PerInstant: *perInstant,
+		Shrink:     *shrink,
 	}
 
 	if *dist {

@@ -14,34 +14,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"metaupdate/fsim"
 	"metaupdate/internal/fsck"
 )
-
-func parseScheme(s string) (fsim.Scheme, error) {
-	switch strings.ToLower(s) {
-	case "conventional":
-		return fsim.Conventional, nil
-	case "flag":
-		return fsim.SchedulerFlag, nil
-	case "chains":
-		return fsim.SchedulerChains, nil
-	case "softupdates", "soft":
-		return fsim.SoftUpdates, nil
-	case "noorder":
-		return fsim.NoOrder, nil
-	case "nvram":
-		return fsim.NVRAM, nil
-	case "journaling", "journal":
-		return fsim.Journaling, nil
-	case "async", "asyncdurability":
-		return fsim.AsyncDurability, nil
-	}
-	return 0, fmt.Errorf("unknown scheme %q", s)
-}
 
 // churn is the deterministic workload: continuous create/write/remove/
 // rename traffic in one directory.
@@ -118,7 +95,7 @@ func main() {
 	repair := flag.Bool("repair", false, "run fsck repair on the crashed image")
 	flag.Parse()
 
-	scheme, err := parseScheme(*schemeName)
+	scheme, err := fsim.ParseScheme(*schemeName)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mdcrash:", err)
 		os.Exit(2)

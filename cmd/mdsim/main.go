@@ -25,7 +25,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 	"time"
 
 	"metaupdate/fsim"
@@ -281,35 +280,12 @@ func writeReport(report harness.Report, path string) error {
 	return nil
 }
 
-// parseScheme maps a CLI scheme name to the fsim constant.
-func parseScheme(name string) (fsim.Scheme, error) {
-	switch strings.ToLower(name) {
-	case "conventional":
-		return fsim.Conventional, nil
-	case "flag":
-		return fsim.SchedulerFlag, nil
-	case "chains":
-		return fsim.SchedulerChains, nil
-	case "softupdates", "soft":
-		return fsim.SoftUpdates, nil
-	case "noorder":
-		return fsim.NoOrder, nil
-	case "nvram":
-		return fsim.NVRAM, nil
-	case "journaling", "journal":
-		return fsim.Journaling, nil
-	case "async", "asyncdurability":
-		return fsim.AsyncDurability, nil
-	}
-	return 0, fmt.Errorf("unknown scheme %q", name)
-}
-
 // runOpTrace runs the 4-user copy with the operation-span recorder
 // attached and writes the spans as Chrome trace-event JSON (load in
 // chrome://tracing or Perfetto). The file is byte-deterministic: all
 // timestamps are virtual.
 func runOpTrace(schemeName string, scale harness.Scale, path string) error {
-	scheme, err := parseScheme(schemeName)
+	scheme, err := fsim.ParseScheme(schemeName)
 	if err != nil {
 		return err
 	}
@@ -334,7 +310,7 @@ func runOpTrace(schemeName string, scale harness.Scale, path string) error {
 // the 4-user copy benchmark under one scheme with the driver instrumented,
 // then analyze the per-request queue and service delays.
 func runTrace(schemeName string, scale harness.Scale, csvPath string) error {
-	scheme, err := parseScheme(schemeName)
+	scheme, err := fsim.ParseScheme(schemeName)
 	if err != nil {
 		return err
 	}

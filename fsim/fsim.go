@@ -20,6 +20,7 @@ package fsim
 
 import (
 	"fmt"
+	"strings"
 
 	"metaupdate/internal/cache"
 	"metaupdate/internal/core"
@@ -123,6 +124,30 @@ func (s Scheme) String() string {
 		return "Async Durability"
 	}
 	return fmt.Sprintf("Scheme(%d)", int(s))
+}
+
+// ParseScheme maps a command-line scheme name (case and surrounding space
+// ignored) to its Scheme.
+func ParseScheme(name string) (Scheme, error) {
+	switch strings.ToLower(strings.TrimSpace(name)) {
+	case "conventional":
+		return Conventional, nil
+	case "flag":
+		return SchedulerFlag, nil
+	case "chains":
+		return SchedulerChains, nil
+	case "softupdates", "soft":
+		return SoftUpdates, nil
+	case "noorder":
+		return NoOrder, nil
+	case "nvram":
+		return NVRAM, nil
+	case "journaling", "journal":
+		return Journaling, nil
+	case "async", "asyncdurability":
+		return AsyncDurability, nil
+	}
+	return 0, fmt.Errorf("unknown scheme %q (conventional|flag|chains|softupdates|noorder|nvram|journaling|async)", name)
 }
 
 // FlagSemantics re-exports the driver's ordering-flag semantics.

@@ -237,23 +237,13 @@ type Config struct {
 	ExtraCheck func(fsck.Image) []string
 	// Recover, if set, runs crash-time recovery on each materialized crash
 	// image before the fsck oracle (the Journaling scheme sets it to journal
-	// replay). Setting it forces full checking — recovery rewrites arbitrary
-	// home fragments, so delta replay against a committed baseline is
-	// unsound. It is called concurrently on distinct images.
+	// replay). Setting it means a full fsck walk per candidate instead of a
+	// delta replayed against a cached per-snapshot Baseline — recovery
+	// rewrites arbitrary home fragments, so the delta replay would be
+	// unsound. Reports are identical either way (the differential oracle in
+	// incremental_test.go enforces it). It is called concurrently on
+	// distinct images.
 	Recover func([]byte)
-	// FullCheck disables incremental checking: every candidate is verified
-	// by a full fsck walk instead of replaying deltas against a cached
-	// per-snapshot Baseline. Reports are identical either way — the
-	// differential oracle (incremental_test.go) enforces it — so full mode
-	// exists for benchmarking the speedup and as a belt-and-braces CI path.
-	FullCheck bool
-	// PassWorkers sets fsck's pass-level parallelism per image: baseline
-	// builds (incremental mode) and full walks (FullCheck mode) derive
-	// with that many cooperating goroutines, pFSCK-style. Useful when
-	// instants are few but images are huge — trading image-level for
-	// pass-level parallelism; total goroutines scale with
-	// Workers×PassWorkers, so lower Workers when raising this. Default 1.
-	PassWorkers int
 	// Shrink reduces the lowest-sequence violating state to a minimal
 	// repro after the sweep.
 	Shrink bool

@@ -476,11 +476,10 @@ func (x *explorer) emitInstant() {
 // and every worker replays candidate overlays against it through a
 // per-worker DeltaChecker — re-deriving only the state the delta's dirty
 // sectors reach. The differential oracle (incremental_test.go) pins the
-// reports bit-identical to full walks; cfg.FullCheck restores them.
+// reports bit-identical to the full walks cfg.Recover needs.
 type checkerPool struct {
 	cfg         Config
 	incremental bool
-	passWorkers int
 
 	checked   atomic.Int64
 	violating atomic.Int64
@@ -508,16 +507,11 @@ type baselineEntry struct {
 }
 
 func newCheckerPool(cfg Config) *checkerPool {
-	pw := cfg.PassWorkers
-	if pw < 1 {
-		pw = 1
-	}
 	return &checkerPool{
 		cfg: cfg,
 		// Recovery (journal replay) rewrites arbitrary home fragments, so
 		// candidates cannot be checked as deltas over a committed baseline.
-		incremental: !cfg.FullCheck && cfg.Recover == nil,
-		passWorkers: pw,
+		incremental: cfg.Recover == nil,
 		baselines:   make(map[uint64]*baselineEntry),
 	}
 }
@@ -547,7 +541,9 @@ func (cp *checkerPool) putSubset(s []*node) {
 }
 
 // baseline returns the shared Baseline for one committed-image version,
-// building it (possibly pass-parallel) exactly once.
+// building it exactly once, on the calling worker; the others go on with
+// jobs of the versions they hold and wait on the Once only if they need this
+// one.
 func (cp *checkerPool) baseline(ver uint64, img []byte) *fsck.Baseline {
 	cp.blmu.Lock()
 	e := cp.baselines[ver]
@@ -565,7 +561,7 @@ func (cp *checkerPool) baseline(ver uint64, img []byte) *fsck.Baseline {
 	cp.blmu.Unlock()
 	e.once.Do(func() {
 		cp.builds.Add(1)
-		e.bl = fsck.NewBaseline(fsck.Bytes(img), cp.passWorkers)
+		e.bl = fsck.NewBaseline(fsck.Bytes(img), 1)
 	})
 	return e.bl
 }
@@ -591,21 +587,17 @@ func (cp *checkerPool) run(jobs <-chan job) {
 			// Triage without formatting finding details — almost every
 			// candidate's report is discarded. Only candidates that would
 			// enter the retained set get a full formatted check, so the
-			// recorded strings are identical to FullCheck mode's.
+			// recorded strings are identical to the full path's.
 			if deltaViolates(dc, ov, cp.cfg.CheckContent, cp.cfg.ExtraCheck) {
 				cp.violating.Add(1)
 				if cp.wouldRetain(j.seq) {
-					cp.record(j, checkImage(ov, cp.passWorkers, cp.cfg.CheckContent, cp.cfg.ExtraCheck))
+					cp.record(j, checkImage(ov, cp.cfg.CheckContent, cp.cfg.ExtraCheck))
 				}
 			}
 		} else {
-			var img fsck.Image = ov
-			if cp.cfg.Recover != nil {
-				scratch = ov.materialize(scratch)
-				cp.cfg.Recover(scratch)
-				img = fsck.Bytes(scratch)
-			}
-			findings := checkImage(img, cp.passWorkers, cp.cfg.CheckContent, cp.cfg.ExtraCheck)
+			scratch = ov.materialize(scratch)
+			cp.cfg.Recover(scratch)
+			findings := checkImage(fsck.Bytes(scratch), cp.cfg.CheckContent, cp.cfg.ExtraCheck)
 			if len(findings) != 0 {
 				cp.violating.Add(1)
 				cp.record(j, findings)
@@ -676,17 +668,16 @@ func (cp *checkerPool) takeViolations() []Violation {
 }
 
 // checkImage runs the fsck oracle over one image — materialized or
-// overlay — and returns the rule violations as strings. passWorkers > 1
-// checks the image with pass-level parallelism. A panic inside fsck (a
-// corrupted superblock leading it somewhere unmapped) is itself reported
-// as a violation rather than killing the sweep.
-func checkImage(img fsck.Image, passWorkers int, content bool, extra func(fsck.Image) []string) (findings []string) {
+// overlay — and returns the rule violations as strings. A panic inside
+// fsck (a corrupted superblock leading it somewhere unmapped) is itself
+// reported as a violation rather than killing the sweep.
+func checkImage(img fsck.Image, content bool, extra func(fsck.Image) []string) (findings []string) {
 	defer func() {
 		if p := recover(); p != nil {
 			findings = append(findings, fmt.Sprintf("fsck panicked on image: %v", p))
 		}
 	}()
-	for _, f := range fsck.CheckImagePipelined(img, passWorkers).Violations() {
+	for _, f := range fsck.CheckImage(img).Violations() {
 		findings = append(findings, f.String())
 	}
 	findings = auxFindings(findings, img, content, extra)

@@ -165,27 +165,30 @@ func TestIncrementalEqualsFull(t *testing.T) {
 	}
 }
 
-// TestExploreFullCheckAgrees runs whole explorations in incremental
-// (default), FullCheck, and pass-parallel modes and requires identical
-// counters and identical retained violations.
+// TestExploreFullCheckAgrees runs whole explorations on the incremental
+// (default) path and on the per-candidate full path — selected the way
+// production selects it, by a Recover hook (here one that recovers nothing)
+// — each at one pool worker and at four (which also sets how many
+// goroutines derive each baseline), and requires identical counters and
+// identical retained violations.
 func TestExploreFullCheckAgrees(t *testing.T) {
 	rec := recordRun(t, fsim.NoOrder, 8)
-	base := Config{Workers: 2, Budget: 1000, PerInstant: 256}
+	base := Config{Workers: 1, Budget: 1000, PerInstant: 256}
 	inc := rec.Explore(base)
 
 	full := base
-	full.FullCheck = true
+	full.Recover = func([]byte) {}
 	fres := rec.Explore(full)
 
 	pw := base
-	pw.PassWorkers = 2
+	pw.Workers = 4
 	pres := rec.Explore(pw)
 
 	fpw := full
-	fpw.PassWorkers = 2
+	fpw.Workers = 4
 	fpres := rec.Explore(fpw)
 
-	for name, res := range map[string]*Result{"full": fres, "incremental+passworkers": pres, "full+passworkers": fpres} {
+	for name, res := range map[string]*Result{"full": fres, "incremental, 4 workers": pres, "full, 4 workers": fpres} {
 		if inc.Stats.Explored != res.Stats.Explored || inc.Stats.Checked != res.Stats.Checked ||
 			inc.Stats.Deduped != res.Stats.Deduped || inc.Stats.Violating != res.Stats.Violating {
 			t.Fatalf("%s: counters differ from incremental:\ninc:  %+v\n%s: %+v", name, inc.Stats, name, res.Stats)

@@ -88,13 +88,6 @@ func (o *overlay) Base() fsck.Image { return fsck.Bytes(o.base) }
 // next load.
 func (o *overlay) DirtySectors() []int64 { return o.dirty }
 
-// Fork implements fsck.Forkable: the fork shares the base and the delta
-// (both read-only for the duration of a check) with private scratch, so
-// pipelined fsck passes can Range concurrently.
-func (o *overlay) Fork() fsck.Image {
-	return &overlay{base: o.base, mark: o.mark, view: o.view, cur: o.cur, dirty: o.dirty}
-}
-
 // Range implements fsck.Image. Ranges free of dirty sectors alias the base
 // snapshot; ranges touching the delta are assembled in a rotating scratch
 // buffer.

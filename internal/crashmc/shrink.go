@@ -37,7 +37,7 @@ func (r *Recorder) shrink(v Violation, cfg Config, doneOrder []*node) *Repro {
 		}
 		trials++
 		materialize(writes, partial, psec)
-		return len(checkImage(fsck.Bytes(img), 1, cfg.CheckContent, cfg.ExtraCheck)) > 0
+		return len(checkImage(fsck.Bytes(img), cfg.CheckContent, cfg.ExtraCheck)) > 0
 	}
 
 	subset := make([]*node, 0, len(v.Applied))
@@ -142,7 +142,7 @@ func (r *Recorder) shrink(v Violation, cfg Config, doneOrder []*node) *Repro {
 
 	// Re-materialize the final state for its findings.
 	materialize(writes, partial, psec)
-	rep := &Repro{Findings: checkImage(fsck.Bytes(img), 1, cfg.CheckContent, cfg.ExtraCheck), Trials: trials}
+	rep := &Repro{Findings: checkImage(fsck.Bytes(img), cfg.CheckContent, cfg.ExtraCheck), Trials: trials}
 	for _, n := range writes {
 		rep.Writes = append(rep.Writes, WriteInfo{ID: n.id, LBN: n.lbn, Sectors: n.count})
 	}

@@ -41,7 +41,9 @@ type Dirent struct {
 	Off    int // byte offset within the directory block data
 }
 
-func putDirent(b []byte, ino Ino, reclen int, name string, ftype uint8) {
+// PutDirent encodes one directory entry at the start of b (fsck's repair
+// writes reformatted chunks through it too).
+func PutDirent(b []byte, ino Ino, reclen int, name string, ftype uint8) {
 	le := binary.LittleEndian
 	le.PutUint32(b[0:], uint32(ino))
 	le.PutUint16(b[4:], uint16(reclen))
@@ -66,7 +68,7 @@ func readDirent(b []byte, off int) Dirent {
 // single empty entry owning the whole chunk.
 func initDirChunks(b []byte) {
 	for off := 0; off < len(b); off += DirChunk {
-		putDirent(b[off:], 0, DirChunk, "", 0)
+		PutDirent(b[off:], 0, DirChunk, "", 0)
 	}
 }
 
@@ -138,7 +140,7 @@ func addEntryInData(data []byte, name string, ino Ino, ftype uint8) (off int, ok
 			entIno := Ino(le.Uint32(data[off:]))
 			if entIno == 0 && reclen >= need {
 				// Claim the free entry's space.
-				putDirent(data[off:], ino, reclen, name, ftype)
+				PutDirent(data[off:], ino, reclen, name, ftype)
 				return off, true
 			}
 			used := entrySpace(int(data[off+6]))
@@ -146,7 +148,7 @@ func addEntryInData(data []byte, name string, ino Ino, ftype uint8) (off int, ok
 				// Split the slack off the live entry.
 				le.PutUint16(data[off+4:], uint16(used))
 				newOff := off + used
-				putDirent(data[newOff:], ino, reclen-used, name, ftype)
+				PutDirent(data[newOff:], ino, reclen-used, name, ftype)
 				return newOff, true
 			}
 			off += reclen
@@ -182,7 +184,7 @@ func removeEntryInData(data []byte, off int) int {
 		return prev
 	}
 	// First entry of the chunk: becomes an unused entry owning its space.
-	putDirent(data[off:], 0, victimReclen, "", 0)
+	PutDirent(data[off:], 0, victimReclen, "", 0)
 	return off
 }
 

@@ -238,14 +238,14 @@ func TestSuperblockCodec(t *testing.T) {
 	b := make([]byte, FragSize)
 	sb.encode(b)
 	var got Superblock
-	if err := got.decode(b); err != nil {
+	if err := got.Decode(b); err != nil {
 		t.Fatal(err)
 	}
 	if got != sb {
 		t.Fatalf("%+v != %+v", got, sb)
 	}
 	b[0] = 0xFF
-	if err := got.decode(b); err == nil {
+	if err := got.Decode(b); err == nil {
 		t.Fatal("bad magic accepted")
 	}
 }

@@ -98,7 +98,7 @@ func Mount(eng *sim.Engine, cpu *sim.CPU, c *cache.Cache, ord Ordering, cfg Conf
 	if err != nil {
 		return nil, err
 	}
-	if err := fs.sb.decode(sbuf.Data); err != nil {
+	if err := fs.sb.Decode(sbuf.Data); err != nil {
 		return nil, err
 	}
 	fs.inoRotor = RootIno + 1

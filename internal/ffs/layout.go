@@ -91,7 +91,14 @@ func (sb *Superblock) encode(b []byte) {
 	le.PutUint32(b[32:], uint32(sb.JournalFrags))
 }
 
-func (sb *Superblock) decode(b []byte) error {
+// SuperblockSize is the encoded superblock's length in bytes, from the
+// start of fragment 0.
+const SuperblockSize = 36
+
+// Decode reads the superblock from the first SuperblockSize bytes of b —
+// the one decoder of the layout, for the mount path and for fsck. On a bad
+// magic it returns an error with sb.Magic set to what it found.
+func (sb *Superblock) Decode(b []byte) error {
 	le := binary.LittleEndian
 	sb.Magic = le.Uint32(b[0:])
 	if sb.Magic != Magic {

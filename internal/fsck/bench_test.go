@@ -29,15 +29,6 @@ func BenchmarkFsckFull(b *testing.B) {
 	}
 }
 
-func BenchmarkFsckPipelined(b *testing.B) {
-	img := fsck.Bytes(benchImage(b))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fsck.CheckImagePipelined(img, 4)
-	}
-}
-
 // BenchmarkFsckDelta is the crashmc steady state: one warm DeltaChecker
 // re-verifying a one-sector delta against a cached baseline.
 func BenchmarkFsckDelta(b *testing.B) {

@@ -366,37 +366,9 @@ func TestDanglingEntryDetection(t *testing.T) {
 
 func superblockOf(t testing.TB, img []byte) ffs.Superblock {
 	t.Helper()
-	d := disk.New(disk.HPC2447(), int64(len(img)))
-	copy(d.Image(), img)
-	// Reuse the ffs decoder via a scratch mount-free path: decode directly.
 	var sb ffs.Superblock
-	if err := sbDecode(img, &sb); err != nil {
+	if err := sb.Decode(img); err != nil {
 		t.Fatal(err)
 	}
 	return sb
-}
-
-func sbDecode(img []byte, sb *ffs.Superblock) error {
-	rep := fsck.Check(img)
-	if len(rep.Findings) > 0 {
-		for _, f := range rep.Findings {
-			if f.Kind == fsck.BadSuperblock {
-				return fmt.Errorf("bad superblock: %s", f.Detail)
-			}
-		}
-	}
-	// fsck validated it; decode the public fields by hand.
-	le := leUint32
-	sb.Magic = le(img, 0)
-	sb.TotalFrags = int32(le(img, 4))
-	sb.NInodes = le(img, 8)
-	sb.InodeStart = int32(le(img, 12))
-	sb.IBmapStart = int32(le(img, 16))
-	sb.FBmapStart = int32(le(img, 20))
-	sb.DataStart = int32(le(img, 24))
-	return nil
-}
-
-func leUint32(b []byte, off int) uint32 {
-	return uint32(b[off]) | uint32(b[off+1])<<8 | uint32(b[off+2])<<16 | uint32(b[off+3])<<24
 }

@@ -146,22 +146,6 @@ func (r *Report) add(k Kind, ino ffs.Ino, format string, args ...interface{}) {
 	r.Findings = append(r.Findings, f)
 }
 
-type checker struct {
-	img Image
-	// raw is the writable backing slice — set only by Repair, whose
-	// in-place fixes need mutable views; Check paths read through img.
-	raw []byte
-	sb  ffs.Superblock
-	rep *Report
-
-	// fragOwner[frag - DataStart] = inode that references it (0 = none).
-	fragOwner []ffs.Ino
-}
-
-func (c *checker) frag(f int32) []byte {
-	return c.img.Range(int64(f)*ffs.FragSize, ffs.FragSize)
-}
-
 // Check walks a materialized image and returns the integrity report.
 func Check(img []byte) *Report { return CheckImage(Bytes(img)) }
 
@@ -190,21 +174,11 @@ func CheckImage(img Image) *Report {
 	return rep
 }
 
+// decodeSB reads img's superblock through its one decoder, ffs's.
 func decodeSB(img Image, sb *ffs.Superblock) error {
-	le := binary.LittleEndian
-	b := img.Range(0, 36)
-	if le.Uint32(b[0:]) != ffs.Magic {
-		return fmt.Errorf("bad magic %#x", le.Uint32(b[0:]))
+	if sb.Decode(img.Range(0, ffs.SuperblockSize)) != nil {
+		return fmt.Errorf("bad magic %#x", sb.Magic)
 	}
-	sb.Magic = le.Uint32(b[0:])
-	sb.TotalFrags = int32(le.Uint32(b[4:]))
-	sb.NInodes = le.Uint32(b[8:])
-	sb.InodeStart = int32(le.Uint32(b[12:]))
-	sb.IBmapStart = int32(le.Uint32(b[16:]))
-	sb.FBmapStart = int32(le.Uint32(b[20:]))
-	sb.DataStart = int32(le.Uint32(b[24:]))
-	sb.JournalStart = int32(le.Uint32(b[28:]))
-	sb.JournalFrags = int32(le.Uint32(b[32:]))
 	return nil
 }
 
@@ -221,127 +195,6 @@ func ReplayJournal(img []byte) int {
 		return 0
 	}
 	return jlog.Replay(img, sb.JournalStart, sb.JournalFrags)
-}
-
-func (c *checker) readInode(ino ffs.Ino) ffs.Inode {
-	frag, off := c.sb.InodeFrag(ino)
-	return ffs.DecodeInode(c.img.Range(int64(frag)*ffs.FragSize+int64(off), ffs.InodeSize))
-}
-
-// claim records ino's ownership of frags [start, start+n), reporting range
-// errors and cross-links.
-func (c *checker) claim(ino ffs.Ino, start int32, n int) bool {
-	if start < c.sb.DataStart || start+int32(n) > c.sb.TotalFrags {
-		c.rep.add(BadPointer, ino, "fragment run [%d,%d) outside data region", start, start+int32(n))
-		return false
-	}
-	for i := int32(0); i < int32(n); i++ {
-		idx := start + i - c.sb.DataStart
-		if owner := c.fragOwner[idx]; owner != 0 && owner != ino {
-			c.rep.add(CrossLink, ino, "fragment %d also owned by inode %d", start+i, owner)
-			continue
-		}
-		c.fragOwner[idx] = ino
-		c.rep.ReferencedFrags++
-	}
-	return true
-}
-
-// claimFile walks ip's block map.
-func (c *checker) claimFile(ino ffs.Ino, ip *ffs.Inode) {
-	nblocks := (int(ip.Size) + ffs.BlockSize - 1) / ffs.BlockSize
-	runLen := func(bi int) int {
-		if bi == nblocks-1 {
-			rem := int(ip.Size) % ffs.BlockSize
-			if rem == 0 {
-				return ffs.BlockFrags
-			}
-			return (rem + ffs.FragSize - 1) / ffs.FragSize
-		}
-		return ffs.BlockFrags
-	}
-	bi := 0
-	for ; bi < nblocks && bi < ffs.NDirect; bi++ {
-		if ip.Direct[bi] == 0 {
-			c.rep.add(ShortFile, ino, "size implies direct block %d but it is unset", bi)
-			continue
-		}
-		c.claim(ino, ip.Direct[bi], runLen(bi))
-	}
-	if bi < nblocks && ip.Indir == 0 {
-		c.rep.add(ShortFile, ino, "size %d implies an indirect block but none is set", ip.Size)
-		return
-	}
-	if ip.Indir != 0 {
-		if c.claim(ino, ip.Indir, ffs.BlockFrags) {
-			// An indirect block spans BlockFrags fragments.
-			data := c.img.Range(int64(ip.Indir)*ffs.FragSize, ffs.BlockSize)
-			for i := 0; i < ffs.PtrsPerBlock && bi < nblocks; i, bi = i+1, bi+1 {
-				ptr := int32(binary.LittleEndian.Uint32(data[i*4:]))
-				if ptr == 0 {
-					c.rep.add(ShortFile, ino, "hole at indirect slot %d", i)
-					continue
-				}
-				c.claim(ino, ptr, runLen(bi))
-			}
-		} else {
-			bi += ffs.PtrsPerBlock
-		}
-	}
-	if ip.Dindir != 0 {
-		if c.claim(ino, ip.Dindir, ffs.BlockFrags) {
-			// Decode the level-1 pointers before walking them: the walk
-			// issues a Range per pointer, and Image views from scratch-
-			// backed implementations do not survive that many later calls.
-			var l1ptrs [ffs.PtrsPerBlock]int32
-			ddata := c.img.Range(int64(ip.Dindir)*ffs.FragSize, ffs.BlockSize)
-			for l1 := range l1ptrs {
-				l1ptrs[l1] = int32(binary.LittleEndian.Uint32(ddata[l1*4:]))
-			}
-			for l1 := 0; l1 < ffs.PtrsPerBlock && bi < nblocks; l1++ {
-				l1ptr := l1ptrs[l1]
-				if l1ptr == 0 {
-					c.rep.add(ShortFile, ino, "hole at dindirect slot %d", l1)
-					bi += ffs.PtrsPerBlock
-					continue
-				}
-				if !c.claim(ino, l1ptr, ffs.BlockFrags) {
-					bi += ffs.PtrsPerBlock
-					continue
-				}
-				ldata := c.img.Range(int64(l1ptr)*ffs.FragSize, ffs.BlockSize)
-				for l2 := 0; l2 < ffs.PtrsPerBlock && bi < nblocks; l2, bi = l2+1, bi+1 {
-					ptr := int32(binary.LittleEndian.Uint32(ldata[l2*4:]))
-					if ptr == 0 {
-						c.rep.add(ShortFile, ino, "hole under dindirect")
-						continue
-					}
-					c.claim(ino, ptr, runLen(bi))
-				}
-			}
-		}
-	}
-}
-
-// dirData materializes a directory's contents from the image.
-func (c *checker) dirData(ino ffs.Ino, ip ffs.Inode) []byte {
-	out := make([]byte, 0, ip.Size)
-	nblocks := (int(ip.Size) + ffs.BlockSize - 1) / ffs.BlockSize
-	for bi := 0; bi < nblocks && bi < ffs.NDirect; bi++ {
-		ptr := ip.Direct[bi]
-		if ptr == 0 || ptr < c.sb.DataStart || ptr >= c.sb.TotalFrags {
-			return out // already reported
-		}
-		n := ffs.BlockSize
-		if rem := int(ip.Size) - bi*ffs.BlockSize; rem < n {
-			n = (rem + ffs.FragSize - 1) / ffs.FragSize * ffs.FragSize
-		}
-		out = append(out, c.img.Range(int64(ptr)*ffs.FragSize, int64(n))...)
-	}
-	if int(ip.Size) < len(out) {
-		out = out[:ip.Size]
-	}
-	return out
 }
 
 // DataMarkerMagic stamps crash-test file fragments (see ContentViolations).
@@ -372,9 +225,11 @@ func MakeStampedData(ino ffs.Ino, n int) []byte {
 // ContentViolationsImage.
 func ContentViolations(img []byte) []Finding { return ContentViolationsImage(Bytes(img)) }
 
-// ContentViolationsImage scans every file's data fragments. A fragment must
-// be all-zero (never written), or stamped with its owner. A fragment stamped
-// with a DIFFERENT inode is the allocation-initialization failure: the file
+// ContentViolationsImage scans every file's data fragments — the data runs
+// of the checker's own walk scripts, so whatever block map Check follows
+// (indirect blocks included) this follows too. A fragment must be all-zero
+// (never written), or stamped with its owner. A fragment stamped with a
+// DIFFERENT inode is the allocation-initialization failure: the file
 // exposes another (deleted) file's contents — the paper's security hole.
 func ContentViolationsImage(img Image) []Finding {
 	var sb ffs.Superblock
@@ -382,31 +237,25 @@ func ContentViolationsImage(img Image) []Finding {
 		return []Finding{{Kind: BadSuperblock, Detail: err.Error()}}
 	}
 	var out []Finding
-	c := &checker{img: img, sb: sb}
+	d := deriver{img: img, sb: &sb}
+	var r inodeRec
 	for ino := ffs.Ino(2); uint32(ino) < sb.NInodes; ino++ {
-		ip := c.readInode(ino)
-		if ip.Mode != ffs.ModeFile {
+		d.deriveInode(ino, &r)
+		if r.ip.Mode != ffs.ModeFile {
 			continue
 		}
-		nblocks := (int(ip.Size) + ffs.BlockSize - 1) / ffs.BlockSize
-		for bi := 0; bi < nblocks && bi < ffs.NDirect; bi++ {
-			ptr := ip.Direct[bi]
-			if ptr < sb.DataStart || ptr >= sb.TotalFrags {
+		for i := range r.steps {
+			st := &r.steps[i]
+			if st.kind != claimData {
 				continue
 			}
-			nf := ffs.BlockFrags
-			if bi == nblocks-1 {
-				if rem := int(ip.Size) % ffs.BlockSize; rem != 0 {
-					nf = (rem + ffs.FragSize - 1) / ffs.FragSize
-				}
-			}
-			for i := int32(0); i < int32(nf); i++ {
-				fr := c.frag(ptr + i)
+			for f := st.start; f < st.start+st.n; f++ {
+				fr := img.Range(int64(f)*ffs.FragSize, 8)
 				magic := binary.LittleEndian.Uint32(fr[0:])
 				owner := ffs.Ino(binary.LittleEndian.Uint32(fr[4:]))
 				if magic == DataMarkerMagic && owner != ino {
 					out = append(out, Finding{Kind: UninitializedData, Ino: ino,
-						Detail: fmt.Sprintf("fragment %d contains inode %d's data", ptr+i, owner)})
+						Detail: fmt.Sprintf("fragment %d contains inode %d's data", f, owner)})
 				}
 			}
 		}

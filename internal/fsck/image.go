@@ -39,15 +39,6 @@ type DeltaImage interface {
 	DirtySectors() []int64
 }
 
-// Forkable is implemented by images whose Range serves views from
-// per-instance scratch (and is therefore not concurrently callable).
-// Fork returns an independently usable view of the same bytes; the
-// pipelined checker forks once per goroutine.
-type Forkable interface {
-	Image
-	Fork() Image
-}
-
 // Bytes adapts a materialized image to Image. Views alias the slice
 // directly and remain valid indefinitely; Range is safe for concurrent
 // use.
@@ -88,12 +79,4 @@ func copyImage(dst []byte, img Image) {
 		}
 		copy(dst[off:], img.Range(off, m))
 	}
-}
-
-// RepairImage materializes img (delta-aware) and repairs it in place,
-// returning the repaired bytes and the actions taken — Repair for callers
-// holding virtual images.
-func RepairImage(img Image) ([]byte, []string) {
-	out := Materialize(img)
-	return out, Repair(out)
 }

@@ -122,7 +122,7 @@ func (dc *DeltaChecker) tryIncMerge(img DeltaImage, dirty []int64) bool {
 	mark := func(r *inodeRec) {
 		for i := range r.steps {
 			st := &r.steps[i]
-			if st.kind != claimStepKind {
+			if !st.claim() {
 				continue
 			}
 			for f := st.start; f < st.start+st.n; f++ {
@@ -158,7 +158,7 @@ func (dc *DeltaChecker) tryIncMerge(img DeltaImage, dirty []int64) bool {
 		}
 		for i := range fresh.steps {
 			st := &fresh.steps[i]
-			if st.kind != claimStepKind {
+			if !st.claim() {
 				continue
 			}
 			for f := st.start; f < st.start+st.n; f++ {
@@ -233,8 +233,8 @@ func (dc *DeltaChecker) tryIncMerge(img DeltaImage, dirty []int64) bool {
 		success := 0
 		for i := range r.steps {
 			st := &r.steps[i]
-			if st.kind != claimStepKind {
-				rep.Findings = append(rep.Findings, Finding{Kind: st.kind, Ino: ino, Detail: st.detail})
+			if !st.claim() {
+				rep.Findings = append(rep.Findings, Finding{Kind: Kind(st.kind), Ino: ino, Detail: st.detail})
 				continue
 			}
 			for f := st.start; f < st.start+st.n; f++ {

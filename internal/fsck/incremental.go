@@ -45,8 +45,9 @@ type Baseline struct {
 }
 
 // NewBaseline derives every record of base. workers > 1 derives in
-// parallel (pipeline.go); base must then support concurrent Range (Bytes
-// does) or implement Forkable.
+// parallel (deriveAllParallel); base must then support concurrent Range:
+// Bytes does, an Image that rotates scratch behind Range does not, and
+// nothing here would catch it. The crashmc pool builds with workers == 1.
 func NewBaseline(base Image, workers int) *Baseline {
 	bl := &Baseline{}
 	if err := decodeSB(base, &bl.sb); err != nil {
@@ -56,7 +57,7 @@ func NewBaseline(base Image, workers int) *Baseline {
 	bl.base = base
 	bl.st = newCheckState(bl.sb)
 	if workers > 1 {
-		deriveAllParallel(base, bl.st, workers)
+		bl.st.deriveAllParallel(base, workers)
 	} else {
 		bl.st.deriveAll(base)
 	}

@@ -22,7 +22,6 @@ func (d *sliceDelta) Len() int64                { return int64(len(d.cur)) }
 func (d *sliceDelta) Range(off, n int64) []byte { return d.cur[off : off+n] }
 func (d *sliceDelta) Base() fsck.Image          { return fsck.Bytes(d.base) }
 func (d *sliceDelta) DirtySectors() []int64     { return d.dirty }
-func (d *sliceDelta) Fork() fsck.Image          { return d }
 
 // reset restores the modified copy to the base and clears the dirty set.
 func (d *sliceDelta) reset() {
@@ -124,11 +123,11 @@ func TestDeltaCheckerMatchesFull(t *testing.T) {
 	}
 }
 
-// TestPipelineDeterminism checks that pass-level parallelism never changes
-// the report: CheckImagePipelined at any worker count is byte-identical to
-// the serial CheckImage, across repeated runs (goroutine scheduling must
-// not leak into merge order). CI runs this under -race to catch unsynced
-// record fills.
+// TestPipelineDeterminism checks that parallel derivation never changes the
+// report: a Baseline built on any worker count, read back through an empty
+// delta, is byte-identical to the serial CheckImage, across repeated runs
+// (goroutine scheduling must not leak into merge order). CI runs this under
+// -race to catch unsynced record fills.
 func TestPipelineDeterminism(t *testing.T) {
 	total := totalRuntime(t, "noorder", false)
 	img := crashAt(t, "noorder", false, total/2)
@@ -136,10 +135,11 @@ func TestPipelineDeterminism(t *testing.T) {
 	if len(want.Findings) == 0 {
 		t.Fatal("mid-crash noorder image unexpectedly clean; test needs findings to order")
 	}
-	for _, workers := range []int{2, 4, 8} {
+	empty := newSliceDelta(img)
+	for _, workers := range []int{1, 2, 4, 8} {
 		for rep := 0; rep < 3; rep++ {
-			got := fsck.CheckImagePipelined(fsck.Bytes(img), workers)
-			reportsEqual(t, "pipelined", got, want)
+			dc := fsck.NewDeltaChecker(fsck.NewBaseline(fsck.Bytes(img), workers))
+			reportsEqual(t, "parallel baseline", dc.Check(empty), want)
 		}
 	}
 }
@@ -147,20 +147,18 @@ func TestPipelineDeterminism(t *testing.T) {
 // TestCheckImageRecycledState: one-shot checks recycle their record arrays
 // and ownership table through a pool, so a check must report the same
 // whatever image the state served before — here a violating mid-crash image
-// between two checks of a clean one, serial and pipelined.
+// between two checks of a clean one.
 func TestCheckImageRecycledState(t *testing.T) {
 	total := totalRuntime(t, "noorder", false)
 	clean := crashAt(t, "noorder", false, total)
 	crashed := crashAt(t, "noorder", false, total/2)
-	for _, workers := range []int{1, 4} {
-		want := fsck.CheckImagePipelined(fsck.Bytes(clean), workers)
-		mid := fsck.CheckImagePipelined(fsck.Bytes(crashed), workers)
-		if len(mid.Findings) == 0 {
-			t.Fatal("mid-crash noorder image unexpectedly clean; nothing to leak into the next check")
-		}
-		reportsEqual(t, "recycled", fsck.CheckImagePipelined(fsck.Bytes(clean), workers), want)
-		reportsEqual(t, "recycled", fsck.CheckImagePipelined(fsck.Bytes(crashed), workers), mid)
+	want := fsck.CheckImage(fsck.Bytes(clean))
+	mid := fsck.CheckImage(fsck.Bytes(crashed))
+	if len(mid.Findings) == 0 {
+		t.Fatal("mid-crash noorder image unexpectedly clean; nothing to leak into the next check")
 	}
+	reportsEqual(t, "recycled", fsck.CheckImage(fsck.Bytes(clean)), want)
+	reportsEqual(t, "recycled", fsck.CheckImage(fsck.Bytes(crashed)), mid)
 }
 
 // TestAllocFreeDeltaCheck pins the steady-state incremental check path at
@@ -180,6 +178,11 @@ func TestAllocFreeDeltaCheck(t *testing.T) {
 	s := (int64(frag)*ffs.FragSize + int64(off)) / disk.SectorSize
 	d := newSliceDelta(base)
 	d.dirty = append(d.dirty, s)
+	// And every directory chunk, so each directory is re-parsed: the dirent
+	// cursor is on this path too.
+	for _, chunk := range liveDirSectors(t, base) {
+		d.dirty = append(d.dirty, chunk/disk.SectorSize)
+	}
 
 	bl := fsck.NewBaseline(fsck.Bytes(base), 1)
 	dc := fsck.NewDeltaChecker(bl)
@@ -192,7 +195,7 @@ func TestAllocFreeDeltaCheck(t *testing.T) {
 	if dc.Stats.FullFallbacks != 0 {
 		t.Fatalf("alloc test fell back to full checks: %+v", dc.Stats)
 	}
-	if dc.Stats.SplicedMerges == 0 {
-		t.Fatalf("alloc test never took the spliced merge: %+v", dc.Stats)
+	if dc.Stats.SplicedMerges == 0 || dc.Stats.DirsReparsed == 0 {
+		t.Fatalf("alloc test never took the spliced merge, or re-parsed no directory: %+v", dc.Stats)
 	}
 }

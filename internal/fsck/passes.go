@@ -1,9 +1,12 @@
 package fsck
 
 // The checker is structured as pure per-object derivations feeding a
-// deterministic global merge — the decomposition behind both the
-// incremental checker (incremental.go) and the pass-pipelined parallel
-// checker (pipeline.go):
+// deterministic global merge — the decomposition behind the one-shot check,
+// the incremental checker (incremental.go) and Repair, which consumes the
+// same records instead of walking the image a second way. The deriver in
+// this file is the only code in the package that knows the on-disk layout:
+// walkFile is the one block-map walk, dirCursor the one directory-entry
+// decoder.
 //
 //   - deriveInode produces, for one inode, an ordered script of steps: the
 //     findings its block-map walk emits plus the fragment runs it claims.
@@ -24,27 +27,38 @@ package fsck
 //
 // Derivations are pure functions of the image bytes they read, which is
 // what makes records cacheable across delta images (see incremental.go)
-// and derivable concurrently (see pipeline.go).
+// and derivable concurrently (deriveAllParallel).
 
 import (
 	"encoding/binary"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"metaupdate/internal/ffs"
 )
 
-// claimStepKind marks an istep as a fragment-run claim rather than a
-// pre-rendered finding.
-const claimStepKind Kind = -1
+// Step kinds below zero are fragment-run claims; any other value is the Kind
+// of a pre-rendered finding.
+const (
+	claimData int32 = -1 // a run of file data
+	claimMap  int32 = -2 // an indirect block
+)
 
-// istep is one step of an inode's replayable walk script.
+// istep is one step of an inode's replayable walk script. bi is the file
+// block the step stands for — for a map block, the first block it maps — so
+// a consumer that stops trusting the map at some step (Repair) knows where
+// the file ends. A Baseline holds one istep per block of every file: keep
+// it at 32 bytes.
 type istep struct {
-	kind   Kind // claimStepKind, or the Finding kind
+	kind   int32 // claimData, claimMap, or the Finding's Kind
+	bi     int32
 	start  int32
 	n      int32
 	detail string
 }
+
+func (s *istep) claim() bool { return s.kind < 0 }
 
 // secRange is a half-open sector range [lo, hi).
 type secRange struct{ lo, hi int64 }
@@ -61,8 +75,8 @@ type inodeRec struct {
 	deps []secRange
 }
 
-func (r *inodeRec) addf(k Kind, format string, args ...interface{}) {
-	r.steps = append(r.steps, istep{kind: k, detail: fmt.Sprintf(format, args...)})
+func (r *inodeRec) addf(k Kind, bi int, format string, args ...interface{}) {
+	r.steps = append(r.steps, istep{kind: int32(k), bi: int32(bi), detail: fmt.Sprintf(format, args...)})
 }
 
 func (r *inodeRec) dep(off, n int64) {
@@ -99,21 +113,30 @@ func (r *dirRec) dep(off, n int64) {
 	r.deps = append(r.deps, secRange{off / sectorSize, (off + n + sectorSize - 1) / sectorSize})
 }
 
-// deriver derives records from one image. Not safe for concurrent use
-// (dirBuf scratch, and Image implementations may rotate scratch); the
-// pipeline gives each goroutine its own deriver over a forked image.
+// deriver derives records from one image. Image implementations may rotate
+// scratch behind Range, so concurrent derivers need an image whose Range is
+// safe for concurrent use (Bytes is).
 type deriver struct {
-	img    Image
-	sb     *ffs.Superblock
-	dirBuf []byte
+	img Image
+	sb  *ffs.Superblock
+}
+
+// inodeOff returns the image offset of ino's slot in the inode table.
+func (d *deriver) inodeOff(ino ffs.Ino) int64 {
+	frag, off := d.sb.InodeFrag(ino)
+	return int64(frag)*ffs.FragSize + int64(off)
+}
+
+// readInode decodes ino's slot.
+func (d *deriver) readInode(ino ffs.Ino) ffs.Inode {
+	return ffs.DecodeInode(d.img.Range(d.inodeOff(ino), ffs.InodeSize))
 }
 
 // deriveInode computes ino's walk script into r, resetting it first.
 func (d *deriver) deriveInode(ino ffs.Ino, r *inodeRec) {
 	r.steps = r.steps[:0]
 	r.deps = r.deps[:0]
-	frag, off := d.sb.InodeFrag(ino)
-	ioff := int64(frag)*ffs.FragSize + int64(off)
+	ioff := d.inodeOff(ino)
 	r.dep(ioff, ffs.InodeSize)
 	ffs.DecodeInodeInto(&r.ip, d.img.Range(ioff, ffs.InodeSize))
 	r.alloc = r.ip.Allocated()
@@ -122,7 +145,7 @@ func (d *deriver) deriveInode(ino ffs.Ino, r *inodeRec) {
 		return
 	}
 	if r.ip.Mode != ffs.ModeFile && r.ip.Mode != ffs.ModeDir {
-		r.addf(TypeMismatch, "bad mode %#x", r.ip.Mode)
+		r.addf(TypeMismatch, 0, "bad mode %#x", r.ip.Mode)
 		return
 	}
 	r.ok = true
@@ -130,97 +153,202 @@ func (d *deriver) deriveInode(ino ffs.Ino, r *inodeRec) {
 }
 
 // claim appends a claim step for [start, start+n), or a BadPointer finding
-// if the run leaves the data region — mirroring checker.claim except that
-// cross-link detection happens at merge time (it needs global state).
-func (d *deriver) claim(r *inodeRec, start int32, n int) bool {
+// if the run leaves the data region. Cross-links are found when the steps
+// are replayed (they need global state).
+func (d *deriver) claim(r *inodeRec, kind int32, bi int, start int32, n int) bool {
 	if start < d.sb.DataStart || start+int32(n) > d.sb.TotalFrags {
-		r.addf(BadPointer, "fragment run [%d,%d) outside data region", start, start+int32(n))
+		r.addf(BadPointer, bi, "fragment run [%d,%d) outside data region", start, start+int32(n))
 		return false
 	}
-	r.steps = append(r.steps, istep{kind: claimStepKind, start: start, n: int32(n)})
+	r.steps = append(r.steps, istep{kind: kind, bi: int32(bi), start: start, n: int32(n)})
 	return true
 }
 
-// walkFile mirrors checker.claimFile step for step.
+// runFrags returns the length in fragments of file block bi of nblocks:
+// only a file's last block may be partial.
+func (r *inodeRec) runFrags(bi, nblocks int) int {
+	if bi == nblocks-1 {
+		if rem := int(r.ip.Size) % ffs.BlockSize; rem != 0 {
+			return (rem + ffs.FragSize - 1) / ffs.FragSize
+		}
+	}
+	return ffs.BlockFrags
+}
+
+// walkFile is the one walk of a file's block map: the blocks r.ip.Size
+// implies, in file order, each map block just before the blocks it maps.
 func (d *deriver) walkFile(r *inodeRec) {
 	ip := &r.ip
 	nblocks := (int(ip.Size) + ffs.BlockSize - 1) / ffs.BlockSize
-	runLen := func(bi int) int {
-		if bi == nblocks-1 {
-			rem := int(ip.Size) % ffs.BlockSize
-			if rem == 0 {
-				return ffs.BlockFrags
-			}
-			return (rem + ffs.FragSize - 1) / ffs.FragSize
-		}
-		return ffs.BlockFrags
-	}
 	bi := 0
 	for ; bi < nblocks && bi < ffs.NDirect; bi++ {
 		if ip.Direct[bi] == 0 {
-			r.addf(ShortFile, "size implies direct block %d but it is unset", bi)
+			r.addf(ShortFile, bi, "size implies direct block %d but it is unset", bi)
 			continue
 		}
-		d.claim(r, ip.Direct[bi], runLen(bi))
+		d.claim(r, claimData, bi, ip.Direct[bi], r.runFrags(bi, nblocks))
 	}
 	if bi < nblocks && ip.Indir == 0 {
-		r.addf(ShortFile, "size %d implies an indirect block but none is set", ip.Size)
+		r.addf(ShortFile, bi, "size %d implies an indirect block but none is set", ip.Size)
 		return
 	}
 	if ip.Indir != 0 {
-		if d.claim(r, ip.Indir, ffs.BlockFrags) {
-			r.dep(int64(ip.Indir)*ffs.FragSize, ffs.BlockSize)
-			data := d.img.Range(int64(ip.Indir)*ffs.FragSize, ffs.BlockSize)
-			for i := 0; i < ffs.PtrsPerBlock && bi < nblocks; i, bi = i+1, bi+1 {
-				ptr := int32(binary.LittleEndian.Uint32(data[i*4:]))
-				if ptr == 0 {
-					r.addf(ShortFile, "hole at indirect slot %d", i)
-					continue
-				}
-				d.claim(r, ptr, runLen(bi))
-			}
-		} else {
-			bi += ffs.PtrsPerBlock
-		}
+		d.walkMap(r, ip.Indir, 1, false, ffs.NDirect, nblocks)
+	}
+	bi = ffs.NDirect + ffs.PtrsPerBlock
+	if bi < nblocks && ip.Dindir == 0 {
+		r.addf(ShortFile, bi, "size %d implies a double-indirect block but none is set", ip.Size)
+		return
 	}
 	if ip.Dindir != 0 {
-		if d.claim(r, ip.Dindir, ffs.BlockFrags) {
-			r.dep(int64(ip.Dindir)*ffs.FragSize, ffs.BlockSize)
-			var l1ptrs [ffs.PtrsPerBlock]int32
-			ddata := d.img.Range(int64(ip.Dindir)*ffs.FragSize, ffs.BlockSize)
-			for l1 := range l1ptrs {
-				l1ptrs[l1] = int32(binary.LittleEndian.Uint32(ddata[l1*4:]))
+		d.walkMap(r, ip.Dindir, 2, false, bi, nblocks)
+	}
+}
+
+// walkMap claims the map block at ptr, which maps the file from block bi
+// on, and walks what its slots name: data blocks at depth 1, depth-1 map
+// blocks (nested) at depth 2. It returns the file block behind its last
+// slot walked.
+func (d *deriver) walkMap(r *inodeRec, ptr int32, depth int, nested bool, bi, nblocks int) int {
+	span := 1 // file blocks behind each slot
+	if depth == 2 {
+		span = ffs.PtrsPerBlock
+	}
+	if !d.claim(r, claimMap, bi, ptr, ffs.BlockFrags) {
+		return bi + span*ffs.PtrsPerBlock
+	}
+	off := int64(ptr) * ffs.FragSize
+	r.dep(off, ffs.BlockSize)
+	data := d.img.Range(off, ffs.BlockSize)
+	for i := 0; i < ffs.PtrsPerBlock && bi < nblocks; i++ {
+		p := int32(binary.LittleEndian.Uint32(data[i*4:]))
+		switch {
+		case p == 0 && depth == 2:
+			r.addf(ShortFile, bi, "hole at dindirect slot %d", i)
+			bi += span
+		case p == 0 && nested:
+			r.addf(ShortFile, bi, "hole under dindirect")
+			bi++
+		case p == 0:
+			r.addf(ShortFile, bi, "hole at indirect slot %d", i)
+			bi++
+		case depth == 1:
+			d.claim(r, claimData, bi, p, r.runFrags(bi, nblocks))
+			bi++
+		default:
+			bi = d.walkMap(r, p, 1, true, bi, nblocks)
+			// The nested walk read through the image: views from scratch-
+			// backed implementations do not survive many later Range calls.
+			data = d.img.Range(off, ffs.BlockSize)
+		}
+	}
+	return bi
+}
+
+// dirent is one step of a dirCursor: a live entry, or (bad) the malformed
+// entry that makes the rest of its chunk unreadable.
+type dirent struct {
+	bad    bool
+	ino    ffs.Ino
+	reclen int
+	ftype  byte
+	name   []byte // a view of the image, valid as Image.Range's are
+	off    int    // byte offset in the directory
+	at     int64  // byte offset in the image
+}
+
+// dirCursor is the one decoder of directory entries, for the checker's
+// parse (deriveDir), the namespace walk (WalkTree) and Repair, which edits
+// at the image offsets it reports. It reads a directory in place, a chunk
+// (= one sector) at a time, over the leading run of usable direct blocks —
+// the walk of the inode has already reported any that are not. A value
+// with no closure: deriveDir runs in the incremental checker's
+// allocation-free steady state.
+type dirCursor struct {
+	img  Image
+	ip   *ffs.Inode
+	size int // directory bytes on those blocks, at most ip.Size
+	off  int // offset of the next entry
+}
+
+// openDir starts a cursor over ip's directory data, recording the sectors
+// it will read in r's deps when r is not nil.
+func (d *deriver) openDir(ip *ffs.Inode, r *dirRec) dirCursor {
+	c := dirCursor{img: d.img, ip: ip}
+	nblocks := (int(ip.Size) + ffs.BlockSize - 1) / ffs.BlockSize
+	for bi := 0; bi < nblocks && bi < ffs.NDirect; bi++ {
+		ptr := ip.Direct[bi]
+		if ptr == 0 || ptr < d.sb.DataStart || ptr >= d.sb.TotalFrags {
+			break
+		}
+		n := ffs.BlockSize
+		if rem := int(ip.Size) - bi*ffs.BlockSize; rem < n {
+			n = (rem + ffs.FragSize - 1) / ffs.FragSize * ffs.FragSize
+		}
+		if r != nil {
+			r.dep(int64(ptr)*ffs.FragSize, int64(n))
+		}
+		c.size += n
+	}
+	if int(ip.Size) < c.size {
+		c.size = int(ip.Size)
+	}
+	return c
+}
+
+// at maps a directory offset to its image offset.
+func (c *dirCursor) at(off int) int64 {
+	return int64(c.ip.Direct[off/ffs.BlockSize])*ffs.FragSize + int64(off%ffs.BlockSize)
+}
+
+// next decodes the next live entry into e, or the malformed one that ends
+// its chunk (e.bad; the walk resumes at the next chunk). It returns false
+// at the end of the directory: only whole chunks are read.
+func (c *dirCursor) next(e *dirent) bool {
+	le := binary.LittleEndian
+	for {
+		in := c.off % ffs.DirChunk
+		if in == 0 && c.off+ffs.DirChunk > c.size {
+			return false
+		}
+		// One sector per step, not one held across steps: a consumer reads
+		// other parts of the image between entries, and a view is only
+		// promised to outlive a few later Range calls.
+		chunkAt := c.at(c.off - in)
+		chunk := c.img.Range(chunkAt, ffs.DirChunk)
+		hdr := chunk[in:]
+		var buf [8]byte
+		if len(hdr) < 8 {
+			// A chain of valid reclens can stop short of the chunk's end.
+			// No entry fits there (the test below fails whatever reclen
+			// says), but the reclen reported for it is read from a header
+			// that runs on into the bytes that follow.
+			if c.off+8 > c.size {
+				return false
 			}
-			for l1 := 0; l1 < ffs.PtrsPerBlock && bi < nblocks; l1++ {
-				l1ptr := l1ptrs[l1]
-				if l1ptr == 0 {
-					r.addf(ShortFile, "hole at dindirect slot %d", l1)
-					bi += ffs.PtrsPerBlock
-					continue
-				}
-				if !d.claim(r, l1ptr, ffs.BlockFrags) {
-					bi += ffs.PtrsPerBlock
-					continue
-				}
-				r.dep(int64(l1ptr)*ffs.FragSize, ffs.BlockSize)
-				ldata := d.img.Range(int64(l1ptr)*ffs.FragSize, ffs.BlockSize)
-				for l2 := 0; l2 < ffs.PtrsPerBlock && bi < nblocks; l2, bi = l2+1, bi+1 {
-					ptr := int32(binary.LittleEndian.Uint32(ldata[l2*4:]))
-					if ptr == 0 {
-						r.addf(ShortFile, "hole under dindirect")
-						continue
-					}
-					d.claim(r, ptr, runLen(bi))
-				}
-			}
+			n := copy(buf[:], hdr)
+			copy(buf[n:], c.img.Range(c.at(c.off+n), int64(8-n)))
+			hdr = buf[:]
+		}
+		*e = dirent{ino: ffs.Ino(le.Uint32(hdr)), reclen: int(le.Uint16(hdr[4:])), ftype: hdr[7],
+			off: c.off, at: chunkAt + int64(in)}
+		namelen := int(hdr[6])
+		if e.reclen < 8 || in+e.reclen > ffs.DirChunk || (e.ino != 0 && 8+namelen > e.reclen) {
+			e.bad = true
+			c.off += ffs.DirChunk - in
+			return true
+		}
+		c.off += e.reclen
+		if e.ino != 0 {
+			e.name = chunk[in+8 : in+8+namelen]
+			return true
 		}
 	}
 }
 
 // deriveDir parses ino's directory data (per ip) into r, resetting it
-// first. It mirrors the parse half of the historical checkDir; the
-// target-dependent checks (dangling entries, type mismatches) happen at
-// merge time because they consult other inodes' state.
+// first. The target-dependent checks (dangling entries, type mismatches)
+// happen at merge time because they consult other inodes' state.
 func (d *deriver) deriveDir(ino ffs.Ino, ip *ffs.Inode, r *dirRec) {
 	r.steps = r.steps[:0]
 	r.names = r.names[:0]
@@ -232,67 +360,24 @@ func (d *deriver) deriveDir(ino ffs.Ino, ip *ffs.Inode, r *dirRec) {
 		// rolled-back or not-yet-written mkdir). Structurally harmless.
 		return
 	}
-	data := d.dirData(ip, r)
-	for chunk := 0; chunk+ffs.DirChunk <= len(data); chunk += ffs.DirChunk {
-		off := chunk
-		for off < chunk+ffs.DirChunk {
-			if off+8 > len(data) {
-				break
-			}
-			le := binary.LittleEndian
-			entIno := ffs.Ino(le.Uint32(data[off:]))
-			reclen := int(le.Uint16(data[off+4:]))
-			namelen := int(data[off+6])
-			ftype := data[off+7]
-			if reclen < 8 || off+reclen > chunk+ffs.DirChunk || (entIno != 0 && off+8+namelen > off+reclen) {
-				r.steps = append(r.steps, dstep{bad: true,
-					detail: fmt.Sprintf("bad entry at offset %d (reclen %d)", off, reclen)})
-				break
-			}
-			if entIno != 0 {
-				name := data[off+8 : off+8+namelen]
-				r.steps = append(r.steps, dstep{ino: entIno, ftype: ftype,
-					nameOff: int32(len(r.names)), nameLen: int32(namelen)})
-				r.names = append(r.names, name...)
-				if namelen == 1 && name[0] == '.' {
-					r.sawDot = true
-				} else if namelen == 2 && name[0] == '.' && name[1] == '.' {
-					r.sawDotdot = true
-				}
-			}
-			off += reclen
+	c := d.openDir(ip, r)
+	var e dirent
+	for c.next(&e) {
+		if e.bad {
+			r.steps = append(r.steps, dstep{bad: true,
+				detail: fmt.Sprintf("bad entry at offset %d (reclen %d)", e.off, e.reclen)})
+			continue
+		}
+		r.steps = append(r.steps, dstep{ino: e.ino, ftype: e.ftype,
+			nameOff: int32(len(r.names)), nameLen: int32(len(e.name))})
+		r.names = append(r.names, e.name...)
+		switch string(e.name) {
+		case ".":
+			r.sawDot = true
+		case "..":
+			r.sawDotdot = true
 		}
 	}
-}
-
-// dirData materializes directory contents into the deriver's reused
-// scratch, recording the sectors read. Mirrors checker.dirData.
-func (d *deriver) dirData(ip *ffs.Inode, r *dirRec) []byte {
-	out := d.dirBuf[:0]
-	nblocks := (int(ip.Size) + ffs.BlockSize - 1) / ffs.BlockSize
-	for bi := 0; bi < nblocks && bi < ffs.NDirect; bi++ {
-		ptr := ip.Direct[bi]
-		if ptr == 0 || ptr < d.sb.DataStart || ptr >= d.sb.TotalFrags {
-			break // already reported by the inode walk
-		}
-		n := ffs.BlockSize
-		if rem := int(ip.Size) - bi*ffs.BlockSize; rem < n {
-			n = (rem + ffs.FragSize - 1) / ffs.FragSize * ffs.FragSize
-		}
-		r.dep(int64(ptr)*ffs.FragSize, int64(n))
-		// Sector-at-a-time: against a delta image, whole-block Range
-		// assembles dirty blocks in scratch before append copies them
-		// again, while per-sector reads alias either the base or the
-		// writer's view and copy once.
-		for boff := int64(0); boff < int64(n); boff += sectorSize {
-			out = append(out, d.img.Range(int64(ptr)*ffs.FragSize+boff, sectorSize)...)
-		}
-	}
-	if int(ip.Size) < len(out) {
-		out = out[:ip.Size]
-	}
-	d.dirBuf = out
-	return out
 }
 
 // recProvider supplies the records the merge replays. The full checker
@@ -366,8 +451,8 @@ func mergeReport(sb *ffs.Superblock, img Image, pr recProvider, rep *Report, own
 		success := int32(0)
 		for i := range r.steps {
 			st := &r.steps[i]
-			if st.kind != claimStepKind {
-				rep.Findings = append(rep.Findings, Finding{Kind: st.kind, Ino: ino, Detail: st.detail})
+			if !st.claim() {
+				rep.Findings = append(rep.Findings, Finding{Kind: Kind(st.kind), Ino: ino, Detail: st.detail})
 				continue
 			}
 			for f := st.start; f < st.start+st.n; f++ {
@@ -516,8 +601,8 @@ func mergeDir(sb *ffs.Superblock, pr recProvider, ino ffs.Ino, dr *dirRec, rep *
 }
 
 // checkState is a full set of freshly derived records for one image; it is
-// the trivial recProvider behind CheckImage and CheckImagePipelined, and
-// the construction state of a Baseline. own is the merge's fragment-
+// the trivial recProvider behind CheckImage and Repair, and the
+// construction state of a Baseline. own is the merge's fragment-
 // ownership table, allocated on first merge and reused by epoch after.
 type checkState struct {
 	sb     ffs.Superblock
@@ -570,6 +655,64 @@ func (st *checkState) deriveAll(img Image) {
 			d.deriveDir(ino, &r.ip, &st.dirs[ino])
 		}
 	}
+}
+
+// deriveAllParallel is deriveAll on workers goroutines per stage, after
+// pFSCK: scan workers claim 64-inode chunks off an atomic cursor and derive
+// inode records; each valid directory they find is handed through a bounded
+// channel to dirent workers that derive its parse while the scan is still
+// running. Records land in disjoint slice slots, and the channel send
+// orders each inode record before its directory parse, so the fill is
+// race-free; the caller merges only after both stages drain, and the merge
+// is ordered by inode, so the report does not depend on the worker count.
+// img's Range must be safe for concurrent use (Bytes is).
+func (st *checkState) deriveAllParallel(img Image, workers int) {
+	nino := st.sb.NInodes
+	// Deep enough that scan workers rarely wait on a slow directory parse.
+	dirCh := make(chan ffs.Ino, 256)
+	var cursor atomic.Uint32
+	const chunk = 64
+
+	var scanWG, dirWG sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		scanWG.Add(1)
+		go func() {
+			defer scanWG.Done()
+			d := deriver{img: img, sb: &st.sb}
+			for {
+				lo := cursor.Add(chunk) - chunk
+				if lo >= nino {
+					return
+				}
+				hi := lo + chunk
+				if hi > nino {
+					hi = nino
+				}
+				if lo < 2 {
+					lo = 2
+				}
+				for ino := ffs.Ino(lo); uint32(ino) < hi; ino++ {
+					r := &st.inodes[ino]
+					d.deriveInode(ino, r)
+					if r.alloc && r.ok && r.ip.IsDir() {
+						dirCh <- ino
+					}
+				}
+			}
+		}()
+		dirWG.Add(1)
+		go func() {
+			defer dirWG.Done()
+			d := deriver{img: img, sb: &st.sb}
+			for ino := range dirCh {
+				r := &st.inodes[ino]
+				d.deriveDir(ino, &r.ip, &st.dirs[ino])
+			}
+		}()
+	}
+	scanWG.Wait()
+	close(dirCh)
+	dirWG.Wait()
 }
 
 // merge replays st's records into rep (and art, when recording a

@@ -1,7 +1,6 @@
 package fsck
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"metaupdate/internal/ffs"
@@ -14,226 +13,191 @@ import (
 //   - free maps are rebuilt from the reachable structures (reclaiming
 //     leaked blocks and inodes, re-marking referenced ones);
 //   - link counts are set to the observed reference counts;
-//   - directory entries naming unallocated inodes are cleared;
+//   - directory entries naming unallocated inodes are cleared ("." and
+//     ".." re-pointed), directory chunks that do not parse are reformatted;
 //   - inodes whose size implies blocks that are missing or out of range
 //     are truncated to the portion that verifies;
 //   - allocated inodes with no remaining references are freed (a real
 //     fsck moves them to lost+found; this substrate has none).
 //
-// It returns the actions taken. After Repair, Check reports no findings
-// unless the damage was beyond this repertoire (cross-linked blocks are
-// resolved by truncating the later claimant).
+// Repair reads the image the way Check does — it consumes the deriver's
+// records (passes.go) and edits where they point — so what Check rejects is
+// exactly what Repair acts on. It returns the actions taken, pass by pass
+// and by ascending inode within a pass. After Repair, Check reports no
+// findings unless the damage was beyond this repertoire (cross-linked
+// blocks are resolved by truncating the later claimant).
 func Repair(img []byte) []string {
-	var actions []string
 	var sb ffs.Superblock
 	if err := decodeSB(Bytes(img), &sb); err != nil {
 		return []string{"unrepairable: " + err.Error()}
 	}
-	c := &checker{img: Bytes(img), raw: img, sb: sb, rep: &Report{Refs: make(map[ffs.Ino]int)}}
-	c.fragOwner = make([]ffs.Ino, sb.TotalFrags-sb.DataStart)
-
+	var actions []string
 	log := func(format string, args ...interface{}) {
 		actions = append(actions, fmt.Sprintf(format, args...))
 	}
-
-	// Pass 1: validate block maps, truncating inodes whose maps do not
-	// verify (bad range, holes, cross-links — first claimant wins).
-	inodes := make(map[ffs.Ino]ffs.Inode)
-	for ino := ffs.Ino(2); uint32(ino) < sb.NInodes; ino++ {
-		ip := c.readInode(ino)
-		if !ip.Allocated() {
-			continue
+	st := getCheckState(sb)
+	d := deriver{img: Bytes(img), sb: &sb}
+	putInode := func(ino ffs.Ino, ip *ffs.Inode) {
+		ffs.EncodeInode(ip, img[d.inodeOff(ino):])
+	}
+	// valid reports whether ino names an inode the repaired image keeps.
+	valid := func(ino ffs.Ino) bool {
+		return ino >= 2 && uint32(ino) < sb.NInodes && st.inodes[ino].ok
+	}
+	// own[frag-DataStart] is the inode holding the fragment (0 = none).
+	own := make([]ffs.Ino, sb.TotalFrags-sb.DataStart)
+	claim := func(ino ffs.Ino, s *istep) bool {
+		run := own[s.start-sb.DataStart : s.start+s.n-sb.DataStart]
+		for _, o := range run {
+			if o != 0 && o != ino {
+				return false
+			}
 		}
-		if ip.Mode != ffs.ModeFile && ip.Mode != ffs.ModeDir {
-			c.clearInode(ino)
-			log("cleared inode %d with bad mode %#x", ino, ip.Mode)
-			continue
+		for i := range run {
+			run[i] = ino
 		}
-		if truncAt, bad := c.verifyMap(ino, &ip); bad {
-			c.truncateInode(ino, &ip, truncAt)
-			log("truncated inode %d to %d bytes (unverifiable block map)", ino, ip.Size)
-		}
-		inodes[ino] = ip
+		return true
 	}
 
-	// Pass 2: directory structure — reformat garbage chunks, reseed missing
-	// "."/".." — then count references and clear dangling entries.
-	for ino, ip := range inodes {
-		if !ip.IsDir() {
+	// Pass 1: replay every inode's walk script, first claimant wins. The
+	// first step that is a finding, or a claim on another inode's fragments,
+	// is where the block map stops verifying: the file ends there.
+	for ino := ffs.Ino(2); uint32(ino) < sb.NInodes; ino++ {
+		r := &st.inodes[ino]
+		d.deriveInode(ino, r)
+		if r.alloc && !r.ok {
+			log("cleared inode %d with bad mode %#x", ino, r.ip.Mode)
+			r.ip = ffs.Inode{}
+			putInode(ino, &r.ip)
 			continue
 		}
-		c.repairDirStructure(ino, ip, log)
-		if ip.Size > 0 && !c.dirHasDots(ip) {
-			ptr := ip.Direct[0]
-			if ptr >= sb.DataStart && ptr < sb.TotalFrags {
-				head := img[int64(ptr)*ffs.FragSize : int64(ptr)*ffs.FragSize+ffs.DirChunk]
-				reformatChunk(head, ino, true)
-				log("reseeded '.' and '..' in directory %d", ino)
+		for i := range r.steps {
+			if s := &r.steps[i]; !s.claim() || !claim(ino, s) {
+				truncateInode(&r.ip, int(s.bi))
+				putInode(ino, &r.ip)
+				log("truncated inode %d to %d bytes (unverifiable block map)", ino, r.ip.Size)
+				break
 			}
 		}
 	}
-	refs := make(map[ffs.Ino]int)
-	for ino, ip := range inodes {
-		if ip.IsDir() {
-			c.countDirRefs(ino, ip, inodes, refs, log)
+
+	// Pass 2: directory structure — reformat the chunks the parse rejects,
+	// reseed "." and ".." where the parse of what is left misses them — then
+	// count references, clearing dangling entries.
+	var e dirent
+	for ino := ffs.Ino(2); uint32(ino) < sb.NInodes; ino++ {
+		r := &st.inodes[ino]
+		if !r.ok || !r.ip.IsDir() {
+			continue
+		}
+		c := d.openDir(&r.ip, nil)
+		for c.next(&e) {
+			if e.bad {
+				in := e.off % ffs.DirChunk
+				chunk := e.at - int64(in)
+				reformatChunk(img[chunk:chunk+ffs.DirChunk], ino, e.off == in)
+				log("reformatted garbage chunk %d of directory %d", (e.off-in)%ffs.BlockSize, ino)
+			}
+		}
+		dr := &st.dirs[ino]
+		d.deriveDir(ino, &r.ip, dr)
+		if !dr.empty && !(dr.sawDot && dr.sawDotdot) && c.size >= ffs.DirChunk {
+			reformatChunk(img[c.at(0):c.at(0)+ffs.DirChunk], ino, true)
+			log("reseeded '.' and '..' in directory %d", ino)
+		}
+	}
+	refs := make([]int, sb.NInodes)
+	for ino := ffs.Ino(2); uint32(ino) < sb.NInodes; ino++ {
+		r := &st.inodes[ino]
+		if !r.ok || !r.ip.IsDir() {
+			continue
+		}
+		c := d.openDir(&r.ip, nil)
+		for c.next(&e) {
+			switch {
+			case e.bad:
+			case valid(e.ino):
+				refs[e.ino]++
+			default:
+				// Dangling. An entry is cleared by naming inode 0; "." and
+				// "..", which a directory may not lose, are re-pointed the
+				// way reformatChunk seeds them.
+				to := ffs.Ino(0)
+				switch string(e.name) {
+				case ".":
+					to = ino
+				case "..":
+					to = ffs.RootIno
+				}
+				ffs.PutDirent(img[e.at:], to, e.reclen, string(e.name), e.ftype)
+				if to == 0 {
+					log("cleared dangling entry in inode %d (named %d)", ino, e.ino)
+				} else {
+					refs[to]++
+					log("re-pointed dangling %q in directory %d at inode %d (named %d)", e.name, ino, to, e.ino)
+				}
+			}
 		}
 	}
 
 	// Pass 3: link counts and orphan inodes.
-	for ino, ip := range inodes {
-		r := refs[ino]
-		if r == 0 && ino != ffs.RootIno {
-			c.clearInode(ino)
-			delete(inodes, ino)
-			log("freed orphan inode %d (no references)", ino)
+	for ino := ffs.Ino(2); uint32(ino) < sb.NInodes; ino++ {
+		r := &st.inodes[ino]
+		if !r.ok {
 			continue
 		}
-		if int(ip.Nlink) != r {
-			frag, off := sb.InodeFrag(ino)
-			raw := img[int64(frag)*ffs.FragSize+int64(off):]
-			ip.Nlink = uint16(r)
-			ffs.EncodeInode(&ip, raw)
-			inodes[ino] = ip
-			log("set inode %d link count to %d", ino, r)
+		if n := refs[ino]; n == 0 && ino != ffs.RootIno {
+			r.ip = ffs.Inode{}
+			putInode(ino, &r.ip)
+			log("freed orphan inode %d (no references)", ino)
+		} else if int(r.ip.Nlink) != n {
+			r.ip.Nlink = uint16(n)
+			putInode(ino, &r.ip)
+			log("set inode %d link count to %d", ino, n)
 		}
 	}
 
-	// Pass 4: rebuild both bitmaps from scratch. Re-walk the maps of the
-	// surviving inodes to get ownership (pass 1 state may be stale after
-	// pass 3 cleared orphans).
-	c.fragOwner = make([]ffs.Ino, sb.TotalFrags-sb.DataStart)
-	c.rep = &Report{Refs: make(map[ffs.Ino]int)}
-	for ino := range inodes {
-		ip := c.readInode(ino)
-		c.claimFile(ino, &ip)
-	}
-	fbm := img[int64(sb.FBmapStart)*ffs.FragSize:]
-	changedF := 0
-	for f := int32(0); f < sb.TotalFrags; f++ {
-		want := true
-		if f >= sb.DataStart {
-			want = c.fragOwner[f-sb.DataStart] != 0
-		}
-		have := fbm[f/8]&(1<<(uint(f)%8)) != 0
-		if want != have {
-			if want {
-				fbm[f/8] |= 1 << (uint(f) % 8)
-			} else {
-				fbm[f/8] &^= 1 << (uint(f) % 8)
+	// Pass 4: rebuild both bitmaps from what a fresh derivation of the
+	// edited image claims — what the next Check will compare them against.
+	clear(own)
+	for ino := ffs.Ino(2); uint32(ino) < sb.NInodes; ino++ {
+		r := &st.inodes[ino]
+		d.deriveInode(ino, r)
+		for i := range r.steps {
+			if s := &r.steps[i]; s.claim() {
+				for f := s.start; f < s.start+s.n; f++ {
+					own[f-sb.DataStart] = ino
+				}
 			}
-			changedF++
 		}
 	}
-	if changedF > 0 {
-		log("rebuilt fragment bitmap (%d bits corrected)", changedF)
+	if n := setBitmap(img[int64(sb.FBmapStart)*ffs.FragSize:], int(sb.TotalFrags), func(f int) bool {
+		return f < int(sb.DataStart) || own[f-int(sb.DataStart)] != 0
+	}); n > 0 {
+		log("rebuilt fragment bitmap (%d bits corrected)", n)
 	}
-	ibm := img[int64(sb.IBmapStart)*ffs.FragSize:]
-	changedI := 0
-	for ino := ffs.Ino(0); uint32(ino) < sb.NInodes; ino++ {
-		_, used := inodes[ino]
-		want := used || ino <= ffs.RootIno
-		have := ibm[ino/8]&(1<<(uint(ino)%8)) != 0
-		if want != have {
-			if want {
-				ibm[ino/8] |= 1 << (uint(ino) % 8)
-			} else {
-				ibm[ino/8] &^= 1 << (uint(ino) % 8)
-			}
-			changedI++
-		}
+	if n := setBitmap(img[int64(sb.IBmapStart)*ffs.FragSize:], int(sb.NInodes), func(ino int) bool {
+		return ino <= int(ffs.RootIno) || st.inodes[ino].ok
+	}); n > 0 {
+		log("rebuilt inode bitmap (%d bits corrected)", n)
 	}
-	if changedI > 0 {
-		log("rebuilt inode bitmap (%d bits corrected)", changedI)
-	}
+	checkStates.Put(st)
 	return actions
 }
 
-// verifyMap walks ip's block map, claiming fragments; it returns the first
-// file block index at which verification failed (for truncation) and
-// whether anything was bad.
-func (c *checker) verifyMap(ino ffs.Ino, ip *ffs.Inode) (truncAtBlock int, bad bool) {
-	nblocks := (int(ip.Size) + ffs.BlockSize - 1) / ffs.BlockSize
-	runLen := func(bi int) int {
-		if bi == nblocks-1 {
-			rem := int(ip.Size) % ffs.BlockSize
-			if rem == 0 {
-				return ffs.BlockFrags
-			}
-			return (rem + ffs.FragSize - 1) / ffs.FragSize
-		}
-		return ffs.BlockFrags
-	}
-	claimOK := func(start int32, n int) bool {
-		if start < c.sb.DataStart || start+int32(n) > c.sb.TotalFrags {
-			return false
-		}
-		for i := int32(0); i < int32(n); i++ {
-			idx := start + i - c.sb.DataStart
-			if owner := c.fragOwner[idx]; owner != 0 && owner != ino {
-				return false
-			}
-		}
-		for i := int32(0); i < int32(n); i++ {
-			c.fragOwner[start+i-c.sb.DataStart] = ino
-		}
-		return true
-	}
-	for bi := 0; bi < nblocks && bi < ffs.NDirect; bi++ {
-		if ip.Direct[bi] == 0 || !claimOK(ip.Direct[bi], runLen(bi)) {
-			return bi, true
+// setBitmap makes bits [0, n) of bm equal want, returning how many changed.
+func setBitmap(bm []byte, n int, want func(i int) bool) (changed int) {
+	for i := 0; i < n; i++ {
+		if mask := byte(1) << (uint(i) % 8); want(i) != (bm[i/8]&mask != 0) {
+			bm[i/8] ^= mask
+			changed++
 		}
 	}
-	if nblocks <= ffs.NDirect {
-		return 0, false
-	}
-	if ip.Indir == 0 || !claimOK(ip.Indir, ffs.BlockFrags) {
-		return ffs.NDirect, true
-	}
-	data := c.raw[int64(ip.Indir)*ffs.FragSize : int64(ip.Indir+ffs.BlockFrags)*ffs.FragSize]
-	for i := 0; i < ffs.PtrsPerBlock; i++ {
-		bi := ffs.NDirect + i
-		if bi >= nblocks {
-			break
-		}
-		ptr := int32(binary.LittleEndian.Uint32(data[i*4:]))
-		if ptr == 0 || !claimOK(ptr, runLen(bi)) {
-			return bi, true
-		}
-	}
-	if nblocks <= ffs.NDirect+ffs.PtrsPerBlock {
-		return 0, false
-	}
-	if ip.Dindir == 0 || !claimOK(ip.Dindir, ffs.BlockFrags) {
-		return ffs.NDirect + ffs.PtrsPerBlock, true
-	}
-	ddata := c.raw[int64(ip.Dindir)*ffs.FragSize : int64(ip.Dindir+ffs.BlockFrags)*ffs.FragSize]
-	for l1 := 0; l1 < ffs.PtrsPerBlock; l1++ {
-		base := ffs.NDirect + ffs.PtrsPerBlock + l1*ffs.PtrsPerBlock
-		if base >= nblocks {
-			break
-		}
-		l1ptr := int32(binary.LittleEndian.Uint32(ddata[l1*4:]))
-		if l1ptr == 0 || !claimOK(l1ptr, ffs.BlockFrags) {
-			return base, true
-		}
-		ldata := c.raw[int64(l1ptr)*ffs.FragSize : int64(l1ptr+ffs.BlockFrags)*ffs.FragSize]
-		for l2 := 0; l2 < ffs.PtrsPerBlock; l2++ {
-			bi := base + l2
-			if bi >= nblocks {
-				break
-			}
-			ptr := int32(binary.LittleEndian.Uint32(ldata[l2*4:]))
-			if ptr == 0 || !claimOK(ptr, runLen(bi)) {
-				return bi, true
-			}
-		}
-	}
-	return 0, false
+	return changed
 }
 
-// truncateInode shrinks ino to end before file block truncAt and rewrites
-// it on the image.
-func (c *checker) truncateInode(ino ffs.Ino, ip *ffs.Inode, truncAtBlock int) {
+// truncateInode shrinks ip to end before file block truncAt.
+func truncateInode(ip *ffs.Inode, truncAtBlock int) {
 	newSize := uint64(truncAtBlock) * ffs.BlockSize
 	if newSize > ip.Size {
 		newSize = ip.Size
@@ -248,54 +212,6 @@ func (c *checker) truncateInode(ino ffs.Ino, ip *ffs.Inode, truncAtBlock int) {
 	} else if truncAtBlock <= ffs.NDirect+ffs.PtrsPerBlock {
 		ip.Dindir = 0
 	}
-	frag, off := c.sb.InodeFrag(ino)
-	ffs.EncodeInode(ip, c.raw[int64(frag)*ffs.FragSize+int64(off):])
-}
-
-// dirHasDots reports whether the directory's data contains both "." and
-// "..".
-func (c *checker) dirHasDots(ip ffs.Inode) bool {
-	ptr := ip.Direct[0]
-	if ptr < c.sb.DataStart || ptr >= c.sb.TotalFrags {
-		return false
-	}
-	head := c.raw[int64(ptr)*ffs.FragSize : int64(ptr)*ffs.FragSize+ffs.DirChunk]
-	sawDot, sawDotdot := false, false
-	for off := 0; off < ffs.DirChunk; {
-		le := binary.LittleEndian
-		entIno := ffs.Ino(le.Uint32(head[off:]))
-		reclen := int(le.Uint16(head[off+4:]))
-		namelen := int(head[off+6])
-		if reclen < 8 || off+reclen > ffs.DirChunk {
-			break
-		}
-		if entIno != 0 && off+8+namelen <= ffs.DirChunk {
-			switch string(head[off+8 : off+8+namelen]) {
-			case ".":
-				sawDot = true
-			case "..":
-				sawDotdot = true
-			}
-		}
-		off += reclen
-	}
-	return sawDot && sawDotdot
-}
-
-func (c *checker) clearInode(ino ffs.Ino) {
-	frag, off := c.sb.InodeFrag(ino)
-	cleared := ffs.Inode{}
-	ffs.EncodeInode(&cleared, c.raw[int64(frag)*ffs.FragSize+int64(off):])
-}
-
-// putRawDirent writes a minimal directory entry header + name.
-func putRawDirent(b []byte, ino ffs.Ino, reclen int, name string, ftype uint8) {
-	le := binary.LittleEndian
-	le.PutUint32(b[0:], uint32(ino))
-	le.PutUint16(b[4:], uint16(reclen))
-	b[6] = uint8(len(name))
-	b[7] = ftype
-	copy(b[8:], name)
 }
 
 // reformatChunk turns a structurally invalid 512-byte directory chunk into
@@ -303,85 +219,11 @@ func putRawDirent(b []byte, ino ffs.Ino, reclen int, name string, ftype uint8) {
 // re-seeded ("..", with the true parent unknowable, points at the root —
 // a real fsck would reattach under lost+found).
 func reformatChunk(chunk []byte, self ffs.Ino, first bool) {
-	for i := range chunk {
-		chunk[i] = 0
-	}
+	clear(chunk)
 	if !first {
-		putRawDirent(chunk, 0, len(chunk), "", 0)
+		ffs.PutDirent(chunk, 0, len(chunk), "", 0)
 		return
 	}
-	putRawDirent(chunk[0:], self, 12, ".", ffs.FtypeDir)
-	putRawDirent(chunk[12:], ffs.RootIno, len(chunk)-12, "..", ffs.FtypeDir)
-}
-
-// dirBlocks iterates the direct blocks of a directory, yielding the data
-// slice and the size limit for each.
-func (c *checker) dirBlocks(ip ffs.Inode, f func(bi int, data []byte, limit int)) {
-	nblocks := (int(ip.Size) + ffs.BlockSize - 1) / ffs.BlockSize
-	for bi := 0; bi < nblocks && bi < ffs.NDirect; bi++ {
-		ptr := ip.Direct[bi]
-		if ptr < c.sb.DataStart || ptr >= c.sb.TotalFrags {
-			continue
-		}
-		nf := ffs.BlockFrags
-		if bi == nblocks-1 {
-			if rem := int(ip.Size) % ffs.BlockSize; rem != 0 {
-				nf = (rem + ffs.FragSize - 1) / ffs.FragSize
-			}
-		}
-		data := c.raw[int64(ptr)*ffs.FragSize : int64(ptr)*ffs.FragSize+int64(nf*ffs.FragSize)]
-		limit := int(ip.Size) - bi*ffs.BlockSize
-		if limit > len(data) {
-			limit = len(data)
-		}
-		f(bi, data, limit)
-	}
-}
-
-// repairDirStructure reformats structurally invalid chunks of one
-// directory.
-func (c *checker) repairDirStructure(ino ffs.Ino, ip ffs.Inode, log func(string, ...interface{})) {
-	c.dirBlocks(ip, func(bi int, data []byte, limit int) {
-		for chunk := 0; chunk+ffs.DirChunk <= limit; chunk += ffs.DirChunk {
-			valid := true
-			for off := chunk; off < chunk+ffs.DirChunk; {
-				reclen := int(binary.LittleEndian.Uint16(data[off+4:]))
-				if reclen < 8 || reclen%4 != 0 || off+reclen > chunk+ffs.DirChunk {
-					valid = false
-					break
-				}
-				off += reclen
-			}
-			if !valid {
-				reformatChunk(data[chunk:chunk+ffs.DirChunk], ino, bi == 0 && chunk == 0)
-				log("reformatted garbage chunk %d of directory %d", chunk, ino)
-			}
-		}
-	})
-}
-
-// countDirRefs clears dangling entries and counts directory references.
-func (c *checker) countDirRefs(ino ffs.Ino, ip ffs.Inode, inodes map[ffs.Ino]ffs.Inode,
-	refs map[ffs.Ino]int, log func(string, ...interface{})) {
-	c.dirBlocks(ip, func(bi int, data []byte, limit int) {
-		for chunk := 0; chunk+ffs.DirChunk <= limit; chunk += ffs.DirChunk {
-			for off := chunk; off < chunk+ffs.DirChunk; {
-				le := binary.LittleEndian
-				entIno := ffs.Ino(le.Uint32(data[off:]))
-				reclen := int(le.Uint16(data[off+4:]))
-				if reclen < 8 || off+reclen > chunk+ffs.DirChunk {
-					break
-				}
-				if entIno != 0 {
-					if _, ok := inodes[entIno]; !ok {
-						le.PutUint32(data[off:], 0) // clear dangling entry
-						log("cleared dangling entry in inode %d (named %d)", ino, entIno)
-					} else {
-						refs[entIno]++
-					}
-				}
-				off += reclen
-			}
-		}
-	})
+	ffs.PutDirent(chunk[0:], self, 12, ".", ffs.FtypeDir)
+	ffs.PutDirent(chunk[12:], ffs.RootIno, len(chunk)-12, "..", ffs.FtypeDir)
 }

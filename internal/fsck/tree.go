@@ -1,7 +1,6 @@
 package fsck
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -36,59 +35,28 @@ func Tree(img Image) (tree map[string]TreeEntry, err error) {
 			err = fmt.Errorf("tree walk failed: %v", p)
 		}
 	}()
-	c := &checker{img: img, rep: &Report{Refs: make(map[ffs.Ino]int)}}
-	if derr := decodeSB(img, &c.sb); derr != nil {
+	var sb ffs.Superblock
+	if derr := decodeSB(img, &sb); derr != nil {
 		return nil, derr
 	}
-	root := c.readInode(ffs.RootIno)
+	d := deriver{img: img, sb: &sb}
+	root := d.readInode(ffs.RootIno)
 	if !root.IsDir() {
 		return nil, fmt.Errorf("root inode is not a directory")
 	}
 	tree = make(map[string]TreeEntry)
 	tree["/"] = TreeEntry{Ino: ffs.RootIno, Dir: true, Size: root.Size, Nlink: int(root.Nlink)}
-	visited := map[ffs.Ino]bool{ffs.RootIno: true}
-
-	type frame struct {
-		ino  ffs.Ino
-		ip   ffs.Inode
-		path string
-	}
-	queue := []frame{{ino: ffs.RootIno, ip: root, path: ""}}
-	for len(queue) > 0 {
-		f := queue[0]
-		queue = queue[1:]
-		data := c.dirData(f.ino, f.ip)
-		for chunk := 0; chunk+ffs.DirChunk <= len(data); chunk += ffs.DirChunk {
-			off := chunk
-			for off < chunk+ffs.DirChunk {
-				le := binary.LittleEndian
-				entIno := ffs.Ino(le.Uint32(data[off:]))
-				reclen := int(le.Uint16(data[off+4:]))
-				namelen := int(data[off+6])
-				if reclen < 8 || off+reclen > chunk+ffs.DirChunk || off+8+namelen > chunk+ffs.DirChunk {
-					break // malformed chunk; the fsck oracle reports it
-				}
-				if entIno != 0 {
-					name := string(data[off+8 : off+8+namelen])
-					if name != "." && name != ".." {
-						ip := c.readInode(entIno)
-						path := f.path + "/" + name
-						tree[path] = TreeEntry{
-							Ino:   entIno,
-							Dir:   ip.IsDir(),
-							Size:  ip.Size,
-							Nlink: int(ip.Nlink),
-						}
-						if ip.IsDir() && !visited[entIno] {
-							visited[entIno] = true
-							queue = append(queue, frame{ino: entIno, ip: ip, path: path})
-						}
-					}
-				}
-				off += reclen
-			}
+	// WalkTree descends into a directory where it first meets it, parents
+	// before children: that entry's path prefixes everything inside.
+	paths := map[ffs.Ino]string{ffs.RootIno: ""}
+	WalkTree(img, func(e WalkEntry) bool {
+		path := paths[e.Parent] + "/" + e.Name
+		tree[path] = TreeEntry{Ino: e.Ino, Dir: e.Inode.IsDir(), Size: e.Inode.Size, Nlink: int(e.Inode.Nlink)}
+		if _, seen := paths[e.Ino]; e.Inode.IsDir() && !seen {
+			paths[e.Ino] = path
 		}
-	}
+		return true
+	})
 	return tree, nil
 }
 

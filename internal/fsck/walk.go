@@ -1,10 +1,6 @@
 package fsck
 
-import (
-	"encoding/binary"
-
-	"metaupdate/internal/ffs"
-)
+import "metaupdate/internal/ffs"
 
 // WalkEntry is one live directory entry visited by WalkTree ("." and ".."
 // are skipped).
@@ -31,57 +27,42 @@ type WalkEntry struct {
 // inodes are reported with a zero Inode and never descended into.
 func WalkTree(img Image, fn func(e WalkEntry) bool) {
 	var sb ffs.Superblock
-	if err := decodeSB(img, &sb); err != nil {
+	if decodeSB(img, &sb) != nil || uint32(ffs.RootIno) >= sb.NInodes {
 		return
 	}
-	c := &checker{img: img, sb: sb}
+	d := deriver{img: img, sb: &sb}
 	type dirAt struct {
 		ino   ffs.Ino
 		depth int
 	}
 	visited := make([]bool, sb.NInodes)
-	if uint32(ffs.RootIno) >= sb.NInodes {
-		return
-	}
 	visited[ffs.RootIno] = true
 	queue := []dirAt{{ffs.RootIno, 0}}
 	for len(queue) > 0 {
-		d := queue[0]
+		dir := queue[0]
 		queue = queue[1:]
-		ip := c.readInode(d.ino)
+		ip := d.readInode(dir.ino)
 		if !ip.IsDir() {
 			continue
 		}
-		data := c.dirData(d.ino, ip)
-		for chunk := 0; chunk+ffs.DirChunk <= len(data); chunk += ffs.DirChunk {
-			off := chunk
-			for off+8 <= chunk+ffs.DirChunk {
-				le := binary.LittleEndian
-				entIno := ffs.Ino(le.Uint32(data[off:]))
-				reclen := int(le.Uint16(data[off+4:]))
-				namelen := int(data[off+6])
-				if reclen < 8 || off+reclen > chunk+ffs.DirChunk || off+8+namelen > off+reclen {
-					break // malformed chain; fsck reports it
-				}
-				if entIno != 0 {
-					name := string(data[off+8 : off+8+namelen])
-					if name != "." && name != ".." {
-						e := WalkEntry{Parent: d.ino, Depth: d.depth,
-							Name: name, Ftype: data[off+7], Ino: entIno}
-						inRange := entIno >= 2 && uint32(entIno) < sb.NInodes
-						if inRange {
-							e.Inode = c.readInode(entIno)
-						}
-						if !fn(e) {
-							return
-						}
-						if inRange && e.Inode.IsDir() && !visited[entIno] {
-							visited[entIno] = true
-							queue = append(queue, dirAt{entIno, d.depth + 1})
-						}
-					}
-				}
-				off += reclen
+		c := d.openDir(&ip, nil)
+		var ent dirent
+		for c.next(&ent) {
+			name := string(ent.name)
+			if ent.bad || name == "." || name == ".." {
+				continue // a malformed chain ends its chunk; fsck reports it
+			}
+			e := WalkEntry{Parent: dir.ino, Depth: dir.depth, Name: name, Ftype: ent.ftype, Ino: ent.ino}
+			inRange := e.Ino >= 2 && uint32(e.Ino) < sb.NInodes
+			if inRange {
+				e.Inode = d.readInode(e.Ino)
+			}
+			if !fn(e) {
+				return
+			}
+			if inRange && e.Inode.IsDir() && !visited[e.Ino] {
+				visited[e.Ino] = true
+				queue = append(queue, dirAt{e.Ino, dir.depth + 1})
 			}
 		}
 	}
