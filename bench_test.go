@@ -33,15 +33,15 @@ const benchScale = harness.Scale(0.1)
 // cost of regenerating the exhibit from scratch — cells fan out across
 // cores, but nothing is served from a previous iteration's memo.
 func runExperiment(b *testing.B, name string, col int) {
-	run := harness.Experiments[name]
-	if run == nil {
+	ex := harness.ExhibitByName[name]
+	if ex == nil {
 		b.Fatalf("unknown experiment %q", name)
 	}
 	b.ReportAllocs()
 	var tables []harness.Table
 	for i := 0; i < b.N; i++ {
 		cfg := harness.Config{Scale: benchScale, Runner: harness.NewRunner(0)}
-		tables = run(cfg)
+		tables = ex.Tables(cfg)
 	}
 	for _, t := range tables {
 		if len(t.Rows) == 0 {

@@ -28,8 +28,12 @@ import (
 )
 
 func main() {
-	schemes := flag.String("schemes", "conventional,flag,chains,softupdates,noorder,journaling,async",
-		"comma-separated ordering schemes to check")
+	var all []string
+	for _, s := range fsim.Schemes {
+		all = append(all, s.Slug())
+	}
+	schemes := flag.String("schemes", strings.Join(all, ","),
+		"comma-separated ordering schemes to check ("+fsim.SchemeUsage+")")
 	files := flag.Int("files", 150, "files created and removed (1 KB each)")
 	workers := flag.Int("workers", 0, "fsck worker goroutines (0: GOMAXPROCS)")
 	budget := flag.Int("budget", 20000, "max crash states generated per scheme")

@@ -18,31 +18,8 @@ import (
 
 	"metaupdate/fsim"
 	"metaupdate/internal/fsck"
+	"metaupdate/internal/workload"
 )
-
-// churn is the deterministic workload: continuous create/write/remove/
-// rename traffic in one directory.
-func churn(sys *fsim.System) {
-	sys.Eng.Spawn("churn", func(p *fsim.Proc) {
-		fs := sys.FS
-		dir, err := fs.Mkdir(p, fsim.RootIno, "work")
-		if err != nil {
-			return
-		}
-		for i := 0; ; i++ {
-			name := fmt.Sprintf("f%d", i%60)
-			if ino, err := fs.Create(p, dir, name); err == nil {
-				fs.WriteAt(p, ino, 0, fsck.MakeStampedData(ino, 2048+(i%5)*1500))
-			}
-			if i%3 == 2 {
-				fs.Unlink(p, dir, fmt.Sprintf("f%d", (i-2)%60))
-			}
-			if i%11 == 10 {
-				fs.Rename(p, dir, name, dir, fmt.Sprintf("r%d", i%60))
-			}
-		}
-	})
-}
 
 func crashOnce(scheme fsim.Scheme, at fsim.Time, repair bool) (violations, repairables int) {
 	sys, err := fsim.New(fsim.Options{Scheme: scheme})
@@ -50,15 +27,12 @@ func crashOnce(scheme fsim.Scheme, at fsim.Time, repair bool) (violations, repai
 		fmt.Fprintf(os.Stderr, "mdcrash: %v\n", err)
 		os.Exit(1)
 	}
-	churn(sys)
+	// The deterministic workload: continuous create/write/remove/rename
+	// traffic in one directory.
+	workload.Churn(sys.Eng, sys.FS, 60, 11, func(i int) int { return 2048 + (i%5)*1500 })
 	img := sys.Crash(at)
-	if sys.NV != nil {
-		n := sys.NV.Log().Replay(img)
-		fmt.Printf("  replayed %d NVRAM records\n", n)
-	}
-	if scheme == fsim.Journaling {
-		n := fsck.ReplayJournal(img)
-		fmt.Printf("  replayed %d journal transactions\n", n)
+	if did := sys.Recover(img); did != "" {
+		fmt.Printf("  %s\n", did)
 	}
 	rep := fsck.Check(img)
 	v, r := rep.Violations(), rep.Repairables()
@@ -89,7 +63,7 @@ func crashOnce(scheme fsim.Scheme, at fsim.Time, repair bool) (violations, repai
 }
 
 func main() {
-	schemeName := flag.String("scheme", "softupdates", "ordering scheme (conventional|flag|chains|softupdates|noorder|nvram|journaling|async)")
+	schemeName := flag.String("scheme", "softupdates", "ordering scheme ("+fsim.SchemeUsage+")")
 	at := flag.Duration("at", 40*time.Second, "virtual crash instant")
 	sweep := flag.Int("sweep", 0, "crash at N instants spread over [at/2, at] instead of once")
 	repair := flag.Bool("repair", false, "run fsck repair on the crashed image")

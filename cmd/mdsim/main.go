@@ -47,8 +47,8 @@ func main() {
 	rate := flag.Int("rate", 200, "with -scenario: offered load in ops per virtual second")
 	scenarioNodes := flag.Int("scenario-nodes", 0, "with -scenario: also run the scenario against a metadata cluster of this many nodes (> 1)")
 	opTrace := flag.String("optrace", "", "run the 4-user copy under -optrace-scheme and write a Chrome trace-event JSON of the operation spans to this file")
-	opTraceScheme := flag.String("optrace-scheme", "softupdates", "scheme for -optrace (conventional|flag|chains|softupdates|noorder|nvram|journaling|async)")
-	traceScheme := flag.String("trace", "", "run the 4-user copy under this scheme and print the I/O trace analysis (conventional|flag|chains|softupdates|noorder|nvram|journaling|async)")
+	opTraceScheme := flag.String("optrace-scheme", "softupdates", "scheme for -optrace ("+fsim.SchemeUsage+")")
+	traceScheme := flag.String("trace", "", "run the 4-user copy under this scheme and print the I/O trace analysis ("+fsim.SchemeUsage+")")
 	csvPath := flag.String("csv", "", "with -trace: also write the raw per-request trace as CSV to this file")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof allocation profile at exit to this file")
@@ -89,99 +89,30 @@ func main() {
 		}()
 	}
 
-	if *faults {
-		// The fault sweep is an opt-in diagnostic, not one of the paper's
-		// exhibits, so it lives outside -exp/-list. Cells run on the same
-		// memoizing runner; stdout is byte-identical for any -j.
-		runner := harness.NewRunner(*jobs)
-		cfg := harness.DefaultConfig(os.Stdout)
-		cfg.Runner = runner
-		for _, t := range harness.FaultRecoveryExhibit.Tables(cfg) {
-			t.Fprint(os.Stdout)
+	// -faults, -opstats and -dist are opt-in diagnostics and extensions, not
+	// paper exhibits, so they live outside -exp/-list and the golden
+	// transcript pinning `-exp all` is untouched. Cells run on the same
+	// memoizing runner and every number is virtual-time, so stdout is
+	// byte-identical for any -j (the fault sweep has one size: it ignores
+	// -scale).
+	for _, one := range []struct {
+		on bool
+		ex *harness.Exhibit
+	}{{*faults, harness.FaultRecoveryExhibit}, {*opstats, harness.OpStatsExhibit}, {*dist, harness.DistExhibit}} {
+		if !one.on {
+			continue
 		}
-		st := runner.Stats()
-		fmt.Fprintf(os.Stderr, "[faults: %d cells simulated, %d memo hits, %d workers]\n",
-			st.Executed, st.Hits, st.Workers)
-		return
-	}
-
-	if *opstats {
-		// Like -faults: an opt-in diagnostic outside -exp/-list, so the
-		// golden transcript pinning `-exp all` is untouched. All numbers
-		// are virtual-time, so stdout is byte-identical for any -j.
 		runner := harness.NewRunner(*jobs)
-		cfg := harness.DefaultConfig(os.Stdout)
-		cfg.Scale = harness.Scale(*scale)
-		cfg.Runner = runner
-		for _, t := range harness.OpStatsExhibit.Tables(cfg) {
-			t.Fprint(os.Stdout)
-		}
-		st := runner.Stats()
-		fmt.Fprintf(os.Stderr, "[opstats: %d cells simulated, %d memo hits, %d workers]\n",
-			st.Executed, st.Hits, st.Workers)
-		return
-	}
-
-	if *dist {
-		// Like -faults and -opstats: an opt-in extension outside
-		// -exp/-list, so the golden transcript pinning `-exp all` is
-		// untouched. All numbers are virtual-time, so stdout is
-		// byte-identical for any -j.
-		runner := harness.NewRunner(*jobs)
-		cfg := harness.DefaultConfig(os.Stdout)
+		cfg := harness.DefaultConfig()
 		cfg.Scale = harness.Scale(*scale)
 		cfg.Runner = runner
 		cfg.EngineWorkers = *engineWorkers
-		for _, t := range harness.DistExhibit.Tables(cfg) {
+		for _, t := range one.ex.Tables(cfg) {
 			t.Fprint(os.Stdout)
 		}
 		st := runner.Stats()
-		fmt.Fprintf(os.Stderr, "[dist: %d cells simulated, %d memo hits, %d workers]\n",
-			st.Executed, st.Hits, st.Workers)
-		return
-	}
-
-	if *load || *scenarioName != "" {
-		// Like -faults/-opstats/-dist: opt-in studies outside -exp/-list,
-		// so the golden transcript pinning `-exp all` is untouched. All
-		// numbers are virtual-time, so stdout is byte-identical for any -j
-		// and cold or warm memos; -json captures the same tables.
-		runner := harness.NewRunner(*jobs)
-		cfg := harness.DefaultConfig(os.Stdout)
-		cfg.Scale = harness.Scale(*scale)
-		cfg.Runner = runner
-		cfg.EngineWorkers = *engineWorkers
-		var exhibits []*harness.Exhibit
-		if *load {
-			exhibits = append(exhibits, harness.LoadCurveExhibit)
-		}
-		if *scenarioName != "" {
-			exhibits = append(exhibits, harness.ScenarioExhibit(*scenarioName, *rate, *scenarioNodes))
-		}
-		report := harness.Report{Scale: *scale, Jobs: runner.Workers(), CPUs: runtime.NumCPU()}
-		total := time.Now()
-		for _, ex := range exhibits {
-			start := time.Now()
-			tables := ex.Tables(cfg)
-			for _, t := range tables {
-				t.Fprint(os.Stdout)
-			}
-			report.Exhibits = append(report.Exhibits, harness.ExhibitReport{
-				Name: ex.Name, WallSec: time.Since(start).Seconds(), Tables: tables,
-			})
-		}
-		report.WallSec = time.Since(total).Seconds()
-		report.Runner = runner.Stats()
-		report.Cells = runner.CellTimings()
-		st := report.Runner
-		fmt.Fprintf(os.Stderr, "[load: %d cells simulated, %d memo hits, %d workers]\n",
-			st.Executed, st.Hits, st.Workers)
-		if *jsonPath != "" {
-			if err := writeReport(report, *jsonPath); err != nil {
-				fmt.Fprintf(os.Stderr, "mdsim: %v\n", err)
-				os.Exit(1)
-			}
-		}
+		fmt.Fprintf(os.Stderr, "[%s: %d cells simulated, %d memo hits, %d workers]\n",
+			one.ex.Name, st.Executed, st.Hits, st.Workers)
 		return
 	}
 
@@ -201,39 +132,48 @@ func main() {
 		return
 	}
 
-	if *list || *exp == "" {
+	var exhibits []*harness.Exhibit
+	switch {
+	case *load || *scenarioName != "":
+		// Like -faults/-opstats/-dist: opt-in studies outside -exp/-list,
+		// so the golden transcript pinning `-exp all` is untouched. All
+		// numbers are virtual-time, so stdout is byte-identical for any -j
+		// and cold or warm memos; -json captures the same tables.
+		if *load {
+			exhibits = append(exhibits, harness.LoadCurveExhibit)
+		}
+		if *scenarioName != "" {
+			exhibits = append(exhibits, harness.ScenarioExhibit(*scenarioName, *rate, *scenarioNodes))
+		}
+	case *list || *exp == "":
 		fmt.Println("experiments:")
 		for _, name := range harness.ExperimentNames {
 			fmt.Printf("  %s\n", name)
 		}
 		fmt.Println("  all")
-		if *exp == "" && !*list {
+		if !*list {
 			os.Exit(2)
 		}
 		return
+	case *exp == "all":
+		exhibits = harness.Exhibits
+	default:
+		ex := harness.ExhibitByName[*exp]
+		if ex == nil {
+			fmt.Fprintf(os.Stderr, "mdsim: unknown experiment %q (try -list)\n", *exp)
+			os.Exit(2)
+		}
+		exhibits = []*harness.Exhibit{ex}
 	}
 
 	runner := harness.NewRunner(*jobs)
-	cfg := harness.DefaultConfig(os.Stdout)
+	cfg := harness.DefaultConfig()
 	cfg.Scale = harness.Scale(*scale)
 	cfg.Runner = runner
-
-	names := []string{*exp}
-	if *exp == "all" {
-		names = harness.ExperimentNames
-	}
-	report := harness.Report{
-		Scale: *scale,
-		Jobs:  runner.Workers(),
-		CPUs:  runtime.NumCPU(),
-	}
+	cfg.EngineWorkers = *engineWorkers
+	report := harness.Report{Scale: *scale, Jobs: runner.Workers(), CPUs: runtime.NumCPU()}
 	total := time.Now()
-	for _, name := range names {
-		ex := harness.ExhibitByName[name]
-		if ex == nil {
-			fmt.Fprintf(os.Stderr, "mdsim: unknown experiment %q (try -list)\n", name)
-			os.Exit(2)
-		}
+	for _, ex := range exhibits {
 		start := time.Now()
 		tables := ex.Tables(cfg)
 		for _, t := range tables {
@@ -242,9 +182,9 @@ func main() {
 		wall := time.Since(start)
 		// Diagnostics go to stderr so stdout stays byte-identical across
 		// -j values and cache states.
-		fmt.Fprintf(os.Stderr, "[%s completed in %.1fs of real time]\n", name, wall.Seconds())
+		fmt.Fprintf(os.Stderr, "[%s completed in %.1fs of real time]\n", ex.Name, wall.Seconds())
 		report.Exhibits = append(report.Exhibits, harness.ExhibitReport{
-			Name: name, WallSec: wall.Seconds(), Tables: tables,
+			Name: ex.Name, WallSec: wall.Seconds(), Tables: tables,
 		})
 	}
 	report.WallSec = time.Since(total).Seconds()

@@ -12,37 +12,16 @@ import (
 
 	"metaupdate/fsim"
 	"metaupdate/internal/fsck"
+	"metaupdate/internal/workload"
 )
-
-func churn(sys *fsim.System) {
-	// Launch the workload but do NOT wait for it: we are going to crash.
-	sys.Eng.Spawn("churn", func(p *fsim.Proc) {
-		fs := sys.FS
-		dir, err := fs.Mkdir(p, fsim.RootIno, "work")
-		if err != nil {
-			return
-		}
-		for i := 0; ; i++ {
-			name := fmt.Sprintf("f%d", i%50)
-			if ino, err := fs.Create(p, dir, name); err == nil {
-				fs.WriteAt(p, ino, 0, fsck.MakeStampedData(ino, 4096))
-			}
-			if i%3 == 2 {
-				fs.Unlink(p, dir, fmt.Sprintf("f%d", (i-2)%50))
-			}
-			if i%7 == 6 {
-				fs.Rename(p, dir, name, dir, fmt.Sprintf("r%d", i%50))
-			}
-		}
-	})
-}
 
 func crashAndCheck(scheme fsim.Scheme, at fsim.Time) {
 	sys, err := fsim.New(fsim.Options{Scheme: scheme})
 	if err != nil {
 		log.Fatal(err)
 	}
-	churn(sys)
+	// Launch the workload but do NOT wait for it: we are going to crash.
+	workload.Churn(sys.Eng, sys.FS, 50, 7, func(int) int { return 4096 })
 	img := sys.Crash(at) // power fails mid-flight
 
 	rep := fsck.Check(img)

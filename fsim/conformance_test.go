@@ -134,12 +134,7 @@ func crashImage(t *testing.T, opt fsim.Options, at fsim.Duration) ([]byte, *fsim
 	if len(img) == 0 {
 		t.Fatal("crash produced no image")
 	}
-	if sys.NV != nil {
-		sys.NV.Log().Replay(img)
-	}
-	if sys.Jnl != nil {
-		fsck.ReplayJournal(img)
-	}
+	sys.Recover(img)
 	return img, sys
 }
 

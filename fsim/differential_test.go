@@ -65,12 +65,7 @@ func recoveredTree(t *testing.T, opt fsim.Options, at fsim.Duration) (map[string
 	diffWorkload(sys)
 	img := sys.Crash(fsim.Time(at))
 	st := sys.CollectStats()
-	if sys.NV != nil {
-		sys.NV.Log().Replay(img)
-	}
-	if sys.Jnl != nil {
-		fsck.ReplayJournal(img)
-	}
+	sys.Recover(img)
 	fsck.Repair(img)
 	if viol := fsck.Check(img).Violations(); len(viol) != 0 {
 		t.Fatalf("image not clean after repair: %v", viol[0])

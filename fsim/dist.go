@@ -3,11 +3,7 @@ package fsim
 import (
 	"fmt"
 
-	"metaupdate/internal/cache"
-	"metaupdate/internal/dev"
-	"metaupdate/internal/disk"
 	"metaupdate/internal/dmeta"
-	"metaupdate/internal/fault"
 	"metaupdate/internal/ffs"
 	"metaupdate/internal/obs"
 	"metaupdate/internal/sim"
@@ -170,41 +166,14 @@ func NewDist(opt DistOptions) (*DistSystem, error) {
 
 // buildStack assembles one node's machine on the node's host engine (the
 // shared serial engine, or the node's own LP). It runs inside an
-// already-live proc (p), unlike New which owns its engine and mounts
-// from a fresh one.
+// already-live proc (p), unlike New which owns its engine and mounts from a
+// fresh one.
 func buildStack(eng *sim.Engine, opt Options, rec *obs.Recorder, p *sim.Proc) (*dmeta.Stack, error) {
-	parts, err := schemeSetup(&opt)
+	sys, err := assemble(eng, opt, rec, p)
 	if err != nil {
 		return nil, err
 	}
-	dsk := disk.New(*opt.DiskParams, opt.DiskBytes)
-	jf := int32(0)
-	if opt.Scheme == Journaling {
-		jf = opt.JournalFrags
-	}
-	if _, err := ffs.Format(dsk, ffs.FormatParams{TotalBytes: opt.FSBytes, NInodes: opt.NInodes, JournalFrags: jf}); err != nil {
-		return nil, err
-	}
-	dcfg := parts.dcfg
-	dcfg.MaxRetries = opt.MaxRetries
-	dcfg.RetryBackoff = opt.RetryBackoff
-	dcfg.SpareSectors = opt.SpareSectors
-	drv := dev.New(eng, dsk, dcfg)
-	if opt.Faults.Enabled() {
-		dsk.SetFaults(fault.New(opt.Faults, dsk.Sectors()), opt.SpareSectors)
-	}
-	cpu := &sim.CPU{}
-	c := cache.New(eng, drv, cpu, cache.Config{
-		MaxBytes:       opt.CacheBytes,
-		CB:             opt.CB,
-		SyncerFraction: opt.SyncerFraction,
-	})
-	fs, err := ffs.Mount(eng, cpu, c, parts.ord,
-		ffs.Config{AllocInit: opt.AllocInit, Costs: opt.Costs, Obs: rec}, p)
-	if err != nil {
-		return nil, err
-	}
-	return &dmeta.Stack{CPU: cpu, Disk: dsk, Driver: drv, Cache: c, FS: fs}, nil
+	return &dmeta.Stack{CPU: sys.CPU, Disk: sys.Disk, Driver: sys.Driver, Cache: sys.Cache, FS: sys.FS}, nil
 }
 
 // Run executes fn as a simulated process against the cluster and drives

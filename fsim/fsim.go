@@ -1,9 +1,10 @@
 // Package fsim is the public API of the metaupdate library: it assembles a
 // complete simulated system — CPU, HP C2447-class disk, device driver with
 // the selected scheduler-ordering mode, buffer cache with syncer daemon,
-// and the FFS-like file system mounted with one of the paper's five
-// metadata update schemes — and runs workloads against it in deterministic
-// virtual time.
+// and the FFS-like file system mounted with one of eight metadata update
+// schemes (the paper's five, its section 7 NVRAM comparison point,
+// Journaling and Async Durability; scheme.go declares each once) — and
+// runs workloads against it in deterministic virtual time.
 //
 // Quick start:
 //
@@ -20,7 +21,6 @@ package fsim
 
 import (
 	"fmt"
-	"strings"
 
 	"metaupdate/internal/cache"
 	"metaupdate/internal/core"
@@ -71,84 +71,6 @@ const (
 	Millisecond = sim.Millisecond
 	Second      = sim.Second
 )
-
-// Scheme selects a metadata update ordering implementation.
-type Scheme int
-
-// The five schemes of the paper's performance comparison (section 5).
-const (
-	NoOrder Scheme = iota
-	Conventional
-	SchedulerFlag
-	SchedulerChains
-	SoftUpdates
-	// NVRAM is the section 7 extension: delayed writes everywhere, with
-	// the ordering-relevant states journaled to battery-backed RAM and
-	// replayed over the media after a crash.
-	NVRAM
-	// Journaling is the classic write-ahead alternative the paper could not
-	// benchmark: delayed writes everywhere, ordering-relevant states
-	// appended to a wrapping on-disk log region as checksummed begin/commit
-	// transactions, home-location writeback gated on the commit, and
-	// crash-time recovery by journal replay (fsck.ReplayJournal).
-	Journaling
-	// AsyncDurability is the AsyncFS-inspired decoupling: operations become
-	// visible immediately (scheduler-chains write pattern, so crash images
-	// stay rule-consistent) while durability is acknowledged asynchronously
-	// through a notification queue, bounded by an in-flight window with
-	// batched group commit.
-	AsyncDurability
-)
-
-// Schemes lists the paper's five in presentation order, then the two
-// post-paper schemes (journaling and decoupled durability).
-var Schemes = []Scheme{Conventional, SchedulerFlag, SchedulerChains, SoftUpdates, NoOrder, Journaling, AsyncDurability}
-
-func (s Scheme) String() string {
-	switch s {
-	case NoOrder:
-		return "No Order"
-	case Conventional:
-		return "Conventional"
-	case SchedulerFlag:
-		return "Scheduler Flag"
-	case SchedulerChains:
-		return "Scheduler Chains"
-	case SoftUpdates:
-		return "Soft Updates"
-	case NVRAM:
-		return "NVRAM"
-	case Journaling:
-		return "Journaling"
-	case AsyncDurability:
-		return "Async Durability"
-	}
-	return fmt.Sprintf("Scheme(%d)", int(s))
-}
-
-// ParseScheme maps a command-line scheme name (case and surrounding space
-// ignored) to its Scheme.
-func ParseScheme(name string) (Scheme, error) {
-	switch strings.ToLower(strings.TrimSpace(name)) {
-	case "conventional":
-		return Conventional, nil
-	case "flag":
-		return SchedulerFlag, nil
-	case "chains":
-		return SchedulerChains, nil
-	case "softupdates", "soft":
-		return SoftUpdates, nil
-	case "noorder":
-		return NoOrder, nil
-	case "nvram":
-		return NVRAM, nil
-	case "journaling", "journal":
-		return Journaling, nil
-	case "async", "asyncdurability":
-		return AsyncDurability, nil
-	}
-	return 0, fmt.Errorf("unknown scheme %q (conventional|flag|chains|softupdates|noorder|nvram|journaling|async)", name)
-}
 
 // FlagSemantics re-exports the driver's ordering-flag semantics.
 type FlagSemantics = dev.FlagSemantics
@@ -244,32 +166,11 @@ type Options struct {
 }
 
 func (o *Options) setDefaults() {
-	if !o.Explicit {
-		switch o.Scheme {
-		case SchedulerFlag:
-			o.Sem, o.NR, o.CB = dev.SemPart, true, true
-		case SchedulerChains:
-			o.CB = true
-		case SoftUpdates:
-			o.AllocInit = true
-		}
-	}
-	if o.Scheme == AsyncDurability {
-		if o.AsyncWindow == 0 {
-			o.AsyncWindow = ordering.DefaultAsyncWindow
-		}
-		if o.AsyncInterval == 0 {
-			o.AsyncInterval = ordering.DefaultAsyncInterval
-		}
-	}
 	if o.DiskBytes == 0 {
 		o.DiskBytes = 384 << 20
 	}
 	if o.FSBytes == 0 {
 		o.FSBytes = o.DiskBytes
-	}
-	if o.Scheme == Journaling && o.JournalFrags == 0 {
-		o.JournalFrags = int32(min(max(o.FSBytes/(128<<10), 128), 4096))
 	}
 	if o.NInodes == 0 {
 		o.NInodes = 16384
@@ -280,6 +181,14 @@ func (o *Options) setDefaults() {
 	if o.DiskParams == nil {
 		p := disk.HPC2447()
 		o.DiskParams = &p
+	}
+	if e := o.Scheme.info(); e != nil {
+		if e.paper != nil && !o.Explicit {
+			e.paper(o)
+		}
+		if e.fixed != nil {
+			e.fixed(o)
+		}
 	}
 }
 
@@ -301,137 +210,70 @@ type System struct {
 	statsStart sim.Time
 }
 
-// schemeParts is one machine's ordering machinery, fresh per stack (an
-// ordering instance carries per-mount state and is never shared between
-// nodes).
-type schemeParts struct {
-	ord   ffs.Ordering
-	dcfg  dev.Config
-	soft  *core.SoftUpdates
-	nvs   *nvram.Scheme
-	jnl   *ordering.Journal
-	async *ordering.Async
-}
-
-// schemeSetup instantiates opt.Scheme's ordering and driver config. It
-// mutates opt where a scheme constrains the options (SoftUpdates forces
-// CB off).
-func schemeSetup(opt *Options) (schemeParts, error) {
-	sp := schemeParts{dcfg: dev.Config{Mode: dev.ModeIgnore}}
-	switch opt.Scheme {
-	case NoOrder:
-		sp.ord = ordering.NewNoOrder()
-	case Conventional:
-		sp.ord = ordering.NewConventional()
-	case SchedulerFlag:
-		sp.ord = ordering.NewFlag()
-		sp.dcfg = dev.Config{Mode: dev.ModeFlag, Sem: opt.Sem, NR: opt.NR}
-		if opt.IgnoreOrdering {
-			sp.dcfg = dev.Config{Mode: dev.ModeIgnore}
-		}
-	case SchedulerChains:
-		ch := ordering.NewChains()
-		ch.BarrierFrees = opt.BarrierFrees
-		sp.ord = ch
-		sp.dcfg = dev.Config{Mode: dev.ModeChains}
-		if opt.IgnoreOrdering {
-			sp.dcfg = dev.Config{Mode: dev.ModeIgnore}
-		}
-	case SoftUpdates:
-		// Soft updates substitutes rolled-back copies as write sources
-		// itself; the -CB machinery's concurrent per-buffer snapshots
-		// would break its covered-update tracking, so it is forced off.
-		opt.CB = false
-		sp.soft = core.New()
-		sp.ord = sp.soft
-	case NVRAM:
-		sp.nvs = nvram.New(nvram.NewLog(opt.NVRAMBytes))
-		sp.ord = sp.nvs
-	case Journaling:
-		// The journal's begin→commit→home ordering rides the driver's
-		// explicit dependency lists; -CB is forced off so a journaled
-		// buffer's eventual home write carries exactly the committed state
-		// (modifications lock against in-flight writes).
-		opt.CB = false
-		sp.jnl = ordering.NewJournal()
-		sp.ord = sp.jnl
-		sp.dcfg = dev.Config{Mode: dev.ModeChains}
-		if opt.IgnoreOrdering {
-			sp.dcfg = dev.Config{Mode: dev.ModeIgnore}
-		}
-	case AsyncDurability:
-		// Chains ordering underneath. -CB stays off by default: an
-		// in-flight write then blocks modifications, which keeps the
-		// notification bookkeeping trivially exact. The submit-time
-		// crediting in ordering.Async is -CB-safe (a snapshot write
-		// carries the buffer's state as of submission, so only waiters
-		// registered by then are credited), so an Explicit configuration
-		// may enable CB — the open-loop exhibits do, where the stall of
-		// naming operations against the group-commit flusher's in-flight
-		// writes would otherwise convoy the whole op stream.
-		if !opt.Explicit {
-			opt.CB = false
-		}
-		sp.async = ordering.NewAsync(opt.AsyncWindow, opt.AsyncInterval)
-		sp.ord = sp.async
-		sp.dcfg = dev.Config{Mode: dev.ModeChains}
-		if opt.IgnoreOrdering {
-			sp.dcfg = dev.Config{Mode: dev.ModeIgnore}
-		}
-	default:
-		return schemeParts{}, fmt.Errorf("fsim: unknown scheme %v", opt.Scheme)
+// assemble builds one machine on eng: formatted disk, driver in the
+// scheme's mode, cache, and the file system mounted (from process p) with a
+// fresh ordering instance. opt has had its defaults set; rec may be nil.
+func assemble(eng *sim.Engine, opt Options, rec *obs.Recorder, p *sim.Proc) (*System, error) {
+	e := opt.Scheme.info()
+	if e == nil {
+		return nil, fmt.Errorf("fsim: unknown scheme %v", opt.Scheme)
 	}
-	return sp, nil
+	sys := &System{Opt: opt, Eng: eng, CPU: &sim.CPU{}, Obs: rec}
+	ord := e.build(&opt, sys)
+
+	sys.Disk = disk.New(*opt.DiskParams, opt.DiskBytes)
+	fp := ffs.FormatParams{TotalBytes: opt.FSBytes, NInodes: opt.NInodes}
+	if e.journal {
+		fp.JournalFrags = opt.JournalFrags
+	}
+	if _, err := ffs.Format(sys.Disk, fp); err != nil {
+		return nil, err
+	}
+	dcfg := dev.Config{
+		Mode:         e.mode,
+		MaxRetries:   opt.MaxRetries,
+		RetryBackoff: opt.RetryBackoff,
+		SpareSectors: opt.SpareSectors,
+	}
+	if opt.IgnoreOrdering {
+		dcfg.Mode = dev.ModeIgnore
+	}
+	if dcfg.Mode == dev.ModeFlag {
+		dcfg.Sem, dcfg.NR = opt.Sem, opt.NR
+	}
+	sys.Driver = dev.New(eng, sys.Disk, dcfg)
+	if opt.Faults.Enabled() {
+		// The plan is compiled after Format, so the bad-sector set is a pure
+		// function of (spec, disk size) and independent of mkfs traffic.
+		sys.Disk.SetFaults(fault.New(opt.Faults, sys.Disk.Sectors()), opt.SpareSectors)
+	}
+	sys.Cache = cache.New(eng, sys.Driver, sys.CPU, cache.Config{
+		MaxBytes:       opt.CacheBytes,
+		CB:             opt.CB,
+		SyncerFraction: opt.SyncerFraction,
+	})
+	var err error
+	sys.FS, err = ffs.Mount(eng, sys.CPU, sys.Cache, ord,
+		ffs.Config{AllocInit: opt.AllocInit, Costs: opt.Costs, Obs: rec}, p)
+	return sys, err
 }
 
 // New formats a fresh file system and mounts it under the selected scheme.
 func New(opt Options) (*System, error) {
 	opt.setDefaults()
-
-	parts, err := schemeSetup(&opt)
-	if err != nil {
-		return nil, err
-	}
-	ord, dcfg, soft, nvs := parts.ord, parts.dcfg, parts.soft, parts.nvs
-
 	eng := sim.NewEngine()
-	dsk := disk.New(*opt.DiskParams, opt.DiskBytes)
-	jf := int32(0)
-	if opt.Scheme == Journaling {
-		jf = opt.JournalFrags
-	}
-	if _, err := ffs.Format(dsk, ffs.FormatParams{TotalBytes: opt.FSBytes, NInodes: opt.NInodes, JournalFrags: jf}); err != nil {
-		return nil, err
-	}
-	dcfg.MaxRetries = opt.MaxRetries
-	dcfg.RetryBackoff = opt.RetryBackoff
-	dcfg.SpareSectors = opt.SpareSectors
-	drv := dev.New(eng, dsk, dcfg)
-	if opt.Faults.Enabled() {
-		// The plan is compiled after Format, so the bad-sector set is a pure
-		// function of (spec, disk size) and independent of mkfs traffic.
-		dsk.SetFaults(fault.New(opt.Faults, dsk.Sectors()), opt.SpareSectors)
-	}
-	cpu := &sim.CPU{}
-	c := cache.New(eng, drv, cpu, cache.Config{
-		MaxBytes:       opt.CacheBytes,
-		CB:             opt.CB,
-		SyncerFraction: opt.SyncerFraction,
-	})
-
-	sys := &System{Opt: opt, Eng: eng, CPU: cpu, Disk: dsk, Driver: drv, Cache: c, Soft: soft, NV: nvs, Jnl: parts.jnl, Async: parts.async}
+	var rec *obs.Recorder
 	if opt.Observe {
-		sys.Obs = obs.New(eng)
+		rec = obs.New(eng)
 	}
-	eng.Spawn("mount", func(p *sim.Proc) {
-		sys.FS, err = ffs.Mount(eng, cpu, c, ord,
-			ffs.Config{AllocInit: opt.AllocInit, Costs: opt.Costs, Obs: sys.Obs}, p)
-	})
+	var sys *System
+	var err error
+	eng.Spawn("mount", func(p *sim.Proc) { sys, err = assemble(eng, opt, rec, p) })
 	eng.Run()
 	if err != nil {
 		return nil, err
 	}
-	c.StartSyncer()
+	sys.Cache.StartSyncer()
 	return sys, nil
 }
 

@@ -119,8 +119,8 @@ func FuzzCrashConsistency(f *testing.F) {
 			return // durability premise void; nothing to assert
 		}
 		cfg := crashmc.Config{Workers: 2, Budget: 400, PerInstant: 64}
-		if scheme == fsim.Journaling {
-			cfg.Recover = func(img []byte) { fsck.ReplayJournal(img) }
+		if cfg.Recover, err = scheme.MediaRecovery(); err != nil {
+			t.Fatal(err)
 		}
 		res := rec.Explore(cfg)
 		if !res.Clean() {

@@ -5,9 +5,11 @@ import (
 	"metaupdate/internal/sim"
 )
 
-// Ordering is the strategy interface implemented by the five metadata
-// update schemes the paper compares (Conventional, Scheduler Flag,
-// Scheduler Chains, Soft Updates, No Order).
+// Ordering is the strategy interface implemented by every metadata update
+// scheme: the five the paper compares (Conventional, Scheduler Flag,
+// Scheduler Chains, Soft Updates, No Order), its NVRAM comparison point,
+// Journaling and Async Durability. The sequenced-write ones share one
+// implementation of the rule hooks, ordering.Sequenced.
 //
 // The file system calls the hooks at precisely the points where the paper's
 // three ordering rules create update dependencies:

@@ -6,7 +6,6 @@ import (
 
 	"metaupdate/fsim"
 	"metaupdate/internal/crashmc"
-	"metaupdate/internal/fsck"
 	"metaupdate/internal/workload"
 )
 
@@ -38,6 +37,14 @@ func (o *CrashCheckOptions) setDefaults() {
 // cheap enough to run in tests.
 func CrashCheck(scheme fsim.Scheme, opt CrashCheckOptions) (*crashmc.Result, error) {
 	opt.setDefaults()
+	cfg := opt.MC
+	var err error
+	// A scheme whose contract holds after recovery, not on the raw image, is
+	// swept through its recovery step — or not at all, if that step needs
+	// more than the image.
+	if cfg.Recover, err = scheme.MediaRecovery(); err != nil {
+		return nil, err
+	}
 	sys, err := fsim.New(fsim.Options{
 		Scheme:     scheme,
 		DiskBytes:  6 << 20,
@@ -76,12 +83,6 @@ func CrashCheck(scheme fsim.Scheme, opt CrashCheckOptions) (*crashmc.Result, err
 	})
 	if werr != nil {
 		return nil, werr
-	}
-	cfg := opt.MC
-	if scheme == fsim.Journaling {
-		// Journaling's crash contract holds after recovery, not on the raw
-		// image: replay committed journal transactions before the oracle.
-		cfg.Recover = func(img []byte) { fsck.ReplayJournal(img) }
 	}
 	return rec.Explore(cfg), nil
 }

@@ -43,3 +43,23 @@ func TestCrashCheckMatrix(t *testing.T) {
 		t.Errorf("table output missing expected headers:\n%s", out)
 	}
 }
+
+// TestCrashCheckRefusesOffMediaRecovery: NVRAM's recovery replays a log the
+// media images of a sweep do not hold. Sweeping them anyway reports the
+// unrecovered images as violations (a false alarm mdcheck used to print), so
+// both sweeps return an error instead of a verdict.
+func TestCrashCheckRefusesOffMediaRecovery(t *testing.T) {
+	res, err := CrashCheck(fsim.NVRAM, CrashCheckOptions{Files: 4})
+	if err == nil || res != nil || !strings.Contains(err.Error(), "NVRAM") {
+		t.Errorf("CrashCheck(NVRAM) = %v, %v; want an error naming the scheme and no result", res, err)
+	}
+	dres, err := DistCrashCheck(DistCrashCheckOptions{Scheme: fsim.NVRAM, Nodes: 2})
+	if err == nil || dres != nil {
+		t.Errorf("DistCrashCheck(NVRAM) = %v, %v; want an error and no result", dres, err)
+	}
+	var buf bytes.Buffer
+	rows := CrashCheckMatrix([]fsim.Scheme{fsim.NVRAM}, CrashCheckOptions{Files: 4}, &buf)
+	if rows[0].Err == nil || !strings.Contains(buf.String(), "error: ") || strings.Contains(buf.String(), "VIOLATIONS") {
+		t.Errorf("matrix row for NVRAM: err %v, table:\n%s", rows[0].Err, buf.String())
+	}
+}

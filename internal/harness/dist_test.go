@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"io"
 	"strings"
 	"testing"
 
@@ -15,7 +14,7 @@ import (
 // per-cell event-engine parallelism (-engine-workers).
 func distText(workers, engineWorkers int, scale Scale) (string, *Runner, Config) {
 	r := NewRunner(workers)
-	cfg := DefaultConfig(io.Discard)
+	cfg := DefaultConfig()
 	cfg.Scale = scale
 	cfg.Runner = r
 	cfg.EngineWorkers = engineWorkers

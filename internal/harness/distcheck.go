@@ -99,6 +99,10 @@ func (r *DistCrashCheckResult) Clean() bool { return r.Violating == 0 }
 // exactly as in the single-machine sweep.
 func DistCrashCheck(opt DistCrashCheckOptions) (*DistCrashCheckResult, error) {
 	opt.setDefaults()
+	replay, err := opt.Scheme.MediaRecovery()
+	if err != nil {
+		return nil, err
+	}
 	sys, err := fsim.NewDist(fsim.DistOptions{
 		Base: fsim.Options{
 			Scheme:     opt.Scheme,
@@ -170,9 +174,7 @@ func DistCrashCheck(opt DistCrashCheckOptions) (*DistCrashCheckResult, error) {
 	for i, rec := range recs {
 		cfg := opt.MC
 		cfg.ExtraCheck = chainChecks(distShapeCheck, cfg.ExtraCheck)
-		if opt.Scheme == fsim.Journaling {
-			cfg.Recover = func(img []byte) { fsck.ReplayJournal(img) }
-		}
+		cfg.Recover = replay
 		nr := rec.Explore(cfg)
 		res.Nodes = append(res.Nodes, DistNodeCheck{Node: i + 1, Result: nr})
 		res.Checked += nr.Stats.Checked

@@ -6,6 +6,7 @@ import (
 	"metaupdate/fsim"
 	"metaupdate/internal/fsck"
 	"metaupdate/internal/sim"
+	"metaupdate/internal/workload"
 )
 
 // FaultRecovery is what one CellFaultRecovery run measures: the driver's
@@ -39,46 +40,16 @@ func DefaultFaultSpec() fsim.FaultSpec {
 	}
 }
 
-// faultChurn launches (without waiting for) an endless metadata loop —
-// creates with stamped data, removes, renames — so any crash instant lands
-// mid-update.
-func faultChurn(sys *fsim.System) {
-	sys.Eng.Spawn("churn", func(p *fsim.Proc) {
-		fs := sys.FS
-		dir, err := fs.Mkdir(p, fsim.RootIno, "work")
-		if err != nil {
-			return
-		}
-		for i := 0; ; i++ {
-			name := fmt.Sprintf("f%d", i%40)
-			if ino, err := fs.Create(p, dir, name); err == nil {
-				fs.WriteAt(p, ino, 0, fsck.MakeStampedData(ino, 4096))
-			}
-			if i%3 == 2 {
-				fs.Unlink(p, dir, fmt.Sprintf("f%d", (i-2)%40))
-			}
-			if i%7 == 6 {
-				fs.Rename(p, dir, name, dir, fmt.Sprintf("r%d", i%40))
-			}
-		}
-	})
-}
-
 // faultRecoveryRun is CellFaultRecovery's simulation: churn under opt's
 // fault plan, crash at the given instant, recover the image the way the
 // paper prescribes (NVRAM replays its surviving log; everything else leans
 // on fsck), and report the salvage.
 func faultRecoveryRun(opt fsim.Options, at sim.Duration) FaultRecovery {
 	sys := mustSystem(opt)
-	faultChurn(sys)
+	workload.Churn(sys.Eng, sys.FS, 40, 7, func(int) int { return 4096 })
 	img := sys.Crash(fsim.Time(at))
 	st := sys.CollectStats()
-	if sys.NV != nil {
-		sys.NV.Log().Replay(img)
-	}
-	if sys.Jnl != nil {
-		fsck.ReplayJournal(img)
-	}
+	sys.Recover(img)
 	rec := FaultRecovery{Faults: st.Faults, LostWrites: st.LostWrites}
 	rec.PreRepair = len(fsck.Check(img).Findings)
 	fsck.Repair(img)

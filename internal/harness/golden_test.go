@@ -24,7 +24,7 @@ func TestGoldenStdout(t *testing.T) {
 		t.Skip("full experiment suite in -short mode")
 	}
 	var buf bytes.Buffer
-	cfg := harness.DefaultConfig(&buf)
+	cfg := harness.DefaultConfig()
 	cfg.Scale = 0.05
 	cfg.Runner = harness.NewRunner(0)
 	for _, name := range harness.ExperimentNames {

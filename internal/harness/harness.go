@@ -85,9 +85,6 @@ func (s Scale) files(n int) int {
 // Config carries harness-wide settings.
 type Config struct {
 	Scale Scale
-	// Users overrides the default user counts where applicable (nil = paper).
-	Verbose bool
-	Out     io.Writer
 	// Runner executes the experiment cells. Nil means each exhibit gets a
 	// private GOMAXPROCS-wide runner; share one Runner across exhibits to
 	// let common cells simulate once per process (mdsim does).
@@ -101,7 +98,7 @@ type Config struct {
 }
 
 // DefaultConfig runs paper-sized experiments.
-func DefaultConfig(w io.Writer) Config { return Config{Scale: 1.0, Out: w} }
+func DefaultConfig() Config { return Config{Scale: 1.0} }
 
 // variant names one system configuration under test.
 type variant struct {
@@ -115,18 +112,11 @@ type variant struct {
 func fiveSchemes(allocInit map[fsim.Scheme]bool) []variant {
 	var out []variant
 	for _, s := range fsim.Schemes {
-		opt := fsim.Options{Scheme: s}
 		if allocInit != nil {
-			opt.Explicit = true
-			switch s {
-			case fsim.SchedulerFlag:
-				opt.Sem, opt.NR, opt.CB = fsim.SemPart, true, true
-			case fsim.SchedulerChains:
-				opt.CB = true
-			}
-			opt.AllocInit = allocInit[s]
+			out = append(out, schemeVariant(s, allocInit[s]))
+		} else {
+			out = append(out, variant{s.String(), fsim.Options{Scheme: s}})
 		}
-		out = append(out, variant{s.String(), opt})
 	}
 	return out
 }

@@ -18,7 +18,7 @@ func TestAllExperimentsSmoke(t *testing.T) {
 	for _, name := range harness.ExperimentNames {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			tables := harness.Experiments[name](cfg)
+			tables := harness.ExhibitByName[name].Tables(cfg)
 			if len(tables) == 0 {
 				t.Fatal("no tables produced")
 			}
@@ -43,12 +43,12 @@ func TestAllExperimentsSmoke(t *testing.T) {
 
 func TestExperimentNamesAllRegistered(t *testing.T) {
 	for _, name := range harness.ExperimentNames {
-		if harness.Experiments[name] == nil {
+		if harness.ExhibitByName[name] == nil {
 			t.Fatalf("experiment %q not registered", name)
 		}
 	}
-	if len(harness.Experiments) != len(harness.ExperimentNames) {
+	if len(harness.ExhibitByName) != len(harness.ExperimentNames) {
 		t.Fatalf("registry (%d) and name list (%d) out of sync",
-			len(harness.Experiments), len(harness.ExperimentNames))
+			len(harness.ExhibitByName), len(harness.ExperimentNames))
 	}
 }

@@ -3,7 +3,6 @@ package harness
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 	"testing"
@@ -17,7 +16,7 @@ var updateLoadGolden = flag.Bool("update-load-golden", false, "rewrite testdata/
 // given worker count, exactly as cmd/mdsim does.
 func loadText(workers, engineWorkers int, scale Scale) (string, *Runner, Config) {
 	r := NewRunner(workers)
-	cfg := DefaultConfig(io.Discard)
+	cfg := DefaultConfig()
 	cfg.Scale = scale
 	cfg.Runner = r
 	cfg.EngineWorkers = engineWorkers
@@ -95,7 +94,7 @@ func TestLoadCurveDeterministic(t *testing.T) {
 // variant included, so CellOpenLoopDist participates).
 func scenarioTables(workers, engineWorkers int) (string, *Runner, Config) {
 	r := NewRunner(workers)
-	cfg := DefaultConfig(io.Discard)
+	cfg := DefaultConfig()
 	cfg.Scale = opTestScale
 	cfg.Runner = r
 	cfg.EngineWorkers = engineWorkers

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"bytes"
-	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -230,7 +229,7 @@ func TestSoftUpdatesRollbackAccounting(t *testing.T) {
 // the given worker count, exactly as cmd/mdsim does.
 func opStatsText(workers int, scale Scale) (string, *Runner, Config) {
 	r := NewRunner(workers)
-	cfg := DefaultConfig(io.Discard)
+	cfg := DefaultConfig()
 	cfg.Scale = scale
 	cfg.Runner = r
 	var sb strings.Builder

@@ -217,18 +217,6 @@ var ExhibitByName = func() map[string]*Exhibit {
 	return m
 }()
 
-// Experiments maps experiment names to runners producing tables (the
-// pre-cell interface, kept for tests and benchmarks; each call resolves
-// through cfg.Runner or a private one).
-var Experiments = func() map[string]func(cfg Config) []Table {
-	m := make(map[string]func(cfg Config) []Table, len(Exhibits))
-	for _, e := range Exhibits {
-		e := e
-		m[e.Name] = func(cfg Config) []Table { return e.Tables(cfg) }
-	}
-	return m
-}()
-
 // ExperimentNames lists the experiments in presentation order.
 var ExperimentNames = func() []string {
 	names := make([]string, len(Exhibits))

@@ -23,6 +23,7 @@ import (
 	"metaupdate/internal/dev"
 	"metaupdate/internal/ffs"
 	"metaupdate/internal/obs"
+	"metaupdate/internal/ordering"
 	"metaupdate/internal/sim"
 )
 
@@ -47,8 +48,6 @@ type Log struct {
 
 	// CopyPerKB is the CPU cost of copying one KB into NVRAM.
 	CopyPerKB sim.Duration
-
-	waiters *sim.Completion
 
 	// Stats.
 	Appends, Retired int64
@@ -127,10 +126,6 @@ func (l *Log) retire(frag int64) {
 		l.Retired++
 	}
 	delete(l.records, frag)
-	if l.waiters != nil {
-		// No engine handy here; waiters are woken via hook paths instead.
-		l.waiters = nil
-	}
 }
 
 // Replay applies the surviving records, oldest first, onto a crashed media
@@ -147,9 +142,11 @@ func (l *Log) Replay(img []byte) int {
 	return len(all)
 }
 
-// Scheme is the NVRAM-backed ordering implementation (ffs.Ordering).
+// Scheme is the NVRAM-backed ordering implementation (ffs.Ordering): the
+// sequenced-write protocol with every ordered write, and the last write of
+// a series, replaced by a log append.
 type Scheme struct {
-	fs  *ffs.FS
+	ordering.Sequenced
 	log *Log
 }
 
@@ -158,27 +155,22 @@ func New(log *Log) *Scheme {
 	if log == nil {
 		log = NewLog(0)
 	}
-	return &Scheme{log: log}
+	s := &Scheme{log: log}
+	s.Sequenced = ordering.NewSequenced("NVRAM", s.stable, s.stable)
+	return s
 }
 
 // Log exposes the underlying NVRAM log (for crash replay and stats).
 func (s *Scheme) Log() *Log { return s.log }
 
-// Name implements ffs.Ordering.
-func (s *Scheme) Name() string { return "NVRAM" }
-
-// Start implements ffs.Ordering.
-func (s *Scheme) Start(fs *ffs.FS) { s.fs = fs }
-
 // Hooks implements ffs.Ordering.
-func (s *Scheme) Hooks() cache.Hooks { return nvHooks{s} }
+func (s *Scheme) Hooks() cache.Hooks { return nvHooks{s: s} }
 
-type nvHooks struct{ s *Scheme }
+type nvHooks struct {
+	cache.NopHooks
+	s *Scheme
+}
 
-func (nvHooks) OnAccess(*cache.Buf)                   {}
-func (nvHooks) PrepareWrite(*cache.Buf)               {}
-func (nvHooks) BeforeWrite(*cache.Buf, []byte) []byte { return nil }
-func (nvHooks) WriteIssued(*cache.Buf, *dev.Request)  {}
 func (h nvHooks) WriteDone(b *cache.Buf, r *dev.Request) {
 	// The buffer's (at least as new) state is on disk; its log records
 	// are no longer needed.
@@ -187,47 +179,7 @@ func (h nvHooks) WriteDone(b *cache.Buf, r *dev.Request) {
 
 // stable logs the buffer to NVRAM and leaves the disk write delayed.
 func (s *Scheme) stable(p *sim.Proc, b *cache.Buf) {
-	s.fs.Cache().Bdwrite(b)
-	s.log.append(p, s.fs.Cache(), s.fs.CPU(), b)
+	fs := s.FS()
+	fs.Cache().Bdwrite(b)
+	s.log.append(p, fs.Cache(), fs.CPU(), b)
 }
-
-// AllocInit implements ffs.Ordering.
-func (s *Scheme) AllocInit(p *sim.Proc, rec *ffs.AllocRec) {
-	if rec.IsDir || rec.IsIndir || rec.FS.Config().AllocInit {
-		s.stable(p, rec.NewBuf)
-	} else {
-		rec.FS.Cache().Bdwrite(rec.NewBuf)
-	}
-}
-
-// AllocPtr implements ffs.Ordering.
-func (s *Scheme) AllocPtr(p *sim.Proc, rec *ffs.AllocRec) {
-	s.stable(p, rec.OwnerBuf)
-	if rec.MovedFrom != nil {
-		rec.FS.ApplyFree(p, &ffs.FreeRec{FS: rec.FS, Frags: []ffs.FragRun{*rec.MovedFrom}})
-	}
-}
-
-// AddInode implements ffs.Ordering.
-func (s *Scheme) AddInode(p *sim.Proc, rec *ffs.LinkRec) { s.stable(p, rec.InoBuf) }
-
-// AddEntry implements ffs.Ordering.
-func (s *Scheme) AddEntry(p *sim.Proc, rec *ffs.LinkRec) { s.stable(p, rec.DirBuf) }
-
-// RemoveEntry implements ffs.Ordering.
-func (s *Scheme) RemoveEntry(p *sim.Proc, rec *ffs.RemRec) {
-	s.stable(p, rec.DirBuf)
-	rec.FS.FinishRemove(p, rec)
-}
-
-// FreeBlocks implements ffs.Ordering.
-func (s *Scheme) FreeBlocks(p *sim.Proc, rec *ffs.FreeRec) {
-	s.stable(p, rec.OwnerBuf)
-	rec.FS.ApplyFree(p, rec)
-}
-
-// MetaUpdate implements ffs.Ordering.
-func (s *Scheme) MetaUpdate(p *sim.Proc, b *cache.Buf) { s.fs.Cache().Bdwrite(b) }
-
-// DataWrite implements ffs.Ordering.
-func (s *Scheme) DataWrite(p *sim.Proc, b *cache.Buf) { s.fs.Cache().Bdwrite(b) }

@@ -130,7 +130,7 @@ func (o *Async) Start(fs *ffs.FS) {
 }
 
 // Hooks implements ffs.Ordering.
-func (o *Async) Hooks() cache.Hooks { return asyncHooks{chainsHooks{o.Chains}, o} }
+func (o *Async) Hooks() cache.Hooks { return asyncHooks{chainsHooks{o: o.Chains}, o} }
 
 type asyncHooks struct {
 	chainsHooks

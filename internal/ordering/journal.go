@@ -48,10 +48,11 @@ import (
 // A transaction is retired once every member buffer's delayed write has
 // reached its home location; the durable header (region fragment 0) is
 // rewritten before retired space is reused, exactly like a wrapping
-// jbd-style log. Crash recovery is fsck.ReplayJournal: scan the committed
-// prefix from the durable tail, apply buffer images oldest-first.
+// jbd-style log. Crash recovery is package fsck's journal replay: scan the
+// committed prefix from the durable tail, apply buffer images oldest-first.
 type Journal struct {
-	fs    *ffs.FS
+	Sequenced // every ordered write, and the last of a series, is stable()
+
 	drv   *dev.Driver
 	start int32 // journal region start fragment (absolute)
 	frags int32 // journal region size in fragments
@@ -160,15 +161,14 @@ var zeroFrag [ffs.FragSize]byte
 // formatted with a journal region (ffs.FormatParams.JournalFrags) and the
 // driver configured with dev.ModeChains.
 func NewJournal() *Journal {
-	return &Journal{byFrag: make(map[int64][]*jtxn), openSlot: make(map[int64]int), prev: make(map[int64]jprev)}
+	o := &Journal{byFrag: make(map[int64][]*jtxn), openSlot: make(map[int64]int), prev: make(map[int64]jprev)}
+	o.Sequenced = NewSequenced("Journaling", o.stable, o.stable)
+	return o
 }
-
-// Name implements ffs.Ordering.
-func (o *Journal) Name() string { return "Journaling" }
 
 // Start implements ffs.Ordering.
 func (o *Journal) Start(fs *ffs.FS) {
-	o.fs = fs
+	o.Sequenced.Start(fs)
 	o.drv = fs.Cache().Driver()
 	sb := fs.Superblock()
 	if sb.JournalFrags < minJournalFrags {
@@ -185,13 +185,12 @@ func (o *Journal) Start(fs *ffs.FS) {
 }
 
 // Hooks implements ffs.Ordering.
-func (o *Journal) Hooks() cache.Hooks { return journalHooks{o} }
+func (o *Journal) Hooks() cache.Hooks { return journalHooks{o: o} }
 
-type journalHooks struct{ o *Journal }
-
-func (journalHooks) OnAccess(*cache.Buf)                   {}
-func (journalHooks) BeforeWrite(*cache.Buf, []byte) []byte { return nil }
-func (journalHooks) WriteIssued(*cache.Buf, *dev.Request)  {}
+type journalHooks struct {
+	cache.NopHooks
+	o *Journal
+}
 
 // PrepareWrite forces the commit a home write must wait for: a write of a
 // buffer that is in the open transaction, or whose stable() is blocked for
@@ -231,7 +230,12 @@ func (o *Journal) retireFrag(frag int64) {
 }
 
 // stable copies b's current image into the open transaction and submits
-// the transaction unless a log write is in flight to absorb behind.
+// the transaction unless a log write is in flight to absorb behind. It is
+// both of the scheme's writes: the retargeted owner of a fragment move and
+// the cleared owner of a free are in the log before the fragments become
+// reusable, so replay reinstates the pointer switch before a vacated
+// fragment could be seen with two owners (rule 2, nullify-before-reuse on
+// replay), and the last write of a series is journaled like the rest.
 func (o *Journal) stable(p *sim.Proc, b *cache.Buf) {
 	o.fs.Cache().Bdwrite(b)
 	o.sweep()
@@ -629,48 +633,3 @@ func (o *Journal) getFrame() []byte {
 	}
 	return make([]byte, ffs.FragSize, (2*ffs.BlockFrags+2)*ffs.FragSize)
 }
-
-// AllocInit implements ffs.Ordering (journal the initialized block for
-// directories, indirect blocks, and data under allocation-initialization).
-func (o *Journal) AllocInit(p *sim.Proc, rec *ffs.AllocRec) {
-	if rec.IsDir || rec.IsIndir || rec.FS.Config().AllocInit {
-		o.stable(p, rec.NewBuf)
-	} else {
-		rec.FS.Cache().Bdwrite(rec.NewBuf)
-	}
-}
-
-// AllocPtr implements ffs.Ordering: the retargeting owner write is
-// journaled, so replay reinstates the pointer switch before any vacated
-// fragment could be seen with two owners (rule 2).
-func (o *Journal) AllocPtr(p *sim.Proc, rec *ffs.AllocRec) {
-	o.stable(p, rec.OwnerBuf)
-	if rec.MovedFrom != nil {
-		rec.FS.ApplyFree(p, &ffs.FreeRec{FS: rec.FS, Frags: []ffs.FragRun{*rec.MovedFrom}})
-	}
-}
-
-// AddInode implements ffs.Ordering.
-func (o *Journal) AddInode(p *sim.Proc, rec *ffs.LinkRec) { o.stable(p, rec.InoBuf) }
-
-// AddEntry implements ffs.Ordering.
-func (o *Journal) AddEntry(p *sim.Proc, rec *ffs.LinkRec) { o.stable(p, rec.DirBuf) }
-
-// RemoveEntry implements ffs.Ordering.
-func (o *Journal) RemoveEntry(p *sim.Proc, rec *ffs.RemRec) {
-	o.stable(p, rec.DirBuf)
-	rec.FS.FinishRemove(p, rec)
-}
-
-// FreeBlocks implements ffs.Ordering: the cleared owner is journaled
-// before the fragments become reusable (nullify-before-reuse on replay).
-func (o *Journal) FreeBlocks(p *sim.Proc, rec *ffs.FreeRec) {
-	o.stable(p, rec.OwnerBuf)
-	rec.FS.ApplyFree(p, rec)
-}
-
-// MetaUpdate implements ffs.Ordering.
-func (o *Journal) MetaUpdate(p *sim.Proc, b *cache.Buf) { o.fs.Cache().Bdwrite(b) }
-
-// DataWrite implements ffs.Ordering.
-func (o *Journal) DataWrite(p *sim.Proc, b *cache.Buf) { o.fs.Cache().Bdwrite(b) }

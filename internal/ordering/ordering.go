@@ -1,8 +1,16 @@
-// Package ordering implements four of the five metadata update schemes the
-// paper compares: No Order (the unsafe delayed-write baseline), the
-// Conventional synchronous-write approach, the scheduler-enforced ordering
-// flag of section 3.1, and scheduler chains (section 3.2). Soft updates,
-// the paper's contribution, lives in package core.
+// Package ordering implements six of the metadata update schemes compared
+// here: the paper's No Order (the unsafe delayed-write baseline),
+// Conventional synchronous writes, the scheduler-enforced ordering flag of
+// section 3.1 and scheduler chains (section 3.2), plus the two post-paper
+// schemes, write-ahead Journaling and Async Durability. Soft updates, the
+// paper's contribution, lives in package core; the NVRAM scheme of section
+// 7 in package nvram.
+//
+// No Order, Conventional, Scheduler Flag, NVRAM and Journaling differ only
+// in the writes they use to keep the three ordering rules, so they share
+// one statement of the hook protocol, Sequenced, and supply those writes.
+// Chains, Async and Soft Updates do per-hook work of their own and
+// implement ffs.Ordering directly.
 package ordering
 
 import (
@@ -11,136 +19,121 @@ import (
 	"metaupdate/internal/sim"
 )
 
+// Sequenced is the hook protocol of the sequenced-write schemes, stated
+// once: which buffer each ffs.Ordering rule hook sends toward stable
+// storage, with which kind of write, and when the deferred half of a
+// removal (FinishRemove, ApplyFree) may run. A scheme embeds it and supplies
+// the two writes that carry ordering; everything without an ordering
+// requirement is a delayed write.
+type Sequenced struct {
+	name string
+	fs   *ffs.FS
+
+	// ordered is the write a later update depends on: when it returns, that
+	// update may be made in memory and can no longer reach stable storage
+	// ahead of this one. last is the last write of a series, which nothing
+	// waits for (section 6.1: "the last write in a series of metadata
+	// updates is asynchronous or delayed").
+	ordered, last func(p *sim.Proc, b *cache.Buf)
+}
+
+// NewSequenced returns the protocol over a scheme's two writes. They are
+// bound here, once, not per hook call.
+func NewSequenced(name string, ordered, last func(p *sim.Proc, b *cache.Buf)) Sequenced {
+	return Sequenced{name: name, ordered: ordered, last: last}
+}
+
+// Name implements ffs.Ordering.
+func (s *Sequenced) Name() string { return s.name }
+
+// Start implements ffs.Ordering.
+func (s *Sequenced) Start(fs *ffs.FS) { s.fs = fs }
+
+// FS returns the file system the scheme was started on.
+func (s *Sequenced) FS() *ffs.FS { return s.fs }
+
+// Hooks implements ffs.Ordering: no cache hooks unless the scheme has its
+// own.
+func (s *Sequenced) Hooks() cache.Hooks { return cache.NopHooks{} }
+
+// delay is the delayed write, usable as either write of a scheme.
+func (s *Sequenced) delay(p *sim.Proc, b *cache.Buf) { s.fs.Cache().Bdwrite(b) }
+
+// AllocInit implements ffs.Ordering: directory and indirect blocks are
+// always initialized on stable storage before being pointed to (rule 3);
+// regular file data only when allocation initialization is configured (most
+// FFS derivatives skip it — the integrity/security hole the paper
+// discusses).
+func (s *Sequenced) AllocInit(p *sim.Proc, rec *ffs.AllocRec) {
+	if rec.IsDir || rec.IsIndir || rec.FS.Config().AllocInit {
+		s.ordered(p, rec.NewBuf)
+	} else {
+		s.delay(p, rec.NewBuf)
+	}
+}
+
+// AllocPtr implements ffs.Ordering: the pointer ends the allocation's
+// series — unless a fragment move vacated a run, which must not be re-used
+// before the retargeted pointer is stable (rule 2).
+func (s *Sequenced) AllocPtr(p *sim.Proc, rec *ffs.AllocRec) {
+	if rec.MovedFrom == nil {
+		s.last(p, rec.OwnerBuf)
+		return
+	}
+	s.ordered(p, rec.OwnerBuf)
+	rec.FS.ApplyFree(p, &ffs.FreeRec{FS: rec.FS, Frags: []ffs.FragRun{*rec.MovedFrom}})
+}
+
+// AddInode implements ffs.Ordering: the inode (with its new link count) is
+// stable before the directory entry can be (rule 3).
+func (s *Sequenced) AddInode(p *sim.Proc, rec *ffs.LinkRec) { s.ordered(p, rec.InoBuf) }
+
+// AddEntry implements ffs.Ordering: the entry ends the series.
+func (s *Sequenced) AddEntry(p *sim.Proc, rec *ffs.LinkRec) { s.last(p, rec.DirBuf) }
+
+// RemoveEntry implements ffs.Ordering: the cleared entry is ordered, after
+// which the link count may be decremented (and the file freed) at once
+// (rule 1).
+func (s *Sequenced) RemoveEntry(p *sim.Proc, rec *ffs.RemRec) {
+	s.ordered(p, rec.DirBuf)
+	rec.FS.FinishRemove(p, rec)
+}
+
+// FreeBlocks implements ffs.Ordering: the cleared owner is ordered before
+// the free maps are updated and the fragments become re-usable (rule 2).
+func (s *Sequenced) FreeBlocks(p *sim.Proc, rec *ffs.FreeRec) {
+	s.ordered(p, rec.OwnerBuf)
+	rec.FS.ApplyFree(p, rec)
+}
+
+// MetaUpdate implements ffs.Ordering.
+func (s *Sequenced) MetaUpdate(p *sim.Proc, b *cache.Buf) { s.delay(p, b) }
+
+// DataWrite implements ffs.Ordering.
+func (s *Sequenced) DataWrite(p *sim.Proc, b *cache.Buf) { s.delay(p, b) }
+
 // NoOrder ignores every ordering constraint and uses delayed writes for
 // all metadata updates — the paper's baseline and performance goal, with
 // the same lack of reliability as the "delayed mount" option it cites.
-type NoOrder struct {
-	fs *ffs.FS
-}
+type NoOrder struct{ Sequenced }
 
 // NewNoOrder returns the No Order scheme.
-func NewNoOrder() *NoOrder { return &NoOrder{} }
-
-// Name implements ffs.Ordering.
-func (o *NoOrder) Name() string { return "No Order" }
-
-// Start implements ffs.Ordering.
-func (o *NoOrder) Start(fs *ffs.FS) { o.fs = fs }
-
-// Hooks implements ffs.Ordering.
-func (o *NoOrder) Hooks() cache.Hooks { return cache.NopHooks{} }
-
-func (o *NoOrder) delay(b *cache.Buf) { o.fs.Cache().Bdwrite(b) }
-
-// AllocInit implements ffs.Ordering.
-func (o *NoOrder) AllocInit(p *sim.Proc, rec *ffs.AllocRec) { o.delay(rec.NewBuf) }
-
-// AllocPtr implements ffs.Ordering.
-func (o *NoOrder) AllocPtr(p *sim.Proc, rec *ffs.AllocRec) {
-	o.delay(rec.OwnerBuf)
-	if rec.MovedFrom != nil {
-		rec.FS.ApplyFree(p, &ffs.FreeRec{FS: rec.FS, Frags: []ffs.FragRun{*rec.MovedFrom}})
-	}
+func NewNoOrder() *NoOrder {
+	o := &NoOrder{}
+	o.Sequenced = NewSequenced("No Order", o.delay, o.delay)
+	return o
 }
-
-// AddInode implements ffs.Ordering.
-func (o *NoOrder) AddInode(p *sim.Proc, rec *ffs.LinkRec) { o.delay(rec.InoBuf) }
-
-// AddEntry implements ffs.Ordering.
-func (o *NoOrder) AddEntry(p *sim.Proc, rec *ffs.LinkRec) { o.delay(rec.DirBuf) }
-
-// RemoveEntry implements ffs.Ordering.
-func (o *NoOrder) RemoveEntry(p *sim.Proc, rec *ffs.RemRec) {
-	o.delay(rec.DirBuf)
-	rec.FS.FinishRemove(p, rec)
-}
-
-// FreeBlocks implements ffs.Ordering.
-func (o *NoOrder) FreeBlocks(p *sim.Proc, rec *ffs.FreeRec) {
-	o.delay(rec.OwnerBuf)
-	rec.FS.ApplyFree(p, rec)
-}
-
-// MetaUpdate implements ffs.Ordering.
-func (o *NoOrder) MetaUpdate(p *sim.Proc, b *cache.Buf) { o.delay(b) }
-
-// DataWrite implements ffs.Ordering.
-func (o *NoOrder) DataWrite(p *sim.Proc, b *cache.Buf) { o.delay(b) }
 
 // Conventional sequences metadata updates with synchronous writes, the way
-// the original UNIX file system and FFS do. The write that later updates
-// depend on is synchronous; the last write of each sequence is delayed
-// (section 6.1: "the last write in a series of metadata updates is
-// asynchronous or delayed").
-type Conventional struct {
-	fs *ffs.FS
-}
+// the original UNIX file system and FFS do: the write that later updates
+// depend on is synchronous, the last write of each sequence is delayed.
+type Conventional struct{ Sequenced }
 
 // NewConventional returns the Conventional scheme.
-func NewConventional() *Conventional { return &Conventional{} }
-
-// Name implements ffs.Ordering.
-func (o *Conventional) Name() string { return "Conventional" }
-
-// Start implements ffs.Ordering.
-func (o *Conventional) Start(fs *ffs.FS) { o.fs = fs }
-
-// Hooks implements ffs.Ordering.
-func (o *Conventional) Hooks() cache.Hooks { return cache.NopHooks{} }
-
-// AllocInit implements ffs.Ordering: directory and indirect blocks are
-// always initialized on disk before being pointed to; regular file data
-// only when allocation initialization is configured (most FFS derivatives
-// skip it — the integrity/security hole the paper discusses).
-func (o *Conventional) AllocInit(p *sim.Proc, rec *ffs.AllocRec) {
-	if rec.IsDir || rec.IsIndir || rec.FS.Config().AllocInit {
-		rec.FS.Cache().Bwrite(p, rec.NewBuf)
-	} else {
-		rec.FS.Cache().Bdwrite(rec.NewBuf)
-	}
+func NewConventional() *Conventional {
+	o := &Conventional{}
+	o.Sequenced = NewSequenced("Conventional", o.syncWrite, o.delay)
+	return o
 }
 
-// AllocPtr implements ffs.Ordering: a fragment move must not re-use the
-// vacated run before the retargeted pointer is on disk (rule 2), so the
-// owner is written synchronously first.
-func (o *Conventional) AllocPtr(p *sim.Proc, rec *ffs.AllocRec) {
-	if rec.MovedFrom != nil {
-		rec.FS.Cache().Bwrite(p, rec.OwnerBuf)
-		rec.FS.ApplyFree(p, &ffs.FreeRec{FS: rec.FS, Frags: []ffs.FragRun{*rec.MovedFrom}})
-		return
-	}
-	rec.FS.Cache().Bdwrite(rec.OwnerBuf)
-}
-
-// AddInode implements ffs.Ordering: the inode (with its new link count)
-// reaches stable storage synchronously before the directory entry can be
-// written.
-func (o *Conventional) AddInode(p *sim.Proc, rec *ffs.LinkRec) {
-	rec.FS.Cache().Bwrite(p, rec.InoBuf)
-}
-
-// AddEntry implements ffs.Ordering: the entry itself is a delayed write.
-func (o *Conventional) AddEntry(p *sim.Proc, rec *ffs.LinkRec) {
-	rec.FS.Cache().Bdwrite(rec.DirBuf)
-}
-
-// RemoveEntry implements ffs.Ordering: the directory block is written
-// synchronously, after which the link count may be decremented (and the
-// file freed) immediately.
-func (o *Conventional) RemoveEntry(p *sim.Proc, rec *ffs.RemRec) {
-	rec.FS.Cache().Bwrite(p, rec.DirBuf)
-	rec.FS.FinishRemove(p, rec)
-}
-
-// FreeBlocks implements ffs.Ordering: the cleared inode is written
-// synchronously before the free maps are updated (rule 2).
-func (o *Conventional) FreeBlocks(p *sim.Proc, rec *ffs.FreeRec) {
-	rec.FS.Cache().Bwrite(p, rec.OwnerBuf)
-	rec.FS.ApplyFree(p, rec)
-}
-
-// MetaUpdate implements ffs.Ordering.
-func (o *Conventional) MetaUpdate(p *sim.Proc, b *cache.Buf) { o.fs.Cache().Bdwrite(b) }
-
-// DataWrite implements ffs.Ordering.
-func (o *Conventional) DataWrite(p *sim.Proc, b *cache.Buf) { o.fs.Cache().Bdwrite(b) }
+func (o *Conventional) syncWrite(p *sim.Proc, b *cache.Buf) { o.fs.Cache().Bwrite(p, b) }

@@ -13,28 +13,23 @@ import (
 // dev.ModeFlag and one of the Full/Back/Part semantics, ± NR) keeps later
 // requests from overtaking it. Because the dependent updates are delayed
 // writes issued strictly later, the flag semantics guarantee the on-disk
-// order.
+// order — the freed fragments of a removal, for one, are re-usable at once
+// because any write to them is issued, and so scheduled, after the flagged
+// write of their cleared owner.
 //
 // The write that carries ordering must be *issued* before the dependent
 // block can be flushed, so it is sent to the driver immediately — this is
 // precisely why these schemes cannot batch multiple updates to one block
 // the way soft updates can.
-type Flag struct {
-	fs *ffs.FS
-}
+type Flag struct{ Sequenced }
 
 // NewFlag returns the ordering-flag scheme. The driver must be configured
 // with dev.ModeFlag.
-func NewFlag() *Flag { return &Flag{} }
-
-// Name implements ffs.Ordering.
-func (o *Flag) Name() string { return "Scheduler Flag" }
-
-// Start implements ffs.Ordering.
-func (o *Flag) Start(fs *ffs.FS) { o.fs = fs }
-
-// Hooks implements ffs.Ordering.
-func (o *Flag) Hooks() cache.Hooks { return cache.NopHooks{} }
+func NewFlag() *Flag {
+	o := &Flag{}
+	o.Sequenced = NewSequenced("Scheduler Flag", o.flagWrite, o.delay)
+	return o
+}
 
 // flagWrite issues an async write of b with the ordering flag set. If a
 // write of b is already in flight (possible without -CB only after waiting,
@@ -46,56 +41,6 @@ func (o *Flag) flagWrite(p *sim.Proc, b *cache.Buf) {
 	c.Bdwrite(b)
 	c.Bawrite(p, b)
 }
-
-// AllocInit implements ffs.Ordering.
-func (o *Flag) AllocInit(p *sim.Proc, rec *ffs.AllocRec) {
-	if rec.IsDir || rec.IsIndir || rec.FS.Config().AllocInit {
-		o.flagWrite(p, rec.NewBuf)
-	} else {
-		rec.FS.Cache().Bdwrite(rec.NewBuf)
-	}
-}
-
-// AllocPtr implements ffs.Ordering: for a fragment move the retargeting
-// owner write is issued flagged, so any later write to the vacated run is
-// ordered behind it by the driver (rule 2).
-func (o *Flag) AllocPtr(p *sim.Proc, rec *ffs.AllocRec) {
-	if rec.MovedFrom != nil {
-		o.flagWrite(p, rec.OwnerBuf)
-		rec.FS.ApplyFree(p, &ffs.FreeRec{FS: rec.FS, Frags: []ffs.FragRun{*rec.MovedFrom}})
-		return
-	}
-	rec.FS.Cache().Bdwrite(rec.OwnerBuf)
-}
-
-// AddInode implements ffs.Ordering.
-func (o *Flag) AddInode(p *sim.Proc, rec *ffs.LinkRec) { o.flagWrite(p, rec.InoBuf) }
-
-// AddEntry implements ffs.Ordering.
-func (o *Flag) AddEntry(p *sim.Proc, rec *ffs.LinkRec) { rec.FS.Cache().Bdwrite(rec.DirBuf) }
-
-// RemoveEntry implements ffs.Ordering: the directory write is flagged and
-// asynchronous; the inode update that follows is a delayed write issued
-// later, which the flag semantics order behind it.
-func (o *Flag) RemoveEntry(p *sim.Proc, rec *ffs.RemRec) {
-	o.flagWrite(p, rec.DirBuf)
-	rec.FS.FinishRemove(p, rec)
-}
-
-// FreeBlocks implements ffs.Ordering: the cleared inode is written flagged;
-// the freed fragments become re-usable immediately because any write to
-// them will be issued after the flagged write and therefore scheduled after
-// it.
-func (o *Flag) FreeBlocks(p *sim.Proc, rec *ffs.FreeRec) {
-	o.flagWrite(p, rec.OwnerBuf)
-	rec.FS.ApplyFree(p, rec)
-}
-
-// MetaUpdate implements ffs.Ordering.
-func (o *Flag) MetaUpdate(p *sim.Proc, b *cache.Buf) { o.fs.Cache().Bdwrite(b) }
-
-// DataWrite implements ffs.Ordering.
-func (o *Flag) DataWrite(p *sim.Proc, b *cache.Buf) { o.fs.Cache().Bdwrite(b) }
 
 // Chains is the scheduler-chains scheme of section 3.2: each ordered write
 // is asynchronous and tagged with the IDs of the specific requests that
@@ -147,13 +92,13 @@ func (o *Chains) Name() string { return "Scheduler Chains" }
 func (o *Chains) Start(fs *ffs.FS) { o.fs = fs }
 
 // Hooks implements ffs.Ordering.
-func (o *Chains) Hooks() cache.Hooks { return chainsHooks{o} }
+func (o *Chains) Hooks() cache.Hooks { return chainsHooks{o: o} }
 
-type chainsHooks struct{ o *Chains }
+type chainsHooks struct {
+	cache.NopHooks
+	o *Chains
+}
 
-func (chainsHooks) OnAccess(*cache.Buf)                   {}
-func (chainsHooks) PrepareWrite(*cache.Buf)               {}
-func (chainsHooks) BeforeWrite(*cache.Buf, []byte) []byte { return nil }
 func (h chainsHooks) WriteIssued(b *cache.Buf, r *dev.Request) {
 	h.o.issued[b] = r.ID
 }
@@ -228,24 +173,35 @@ func (o *Chains) AllocInit(p *sim.Proc, rec *ffs.AllocRec) {
 // chain behind it (rule 2, the section 3.2 tracking approach).
 func (o *Chains) AllocPtr(p *sim.Proc, rec *ffs.AllocRec) {
 	if rec.MovedFrom != nil {
-		ownerReq := o.chainWrite(p, rec.OwnerBuf)
-		if ownerReq != 0 {
-			run := *rec.MovedFrom
-			for i := int32(0); i < int32(run.N); i++ {
-				o.freedPending[run.Start+i] = ownerReq
-			}
-			o.completions[ownerReq] = append(o.completions[ownerReq], func() {
-				for i := int32(0); i < int32(run.N); i++ {
-					if o.freedPending[run.Start+i] == ownerReq {
-						delete(o.freedPending, run.Start+i)
-					}
-				}
-			})
-		}
-		rec.FS.ApplyFree(p, &ffs.FreeRec{FS: rec.FS, Frags: []ffs.FragRun{*rec.MovedFrom}})
+		vacated := []ffs.FragRun{*rec.MovedFrom}
+		o.rememberFreed(o.chainWrite(p, rec.OwnerBuf), vacated)
+		rec.FS.ApplyFree(p, &ffs.FreeRec{FS: rec.FS, Frags: vacated})
 		return
 	}
 	rec.FS.Cache().Bdwrite(rec.OwnerBuf)
+}
+
+// rememberFreed maps the fragments of runs to ownerReq, the write that
+// clears their old owner's pointer, until that write completes (0: it
+// already has).
+func (o *Chains) rememberFreed(ownerReq uint64, runs []ffs.FragRun) {
+	if ownerReq == 0 {
+		return
+	}
+	for _, run := range runs {
+		for i := int32(0); i < int32(run.N); i++ {
+			o.freedPending[run.Start+i] = ownerReq
+		}
+	}
+	o.completions[ownerReq] = append(o.completions[ownerReq], func() {
+		for _, run := range runs {
+			for i := int32(0); i < int32(run.N); i++ {
+				if o.freedPending[run.Start+i] == ownerReq {
+					delete(o.freedPending, run.Start+i)
+				}
+			}
+		}
+	})
 }
 
 // AddInode implements ffs.Ordering.
@@ -279,22 +235,8 @@ func (o *Chains) FreeBlocks(p *sim.Proc, rec *ffs.FreeRec) {
 		rec.OwnerBuf.WriteFlag = true // barrier fallback (section 3.2 ablation)
 	}
 	ownerReq := o.chainWrite(p, rec.OwnerBuf)
-	if !o.BarrierFrees && ownerReq != 0 {
-		for _, run := range rec.Frags {
-			for i := int32(0); i < int32(run.N); i++ {
-				o.freedPending[run.Start+i] = ownerReq
-			}
-		}
-		frags := rec.Frags
-		o.completions[ownerReq] = append(o.completions[ownerReq], func() {
-			for _, run := range frags {
-				for i := int32(0); i < int32(run.N); i++ {
-					if o.freedPending[run.Start+i] == ownerReq {
-						delete(o.freedPending, run.Start+i)
-					}
-				}
-			}
-		})
+	if !o.BarrierFrees {
+		o.rememberFreed(ownerReq, rec.Frags)
 	}
 	rec.FS.ApplyFree(p, rec)
 }
