@@ -1,4 +1,5 @@
-// Command mdsim regenerates the paper's tables and figures.
+// Command mdsim regenerates the paper's tables and figures, and the
+// post-paper extension studies, from one exhibit registry.
 //
 // Usage:
 //
@@ -7,6 +8,8 @@
 //	mdsim -exp fig5 -scale 0.25
 //	mdsim -exp all -j 8
 //	mdsim -exp all -scale 0.1 -json results.json
+//	mdsim -exp load -scale 0.05
+//	mdsim -exp scenario-mail -rate 100 -scenario-nodes 2
 //
 // Each experiment declares its simulation cells (one self-contained
 // deterministic system + workload per cell); a shared runner executes them
@@ -16,12 +19,15 @@
 // timing and cache diagnostics go to stderr. -scale shrinks workload sizes
 // for quicker runs; shapes are stable well below 1.0. -json additionally
 // writes the machine-readable report (rows, per-cell wall-clock,
-// memoization counters).
+// memoization counters). `all` is the paper's set, the one the golden
+// transcript pins; the extensions -list names after it run by name only.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -32,157 +38,137 @@ import (
 	"metaupdate/internal/trace"
 )
 
-func main() {
-	exp := flag.String("exp", "", "experiment to run (see -list), or 'all'")
-	scale := flag.Float64("scale", 1.0, "workload scale factor (1.0 = paper-sized)")
-	jobs := flag.Int("j", 0, "max simulation cells in flight (0: GOMAXPROCS)")
-	jsonPath := flag.String("json", "", "also write a machine-readable report to this file")
-	list := flag.Bool("list", false, "list available experiments")
-	faults := flag.Bool("faults", false, "run the fault-injection recovery sweep (per-scheme crash recovery on a faulty disk)")
-	opstats := flag.Bool("opstats", false, "run the per-scheme operation profile (virtual-time latency/stage breakdown per op type)")
-	dist := flag.Bool("dist", false, "run the sharded metadata service sweep (per-scheme clusters at 1/4/16 nodes with dynamic splitting)")
-	engineWorkers := flag.Int("engine-workers", 0, "with -dist/-scenario: run each cluster cell on this many parallel event-engine workers (0/1: serial; output is byte-identical at any count)")
-	load := flag.Bool("load", false, "run the open-loop saturation study (per-scheme latency-vs-offered-load curves on the mail scenario)")
-	scenarioName := flag.String("scenario", "", "run one open-loop scenario across schemes at -rate (mail|build|webcache)")
-	rate := flag.Int("rate", 200, "with -scenario: offered load in ops per virtual second")
-	scenarioNodes := flag.Int("scenario-nodes", 0, "with -scenario: also run the scenario against a metadata cluster of this many nodes (> 1)")
-	opTrace := flag.String("optrace", "", "run the 4-user copy under -optrace-scheme and write a Chrome trace-event JSON of the operation spans to this file")
-	opTraceScheme := flag.String("optrace-scheme", "softupdates", "scheme for -optrace ("+fsim.SchemeUsage+")")
-	traceScheme := flag.String("trace", "", "run the 4-user copy under this scheme and print the I/O trace analysis ("+fsim.SchemeUsage+")")
-	csvPath := flag.String("csv", "", "with -trace: also write the raw per-request trace as CSV to this file")
-	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-	memProfile := flag.String("memprofile", "", "write a pprof allocation profile at exit to this file")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: 0 on success, 1 when a run fails, 2 on a
+// usage error (reported in one line, before any cell simulates).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mdsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	exp := fs.String("exp", "", "experiment to run (see -list), or 'all' for the paper's set")
+	scale := fs.Float64("scale", 1.0, "workload scale factor (1.0 = paper-sized)")
+	jobs := fs.Int("j", 0, "max simulation cells in flight (0: GOMAXPROCS)")
+	jsonPath := fs.String("json", "", "also write a machine-readable report to this file")
+	list := fs.Bool("list", false, "list available experiments")
+	engineWorkers := fs.Int("engine-workers", 0, "with -exp dist/scenario-*: run each cluster cell on this many parallel event-engine workers (0/1: serial; output is byte-identical at any count)")
+	rate := fs.Int("rate", 200, "with -exp scenario-*: offered load in ops per virtual second")
+	scenarioNodes := fs.Int("scenario-nodes", 0, "with -exp scenario-*: also run the scenario against a metadata cluster of this many nodes (> 1)")
+	opTrace := fs.String("optrace", "", "run the 4-user copy under -optrace-scheme and write a Chrome trace-event JSON of the operation spans to this file")
+	opTraceScheme := fs.String("optrace-scheme", "softupdates", "scheme for -optrace ("+fsim.SchemeUsage+")")
+	traceScheme := fs.String("trace", "", "run the 4-user copy under this scheme and print the I/O trace analysis ("+fsim.SchemeUsage+")")
+	csvPath := fs.String("csv", "", "with -trace: also write the raw per-request trace as CSV to this file")
+	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
+	memProfile := fs.String("memprofile", "", "write a pprof allocation profile at exit to this file")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(code int, format string, a ...any) int {
+		fmt.Fprintf(stderr, "mdsim: "+format+"\n", a...)
+		return code
+	}
+	if *rate < 1 {
+		return fail(2, "-rate %d: the offered load must be at least 1 op per virtual second (see -h)", *rate)
+	}
+	if *scenarioNodes < 0 {
+		return fail(2, "-scenario-nodes %d: the cluster size cannot be negative (see -h)", *scenarioNodes)
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "mdsim: %v\n", err)
-			os.Exit(1)
+			return fail(1, "%v", err)
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "mdsim: %v\n", err)
-			os.Exit(1)
+			return fail(1, "%v", err)
 		}
 		defer func() {
 			pprof.StopCPUProfile()
 			f.Close()
-			fmt.Fprintf(os.Stderr, "[wrote CPU profile to %s]\n", *cpuProfile)
+			fmt.Fprintf(stderr, "[wrote CPU profile to %s]\n", *cpuProfile)
 		}()
 	}
 	if *memProfile != "" {
-		path := *memProfile
 		defer func() {
-			f, err := os.Create(path)
+			f, err := os.Create(*memProfile)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "mdsim: %v\n", err)
+				fail(1, "%v", err)
 				return
 			}
 			defer f.Close()
-			// The allocs profile carries cumulative allocation counts —
-			// the numerator of the allocs/op figures in BENCH_2.json.
+			// The allocs profile carries cumulative allocation counts and
+			// bytes since process start (what bench's host_alloc_mb sums),
+			// not the live heap.
 			if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
-				fmt.Fprintf(os.Stderr, "mdsim: %v\n", err)
+				fail(1, "%v", err)
 				return
 			}
-			fmt.Fprintf(os.Stderr, "[wrote allocation profile to %s]\n", path)
+			fmt.Fprintf(stderr, "[wrote allocation profile to %s]\n", *memProfile)
 		}()
 	}
 
-	// -faults, -opstats and -dist are opt-in diagnostics and extensions, not
-	// paper exhibits, so they live outside -exp/-list and the golden
-	// transcript pinning `-exp all` is untouched. Cells run on the same
-	// memoizing runner and every number is virtual-time, so stdout is
-	// byte-identical for any -j (the fault sweep has one size: it ignores
-	// -scale).
-	for _, one := range []struct {
-		on bool
-		ex *harness.Exhibit
-	}{{*faults, harness.FaultRecoveryExhibit}, {*opstats, harness.OpStatsExhibit}, {*dist, harness.DistExhibit}} {
-		if !one.on {
-			continue
-		}
-		runner := harness.NewRunner(*jobs)
-		cfg := harness.DefaultConfig()
-		cfg.Scale = harness.Scale(*scale)
-		cfg.Runner = runner
-		cfg.EngineWorkers = *engineWorkers
-		for _, t := range one.ex.Tables(cfg) {
-			t.Fprint(os.Stdout)
-		}
-		st := runner.Stats()
-		fmt.Fprintf(os.Stderr, "[%s: %d cells simulated, %d memo hits, %d workers]\n",
-			one.ex.Name, st.Executed, st.Hits, st.Workers)
-		return
-	}
-
 	if *opTrace != "" {
-		if err := runOpTrace(*opTraceScheme, harness.Scale(*scale), *opTrace); err != nil {
-			fmt.Fprintf(os.Stderr, "mdsim: %v\n", err)
-			os.Exit(1)
+		if err := runOpTrace(stdout, *opTraceScheme, harness.Scale(*scale), *opTrace); err != nil {
+			return fail(1, "%v", err)
 		}
-		return
+		return 0
 	}
-
 	if *traceScheme != "" {
-		if err := runTrace(*traceScheme, harness.Scale(*scale), *csvPath); err != nil {
-			fmt.Fprintf(os.Stderr, "mdsim: %v\n", err)
-			os.Exit(1)
+		if err := runTrace(stdout, *traceScheme, harness.Scale(*scale), *csvPath); err != nil {
+			return fail(1, "%v", err)
 		}
-		return
+		return 0
 	}
 
+	registry := harness.Registry(*rate, *scenarioNodes)
 	var exhibits []*harness.Exhibit
 	switch {
-	case *load || *scenarioName != "":
-		// Like -faults/-opstats/-dist: opt-in studies outside -exp/-list,
-		// so the golden transcript pinning `-exp all` is untouched. All
-		// numbers are virtual-time, so stdout is byte-identical for any -j
-		// and cold or warm memos; -json captures the same tables.
-		if *load {
-			exhibits = append(exhibits, harness.LoadCurveExhibit)
-		}
-		if *scenarioName != "" {
-			exhibits = append(exhibits, harness.ScenarioExhibit(*scenarioName, *rate, *scenarioNodes))
-		}
 	case *list || *exp == "":
-		fmt.Println("experiments:")
-		for _, name := range harness.ExperimentNames {
-			fmt.Printf("  %s\n", name)
+		fmt.Fprintln(stdout, "experiments:")
+		for i, ex := range registry {
+			if i == len(harness.Paper) {
+				fmt.Fprintln(stdout, "  all")
+				fmt.Fprintln(stdout, "extensions (by name only; not part of all):")
+			}
+			fmt.Fprintf(stdout, "  %s\n", ex.Name)
 		}
-		fmt.Println("  all")
 		if !*list {
-			os.Exit(2)
+			return 2
 		}
-		return
+		return 0
 	case *exp == "all":
-		exhibits = harness.Exhibits
+		exhibits = harness.Paper
 	default:
-		ex := harness.ExhibitByName[*exp]
-		if ex == nil {
-			fmt.Fprintf(os.Stderr, "mdsim: unknown experiment %q (try -list)\n", *exp)
-			os.Exit(2)
+		for _, ex := range registry {
+			if ex.Name == *exp {
+				exhibits = []*harness.Exhibit{ex}
+			}
 		}
-		exhibits = []*harness.Exhibit{ex}
+		if exhibits == nil {
+			return fail(2, "unknown experiment %q (try -list)", *exp)
+		}
 	}
 
+	// The one run loop: every exhibit, paper or extension, resolves its
+	// cells on the shared memoizing runner. All table content is
+	// virtual-time, so stdout is byte-identical for any -j (the fault sweep
+	// has one size: it ignores -scale).
 	runner := harness.NewRunner(*jobs)
-	cfg := harness.DefaultConfig()
-	cfg.Scale = harness.Scale(*scale)
-	cfg.Runner = runner
-	cfg.EngineWorkers = *engineWorkers
+	cfg := harness.Config{Scale: harness.Scale(*scale), Runner: runner, EngineWorkers: *engineWorkers}
 	report := harness.Report{Scale: *scale, Jobs: runner.Workers(), CPUs: runtime.NumCPU()}
 	total := time.Now()
 	for _, ex := range exhibits {
 		start := time.Now()
 		tables := ex.Tables(cfg)
 		for _, t := range tables {
-			t.Fprint(os.Stdout)
+			t.Fprint(stdout)
 		}
 		wall := time.Since(start)
 		// Diagnostics go to stderr so stdout stays byte-identical across
 		// -j values and cache states.
-		fmt.Fprintf(os.Stderr, "[%s completed in %.1fs of real time]\n", ex.Name, wall.Seconds())
+		fmt.Fprintf(stderr, "[%s completed in %.1fs of real time]\n", ex.Name, wall.Seconds())
 		report.Exhibits = append(report.Exhibits, harness.ExhibitReport{
 			Name: ex.Name, WallSec: wall.Seconds(), Tables: tables,
 		})
@@ -191,40 +177,24 @@ func main() {
 	report.Runner = runner.Stats()
 	report.Cells = runner.CellTimings()
 	st := report.Runner
-	fmt.Fprintf(os.Stderr,
+	fmt.Fprintf(stderr,
 		"[runner: %d cells simulated, %d memo hits, %d workers, %.1fs cell time in %.1fs wall]\n",
 		st.Executed, st.Hits, st.Workers, st.CellWall, report.WallSec)
 
 	if *jsonPath != "" {
-		if err := writeReport(report, *jsonPath); err != nil {
-			fmt.Fprintf(os.Stderr, "mdsim: %v\n", err)
-			os.Exit(1)
+		if err := report.WriteFile(*jsonPath); err != nil {
+			return fail(1, "%v", err)
 		}
+		fmt.Fprintf(stderr, "[wrote JSON report to %s]\n", *jsonPath)
 	}
-}
-
-// writeReport writes the machine-readable report and logs the path.
-func writeReport(report harness.Report, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := report.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "[wrote JSON report to %s]\n", path)
-	return nil
+	return 0
 }
 
 // runOpTrace runs the 4-user copy with the operation-span recorder
 // attached and writes the spans as Chrome trace-event JSON (load in
 // chrome://tracing or Perfetto). The file is byte-deterministic: all
 // timestamps are virtual.
-func runOpTrace(schemeName string, scale harness.Scale, path string) error {
+func runOpTrace(stdout io.Writer, schemeName string, scale harness.Scale, path string) error {
 	scheme, err := fsim.ParseScheme(schemeName)
 	if err != nil {
 		return err
@@ -241,26 +211,26 @@ func runOpTrace(schemeName string, scale harness.Scale, path string) error {
 	if err := f.Close(); err != nil {
 		return err
 	}
-	fmt.Printf("4-user copy under %s: mean per-user elapsed %.1fs\n", scheme, elapsed.Seconds())
-	fmt.Printf("wrote %d operation spans to %s\n", spans, path)
+	fmt.Fprintf(stdout, "4-user copy under %s: mean per-user elapsed %.1fs\n", scheme, elapsed.Seconds())
+	fmt.Fprintf(stdout, "wrote %d operation spans to %s\n", spans, path)
 	return nil
 }
 
 // runTrace reproduces the paper's measurement methodology on demand: run
 // the 4-user copy benchmark under one scheme with the driver instrumented,
 // then analyze the per-request queue and service delays.
-func runTrace(schemeName string, scale harness.Scale, csvPath string) error {
+func runTrace(stdout io.Writer, schemeName string, scale harness.Scale, csvPath string) error {
 	scheme, err := fsim.ParseScheme(schemeName)
 	if err != nil {
 		return err
 	}
 	stats, elapsed := harness.TraceCopy(fsim.Options{Scheme: scheme}, 4, scale)
-	fmt.Printf("4-user copy under %s: mean per-user elapsed %.1fs\n\n", scheme, elapsed.Seconds())
-	trace.Analyze(stats).Fprint(os.Stdout)
-	fmt.Println()
-	trace.ServiceHistogram(stats).Fprint(os.Stdout, "disk access time")
-	fmt.Println()
-	trace.ResponseHistogram(stats).Fprint(os.Stdout, "driver response time")
+	fmt.Fprintf(stdout, "4-user copy under %s: mean per-user elapsed %.1fs\n\n", scheme, elapsed.Seconds())
+	trace.Analyze(stats).Fprint(stdout)
+	fmt.Fprintln(stdout)
+	trace.ServiceHistogram(stats).Fprint(stdout, "disk access time")
+	fmt.Fprintln(stdout)
+	trace.ResponseHistogram(stats).Fprint(stdout, "driver response time")
 	if csvPath != "" {
 		f, err := os.Create(csvPath)
 		if err != nil {
@@ -270,7 +240,7 @@ func runTrace(schemeName string, scale harness.Scale, csvPath string) error {
 		if err := trace.WriteCSV(f, stats); err != nil {
 			return err
 		}
-		fmt.Printf("\nwrote %d rows to %s\n", len(stats), csvPath)
+		fmt.Fprintf(stdout, "\nwrote %d rows to %s\n", len(stats), csvPath)
 	}
 	return nil
 }

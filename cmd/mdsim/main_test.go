@@ -1,0 +1,108 @@
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"metaupdate/internal/harness"
+)
+
+// TestUsageErrors: a bad name or parameter is one line on stderr and exit
+// status 2, decided before any cell simulates — never a goroutine trace
+// out of a runner worker.
+func TestUsageErrors(t *testing.T) {
+	cases := []struct {
+		args []string
+		want string // substring of the one stderr line
+	}{
+		{[]string{"-exp", "bogus"}, `unknown experiment "bogus" (try -list)`},
+		{[]string{"-exp", "scenario-bogus", "-scale", "0.05"}, `unknown experiment "scenario-bogus" (try -list)`},
+		{[]string{"-exp", "scenario-mail", "-rate", "0"}, "-rate 0"},
+		{[]string{"-exp", "all", "-rate", "-5"}, "-rate -5"},
+		{[]string{"-exp", "scenario-mail", "-scenario-nodes", "-1"}, "-scenario-nodes -1"},
+	}
+	for _, c := range cases {
+		var stdout, stderr bytes.Buffer
+		if code := run(c.args, &stdout, &stderr); code != 2 {
+			t.Errorf("%v: exit %d, want 2", c.args, code)
+		}
+		msg := stderr.String()
+		if !strings.Contains(msg, c.want) || strings.Count(msg, "\n") != 1 || !strings.HasPrefix(msg, "mdsim: ") {
+			t.Errorf("%v: stderr = %q, want one \"mdsim: …\" line containing %q", c.args, msg, c.want)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v: wrote %q to stdout before failing", c.args, stdout.String())
+		}
+	}
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-no-such-flag"}, &stdout, &stderr); code != 2 || strings.Contains(stderr.String(), "goroutine") {
+		t.Errorf("unknown flag: exit %d, stderr %q", code, stderr.String())
+	}
+}
+
+// TestList: -list names every exhibit of the registry in order, the paper
+// set before `all` and the extensions after it; with no -exp the same
+// listing is a usage error.
+func TestList(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-list"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("-list: exit %d, stderr %q", code, stderr.String())
+	}
+	var names []string
+	for _, line := range strings.Split(stdout.String(), "\n") {
+		if strings.HasPrefix(line, "  ") {
+			names = append(names, strings.TrimSpace(line))
+		}
+	}
+	var want []string
+	for i, ex := range harness.Registry(200, 0) {
+		if i == len(harness.Paper) {
+			want = append(want, "all")
+		}
+		want = append(want, ex.Name)
+	}
+	if got := strings.Join(names, " "); got != strings.Join(want, " ") {
+		t.Errorf("-list names %q, want %q", got, strings.Join(want, " "))
+	}
+	listing := stdout.String()
+	stdout.Reset()
+	if code := run(nil, &stdout, &stderr); code != 2 || stdout.String() != listing {
+		t.Errorf("no -exp: exit %d, want 2 and the -list output", code)
+	}
+}
+
+// TestExtensionThroughTheOneLoop: an extension exhibit run by name prints
+// exactly its Tables, and -json carries them like any paper exhibit's.
+func TestExtensionThroughTheOneLoop(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the fault sweep twice")
+	}
+	var want bytes.Buffer
+	for _, tb := range harness.FaultRecoveryExhibit.Tables(harness.Config{Scale: 1}) {
+		tb.Fprint(&want)
+	}
+	path := filepath.Join(t.TempDir(), "faults.json")
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-exp", "faults", "-json", path}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, stderr.String())
+	}
+	if !bytes.Equal(stdout.Bytes(), want.Bytes()) {
+		t.Errorf("-exp faults stdout differs from FaultRecoveryExhibit.Tables:\n%s\n--- want ---\n%s", stdout.String(), want.String())
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var report harness.Report
+	if err := json.Unmarshal(raw, &report); err != nil {
+		t.Fatal(err)
+	}
+	if len(report.Exhibits) != 1 || report.Exhibits[0].Name != "faults" ||
+		len(report.Exhibits[0].Tables) != 1 || len(report.Exhibits[0].Tables[0].Rows) != 16 {
+		t.Errorf("-json report does not carry the faults exhibit's one 16-row table: %+v", report.Exhibits)
+	}
+}

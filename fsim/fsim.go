@@ -161,7 +161,7 @@ type Options struct {
 	// FS operation records a virtual-time span with a per-stage latency
 	// breakdown, available as System.Obs. The recorder is a pure observer
 	// — enabling it cannot change any simulation result — and costs
-	// nothing when off (mdsim -opstats / -optrace set it).
+	// nothing when off (mdsim -exp opstats and -optrace set it).
 	Observe bool
 }
 

@@ -38,18 +38,6 @@ type OpenLoopSpec struct {
 // Enabled reports whether the spec describes a run.
 func (s OpenLoopSpec) Enabled() bool { return s.Arrival.Enabled() && s.Ops > 0 }
 
-// String renders the spec canonically for harness cell fingerprints.
-func (s OpenLoopSpec) String() string {
-	if !s.Enabled() {
-		return "off"
-	}
-	out := fmt.Sprintf("%s,arr{%s},ops%d,warm%d", s.Scenario, s.Arrival, s.Ops, s.Warmup)
-	if s.MaxInFlight > 0 {
-		out += fmt.Sprintf(",max%d", s.MaxInFlight)
-	}
-	return out
-}
-
 // runSpec lowers the options to the scenario driver's parameters.
 func (s OpenLoopSpec) runSpec() scenario.RunSpec {
 	return scenario.RunSpec{

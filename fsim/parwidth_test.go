@@ -7,15 +7,17 @@ import (
 )
 
 // TestDistParallelWidth measures the per-round active-LP distribution of
-// the 16-node benchmark cell (run with -v for the histogram) and asserts
+// a 16-node Soft Updates cluster, the shape of bench's dist-cluster cell
+// (run with -v for the histogram), and asserts
 // the cluster actually exposes parallelism to the window scheduler: an
 // average of at least 2 active LPs per round, with most rounds
 // multi-active. A regression here — say, a protocol change that
 // serializes all traffic through the router LP — would silently turn the
 // PDES engine into pure overhead long before any wall-clock benchmark
-// noticed on a busy CI runner. (Measured on the benchmark cell: ~5.9
-// average active LPs, ~97% of rounds multi-active — the speedup ceiling
-// BENCH_4.json's scaling note derives from.)
+// noticed on a busy CI runner. (Measured on this cell: ~5.9
+// average active LPs, ~97% of rounds multi-active — the ceiling on what
+// the parallel engine could gain; what it does gain is bench's
+// sim.lpgroup_speedup_w2.)
 func TestDistParallelWidth(t *testing.T) {
 	s, err := NewDist(DistOptions{
 		Base:  Options{Scheme: SoftUpdates},

@@ -60,8 +60,8 @@ const (
 )
 
 // Spec parameterizes an arrival process. All fields are plain integers so
-// a Spec is comparable and fingerprint-friendly (the harness embeds its
-// canonical String in cell fingerprints). The zero value is disabled —
+// a Spec is comparable and fingerprint-friendly (the harness prints it
+// into cell fingerprints). The zero value is disabled —
 // no arrivals, the closed-loop status quo.
 type Spec struct {
 	Kind Kind
@@ -84,7 +84,8 @@ type Spec struct {
 // Enabled reports whether the spec generates any arrivals.
 func (s Spec) Enabled() bool { return s.PerSec > 0 }
 
-// String renders the spec canonically (used in harness cell fingerprints).
+// String renders the spec canonically, defaulted cascade parameters
+// filled in.
 func (s Spec) String() string {
 	if !s.Enabled() {
 		return "off"

@@ -49,7 +49,6 @@ type Buf struct {
 	// write-locked by them but must not be evicted until they land (a
 	// re-read could observe pre-snapshot media).
 	cbInflight int
-	inhibit    bool // rolled back in place: block all access until write done
 	invalid    bool // dropped while I/O was in flight
 
 	// Pinned buffers are never evicted (soft updates keeps indirect blocks
@@ -744,9 +743,6 @@ func (c *Cache) DropClean() {
 // QueueWork appends fn to the workitem queue; the syncer daemon runs it in
 // process context on its next wakeup ("within one second").
 func (c *Cache) QueueWork(fn func(p *sim.Proc)) { c.work = append(c.work, fn) }
-
-// WorkQueueLen reports queued workitems.
-func (c *Cache) WorkQueueLen() int { return len(c.work) }
 
 // StartSyncer spawns the syncer daemon process.
 func (c *Cache) StartSyncer() {

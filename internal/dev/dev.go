@@ -223,9 +223,6 @@ func (t *Trace) AvgResponseMS() float64 {
 	return t.avg(func(s Stat) sim.Duration { return s.Response })
 }
 
-// AvgQueueMS returns the mean queueing delay in milliseconds.
-func (t *Trace) AvgQueueMS() float64 { return t.avg(func(s Stat) sim.Duration { return s.Queue }) }
-
 func (t *Trace) avg(f func(Stat) sim.Duration) float64 {
 	if len(t.Stats) == 0 {
 		return 0

@@ -392,7 +392,7 @@ func TestQueueDepthSplit(t *testing.T) {
 
 // TestLoadDeterminism: identical options produce identical virtual
 // timelines, counters, and durable unions — the property the memoized
-// cells and the CI -dist diff rely on.
+// cells and the CI dist diff rely on.
 func TestLoadDeterminism(t *testing.T) {
 	run := func() (dmeta.LoadResult, string, sim.Time, int64) {
 		opt := distOpt(fsim.SchedulerChains, 2, 9)

@@ -97,7 +97,7 @@ func (s Spec) Enabled() bool {
 	return s.TransientPer10k > 0 || s.TornPer10k > 0 || s.LatencyPer10k > 0 || s.BadSectors > 0
 }
 
-// String renders the spec canonically (used in harness cell fingerprints).
+// String renders the spec canonically (the fault exhibit's title quotes it).
 func (s Spec) String() string {
 	if !s.Enabled() {
 		return "off"

@@ -228,7 +228,6 @@ func (fs *FS) ApplyFree(p *sim.Proc, rec *FreeRec) {
 		// Hook context: no caller to return the error to. Leaking the
 		// resources (bits stay set) is the safe degradation — fsck's
 		// free-map reconciliation reclaims them after the next crash.
-		fs.count("leak_free")
 		return
 	}
 	defer fb.Hold().Unhold()
@@ -243,7 +242,6 @@ func (fs *FS) ApplyFree(p *sim.Proc, rec *FreeRec) {
 	if rec.FreeIno != 0 {
 		ib, err := fs.ibmapBuf(p)
 		if err != nil {
-			fs.count("leak_free")
 			return
 		}
 		defer ib.Hold().Unhold()

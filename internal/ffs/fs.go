@@ -73,9 +73,6 @@ type FS struct {
 	dirCGRotor int32
 
 	inoLocks map[Ino]*sim.Mutex
-
-	// Stats.
-	OpCount map[string]int64
 }
 
 // Mount reads the superblock through the cache and attaches the ordering
@@ -92,7 +89,6 @@ func Mount(eng *sim.Engine, cpu *sim.CPU, c *cache.Cache, ord Ordering, cfg Conf
 		cfg:      cfg,
 		inoLocks: make(map[Ino]*sim.Mutex),
 		prefCG:   make(map[Ino]int32),
-		OpCount:  make(map[string]int64),
 	}
 	sbuf, err := c.Bread(p, 0, BlockFrags)
 	if err != nil {
@@ -133,8 +129,6 @@ func (fs *FS) charge(p *sim.Proc, d sim.Duration) {
 		sp.Pop(p)
 	}
 }
-
-func (fs *FS) count(op string) { fs.OpCount[op]++ }
 
 // begin opens the operation span for an FS entry point (nil when tracing
 // is off or the entry is nested inside another traced operation).
@@ -233,7 +227,6 @@ func (fs *FS) putInode(p *sim.Proc, ip *Inode, b *cache.Buf, off int) {
 func (fs *FS) Stat(p *sim.Proc, ino Ino) (Inode, error) {
 	sp := fs.begin(p, obs.OpStat)
 	defer fs.end(p, sp)
-	fs.count("stat")
 	fs.charge(p, fs.cfg.Costs.Syscall+fs.cfg.Costs.InodeOp)
 	ip, b, _, err := fs.getInode(p, ino)
 	if err != nil {
@@ -251,6 +244,5 @@ func (fs *FS) Stat(p *sim.Proc, ino Ino) (Inode, error) {
 func (fs *FS) Sync(p *sim.Proc) {
 	sp := fs.begin(p, obs.OpSync)
 	defer fs.end(p, sp)
-	fs.count("sync")
 	fs.cache.SyncAll(p, 64)
 }

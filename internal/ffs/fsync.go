@@ -42,7 +42,6 @@ type DurabilityWaiter interface {
 func (fs *FS) Fsync(p *sim.Proc, ino Ino) error {
 	sp := fs.begin(p, obs.OpFsync)
 	defer fs.end(p, sp)
-	fs.count("fsync")
 	fs.charge(p, fs.cfg.Costs.Syscall)
 	fs.lockInode(p, ino)
 	defer fs.unlockInode(ino)

@@ -33,7 +33,6 @@ func (fs *FS) rele(b *cache.Buf) {
 func (fs *FS) Lookup(p *sim.Proc, dir Ino, name string) (Ino, error) {
 	sp := fs.begin(p, obs.OpLookup)
 	defer fs.end(p, sp)
-	fs.count("lookup")
 	fs.charge(p, fs.cfg.Costs.Syscall)
 	fs.lockInode(p, dir)
 	defer fs.unlockInode(dir)
@@ -128,7 +127,6 @@ func (fs *FS) dirAddEntry(p *sim.Proc, dir Ino, name string, ino Ino, ftype uint
 func (fs *FS) Create(p *sim.Proc, dir Ino, name string) (Ino, error) {
 	sp := fs.begin(p, obs.OpCreate)
 	defer fs.end(p, sp)
-	fs.count("create")
 	fs.charge(p, fs.cfg.Costs.Syscall)
 	if err := validName(name); err != nil {
 		return 0, err
@@ -175,7 +173,6 @@ func (fs *FS) Create(p *sim.Proc, dir Ino, name string) (Ino, error) {
 func (fs *FS) Mkdir(p *sim.Proc, dir Ino, name string) (Ino, error) {
 	sp := fs.begin(p, obs.OpMkdir)
 	defer fs.end(p, sp)
-	fs.count("mkdir")
 	fs.charge(p, fs.cfg.Costs.Syscall)
 	if err := validName(name); err != nil {
 		return 0, err
@@ -255,7 +252,6 @@ func (fs *FS) Mkdir(p *sim.Proc, dir Ino, name string) (Ino, error) {
 func (fs *FS) Link(p *sim.Proc, ino Ino, dir Ino, name string) error {
 	sp := fs.begin(p, obs.OpLink)
 	defer fs.end(p, sp)
-	fs.count("link")
 	fs.charge(p, fs.cfg.Costs.Syscall)
 	if err := validName(name); err != nil {
 		return err
@@ -300,7 +296,6 @@ func (fs *FS) Link(p *sim.Proc, ino Ino, dir Ino, name string) error {
 func (fs *FS) Unlink(p *sim.Proc, dir Ino, name string) error {
 	sp := fs.begin(p, obs.OpUnlink)
 	defer fs.end(p, sp)
-	fs.count("unlink")
 	fs.charge(p, fs.cfg.Costs.Syscall)
 	fs.lockInode(p, dir)
 	defer fs.unlockInode(dir)
@@ -330,7 +325,6 @@ func (fs *FS) Unlink(p *sim.Proc, dir Ino, name string) error {
 func (fs *FS) Rmdir(p *sim.Proc, dir Ino, name string) error {
 	sp := fs.begin(p, obs.OpRmdir)
 	defer fs.end(p, sp)
-	fs.count("rmdir")
 	fs.charge(p, fs.cfg.Costs.Syscall)
 	fs.lockInode(p, dir)
 	defer fs.unlockInode(dir)
@@ -389,7 +383,6 @@ func (fs *FS) dirEmpty(p *sim.Proc, ino Ino, ip *Inode, ib *cache.Buf, ioff int)
 func (fs *FS) Rename(p *sim.Proc, sdir Ino, sname string, ddir Ino, dname string) error {
 	sp := fs.begin(p, obs.OpRename)
 	defer fs.end(p, sp)
-	fs.count("rename")
 	fs.charge(p, fs.cfg.Costs.Syscall)
 	if err := validName(dname); err != nil {
 		return err
@@ -488,8 +481,7 @@ func (fs *FS) FinishRemove(p *sim.Proc, rec *RemRec) {
 	if err != nil {
 		// Hook context: nobody to return the error to. The inode stays
 		// allocated with a stale link count — exactly the fsck-repairable
-		// "link count too high" degradation, counted and left behind.
-		fs.count("leak_remove")
+		// "link count too high" degradation, left behind.
 		unlockIno()
 		return
 	}
@@ -501,10 +493,9 @@ func (fs *FS) FinishRemove(p *sim.Proc, rec *RemRec) {
 		if !rec.DirLocked {
 			fs.lockInode(p, rec.DirIno)
 		}
-		pip, pib, pioff, perr := fs.getInode(p, rec.DirIno)
-		if perr != nil {
-			fs.count("leak_remove")
-		} else {
+		// An unreadable parent keeps its stale link count, like the child
+		// above.
+		if pip, pib, pioff, perr := fs.getInode(p, rec.DirIno); perr == nil {
 			fs.cache.PrepareModify(p, pib)
 			pip.Nlink--
 			fs.putInode(p, &pip, pib, pioff)
@@ -535,12 +526,9 @@ func (fs *FS) FinishRemove(p *sim.Proc, rec *RemRec) {
 // (rule 2: nothing is re-usable until the cleared inode is on disk). The
 // caller holds the inode lock and the (held) inode-table buffer.
 func (fs *FS) freeFile(p *sim.Proc, ino Ino, ip *Inode, ib *cache.Buf, ioff int) {
-	runs, err := fs.collectRuns(p, ip)
-	if err != nil {
-		// An unreadable indirect block: free what was collected, leak the
-		// rest (fsck's free-map reconciliation reclaims leaked fragments).
-		fs.count("leak_free")
-	}
+	// On an unreadable indirect block: free what was collected, leak the
+	// rest (fsck's free-map reconciliation reclaims leaked fragments).
+	runs, _ := fs.collectRuns(p, ip)
 	fs.charge(p, fs.cfg.Costs.InodeOp)
 	fs.cache.PrepareModify(p, ib)
 	cleared := Inode{Gen: ip.Gen}
@@ -555,7 +543,6 @@ func (fs *FS) freeFile(p *sim.Proc, ino Ino, ip *Inode, ib *cache.Buf, ioff int)
 func (fs *FS) WriteAt(p *sim.Proc, ino Ino, off uint64, data []byte) error {
 	sp := fs.begin(p, obs.OpWrite)
 	defer fs.end(p, sp)
-	fs.count("write")
 	fs.charge(p, fs.cfg.Costs.Syscall)
 	fs.lockInode(p, ino)
 	defer fs.unlockInode(ino)
@@ -617,7 +604,6 @@ func (fs *FS) WriteAt(p *sim.Proc, ino Ino, off uint64, data []byte) error {
 func (fs *FS) ReadAt(p *sim.Proc, ino Ino, off uint64, buf []byte) (int, error) {
 	sp := fs.begin(p, obs.OpRead)
 	defer fs.end(p, sp)
-	fs.count("read")
 	fs.charge(p, fs.cfg.Costs.Syscall)
 	fs.lockInode(p, ino)
 	defer fs.unlockInode(ino)
@@ -657,7 +643,6 @@ func (fs *FS) ReadAt(p *sim.Proc, ino Ino, off uint64, buf []byte) (int, error) 
 func (fs *FS) ReadDir(p *sim.Proc, dir Ino) ([]Dirent, error) {
 	sp := fs.begin(p, obs.OpReadDir)
 	defer fs.end(p, sp)
-	fs.count("readdir")
 	fs.charge(p, fs.cfg.Costs.Syscall)
 	fs.lockInode(p, dir)
 	defer fs.unlockInode(dir)

@@ -16,7 +16,6 @@ import (
 // The destination must not exist, and ddir must not be inside the moved
 // directory (the classic rename cycle check).
 func (fs *FS) RenameDir(p *sim.Proc, sdir Ino, sname string, ddir Ino, dname string) error {
-	fs.count("renamedir")
 	fs.charge(p, fs.cfg.Costs.Syscall)
 	if err := validName(dname); err != nil {
 		return err

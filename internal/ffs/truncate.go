@@ -17,7 +17,6 @@ import (
 // misuse in tests; callers needing indirect-aware partial truncation should
 // remove and rewrite (as every workload in the paper does).
 func (fs *FS) Truncate(p *sim.Proc, ino Ino, newSize uint64) error {
-	fs.count("truncate")
 	fs.charge(p, fs.cfg.Costs.Syscall)
 	fs.lockInode(p, ino)
 	defer fs.unlockInode(ino)
@@ -38,13 +37,10 @@ func (fs *FS) Truncate(p *sim.Proc, ino Ino, newSize uint64) error {
 	}
 	if newSize == 0 {
 		// Full truncation reuses the freeFile machinery minus the inode
-		// free: clear every pointer, keep the inode allocated.
-		runs, err := fs.collectRuns(p, &ip)
-		if err != nil {
-			// Unreadable indirect block: free the collected prefix, leak
-			// the rest for fsck's free-map reconciliation.
-			fs.count("leak_free")
-		}
+		// free: clear every pointer, keep the inode allocated. On an
+		// unreadable indirect block the collected prefix is freed and the
+		// rest leaks for fsck's free-map reconciliation.
+		runs, _ := fs.collectRuns(p, &ip)
 		fs.charge(p, fs.cfg.Costs.InodeOp)
 		fs.cache.PrepareModify(p, ib)
 		ip.Size = 0

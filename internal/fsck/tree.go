@@ -2,7 +2,6 @@ package fsck
 
 import (
 	"fmt"
-	"sort"
 
 	"metaupdate/internal/ffs"
 )
@@ -58,15 +57,4 @@ func Tree(img Image) (tree map[string]TreeEntry, err error) {
 		return true
 	})
 	return tree, nil
-}
-
-// TreePaths returns tree's keys in sorted order (a stable shape for test
-// diagnostics).
-func TreePaths(tree map[string]TreeEntry) []string {
-	paths := make([]string, 0, len(tree))
-	for p := range tree {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	return paths
 }

@@ -97,25 +97,21 @@ type CellResult struct {
 }
 
 // Fingerprint returns the cell's canonical identity: two cells with equal
-// fingerprints run byte-identical simulations. Every Options field
-// participates, so distinct configurations can never collide; the
-// DiskParams pointer is dereferenced so equal parameter sets compare equal
-// regardless of pointer identity.
+// fingerprints run byte-identical simulations. The key is the struct
+// itself in Go syntax, so a field added to Cell or fsim.Options takes part
+// without being listed here and distinct configurations can never
+// collide; the DiskParams pointer is dereferenced so equal parameter sets
+// compare equal regardless of pointer identity. %#v and not %+v: the
+// latter prints through String methods, and sim.Time's rounds to the
+// microsecond — two drives differing only in a 100 ns BusPerByte would
+// share a key.
 func (c Cell) Fingerprint() string {
-	o := c.Opt
 	dp := "default"
-	if o.DiskParams != nil {
-		dp = fmt.Sprintf("%+v", *o.DiskParams)
+	if c.Opt.DiskParams != nil {
+		dp = fmt.Sprintf("%#v", *c.Opt.DiskParams)
+		c.Opt.DiskParams = nil
 	}
-	return fmt.Sprintf(
-		"k%d|sch%d|sem%d|nr%t|cb%t|exp%t|ai%t|bf%t|ign%t|db%d|fsb%d|ni%d|cby%d|nv%d|jf%d|aw%d|ag%d|sf%d|costs%+v|dp{%s}|flt{%s}|mr%d|rb%d|sp%d|ob%t|u%d|sc%g|rm%t|f5%d|tf%d|cmd%d|ca%d",
-		c.Kind, o.Scheme, o.Sem, o.NR, o.CB, o.Explicit, o.AllocInit,
-		o.BarrierFrees, o.IgnoreOrdering, o.DiskBytes, o.FSBytes, o.NInodes,
-		o.CacheBytes, o.NVRAMBytes, o.JournalFrags, o.AsyncWindow, o.AsyncInterval,
-		o.SyncerFraction, o.Costs, dp,
-		o.Faults.String(), o.MaxRetries, o.RetryBackoff, o.SpareSectors,
-		o.Observe, c.Users, float64(c.Scale), c.Remove, c.Fig5, c.TotalFiles,
-		c.Commands, c.CrashAt) + fmt.Sprintf("|dist{%+v}|ol{%s}", c.Dist, o.OpenLoop)
+	return fmt.Sprintf("%#v|dp{%s}", c, dp)
 }
 
 // run executes the cell's simulation from scratch. It is a pure function

@@ -83,15 +83,12 @@ func distRun(opt fsim.Options, spec DistSpec) DistResult {
 	}
 }
 
-// DistExhibit is the sharded-metadata-service report behind mdsim -dist:
-// each ordering scheme runs the same deterministic client load against
-// 1-, 4-, and 16-node clusters, with entry-count splitting armed. Like
-// -faults and -opstats it is deliberately NOT part of Exhibits /
-// ExperimentNames — the golden transcript pins `-exp all` output, and the
-// distributed service is an extension beyond the paper's exhibits.
+// DistExhibit is the sharded-metadata-service report behind mdsim -exp
+// dist: each ordering scheme runs the same deterministic client load
+// against 1-, 4-, and 16-node clusters, with entry-count splitting armed.
 var DistExhibit = &Exhibit{Name: "dist", Build: buildDist}
 
-// distNodeCounts is the cluster-size sweep of the -dist report.
+// distNodeCounts is the cluster-size sweep of the dist report.
 var distNodeCounts = []int{1, 4, 16}
 
 func buildDist(cfg Config, get func(Cell) CellResult) []Table {

@@ -9,15 +9,12 @@ import (
 	"metaupdate/internal/obs"
 )
 
-// distText renders the full mdsim -dist report through a runner with the
+// distText renders the full mdsim -exp dist report through a runner with the
 // given worker count, exactly as cmd/mdsim does. engineWorkers selects the
 // per-cell event-engine parallelism (-engine-workers).
 func distText(workers, engineWorkers int, scale Scale) (string, *Runner, Config) {
 	r := NewRunner(workers)
-	cfg := DefaultConfig()
-	cfg.Scale = scale
-	cfg.Runner = r
-	cfg.EngineWorkers = engineWorkers
+	cfg := Config{Scale: scale, Runner: r, EngineWorkers: engineWorkers}
 	var sb strings.Builder
 	for _, tb := range DistExhibit.Tables(cfg) {
 		tb.Fprint(&sb)
@@ -25,20 +22,20 @@ func distText(workers, engineWorkers int, scale Scale) (string, *Runner, Config)
 	return sb.String(), r, cfg
 }
 
-// TestDistDeterministic asserts the -dist report is byte-identical for a
+// TestDistDeterministic asserts the dist report is byte-identical for a
 // serial and a parallel runner, and for a cold versus warm memo — the
 // satellite determinism pin for the distributed service.
 func TestDistDeterministic(t *testing.T) {
 	serial, _, _ := distText(1, 0, opTestScale)
 	parallel, r4, cfg := distText(4, 0, opTestScale)
 	if serial == "" {
-		t.Fatal("empty -dist report")
+		t.Fatal("empty dist report")
 	}
 	if !strings.Contains(serial, "Sharded metadata service") {
 		t.Error("report is missing the cluster tables")
 	}
 	if serial != parallel {
-		t.Errorf("-dist differs between -j1 and -j4:\n--- j1 ---\n%s\n--- j4 ---\n%s", serial, parallel)
+		t.Errorf("dist differs between -j1 and -j4:\n--- j1 ---\n%s\n--- j4 ---\n%s", serial, parallel)
 	}
 
 	hits0 := r4.Stats().Hits
@@ -47,7 +44,7 @@ func TestDistDeterministic(t *testing.T) {
 		tb.Fprint(&warm)
 	}
 	if warm.String() != parallel {
-		t.Error("-dist differs between cold and warm memo on the same runner")
+		t.Error("dist differs between cold and warm memo on the same runner")
 	}
 	if r4.Stats().Hits <= hits0 {
 		t.Error("warm rerun did not hit the memo")
@@ -55,14 +52,14 @@ func TestDistDeterministic(t *testing.T) {
 }
 
 // TestDistEngineWorkersDeterministic is the report-level byte-identity pin
-// for the PDES engine: the full -dist report must match the serial render
+// for the PDES engine: the full dist report must match the serial render
 // at every -engine-workers count, cold and warm (EngineWorkers is part of
 // the cell fingerprint, so each count simulates its own cells — identical
 // text proves identical simulations, not a shared memo entry).
 func TestDistEngineWorkersDeterministic(t *testing.T) {
 	serial, _, _ := distText(1, 0, opTestScale)
 	if serial == "" {
-		t.Fatal("empty -dist report")
+		t.Fatal("empty dist report")
 	}
 	for _, ew := range []int{2, 4, 8} {
 		text, r, cfg := distText(2, ew, opTestScale)

@@ -1,5 +1,7 @@
 package harness
 
+import "metaupdate/internal/scenario"
+
 // Exhibit is one paper exhibit expressed declaratively: Build names the
 // cells the exhibit needs (through get) and assembles its tables from the
 // CellResults, instead of imperatively running simulations mid-loop.
@@ -37,4 +39,30 @@ func (e *Exhibit) Tables(cfg Config) []Table {
 	}
 	r.All(e.Cells(cfg))
 	return e.Build(cfg, r.lookup)
+}
+
+// Paper lists the paper's exhibits in presentation order: what mdsim's
+// `-exp all` runs and what testdata/golden-0.05.txt pins. mdsim shares one
+// Runner across all of them so cells common to several exhibits (e.g. the
+// Part-NR/CB 4-user copy of figures 1 and 3 and table 1) simulate once.
+var Paper = []*Exhibit{
+	Fig1, Fig2, Fig3, Fig4, Fig5, Fig6,
+	Table1, Table2, Table3, ChainsAblation, CBAblation, NVRAMComparison,
+	CacheSweep,
+}
+
+// Registry returns every exhibit mdsim can run by name: the paper set
+// followed by the extensions. The extensions are post-paper studies —
+// fault injection, operation profiles, the sharded service, offered load —
+// that `all` and the golden transcript deliberately leave out, so they can
+// grow without perturbing the pinned paper output. rate and nodes are the
+// scenario exhibits' offered load and cluster size (mdsim -rate and
+// -scenario-nodes).
+func Registry(rate, nodes int) []*Exhibit {
+	all := append([]*Exhibit(nil), Paper...)
+	all = append(all, FaultRecoveryExhibit, OpStatsExhibit, DistExhibit, LoadCurveExhibit)
+	for _, name := range scenario.Names() {
+		all = append(all, ScenarioExhibit(name, rate, nodes))
+	}
+	return all
 }

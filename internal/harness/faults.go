@@ -70,9 +70,7 @@ func faultRecoveryRun(opt fsim.Options, at sim.Duration) FaultRecovery {
 var faultCrashPoints = []sim.Duration{40 * sim.Second, 75 * sim.Second}
 
 // FaultRecoveryExhibit reports per-scheme recovery behavior on a faulty
-// disk (mdsim -faults). It is deliberately NOT part of Exhibits /
-// ExperimentNames: the golden transcript pins `-exp all` output, and fault
-// injection is an opt-in diagnostic, not a paper exhibit.
+// disk (mdsim -exp faults). It has one size: cfg.Scale does not apply.
 var FaultRecoveryExhibit = &Exhibit{Name: "faults", Build: buildFaultRecovery}
 
 func buildFaultRecovery(cfg Config, get func(Cell) CellResult) []Table {

@@ -24,11 +24,9 @@ func TestGoldenStdout(t *testing.T) {
 		t.Skip("full experiment suite in -short mode")
 	}
 	var buf bytes.Buffer
-	cfg := harness.DefaultConfig()
-	cfg.Scale = 0.05
-	cfg.Runner = harness.NewRunner(0)
-	for _, name := range harness.ExperimentNames {
-		for _, tb := range harness.ExhibitByName[name].Tables(cfg) {
+	cfg := harness.Config{Scale: 0.05, Runner: harness.NewRunner(0)}
+	for _, ex := range harness.Paper {
+		for _, tb := range ex.Tables(cfg) {
 			tb.Fprint(&buf)
 		}
 	}

@@ -97,9 +97,6 @@ type Config struct {
 	EngineWorkers int
 }
 
-// DefaultConfig runs paper-sized experiments.
-func DefaultConfig() Config { return Config{Scale: 1.0} }
-
 // variant names one system configuration under test.
 type variant struct {
 	name string

@@ -1,8 +1,11 @@
 package harness
 
 import (
+	"reflect"
 	"testing"
 
+	"metaupdate/fsim"
+	"metaupdate/internal/disk"
 	"metaupdate/internal/sim"
 )
 
@@ -46,5 +49,63 @@ func TestFingerprintsDistinct(t *testing.T) {
 	a := Cell{Kind: CellCopy, Users: 4, Scale: 0.1}
 	if a.Fingerprint() != (Cell{Kind: CellCopy, Users: 4, Scale: 0.1}).Fingerprint() {
 		t.Fatal("equal cells produced different fingerprints")
+	}
+	t.Run("every field", fingerprintCoversEveryField)
+}
+
+// fingerprintCoversEveryField perturbs each field of Cell and
+// fsim.Options in turn — nested structs down to their leaves, DiskParams
+// through the pointer — and requires a new fingerprint every time: a field
+// left out of the key would make two different simulations share a memo
+// entry silently.
+func fingerprintCoversEveryField(t *testing.T) {
+	base := func() *Cell {
+		dp := disk.HPC2447()
+		return &Cell{Opt: fsim.Options{DiskParams: &dp}}
+	}
+	want := base().Fingerprint()
+	if got := base().Fingerprint(); got != want {
+		t.Fatalf("equal cells with distinct DiskParams pointers differ:\n%s\n%s", got, want)
+	}
+	// walk visits every leaf under v; at finds the same leaf in a fresh
+	// base cell, where it is perturbed.
+	leaves := 0
+	var walk func(path string, v reflect.Value, at func(*Cell) reflect.Value)
+	walk = func(path string, v reflect.Value, at func(*Cell) reflect.Value) {
+		switch v.Kind() {
+		case reflect.Ptr:
+			walk(path, v.Elem(), func(c *Cell) reflect.Value { return at(c).Elem() })
+			return
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				i := i
+				walk(path+"."+v.Type().Field(i).Name, v.Field(i),
+					func(c *Cell) reflect.Value { return at(c).Field(i) })
+			}
+			return
+		}
+		leaves++
+		c := base()
+		switch f := at(c); {
+		case f.Kind() == reflect.Bool:
+			f.SetBool(!f.Bool())
+		case f.CanInt():
+			f.SetInt(f.Int() + 1)
+		case f.CanUint():
+			f.SetUint(f.Uint() + 1)
+		case f.CanFloat():
+			f.SetFloat(f.Float() + 1)
+		case f.Kind() == reflect.String:
+			f.SetString(f.String() + "x")
+		default:
+			t.Fatalf("%s: no perturbation for kind %s", path, f.Kind())
+		}
+		if c.Fingerprint() == want {
+			t.Errorf("perturbing %s left the fingerprint unchanged", path)
+		}
+	}
+	walk("Cell", reflect.ValueOf(base()).Elem(), func(c *Cell) reflect.Value { return reflect.ValueOf(c).Elem() })
+	if leaves < 60 {
+		t.Fatalf("walked only %d leaves; Cell and fsim.Options have more", leaves)
 	}
 }

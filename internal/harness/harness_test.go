@@ -15,10 +15,9 @@ func TestAllExperimentsSmoke(t *testing.T) {
 		t.Skip("experiments are slow")
 	}
 	cfg := harness.Config{Scale: 0.02}
-	for _, name := range harness.ExperimentNames {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			tables := harness.ExhibitByName[name].Tables(cfg)
+	for _, ex := range harness.Paper {
+		t.Run(ex.Name, func(t *testing.T) {
+			tables := ex.Tables(cfg)
 			if len(tables) == 0 {
 				t.Fatal("no tables produced")
 			}
@@ -41,14 +40,37 @@ func TestAllExperimentsSmoke(t *testing.T) {
 	}
 }
 
+// TestExperimentNamesAllRegistered pins the registry's shape: every name
+// is unique and non-reserved, `all` (harness.Paper) is exactly the
+// registry's prefix in the golden transcript's order, the extensions follow
+// it, and each extension keeps the Build contract exhibit.go states (the
+// paper set's is TestCellsStableAcrossPasses).
 func TestExperimentNamesAllRegistered(t *testing.T) {
-	for _, name := range harness.ExperimentNames {
-		if harness.ExhibitByName[name] == nil {
-			t.Fatalf("experiment %q not registered", name)
+	reg := harness.Registry(200, 2)
+	seen := map[string]bool{"all": true}
+	for _, ex := range reg {
+		if ex.Name == "" || seen[ex.Name] {
+			t.Fatalf("exhibit name %q is empty, reserved or registered twice", ex.Name)
+		}
+		seen[ex.Name] = true
+	}
+	golden := []string{"fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "table1", "table2", "table3",
+		"chains-ablation", "cb-ablation", "nvram", "cache-sweep"}
+	if len(harness.Paper) != len(golden) {
+		t.Fatalf("paper set has %d exhibits, golden transcript %d", len(harness.Paper), len(golden))
+	}
+	for i, name := range golden {
+		if harness.Paper[i].Name != name || reg[i] != harness.Paper[i] {
+			t.Fatalf("registry[%d] = %q, paper[%d] = %q, want %q", i, reg[i].Name, i, harness.Paper[i].Name, name)
 		}
 	}
-	if len(harness.ExhibitByName) != len(harness.ExperimentNames) {
-		t.Fatalf("registry (%d) and name list (%d) out of sync",
-			len(harness.ExhibitByName), len(harness.ExperimentNames))
+	var ext []string
+	for _, ex := range reg[len(golden):] {
+		ext = append(ext, ex.Name)
+		checkCellsStable(t, ex, harness.Config{Scale: 0.05})
+	}
+	want := "faults opstats dist load scenario-mail scenario-build scenario-webcache"
+	if got := strings.Join(ext, " "); got != want {
+		t.Fatalf("extensions = %q, want %q", got, want)
 	}
 }

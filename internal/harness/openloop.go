@@ -7,28 +7,23 @@ import (
 	"metaupdate/internal/scenario"
 )
 
-// The open-loop exhibits (mdsim -load / -scenario) compare the schemes
-// under offered load instead of closed-loop equilibrium: an arrival
-// process (internal/arrival) dictates when operations are offered, a
-// scenario stream (internal/scenario) dictates what they are, and the
-// driver measures latency from the scheduled arrival instant — so
+// The open-loop exhibits (mdsim -exp load / scenario-<name>) compare the
+// schemes under offered load instead of closed-loop equilibrium: an
+// arrival process (internal/arrival) dictates when operations are
+// offered, a scenario stream (internal/scenario) dictates what they are,
+// and the driver measures latency from the scheduled arrival instant — so
 // queueing delay that N-users-with-think-time benchmarks self-throttle
-// away is finally visible. Like -faults/-opstats/-dist these are
-// deliberately NOT part of Exhibits / ExperimentNames: the golden
-// transcript pins `-exp all`, and the open loop is a post-paper regime.
+// away is finally visible.
 
 // loadRates is the offered-load sweep (arrivals per virtual second).
 var loadRates = []int{25, 50, 100, 200, 400, 800, 1600}
 
-// openLoopOpt is the small machine every load-curve cell runs on: a
-// compact disk and cache so the sweep crosses each scheme's capacity
-// within the cell's op budget.
-func openLoopOpt(scheme fsim.Scheme, scen string, rate, ops, warm int) fsim.Options {
+// openLoopLoad is the workload half of an open-loop cell: the scheme
+// under the named stream at one Poisson offered load, machine sizes left
+// to their defaults (what the cluster cells run on, per node).
+func openLoopLoad(scheme fsim.Scheme, scen string, rate, ops, warm int) fsim.Options {
 	opt := fsim.Options{
-		Scheme:     scheme,
-		DiskBytes:  64 << 20,
-		NInodes:    8192,
-		CacheBytes: 8 << 20,
+		Scheme: scheme,
 		OpenLoop: fsim.OpenLoopSpec{
 			Scenario: scen,
 			Arrival:  fsim.ArrivalSpec{Kind: fsim.Poisson, Seed: 1, PerSec: rate},
@@ -46,6 +41,17 @@ func openLoopOpt(scheme fsim.Scheme, scen string, rate, ops, warm int) fsim.Opti
 		// contract exact under -CB.
 		opt.Explicit, opt.CB = true, true
 	}
+	return opt
+}
+
+// openLoopOpt is openLoopLoad on the small machine every single-machine
+// cell runs on: a compact disk and cache so the sweep crosses each
+// scheme's capacity within the cell's op budget.
+func openLoopOpt(scheme fsim.Scheme, scen string, rate, ops, warm int) fsim.Options {
+	opt := openLoopLoad(scheme, scen, rate, ops, warm)
+	opt.DiskBytes = 64 << 20
+	opt.NInodes = 8192
+	opt.CacheBytes = 8 << 20
 	return opt
 }
 
@@ -89,7 +95,7 @@ func loadOps(scale Scale) (ops, warm int) {
 	return ops, ops / 8
 }
 
-// LoadCurveExhibit is the saturation study behind mdsim -load: every
+// LoadCurveExhibit is the saturation study behind mdsim -exp load: every
 // scheme runs the mail scenario at each offered load of the sweep, and
 // the tables report measured throughput and the latency tail — the
 // paper's claim, pushed to the regime its closed-loop benchmarks cannot
@@ -135,11 +141,11 @@ func buildLoadCurve(cfg Config, get func(Cell) CellResult) []Table {
 	return append(tables, summary)
 }
 
-// ScenarioExhibit is the single-rate scenario report behind mdsim
-// -scenario: every scheme runs the named stream at one offered load on
-// the single machine, and — when nodes > 1 — against a sharded cluster
-// (CellOpenLoopDist, the variant the -engine-workers determinism checks
-// exercise).
+// ScenarioExhibit is the single-rate scenario report behind mdsim -exp
+// scenario-<name>: every scheme runs the named stream at one offered load
+// (rate >= 1 arrivals per virtual second) on the single machine, and —
+// when nodes > 1 — against a sharded cluster (CellOpenLoopDist, the
+// variant the -engine-workers determinism checks exercise).
 func ScenarioExhibit(name string, rate, nodes int) *Exhibit {
 	return &Exhibit{Name: "scenario-" + name, Build: func(cfg Config, get func(Cell) CellResult) []Table {
 		ops, warm := loadOps(cfg.Scale)
@@ -178,19 +184,7 @@ func ScenarioExhibit(name string, rate, nodes int) *Exhibit {
 				Columns: t.Columns,
 			}
 			for _, v := range fiveSchemes(nil) {
-				opt := fsim.Options{
-					Scheme: v.opt.Scheme,
-					OpenLoop: fsim.OpenLoopSpec{
-						Scenario: name,
-						Arrival:  fsim.ArrivalSpec{Kind: fsim.Poisson, Seed: 1, PerSec: rate},
-						Ops:      dops,
-						Warmup:   dops / 8,
-					},
-				}
-				if v.opt.Scheme == fsim.AsyncDurability {
-					// Same -CB configuration as openLoopOpt.
-					opt.Explicit, opt.CB = true, true
-				}
+				opt := openLoopLoad(v.opt.Scheme, name, rate, dops, dops/8)
 				r := get(Cell{Kind: CellOpenLoopDist, Opt: opt, Dist: DistSpec{
 					Nodes:         nodes,
 					Seed:          42,

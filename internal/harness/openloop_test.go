@@ -12,14 +12,11 @@ import (
 
 var updateLoadGolden = flag.Bool("update-load-golden", false, "rewrite testdata/load-0.05.txt from the current output")
 
-// loadText renders the full mdsim -load report through a runner with the
+// loadText renders the full mdsim -exp load report through a runner with the
 // given worker count, exactly as cmd/mdsim does.
 func loadText(workers, engineWorkers int, scale Scale) (string, *Runner, Config) {
 	r := NewRunner(workers)
-	cfg := DefaultConfig()
-	cfg.Scale = scale
-	cfg.Runner = r
-	cfg.EngineWorkers = engineWorkers
+	cfg := Config{Scale: scale, Runner: r, EngineWorkers: engineWorkers}
 	var sb strings.Builder
 	for _, tb := range LoadCurveExhibit.Tables(cfg) {
 		tb.Fprint(&sb)
@@ -27,7 +24,7 @@ func loadText(workers, engineWorkers int, scale Scale) (string, *Runner, Config)
 	return sb.String(), r, cfg
 }
 
-// TestLoadCurveDeterministic asserts the -load report is byte-identical
+// TestLoadCurveDeterministic asserts the load report is byte-identical
 // for a serial and a parallel runner, and for a cold versus warm memo —
 // the open-loop cells are pure functions of their fingerprints like every
 // other cell kind, unbounded arrival processes included.
@@ -35,13 +32,13 @@ func TestLoadCurveDeterministic(t *testing.T) {
 	serial, _, _ := loadText(1, 0, opTestScale)
 	parallel, r4, cfg := loadText(4, 0, opTestScale)
 	if serial == "" {
-		t.Fatal("empty -load report")
+		t.Fatal("empty load report")
 	}
 	if !strings.Contains(serial, "Open-loop saturation summary") {
 		t.Error("report is missing the saturation summary")
 	}
 	if serial != parallel {
-		t.Errorf("-load differs between -j1 and -j4:\n--- j1 ---\n%s\n--- j4 ---\n%s", serial, parallel)
+		t.Errorf("load differs between -j1 and -j4:\n--- j1 ---\n%s\n--- j4 ---\n%s", serial, parallel)
 	}
 
 	hits0 := r4.Stats().Hits
@@ -50,7 +47,7 @@ func TestLoadCurveDeterministic(t *testing.T) {
 		tb.Fprint(&warm)
 	}
 	if warm.String() != parallel {
-		t.Error("-load differs between cold and warm memo on the same runner")
+		t.Error("load differs between cold and warm memo on the same runner")
 	}
 	if r4.Stats().Hits <= hits0 {
 		t.Error("warm rerun did not hit the memo")
@@ -84,20 +81,17 @@ func TestLoadCurveDeterministic(t *testing.T) {
 				w = wantLines[i]
 			}
 			if g != w {
-				t.Fatalf("-load report diverges from testdata/load-0.05.txt at line %d:\n got: %s\nwant: %s", i+1, g, w)
+				t.Fatalf("load report diverges from testdata/load-0.05.txt at line %d:\n got: %s\nwant: %s", i+1, g, w)
 			}
 		}
 	}
 }
 
-// scenarioTables renders the mdsim -scenario report (2-node cluster
+// scenarioTables renders the mdsim -exp scenario-mail report (2-node cluster
 // variant included, so CellOpenLoopDist participates).
 func scenarioTables(workers, engineWorkers int) (string, *Runner, Config) {
 	r := NewRunner(workers)
-	cfg := DefaultConfig()
-	cfg.Scale = opTestScale
-	cfg.Runner = r
-	cfg.EngineWorkers = engineWorkers
+	cfg := Config{Scale: opTestScale, Runner: r, EngineWorkers: engineWorkers}
 	var sb strings.Builder
 	for _, tb := range ScenarioExhibit("mail", 100, 2).Tables(cfg) {
 		tb.Fprint(&sb)
@@ -106,13 +100,13 @@ func scenarioTables(workers, engineWorkers int) (string, *Runner, Config) {
 }
 
 // TestScenarioEngineWorkersDeterministic is the PDES byte-identity pin
-// for the open loop: the -scenario report (which runs the cluster cells
+// for the open loop: the scenario report (which runs the cluster cells
 // through the parallel engine) must match the serial render at every
 // -engine-workers count, cold and warm.
 func TestScenarioEngineWorkersDeterministic(t *testing.T) {
 	serial, _, _ := scenarioTables(1, 0)
 	if serial == "" {
-		t.Fatal("empty -scenario report")
+		t.Fatal("empty scenario report")
 	}
 	if !strings.Contains(serial, "metadata cluster") {
 		t.Error("report is missing the cluster table")

@@ -80,12 +80,10 @@ func opPhase(sys *fsim.System, bench func() copyStats) OpPhaseProfile {
 	return OpPhaseProfile{Elapsed: cs.elapsed, Ops: sys.Obs.Profile(), Counters: c}
 }
 
-// OpStatsExhibit is the operation-profile report behind mdsim -opstats:
-// for each of the five schemes, the 4-user copy and remove phases broken
-// down per operation type (latency distribution + stage percentages),
-// plus one cross-scheme counter table. Like the fault sweep, it is
-// deliberately NOT part of Exhibits / ExperimentNames: the golden
-// transcript pins `-exp all` output, and observability is opt-in.
+// OpStatsExhibit is the operation-profile report behind mdsim -exp
+// opstats: for each of the five schemes, the 4-user copy and remove phases
+// broken down per operation type (latency distribution + stage
+// percentages), plus one cross-scheme counter table.
 var OpStatsExhibit = &Exhibit{Name: "opstats", Build: buildOpStats}
 
 func buildOpStats(cfg Config, get func(Cell) CellResult) []Table {

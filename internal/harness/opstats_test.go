@@ -79,7 +79,7 @@ func TestSpanPartitionProperty(t *testing.T) {
 }
 
 // sharedOpProfiles runs the five CellOpProfile cells once per test binary
-// (on a shared runner, like mdsim -opstats) and hands the results to every
+// (on a shared runner, like mdsim -exp opstats) and hands the results to every
 // invariant test.
 var (
 	opProfOnce sync.Once
@@ -225,13 +225,11 @@ func TestSoftUpdatesRollbackAccounting(t *testing.T) {
 	}
 }
 
-// opStatsText renders the full mdsim -opstats report through a runner with
+// opStatsText renders the full mdsim -exp opstats report through a runner with
 // the given worker count, exactly as cmd/mdsim does.
 func opStatsText(workers int, scale Scale) (string, *Runner, Config) {
 	r := NewRunner(workers)
-	cfg := DefaultConfig()
-	cfg.Scale = scale
-	cfg.Runner = r
+	cfg := Config{Scale: scale, Runner: r}
 	var sb strings.Builder
 	for _, tb := range OpStatsExhibit.Tables(cfg) {
 		tb.Fprint(&sb)
@@ -239,20 +237,20 @@ func opStatsText(workers int, scale Scale) (string, *Runner, Config) {
 	return sb.String(), r, cfg
 }
 
-// TestOpStatsDeterministic asserts the -opstats report is byte-identical
+// TestOpStatsDeterministic asserts the opstats report is byte-identical
 // for a serial and a parallel runner, and for a cold versus warm memo.
 func TestOpStatsDeterministic(t *testing.T) {
 	const scale = 0.02 // shapes don't matter here, only byte equality
 	serial, _, _ := opStatsText(1, scale)
 	parallel, r4, cfg := opStatsText(4, scale)
 	if serial == "" {
-		t.Fatal("empty -opstats report")
+		t.Fatal("empty opstats report")
 	}
 	if !strings.Contains(serial, "Write-discipline counters") {
 		t.Error("report is missing the counters table")
 	}
 	if serial != parallel {
-		t.Errorf("-opstats differs between -j1 and -j4:\n--- j1 ---\n%s\n--- j4 ---\n%s", serial, parallel)
+		t.Errorf("opstats differs between -j1 and -j4:\n--- j1 ---\n%s\n--- j4 ---\n%s", serial, parallel)
 	}
 
 	hits0 := r4.Stats().Hits
@@ -261,7 +259,7 @@ func TestOpStatsDeterministic(t *testing.T) {
 		tb.Fprint(&warm)
 	}
 	if warm.String() != parallel {
-		t.Error("-opstats differs between cold and warm memo on the same runner")
+		t.Error("opstats differs between cold and warm memo on the same runner")
 	}
 	if r4.Stats().Hits <= hits0 {
 		t.Error("warm rerun did not hit the memo")

@@ -2,7 +2,7 @@ package harness
 
 import (
 	"encoding/json"
-	"io"
+	"os"
 )
 
 // ExhibitReport is one exhibit's machine-readable result: the rendered
@@ -28,9 +28,11 @@ type Report struct {
 	Cells    []CellTiming    `json:"cells"`
 }
 
-// WriteJSON marshals the report with stable indentation.
-func (r *Report) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+// WriteFile writes the report to path as indented JSON.
+func (r *Report) WriteFile(path string) error {
+	b, err := json.MarshalIndent(r, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(b, '\n'), 0o666)
 }

@@ -25,7 +25,7 @@ func TestParallelDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full simulations")
 	}
-	ex := harness.ExhibitByName["fig2"]
+	ex := harness.Fig2
 	serial := renderAll(ex.Tables(harness.Config{Scale: 0.05, Runner: harness.NewRunner(1)}))
 	parallel := renderAll(ex.Tables(harness.Config{Scale: 0.05, Runner: harness.NewRunner(8)}))
 	if serial != parallel {
@@ -69,9 +69,9 @@ func TestCrossExhibitSharing(t *testing.T) {
 	}
 	r := harness.NewRunner(0)
 	cfg := harness.Config{Scale: 0.02, Runner: r}
-	shared := harness.ExhibitByName["fig1"].Tables(cfg)
+	shared := harness.Fig1.Tables(cfg)
 	before := r.Stats().Executed
-	_ = harness.ExhibitByName["fig3"].Tables(cfg)
+	_ = harness.Fig3.Tables(cfg)
 	after := r.Stats()
 	_ = shared
 	ran := after.Executed - before
@@ -87,22 +87,26 @@ func TestCrossExhibitSharing(t *testing.T) {
 // (recording pass) and assembling tables must request the same cells in
 // the same order for every exhibit.
 func TestCellsStableAcrossPasses(t *testing.T) {
-	cfg := harness.Config{Scale: 0.02}
-	for _, ex := range harness.Exhibits {
-		a := ex.Cells(cfg)
-		b := ex.Cells(cfg)
-		if len(a) == 0 {
-			t.Errorf("%s declares no cells", ex.Name)
-			continue
-		}
-		if len(a) != len(b) {
-			t.Errorf("%s: cell count varies between passes: %d vs %d", ex.Name, len(a), len(b))
-			continue
-		}
-		for i := range a {
-			if a[i].Fingerprint() != b[i].Fingerprint() {
-				t.Errorf("%s: cell %d differs between passes", ex.Name, i)
-			}
+	for _, ex := range harness.Paper {
+		checkCellsStable(t, ex, harness.Config{Scale: 0.02})
+	}
+}
+
+func checkCellsStable(t *testing.T, ex *harness.Exhibit, cfg harness.Config) {
+	t.Helper()
+	a := ex.Cells(cfg)
+	b := ex.Cells(cfg)
+	if len(a) == 0 {
+		t.Errorf("%s declares no cells", ex.Name)
+		return
+	}
+	if len(a) != len(b) {
+		t.Errorf("%s: cell count varies between passes: %d vs %d", ex.Name, len(a), len(b))
+		return
+	}
+	for i := range a {
+		if a[i].Fingerprint() != b[i].Fingerprint() {
+			t.Errorf("%s: cell %d differs between passes", ex.Name, i)
 		}
 	}
 }

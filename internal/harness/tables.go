@@ -198,30 +198,3 @@ var CacheSweep = &Exhibit{Name: "cache-sweep", Build: func(cfg Config, get func(
 	}
 	return []Table{t}
 }}
-
-// Exhibits lists every exhibit in presentation order. mdsim shares one
-// Runner across all of them so cells common to several exhibits (e.g. the
-// Part-NR/CB 4-user copy of figures 1 and 3 and table 1) simulate once.
-var Exhibits = []*Exhibit{
-	Fig1, Fig2, Fig3, Fig4, Fig5, Fig6,
-	Table1, Table2, Table3, ChainsAblation, CBAblation, NVRAMComparison,
-	CacheSweep,
-}
-
-// ExhibitByName indexes Exhibits.
-var ExhibitByName = func() map[string]*Exhibit {
-	m := make(map[string]*Exhibit, len(Exhibits))
-	for _, e := range Exhibits {
-		m[e.Name] = e
-	}
-	return m
-}()
-
-// ExperimentNames lists the experiments in presentation order.
-var ExperimentNames = func() []string {
-	names := make([]string, len(Exhibits))
-	for i, e := range Exhibits {
-		names[i] = e.Name
-	}
-	return names
-}()

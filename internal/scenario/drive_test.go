@@ -1,7 +1,6 @@
 package scenario_test
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
 
@@ -124,58 +123,6 @@ func TestDriveDeterministic(t *testing.T) {
 	b := driveMail(t, fsim.SchedulerChains, spec)
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("identical runs diverged:\n%+v\n%+v", a, b)
-	}
-}
-
-// TestReplayRoundTrip is the trace-replay satellite: export a recorded
-// scenario run to op CSV, replay the CSV against an identical fresh
-// system, and require the identical op sequence and virtual-time
-// completion profile (the entire Result, completion times included).
-func TestReplayRoundTrip(t *testing.T) {
-	spec := scenario.RunSpec{
-		Arrival: arrival.Spec{Kind: arrival.Poisson, Seed: 13, PerSec: 300},
-		Ops:     500,
-		Warmup:  100,
-	}
-	orig := driveMail(t, fsim.SoftUpdates, spec)
-
-	// Export the op sequence the run executed.
-	stream, err := scenario.New("mail", spec.Arrival.Seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ops := scenario.Record(stream, spec.Ops)
-	var buf bytes.Buffer
-	if err := scenario.WriteCSV(&buf, ops); err != nil {
-		t.Fatal(err)
-	}
-
-	// Re-import and replay on a fresh, identically configured system.
-	parsed, err := scenario.ReadCSV(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	replay, err := scenario.NewReplay("mail", parsed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < spec.Ops; i++ {
-		if !reflect.DeepEqual(replay.At(int64(i)), stream.At(int64(i))) {
-			t.Fatalf("replayed op %d differs from the recorded stream", i)
-		}
-	}
-	sys, err := fsim.New(smallOpts(fsim.SoftUpdates))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Shutdown()
-	target, err := scenario.SetupFS(sys.Eng, sys.FS, replay)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := scenario.Drive(sys.Eng, target, replay, spec)
-	if !reflect.DeepEqual(got, orig) {
-		t.Errorf("replayed run's completion profile diverges from the original:\noriginal %+v\nreplayed %+v", orig, got)
 	}
 }
 

@@ -6,9 +6,8 @@
 //
 // A Stream is a pure function of the operation index — like the arrival
 // processes, no running RNG stream, no hidden state — so a scenario can
-// be replayed from any index, recorded to CSV and replayed bit-exactly,
-// and embedded in memoized harness cells whose fingerprints cover the
-// scenario name and seed. Each stream is self-consistent by construction:
+// be replayed from any index and embedded in memoized harness cells
+// whose fingerprints cover the scenario name and seed. Each stream is self-consistent by construction:
 // an operation only references files that earlier indices created
 // (rounds reference their own round's file, removals trail a fixed
 // retention window behind), so at modest overlap every op finds its
@@ -47,15 +46,6 @@ func (k Kind) String() string {
 		return kindNames[k]
 	}
 	return fmt.Sprintf("Kind(%d)", uint8(k))
-}
-
-func parseKind(s string) (Kind, bool) {
-	for k, n := range kindNames {
-		if n == s {
-			return Kind(k), true
-		}
-	}
-	return 0, false
 }
 
 // Op is one scenario operation. Dir/Dir2 index the stream's fixed
@@ -220,49 +210,4 @@ func (w webStream) At(i int64) Op {
 		}
 		return Op{Kind: KRead, Dir: d, Name: name, Size: 65536}
 	}
-}
-
-// Record materializes the first n operations of a stream (the export
-// half of the CSV round trip).
-func Record(s Stream, n int) []Op {
-	ops := make([]Op, n)
-	for i := range ops {
-		ops[i] = s.At(int64(i))
-	}
-	return ops
-}
-
-// replayStream plays back a recorded operation list; indices beyond the
-// list wrap around, so a short trace can still sustain a long run.
-type replayStream struct {
-	name  string
-	ndirs int
-	ops   []Op
-}
-
-// NewReplay wraps a recorded operation list as a Stream. The directory
-// count is recovered from the ops themselves (max index referenced).
-func NewReplay(name string, ops []Op) (Stream, error) {
-	if len(ops) == 0 {
-		return nil, fmt.Errorf("scenario: replay %q has no operations", name)
-	}
-	nd := 1
-	for _, op := range ops {
-		if op.Dir < 0 || op.Dir2 < 0 {
-			return nil, fmt.Errorf("scenario: replay %q has a negative directory index", name)
-		}
-		if op.Dir >= nd {
-			nd = op.Dir + 1
-		}
-		if op.Dir2 >= nd {
-			nd = op.Dir2 + 1
-		}
-	}
-	return replayStream{name: name, ndirs: nd, ops: ops}, nil
-}
-
-func (r replayStream) Name() string { return r.name }
-func (r replayStream) NDirs() int   { return r.ndirs }
-func (r replayStream) At(i int64) Op {
-	return r.ops[int(i%int64(len(r.ops)))]
 }

@@ -26,7 +26,7 @@
 // pri key — (source endpoint, per-source sequence) packed into one word —
 // so every destination heap orders the same message set identically whether
 // the simulation ran on one engine or sixteen. The serial engine uses the
-// same (at, pri, seq) key, which is why `mdsim -dist` stdout is
+// same (at, pri, seq) key, which is why `mdsim -exp dist` stdout is
 // byte-identical at every -engine-workers count.
 package sim
 
@@ -172,8 +172,8 @@ func (g *LPGroup) NowMax() Time {
 	return max
 }
 
-// Executed sums dispatched-event counts across LPs (the events-per-second
-// numerator in BENCH_4.json).
+// Executed sums dispatched-event counts across LPs (the work unit of
+// bench's units_per_host_s).
 func (g *LPGroup) Executed() uint64 {
 	var n uint64
 	for _, e := range g.lps {

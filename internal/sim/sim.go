@@ -129,7 +129,7 @@ type Engine struct {
 }
 
 // Executed reports the number of events dispatched since the engine was
-// created (the events-per-second numerator in BENCH_4.json).
+// created (the work unit of bench's units_per_host_s).
 func (e *Engine) Executed() uint64 { return e.executed }
 
 // Live reports the number of spawned processes that have not finished.

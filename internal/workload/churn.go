@@ -12,7 +12,7 @@ import (
 // directory "work" — creates with stamped data, a removal every third
 // step, a rename every renameEvery-th, over a ring of `names` file names —
 // so any crash instant lands mid-update. It is what the crash drivers
-// (mdcrash, mdsim -faults, examples/crashrecovery) pull the plug on; step i
+// (mdcrash, mdsim -exp faults, examples/crashrecovery) pull the plug on; step i
 // writes size(i) bytes.
 func Churn(eng *sim.Engine, fs *ffs.FS, names, renameEvery int, size func(i int) int) {
 	eng.Spawn("churn", func(p *sim.Proc) {
