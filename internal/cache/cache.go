@@ -22,7 +22,7 @@ package cache
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"metaupdate/internal/dev"
 	"metaupdate/internal/disk"
@@ -80,7 +80,11 @@ type Buf struct {
 	WriteFlag bool
 	WriteDeps []uint64
 
-	lastUse sim.Time
+	// lastUse is the instant of the last Bread/Getblk; prev and next thread
+	// the buffer into Cache.lru, the eviction order, and are nil while the
+	// buffer is not mapped.
+	lastUse    sim.Time
+	prev, next *Buf
 }
 
 // NFrags returns the buffer size in fragments.
@@ -152,7 +156,7 @@ type Config struct {
 	MaxCopyBytes int
 }
 
-// DefaultMaxCopyBytes sizes the -CB snapshot pool (4 MB of the paper's
+// DefaultMaxCopyBytes sizes the -CB snapshot pool (16 MB of the paper's
 // 48 MB machine).
 const DefaultMaxCopyBytes = 16 << 20
 
@@ -169,6 +173,12 @@ type Cache struct {
 
 	bufs  map[int64]*Buf
 	bytes int // running sum of len(Data) over bufs
+	// lru is the sentinel of a circular list through every mapped buffer in
+	// eviction order: ascending (lastUse, Frag), least recently used at
+	// lru.next. The order is kept by touch, never recomputed.
+	lru Buf
+	// fragScratch is the syncer's fragment-sweep slice between sweeps.
+	fragScratch []int64
 
 	// Workitem queue (section 4.2): tasks too heavy for completion
 	// callbacks, serviced by the syncer before its normal activities.
@@ -214,7 +224,7 @@ func New(eng *sim.Engine, drv *dev.Driver, cpu *sim.CPU, cfg Config) *Cache {
 	if cfg.MaxCopyBytes <= 0 {
 		cfg.MaxCopyBytes = DefaultMaxCopyBytes
 	}
-	return &Cache{
+	c := &Cache{
 		eng:   eng,
 		drv:   drv,
 		cpu:   cpu,
@@ -222,6 +232,8 @@ func New(eng *sim.Engine, drv *dev.Driver, cpu *sim.CPU, cfg Config) *Cache {
 		Hooks: NopHooks{},
 		bufs:  make(map[int64]*Buf),
 	}
+	c.lru.prev, c.lru.next = &c.lru, &c.lru
+	return c
 }
 
 // Config returns the cache configuration.
@@ -235,14 +247,52 @@ func (c *Cache) Driver() *dev.Driver { return c.drv }
 
 func lbnOf(frag int64) int64 { return frag * SectorsPerFrag }
 
-// remove drops b from the cache, keeping the byte count in step. A buffer
-// that was already replaced at its fragment (dropped and re-read) is left
-// alone.
+// insert maps a new buffer as the most recently used.
+func (c *Cache) insert(b *Buf) {
+	c.bufs[b.Frag] = b
+	c.bytes += len(b.Data)
+	b.lastUse = c.eng.Now()
+	c.link(b)
+}
+
+// remove drops b from the cache, keeping the byte count and the eviction
+// order in step. A buffer that already left (dropped, or replaced at its
+// fragment and re-read) is left alone.
 func (c *Cache) remove(b *Buf) {
-	if cur, ok := c.bufs[b.Frag]; ok && cur == b {
-		delete(c.bufs, b.Frag)
-		c.bytes -= len(b.Data)
+	if b.next == nil {
+		return
 	}
+	delete(c.bufs, b.Frag)
+	c.bytes -= len(b.Data)
+	b.prev.next, b.next.prev = b.next, b.prev
+	b.prev, b.next = nil, nil
+}
+
+// touch stamps b as used now and moves it to its place in the eviction
+// order. A buffer that left the cache while the caller slept is only
+// stamped.
+func (c *Cache) touch(b *Buf) {
+	b.lastUse = c.eng.Now()
+	if b.next == nil {
+		return
+	}
+	b.prev.next, b.next.prev = b.next, b.prev
+	c.link(b)
+}
+
+// link places b, stamped with the current instant, into the eviction order.
+// Virtual time never runs backwards, so no mapped buffer carries a later
+// lastUse and b belongs at the tail — short only of the buffers used at
+// this same instant that have a larger Frag. That keeps the list in exactly
+// the (lastUse, Frag) order a sort over c.bufs would produce.
+func (c *Cache) link(b *Buf) {
+	at := c.lru.prev
+	for at != &c.lru && at.lastUse == b.lastUse && at.Frag > b.Frag {
+		at = at.prev
+	}
+	b.prev, b.next = at, at.next
+	at.next.prev = b
+	at.next = b
 }
 
 // waitAccessible blocks p while b is being read in.
@@ -276,15 +326,14 @@ func (c *Cache) Bread(p *sim.Proc, frag int64, nfrags int) (*Buf, error) {
 			// already gone from the cache.
 			return nil, b.readErr
 		}
-		b.lastUse = c.eng.Now()
+		c.touch(b)
 		c.Hooks.OnAccess(b)
 		return b, nil
 	}
 	c.Misses++
-	b = &Buf{Frag: frag, Data: make([]byte, nfrags*FragSize), lastUse: c.eng.Now()}
+	b = &Buf{Frag: frag, Data: make([]byte, nfrags*FragSize)}
 	b.reading = sim.NewCompletion()
-	c.bufs[frag] = b
-	c.bytes += len(b.Data)
+	c.insert(b)
 	c.makeRoom(p, b)
 	// Read requests are owned by this function end to end (submitted,
 	// waited on inline, no callbacks registered), so they cycle through
@@ -311,8 +360,13 @@ func (c *Cache) Bread(p *sim.Proc, frag int64, nfrags int) (*Buf, error) {
 		r.Fire(c.eng)
 		return nil, err
 	}
+	if b.invalid {
+		// Dropped while the fill was in flight: the fragment was freed, so
+		// the buffer must not stay mapped for its next owner to trip over.
+		c.remove(b)
+	}
 	r.Fire(c.eng)
-	b.lastUse = c.eng.Now()
+	c.touch(b)
 	c.Hooks.OnAccess(b)
 	return b, nil
 }
@@ -333,14 +387,13 @@ func (c *Cache) Getblk(p *sim.Proc, frag int64, nfrags int) *Buf {
 			c.waitAccessible(p, b)
 			sp.Pop(p)
 		}
-		b.lastUse = c.eng.Now()
+		c.touch(b)
 		c.Hooks.OnAccess(b)
 		return b
 	}
 	c.Misses++
-	b = &Buf{Frag: frag, Data: make([]byte, nfrags*FragSize), lastUse: c.eng.Now()}
-	c.bufs[frag] = b
-	c.bytes += len(b.Data)
+	b = &Buf{Frag: frag, Data: make([]byte, nfrags*FragSize)}
+	c.insert(b)
 	c.makeRoom(p, b)
 	c.Hooks.OnAccess(b)
 	return b
@@ -656,66 +709,46 @@ func (c *Cache) Bytes() int { return c.bytes }
 // in memory.
 func (c *Cache) makeRoom(p *sim.Proc, keep *Buf) {
 	for tries := 0; c.Bytes() > c.cfg.MaxBytes && tries < 64; tries++ {
-		// Deterministic LRU order: by lastUse then frag.
-		var victims []*Buf
-		for _, b := range c.bufs {
-			if b == keep || b.Pinned || b.reading != nil {
-				continue
+		// One walk from the least recently used end, stopping as soon as
+		// the cache fits: evict the clean, collect the write-behind batch.
+		var dirty [16]*Buf
+		ndirty := 0
+		var writing *Buf // least recently used candidate with a write in flight
+		for b := c.lru.next; b != &c.lru && c.Bytes() > c.cfg.MaxBytes; {
+			next := b.next
+			if b != keep && !b.Pinned && b.reading == nil {
+				if writing == nil && b.writing != nil {
+					writing = b
+				}
+				switch {
+				case b.hold > 0:
+				case !b.Dirty && b.writing == nil && b.cbInflight == 0 && b.Dep == nil:
+					c.remove(b)
+				case b.Dirty && b.writing == nil && ndirty < len(dirty):
+					dirty[ndirty] = b
+					ndirty++
+				}
 			}
-			victims = append(victims, b)
-		}
-		sort.Slice(victims, func(i, j int) bool {
-			if victims[i].lastUse != victims[j].lastUse {
-				return victims[i].lastUse < victims[j].lastUse
-			}
-			return victims[i].Frag < victims[j].Frag
-		})
-
-		var dirty []*Buf
-		for _, b := range victims {
-			if c.Bytes() <= c.cfg.MaxBytes {
-				return
-			}
-			if b.hold > 0 {
-				continue
-			}
-			if !b.Dirty && b.writing == nil && b.cbInflight == 0 && b.Dep == nil {
-				c.remove(b)
-				continue
-			}
-			if b.Dirty && b.writing == nil {
-				dirty = append(dirty, b)
-			}
+			b = next
 		}
 		if c.Bytes() <= c.cfg.MaxBytes {
 			return
 		}
-		if len(dirty) == 0 {
+		if ndirty == 0 {
 			// Everything is pinned, dependency-laden or already in
 			// flight; wait for some write to finish if possible.
-			waited := false
-			for _, b := range victims {
-				if b.writing != nil && p != nil {
-					sp := obs.SpanOf(p)
-					sp.Push(p, obs.StageSyncer)
-					b.writing.Wait(p)
-					sp.Pop(p)
-					waited = true
-					break
-				}
-			}
-			if !waited {
+			if writing == nil || p == nil {
 				return // allow transient overshoot rather than deadlock
 			}
+			sp := obs.SpanOf(p)
+			sp.Push(p, obs.StageSyncer)
+			writing.writing.Wait(p)
+			sp.Pop(p)
 			continue
 		}
-		// Write-behind a batch and wait for the first completion.
-		batch := dirty
-		if len(batch) > 16 {
-			batch = batch[:16]
-		}
+		// Write-behind the batch and wait for the first completion.
 		var first *dev.Request
-		for _, b := range batch {
+		for _, b := range dirty[:ndirty] {
 			if r := c.issueWrite(p, b); r != nil && first == nil {
 				first = r
 			}
@@ -765,10 +798,6 @@ func (c *Cache) SyncerPass(p *sim.Proc) {
 
 	frags := c.sortedFrags()
 	n := len(frags)
-	if n == 0 {
-		c.syncerRound++
-		return
-	}
 	k := c.cfg.SyncerFraction
 	seg := c.syncerRound % k
 	lo, hi := n*seg/k, n*(seg+1)/k
@@ -783,6 +812,7 @@ func (c *Cache) SyncerPass(p *sim.Proc) {
 			b.marked = true
 		}
 	}
+	c.fragScratch = frags
 	c.syncerRound++
 }
 
@@ -797,12 +827,17 @@ func (c *Cache) RunWork(p *sim.Proc) {
 	}
 }
 
+// sortedFrags returns the mapped fragments in ascending order. The slice is
+// the caller's until it hands it back through c.fragScratch: issueWrite can
+// yield mid-sweep, and a second sweeper starting meanwhile (SyncAll beside
+// the syncer) finds no scratch and gets a slice of its own.
 func (c *Cache) sortedFrags() []int64 {
-	frags := make([]int64, 0, len(c.bufs))
+	frags := slices.Grow(c.fragScratch[:0], len(c.bufs))
+	c.fragScratch = nil
 	for f := range c.bufs {
 		frags = append(frags, f)
 	}
-	sort.Slice(frags, func(i, j int) bool { return frags[i] < frags[j] })
+	slices.Sort(frags)
 	return frags
 }
 
@@ -813,13 +848,15 @@ func (c *Cache) SyncAll(p *sim.Proc, maxRounds int) int {
 	for round := 1; ; round++ {
 		c.RunWork(p)
 		wrote := false
-		for _, frag := range c.sortedFrags() {
+		frags := c.sortedFrags()
+		for _, frag := range frags {
 			b := c.bufs[frag]
 			if b != nil && b.Dirty && b.writing == nil {
 				c.issueWrite(p, b)
 				wrote = true
 			}
 		}
+		c.fragScratch = frags
 		sp := obs.SpanOf(p)
 		sp.Push(p, obs.StageQueue)
 		c.drv.WaitIdle(p)

@@ -2,6 +2,8 @@ package cache
 
 import (
 	"bytes"
+	"math/rand"
+	"sort"
 	"testing"
 
 	"metaupdate/internal/dev"
@@ -480,4 +482,179 @@ func TestResizeTracksBytes(t *testing.T) {
 			t.Fatal("no-op resize changed accounting")
 		}
 	})
+}
+
+// TestDropDuringReadUnmapsAtCompletion: a fragment freed while its buffer
+// is still being read in must not leave that buffer mapped once the fill
+// lands — the fragment's next owner may cache it at another size, which a
+// stale mapping turns into a size-conflict panic.
+func TestDropDuringReadUnmapsAtCompletion(t *testing.T) {
+	eng, _, _, c := newRig(Config{})
+	eng.Spawn("reader", func(p *sim.Proc) {
+		if _, err := c.Bread(p, 40, 2); err != nil {
+			t.Errorf("Bread: %v", err)
+		}
+	})
+	eng.Spawn("dropper", func(p *sim.Proc) {
+		p.Sleep(sim.Microsecond) // the read is in flight
+		b := c.Lookup(40)
+		if b == nil || b.reading == nil {
+			t.Error("setup: no fill in flight")
+			return
+		}
+		c.Drop(40)
+		if c.Lookup(40) != b {
+			t.Error("buffer unmapped while its fill was still in flight")
+		}
+		b.reading.Wait(p)
+		if got := c.Lookup(40); got != nil {
+			t.Errorf("dropped buffer still mapped after its fill completed (invalid=%v)", got.invalid)
+		}
+		c.Getblk(p, 40, 4) // the new owner, at another size
+	})
+	eng.Run()
+	if c.Bytes() != 4*FragSize {
+		t.Errorf("Bytes() = %d, want only the new owner's %d", c.Bytes(), 4*FragSize)
+	}
+}
+
+// sortOracle is the eviction order by definition — every mapped buffer,
+// sorted by (lastUse, Frag) — which makeRoom used to recompute per miss.
+func sortOracle(c *Cache) []*Buf {
+	var order []*Buf
+	for _, b := range c.bufs {
+		order = append(order, b)
+	}
+	sort.Slice(order, func(i, j int) bool {
+		if order[i].lastUse != order[j].lastUse {
+			return order[i].lastUse < order[j].lastUse
+		}
+		return order[i].Frag < order[j].Frag
+	})
+	return order
+}
+
+// checkLRU reports whether the list the cache keeps is exactly the oracle's
+// order, forwards and backwards.
+func checkLRU(t *testing.T, c *Cache, step int, what string) bool {
+	t.Helper()
+	want := sortOracle(c)
+	i := 0
+	for b := c.lru.next; b != &c.lru; b = b.next {
+		if i >= len(want) || want[i] != b {
+			t.Errorf("step %d (%s): list position %d holds frag %d, oracle disagrees", step, what, i, b.Frag)
+			return false
+		}
+		if b.next.prev != b {
+			t.Errorf("step %d (%s): broken back link at frag %d", step, what, b.Frag)
+			return false
+		}
+		i++
+	}
+	if i != len(c.bufs) {
+		t.Errorf("step %d (%s): list holds %d buffers, map %d", step, what, i, len(c.bufs))
+	}
+	return i == len(c.bufs)
+}
+
+// TestEvictionOrderMatchesSortOracle is the differential test of the kept
+// LRU order: a seeded mix of every operation that maps, touches, resizes,
+// protects or unmaps a buffer, on a cache small enough to evict constantly
+// and with most touches sharing an instant (so the Frag tie rule decides),
+// must leave the list in the sorted order after every step.
+func TestEvictionOrderMatchesSortOracle(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		eng, _, _, c := newRig(Config{MaxBytes: 40 * FragSize, CB: seed%2 == 0})
+		c.StartSyncer()
+		// Buffers start every 4 fragments and cover 1–4: a resident one is
+		// asked for at the size it has, a new one at a size of its own.
+		size := func(frag int64) int {
+			if b := c.Lookup(frag); b != nil {
+				return b.NFrags()
+			}
+			return 1 + int(frag/4)%4
+		}
+		for w := 0; w < 3; w++ {
+			eng.Spawn("user", func(p *sim.Proc) {
+				var held []*Buf
+				for step := 0; step < 400 && !t.Failed(); step++ {
+					frag := 4 * rng.Int63n(30)
+					what := "Bread"
+					switch op := rng.Intn(10); {
+					case op < 3:
+						b, err := c.Bread(p, frag, size(frag))
+						if err != nil {
+							t.Errorf("Bread: %v", err)
+						} else if rng.Intn(4) == 0 {
+							held = append(held, b.Hold())
+						}
+					case op < 6:
+						what = "Getblk+Bdwrite"
+						b := c.Getblk(p, frag, size(frag))
+						if rng.Intn(3) > 0 {
+							c.PrepareModify(p, b)
+							c.Bdwrite(b)
+						}
+						b.Pinned = rng.Intn(8) == 0
+					case op < 7:
+						what = "Drop"
+						if b := c.Lookup(frag); b != nil && b.hold == 0 {
+							c.Drop(frag)
+						}
+					case op < 8:
+						what = "Resize"
+						if b := c.Lookup(frag); b != nil && b.reading == nil {
+							c.PrepareModify(p, b)
+							if c.Lookup(frag) == b { // not dropped while waiting
+								c.Resize(b, 1+rng.Intn(4))
+							}
+						}
+					case op < 9:
+						what = "Unhold"
+						for _, b := range held {
+							b.Unhold()
+						}
+						held = held[:0]
+					default:
+						what = "Sleep"
+						p.Sleep(sim.Duration(rng.Int63n(int64(30 * sim.Millisecond))))
+					}
+					checkLRU(t, c, step, what)
+				}
+				for _, b := range held {
+					b.Unhold()
+				}
+			})
+		}
+		eng.RunWhile(func() bool { return eng.Live() > 1 }) // all but the syncer
+		c.StopSyncer()
+		if c.Misses < 100 || c.Hits < 100 {
+			t.Fatalf("seed %d: %d hits, %d misses: stream too tame", seed, c.Hits, c.Misses)
+		}
+	}
+}
+
+// TestAllocFreeEviction: making room by evicting a clean buffer costs no
+// allocation — a Getblk into a full cache allocates exactly what a Getblk
+// into a half-empty one does (the buffer and its data).
+func TestAllocFreeEviction(t *testing.T) {
+	const nbufs = 64
+	getblks := func(fill int) float64 {
+		eng, _, _, c := newRig(Config{MaxBytes: nbufs * 8 * FragSize})
+		var allocs float64
+		runIn(eng, func(p *sim.Proc) {
+			frag := int64(0)
+			next := func() { c.Getblk(p, frag, 8); frag += 8 }
+			for i := 0; i < fill; i++ {
+				next()
+			}
+			allocs = testing.AllocsPerRun(nbufs/4, next)
+		})
+		return allocs
+	}
+	roomy, full := getblks(nbufs/2), getblks(2*nbufs)
+	if roomy == 0 || full != roomy {
+		t.Fatalf("Getblk allocates %.1f times into a full cache, %.1f into a half-empty one", full, roomy)
+	}
 }

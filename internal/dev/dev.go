@@ -24,7 +24,7 @@ package dev
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"metaupdate/internal/disk"
 	"metaupdate/internal/fault"
@@ -139,15 +139,18 @@ type Request struct {
 	// read filled nothing into Buf.
 	Err error
 
-	// Barrier bookkeeping. Instead of each request carrying the ID set it
-	// waits on (a map per request, deleted from on every completion — the
-	// old representation dominated whole-run profiles), each pending
-	// request keeps the list of successors it blocks, and successors keep
-	// only the count of outstanding predecessors. Exactly one edge exists
-	// per (predecessor, successor) pair, so completion is a plain counter
-	// decrement per edge.
+	// Barrier bookkeeping: each pending request keeps the list of successors
+	// it blocks, and successors keep only the count of outstanding
+	// predecessors. Exactly one edge exists per (predecessor, successor)
+	// pair, so completion is a plain counter decrement per edge.
 	nwait  int        // outstanding predecessors; dispatchable at zero
 	blocks []*Request // successors to unblock when this request completes
+
+	// Pending-set bookkeeping. The set is indexed by LBN, Count and Flag,
+	// which must not change while the request is pending.
+	seenBy     uint64 // ID of the last submission whose barrier visited this request
+	flagIdx    int    // position in Driver.flagged
+	dispatched bool   // member of the in-flight batch
 
 	enqueueAt  sim.Time
 	dispatchAt sim.Time
@@ -244,10 +247,23 @@ type Driver struct {
 	queue    []*Request // submitted, not dispatched, in submission order
 	inflight []*Request // dispatched batch, in LBN order
 	pending  map[uint64]*Request
+	// The pending set as predecessorOf asks about it, so that computeBarrier
+	// visits candidates, not every pending request: by the 16-sector buckets
+	// a request touches (conflicts), and the flagged ones (flag barriers).
+	// Dependencies by ID go through pending itself.
+	bySector   map[int64][]*Request
+	bucketFree [][]*Request // emptied bucket slices, for the next new bucket
+	flagged    []*Request
 
 	free        []*Request         // LIFO request pool (see AllocRequest/Release)
 	concatIdx   map[int64]*Request // reusable LBN index for concat
 	predScratch []uint64           // reusable observer pred-ID buffer
+	// batchBuf holds the batches concat builds, alternately: a batch is built
+	// while the previous one is still completing (a completion callback
+	// Submits and kicks the idle disk), never while an older one is.
+	batchBuf  [2][]*Request
+	batchSel  int
+	batchDone func() // the in-flight batch's completion event
 
 	lastFlagID uint64 // most recent flagged request ever submitted (ModeFlag)
 	headLBN    int64  // C-LOOK position: sector after the last dispatch
@@ -276,11 +292,6 @@ type Driver struct {
 	// always report zero: the paper-shaped "requests blocked on ordering"
 	// counter. Always on; one comparison per barrier edge.
 	OrderingStalls int64
-
-	// Debug counters (cheap; retained for tests).
-	DbgFlaggedSubmitted int64
-	DbgReadBarrierSum   int64
-	DbgReadCount        int64
 
 	Trace Trace
 }
@@ -313,13 +324,16 @@ func New(eng *sim.Engine, dsk *disk.Disk, cfg Config) *Driver {
 	if cfg.RetryBackoff <= 0 {
 		cfg.RetryBackoff = DefaultRetryBackoff
 	}
-	return &Driver{
+	d := &Driver{
 		eng:       eng,
 		dsk:       dsk,
 		cfg:       cfg,
 		pending:   make(map[uint64]*Request),
+		bySector:  make(map[int64][]*Request),
 		concatIdx: make(map[int64]*Request),
 	}
+	d.batchDone = func() { d.complete(d.inflight, d.batchAccess) }
+	return d
 }
 
 // AllocRequest returns a blank Request, reusing one from the driver's pool
@@ -423,19 +437,14 @@ func (d *Driver) Submit(r *Request) *Request {
 		r.readyAt = r.enqueueAt
 	}
 	if d.obs != nil {
-		sort.Slice(d.predScratch, func(i, j int) bool { return d.predScratch[i] < d.predScratch[j] })
+		slices.Sort(d.predScratch)
 		d.obs.RequestSubmitted(r, d.predScratch)
 	}
 
 	d.queue = append(d.queue, r)
-	d.pending[r.ID] = r
+	d.index(r)
 	if r.Flag && d.cfg.Mode == ModeFlag {
 		d.lastFlagID = r.ID
-		d.DbgFlaggedSubmitted++
-	}
-	if r.Op == disk.Read {
-		d.DbgReadCount++
-		d.DbgReadBarrierSum += int64(r.nwait)
 	}
 	if len(d.queue) > d.Trace.MaxQueueLen {
 		d.Trace.MaxQueueLen = len(d.queue)
@@ -444,33 +453,102 @@ func (d *Driver) Submit(r *Request) *Request {
 	return r
 }
 
+// bucketShift sizes the sector index: 16-sector buckets, one file system
+// block, so a block-sized request touches one or two.
+const bucketShift = 4
+
+// buckets returns the first and last sector-index bucket r touches.
+func (r *Request) buckets() (lo, hi int64) {
+	return r.LBN >> bucketShift, (r.end() - 1) >> bucketShift
+}
+
+// index enters r into the pending set.
+func (d *Driver) index(r *Request) {
+	d.pending[r.ID] = r
+	for k, hi := r.buckets(); k <= hi; k++ {
+		s, ok := d.bySector[k]
+		if n := len(d.bucketFree); !ok && n > 0 {
+			s, d.bucketFree = d.bucketFree[n-1], d.bucketFree[:n-1]
+		}
+		d.bySector[k] = append(s, r)
+	}
+	if r.Flag {
+		r.flagIdx = len(d.flagged)
+		d.flagged = append(d.flagged, r)
+	}
+}
+
+// unindex takes r out of the pending set.
+func (d *Driver) unindex(r *Request) {
+	delete(d.pending, r.ID)
+	for k, hi := r.buckets(); k <= hi; k++ {
+		s := d.bySector[k]
+		n := len(s) - 1
+		s[slices.Index(s, r)] = s[n]
+		s[n] = nil
+		if n > 0 {
+			d.bySector[k] = s[:n]
+		} else {
+			delete(d.bySector, k)
+			d.bucketFree = append(d.bucketFree, s[:0])
+		}
+	}
+	if r.Flag {
+		n := len(d.flagged) - 1
+		last := d.flagged[n]
+		d.flagged[r.flagIdx], last.flagIdx = last, r.flagIdx
+		d.flagged[n] = nil
+		d.flagged = d.flagged[:n]
+	}
+}
+
 // computeBarrier wires r into the barrier graph: for every pending request
 // q (queue + inflight — exactly the requests submitted before r that have
 // not completed) with predecessorOf(q, r), it appends r to q's successor
-// list and bumps r's outstanding-predecessor count. predScratch collects
-// the predecessor IDs for the observer (only when one is installed — the
-// sort is pure overhead otherwise).
+// list and bumps r's outstanding-predecessor count. Only candidates are
+// asked: the requests sharing a sector bucket with r, the flagged ones
+// where a flag is a barrier to r, the ones r names by ID — and the whole
+// pending set only under SemBack/SemFull, which order r behind every
+// earlier request. A candidate reached twice is stamped and asked once;
+// visit order is immaterial (successor lists grow by r at the end, nwait
+// is a count, the observer's predScratch is sorted).
 func (d *Driver) computeBarrier(r *Request) {
-	collect := d.obs != nil
+	cfg := &d.cfg
 	d.predScratch = d.predScratch[:0]
 	ordered := false
-	add := func(q *Request) {
-		if predecessorOf(d.cfg, r, q, d.lastFlagID) {
+	visit := func(qs ...*Request) {
+		for _, q := range qs {
+			if q.seenBy == r.ID {
+				continue
+			}
+			q.seenBy = r.ID
+			if !predecessorOf(cfg, r, q, d.lastFlagID) {
+				continue
+			}
 			q.blocks = append(q.blocks, r)
 			r.nwait++
-			if !conflicts(r, q) {
-				ordered = true
-			}
-			if collect {
+			ordered = ordered || !conflicts(r, q)
+			if d.obs != nil {
 				d.predScratch = append(d.predScratch, q.ID)
 			}
 		}
 	}
-	for _, q := range d.inflight {
-		add(q)
-	}
-	for _, q := range d.queue {
-		add(q)
+	bypass := cfg.NR && r.Op == disk.Read // ModeFlag: only conflicts order r
+	if cfg.Mode == ModeFlag && cfg.Sem != SemPart && !bypass {
+		visit(d.inflight...)
+		visit(d.queue...)
+	} else {
+		for k, hi := r.buckets(); k <= hi; k++ {
+			visit(d.bySector[k]...)
+		}
+		if cfg.Mode == ModeFlag && !bypass || cfg.Mode == ModeChains && r.Op == disk.Write {
+			visit(d.flagged...)
+		}
+		for _, id := range r.DependsOn {
+			if q := d.pending[id]; q != nil {
+				visit(q)
+			}
+		}
 	}
 	if ordered {
 		d.OrderingStalls++
@@ -481,7 +559,7 @@ func (d *Driver) computeBarrier(r *Request) {
 // may be dispatched under cfg. It is evaluated once per (q, r) pair, so
 // the barrier graph has exactly one edge per ordered pair and completion
 // bookkeeping can be a plain counter decrement.
-func predecessorOf(cfg Config, r, q *Request, lastFlagID uint64) bool {
+func predecessorOf(cfg *Config, r, q *Request, lastFlagID uint64) bool {
 	// Conflicts: overlapping ranges where at least one side writes never
 	// reorder, in every mode.
 	if conflicts(r, q) {
@@ -540,7 +618,7 @@ func predecessorOf(cfg Config, r, q *Request, lastFlagID uint64) bool {
 func Predecessors(cfg Config, r *Request, prior []*Request, lastFlagID uint64) map[uint64]struct{} {
 	waiting := make(map[uint64]struct{})
 	for _, q := range prior {
-		if predecessorOf(cfg, r, q, lastFlagID) {
+		if predecessorOf(&cfg, r, q, lastFlagID) {
 			waiting[q.ID] = struct{}{}
 		}
 	}
@@ -597,7 +675,8 @@ func (d *Driver) concat(pick *Request) []*Request {
 			}
 		}
 	}
-	batch := []*Request{pick}
+	d.batchSel ^= 1
+	batch := append(d.batchBuf[d.batchSel][:0], pick)
 	total := pick.Count
 	end := pick.end()
 	for total < d.cfg.MaxConcat {
@@ -610,36 +689,27 @@ func (d *Driver) concat(pick *Request) []*Request {
 		total += next.Count
 		end = next.end()
 	}
+	d.batchBuf[d.batchSel] = batch
 	return batch
-}
-
-func inBatch(batch []*Request, r *Request) bool {
-	for _, b := range batch {
-		if b == r {
-			return true
-		}
-	}
-	return false
 }
 
 func (d *Driver) dispatch(batch []*Request) {
 	now := d.eng.Now()
-	total := 0
 	for _, r := range batch {
-		total += r.Count
 		r.dispatchAt = now
+		r.dispatched = true
 	}
 	// Remove batch members from the queue, preserving order.
 	out := d.queue[:0]
 	for _, r := range d.queue {
-		if !inBatch(batch, r) {
+		if !r.dispatched {
 			out = append(out, r)
 		}
 	}
 	d.queue = out
 	d.inflight = batch
 	d.batchRetries = 0
-	d.headLBN = batch[0].LBN + int64(total)
+	d.headLBN = batch[len(batch)-1].end() // a batch is one contiguous run
 	d.startBatch(batch)
 }
 
@@ -647,16 +717,13 @@ func (d *Driver) dispatch(batch []*Request) {
 // or a retry) and schedules its completion.
 func (d *Driver) startBatch(batch []*Request) {
 	now := d.eng.Now()
-	total := 0
-	for _, r := range batch {
-		total += r.Count
-	}
+	total := int(batch[len(batch)-1].end() - batch[0].LBN)
 	acc := d.dsk.Plan(now, batch[0].Op, batch[0].LBN, total)
 	d.batchAccess = acc
 	d.batchDispatch = now
 	d.batchLBN = batch[0].LBN
 	d.batchState = batchTransferring
-	d.eng.At(now+acc.Service, func() { d.complete(batch, acc) })
+	d.eng.At(now+acc.Service, d.batchDone)
 }
 
 func batchIDs(batch []*Request) []uint64 {
@@ -699,7 +766,7 @@ func (d *Driver) complete(batch []*Request, acc disk.Access) {
 				d.scheduleRetry(batch)
 				return
 			}
-			d.failBatch(batch, ErrBadSector, now)
+			d.finish(batch, now, ErrBadSector, false)
 			return
 		}
 		// A permanently unreadable sector: retrying cannot help. Fail the
@@ -720,38 +787,61 @@ func (d *Driver) complete(batch []*Request, acc disk.Access) {
 			d.dsk.ReadAt(r.LBN, r.Buf)
 		}
 	}
-	for _, r := range batch {
-		delete(d.pending, r.ID)
-	}
-	if d.obs != nil {
-		d.obs.RequestsCompleted(batchIDs(batch), now)
-	}
-	for _, r := range batch {
-		for i, blocked := range r.blocks {
-			blocked.nwait--
-			if blocked.nwait == 0 {
-				blocked.readyAt = now
-			}
-			r.blocks[i] = nil
-		}
-		r.blocks = r.blocks[:0]
-		d.Trace.Stats = append(d.Trace.Stats, Stat{
-			ID:       r.ID,
-			Op:       r.Op,
-			Sectors:  r.Count,
-			Queue:    r.dispatchAt - r.enqueueAt,
-			Service:  now - r.dispatchAt,
-			Response: now - r.enqueueAt,
-			CacheHit: acc.CacheHit,
-		})
-	}
+	d.finish(batch, now, nil, acc.CacheHit)
+}
+
+// finish ends the in-flight batch by completing the requests in batch (all
+// of it, or the part of a split read batch that failed), with err if they
+// failed: the disk goes idle, each request is retired, the observer hears
+// before any completion callback runs, then Done fires — a callback may
+// Submit, and start the disk again — and the disk is offered more work.
+func (d *Driver) finish(batch []*Request, now sim.Time, err error, cacheHit bool) {
 	d.inflight = nil
 	d.batchState = batchIdle
+	d.batchRetries = 0
+	for _, r := range batch {
+		d.retire(r, now, err, cacheHit)
+	}
+	if fo, ok := d.obs.(FaultObserver); ok && err != nil && len(batch) > 0 {
+		fo.RequestsFailed(batchIDs(batch), now)
+	} else if d.obs != nil && err == nil {
+		d.obs.RequestsCompleted(batchIDs(batch), now)
+	}
 	for _, r := range batch {
 		r.Done.Fire(d.eng)
 	}
 	d.kick()
 	d.fireIdle()
+}
+
+// retire is the one way a request stops being pending, completed or failed:
+// it leaves the pending set and its indexes, unblocks its barrier
+// successors (a failed predecessor constrains nothing — its data never
+// reached the media) and is traced.
+func (d *Driver) retire(r *Request, now sim.Time, err error, cacheHit bool) {
+	d.unindex(r)
+	r.dispatched = false
+	if r.Err = err; err != nil {
+		d.Faults.Errors++
+	}
+	for i, blocked := range r.blocks {
+		blocked.nwait--
+		if blocked.nwait == 0 {
+			blocked.readyAt = now
+		}
+		r.blocks[i] = nil
+	}
+	r.blocks = r.blocks[:0]
+	d.Trace.Stats = append(d.Trace.Stats, Stat{
+		ID:       r.ID,
+		Op:       r.Op,
+		Sectors:  r.Count,
+		Queue:    r.dispatchAt - r.enqueueAt,
+		Service:  now - r.dispatchAt,
+		Response: now - r.enqueueAt,
+		CacheHit: cacheHit,
+		Failed:   err != nil,
+	})
 }
 
 func (d *Driver) fireIdle() {
@@ -770,22 +860,23 @@ func (d *Driver) commitBatchPrefix(batch []*Request, sectors int, at sim.Time) {
 	if sectors <= 0 {
 		return
 	}
-	left := sectors
-	lbn := d.batchLBN
-	for _, r := range batch {
-		if left <= 0 {
-			break
-		}
-		n := r.Count
-		if left < n {
-			n = left
-		}
-		d.dsk.CommitPrefix(lbn, r.Data, n)
-		left -= r.Count
-		lbn += int64(r.Count)
-	}
+	d.commitPrefix(batch, sectors)
 	if fo, ok := d.obs.(FaultObserver); ok {
 		fo.BatchTorn(batchIDs(batch), sectors, at)
+	}
+}
+
+// commitPrefix puts on the media the first `sectors` sectors of the
+// in-flight batch, in LBN order; a read batch commits nothing.
+func (d *Driver) commitPrefix(batch []*Request, sectors int) {
+	lbn := d.batchLBN
+	for _, r := range batch {
+		if sectors <= 0 || r.Op != disk.Write {
+			break
+		}
+		d.dsk.CommitPrefix(lbn, r.Data, min(sectors, r.Count))
+		sectors -= r.Count
+		lbn += int64(r.Count)
 	}
 }
 
@@ -793,7 +884,7 @@ func (d *Driver) commitBatchPrefix(batch []*Request, sectors int, at sim.Time) {
 // retry budget is spent.
 func (d *Driver) retryOrFail(batch []*Request, err error) {
 	if d.batchRetries >= d.cfg.MaxRetries {
-		d.failBatch(batch, err, d.eng.Now())
+		d.finish(batch, d.eng.Now(), err, false)
 		return
 	}
 	d.batchRetries++
@@ -819,97 +910,21 @@ func (d *Driver) scheduleRetry(batch []*Request) {
 	})
 }
 
-// failBatch completes every request in the batch with err: they leave the
-// pending set, unblock their barrier successors (a failed predecessor
-// constrains nothing — its data never reached the media), are traced as
-// failed, and fire Done with Err set.
-func (d *Driver) failBatch(batch []*Request, err error, now sim.Time) {
-	for _, r := range batch {
-		delete(d.pending, r.ID)
-	}
-	if fo, ok := d.obs.(FaultObserver); ok {
-		fo.RequestsFailed(batchIDs(batch), now)
-	}
-	for _, r := range batch {
-		r.Err = err
-		d.Faults.Errors++
-		for i, blocked := range r.blocks {
-			blocked.nwait--
-			if blocked.nwait == 0 {
-				blocked.readyAt = now
-			}
-			r.blocks[i] = nil
-		}
-		r.blocks = r.blocks[:0]
-		d.Trace.Stats = append(d.Trace.Stats, Stat{
-			ID:       r.ID,
-			Op:       r.Op,
-			Sectors:  r.Count,
-			Queue:    r.dispatchAt - r.enqueueAt,
-			Service:  now - r.dispatchAt,
-			Response: now - r.enqueueAt,
-			Failed:   true,
-		})
-	}
-	d.inflight = nil
-	d.batchState = batchIdle
-	d.batchRetries = 0
-	for _, r := range batch {
-		r.Done.Fire(d.eng)
-	}
-	d.kick()
-	d.fireIdle()
-}
-
 // splitReadBatch handles a permanent bad sector under a read batch: the
 // requests whose range covers the sector fail (their data is gone until
 // some write remaps the sector), the others go back to the queue and are
 // dispatched again — their barrier state is untouched, so ordering holds.
 func (d *Driver) splitReadBatch(batch []*Request, bad int64, now sim.Time) {
-	var failed, requeue []*Request
+	var failed []*Request
 	for _, r := range batch {
 		if r.LBN <= bad && bad < r.end() {
 			failed = append(failed, r)
 		} else {
-			requeue = append(requeue, r)
+			r.dispatched = false
+			d.queue = append(d.queue, r)
 		}
 	}
-	d.inflight = nil
-	d.batchState = batchIdle
-	d.batchRetries = 0
-	d.queue = append(d.queue, requeue...)
-	if len(failed) > 0 {
-		for _, r := range failed {
-			delete(d.pending, r.ID)
-		}
-		if fo, ok := d.obs.(FaultObserver); ok {
-			fo.RequestsFailed(batchIDs(failed), now)
-		}
-		for _, r := range failed {
-			r.Err = ErrBadSector
-			d.Faults.Errors++
-			for i, blocked := range r.blocks {
-				blocked.nwait--
-				if blocked.nwait == 0 {
-					blocked.readyAt = now
-				}
-				r.blocks[i] = nil
-			}
-			r.blocks = r.blocks[:0]
-			d.Trace.Stats = append(d.Trace.Stats, Stat{
-				ID: r.ID, Op: r.Op, Sectors: r.Count,
-				Queue:    r.dispatchAt - r.enqueueAt,
-				Service:  now - r.dispatchAt,
-				Response: now - r.enqueueAt,
-				Failed:   true,
-			})
-		}
-		for _, r := range failed {
-			r.Done.Fire(d.eng)
-		}
-	}
-	d.kick()
-	d.fireIdle()
+	d.finish(failed, now, ErrBadSector, false)
 }
 
 // WaitIdle blocks p until the driver has no queued or in-flight requests.
@@ -955,22 +970,7 @@ func (d *Driver) Crash(at sim.Time) {
 			sectorsDone = d.batchAccess.Fault.TornSectors
 		}
 	}
-	// Sectors commit in LBN order across the batch.
-	lbn := d.batchLBN
-	for _, r := range d.inflight {
-		if sectorsDone <= 0 {
-			break
-		}
-		if r.Op == disk.Write {
-			n := r.Count
-			if sectorsDone < n {
-				n = sectorsDone
-			}
-			d.dsk.CommitPrefix(lbn, r.Data, n)
-		}
-		sectorsDone -= r.Count
-		lbn += int64(r.Count)
-	}
+	d.commitPrefix(d.inflight, sectorsDone)
 }
 
 // PendingIDs returns the IDs of all pending requests in submission order
@@ -980,7 +980,7 @@ func (d *Driver) PendingIDs() []uint64 {
 	for id := range d.pending {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }
 

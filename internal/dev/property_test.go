@@ -1,11 +1,14 @@
 package dev
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"metaupdate/internal/disk"
+	"metaupdate/internal/fault"
 	"metaupdate/internal/sim"
 )
 
@@ -225,5 +228,145 @@ func TestPropertyConflictingWritesOrdered(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+// barrierOracle checks every submission's barrier against the definition.
+// It keeps its own copy of the pending set and of the last flagged ID, fed
+// only by observer events, and asks the exported oracle — predecessorOf
+// applied to every pending request, the way computeBarrier used to — what
+// the indexed computeBarrier should have found.
+type barrierOracle struct {
+	cfg        Config
+	pending    map[uint64]*Request
+	lastFlagID uint64
+	edges      int
+	err        error // the first disagreement
+}
+
+func (o *barrierOracle) RequestSubmitted(r *Request, preds []uint64) {
+	prior := make([]*Request, 0, len(o.pending))
+	for _, q := range o.pending {
+		prior = append(prior, q)
+	}
+	want := make([]uint64, 0, len(prior))
+	for id := range Predecessors(o.cfg, r, prior, o.lastFlagID) {
+		want = append(want, id)
+	}
+	slices.Sort(want)
+	if (!slices.Equal(preds, want) || r.nwait != len(want)) && o.err == nil {
+		o.err = fmt.Errorf("request %d (op %v lbn %d count %d flag %v deps %v): nwait %d, preds %v, oracle %v",
+			r.ID, r.Op, r.LBN, r.Count, r.Flag, r.DependsOn, r.nwait, preds, want)
+	}
+	o.edges += len(want)
+	o.pending[r.ID] = r
+	if r.Flag && o.cfg.Mode == ModeFlag {
+		o.lastFlagID = r.ID
+	}
+}
+
+func (o *barrierOracle) retired(ids []uint64) {
+	for _, id := range ids {
+		delete(o.pending, id)
+	}
+}
+
+func (o *barrierOracle) RequestsCompleted(ids []uint64, _ sim.Time) { o.retired(ids) }
+func (o *barrierOracle) RequestsFailed(ids []uint64, _ sim.Time)    { o.retired(ids) }
+func (o *barrierOracle) BatchTorn([]uint64, int, sim.Time)          {}
+
+// flakyJudge fails accesses at random: transients (two in a row exhaust
+// MaxRetries 1 and fail the batch) and unreadable sectors under reads (the
+// covering requests fail, the rest of the batch is requeued).
+type flakyJudge struct{ rng *rand.Rand }
+
+func (j flakyJudge) Judge(write bool, lbn int64, count int, _ func(int64) bool) fault.Outcome {
+	switch j.rng.Intn(6) {
+	case 0:
+		return fault.Outcome{Kind: fault.Transient}
+	case 1:
+		if !write {
+			return fault.Outcome{Kind: fault.BadSector, Sector: lbn + int64(j.rng.Intn(count))}
+		}
+	}
+	return fault.Outcome{}
+}
+
+// TestBarrierIndexMatchesPredecessors is the differential test of the
+// indexed pending set: under every ordering mode, with requests that span
+// index buckets, overlap, carry flags and name pending, completed and
+// never-issued IDs, and with batches failing and splitting underneath, the
+// barrier the driver wires must be exactly the oracle's.
+func TestBarrierIndexMatchesPredecessors(t *testing.T) {
+	cfgs := []Config{{Mode: ModeIgnore}, {Mode: ModeChains}}
+	for _, sem := range []FlagSemantics{SemFull, SemBack, SemPart} {
+		cfgs = append(cfgs, Config{Mode: ModeFlag, Sem: sem}, Config{Mode: ModeFlag, Sem: sem, NR: true})
+	}
+	for _, cfg := range cfgs {
+		cfg.MaxRetries = 1
+		name := fmt.Sprintf("mode%d-%v-nr%v", cfg.Mode, cfg.Sem, cfg.NR)
+		t.Run(name, func(t *testing.T) {
+			edges, failed := 0, int64(0)
+			for seed := int64(1); seed <= 12; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				eng, dsk, drv := newRig(cfg)
+				if seed%2 == 0 {
+					dsk.SetFaults(flakyJudge{rng}, 0)
+				}
+				o := &barrierOracle{cfg: drv.Config(), pending: map[uint64]*Request{}}
+				drv.SetObserver(o)
+				var issued []uint64
+				var next int64 // sector after the previous request
+				eng.Spawn("submitter", func(p *sim.Proc) {
+					for i := 0; i < 300; i++ {
+						// Mostly one crowded 600-sector region, so ranges
+						// overlap; sometimes anywhere on the disk, sometimes
+						// right behind the previous request (batches form).
+						count := 1 + rng.Intn(40)
+						lbn := rng.Int63n(600)
+						switch rng.Intn(5) {
+						case 0:
+							lbn = rng.Int63n(dsk.Sectors() - 40)
+						case 1, 2:
+							lbn = next
+						}
+						next = lbn + int64(count)
+						r := &Request{Op: disk.Write, LBN: lbn, Count: count, Flag: rng.Intn(4) == 0}
+						if rng.Intn(3) == 0 {
+							r.Op, r.Buf = disk.Read, make([]byte, count*disk.SectorSize)
+						} else {
+							r.Data = make([]byte, count*disk.SectorSize)
+						}
+						for n := rng.Intn(4); n > 0 && len(issued) > 0; n-- {
+							id := issued[rng.Intn(len(issued))] // pending or long completed
+							if rng.Intn(6) == 0 {
+								id = drv.nextID + 1 + uint64(rng.Intn(50)) // not issued yet
+							}
+							r.DependsOn = append(r.DependsOn, id)
+						}
+						issued = append(issued, drv.Submit(r).ID)
+						if rng.Intn(4) == 0 {
+							p.Sleep(sim.Duration(rng.Int63n(int64(20 * sim.Millisecond))))
+						}
+					}
+				})
+				eng.Run()
+				if o.err != nil {
+					t.Fatalf("seed %d: %v", seed, o.err)
+				}
+				if len(o.pending) != 0 || drv.Busy() {
+					t.Fatalf("seed %d: %d requests never retired", seed, len(o.pending))
+				}
+				if len(drv.pending)+len(drv.bySector)+len(drv.flagged) != 0 {
+					t.Fatalf("seed %d: index not empty at idle: %d pending, %d buckets, %d flagged",
+						seed, len(drv.pending), len(drv.bySector), len(drv.flagged))
+				}
+				edges += o.edges
+				failed += drv.Faults.Errors
+			}
+			if edges == 0 || failed == 0 {
+				t.Fatalf("streams too tame to test anything: %d barrier edges, %d failed requests", edges, failed)
+			}
+		})
 	}
 }
