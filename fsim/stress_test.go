@@ -90,6 +90,11 @@ func TestSharedDirectoryStress(t *testing.T) {
 			if sys.Soft != nil && sys.Soft.DepCount() != 0 {
 				t.Fatalf("%d soft-updates deps left", sys.Soft.DepCount())
 			}
+			// Every removal and free the scheme was handed got its deferred
+			// half (order.go's "exactly once"; twice would have panicked).
+			if n := sys.FS.Unfinished(); n != 0 {
+				t.Fatalf("%d removals/frees handed to the scheme and never finished", n)
+			}
 			// Deterministic replay.
 			s2, _ := finalState()
 			if s1 != s2 {

@@ -143,8 +143,9 @@ type allocDirect struct {
 	// waitInodes: inode states that must reach the disk before the pointer
 	// to this block may (see inodeDep.waitingAllocs).
 	waitInodes []*inodeDep
-	// movedFrom is freed (rule 2) once this allocation fully resolves.
-	movedFrom *ffs.FragRun
+	// vacated, the run a fragment move left behind, is freed (rule 2) once
+	// this allocation fully resolves.
+	vacated   *ffs.FreeRec
 	cancelled bool
 }
 
@@ -266,15 +267,13 @@ func (s *SoftUpdates) DebugDeps() []string {
 func (s *SoftUpdates) AllocInit(p *sim.Proc, rec *ffs.AllocRec) {
 	c := rec.FS.Cache()
 	c.Bdwrite(rec.NewBuf)
-	ordered := rec.IsDir || rec.IsIndir || rec.FS.Config().AllocInit
-	if !ordered {
-		if rec.MovedFrom != nil {
+	if !rec.InitOrdered() {
+		if vacated := rec.Vacated(); vacated != nil {
 			// Even without allocation initialization, the vacated run must
 			// not be re-used before the retargeted pointer is on disk
 			// (rule 2): wait for the owner buffer's next write.
 			d := s.ensureDep(rec.OwnerBuf)
-			d.frees = append(d.frees, &freeWait{rec: &ffs.FreeRec{
-				FS: rec.FS, Frags: []ffs.FragRun{*rec.MovedFrom}}})
+			d.frees = append(d.frees, &freeWait{rec: vacated})
 		}
 		return
 	}
@@ -284,8 +283,8 @@ func (s *SoftUpdates) AllocInit(p *sim.Proc, rec *ffs.AllocRec) {
 		oldPtr: rec.OldPtr, newPtr: rec.NewFrag,
 		sizeOff: -1,
 		oldSize: rec.OldSize, newSize: rec.NewSize,
-		newBuf:    rec.NewBuf,
-		movedFrom: rec.MovedFrom,
+		newBuf:  rec.NewBuf,
+		vacated: rec.Vacated(),
 	}
 	if !rec.OwnerIsIndir {
 		// The size field rides along with direct (inode-owned) pointers.
@@ -378,7 +377,6 @@ func (s *SoftUpdates) RemoveEntry(p *sim.Proc, rec *ffs.RemRec) {
 			s.dropAdd(add)
 			s.Stat.CancelledAdds++
 			s.prune(rec.DirBuf)
-			rec.PendingAdd = true
 			rec.FS.FinishRemove(p, rec)
 			return
 		}
@@ -481,8 +479,8 @@ func (s *SoftUpdates) cancelAllocsFor(rec *ffs.FreeRec) []ffs.FragRun {
 			}
 			if mine {
 				ad.cancelled = true
-				if ad.movedFrom != nil {
-					extra = append(extra, *ad.movedFrom)
+				if ad.vacated != nil {
+					extra = append(extra, ad.vacated.Frags...)
 				}
 				if nd := s.dep(ad.newBuf); nd != nil {
 					nd.initOf = removeAD(nd.initOf, ad)
@@ -685,8 +683,8 @@ func (h suHooks) WriteDone(b *cache.Buf, req *dev.Request) {
 	}
 	d.allocs = kept
 	for _, ad := range resolved {
-		if ad.movedFrom != nil {
-			s.queueFree(&ffs.FreeRec{FS: s.fs, Frags: []ffs.FragRun{*ad.movedFrom}})
+		if ad.vacated != nil {
+			s.queueFree(ad.vacated)
 		}
 	}
 

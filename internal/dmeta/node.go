@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strconv"
 
 	"metaupdate/internal/ffs"
 	"metaupdate/internal/sim"
@@ -177,18 +176,6 @@ type Node struct {
 	Processed int64
 }
 
-func inoName(ino uint64) string { return "x" + strconv.FormatUint(ino, 16) }
-
-func linkName(ino uint64, nlink int) string {
-	return inoName(ino) + ".l" + strconv.Itoa(nlink)
-}
-
-func dentName(name string, target uint64) string {
-	return name + "=" + strconv.FormatUint(target, 16)
-}
-
-func parentDirName(parent uint64) string { return "p" + strconv.FormatUint(parent, 16) }
-
 func newNode(c *Cluster, id int, st *Stack, ep *simnet.Endpoint, p *sim.Proc, start, end uint64) (*Node, error) {
 	n := &Node{
 		c: c, id: id, St: st,
@@ -202,10 +189,10 @@ func newNode(c *Cluster, id int, st *Stack, ep *simnet.Endpoint, p *sim.Proc, st
 		localDir:   make(map[uint64]ffs.Ino),
 	}
 	var err error
-	if n.iDir, err = st.FS.Mkdir(p, ffs.RootIno, "i"); err != nil {
+	if n.iDir, err = st.FS.Mkdir(p, ffs.RootIno, inoDirName); err != nil {
 		return nil, err
 	}
-	if n.dDir, err = st.FS.Mkdir(p, ffs.RootIno, "d"); err != nil {
+	if n.dDir, err = st.FS.Mkdir(p, ffs.RootIno, dentDirName); err != nil {
 		return nil, err
 	}
 	return n, nil

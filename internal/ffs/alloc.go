@@ -220,6 +220,7 @@ func (fs *FS) allocInode(p *sim.Proc) (Ino, error) {
 // allows re-use (immediately for No Order; after the relevant disk write
 // for Conventional, Flag and Chains; from a workitem for Soft Updates).
 func (fs *FS) ApplyFree(p *sim.Proc, rec *FreeRec) {
+	fs.finish(&rec.state, "ApplyFree")
 	fs.lockAlloc(p)
 	defer fs.allocMu.Unlock(fs.eng)
 	fs.charge(p, fs.cfg.Costs.AllocOp)

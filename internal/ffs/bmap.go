@@ -23,126 +23,111 @@ func setPtr(b []byte, off int, v int32) {
 	binary.LittleEndian.PutUint32(b[off:], uint32(v))
 }
 
-// ptrLoc describes where the pointer for a given file block lives, reading
-// (and allocating, when alloc is true) indirect blocks along the way.
+// ptrLoc describes where the pointer for a given file block lives.
 type ptrLoc struct {
 	buf     *cache.Buf // inode table block or indirect block
 	off     int        // byte offset of the int32 pointer within buf.Data
 	isIndir bool       // pointer lives in an indirect block
 }
 
-// locatePtr finds the pointer slot for file block bi of inode ino. When
-// alloc is true, missing indirect blocks are allocated (ordered as metadata
-// allocations); when false, a zero pointer anywhere returns ok=false.
+// ptrTrees are the inode's two trees of pointer blocks: where the root
+// pointer sits in the inode, the first file block the tree maps and how many
+// file blocks lie beneath the root pointer. A pointer block divides what
+// lies beneath its own pointer among its PtrsPerBlock slots; locatePtr
+// descends one path of a tree, collectRuns all of them.
+var ptrTrees = [2]struct{ inoOff, base, span int }{
+	{InoIndirOff, NDirect, PtrsPerBlock},
+	{InoDindirOff, NDirect + PtrsPerBlock, PtrsPerBlock * PtrsPerBlock},
+}
+
+// locatePtr finds the pointer slot for file block bi of inode ino, reading
+// the pointer blocks on the way from ib, whose pointers — unlike the decoded
+// ip's — are always current. When alloc is true, missing pointer blocks are
+// allocated (ordered as metadata allocations); when false, a zero pointer
+// anywhere returns ok=false.
 func (fs *FS) locatePtr(p *sim.Proc, ino Ino, ip *Inode, ib *cache.Buf, ioff int, bi int, alloc bool) (ptrLoc, bool, error) {
-	switch {
-	case bi < 0 || bi >= MaxBlocks:
+	if bi < 0 || bi >= MaxBlocks {
 		panic(fmt.Sprintf("ffs: block index %d out of range", bi))
-	case bi < NDirect:
+	}
+	if bi < NDirect {
 		return ptrLoc{buf: ib, off: ioff + InoDirectOff(bi)}, true, nil
-	case bi < NDirect+PtrsPerBlock:
-		indirFrag := ip.Indir
-		if indirFrag == 0 {
-			if !alloc {
-				return ptrLoc{}, false, nil
-			}
-			var err error
-			indirFrag, err = fs.allocIndirect(p, ino, ip, ib, ioff, ioff+InoIndirOff)
-			if err != nil {
-				return ptrLoc{}, false, err
-			}
-			ip.Indir = indirFrag
-		}
-		nb, err := fs.cache.Bread(p, int64(indirFrag), BlockFrags)
-		if err != nil {
-			return ptrLoc{}, false, err
-		}
-		return ptrLoc{buf: nb, off: (bi - NDirect) * 4, isIndir: true}, true, nil
-	default:
-		// Double indirect: first level selects an indirect block, second
-		// level the data block.
-		di := bi - NDirect - PtrsPerBlock
-		l1, l2 := di/PtrsPerBlock, di%PtrsPerBlock
-		dFrag := ip.Dindir
-		if dFrag == 0 {
-			if !alloc {
-				return ptrLoc{}, false, nil
-			}
-			var err error
-			dFrag, err = fs.allocIndirect(p, ino, ip, ib, ioff, ioff+InoDindirOff)
-			if err != nil {
-				return ptrLoc{}, false, err
-			}
-			ip.Dindir = dFrag
-		}
-		db, err := fs.cache.Bread(p, int64(dFrag), BlockFrags)
-		if err != nil {
-			return ptrLoc{}, false, err
-		}
-		l1frag := getPtr(db.Data, l1*4)
-		if l1frag == 0 {
-			if !alloc {
-				return ptrLoc{}, false, nil
-			}
-			var err error
-			l1frag, err = fs.allocIndirectAt(p, ino, db, l1*4)
-			if err != nil {
-				return ptrLoc{}, false, err
-			}
-		}
-		nb, err := fs.cache.Bread(p, int64(l1frag), BlockFrags)
-		if err != nil {
-			return ptrLoc{}, false, err
-		}
-		return ptrLoc{buf: nb, off: l2 * 4, isIndir: true}, true, nil
 	}
+	t := ptrTrees[0]
+	if bi >= ptrTrees[1].base {
+		t = ptrTrees[1]
+	}
+	loc := ptrLoc{buf: ib, off: ioff + t.inoOff}
+	for span := t.span; span > 1; {
+		frag := getPtr(loc.buf.Data, loc.off)
+		if frag == 0 {
+			if !alloc {
+				return ptrLoc{}, false, nil
+			}
+			var err error
+			if frag, err = fs.allocIndirect(p, ino, ip, ib, ioff, loc); err != nil {
+				return ptrLoc{}, false, err
+			}
+		}
+		nb, err := fs.cache.Bread(p, int64(frag), BlockFrags)
+		if err != nil {
+			return ptrLoc{}, false, err
+		}
+		span /= PtrsPerBlock
+		loc = ptrLoc{buf: nb, off: (bi - t.base) / span % PtrsPerBlock * 4, isIndir: true}
+	}
+	return loc, true, nil
 }
 
-// allocIndirect allocates a zero-filled indirect block whose pointer lives
-// in the inode at inoPtrOff (absolute offset within the inode-table block).
-func (fs *FS) allocIndirect(p *sim.Proc, ino Ino, ip *Inode, ib *cache.Buf, ioff, inoPtrOff int) (int32, error) {
-	defer ib.Hold().Unhold()
-	frag, err := fs.allocFrags(p, BlockFrags, fs.preferredCG(ino, ip))
+// allocIndirect allocates a zero-filled pointer block for the empty slot at
+// loc and returns its address.
+func (fs *FS) allocIndirect(p *sim.Proc, ino Ino, ip *Inode, ib *cache.Buf, ioff int, loc ptrLoc) (int32, error) {
+	defer loc.buf.Hold().Unhold()
+	near := ip
+	if loc.isIndir {
+		near = nil // below the inode, only a recorded preference places the block
+	}
+	frag, err := fs.allocFrags(p, BlockFrags, fs.preferredCG(ino, near))
 	if err != nil {
 		return 0, err
 	}
 	nb := fs.cache.Getblk(p, int64(frag), BlockFrags)
-	rec := &AllocRec{
-		FS: fs, NewBuf: nb, NewFrag: frag, NewNFr: BlockFrags, IsIndir: true,
-		OwnerBuf: ib, OwnerIno: ino, PtrOff: inoPtrOff,
-		OldSize: ip.Size, NewSize: ip.Size,
-	}
-	rec.DataInit = nb.Data
-	fs.ord.AllocInit(p, rec)
-	fs.cache.PrepareModify(p, ib)
-	setPtr(ib.Data, inoPtrOff, frag)
-	fs.ord.AllocPtr(p, rec)
+	fs.allocate(p, &AllocRec{NewBuf: nb, NewFrag: frag, NewNFr: BlockFrags, IsIndir: true},
+		loc, ino, ip, ib, ioff, ip.Size)
 	return frag, nil
 }
 
-// allocIndirectAt allocates an indirect block pointed to from another
-// indirect block (the double-indirect first level).
-func (fs *FS) allocIndirectAt(p *sim.Proc, ino Ino, owner *cache.Buf, ptrOff int) (int32, error) {
-	defer owner.Hold().Unhold()
-	frag, err := fs.allocFrags(p, BlockFrags, fs.preferredCG(ino, nil))
-	if err != nil {
-		return 0, err
-	}
-	nb := fs.cache.Getblk(p, int64(frag), BlockFrags)
-	rec := &AllocRec{
-		FS: fs, NewBuf: nb, NewFrag: frag, NewNFr: BlockFrags, IsIndir: true,
-		OwnerBuf: owner, OwnerIno: ino, OwnerIsIndir: true, PtrOff: ptrOff,
-	}
-	rec.DataInit = nb.Data
+// allocate is block allocation. rec describes the new block, initialized
+// in memory (NewBuf, NewFrag, NewNFr, IsDir/IsIndir, and for a run that grew
+// or moved OldPtr, MovedFrom, OldBuf); loc is the slot that will point to
+// it, in inode ino (ip, decoded from ioff in the held ib). AllocInit -> the
+// pointer (unless the run grew where it was) and the size that makes the new
+// bytes part of the file are stored, so that one allocation dependency
+// covers the pair (the allocdirect state of the paper's appendix) ->
+// AllocPtr.
+func (fs *FS) allocate(p *sim.Proc, rec *AllocRec, loc ptrLoc, ino Ino, ip *Inode, ib *cache.Buf, ioff int, newSize uint64) {
+	rec.FS, rec.OwnerIno = fs, ino
+	rec.OwnerBuf, rec.PtrOff, rec.OwnerIsIndir = loc.buf, loc.off, loc.isIndir
+	rec.OldSize, rec.NewSize = ip.Size, newSize
+	grows := newSize != ip.Size // a pointer block adds nothing to the file
 	fs.ord.AllocInit(p, rec)
-	fs.cache.PrepareModify(p, owner)
-	setPtr(owner.Data, ptrOff, frag)
+	if rec.OldPtr != rec.NewFrag {
+		fs.cache.PrepareModify(p, loc.buf)
+		setPtr(loc.buf.Data, loc.off, rec.NewFrag)
+	}
+	if grows {
+		fs.updateSizeRaw(p, ip, ib, ioff, newSize)
+	}
 	fs.ord.AllocPtr(p, rec)
-	return frag, nil
+	if grows && loc.isIndir {
+		// The pointer's ordering rode the indirect block; the size bytes
+		// live in the inode block, which must also reach the disk
+		// eventually.
+		fs.ord.MetaUpdate(p, ib)
+	}
 }
 
-// blockRun returns the fragment address and run length of file block bi for
-// a file of the given size (bi must be < blocksOf(size)).
+// blockRunLen returns the run length in fragments of file block bi for a
+// file of the given size (bi must be < blocksOf(size)).
 func blockRunLen(size uint64, bi int) int {
 	if bi == blocksOf(size)-1 {
 		return lastBlockFrags(size)
@@ -150,23 +135,29 @@ func blockRunLen(size uint64, bi int) int {
 	return BlockFrags
 }
 
+// blockPtr finds existing file block bi: where its pointer lives and the
+// fragment address there.
+func (fs *FS) blockPtr(p *sim.Proc, ino Ino, ip *Inode, ib *cache.Buf, ioff, bi int) (ptrLoc, int32, error) {
+	loc, ok, err := fs.locatePtr(p, ino, ip, ib, ioff, bi, false)
+	if err != nil {
+		return loc, 0, err
+	}
+	if ok {
+		if frag := getPtr(loc.buf.Data, loc.off); frag != 0 {
+			return loc, frag, nil
+		}
+	}
+	return loc, 0, fmt.Errorf("ffs: hole at block %d of inode %d", bi, ino)
+}
+
 // readBlock returns the buffer for file block bi (read path).
 func (fs *FS) readBlock(p *sim.Proc, ino Ino, ip *Inode, ib *cache.Buf, ioff, bi int) (*cache.Buf, error) {
-	loc, ok, err := fs.locatePtr(p, ino, ip, ib, ioff, bi, false)
+	_, frag, err := fs.blockPtr(p, ino, ip, ib, ioff, bi)
 	if err != nil {
 		return nil, err
 	}
-	if !ok {
-		return nil, fmt.Errorf("ffs: hole at block %d of inode %d", bi, ino)
-	}
-	frag := getPtr(loc.buf.Data, loc.off)
-	if frag == 0 {
-		return nil, fmt.Errorf("ffs: hole at block %d of inode %d", bi, ino)
-	}
-	return fs.cache.Bread(p, int64(frag), blockRunLenForRead(ip.Size, bi))
+	return fs.cache.Bread(p, int64(frag), blockRunLen(ip.Size, bi))
 }
-
-func blockRunLenForRead(size uint64, bi int) int { return blockRunLen(size, bi) }
 
 // growBlock makes file block bi exist with wantNF fragments, extending or
 // moving the existing partial run if needed, and returns its buffer. fill
@@ -174,106 +165,72 @@ func blockRunLenForRead(size uint64, bi int) int { return blockRunLen(size, bi) 
 // the block is new; for existing blocks the buffer contents are preserved.
 //
 // isDir marks directory blocks (always initialization-ordered). newSize is
-// the inode size that will be in effect after the caller's write — it is
-// stored into the inode here, together with the pointer, so that the
-// pointer+size pair is covered by a single allocation dependency (exactly
-// the allocdirect state of the paper's appendix).
+// the inode size that will be in effect after the caller's write — allocate
+// stores it into the inode together with the pointer.
 func (fs *FS) growBlock(p *sim.Proc, ino Ino, ip *Inode, ib *cache.Buf, ioff, bi int, wantNF int, newSize uint64, isDir bool, fill func(data []byte)) (*cache.Buf, error) {
 	// The inode-table block must survive the allocation sleeps below: a
 	// concurrent (or our own) cache eviction replacing it would orphan the
 	// pointer/size updates we are about to store.
 	defer ib.Hold().Unhold()
 	curBlocks := blocksOf(ip.Size)
-	oldSize := ip.Size
-
-	if bi < curBlocks {
-		oldNF := blockRunLen(ip.Size, bi)
-		loc, _, err := fs.locatePtr(p, ino, ip, ib, ioff, bi, false)
+	if bi > curBlocks {
+		// Files grow densely (no holes).
+		return nil, fmt.Errorf("ffs: sparse write at block %d of inode %d", bi, ino)
+	}
+	if bi == curBlocks {
+		// Brand-new block.
+		frag, err := fs.allocFrags(p, wantNF, fs.preferredCG(ino, ip))
 		if err != nil {
 			return nil, err
 		}
-		frag := getPtr(loc.buf.Data, loc.off)
-		if frag == 0 {
-			return nil, fmt.Errorf("ffs: hole at block %d of inode %d", bi, ino)
-		}
-		if wantNF <= oldNF {
-			// Existing block is already big enough.
-			b, err := fs.cache.Bread(p, int64(frag), oldNF)
-			if err != nil {
-				return nil, err
-			}
-			b.Hold()
-			if fill == nil {
-				fs.updateSize(p, ip, ib, ioff, newSize)
-				b.Unhold()
-				return b, nil
-			}
-			// A fresh chunk inside already-allocated space (a directory
-			// growing into the unused tail of its fragment): the size bump
-			// points at bytes the old size never covered, so the chunk's
-			// initialization must be ordered before the size can reach the
-			// disk (rule 1), exactly as for a newly allocated block.
-			fs.cache.PrepareModify(p, b)
-			fill(b.Data)
-			rec := &AllocRec{
-				FS: fs, NewBuf: b, NewFrag: frag, NewNFr: oldNF, IsDir: isDir,
-				OwnerBuf: ib, OwnerIno: ino, PtrOff: ioff + InoDirectOff(bi),
-				OldPtr: frag, OldSize: oldSize, NewSize: newSize,
-			}
-			if bi >= NDirect {
-				rec.OwnerIsIndir = true
-				rec.OwnerBuf = loc.buf
-				rec.PtrOff = loc.off
-			}
-			rec.DataInit = b.Data
-			fs.ord.AllocInit(p, rec)
-			fs.updateSizeRaw(p, ip, ib, ioff, newSize)
-			fs.ord.AllocPtr(p, rec)
-			if rec.OwnerIsIndir {
-				// The size bytes live in the inode block, which must also
-				// reach the disk eventually.
-				fs.ord.MetaUpdate(p, ib)
-			}
-			b.Unhold()
-			return b, nil
-		}
-		// Fragment extension.
-		b, err := fs.cache.Bread(p, int64(frag), oldNF)
+		loc, _, err := fs.locatePtr(p, ino, ip, ib, ioff, bi, true)
 		if err != nil {
+			fs.freeRun(p, FragRun{Start: frag, N: wantNF})
 			return nil, err
 		}
-		defer b.Hold().Unhold()
 		defer loc.buf.Hold().Unhold()
-		if fs.tryExtendFrags(p, frag, oldNF, wantNF) {
-			// In place: same address, more fragments. The added fragments
-			// are an ordered allocation (they carry the new size).
-			fs.cache.PrepareModify(p, b)
-			fs.cache.Resize(b, wantNF)
-			if fill != nil {
-				fill(b.Data)
-			}
-			rec := &AllocRec{
-				FS: fs, NewBuf: b, NewFrag: frag, NewNFr: wantNF, IsDir: isDir,
-				OwnerBuf: ib, OwnerIno: ino, PtrOff: ioff + InoDirectOff(bi),
-				OldPtr: frag, OldSize: oldSize, NewSize: newSize,
-			}
-			if bi >= NDirect {
-				rec.OwnerIsIndir = true
-				rec.OwnerBuf = loc.buf
-				rec.PtrOff = loc.off
-			}
-			rec.DataInit = b.Data
-			fs.ord.AllocInit(p, rec)
-			fs.updateSizeRaw(p, ip, ib, ioff, newSize)
-			fs.ord.AllocPtr(p, rec)
-			if rec.OwnerIsIndir {
-				// The pointer's ordering rode the indirect block; the size
-				// bytes live in the inode block, which must also reach the
-				// disk eventually.
-				fs.ord.MetaUpdate(p, ib)
-			}
-			return b, nil
+		nb := fs.cache.Getblk(p, int64(frag), wantNF)
+		defer nb.Hold().Unhold()
+		if fill != nil {
+			fill(nb.Data)
 		}
+		fs.allocate(p, &AllocRec{NewBuf: nb, NewFrag: frag, NewNFr: wantNF, IsDir: isDir},
+			loc, ino, ip, ib, ioff, newSize)
+		return nb, nil
+	}
+
+	oldNF := blockRunLen(ip.Size, bi)
+	loc, frag, err := fs.blockPtr(p, ino, ip, ib, ioff, bi)
+	if err != nil {
+		return nil, err
+	}
+	b, err := fs.cache.Bread(p, int64(frag), oldNF)
+	if err != nil {
+		return nil, err
+	}
+	defer b.Hold().Unhold()
+	if wantNF <= oldNF && fill == nil {
+		// Existing block is already big enough.
+		fs.updateSize(p, ip, ib, ioff, newSize)
+		return b, nil
+	}
+	defer loc.buf.Hold().Unhold()
+	rec := &AllocRec{NewBuf: b, NewFrag: frag, NewNFr: oldNF, IsDir: isDir, OldPtr: frag}
+	switch {
+	case wantNF <= oldNF:
+		// A fresh chunk inside already-allocated space (a directory growing
+		// into the unused tail of its fragment): the size bump points at
+		// bytes the old size never covered, so the chunk's initialization
+		// must be ordered before the size can reach the disk (rule 1),
+		// exactly as for a newly allocated block.
+		fs.cache.PrepareModify(p, b)
+	case fs.tryExtendFrags(p, frag, oldNF, wantNF):
+		// In place: same address, more fragments. The added fragments are
+		// an ordered allocation (they carry the new size).
+		fs.cache.PrepareModify(p, b)
+		fs.cache.Resize(b, wantNF)
+		rec.NewNFr = wantNF
+	default:
 		// Move: allocate a new run, copy, retarget pointer, free old run.
 		newFrag, err := fs.allocFrags(p, wantNF, fs.cgOfFrag(frag))
 		if err != nil {
@@ -283,66 +240,14 @@ func (fs *FS) growBlock(p *sim.Proc, ino Ino, ip *Inode, ib *cache.Buf, ioff, bi
 		defer nb.Hold().Unhold()
 		fs.charge(p, fs.cfg.Costs.PerKBCopy*sim.Duration(oldNF))
 		copy(nb.Data, b.Data)
-		if fill != nil {
-			fill(nb.Data)
-		}
-		rec := &AllocRec{
-			FS: fs, NewBuf: nb, NewFrag: newFrag, NewNFr: wantNF, IsDir: isDir,
-			OwnerBuf: loc.buf, OwnerIno: ino, OwnerIsIndir: loc.isIndir,
-			PtrOff: loc.off, OldPtr: frag, OldSize: oldSize, NewSize: newSize,
-			MovedFrom: &FragRun{Start: frag, N: oldNF},
-			OldBuf:    b,
-		}
-		if !loc.isIndir {
-			rec.OwnerBuf = ib
-			rec.PtrOff = ioff + InoDirectOff(bi)
-		}
-		rec.DataInit = nb.Data
-		fs.ord.AllocInit(p, rec)
-		fs.cache.PrepareModify(p, loc.buf)
-		setPtr(loc.buf.Data, rec.PtrOff, newFrag)
-		fs.updateSizeRaw(p, ip, ib, ioff, newSize)
-		fs.ord.AllocPtr(p, rec)
-		if rec.OwnerIsIndir {
-			fs.ord.MetaUpdate(p, ib)
-		}
-		return nb, nil
+		rec.NewBuf, rec.NewFrag, rec.NewNFr = nb, newFrag, wantNF
+		rec.MovedFrom, rec.OldBuf = &FragRun{Start: frag, N: oldNF}, b
 	}
-
-	// Brand-new block. Files grow densely (no holes), so bi == curBlocks.
-	if bi != curBlocks {
-		return nil, fmt.Errorf("ffs: sparse write at block %d of inode %d", bi, ino)
-	}
-	frag, err := fs.allocFrags(p, wantNF, fs.preferredCG(ino, ip))
-	if err != nil {
-		return nil, err
-	}
-	loc, _, err := fs.locatePtr(p, ino, ip, ib, ioff, bi, true)
-	if err != nil {
-		fs.freeRun(p, FragRun{Start: frag, N: wantNF})
-		return nil, err
-	}
-	defer loc.buf.Hold().Unhold()
-	nb := fs.cache.Getblk(p, int64(frag), wantNF)
-	defer nb.Hold().Unhold()
 	if fill != nil {
-		fill(nb.Data)
+		fill(rec.NewBuf.Data)
 	}
-	rec := &AllocRec{
-		FS: fs, NewBuf: nb, NewFrag: frag, NewNFr: wantNF, IsDir: isDir,
-		OwnerBuf: loc.buf, OwnerIno: ino, OwnerIsIndir: loc.isIndir,
-		PtrOff: loc.off, OldSize: oldSize, NewSize: newSize,
-	}
-	rec.DataInit = nb.Data
-	fs.ord.AllocInit(p, rec)
-	fs.cache.PrepareModify(p, loc.buf)
-	setPtr(loc.buf.Data, loc.off, frag)
-	fs.updateSizeRaw(p, ip, ib, ioff, newSize)
-	fs.ord.AllocPtr(p, rec)
-	if rec.OwnerIsIndir {
-		fs.ord.MetaUpdate(p, ib)
-	}
-	return nb, nil
+	fs.allocate(p, rec, loc, ino, ip, ib, ioff, newSize)
+	return rec.NewBuf, nil
 }
 
 // updateSize stores a new size via MetaUpdate (no allocation involved).
@@ -373,56 +278,40 @@ func (fs *FS) updateSizeRaw(p *sim.Proc, ip *Inode, ib *cache.Buf, ioff int, new
 func (fs *FS) collectRuns(p *sim.Proc, ip *Inode) ([]FragRun, error) {
 	var runs []FragRun
 	nblocks := blocksOf(ip.Size)
-	add := func(frag int32, n int) {
-		if frag != 0 {
-			runs = append(runs, FragRun{Start: frag, N: n})
-		}
-	}
 	for bi := 0; bi < nblocks && bi < NDirect; bi++ {
-		add(ip.Direct[bi], blockRunLen(ip.Size, bi))
+		if ip.Direct[bi] != 0 {
+			runs = append(runs, FragRun{Start: ip.Direct[bi], N: blockRunLen(ip.Size, bi)})
+		}
 	}
-	if ip.Indir != 0 {
-		nb, err := fs.cache.Bread(p, int64(ip.Indir), BlockFrags)
-		if err != nil {
+	for i, root := range [2]int32{ip.Indir, ip.Dindir} {
+		if err := fs.collectTree(p, &runs, root, ptrTrees[i].base, ptrTrees[i].span, ip.Size); err != nil {
 			return runs, err
 		}
-		for i := 0; i < PtrsPerBlock; i++ {
-			bi := NDirect + i
-			if bi >= nblocks {
-				break
-			}
-			add(getPtr(nb.Data, i*4), blockRunLen(ip.Size, bi))
-		}
-		add(ip.Indir, BlockFrags)
-	}
-	if ip.Dindir != 0 {
-		db, err := fs.cache.Bread(p, int64(ip.Dindir), BlockFrags)
-		if err != nil {
-			return runs, err
-		}
-		for l1 := 0; l1 < PtrsPerBlock; l1++ {
-			base := NDirect + PtrsPerBlock + l1*PtrsPerBlock
-			if base >= nblocks {
-				break
-			}
-			l1frag := getPtr(db.Data, l1*4)
-			if l1frag == 0 {
-				continue
-			}
-			nb, err := fs.cache.Bread(p, int64(l1frag), BlockFrags)
-			if err != nil {
-				return runs, err
-			}
-			for l2 := 0; l2 < PtrsPerBlock; l2++ {
-				bi := base + l2
-				if bi >= nblocks {
-					break
-				}
-				add(getPtr(nb.Data, l2*4), blockRunLen(ip.Size, bi))
-			}
-			add(l1frag, BlockFrags)
-		}
-		add(ip.Dindir, BlockFrags)
 	}
 	return runs, nil
+}
+
+// collectTree appends the runs beneath pointer block frag — which maps span
+// file blocks from base on — and then the block itself.
+func (fs *FS) collectTree(p *sim.Proc, runs *[]FragRun, frag int32, base, span int, size uint64) error {
+	if frag == 0 {
+		return nil
+	}
+	nb, err := fs.cache.Bread(p, int64(frag), BlockFrags)
+	if err != nil {
+		return err
+	}
+	span /= PtrsPerBlock
+	for i := 0; i < PtrsPerBlock && base+i*span < blocksOf(size); i++ {
+		ptr := getPtr(nb.Data, i*4)
+		if span > 1 {
+			if err := fs.collectTree(p, runs, ptr, base+i*span, span, size); err != nil {
+				return err
+			}
+		} else if ptr != 0 {
+			*runs = append(*runs, FragRun{Start: ptr, N: blockRunLen(size, base+i)})
+		}
+	}
+	*runs = append(*runs, FragRun{Start: frag, N: BlockFrags})
+	return nil
 }

@@ -73,6 +73,8 @@ type FS struct {
 	dirCGRotor int32
 
 	inoLocks map[Ino]*sim.Mutex
+
+	unfinished int // see Unfinished
 }
 
 // Mount reads the superblock through the cache and attaches the ordering

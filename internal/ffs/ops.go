@@ -41,6 +41,17 @@ func (fs *FS) Lookup(p *sim.Proc, dir Ino, name string) (Ino, error) {
 	return ino, err
 }
 
+// dirBlock reads block bi of directory dir and returns its buffer with the
+// part of its data the directory's size covers — the step of every walk over
+// a directory's entries.
+func (fs *FS) dirBlock(p *sim.Proc, dir Ino, dip *Inode, dib *cache.Buf, dioff, bi int) (*cache.Buf, []byte, error) {
+	b, err := fs.readBlock(p, dir, dip, dib, dioff, bi)
+	if err != nil {
+		return nil, nil, err
+	}
+	return b, b.Data[:min(int(dip.Size)-bi*BlockSize, len(b.Data))], nil
+}
+
 // lookupLocked scans dir for name; it returns the entry's inode, the held
 // block buffer and entry offset. The caller holds dir's lock and must
 // release the buffer.
@@ -56,23 +67,32 @@ func (fs *FS) lookupLocked(p *sim.Proc, dir Ino, name string) (Ino, *cache.Buf, 
 	if !dip.IsDir() {
 		return 0, nil, 0, ErrNotDir
 	}
-	nblocks := blocksOf(dip.Size)
-	for bi := 0; bi < nblocks; bi++ {
-		b, err := fs.readBlock(p, dir, &dip, dib, dioff, bi)
+	for bi := 0; bi < blocksOf(dip.Size); bi++ {
+		b, data, err := fs.dirBlock(p, dir, &dip, dib, dioff, bi)
 		if err != nil {
 			return 0, nil, 0, err
 		}
-		limit := int(dip.Size) - bi*BlockSize
-		if limit > len(b.Data) {
-			limit = len(b.Data)
-		}
-		d, found, scanned := findEntry(b.Data[:limit], name)
+		d, found, scanned := findEntry(data, name)
 		fs.charge(p, fs.cfg.Costs.DirScanEntry*sim.Duration(scanned))
 		if found {
 			return d.Ino, b.Hold(), d.Off, nil
 		}
 	}
 	return 0, nil, 0, ErrNotExist
+}
+
+// absent is the prologue of every operation that makes a name: ErrExist when
+// dir already has it, nil when it does not.
+func (fs *FS) absent(p *sim.Proc, dir Ino, name string) error {
+	_, db, _, err := fs.lookupLocked(p, dir, name)
+	switch err {
+	case nil:
+		fs.rele(db)
+		return ErrExist
+	case ErrNotExist:
+		return nil
+	}
+	return err
 }
 
 // dirAddEntry stores (name -> ino) in directory dir, growing it by one
@@ -86,19 +106,14 @@ func (fs *FS) dirAddEntry(p *sim.Proc, dir Ino, name string, ino Ino, ftype uint
 	}
 	defer fs.rele(dib)
 	fs.charge(p, fs.cfg.Costs.DirModify)
-	nblocks := blocksOf(dip.Size)
-	for bi := 0; bi < nblocks; bi++ {
-		b, err := fs.readBlock(p, dir, &dip, dib, dioff, bi)
+	for bi := 0; bi < blocksOf(dip.Size); bi++ {
+		b, data, err := fs.dirBlock(p, dir, &dip, dib, dioff, bi)
 		if err != nil {
 			return nil, 0, err
 		}
-		limit := int(dip.Size) - bi*BlockSize
-		if limit > len(b.Data) {
-			limit = len(b.Data)
-		}
 		b.Hold()
 		fs.cache.PrepareModify(p, b)
-		if off, ok := addEntryInData(b.Data[:limit], name, ino, ftype); ok {
+		if off, ok := addEntryInData(data, name, ino, ftype); ok {
 			return b, off, nil
 		}
 		b.Unhold()
@@ -123,6 +138,92 @@ func (fs *FS) dirAddEntry(p *sim.Proc, dir Ino, name string, ino Ino, ftype uint
 	return b.Hold(), off, nil
 }
 
+// newInode starts the link addition that makes a file or directory under
+// dir: it allocates an inode, initializes it in its table block and calls
+// AddInode. The caller releases the record's (held) InoBuf.
+func (fs *FS) newInode(p *sim.Proc, dir Ino, mode uint16) (*LinkRec, Inode, int, error) {
+	ino, err := fs.allocInode(p)
+	if err != nil {
+		return nil, Inode{}, 0, err
+	}
+	ib, ioff, err := fs.inodeBuf(p, ino)
+	if err != nil {
+		return nil, Inode{}, 0, err
+	}
+	fs.charge(p, fs.cfg.Costs.InodeOp)
+	fs.cache.PrepareModify(p, ib)
+	ip := Inode{Mode: mode, Nlink: 1, Gen: DecodeInode(ib.Data[ioff:]).Gen + 1}
+	if mode == ModeDir {
+		ip.Nlink = 2 // "." and the parent's entry
+		fs.assignCG(ino, fs.nextDirCG())
+	} else {
+		fs.assignCG(ino, fs.preferredCG(dir, nil))
+	}
+	ip.encode(ib.Data[ioff : ioff+InodeSize])
+	rec := &LinkRec{FS: fs, Ino: ino, InoBuf: ib, NewInode: true}
+	fs.ord.AddInode(p, rec)
+	return rec, ip, ioff, nil
+}
+
+// addLink starts a link addition to ino (ip, decoded from ioff in the held
+// table block ib): one more link, then AddInode. locked says the caller
+// holds ino's lock.
+func (fs *FS) addLink(p *sim.Proc, ino Ino, ip *Inode, ib *cache.Buf, ioff int, locked bool) *LinkRec {
+	ip.Nlink++
+	fs.putInode(p, ip, ib, ioff)
+	rec := &LinkRec{FS: fs, Ino: ino, InoBuf: ib, inoLocked: locked}
+	fs.ord.AddInode(p, rec)
+	return rec
+}
+
+// addEntry ends a link addition: (name -> rec.Ino) is stored in dir, then
+// AddEntry called. If the store fails — the directory had to grow and could
+// not — the link rec took is given back.
+func (fs *FS) addEntry(p *sim.Proc, rec *LinkRec, dir Ino, name string, ftype uint8) error {
+	db, off, err := fs.dirAddEntry(p, dir, name, rec.Ino, ftype)
+	if err != nil {
+		fs.dropLink(p, rec, dir)
+		return err
+	}
+	fs.entryStored(p, rec, db, off)
+	fs.rele(db)
+	return nil
+}
+
+// entryStored calls AddEntry for rec's entry, already stored at off in the
+// held directory block db.
+func (fs *FS) entryStored(p *sim.Proc, rec *LinkRec, db *cache.Buf, off int) {
+	rec.DirBuf, rec.EntryOff = db, off
+	fs.ord.AddEntry(p, rec)
+}
+
+// dropLink gives back the link (and a new inode, with what a new directory
+// took from its parent) of an addition whose entry never made it into dir,
+// which the caller has locked: the deferred half of a removal, run at once.
+func (fs *FS) dropLink(p *sim.Proc, rec *LinkRec, dir Ino) {
+	fs.FinishRemove(p, &RemRec{Ino: rec.Ino, DirIno: dir,
+		DirLocked: true, InoLocked: rec.inoLocked, LinkOnly: !rec.NewInode})
+}
+
+// removeLink is link removal: the entry at rec.EntryOff in the held block
+// rec.DirBuf is cleared, then RemoveEntry called. With add, the entry is
+// instead retargeted in place to add's inode — one sector-atomic store that
+// ends that addition and starts the old target's removal, so rule 1 holds
+// for the pair.
+func (fs *FS) removeLink(p *sim.Proc, rec *RemRec, add *LinkRec) {
+	fs.charge(p, fs.cfg.Costs.DirModify)
+	fs.cache.PrepareModify(p, rec.DirBuf)
+	if add == nil {
+		removeEntryInData(rec.DirBuf.Data, rec.EntryOff)
+	} else {
+		setPtr(rec.DirBuf.Data, rec.EntryOff, int32(add.Ino))
+		fs.entryStored(p, add, rec.DirBuf, rec.EntryOff)
+	}
+	rec.FS, rec.state = fs, handed
+	fs.unfinished++
+	fs.ord.RemoveEntry(p, rec)
+}
+
 // Create makes a new regular file in dir.
 func (fs *FS) Create(p *sim.Proc, dir Ino, name string) (Ino, error) {
 	sp := fs.begin(p, obs.OpCreate)
@@ -133,40 +234,18 @@ func (fs *FS) Create(p *sim.Proc, dir Ino, name string) (Ino, error) {
 	}
 	fs.lockInode(p, dir)
 	defer fs.unlockInode(dir)
-
-	if _, db, _, err := fs.lookupLocked(p, dir, name); err == nil {
-		fs.rele(db)
-		return 0, ErrExist
-	} else if err != ErrNotExist {
+	if err := fs.absent(p, dir, name); err != nil {
 		return 0, err
 	}
-
-	ino, err := fs.allocInode(p)
+	rec, _, _, err := fs.newInode(p, dir, ModeFile)
 	if err != nil {
 		return 0, err
 	}
-	ib, ioff, err := fs.inodeBuf(p, ino)
-	if err != nil {
+	defer fs.rele(rec.InoBuf)
+	if err := fs.addEntry(p, rec, dir, name, FtypeFile); err != nil {
 		return 0, err
 	}
-	defer fs.rele(ib)
-	fs.charge(p, fs.cfg.Costs.InodeOp)
-	fs.cache.PrepareModify(p, ib)
-	ip := Inode{Mode: ModeFile, Nlink: 1, Gen: DecodeInode(ib.Data[ioff:]).Gen + 1}
-	ip.encode(ib.Data[ioff : ioff+InodeSize])
-
-	fs.assignCG(ino, fs.preferredCG(dir, nil))
-	rec := &LinkRec{FS: fs, Ino: ino, InoBuf: ib, NewInode: true, DirIno: dir}
-	fs.ord.AddInode(p, rec)
-
-	db, off, err := fs.dirAddEntry(p, dir, name, ino, FtypeFile)
-	if err != nil {
-		return 0, err
-	}
-	defer fs.rele(db)
-	rec.DirBuf, rec.EntryOff = db, off
-	fs.ord.AddEntry(p, rec)
-	return ino, nil
+	return rec.Ino, nil
 }
 
 // Mkdir makes a new directory in dir.
@@ -179,31 +258,17 @@ func (fs *FS) Mkdir(p *sim.Proc, dir Ino, name string) (Ino, error) {
 	}
 	fs.lockInode(p, dir)
 	defer fs.unlockInode(dir)
-
-	if _, db, _, err := fs.lookupLocked(p, dir, name); err == nil {
-		fs.rele(db)
-		return 0, ErrExist
-	} else if err != ErrNotExist {
+	if err := fs.absent(p, dir, name); err != nil {
 		return 0, err
 	}
 
-	ino, err := fs.allocInode(p)
-	if err != nil {
-		return 0, err
-	}
 	// 1. Initialize the child inode (link count 2: "." and parent entry).
-	cib, cioff, err := fs.inodeBuf(p, ino)
+	childRec, cip, cioff, err := fs.newInode(p, dir, ModeDir)
 	if err != nil {
 		return 0, err
 	}
+	ino, cib := childRec.Ino, childRec.InoBuf
 	defer fs.rele(cib)
-	fs.charge(p, fs.cfg.Costs.InodeOp)
-	fs.cache.PrepareModify(p, cib)
-	cip := Inode{Mode: ModeDir, Nlink: 2, Gen: DecodeInode(cib.Data[cioff:]).Gen + 1}
-	cip.encode(cib.Data[cioff : cioff+InodeSize])
-	fs.assignCG(ino, fs.nextDirCG())
-	childRec := &LinkRec{FS: fs, Ino: ino, InoBuf: cib, NewInode: true, DirIno: dir}
-	fs.ord.AddInode(p, childRec)
 
 	// 2. Bump the parent's link count ("..") before the ".." entry can hit
 	// the disk.
@@ -212,11 +277,7 @@ func (fs *FS) Mkdir(p *sim.Proc, dir Ino, name string) (Ino, error) {
 		return 0, err
 	}
 	defer fs.rele(dib)
-	fs.cache.PrepareModify(p, dib)
-	dip.Nlink++
-	fs.putInode(p, &dip, dib, dioff)
-	parentRec := &LinkRec{FS: fs, Ino: dir, InoBuf: dib, DirIno: ino}
-	fs.ord.AddInode(p, parentRec)
+	parentRec := fs.addLink(p, dir, &dip, dib, dioff, true)
 
 	// 3. The child's first directory block, with "." and ".." in place
 	// before initialization is ordered.
@@ -228,23 +289,17 @@ func (fs *FS) Mkdir(p *sim.Proc, dir Ino, name string) (Ino, error) {
 			dotdotOff, _ = addEntryInData(data[:DirChunk], "..", dir, FtypeDir)
 		})
 	if err != nil {
+		fs.dropLink(p, childRec, dir)
 		return 0, err
 	}
 	defer fs.rele(cb.Hold())
-	childRec2 := &LinkRec{FS: fs, Ino: ino, InoBuf: cib, NewInode: true,
-		DirIno: ino, DirBuf: cb, EntryOff: dotOff}
-	fs.ord.AddEntry(p, childRec2)
-	parentRec.DirBuf, parentRec.EntryOff = cb, dotdotOff
-	fs.ord.AddEntry(p, parentRec)
+	fs.entryStored(p, childRec, cb, dotOff)
+	fs.entryStored(p, parentRec, cb, dotdotOff)
 
 	// 4. The parent's entry for the child.
-	db, off, err := fs.dirAddEntry(p, dir, name, ino, FtypeDir)
-	if err != nil {
+	if err := fs.addEntry(p, childRec, dir, name, FtypeDir); err != nil {
 		return 0, err
 	}
-	defer fs.rele(db)
-	childRec.DirBuf, childRec.EntryOff = db, off
-	fs.ord.AddEntry(p, childRec)
 	return ino, nil
 }
 
@@ -258,11 +313,7 @@ func (fs *FS) Link(p *sim.Proc, ino Ino, dir Ino, name string) error {
 	}
 	fs.lockPair(p, ino, dir)
 	defer fs.unlockPair(ino, dir)
-
-	if _, db, _, err := fs.lookupLocked(p, dir, name); err == nil {
-		fs.rele(db)
-		return ErrExist
-	} else if err != ErrNotExist {
+	if err := fs.absent(p, dir, name); err != nil {
 		return err
 	}
 	ip, ib, ioff, err := fs.getInode(p, ino)
@@ -276,20 +327,7 @@ func (fs *FS) Link(p *sim.Proc, ino Ino, dir Ino, name string) error {
 	if ip.IsDir() {
 		return ErrIsDir
 	}
-	fs.cache.PrepareModify(p, ib)
-	ip.Nlink++
-	fs.putInode(p, &ip, ib, ioff)
-	rec := &LinkRec{FS: fs, Ino: ino, InoBuf: ib, DirIno: dir}
-	fs.ord.AddInode(p, rec)
-
-	db, off, err := fs.dirAddEntry(p, dir, name, ino, FtypeFile)
-	if err != nil {
-		return err
-	}
-	defer fs.rele(db)
-	rec.DirBuf, rec.EntryOff = db, off
-	fs.ord.AddEntry(p, rec)
-	return nil
+	return fs.addEntry(p, fs.addLink(p, ino, &ip, ib, ioff, true), dir, name, FtypeFile)
 }
 
 // Unlink removes name (a regular file link) from dir.
@@ -313,11 +351,7 @@ func (fs *FS) Unlink(p *sim.Proc, dir Ino, name string) error {
 	if ip.IsDir() {
 		return ErrIsDir
 	}
-	fs.charge(p, fs.cfg.Costs.DirModify)
-	fs.cache.PrepareModify(p, db)
-	removeEntryInData(db.Data, off)
-	rec := &RemRec{FS: fs, Ino: ino, DirIno: dir, DirBuf: db, EntryOff: off, DirLocked: true}
-	fs.ord.RemoveEntry(p, rec)
+	fs.removeLink(p, &RemRec{Ino: ino, DirIno: dir, DirBuf: db, EntryOff: off, DirLocked: true}, nil)
 	return nil
 }
 
@@ -349,26 +383,17 @@ func (fs *FS) Rmdir(p *sim.Proc, dir Ino, name string) error {
 	if !empty {
 		return ErrNotEmpty
 	}
-	fs.charge(p, fs.cfg.Costs.DirModify)
-	fs.cache.PrepareModify(p, db)
-	removeEntryInData(db.Data, off)
-	rec := &RemRec{FS: fs, Ino: ino, DirIno: dir, DirBuf: db, EntryOff: off, DirLocked: true}
-	fs.ord.RemoveEntry(p, rec)
+	fs.removeLink(p, &RemRec{Ino: ino, DirIno: dir, DirBuf: db, EntryOff: off, DirLocked: true}, nil)
 	return nil
 }
 
 func (fs *FS) dirEmpty(p *sim.Proc, ino Ino, ip *Inode, ib *cache.Buf, ioff int) (bool, error) {
-	nblocks := blocksOf(ip.Size)
-	for bi := 0; bi < nblocks; bi++ {
-		b, err := fs.readBlock(p, ino, ip, ib, ioff, bi)
+	for bi := 0; bi < blocksOf(ip.Size); bi++ {
+		_, data, err := fs.dirBlock(p, ino, ip, ib, ioff, bi)
 		if err != nil {
 			return false, err
 		}
-		limit := int(ip.Size) - bi*BlockSize
-		if limit > len(b.Data) {
-			limit = len(b.Data)
-		}
-		live, nonDot := countLive(b.Data[:limit])
+		live, nonDot := countLive(data)
 		fs.charge(p, fs.cfg.Costs.DirScanEntry*sim.Duration(live))
 		if nonDot {
 			return false, nil
@@ -406,42 +431,29 @@ func (fs *FS) Rename(p *sim.Proc, sdir Ino, sname string, ddir Ino, dname string
 
 	// Add the new link first (rule 1): bump the link count, order the
 	// inode write, then add/replace the destination entry.
-	fs.cache.PrepareModify(p, ib)
-	ip.Nlink++
-	fs.putInode(p, &ip, ib, ioff)
-	addRec := &LinkRec{FS: fs, Ino: ino, InoBuf: ib, DirIno: ddir}
-	fs.ord.AddInode(p, addRec)
-
+	addRec := fs.addLink(p, ino, &ip, ib, ioff, false)
 	oldIno, ddb, doff, derr := fs.lookupLocked(p, ddir, dname)
 	switch derr {
 	case nil:
 		oldIp, oib, _, gerr := fs.getInode(p, oldIno)
+		if gerr == nil {
+			fs.rele(oib)
+			if oldIp.IsDir() {
+				gerr = ErrIsDir
+			}
+		}
 		if gerr != nil {
 			fs.rele(ddb)
+			fs.dropLink(p, addRec, ddir)
 			return gerr
 		}
-		fs.rele(oib)
-		if oldIp.IsDir() {
-			fs.rele(ddb)
-			return ErrIsDir
-		}
-		// Atomic in-place replacement of the entry's inode number.
-		fs.charge(p, fs.cfg.Costs.DirModify)
-		fs.cache.PrepareModify(p, ddb)
-		setPtr(ddb.Data, doff, int32(ino))
-		addRec.DirBuf, addRec.EntryOff = ddb, doff
-		fs.ord.AddEntry(p, addRec)
-		remOld := &RemRec{FS: fs, Ino: oldIno, DirIno: ddir, DirBuf: ddb, EntryOff: doff, DirLocked: true}
-		fs.ord.RemoveEntry(p, remOld)
+		fs.removeLink(p, &RemRec{Ino: oldIno, DirIno: ddir, DirBuf: ddb, EntryOff: doff, DirLocked: true}, addRec)
 		fs.rele(ddb)
 	case ErrNotExist:
-		db, off, aerr := fs.dirAddEntry(p, ddir, dname, ino, FtypeFile)
-		if aerr != nil {
-			return aerr
+		if err := fs.addEntry(p, addRec, ddir, dname, FtypeFile); err != nil {
+			return err
 		}
-		addRec.DirBuf, addRec.EntryOff = db, off
-		fs.ord.AddEntry(p, addRec)
-		if sdir == ddir && db != sdb {
+		if db := addRec.DirBuf; sdir == ddir && db != sdb {
 			// The add may have grown the directory's last block by moving
 			// it (growBlock): db is then the block that holds the old name
 			// and sdb the vacated copy, in which a removal would be lost.
@@ -450,18 +462,13 @@ func (fs *FS) Rename(p *sim.Proc, sdir Ino, sname string, ddir Ino, dname string
 				sdb, soff = db.Hold(), d.Off
 			}
 		}
-		fs.rele(db)
 	default:
 		return derr
 	}
 
 	// Remove the old name (its offset is still valid: removals only clear
 	// or coalesce within the held buffer).
-	fs.charge(p, fs.cfg.Costs.DirModify)
-	fs.cache.PrepareModify(p, sdb)
-	removeEntryInData(sdb.Data, soff)
-	remRec := &RemRec{FS: fs, Ino: ino, DirIno: sdir, DirBuf: sdb, EntryOff: soff, DirLocked: true}
-	fs.ord.RemoveEntry(p, remRec)
+	fs.removeLink(p, &RemRec{Ino: ino, DirIno: sdir, DirBuf: sdb, EntryOff: soff, DirLocked: true}, nil)
 	return nil
 }
 
@@ -469,20 +476,16 @@ func (fs *FS) Rename(p *sim.Proc, sdir Ino, sname string, ddir Ino, dname string
 // link count and, at zero, free the file. Ordering schemes call it exactly
 // once per RemoveEntry, at the moment their discipline allows.
 func (fs *FS) FinishRemove(p *sim.Proc, rec *RemRec) {
+	fs.finish(&rec.state, "FinishRemove")
 	if !rec.InoLocked {
 		fs.lockInode(p, rec.Ino)
-	}
-	unlockIno := func() {
-		if !rec.InoLocked {
-			fs.unlockInode(rec.Ino)
-		}
+		defer fs.unlockInode(rec.Ino)
 	}
 	ip, ib, ioff, err := fs.getInode(p, rec.Ino)
 	if err != nil {
 		// Hook context: nobody to return the error to. The inode stays
 		// allocated with a stale link count — exactly the fsck-repairable
 		// "link count too high" degradation, left behind.
-		unlockIno()
 		return
 	}
 	defer fs.rele(ib)
@@ -496,7 +499,6 @@ func (fs *FS) FinishRemove(p *sim.Proc, rec *RemRec) {
 		// An unreadable parent keeps its stale link count, like the child
 		// above.
 		if pip, pib, pioff, perr := fs.getInode(p, rec.DirIno); perr == nil {
-			fs.cache.PrepareModify(p, pib)
 			pip.Nlink--
 			fs.putInode(p, &pip, pib, pioff)
 			fs.ord.MetaUpdate(p, pib)
@@ -505,37 +507,36 @@ func (fs *FS) FinishRemove(p *sim.Proc, rec *RemRec) {
 		if !rec.DirLocked {
 			fs.unlockInode(rec.DirIno)
 		}
-		ip.Nlink = 0
-		fs.freeFile(p, rec.Ino, &ip, ib, ioff)
-		unlockIno()
-		return
+		ip.Nlink = 1 // "." goes with the entry
 	}
 	ip.Nlink--
 	if ip.Nlink > 0 {
-		fs.cache.PrepareModify(p, ib)
 		fs.putInode(p, &ip, ib, ioff)
 		fs.ord.MetaUpdate(p, ib)
-		unlockIno()
 		return
 	}
 	fs.freeFile(p, rec.Ino, &ip, ib, ioff)
-	unlockIno()
 }
 
-// freeFile clears the inode and hands its resources to the ordering scheme
-// (rule 2: nothing is re-usable until the cleared inode is on disk). The
-// caller holds the inode lock and the (held) inode-table buffer.
+// freeFile clears the inode and frees everything it owns (rule 2: nothing
+// is re-usable until the cleared inode is on disk). The caller holds the
+// inode lock and the (held) inode-table buffer.
 func (fs *FS) freeFile(p *sim.Proc, ino Ino, ip *Inode, ib *cache.Buf, ioff int) {
 	// On an unreadable indirect block: free what was collected, leak the
 	// rest (fsck's free-map reconciliation reclaims leaked fragments).
 	runs, _ := fs.collectRuns(p, ip)
 	fs.charge(p, fs.cfg.Costs.InodeOp)
-	fs.cache.PrepareModify(p, ib)
-	cleared := Inode{Gen: ip.Gen}
-	cleared.encode(ib.Data[ioff : ioff+InodeSize])
 	delete(fs.prefCG, ino)
-	rec := &FreeRec{FS: fs, OwnerIno: ino, OwnerBuf: ib, Frags: runs, FreeIno: ino}
-	fs.ord.FreeBlocks(p, rec)
+	fs.freeBlocks(p, ino, &Inode{Gen: ip.Gen}, ib, ioff, runs, ino)
+}
+
+// freeBlocks is block freeing: ip, the inode with its pointers to runs
+// cleared, is stored at ioff in the held table block ib, then FreeBlocks
+// called — with freeIno, for the inode as well.
+func (fs *FS) freeBlocks(p *sim.Proc, ino Ino, ip *Inode, ib *cache.Buf, ioff int, runs []FragRun, freeIno Ino) {
+	fs.putInode(p, ip, ib, ioff)
+	fs.unfinished++
+	fs.ord.FreeBlocks(p, &FreeRec{FS: fs, OwnerIno: ino, OwnerBuf: ib, Frags: runs, FreeIno: freeIno, state: handed})
 }
 
 // WriteAt writes data at byte offset off (sequential appends and in-place
@@ -576,14 +577,8 @@ func (fs *FS) WriteAt(p *sim.Proc, ino Ino, off uint64, data []byte) error {
 		if end > newSize {
 			newSize = end
 		}
-		// Fragments needed by this block after the write.
-		var wantNF int
-		if bi == blocksOf(newSize)-1 {
-			wantNF = lastBlockFrags(newSize)
-		} else {
-			wantNF = BlockFrags
-		}
-		b, err := fs.growBlock(p, ino, &ip, ib, ioff, bi, wantNF, newSize, false, nil)
+		// The block gets the fragments it needs after the write.
+		b, err := fs.growBlock(p, ino, &ip, ib, ioff, bi, blockRunLen(newSize, bi), newSize, false, nil)
 		if err != nil {
 			fs.rele(ib)
 			return err
@@ -659,17 +654,12 @@ func (fs *FS) ReadDir(p *sim.Proc, dir Ino) ([]Dirent, error) {
 		return nil, ErrNotDir
 	}
 	var out []Dirent
-	nblocks := blocksOf(dip.Size)
-	for bi := 0; bi < nblocks; bi++ {
-		b, err := fs.readBlock(p, dir, &dip, dib, dioff, bi)
+	for bi := 0; bi < blocksOf(dip.Size); bi++ {
+		_, data, err := fs.dirBlock(p, dir, &dip, dib, dioff, bi)
 		if err != nil {
 			return nil, err
 		}
-		limit := int(dip.Size) - bi*BlockSize
-		if limit > len(b.Data) {
-			limit = len(b.Data)
-		}
-		ents := listEntries(b.Data[:limit])
+		ents := listEntries(data)
 		fs.charge(p, fs.cfg.Costs.DirScanEntry*sim.Duration(len(ents)))
 		for _, d := range ents {
 			if d.Name == "." || d.Name == ".." {

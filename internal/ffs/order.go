@@ -20,16 +20,24 @@ import (
 //	(3) never point to a structure before it has been initialized.
 //
 // Call order within one structural change matters and is guaranteed by the
-// file system:
+// file system, which states each change once, in the one function that
+// calls its hooks:
 //
-//	block allocation: AllocInit (new block initialized in memory, pointer
-//	    NOT yet set) -> pointer and size stored in owner -> AllocPtr.
-//	link addition:    AddInode (inode initialized / link count bumped) ->
-//	    entry stored in directory block -> AddEntry.
-//	link removal:     entry cleared in directory block -> RemoveEntry; the
-//	    scheme must (eventually) call FS.FinishRemove exactly once.
-//	block freeing:    pointers cleared in owner buffer -> FreeBlocks; the
-//	    scheme must (eventually) call FS.ApplyFree exactly once.
+//	block allocation (allocate): AllocInit (new block initialized in
+//	    memory, pointer NOT yet set) -> pointer and size stored in owner ->
+//	    AllocPtr.
+//	link addition (newInode or addLink, then addEntry): AddInode (inode
+//	    initialized / link count bumped) -> entry stored in directory block
+//	    -> AddEntry. A store that fails gives the link back (dropLink).
+//	link removal (removeLink): entry cleared in directory block, or
+//	    retargeted in place by an addition -> RemoveEntry; the scheme must
+//	    (eventually) call FS.FinishRemove exactly once.
+//	block freeing (freeBlocks): pointers cleared in owner buffer ->
+//	    FreeBlocks; the scheme must (eventually) call FS.ApplyFree exactly
+//	    once.
+//
+// A second FinishRemove or ApplyFree of one record panics; FS.Unfinished
+// counts the records still owed theirs.
 type Ordering interface {
 	Name() string
 	// Start attaches the scheme to a mounted file system.
@@ -61,12 +69,11 @@ type FragRun struct {
 type AllocRec struct {
 	FS *FS
 
-	NewBuf   *cache.Buf // the new block's buffer, initialized in memory
-	NewFrag  int32      // first fragment of the new run
-	NewNFr   int        // run length in fragments
-	IsDir    bool       // new block holds directory entries
-	IsIndir  bool       // new block is an indirect pointer block
-	DataInit []byte     // contents at AllocInit time (== NewBuf.Data)
+	NewBuf  *cache.Buf // the new block's buffer, initialized in memory
+	NewFrag int32      // first fragment of the new run
+	NewNFr  int        // run length in fragments
+	IsDir   bool       // new block holds directory entries
+	IsIndir bool       // new block is an indirect pointer block
 
 	// Owner: where the pointer to the new block lives.
 	OwnerBuf     *cache.Buf // inode table block, or indirect block
@@ -91,6 +98,22 @@ type AllocRec struct {
 	OldBuf *cache.Buf
 }
 
+// InitOrdered reports whether the new block must be stable before a pointer
+// to it may be (rule 3): always for directory and indirect blocks, as in
+// real FFS derivatives; for file data only under Config.AllocInit.
+func (rec *AllocRec) InitOrdered() bool {
+	return rec.IsDir || rec.IsIndir || rec.FS.cfg.AllocInit
+}
+
+// Vacated returns the free of the run a fragment move vacated (nil when rec
+// is not a move), for the scheme to apply once the retargeted pointer is safe.
+func (rec *AllocRec) Vacated() *FreeRec {
+	if rec.MovedFrom == nil {
+		return nil
+	}
+	return &FreeRec{FS: rec.FS, Frags: []FragRun{*rec.MovedFrom}}
+}
+
 // LinkRec describes one link addition (create, mkdir, link, rename target).
 type LinkRec struct {
 	FS *FS
@@ -99,9 +122,10 @@ type LinkRec struct {
 	InoBuf   *cache.Buf // inode table block holding Ino, already updated
 	NewInode bool       // inode freshly allocated (vs. existing, for link)
 
-	DirIno   Ino
 	DirBuf   *cache.Buf // directory block; entry already stored (AddEntry)
 	EntryOff int        // byte offset of the entry in DirBuf.Data
+
+	inoLocked bool // the adding process holds Ino's lock (dropLink)
 }
 
 // RemRec describes one link removal.
@@ -128,11 +152,7 @@ type RemRec struct {
 	// reference but is not itself being removed).
 	LinkOnly bool
 
-	// PendingAdd is set by the file system when the removed entry still
-	// has an unresolved link-addition dependency in this scheme (only soft
-	// updates sets up such state); the scheme may then cancel both — the
-	// add and remove are serviced with no disk writes at all.
-	PendingAdd bool
+	state recState
 }
 
 // FreeRec describes freed resources: fragment runs and, optionally, the
@@ -144,4 +164,30 @@ type FreeRec struct {
 	OwnerBuf *cache.Buf // buffer whose pointers were cleared (inode block)
 	Frags    []FragRun
 	FreeIno  Ino // 0 if only blocks are being freed
+
+	state recState
 }
+
+// recState follows a RemRec or FreeRec through the "exactly once" half of
+// the contract; the zero value is a record the file system finishes itself.
+type recState uint8
+
+const (
+	handed   recState = iota + 1 // given to the scheme (counted in fs.unfinished)
+	finished                     // FinishRemove / ApplyFree has run
+)
+
+// finish marks a record's deferred half as run, once.
+func (fs *FS) finish(st *recState, call string) {
+	switch *st {
+	case finished:
+		panic("ffs: " + call + " called twice for one record")
+	case handed:
+		fs.unfinished--
+	}
+	*st = finished
+}
+
+// Unfinished reports how many removals and frees the scheme has been handed
+// (RemoveEntry, FreeBlocks) and not yet finished; zero once it has drained.
+func (fs *FS) Unfinished() int { return fs.unfinished }

@@ -5,8 +5,8 @@ import (
 )
 
 // Truncate shrinks ino to newSize bytes. Freed fragments obey rule 2
-// through the ordering scheme's FreeBlocks hook: they are not re-usable
-// until the shrunken inode could be durable.
+// through freeBlocks: they are not re-usable until the shrunken inode could
+// be durable.
 //
 // Supported shapes (the substrate's files are dense):
 //   - newSize == 0 for any file;
@@ -42,15 +42,8 @@ func (fs *FS) Truncate(p *sim.Proc, ino Ino, newSize uint64) error {
 		// rest leaks for fsck's free-map reconciliation.
 		runs, _ := fs.collectRuns(p, &ip)
 		fs.charge(p, fs.cfg.Costs.InodeOp)
-		fs.cache.PrepareModify(p, ib)
-		ip.Size = 0
-		for i := range ip.Direct {
-			ip.Direct[i] = 0
-		}
-		ip.Indir, ip.Dindir = 0, 0
-		fs.putInode(p, &ip, ib, ioff)
-		rec := &FreeRec{FS: fs, OwnerIno: ino, OwnerBuf: ib, Frags: runs}
-		fs.ord.FreeBlocks(p, rec)
+		ip = Inode{Mode: ip.Mode, Nlink: ip.Nlink, Gen: ip.Gen}
+		fs.freeBlocks(p, ino, &ip, ib, ioff, runs, 0)
 		return nil
 	}
 	if blocksOf(ip.Size) > NDirect {
@@ -93,8 +86,6 @@ func (fs *FS) Truncate(p *sim.Proc, ino Ino, newSize uint64) error {
 		}
 	}
 	ip.Size = newSize
-	fs.putInode(p, &ip, ib, ioff)
-	rec := &FreeRec{FS: fs, OwnerIno: ino, OwnerBuf: ib, Frags: runs}
-	fs.ord.FreeBlocks(p, rec)
+	fs.freeBlocks(p, ino, &ip, ib, ioff, runs, 0)
 	return nil
 }

@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 	"io"
-	"strings"
 
 	"metaupdate/fsim"
 	"metaupdate/internal/crashmc"
@@ -198,6 +197,26 @@ func chainChecks(a, b func(fsck.Image) []string) func(fsck.Image) []string {
 	}
 }
 
+// walkBacking classifies every entry of a node image by dmeta's backing-name
+// grammar (dmeta.ParseBackingName), parents before children: visit gets the
+// entry, the kind of the directory it sits in, its own kind and the logical
+// inode id in its name.
+func walkBacking(img fsck.Image, visit func(e fsck.WalkEntry, parent, kind dmeta.Kind, id uint64)) {
+	kinds := make(map[ffs.Ino]dmeta.Kind)
+	fsck.WalkTree(img, func(e fsck.WalkEntry) bool {
+		parent := dmeta.KindRoot
+		if e.Depth > 0 {
+			parent = kinds[e.Parent]
+		}
+		kind, id := dmeta.ParseBackingName(parent, e.Name, e.Ftype)
+		if e.Ftype == ffs.FtypeDir {
+			kinds[e.Ino] = kind
+		}
+		visit(e, parent, kind, id)
+		return true
+	})
+}
+
 // distShapeCheck verifies a node image against dmeta's local naming
 // discipline. Every local file is created by the node with a name drawn
 // from a fixed grammar, names never cross sector boundaries, and writes
@@ -207,94 +226,24 @@ func chainChecks(a, b func(fsck.Image) []string) func(fsck.Image) []string {
 // which is what keeps it sound across all orderings a scheme permits.
 func distShapeCheck(img fsck.Image) []string {
 	var bad []string
-	class := make(map[ffs.Ino]byte)
-	fsck.WalkTree(img, func(e fsck.WalkEntry) bool {
-		pc := byte('r')
-		if e.Depth > 0 {
-			pc = class[e.Parent]
+	walkBacking(img, func(e fsck.WalkEntry, parent, kind dmeta.Kind, _ uint64) {
+		if kind != dmeta.KindBad {
+			return
 		}
-		switch pc {
-		case 'r':
-			switch {
-			case e.Name == "i" && e.Ftype == ffs.FtypeDir:
-				class[e.Ino] = 'i'
-			case e.Name == "d" && e.Ftype == ffs.FtypeDir:
-				class[e.Ino] = 'd'
-			default:
-				bad = append(bad, fmt.Sprintf("dist: unexpected root entry %q (ftype %d)", e.Name, e.Ftype))
-			}
-		case 'i':
-			if e.Ftype != ffs.FtypeFile || !validInoFileName(e.Name) {
-				bad = append(bad, fmt.Sprintf("dist: malformed inode-file entry %q (ftype %d)", e.Name, e.Ftype))
-			}
-		case 'd':
-			if e.Ftype != ffs.FtypeDir || !validParentDirName(e.Name) {
-				bad = append(bad, fmt.Sprintf("dist: malformed parent-dir entry %q (ftype %d)", e.Name, e.Ftype))
-			} else {
-				class[e.Ino] = 'p'
-			}
-		case 'p':
-			if e.Ftype != ffs.FtypeFile || !parseDentName(e.Name) {
-				bad = append(bad, fmt.Sprintf("dist: malformed dentry entry %q (ftype %d)", e.Name, e.Ftype))
-			}
-		default:
-			bad = append(bad, fmt.Sprintf("dist: entry %q below an unclassified directory", e.Name))
+		what := "entry below an unclassified directory:"
+		switch parent {
+		case dmeta.KindRoot:
+			what = "unexpected root entry"
+		case dmeta.KindInoDir:
+			what = "malformed inode-file entry"
+		case dmeta.KindDentDir:
+			what = "malformed parent-dir entry"
+		case dmeta.KindParentDir:
+			what = "malformed dentry entry"
 		}
-		return true
+		bad = append(bad, fmt.Sprintf("dist: %s %q (ftype %d)", what, e.Name, e.Ftype))
 	})
 	return bad
-}
-
-// isHex reports whether s is a nonempty lowercase base-16 number
-// (strconv.FormatUint's output alphabet).
-func isHex(s string) bool {
-	if s == "" {
-		return false
-	}
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
-}
-
-func isDec(s string) bool {
-	if s == "" {
-		return false
-	}
-	for i := 0; i < len(s); i++ {
-		if s[i] < '0' || s[i] > '9' {
-			return false
-		}
-	}
-	return true
-}
-
-// validInoFileName accepts x<hex> (an inode's backing file) and
-// x<hex>.l<n> (an extra-link marker, n >= 2).
-func validInoFileName(name string) bool {
-	if !strings.HasPrefix(name, "x") {
-		return false
-	}
-	rest := name[1:]
-	if i := strings.Index(rest, ".l"); i >= 0 {
-		n := rest[i+2:]
-		return isHex(rest[:i]) && isDec(n) && n != "0" && n != "1"
-	}
-	return isHex(rest)
-}
-
-func validParentDirName(name string) bool {
-	return strings.HasPrefix(name, "p") && isHex(name[1:])
-}
-
-// parseDentName accepts <name>=<hex>; the logical name part never
-// contains '=' (dmeta's routers only pass workload names through).
-func parseDentName(name string) bool {
-	i := strings.LastIndexByte(name, '=')
-	return i > 0 && isHex(name[i+1:]) && !strings.Contains(name[:i], "=")
 }
 
 // crossScan walks the actual crash-cut images as a union namespace:
@@ -306,36 +255,13 @@ func crossScan(imgs [][]byte, res *DistCrashCheckResult) {
 	backed := make(map[uint64]int)
 	var refs []uint64
 	for _, img := range imgs {
-		class := make(map[ffs.Ino]byte)
-		fsck.WalkTree(fsck.Bytes(img), func(e fsck.WalkEntry) bool {
-			pc := byte('r')
-			if e.Depth > 0 {
-				pc = class[e.Parent]
+		walkBacking(fsck.Bytes(img), func(_ fsck.WalkEntry, _, kind dmeta.Kind, id uint64) {
+			switch kind {
+			case dmeta.KindInoFile: // not its links: the plain file backs the id
+				backed[id]++
+			case dmeta.KindDentry:
+				refs = append(refs, id)
 			}
-			switch pc {
-			case 'r':
-				if e.Ftype == ffs.FtypeDir && (e.Name == "i" || e.Name == "d") {
-					class[e.Ino] = e.Name[0]
-				}
-			case 'i':
-				// Only the plain x<hex> file (not .l<n> links) backs the id.
-				if rest, ok := strings.CutPrefix(e.Name, "x"); ok && isHex(rest) {
-					if id, ok := parseHex(rest); ok {
-						backed[id]++
-					}
-				}
-			case 'd':
-				if validParentDirName(e.Name) {
-					class[e.Ino] = 'p'
-				}
-			case 'p':
-				if i := strings.LastIndexByte(e.Name, '='); i > 0 {
-					if id, ok := parseHex(e.Name[i+1:]); ok {
-						refs = append(refs, id)
-					}
-				}
-			}
-			return true
 		})
 	}
 	res.BackedInodes = len(backed)
@@ -350,22 +276,6 @@ func crossScan(imgs [][]byte, res *DistCrashCheckResult) {
 			res.CrossDoubleOwned++
 		}
 	}
-}
-
-func parseHex(s string) (uint64, bool) {
-	if !isHex(s) || len(s) > 16 {
-		return 0, false
-	}
-	var v uint64
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c >= 'a' {
-			v = v<<4 | uint64(c-'a'+10)
-		} else {
-			v = v<<4 | uint64(c-'0')
-		}
-	}
-	return v, true
 }
 
 // Fprint renders the result as a table on w (nil w: no output).

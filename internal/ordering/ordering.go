@@ -59,13 +59,11 @@ func (s *Sequenced) Hooks() cache.Hooks { return cache.NopHooks{} }
 // delay is the delayed write, usable as either write of a scheme.
 func (s *Sequenced) delay(p *sim.Proc, b *cache.Buf) { s.fs.Cache().Bdwrite(b) }
 
-// AllocInit implements ffs.Ordering: directory and indirect blocks are
-// always initialized on stable storage before being pointed to (rule 3);
-// regular file data only when allocation initialization is configured (most
-// FFS derivatives skip it — the integrity/security hole the paper
-// discusses).
+// AllocInit implements ffs.Ordering: where the file system wants the new
+// block initialized on stable storage before it is pointed to (rule 3), it
+// gets the ordered write.
 func (s *Sequenced) AllocInit(p *sim.Proc, rec *ffs.AllocRec) {
-	if rec.IsDir || rec.IsIndir || rec.FS.Config().AllocInit {
+	if rec.InitOrdered() {
 		s.ordered(p, rec.NewBuf)
 	} else {
 		s.delay(p, rec.NewBuf)
@@ -81,7 +79,7 @@ func (s *Sequenced) AllocPtr(p *sim.Proc, rec *ffs.AllocRec) {
 		return
 	}
 	s.ordered(p, rec.OwnerBuf)
-	rec.FS.ApplyFree(p, &ffs.FreeRec{FS: rec.FS, Frags: []ffs.FragRun{*rec.MovedFrom}})
+	rec.FS.ApplyFree(p, rec.Vacated())
 }
 
 // AddInode implements ffs.Ordering: the inode (with its new link count) is

@@ -159,7 +159,7 @@ func (o *Chains) AllocInit(p *sim.Proc, rec *ffs.AllocRec) {
 		}
 		addDep(rec.NewBuf, o.issued[rec.OldBuf])
 	}
-	if rec.IsDir || rec.IsIndir || rec.FS.Config().AllocInit {
+	if rec.InitOrdered() {
 		id := o.chainWrite(p, rec.NewBuf)
 		// The owner's pointer write must follow the initialization.
 		addDep(rec.OwnerBuf, id)
@@ -173,9 +173,9 @@ func (o *Chains) AllocInit(p *sim.Proc, rec *ffs.AllocRec) {
 // chain behind it (rule 2, the section 3.2 tracking approach).
 func (o *Chains) AllocPtr(p *sim.Proc, rec *ffs.AllocRec) {
 	if rec.MovedFrom != nil {
-		vacated := []ffs.FragRun{*rec.MovedFrom}
-		o.rememberFreed(o.chainWrite(p, rec.OwnerBuf), vacated)
-		rec.FS.ApplyFree(p, &ffs.FreeRec{FS: rec.FS, Frags: vacated})
+		vacated := rec.Vacated()
+		o.rememberFreed(o.chainWrite(p, rec.OwnerBuf), vacated.Frags)
+		rec.FS.ApplyFree(p, vacated)
 		return
 	}
 	rec.FS.Cache().Bdwrite(rec.OwnerBuf)
