@@ -13,7 +13,9 @@
 //   - at each instant, every completed-subset of the then-pending writes
 //     that the scheme's ordering semantics permit — a subset is legal iff
 //     it is closed under the driver's barrier relation (dev.Predecessors),
-//     with chains of read requests collapsed to their write ancestors;
+//     with chains of read requests collapsed to their write ancestors. The
+//     driver reports the edges it wired, a subset of that relation with the
+//     same closure over the pending set, hence the same closed subsets;
 //   - for each write that could legally have been in flight, every
 //     partial-sector prefix (writes are sector-atomic, the paper's stated
 //     assumption).
@@ -62,8 +64,10 @@ type node struct {
 	// materializing them.
 	sech []uint64
 	// effPreds are the write IDs that must be durable before this request
-	// may complete, with read-only dependency chains collapsed (a write
-	// gated on a read inherits the read's write ancestors). Sorted.
+	// may complete, as far as the driver wired them (the rest follow through
+	// those writes' own effPreds while they are pending), with read-only
+	// dependency chains collapsed (a write gated on a read inherits the
+	// read's write ancestors). Sorted.
 	effPreds []uint64
 	// completedAt is the event index of the completion, -1 if the run
 	// ended with the request still pending.

@@ -1,0 +1,167 @@
+package crashmc
+
+// The driver hands the Recorder the barrier edges it wired, which are fewer
+// than the predecessor relation holds pairs (dev.computeBarrier: one edge per
+// flag chain). The crash-state space is defined by downward-closed subsets of
+// the pending writes, so what must not change is each node's closure over the
+// pending set — and, end to end, the exploration's counts.
+
+import (
+	"maps"
+	"slices"
+	"testing"
+
+	"metaupdate/fsim"
+	"metaupdate/internal/dev"
+	"metaupdate/internal/sim"
+	"metaupdate/internal/workload"
+)
+
+// definitionTee sits between the driver and the Recorder under test. It
+// passes every event on, and feeds a second Recorder the same timeline with
+// each submission's preds replaced by what dev.Predecessors gives over its own
+// copy of the pending set. At every submission it compares the two recordings'
+// closures of the new node.
+type definitionTee struct {
+	t          *testing.T
+	cfg        dev.Config
+	wired, def *Recorder
+	pending    map[uint64]*dev.Request
+	lastFlagID uint64
+	fewer      int // submissions wired behind fewer requests than the definition names
+}
+
+func sortedIDs(set map[uint64]struct{}) []uint64 {
+	ids := make([]uint64, 0, len(set))
+	for id := range set {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	return ids
+}
+
+// closure returns the pending writes n transitively waits for in rec.
+func (o *definitionTee) closure(rec *Recorder, n *node) map[uint64]struct{} {
+	out := map[uint64]struct{}{}
+	for todo := slices.Clone(n.effPreds); len(todo) > 0; {
+		id := todo[len(todo)-1]
+		todo = todo[:len(todo)-1]
+		if _, pending := o.pending[id]; !pending {
+			continue
+		}
+		if _, seen := out[id]; !seen {
+			out[id] = struct{}{}
+			todo = append(todo, rec.nodes[id].effPreds...)
+		}
+	}
+	return out
+}
+
+func (o *definitionTee) RequestSubmitted(q *dev.Request, preds []uint64) {
+	prior := make([]*dev.Request, 0, len(o.pending))
+	for _, p := range o.pending {
+		prior = append(prior, p)
+	}
+	def := sortedIDs(dev.Predecessors(o.cfg, q, prior, o.lastFlagID))
+	if len(preds) < len(def) {
+		o.fewer++
+	}
+	o.wired.RequestSubmitted(q, preds)
+	o.def.RequestSubmitted(q, def)
+	got, want := o.closure(o.wired, o.wired.nodes[q.ID]), o.closure(o.def, o.def.nodes[q.ID])
+	if !maps.Equal(got, want) {
+		o.t.Errorf("request %d: closure over the pending set %v, by the definition %v",
+			q.ID, sortedIDs(got), sortedIDs(want))
+	}
+	o.pending[q.ID] = q
+	if q.Flag && o.cfg.Mode == dev.ModeFlag {
+		o.lastFlagID = q.ID
+	}
+}
+
+func (o *definitionTee) retired(ids []uint64) {
+	for _, id := range ids {
+		delete(o.pending, id)
+	}
+}
+
+func (o *definitionTee) RequestsCompleted(ids []uint64, at sim.Time) {
+	o.wired.RequestsCompleted(ids, at)
+	o.def.RequestsCompleted(ids, at)
+	o.retired(ids)
+}
+
+func (o *definitionTee) RequestsFailed(ids []uint64, at sim.Time) {
+	o.wired.RequestsFailed(ids, at)
+	o.def.RequestsFailed(ids, at)
+	o.retired(ids)
+}
+
+func (o *definitionTee) BatchTorn(ids []uint64, sectors int, at sim.Time) {
+	o.wired.BatchTorn(ids, sectors, at)
+	o.def.BatchTorn(ids, sectors, at)
+}
+
+// TestReducedGraphSameStateSpace records Flag (Part-NR) and Chains
+// barrier-frees timelines, one under a fault plan that tears and fails
+// writes, and checks the closures submission by submission and the
+// exploration's counts — the whole timeline, the budget is not reached —
+// against values pinned from the commit before the driver reduced its graph
+// (443d42b, where this test's closures agree trivially: preds were the
+// definition).
+func TestReducedGraphSameStateSpace(t *testing.T) {
+	faults := fsim.FaultSpec{Seed: 3, TransientPer10k: 1200, TornPer10k: 300, BadSectors: 2}
+	for _, tc := range []struct {
+		name string
+		opt  fsim.Options
+		want Stats
+	}{
+		{"flag", fsim.Options{Scheme: fsim.SchedulerFlag},
+			Stats{Explored: 14153, Deduped: 231713, Checked: 14153, Violating: 0}},
+		{"chains-barrier-frees", fsim.Options{Scheme: fsim.SchedulerChains, Explicit: true, CB: true, BarrierFrees: true},
+			Stats{Explored: 8771, Deduped: 123331, Checked: 8771, Violating: 0}},
+		{"flag-faulty", fsim.Options{Scheme: fsim.SchedulerFlag, Faults: faults, MaxRetries: 1},
+			Stats{Explored: 14310, Deduped: 253134, Checked: 14310, Violating: 0}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.opt.DiskBytes, tc.opt.NInodes, tc.opt.CacheBytes = 6<<20, 1024, 2<<20
+			sys, err := fsim.New(tc.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := Attach(sys.Driver, sys.Disk)
+			tee := &definitionTee{
+				t: t, cfg: sys.Driver.Config(), wired: rec,
+				def:     &Recorder{nodes: map[uint64]*node{}, hseed: rec.hseed},
+				pending: map[uint64]*dev.Request{},
+			}
+			sys.Driver.SetObserver(tee)
+			sys.Run(func(p *fsim.Proc) {
+				// On the faulty disk operations may fail; the timeline is
+				// what is under test, not the workload's success.
+				dir, err := sys.FS.Mkdir(p, fsim.RootIno, "mc")
+				if err != nil {
+					return
+				}
+				workload.CreateFiles(p, sys.FS, dir, 30, 1024)
+				sys.FS.Sync(p)
+				workload.RemoveFiles(p, sys.FS, dir, 30)
+				sys.FS.Sync(p)
+			})
+			sys.Shutdown()
+			if tee.fewer == 0 {
+				t.Error("no submission was wired behind fewer requests than the definition names: nothing reduced, nothing tested")
+			}
+			got := rec.Explore(Config{Workers: 2, Budget: 40000, PerInstant: 256}).Stats
+			if tc.opt.Faults.Enabled() && (got.Torn == 0 || got.Failed == 0) {
+				t.Errorf("fault plan too tame: %d torn batches, %d failed requests", got.Torn, got.Failed)
+			}
+			if got.Explored != tc.want.Explored || got.Deduped != tc.want.Deduped ||
+				got.Checked != tc.want.Checked || got.Violating != tc.want.Violating {
+				t.Errorf("explored/deduped/checked/violating = %d/%d/%d/%d, pinned %d/%d/%d/%d",
+					got.Explored, got.Deduped, got.Checked, got.Violating,
+					tc.want.Explored, tc.want.Deduped, tc.want.Checked, tc.want.Violating)
+			}
+		})
+	}
+}

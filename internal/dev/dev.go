@@ -141,15 +141,17 @@ type Request struct {
 
 	// Barrier bookkeeping: each pending request keeps the list of successors
 	// it blocks, and successors keep only the count of outstanding
-	// predecessors. Exactly one edge exists per (predecessor, successor)
-	// pair, so completion is a plain counter decrement per edge.
-	nwait  int        // outstanding predecessors; dispatchable at zero
+	// predecessors. The edges are the ones computeBarrier wires — a subset
+	// of the predecessor relation with the same closure over the pending
+	// set, at most one per (predecessor, successor) pair — so completion is
+	// a plain counter decrement per edge.
+	nwait  int        // outstanding wired predecessors; dispatchable at zero
 	blocks []*Request // successors to unblock when this request completes
 
-	// Pending-set bookkeeping. The set is indexed by LBN, Count and Flag,
-	// which must not change while the request is pending.
-	seenBy     uint64 // ID of the last submission whose barrier visited this request
-	flagIdx    int    // position in Driver.flagged
+	// Pending-set bookkeeping. The set is indexed by LBN, Count, Op and
+	// Flag, which must not change while the request is pending.
+	seenBy     uint64 // ID of the last submission whose barrier wired this request
+	flagIdx    int    // position in Driver.flagLoose
 	dispatched bool   // member of the in-flight batch
 
 	enqueueAt  sim.Time
@@ -243,21 +245,32 @@ type Driver struct {
 	dsk *disk.Disk
 	cfg Config
 
-	nextID   uint64
-	queue    []*Request // submitted, not dispatched, in submission order
+	nextID uint64
+	// queue holds the submitted, not dispatched requests: in submission order
+	// until splitReadBatch puts the survivors of a bad-sector read batch back
+	// at the tail.
+	queue    []*Request
 	inflight []*Request // dispatched batch, in LBN order
 	pending  map[uint64]*Request
 	// The pending set as predecessorOf asks about it, so that computeBarrier
 	// visits candidates, not every pending request: by the 16-sector buckets
-	// a request touches (conflicts), and the flagged ones (flag barriers).
-	// Dependencies by ID go through pending itself.
+	// a request touches (conflicts; concat looks up its next member here
+	// too), and the flagged ones (flag barriers). Dependencies by ID go
+	// through pending itself.
 	bySector   map[int64][]*Request
 	bucketFree [][]*Request // emptied bucket slices, for the next new bucket
-	flagged    []*Request
+	// The pending flagged requests. Those that themselves wait for every
+	// pending flagged request (behindFlags) form a chain in ID order — each
+	// was wired behind the one before it — so only the newest is kept: a
+	// member is dispatched after every older one retired, hence when the
+	// tail retires the chain is empty. The others (flagged reads that bypass
+	// ordering) are listed.
+	nflagged  int
+	flagTail  *Request
+	flagLoose []*Request
 
-	free        []*Request         // LIFO request pool (see AllocRequest/Release)
-	concatIdx   map[int64]*Request // reusable LBN index for concat
-	predScratch []uint64           // reusable observer pred-ID buffer
+	free        []*Request // LIFO request pool (see AllocRequest/Release)
+	predScratch []uint64   // reusable observer pred-ID buffer
 	// batchBuf holds the batches concat builds, alternately: a batch is built
 	// while the previous one is still completing (a completion callback
 	// Submits and kicks the idle disk), never while an older one is.
@@ -290,7 +303,9 @@ type Driver struct {
 	// pure sector-conflict edges, which arise in every mode, are excluded.
 	// ModeIgnore drivers (No Order, Conventional, Soft Updates) therefore
 	// always report zero: the paper-shaped "requests blocked on ordering"
-	// counter. Always on; one comparison per barrier edge.
+	// counter. It is defined on the predecessor relation, not on the edges
+	// wired: a request behind the flag barrier counts when some pending
+	// flagged request does not overlap it. Always on.
 	OrderingStalls int64
 
 	Trace Trace
@@ -325,12 +340,11 @@ func New(eng *sim.Engine, dsk *disk.Disk, cfg Config) *Driver {
 		cfg.RetryBackoff = DefaultRetryBackoff
 	}
 	d := &Driver{
-		eng:       eng,
-		dsk:       dsk,
-		cfg:       cfg,
-		pending:   make(map[uint64]*Request),
-		bySector:  make(map[int64][]*Request),
-		concatIdx: make(map[int64]*Request),
+		eng:      eng,
+		dsk:      dsk,
+		cfg:      cfg,
+		pending:  make(map[uint64]*Request),
+		bySector: make(map[int64][]*Request),
 	}
 	d.batchDone = func() { d.complete(d.inflight, d.batchAccess) }
 	return d
@@ -376,9 +390,14 @@ func (d *Driver) Config() Config { return d.cfg }
 // engine context and must not block or re-enter the driver.
 type Observer interface {
 	// RequestSubmitted fires after r's barrier is computed. preds is the
-	// sorted set of pending request IDs that must complete before r; the
-	// slice is a scratch buffer valid only during the callback. For
-	// writes, r.Data is the exact write source (stable until completion).
+	// sorted set of pending request IDs r was wired behind: a subset of
+	// Predecessors(...) whose closure over the pending set — follow each
+	// pending request's own preds — is the closure of the full sets, so the
+	// downward-closed subsets of the recorded graph are the same (a request
+	// behind the flag barrier names the newest flagged request of the chain,
+	// which named the one before it). The slice is a scratch buffer valid
+	// only during the callback. For writes, r.Data is the exact write source
+	// (stable until completion).
 	RequestSubmitted(r *Request, preds []uint64)
 	// RequestsCompleted fires when a batch's data has been moved — writes
 	// are on the media — and before any completion callbacks run.
@@ -473,8 +492,13 @@ func (d *Driver) index(r *Request) {
 		d.bySector[k] = append(s, r)
 	}
 	if r.Flag {
-		r.flagIdx = len(d.flagged)
-		d.flagged = append(d.flagged, r)
+		d.nflagged++
+		if behindFlags(&d.cfg, r) {
+			d.flagTail = r
+		} else {
+			r.flagIdx = len(d.flagLoose)
+			d.flagLoose = append(d.flagLoose, r)
+		}
 	}
 }
 
@@ -493,60 +517,101 @@ func (d *Driver) unindex(r *Request) {
 			d.bucketFree = append(d.bucketFree, s[:0])
 		}
 	}
-	if r.Flag {
-		n := len(d.flagged) - 1
-		last := d.flagged[n]
-		d.flagged[r.flagIdx], last.flagIdx = last, r.flagIdx
-		d.flagged[n] = nil
-		d.flagged = d.flagged[:n]
+	if !r.Flag {
+		return
 	}
+	d.nflagged--
+	if behindFlags(&d.cfg, r) {
+		if d.flagTail == r {
+			d.flagTail = nil // r ran after every older chain member retired
+		}
+		return
+	}
+	n := len(d.flagLoose) - 1
+	last := d.flagLoose[n]
+	d.flagLoose[r.flagIdx], last.flagIdx = last, r.flagIdx
+	d.flagLoose[n] = nil
+	d.flagLoose = d.flagLoose[:n]
 }
 
-// computeBarrier wires r into the barrier graph: for every pending request
-// q (queue + inflight — exactly the requests submitted before r that have
-// not completed) with predecessorOf(q, r), it appends r to q's successor
-// list and bumps r's outstanding-predecessor count. Only candidates are
-// asked: the requests sharing a sector bucket with r, the flagged ones
-// where a flag is a barrier to r, the ones r names by ID — and the whole
-// pending set only under SemBack/SemFull, which order r behind every
-// earlier request. A candidate reached twice is stamped and asked once;
-// visit order is immaterial (successor lists grow by r at the end, nwait
-// is a count, the observer's predScratch is sorted).
+// behindFlags reports whether r waits for every pending flagged request —
+// whether predecessorOf(cfg, r, q, ·) holds for every pending q with q.Flag,
+// whatever else q is.
+func behindFlags(cfg *Config, r *Request) bool {
+	switch cfg.Mode {
+	case ModeFlag:
+		return !(cfg.NR && r.Op == disk.Read)
+	case ModeChains:
+		return r.Op == disk.Write
+	}
+	return false
+}
+
+// computeBarrier wires r into the barrier graph. The definition of what r
+// waits for is predecessorOf, asked of every pending request q (queue +
+// inflight — exactly the requests submitted before r that have not retired);
+// what is wired — r appended to q's successor list, r's
+// outstanding-predecessor count bumped — is a subset of those q whose closure
+// over the pending set is the same, so r becomes dispatchable at the same
+// instant:
+//
+//   - every pending q whose sectors conflict with r's, found through the
+//     sector buckets r touches;
+//   - where pending flags are barriers to r (behindFlags): the newest pending
+//     flagged request that is itself behind flags, and each pending flagged
+//     request that is not (a flagged read passing the barrier). The former
+//     make a chain: each was wired behind the newest before it, so the newest
+//     retires last and one edge stands for all of them. A member that fails
+//     breaks nothing ("a failed predecessor constrains nothing"): it fails
+//     only after dispatch, that is after every older member retired;
+//   - under ModeChains, every pending q that r names by ID;
+//   - under SemBack/SemFull, which order r behind requests that are neither
+//     flagged nor overlapping, every predecessor: the whole pending set is
+//     asked.
+//
+// A request reached twice is wired once; visit order is immaterial (successor
+// lists grow by r at the end, nwait is a count, the observer's predScratch is
+// sorted). OrderingStalls is counted on the definition: a flag barrier stalls
+// r when some pending flagged request does not conflict with it, and all that
+// do were met through the buckets.
 func (d *Driver) computeBarrier(r *Request) {
 	cfg := &d.cfg
 	d.predScratch = d.predScratch[:0]
 	ordered := false
-	visit := func(qs ...*Request) {
-		for _, q := range qs {
-			if q.seenBy == r.ID {
-				continue
-			}
-			q.seenBy = r.ID
-			if !predecessorOf(cfg, r, q, d.lastFlagID) {
-				continue
-			}
-			q.blocks = append(q.blocks, r)
-			r.nwait++
-			ordered = ordered || !conflicts(r, q)
-			if d.obs != nil {
-				d.predScratch = append(d.predScratch, q.ID)
+	behind := behindFlags(cfg, r)
+	if behind && cfg.Mode == ModeFlag && cfg.Sem != SemPart {
+		for _, qs := range [2][]*Request{d.inflight, d.queue} {
+			for _, q := range qs {
+				if predecessorOf(cfg, r, q, d.lastFlagID) {
+					d.wire(q, r)
+					ordered = ordered || !conflicts(r, q)
+				}
 			}
 		}
-	}
-	bypass := cfg.NR && r.Op == disk.Read // ModeFlag: only conflicts order r
-	if cfg.Mode == ModeFlag && cfg.Sem != SemPart && !bypass {
-		visit(d.inflight...)
-		visit(d.queue...)
 	} else {
+		flagConflicts := 0
 		for k, hi := r.buckets(); k <= hi; k++ {
-			visit(d.bySector[k]...)
+			for _, q := range d.bySector[k] {
+				if conflicts(r, q) && d.wire(q, r) && q.Flag {
+					flagConflicts++
+				}
+			}
 		}
-		if cfg.Mode == ModeFlag && !bypass || cfg.Mode == ModeChains && r.Op == disk.Write {
-			visit(d.flagged...)
+		if behind {
+			ordered = d.nflagged > flagConflicts
+			if d.flagTail != nil {
+				d.wire(d.flagTail, r)
+			}
+			for _, q := range d.flagLoose {
+				d.wire(q, r)
+			}
 		}
-		for _, id := range r.DependsOn {
-			if q := d.pending[id]; q != nil {
-				visit(q)
+		if cfg.Mode == ModeChains {
+			for _, id := range r.DependsOn {
+				if q := d.pending[id]; q != nil {
+					d.wire(q, r)
+					ordered = ordered || !conflicts(r, q)
+				}
 			}
 		}
 	}
@@ -555,10 +620,26 @@ func (d *Driver) computeBarrier(r *Request) {
 	}
 }
 
+// wire adds the barrier edge q → r unless r's submission already did, and
+// reports whether it added one.
+func (d *Driver) wire(q, r *Request) bool {
+	if q.seenBy == r.ID {
+		return false
+	}
+	q.seenBy = r.ID
+	q.blocks = append(q.blocks, r)
+	r.nwait++
+	if d.obs != nil {
+		d.predScratch = append(d.predScratch, q.ID)
+	}
+	return true
+}
+
 // predecessorOf reports whether pending request q must complete before r
-// may be dispatched under cfg. It is evaluated once per (q, r) pair, so
-// the barrier graph has exactly one edge per ordered pair and completion
-// bookkeeping can be a plain counter decrement.
+// may be dispatched under cfg. It is the definition of the barrier relation
+// (Predecessors applies it to a whole pending set); computeBarrier enforces
+// it by wiring a subset of the pairs it holds for, and asks it directly only
+// under SemBack/SemFull.
 func predecessorOf(cfg *Config, r, q *Request, lastFlagID uint64) bool {
 	// Conflicts: overlapping ranges where at least one side writes never
 	// reorder, in every mode.
@@ -663,28 +744,25 @@ func (d *Driver) pickCLOOK() *Request {
 
 // concat gathers pick plus any eligible same-op requests exactly contiguous
 // after it, up to the concatenation cap — the paper's "scheduling code in
-// the device driver concatenates sequential requests". One LBN index per
-// dispatch keeps this linear even with thousands of queued requests.
+// the device driver concatenates sequential requests". The next member is
+// looked up in the sector bucket where it would start (nothing is in flight
+// while a batch is built, so every request there is queued); of several
+// starting at one sector, the earliest submission — the lowest ID — wins.
 func (d *Driver) concat(pick *Request) []*Request {
-	byLBN := d.concatIdx
-	clear(byLBN)
-	for _, r := range d.queue {
-		if r != pick && r.eligible() && r.Op == pick.Op {
-			if _, dup := byLBN[r.LBN]; !dup { // earliest submission wins
-				byLBN[r.LBN] = r
-			}
-		}
-	}
 	d.batchSel ^= 1
 	batch := append(d.batchBuf[d.batchSel][:0], pick)
 	total := pick.Count
 	end := pick.end()
 	for total < d.cfg.MaxConcat {
-		next := byLBN[end]
+		var next *Request
+		for _, q := range d.bySector[end>>bucketShift] {
+			if q.LBN == end && q.Op == pick.Op && q.eligible() && (next == nil || q.ID < next.ID) {
+				next = q
+			}
+		}
 		if next == nil || total+next.Count > d.cfg.MaxConcat {
 			break
 		}
-		delete(byLBN, end)
 		batch = append(batch, next)
 		total += next.Count
 		end = next.end()

@@ -314,3 +314,33 @@ func TestPooledRequestCleanAfterFailedUse(t *testing.T) {
 		t.Fatal("reused request's data not on media")
 	}
 }
+
+// TestConcatPrefersEarliestSubmission: of two eligible reads starting at the
+// sector where a batch ends, the one submitted first joins it — by ID, not by
+// queue position, which stops being submission order once a split read batch
+// puts its survivors back at the tail.
+func TestConcatPrefersEarliestSubmission(t *testing.T) {
+	// Call 1: the blocker, clean. Call 2: the batch a+b+c, bad sector under a.
+	j := &scriptJudge{script: []fault.Outcome{
+		{}, {Kind: fault.BadSector, Sector: 201},
+	}}
+	eng, _, drv := newFaultRig(Config{Mode: ModeIgnore}, j, 0)
+	drv.Submit(wreq(100, 1, false)) // keeps the disk busy while the reads queue
+	a := drv.Submit(rreq(200, 4))
+	b := drv.Submit(rreq(204, 4))
+	c := drv.Submit(rreq(208, 4))
+	late := drv.Submit(rreq(208, 4)) // same sectors as c, submitted after it
+	eng.RunWhile(func() bool { return !a.Done.Fired() })
+	if a.Err != ErrBadSector || b.Done.Fired() || c.Done.Fired() {
+		t.Fatalf("setup: a.Err = %v, b fired %v, c fired %v; want a failed and b, c requeued", a.Err, b.Done.Fired(), c.Done.Fired())
+	}
+	if got := []*Request{drv.queue[0], drv.inflight[0], drv.inflight[1]}; len(drv.queue) != 1 ||
+		got[0] != late || got[1] != b || got[2] != c {
+		t.Fatalf("after the split: queue %d, in flight %d; want b+c (IDs %d, %d) redispatched and %d left queued",
+			len(drv.queue), len(drv.inflight), b.ID, c.ID, late.ID)
+	}
+	eng.Run()
+	if b.Err != nil || c.Err != nil || late.Err != nil || late.DispatchTime() <= c.DispatchTime() {
+		t.Fatalf("errs %v %v %v; c dispatched at %v, the later read at %v", b.Err, c.Err, late.Err, c.DispatchTime(), late.DispatchTime())
+	}
+}

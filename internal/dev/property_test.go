@@ -231,17 +231,49 @@ func TestPropertyConflictingWritesOrdered(t *testing.T) {
 	}
 }
 
-// barrierOracle checks every submission's barrier against the definition.
-// It keeps its own copy of the pending set and of the last flagged ID, fed
-// only by observer events, and asks the exported oracle — predecessorOf
-// applied to every pending request, the way computeBarrier used to — what
-// the indexed computeBarrier should have found.
+// barrierOracle checks the barrier the driver wires and enforces against the
+// definition. It keeps its own copy of the pending set and of the last
+// flagged ID, fed only by observer events, and asks the exported oracle —
+// predecessorOf applied to every pending request — what each submission must
+// wait for. The driver may wire fewer edges than that (one per flag chain,
+// not one per flagged request), so the oracle pins what the representation
+// must preserve instead of the representation:
+//
+//   - at submission, the wired preds are a duplicate-free subset of the
+//     oracle set, nwait counts them, and every member of the oracle set is
+//     reachable from the request through wired edges between pending requests;
+//   - at retirement, no member of a retiring request's oracle set is still
+//     pending (nor, therefore, in the same batch), and the request became
+//     ready at the instant the last of them retired.
 type barrierOracle struct {
 	cfg        Config
+	now        func() sim.Time
 	pending    map[uint64]*Request
+	want       map[uint64]map[uint64]struct{} // oracle set at submission, per request ever submitted
+	wired      map[uint64][]uint64            // wired preds, per pending request
+	retiredAt  map[uint64]sim.Time
 	lastFlagID uint64
-	edges      int
+	edges      int // oracle pairs
+	wiredEdges int
 	err        error // the first disagreement
+}
+
+func newBarrierOracle(cfg Config, now func() sim.Time) *barrierOracle {
+	return &barrierOracle{
+		cfg:       cfg,
+		now:       now,
+		pending:   map[uint64]*Request{},
+		want:      map[uint64]map[uint64]struct{}{},
+		wired:     map[uint64][]uint64{},
+		retiredAt: map[uint64]sim.Time{},
+	}
+}
+
+func (o *barrierOracle) fail(r *Request, format string, args ...any) {
+	if o.err == nil {
+		o.err = fmt.Errorf("request %d (op %v lbn %d count %d flag %v deps %v): %s",
+			r.ID, r.Op, r.LBN, r.Count, r.Flag, r.DependsOn, fmt.Sprintf(format, args...))
+	}
 }
 
 func (o *barrierOracle) RequestSubmitted(r *Request, preds []uint64) {
@@ -249,25 +281,58 @@ func (o *barrierOracle) RequestSubmitted(r *Request, preds []uint64) {
 	for _, q := range o.pending {
 		prior = append(prior, q)
 	}
-	want := make([]uint64, 0, len(prior))
-	for id := range Predecessors(o.cfg, r, prior, o.lastFlagID) {
-		want = append(want, id)
+	want := Predecessors(o.cfg, r, prior, o.lastFlagID)
+	if r.nwait != len(preds) || !slices.IsSorted(preds) || len(slices.Compact(slices.Clone(preds))) != len(preds) {
+		o.fail(r, "nwait %d, preds %v: not one count per distinct sorted pred", r.nwait, preds)
 	}
-	slices.Sort(want)
-	if (!slices.Equal(preds, want) || r.nwait != len(want)) && o.err == nil {
-		o.err = fmt.Errorf("request %d (op %v lbn %d count %d flag %v deps %v): nwait %d, preds %v, oracle %v",
-			r.ID, r.Op, r.LBN, r.Count, r.Flag, r.DependsOn, r.nwait, preds, want)
+	reach := map[uint64]struct{}{}
+	for todo := slices.Clone(preds); len(todo) > 0; {
+		id := todo[len(todo)-1]
+		todo = todo[:len(todo)-1]
+		if _, seen := reach[id]; !seen {
+			reach[id] = struct{}{}
+			todo = append(todo, o.wired[id]...) // a retired request's entry is gone
+		}
+	}
+	for _, id := range preds {
+		if _, ok := want[id]; !ok {
+			o.fail(r, "wired behind %d, which the oracle set %v does not hold", id, want)
+		}
+	}
+	for id := range want {
+		if _, ok := reach[id]; !ok {
+			o.fail(r, "oracle predecessor %d not reachable through wired preds %v", id, preds)
+		}
 	}
 	o.edges += len(want)
+	o.wiredEdges += len(preds)
 	o.pending[r.ID] = r
+	o.want[r.ID] = want
+	o.wired[r.ID] = slices.Clone(preds)
 	if r.Flag && o.cfg.Mode == ModeFlag {
 		o.lastFlagID = r.ID
 	}
 }
 
 func (o *barrierOracle) retired(ids []uint64) {
+	now := o.now()
+	for _, id := range ids {
+		r := o.pending[id]
+		ready := r.SubmitTime()
+		for p := range o.want[id] {
+			if _, still := o.pending[p]; still {
+				o.fail(r, "retired with oracle predecessor %d pending", p)
+			}
+			ready = max(ready, o.retiredAt[p])
+		}
+		if r.ReadyTime() != ready {
+			o.fail(r, "ReadyTime %v, last oracle predecessor retired at %v", r.ReadyTime(), ready)
+		}
+	}
 	for _, id := range ids {
 		delete(o.pending, id)
+		delete(o.wired, id)
+		o.retiredAt[id] = now
 	}
 }
 
@@ -293,10 +358,11 @@ func (j flakyJudge) Judge(write bool, lbn int64, count int, _ func(int64) bool) 
 }
 
 // TestBarrierIndexMatchesPredecessors is the differential test of the
-// indexed pending set: under every ordering mode, with requests that span
-// index buckets, overlap, carry flags and name pending, completed and
-// never-issued IDs, and with batches failing and splitting underneath, the
-// barrier the driver wires must be exactly the oracle's.
+// indexed pending set and of the reduced barrier graph: under every ordering
+// mode, with requests that span index buckets, overlap, carry flags (reads
+// too) and name pending, completed and never-issued IDs, and with batches
+// failing and splitting underneath, the barrier the driver wires must have
+// the oracle's closure and the barrier it enforces must be the oracle's.
 func TestBarrierIndexMatchesPredecessors(t *testing.T) {
 	cfgs := []Config{{Mode: ModeIgnore}, {Mode: ModeChains}}
 	for _, sem := range []FlagSemantics{SemFull, SemBack, SemPart} {
@@ -313,7 +379,7 @@ func TestBarrierIndexMatchesPredecessors(t *testing.T) {
 				if seed%2 == 0 {
 					dsk.SetFaults(flakyJudge{rng}, 0)
 				}
-				o := &barrierOracle{cfg: drv.Config(), pending: map[uint64]*Request{}}
+				o := newBarrierOracle(drv.Config(), eng.Now)
 				drv.SetObserver(o)
 				var issued []uint64
 				var next int64 // sector after the previous request
@@ -357,15 +423,88 @@ func TestBarrierIndexMatchesPredecessors(t *testing.T) {
 				if len(o.pending) != 0 || drv.Busy() {
 					t.Fatalf("seed %d: %d requests never retired", seed, len(o.pending))
 				}
-				if len(drv.pending)+len(drv.bySector)+len(drv.flagged) != 0 {
-					t.Fatalf("seed %d: index not empty at idle: %d pending, %d buckets, %d flagged",
-						seed, len(drv.pending), len(drv.bySector), len(drv.flagged))
+				if len(drv.pending)+len(drv.bySector)+drv.nflagged+len(drv.flagLoose) != 0 || drv.flagTail != nil {
+					t.Fatalf("seed %d: index not empty at idle: %d pending, %d buckets, %d flagged (%d loose, tail %v)",
+						seed, len(drv.pending), len(drv.bySector), drv.nflagged, len(drv.flagLoose), drv.flagTail)
+				}
+				if o.wiredEdges > o.edges {
+					t.Fatalf("seed %d: %d edges wired for %d oracle pairs", seed, o.wiredEdges, o.edges)
 				}
 				edges += o.edges
 				failed += drv.Faults.Errors
 			}
 			if edges == 0 || failed == 0 {
 				t.Fatalf("streams too tame to test anything: %d barrier edges, %d failed requests", edges, failed)
+			}
+		})
+	}
+}
+
+// TestFlagBarrierEdgesLinear pins the size of the graph, by count: behind N
+// pending flagged writes a new request is wired to the newest one only, where
+// one edge per (flagged, new) pair would be N²/2 in all.
+func TestFlagBarrierEdgesLinear(t *testing.T) {
+	const n = 2000
+	for name, cfg := range map[string]Config{
+		"part-nr":              {Mode: ModeFlag, Sem: SemPart, NR: true},
+		"chains-barrier-frees": {Mode: ModeChains},
+	} {
+		t.Run(name, func(t *testing.T) {
+			eng, _, drv := newRig(cfg)
+			reqs := make([]*Request, n)
+			edges := 0
+			for i := range reqs {
+				// One per bucket, so no two conflict; the first is in flight.
+				reqs[i] = drv.Submit(wreq(int64(i)<<bucketShift, 1, true))
+				if w := reqs[i].nwait; w > 2 {
+					t.Fatalf("submission %d wired behind %d requests, want at most 2", i, w)
+				}
+				edges += reqs[i].nwait
+			}
+			if edges != n-1 || drv.nflagged != n {
+				t.Fatalf("%d edges over %d pending flagged writes, want %d (one each but the first)", edges, drv.nflagged, n-1)
+			}
+			eng.Run()
+			for i := 1; i < n; i++ {
+				if reqs[i].Done.FiredAt < reqs[i-1].Done.FiredAt || reqs[i].DispatchTime() < reqs[i-1].Done.FiredAt {
+					t.Fatalf("flagged write %d passed %d", i, i-1)
+				}
+			}
+		})
+	}
+}
+
+// TestOrderingStallsCountsDefinition: the stall counter is defined on what a
+// request waits for, not on the edges wired. A write that overlaps the newest
+// flagged request is wired behind it once, a conflict edge; it still waits
+// for the older flagged request it does not overlap, and counts.
+func TestOrderingStallsCountsDefinition(t *testing.T) {
+	for name, cfg := range map[string]Config{
+		"part-nr": {Mode: ModeFlag, Sem: SemPart, NR: true},
+		"chains":  {Mode: ModeChains},
+	} {
+		t.Run(name, func(t *testing.T) {
+			_, _, drv := newRig(cfg)
+			stalls := func(r *Request) int64 {
+				before := drv.OrderingStalls
+				drv.Submit(r)
+				return drv.OrderingStalls - before
+			}
+			if n := stalls(wreq(100, 4, true)); n != 0 {
+				t.Fatalf("first request counted %d stalls", n)
+			}
+			if n := stalls(wreq(100, 4, false)); n != 0 {
+				t.Fatalf("write overlapping the only pending flagged request counted %d stalls: a conflict, not an ordering stall", n)
+			}
+			if n := stalls(wreq(200, 4, true)); n != 1 {
+				t.Fatalf("flagged write behind a flagged write elsewhere counted %d stalls, want 1", n)
+			}
+			c := wreq(202, 4, false)
+			if n := stalls(c); n != 1 || c.nwait != 1 {
+				t.Fatalf("write overlapping only the newer of two flagged requests: %d stalls over %d edges, want 1 over 1", n, c.nwait)
+			}
+			if n := stalls(rreq(300, 4)); n != 0 {
+				t.Fatalf("read that passes the barrier counted %d stalls", n)
 			}
 		})
 	}
