@@ -21,11 +21,14 @@
 //     assumption).
 //
 // Crash states are deduplicated up front by an incrementally-maintained
-// per-sector content signature, then handed to a worker pool as
-// copy-on-write overlays (the instant's committed snapshot plus a
-// per-sector delta map) and verified through fsck.CheckImage (plus,
-// optionally, fsck.ContentViolationsImage) without ever materializing a
-// full image per candidate.
+// per-sector content signature, then handed to a worker pool by name — the
+// prefix of the completion order that makes up the instant's committed
+// image, plus the pending writes hypothesized durable. Each worker rolls one
+// private image forward along that order, lays the hypothesized writes over
+// it as a copy-on-write overlay, and verifies the result through
+// fsck.CheckImage (plus, optionally, fsck.ContentViolationsImage): neither
+// an instant nor a candidate costs a media-sized copy, unless the scheme
+// needs recovery run on the image first (Config.Recover).
 // Real goroutine parallelism is safe here because image checking happens
 // entirely outside the deterministic simulation. Any violating image can
 // be shrunk to a minimal repro: the smallest dependency-closed write
@@ -53,7 +56,11 @@ import (
 
 // node is one recorded request.
 type node struct {
-	id    uint64
+	id uint64
+	// ord is the node's ordinal in its recording (submission order): the
+	// index an Explore's dense per-node scratch is kept under. Immutable,
+	// like everything here — a Recorder's nodes are shared by every Explore.
+	ord   int
 	write bool
 	lbn   int64
 	count int    // sectors
@@ -67,8 +74,10 @@ type node struct {
 	// may complete, as far as the driver wired them (the rest follow through
 	// those writes' own effPreds while they are pending), with read-only
 	// dependency chains collapsed (a write gated on a read inherits the
-	// read's write ancestors). Sorted.
+	// read's write ancestors). Sorted. predOrds names the same nodes by
+	// ordinal.
 	effPreds []uint64
+	predOrds []int
 	// completedAt is the event index of the completion, -1 if the run
 	// ended with the request still pending.
 	completedAt int
@@ -130,6 +139,7 @@ func Attach(drv *dev.Driver, dsk *disk.Disk) *Recorder {
 func (r *Recorder) RequestSubmitted(q *dev.Request, preds []uint64) {
 	n := &node{
 		id:          q.ID,
+		ord:         len(r.nodes),
 		write:       q.Op == disk.Write,
 		lbn:         q.LBN,
 		count:       q.Count,
@@ -166,6 +176,10 @@ func (r *Recorder) RequestSubmitted(q *dev.Request, preds []uint64) {
 		n.effPreds = append(n.effPreds, id)
 	}
 	sort.Slice(n.effPreds, func(i, j int) bool { return n.effPreds[i] < n.effPreds[j] })
+	n.predOrds = make([]int, len(n.effPreds))
+	for i, id := range n.effPreds {
+		n.predOrds[i] = r.nodes[id].ord
+	}
 	r.nodes[q.ID] = n
 	r.events = append(r.events, event{submit: q.ID})
 }
@@ -242,7 +256,7 @@ type Config struct {
 	// Recover, if set, runs crash-time recovery on each materialized crash
 	// image before the fsck oracle (the Journaling scheme sets it to journal
 	// replay). Setting it means a full fsck walk per candidate instead of a
-	// delta replayed against a cached per-snapshot Baseline — recovery
+	// delta replayed against the worker's Baseline of the instant — recovery
 	// rewrites arbitrary home fragments, so the delta replay would be
 	// unsound. Reports are identical either way (the differential oracle in
 	// incremental_test.go enforces it). It is called concurrently on
@@ -293,8 +307,10 @@ type Stats struct {
 	Violating int64 `json:"violating"` // distinct images with rule violations
 
 	// Incremental reports the checking mode; BaselineBuilds counts the
-	// committed-image baselines derived in incremental mode (one per
-	// snapshot version, shared across workers).
+	// committed-image baselines derived in incremental mode, summed over
+	// the workers: each derives one whenever its own image has moved, so
+	// with more than one worker the count depends on which worker drew
+	// which job.
 	Incremental    bool  `json:"incremental"`
 	BaselineBuilds int64 `json:"baseline_builds,omitempty"`
 

@@ -1,6 +1,7 @@
 package crashmc_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -146,24 +147,26 @@ func TestSeededViolationShrinks(t *testing.T) {
 }
 
 // TestWorkerCountInvariance pins the determinism contract: the exploration
-// is enumerated single-threaded, so every counter and the retained
+// is enumerated single-threaded and every worker rolls its own committed
+// image along the same done order, so every counter and the retained
 // violation set must be identical regardless of checker parallelism.
 func TestWorkerCountInvariance(t *testing.T) {
 	rec := record(t, fsim.NoOrder, 8, false)
 	one := rec.Explore(crashmc.Config{Workers: 1, Budget: 1000, PerInstant: 256})
-	four := rec.Explore(crashmc.Config{Workers: 4, Budget: 1000, PerInstant: 256})
-	if one.Stats.Explored != four.Stats.Explored ||
-		one.Stats.Checked != four.Stats.Checked ||
-		one.Stats.Deduped != four.Stats.Deduped ||
-		one.Stats.Violating != four.Stats.Violating {
-		t.Fatalf("counters differ across worker counts:\n1: %+v\n4: %+v", one.Stats, four.Stats)
+	if one.Clean() {
+		t.Fatal("noorder exploration is clean: no retained violations to compare")
 	}
-	if len(one.Violations) != len(four.Violations) {
-		t.Fatalf("retained violations differ: %d vs %d", len(one.Violations), len(four.Violations))
-	}
-	for i := range one.Violations {
-		if one.Violations[i].Seq != four.Violations[i].Seq {
-			t.Fatalf("violation %d seq differs: %d vs %d", i, one.Violations[i].Seq, four.Violations[i].Seq)
+	for _, workers := range []int{2, 4} {
+		many := rec.Explore(crashmc.Config{Workers: workers, Budget: 1000, PerInstant: 256})
+		if one.Stats.Explored != many.Stats.Explored ||
+			one.Stats.Checked != many.Stats.Checked ||
+			one.Stats.Deduped != many.Stats.Deduped ||
+			one.Stats.Violating != many.Stats.Violating {
+			t.Fatalf("counters differ across worker counts:\n1: %+v\n%d: %+v", one.Stats, workers, many.Stats)
+		}
+		if !reflect.DeepEqual(one.Violations, many.Violations) {
+			t.Fatalf("retained violations differ between 1 and %d workers:\n1: %+v\n%d: %+v",
+				workers, one.Violations, workers, many.Violations)
 		}
 	}
 }

@@ -13,34 +13,41 @@ import (
 	"metaupdate/internal/fsck"
 )
 
-// job is one crash state handed to the checker pool: a shared committed
-// snapshot plus the pending-write deltas hypothesized durable.
+// job is one crash state handed to the checker pool: the completed writes
+// that make up the instant's committed image, plus the pending-write deltas
+// hypothesized durable on top of it.
 type job struct {
 	seq int64
-	img []byte // committed image for the instant; read-only
-	// imgVer identifies img: it bumps whenever the explorer snapshots a new
-	// committed image, so workers can key their cached fsck Baselines on it
-	// (jobs sharing a version share the identical base bytes).
-	imgVer    uint64
-	subset    []*node
-	partial   *node
-	psec      int
-	instant   int
-	completed int // writes durably completed at the instant
+	// done is the explorer's doneOrder as it stood at the instant: base plus
+	// done applied in order is the committed image. Only the slice header
+	// travels — entries are immutable once appended, the explorer appends
+	// beyond every header it has sent, and the channel send orders its
+	// writes before the worker's reads.
+	done    []*node
+	subset  *[]*node // pooled (checkerPool.subsets); nil for the empty subset
+	partial *node
+	psec    int
+	instant int
 }
 
-// explorer walks the recorded timeline and generates crash states.
+// writes returns the pending writes the job hypothesizes durable.
+func (j *job) writes() []*node {
+	if j.subset == nil {
+		return nil
+	}
+	return *j.subset
+}
+
+// explorer walks the recorded timeline and generates crash states. It holds
+// no image: a crash state is named by its done prefix and its subset, and
+// deduplicated by signature, so enumeration costs what each event changes.
 type explorer struct {
 	rec *Recorder
 	cfg Config
 
 	jobs      chan job
 	pool      *checkerPool
-	committed []byte
-	imgVer    uint64
-	shared    bool // committed is referenced by emitted jobs
-	doneSet   map[uint64]struct{}
-	doneOrder []*node // completed writes, completion order
+	doneOrder []*node // completed writes (and torn prefixes), completion order
 	pending   []*node // pending writes, submission (ID) order
 	instant   int
 	explored  int64
@@ -55,8 +62,8 @@ type explorer struct {
 	// driver's conflict rule guarantees overlapping writes land in ID
 	// order). Candidates whose signature was already seen are duplicate
 	// images — across subsets AND across crash instants — and are skipped
-	// before paying for a full-image copy and hash; under the async
-	// schemes most candidates collapse this way.
+	// before any worker sees them; under the async schemes most candidates
+	// collapse this way.
 	// doneH/doneOK are sector-indexed (the image size is fixed): the
 	// committed content fingerprint of every write-reachable sector.
 	// seenSec is the per-candidate claimed-generation stamp. Dense slices,
@@ -66,9 +73,35 @@ type explorer struct {
 	doneOK     []bool
 	doneXor    uint64
 	seenSec    []int
-	gen        int
+	gen        int // source of stamps: a set under construction takes a fresh value
 	sigSeen    map[uint64]struct{}
 	preDeduped int64
+
+	// Enumeration scratch, reused across instants. resolved and member are
+	// indexed by node ordinal, the rest by position in pending; member and
+	// dropped are generation stamps like seenSec (holding the set's value
+	// of gen means "in the set"), so starting a new set is one increment.
+	resolved []bool // completed or failed: no longer constrains successors
+	member   []int
+	pos      []int // ordinal -> index in pending, where pending[pos].ord agrees
+	children [][]int
+	dropped  []int
+	queue    []int
+	sub, cur []*node
+	undo     []sectorUndo
+	sigs     []uint64
+
+	// sigCheck, when set (tests), sees every candidate's signature before
+	// the duplicate filter.
+	sigCheck func(sig uint64, subset []*node, partial *node, psec int)
+}
+
+// sectorUndo remembers one sector's committed fingerprint while the DFS has
+// a hypothesized write swapped in over it. (doneOK needs no undo: every
+// sector a recorded write touches was seeded before the walk began.)
+type sectorUndo struct {
+	s int64
+	h uint64
 }
 
 // mix spreads a (sector, content fingerprint) pair into the XOR signature
@@ -89,14 +122,53 @@ func (r *Recorder) Explore(cfg Config) *Result {
 	cfg.setDefaults(runtime.GOMAXPROCS(0))
 	start := time.Now()
 
+	pool := newCheckerPool(cfg)
+	x := newExplorer(r, cfg, pool)
+	var wg sync.WaitGroup
+	for w := 0; w < cfg.Workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pool.run(r.base, x.jobs)
+		}()
+	}
+	x.walk()
+	wg.Wait()
+
+	res := &Result{
+		Stats: Stats{
+			Requests:       len(r.nodes),
+			Writes:         r.writes,
+			Instants:       x.instant + 1,
+			Torn:           r.torn,
+			Failed:         r.failed,
+			Explored:       x.explored,
+			Deduped:        x.preDeduped,
+			Checked:        pool.checked.Load(),
+			Violating:      pool.violating.Load(),
+			BaselineBuilds: pool.builds.Load(),
+			Incremental:    pool.incremental,
+		},
+		Violations: pool.takeViolations(),
+	}
+	res.Stats.ElapsedSec = time.Since(start).Seconds()
+	res.Stats.FinalizeThroughput()
+	if cfg.Shrink && len(res.Violations) > 0 {
+		res.Repro = r.shrink(res.Violations[0], cfg, x.doneOrder)
+	}
+	return res
+}
+
+func newExplorer(r *Recorder, cfg Config, pool *checkerPool) *explorer {
 	x := &explorer{
-		rec:       r,
-		cfg:       cfg,
-		jobs:      make(chan job, 4*cfg.Workers),
-		committed: append([]byte(nil), r.base...),
-		imgVer:    1,
-		doneSet:   make(map[uint64]struct{}),
-		sigSeen:   make(map[uint64]struct{}),
+		rec:      r,
+		cfg:      cfg,
+		jobs:     make(chan job, 4*cfg.Workers),
+		pool:     pool,
+		sigSeen:  make(map[uint64]struct{}),
+		resolved: make([]bool, len(r.nodes)),
+		member:   make([]int, len(r.nodes)),
+		pos:      make([]int, len(r.nodes)),
 	}
 	nsec := int64(len(r.base)) / disk.SectorSize
 	x.doneH = make([]uint64, nsec)
@@ -123,117 +195,93 @@ func (r *Recorder) Explore(cfg Config) *Result {
 			x.doneXor ^= mix(s, h)
 		}
 	}
-	pool := newCheckerPool(cfg)
-	x.pool = pool
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			pool.run(x.jobs)
-		}()
-	}
+	return x
+}
 
-	if cfg.From <= 0 {
+// walk plays the timeline, emitting the crash states of every instant from
+// cfg.From on, and closes the job channel.
+func (x *explorer) walk() {
+	defer close(x.jobs)
+	if x.cfg.From <= 0 {
 		x.emitInstant() // the pre-workload image
 	}
-	for _, ev := range r.events {
+	for _, ev := range x.rec.events {
 		if x.stopped {
-			break
+			return
 		}
-		switch {
-		case ev.submit != 0:
-			n := r.nodes[ev.submit]
-			if n == nil || !n.write {
-				continue // reads change neither media nor legal subsets
-			}
-			x.pending = append(x.pending, n)
-		case ev.torn != nil:
-			// A faulted batch landed a sector prefix: the media changed but
-			// every request stays pending (the driver retries or fails them
-			// later). The committed image gains the prefix — a new crash
-			// atom — while the legal-subset machinery is untouched.
-			x.unshare()
-			left := ev.tornSec
-			for _, id := range ev.torn {
-				if left <= 0 {
-					break
-				}
-				n := r.nodes[id]
-				if n == nil || !n.write {
-					continue
-				}
-				cnt := n.count
-				if cnt > left {
-					cnt = left
-				}
-				n.applyPrefix(x.committed, cnt)
-				for i := 0; i < cnt; i++ {
-					x.swapSector(n.lbn+int64(i), n.sech[i])
-				}
-				// A synthetic done entry keeps shrink's base+doneOrder
-				// replay byte-exact for faulted timelines.
-				x.doneOrder = append(x.doneOrder, &node{
-					id: n.id, write: true, lbn: n.lbn, count: cnt,
-					data: n.data[:cnt*disk.SectorSize], sech: n.sech[:cnt],
-				})
-				left -= n.count
-			}
-		case ev.failed != nil:
-			// Errored requests resolve without their data landing: they
-			// leave the pending set and stop constraining successors (the
-			// driver unblocks dependents of a failed request), so doneSet
-			// here means "resolved", not "durable".
-			for _, id := range ev.failed {
-				x.removePending(id)
-				x.doneSet[id] = struct{}{}
-			}
-		default:
-			x.unshare()
-			for _, id := range ev.complete {
-				n := r.nodes[id]
-				if n == nil || !n.write {
-					continue
-				}
-				n.apply(x.committed)
-				for i := 0; i < n.count; i++ {
-					x.swapSector(n.lbn+int64(i), n.sech[i])
-				}
-				x.doneSet[id] = struct{}{}
-				x.doneOrder = append(x.doneOrder, n)
-				x.removePending(id)
-			}
+		if !x.step(ev) {
+			continue
 		}
 		x.instant++
-		if x.instant >= cfg.From {
+		if x.instant >= x.cfg.From {
 			x.emitInstant()
 		}
 	}
-	close(x.jobs)
-	wg.Wait()
+}
 
-	res := &Result{
-		Stats: Stats{
-			Requests:       len(r.nodes),
-			Writes:         r.writes,
-			Instants:       x.instant + 1,
-			Torn:           r.torn,
-			Failed:         r.failed,
-			Explored:       x.explored,
-			Deduped:        x.preDeduped,
-			Checked:        pool.checked.Load(),
-			Violating:      pool.violating.Load(),
-			BaselineBuilds: pool.builds.Load(),
-			Incremental:    pool.incremental,
-		},
-		Violations: pool.takeViolations(),
+// step applies one timeline event to the committed signature, the done
+// order and the pending set, and reports whether it started a new crash
+// instant (submitted reads change neither media nor legal subsets).
+func (x *explorer) step(ev event) bool {
+	r := x.rec
+	switch {
+	case ev.submit != 0:
+		n := r.nodes[ev.submit]
+		if n == nil || !n.write {
+			return false
+		}
+		x.pending = append(x.pending, n)
+	case ev.torn != nil:
+		// A faulted batch landed a sector prefix: the media changed but
+		// every request stays pending (the driver retries or fails them
+		// later). The committed image gains the prefix — a new crash
+		// atom — while the legal-subset machinery is untouched.
+		left := ev.tornSec
+		for _, id := range ev.torn {
+			if left <= 0 {
+				break
+			}
+			n := r.nodes[id]
+			if n == nil || !n.write {
+				continue
+			}
+			cnt := min(n.count, left)
+			for i := 0; i < cnt; i++ {
+				x.swapSector(n.lbn+int64(i), n.sech[i])
+			}
+			// The prefix enters the done order as a synthetic write, so
+			// base + doneOrder stays the committed image byte for byte —
+			// for the workers' rolling images and for shrink's replay.
+			x.doneOrder = append(x.doneOrder, &node{
+				id: n.id, write: true, lbn: n.lbn, count: cnt,
+				data: n.data[:cnt*disk.SectorSize], sech: n.sech[:cnt],
+			})
+			left -= n.count
+		}
+	case ev.failed != nil:
+		// Errored requests resolve without their data landing: they
+		// leave the pending set and stop constraining successors (the
+		// driver unblocks dependents of a failed request), so resolved
+		// does not mean durable.
+		for _, id := range ev.failed {
+			if n := r.nodes[id]; n != nil {
+				x.resolve(n)
+			}
+		}
+	default:
+		for _, id := range ev.complete {
+			n := r.nodes[id]
+			if n == nil || !n.write {
+				continue
+			}
+			for i := 0; i < n.count; i++ {
+				x.swapSector(n.lbn+int64(i), n.sech[i])
+			}
+			x.doneOrder = append(x.doneOrder, n)
+			x.resolve(n)
+		}
 	}
-	res.Stats.ElapsedSec = time.Since(start).Seconds()
-	res.Stats.FinalizeThroughput()
-	if cfg.Shrink && len(res.Violations) > 0 {
-		res.Repro = r.shrink(res.Violations[0], cfg, x.doneOrder)
-	}
-	return res
+	return true
 }
 
 // signature computes the candidate's image signature without materializing
@@ -269,19 +317,6 @@ func (x *explorer) signature(subset []*node, partial *node, psec int) uint64 {
 	return sig
 }
 
-// unshare gives the explorer a private committed image before mutating it
-// (emitted jobs hold references to the previous snapshot). The version
-// bump invalidates workers' cached baselines; a buffer mutated while
-// unshared keeps its version because no job (and so no baseline) has seen
-// it yet.
-func (x *explorer) unshare() {
-	if x.shared {
-		x.committed = append([]byte(nil), x.committed...)
-		x.imgVer++
-		x.shared = false
-	}
-}
-
 // swapSector replaces sector s's contribution to the committed signature.
 func (x *explorer) swapSector(s int64, h uint64) {
 	if x.doneOK[s] {
@@ -292,13 +327,27 @@ func (x *explorer) swapSector(s int64, h uint64) {
 	x.doneOK[s] = true
 }
 
-func (x *explorer) removePending(id uint64) {
-	for i, n := range x.pending {
-		if n.id == id {
+// resolve retires a completed or failed request: it leaves the pending set
+// and no longer constrains its successors.
+func (x *explorer) resolve(n *node) {
+	x.resolved[n.ord] = true
+	for i, p := range x.pending {
+		if p == n {
 			x.pending = append(x.pending[:i], x.pending[i+1:]...)
 			return
 		}
 	}
+}
+
+// eligible reports whether every outstanding predecessor of n carries the
+// member stamp set (0: none may be outstanding).
+func (x *explorer) eligible(n *node, set int) bool {
+	for _, p := range n.predOrds {
+		if !x.resolved[p] && (set == 0 || x.member[p] != set) {
+			return false
+		}
+	}
+	return true
 }
 
 // emitInstant generates the crash states of the current instant, in a
@@ -309,7 +358,7 @@ func (x *explorer) removePending(id uint64) {
 func (x *explorer) emitInstant() {
 	emitted, attempts := 0, 0
 	attemptCap := 32 * x.cfg.PerInstant
-	emit := func(subset []*node, partial *node, psec int) bool {
+	emitSig := func(sig uint64, subset []*node, partial *node, psec int) bool {
 		if x.stopped || emitted >= x.cfg.PerInstant || attempts >= attemptCap {
 			return false
 		}
@@ -318,7 +367,9 @@ func (x *explorer) emitInstant() {
 			return false
 		}
 		attempts++
-		sig := x.signature(subset, partial, psec)
+		if x.sigCheck != nil {
+			x.sigCheck(sig, subset, partial, psec)
+		}
 		if _, dup := x.sigSeen[sig]; dup {
 			x.preDeduped++
 			return true // duplicate image: skip cheaply, keep enumerating
@@ -326,37 +377,23 @@ func (x *explorer) emitInstant() {
 		x.sigSeen[sig] = struct{}{}
 		x.explored++
 		emitted++
-		x.shared = true
 		x.jobs <- job{
-			seq:       x.explored,
-			img:       x.committed,
-			imgVer:    x.imgVer,
-			subset:    x.pool.getSubset(subset),
-			partial:   partial,
-			psec:      psec,
-			instant:   x.instant,
-			completed: len(x.doneOrder),
+			seq:     x.explored,
+			done:    x.doneOrder,
+			subset:  x.pool.getSubset(subset),
+			partial: partial,
+			psec:    psec,
+			instant: x.instant,
 		}
 		return true
 	}
-	// eligible reports whether n's outstanding predecessors are all in
-	// `in` (nil means: none may be outstanding).
-	eligible := func(n *node, in map[uint64]struct{}) bool {
-		for _, p := range n.effPreds {
-			if _, done := x.doneSet[p]; done {
-				continue
-			}
-			if in == nil {
-				return false
-			}
-			if _, ok := in[p]; !ok {
-				return false
-			}
-		}
-		return true
+	emit := func(subset []*node, partial *node, psec int) bool {
+		return emitSig(x.signature(subset, partial, psec), subset, partial, psec)
 	}
-	emitPartials := func(subset []*node, in map[uint64]struct{}, w *node) bool {
-		if !eligible(w, in) {
+	// emitPartials emits w caught mid-transfer over subset, whose nodes
+	// carry the member stamp set.
+	emitPartials := func(subset []*node, set int, w *node) bool {
+		if !x.eligible(w, set) {
 			return true
 		}
 		for s := 1; s < w.count; s++ {
@@ -371,7 +408,7 @@ func (x *explorer) emitInstant() {
 	// sector prefixes of every write that could have been mid-transfer.
 	emit(nil, nil, 0)
 	for _, n := range x.pending {
-		if !emitPartials(nil, nil, n) {
+		if !emitPartials(nil, 0, n) {
 			return
 		}
 	}
@@ -383,78 +420,95 @@ func (x *explorer) emitInstant() {
 	emit(x.pending, nil, 0)
 
 	// 3. Leave-one-out: drop each write plus its transitive dependents.
-	idx := make(map[uint64]int, len(x.pending))
 	for i, n := range x.pending {
-		idx[n.id] = i
+		x.pos[n.ord] = i
 	}
-	children := make([][]int, len(x.pending))
+	for len(x.children) < len(x.pending) {
+		x.children = append(x.children, nil)
+		x.dropped = append(x.dropped, 0)
+	}
+	for i := range x.pending {
+		x.children[i] = x.children[i][:0]
+	}
 	for i, n := range x.pending {
-		for _, p := range n.effPreds {
-			if pi, ok := idx[p]; ok {
-				children[pi] = append(children[pi], i)
+		for _, p := range n.predOrds {
+			if pi := x.pos[p]; pi < len(x.pending) && x.pending[pi].ord == p {
+				x.children[pi] = append(x.children[pi], i)
 			}
 		}
 	}
-	closure := func(i int) map[int]struct{} {
-		drop := map[int]struct{}{i: {}}
-		queue := []int{i}
-		for len(queue) > 0 {
-			j := queue[0]
-			queue = queue[1:]
-			for _, c := range children[j] {
-				if _, ok := drop[c]; !ok {
-					drop[c] = struct{}{}
-					queue = append(queue, c)
+	for i, victim := range x.pending {
+		// Stamp the victim's closure in dropped, the survivors in member.
+		x.gen++
+		set := x.gen
+		x.dropped[i] = set
+		x.queue = append(x.queue[:0], i)
+		for h := 0; h < len(x.queue); h++ {
+			for _, c := range x.children[x.queue[h]] {
+				if x.dropped[c] != set {
+					x.dropped[c] = set
+					x.queue = append(x.queue, c)
 				}
 			}
 		}
-		return drop
-	}
-	for i := range x.pending {
-		drop := closure(i)
-		if len(drop) == len(x.pending) {
+		if len(x.queue) == len(x.pending) {
 			continue // equals the as-executed state
 		}
-		subset := make([]*node, 0, len(x.pending)-len(drop))
-		in := make(map[uint64]struct{})
+		x.sub = x.sub[:0]
 		for j, n := range x.pending {
-			if _, gone := drop[j]; !gone {
-				subset = append(subset, n)
-				in[n.id] = struct{}{}
+			if x.dropped[j] != set {
+				x.sub = append(x.sub, n)
+				x.member[n.ord] = set
 			}
 		}
-		if !emit(subset, nil, 0) {
+		if !emit(x.sub, nil, 0) {
 			return
 		}
 		// The dropped write caught mid-transfer over this subset.
-		if !emitPartials(subset, in, x.pending[i]) {
+		if !emitPartials(x.sub, set, victim) {
 			return
 		}
 	}
 
 	// 4. DFS over the remaining barrier-closed subsets, include-first.
-	chosen := make(map[uint64]struct{})
-	var cur []*node
+	// Pending writes are visited in ID order, so a write pushed onto cur is
+	// the newest writer of its sectors: swapping them into the committed
+	// signature one at a time gives the signature of every sector prefix of
+	// that write over cur, and of cur with it — no walk over the rest of
+	// cur. The undo log puts the committed fingerprints back on pop.
+	x.gen++
+	chosen := x.gen
+	x.cur = x.cur[:0]
 	var dfs func(i int) bool
 	dfs = func(i int) bool {
 		if i == len(x.pending) {
 			return true
 		}
 		n := x.pending[i]
-		if eligible(n, chosen) {
-			chosen[n.id] = struct{}{}
-			cur = append(cur, n)
-			ok := emit(cur, nil, 0)
-			if ok {
-				for s := 1; s < n.count && ok; s++ {
-					ok = emit(cur[:len(cur)-1], n, s)
-				}
+		if x.eligible(n, chosen) {
+			x.member[n.ord] = chosen
+			x.cur = append(x.cur, n)
+			mark, xor := len(x.undo), x.doneXor
+			x.sigs = x.sigs[:0]
+			for s := 0; s < n.count; s++ {
+				sec := n.lbn + int64(s)
+				x.undo = append(x.undo, sectorUndo{sec, x.doneH[sec]})
+				x.swapSector(sec, n.sech[s])
+				x.sigs = append(x.sigs, x.doneXor) // n's first s+1 sectors over cur
+			}
+			ok := emitSig(x.doneXor, x.cur, nil, 0)
+			for s := 1; s < n.count && ok; s++ {
+				ok = emitSig(x.sigs[s-1], x.cur[:len(x.cur)-1], n, s)
 			}
 			if ok {
 				ok = dfs(i + 1)
 			}
-			delete(chosen, n.id)
-			cur = cur[:len(cur)-1]
+			for _, u := range x.undo[mark:] {
+				x.doneH[u.s] = u.h
+			}
+			x.undo, x.doneXor = x.undo[:mark], xor
+			x.member[n.ord] = 0
+			x.cur = x.cur[:len(x.cur)-1]
 			if !ok {
 				return false
 			}
@@ -468,15 +522,16 @@ func (x *explorer) emitInstant() {
 // explorer's XOR signature already deduplicates by image content (every
 // emitted job is a distinct image modulo 64-bit collisions — the same bet
 // the old full-image hash made), so the pool just checks what it is
-// handed: each worker assembles the job as a copy-on-write overlay and
-// runs fsck through it, never materializing the image.
+// handed: each worker assembles the job as a copy-on-write overlay over its
+// own committed image and runs fsck through it, never materializing a
+// candidate.
 //
-// By default checking is incremental: the first worker to see a committed-
-// image version builds a shared fsck.Baseline for it (once per version),
-// and every worker replays candidate overlays against it through a
-// per-worker DeltaChecker — re-deriving only the state the delta's dirty
-// sectors reach. The differential oracle (incremental_test.go) pins the
-// reports bit-identical to the full walks cfg.Recover needs.
+// By default checking is incremental: a worker derives an fsck.Baseline of
+// its committed image whenever that image has moved, and replays candidate
+// overlays against it through its DeltaChecker — re-deriving only the state
+// the delta's dirty sectors reach. The differential oracle
+// (incremental_test.go) pins the reports bit-identical to the full walks
+// cfg.Recover needs.
 type checkerPool struct {
 	cfg         Config
 	incremental bool
@@ -485,25 +540,14 @@ type checkerPool struct {
 	violating atomic.Int64
 	builds    atomic.Int64
 
-	// Baselines shared across workers, keyed by committed-image version.
-	// Entries far behind the newest version are pruned (a straggler worker
-	// simply rebuilds); sync.Once makes each version's build happen once.
-	blmu      sync.Mutex
-	baselines map[uint64]*baselineEntry
-
 	// subsets free-lists the job subset slices (dev's request-pool idiom):
 	// the single-threaded explorer copies each emitted subset into a slice
-	// drawn here, and workers return it after recording, so steady-state
-	// emission stops allocating.
+	// drawn here, and workers hand the same pointer back after recording,
+	// so steady-state emission stops allocating.
 	subsets sync.Pool
 
 	vmu        sync.Mutex
 	violations []Violation
-}
-
-type baselineEntry struct {
-	once sync.Once
-	bl   *fsck.Baseline
 }
 
 func newCheckerPool(cfg Config) *checkerPool {
@@ -512,77 +556,69 @@ func newCheckerPool(cfg Config) *checkerPool {
 		// Recovery (journal replay) rewrites arbitrary home fragments, so
 		// candidates cannot be checked as deltas over a committed baseline.
 		incremental: cfg.Recover == nil,
-		baselines:   make(map[uint64]*baselineEntry),
 	}
 }
 
-// getSubset copies subset into a pooled slice (nil for the empty subset,
-// matching the historical job shape).
-func (cp *checkerPool) getSubset(subset []*node) []*node {
+// getSubset copies subset into a pooled slice (nil for the empty subset).
+func (cp *checkerPool) getSubset(subset []*node) *[]*node {
 	if len(subset) == 0 {
 		return nil
 	}
-	var s []*node
-	if v := cp.subsets.Get(); v != nil {
-		s = (*v.(*[]*node))[:0]
+	sp, _ := cp.subsets.Get().(*[]*node)
+	if sp == nil {
+		sp = new([]*node)
 	}
-	return append(s, subset...)
+	*sp = append((*sp)[:0], subset...)
+	return sp
 }
 
-func (cp *checkerPool) putSubset(s []*node) {
-	if s == nil {
+func (cp *checkerPool) putSubset(sp *[]*node) {
+	if sp == nil {
 		return
 	}
-	for i := range s {
-		s[i] = nil // drop node references while pooled
-	}
-	s = s[:0]
-	cp.subsets.Put(&s)
+	clear(*sp) // drop node references while pooled
+	cp.subsets.Put(sp)
 }
 
-// baseline returns the shared Baseline for one committed-image version,
-// building it exactly once, on the calling worker; the others go on with
-// jobs of the versions they hold and wait on the Once only if they need this
-// one.
-func (cp *checkerPool) baseline(ver uint64, img []byte) *fsck.Baseline {
-	cp.blmu.Lock()
-	e := cp.baselines[ver]
-	if e == nil {
-		e = &baselineEntry{}
-		cp.baselines[ver] = e
-		// In-flight jobs trail the newest emitted version by at most the
-		// channel depth, so anything 64 versions back is settled.
-		for v := range cp.baselines {
-			if v+64 < ver {
-				delete(cp.baselines, v)
-			}
-		}
-	}
-	cp.blmu.Unlock()
-	e.once.Do(func() {
-		cp.builds.Add(1)
-		e.bl = fsck.NewBaseline(fsck.Bytes(img), 1)
-	})
-	return e.bl
+// committedImage is a worker's private copy of the media as of the newest
+// job it has seen: base plus the first applied entries of the done order.
+// Jobs reach a worker in emission order, so the image only rolls forward,
+// by the bytes that completed in between.
+type committedImage struct {
+	img     []byte
+	applied int
 }
 
-func (cp *checkerPool) run(jobs <-chan job) {
+// advance rolls the image forward to done and reports whether it moved.
+func (c *committedImage) advance(done []*node) bool {
+	if len(done) == c.applied {
+		return false
+	}
+	for _, n := range done[c.applied:] {
+		n.apply(c.img)
+	}
+	c.applied = len(done)
+	return true
+}
+
+func (cp *checkerPool) run(base []byte, jobs <-chan job) {
+	com := committedImage{img: append([]byte(nil), base...)}
 	ov := &overlay{}
-	var dc *fsck.DeltaChecker
-	var dcVer uint64
-	var scratch []byte // per-worker materialized image for cfg.Recover
+	var dc *fsck.DeltaChecker // bound to a Baseline of com.img as it stands
+	var scratch []byte        // materialized image for cfg.Recover
 	for j := range jobs {
-		ov.load(&j)
+		moved := com.advance(j.done)
+		ov.load(&j, com.img)
 		if cp.incremental {
-			if dc == nil || dcVer != j.imgVer {
-				bl := cp.baseline(j.imgVer, j.img)
+			if dc == nil || moved {
+				cp.builds.Add(1)
+				bl := fsck.NewBaseline(fsck.Bytes(com.img), 1)
 				if dc == nil {
 					dc = fsck.NewDeltaChecker(bl)
 					dc.SkipDetails(true)
 				} else {
 					dc.Rebind(bl)
 				}
-				dcVer = j.imgVer
 			}
 			// Triage without formatting finding details — almost every
 			// candidate's report is discarded. Only candidates that would
@@ -633,10 +669,10 @@ func (cp *checkerPool) record(j job, findings []string) {
 	v := Violation{
 		Seq:       j.seq,
 		Instant:   j.instant,
-		Completed: j.completed,
+		Completed: len(j.done),
 		Findings:  findings,
 	}
-	for _, n := range j.subset {
+	for _, n := range j.writes() {
 		v.Applied = append(v.Applied, WriteInfo{ID: n.id, LBN: n.lbn, Sectors: n.count})
 	}
 	if j.partial != nil {

@@ -127,12 +127,13 @@ func TestIncrementalEqualsFull(t *testing.T) {
 				bl := fsck.NewBaseline(fsck.Bytes(base), 1)
 				dc := fsck.NewDeltaChecker(bl)
 				for trial := 0; trial < 60; trial++ {
-					j := job{img: base, imgVer: uint64(bi + 1)}
+					var subset []*node
 					for _, w := range writes {
 						if splitmix(&rng)%4 == 0 {
-							j.subset = append(j.subset, w)
+							subset = append(subset, w)
 						}
 					}
+					j := job{subset: &subset}
 					if splitmix(&rng)%2 == 0 {
 						p := writes[splitmix(&rng)%uint64(len(writes))]
 						if p.count > 1 {
@@ -140,7 +141,7 @@ func TestIncrementalEqualsFull(t *testing.T) {
 							j.psec = 1 + int(splitmix(&rng)%uint64(p.count-1))
 						}
 					}
-					ov.load(&j)
+					ov.load(&j, base)
 					inc := dc.Check(ov)
 					full := fsck.CheckImage(fsck.Bytes(fsck.Materialize(ov)))
 					compareReports(t, trial, inc, full)
@@ -168,9 +169,9 @@ func TestIncrementalEqualsFull(t *testing.T) {
 // TestExploreFullCheckAgrees runs whole explorations on the incremental
 // (default) path and on the per-candidate full path — selected the way
 // production selects it, by a Recover hook (here one that recovers nothing)
-// — each at one pool worker and at four (which also sets how many
-// goroutines derive each baseline), and requires identical counters and
-// identical retained violations.
+// — each at one pool worker and at four (every worker then derives the
+// baselines of its own committed image), and requires identical counters
+// and identical retained violations.
 func TestExploreFullCheckAgrees(t *testing.T) {
 	rec := recordRun(t, fsim.NoOrder, 8)
 	base := Config{Workers: 1, Budget: 1000, PerInstant: 256}

@@ -5,8 +5,8 @@ import (
 	"metaupdate/internal/fsck"
 )
 
-// overlay is a copy-on-write crash image: the instant's shared committed
-// snapshot plus a per-sector delta holding the contents the
+// overlay is a copy-on-write crash image: the worker's committed image of
+// the instant plus a per-sector delta holding the contents the
 // hypothesized-durable writes would have left on the media. It implements
 // fsck.DeltaImage, so a checker worker pays per candidate for the
 // candidate's delta — not for a media-sized copy, which dominated the
@@ -33,18 +33,19 @@ type overlay struct {
 	next    int
 }
 
-// load points the overlay at a job's crash state. The delta is rebuilt in
-// apply order — subset in submission order, then the partial's prefix — so
-// overlapping writes resolve exactly as materializing them would.
-func (o *overlay) load(j *job) {
-	o.base = j.img
-	if nsec := int(int64(len(j.img)) / disk.SectorSize); len(o.mark) != nsec {
+// load points the overlay at a job's crash state over img, the committed
+// image of the job's instant. The delta is rebuilt in apply order — subset
+// in submission order, then the partial's prefix — so overlapping writes
+// resolve exactly as materializing them would.
+func (o *overlay) load(j *job, img []byte) {
+	o.base = img
+	if nsec := int(int64(len(img)) / disk.SectorSize); len(o.mark) != nsec {
 		o.mark = make([]uint64, nsec)
 		o.view = make([][]byte, nsec)
 	}
 	o.cur++
 	o.dirty = o.dirty[:0]
-	for _, n := range j.subset {
+	for _, n := range j.writes() {
 		for i := 0; i < n.count; i++ {
 			o.set(n.lbn+int64(i), n.data[i*disk.SectorSize:(i+1)*disk.SectorSize])
 		}

@@ -34,6 +34,12 @@ var payload = make([]byte, 64<<10)
 type FSTarget struct {
 	FS   *ffs.FS
 	Dirs []ffs.Ino
+
+	// sink receives every KRead's bytes (made at the first read, as large
+	// as payload). Nobody looks at them, and the processes of one engine
+	// run in lock-step, so overlapping reads may share it; it is per target
+	// because the harness runs cells on concurrent goroutines.
+	sink []byte
 }
 
 // SetupFS creates the stream's directory set under the root and returns
@@ -92,7 +98,10 @@ func (t *FSTarget) Do(p *sim.Proc, op Op) error {
 		if n <= 0 || n > len(payload) {
 			n = len(payload)
 		}
-		_, err = t.FS.ReadAt(p, ino, 0, make([]byte, n))
+		if t.sink == nil {
+			t.sink = make([]byte, len(payload))
+		}
+		_, err = t.FS.ReadAt(p, ino, 0, t.sink[:n])
 		return err
 	case KFsync:
 		ino, err := t.FS.Lookup(p, t.Dirs[op.Dir], op.Name)

@@ -25,7 +25,7 @@ func TestAllocFreeAtRunCycle(t *testing.T) {
 
 // TestAllocFreeSleepWake: a daemon that sleeps in a loop exercises the
 // closure-free proc wake path (heap push with proc pointer, pop, two
-// lock-step channel handoffs). Steady state must be allocation-free.
+// coroutine switches). Steady state must be allocation-free.
 func TestAllocFreeSleepWake(t *testing.T) {
 	e := NewEngine()
 	e.Spawn("ticker", func(p *Proc) {

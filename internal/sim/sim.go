@@ -1,8 +1,8 @@
 // Package sim provides a deterministic discrete-event simulation engine.
 //
 // The whole reproduction runs in virtual time: simulated processes ("users",
-// the syncer daemon) are goroutines driven in lock-step by an Engine, so at
-// any instant at most one goroutine — the engine or exactly one process — is
+// the syncer daemon) are coroutines driven in lock-step by an Engine, so at
+// any instant at most one of them — the engine or exactly one process — is
 // running. This makes every experiment bit-for-bit reproducible and immune
 // to Go scheduler and GC noise, which is essential for the paper's
 // buffer-cache-sensitive benchmarks.
@@ -24,6 +24,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"iter"
 	"runtime/debug"
 	"runtime/pprof"
 )
@@ -94,8 +95,8 @@ func (ev *event) less(o *event) bool {
 }
 
 // Engine is the simulation executive: an event queue plus the lock-step
-// machinery that hands control between the engine goroutine and process
-// goroutines.
+// hand-off between the goroutine running the dispatch loop and the process
+// coroutines it resumes.
 type Engine struct {
 	now Time
 	seq uint64
@@ -109,7 +110,6 @@ type Engine struct {
 	// ever touching the heap.
 	fast     []event
 	fastHead int
-	yield    chan yieldMsg
 	live     int  // live (spawned, not finished) processes
 	halted   bool // RunUntil hit its limit; scheduling now panics until the next run
 	procIDs  int  // per-engine Proc.ID source; engines must not share state
@@ -123,7 +123,7 @@ type Engine struct {
 	fastLow int
 
 	// Label, when set before Spawn, is attached to every process
-	// goroutine as the pprof label "lp" — CPU profiles of a parallel
+	// coroutine as the pprof label "lp" — CPU profiles of a parallel
 	// cluster run then attribute samples to their logical process.
 	Label string
 }
@@ -140,16 +140,8 @@ func (e *Engine) Live() int { return e.live }
 // events until Run/RunUntil/RunWhile is called again.
 func (e *Engine) Halted() bool { return e.halted }
 
-type yieldMsg struct {
-	done   bool        // process function returned
-	panicV interface{} // non-nil: the process panicked; re-panic in Run
-	stack  []byte
-}
-
 // NewEngine returns an empty simulation at time zero.
-func NewEngine() *Engine {
-	return &Engine{yield: make(chan yieldMsg)}
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
@@ -373,13 +365,18 @@ func (e *Engine) AdvanceTo(t Time) {
 	e.now = t
 }
 
-// Proc is a simulated process: a goroutine that runs only when the engine
-// resumes it and always parks itself back before the engine continues.
+// Proc is a simulated process: a coroutine (iter.Pull) that runs only when
+// the engine resumes it and always parks itself back before the engine
+// continues. A resume and a park are each one direct runtime coroutine
+// switch — no channel, no trip through the Go scheduler.
 type Proc struct {
-	eng    *Engine
-	Name   string
-	ID     int
-	resume chan struct{}
+	eng  *Engine
+	Name string
+	ID   int
+	// next resumes the process and returns when it parks (ok) or has
+	// finished (!ok); yield is its other half, valid inside the process.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
 
 	// Obs anchors per-process observability state: the operation span the
 	// process is currently executing, owned by internal/obs. The engine
@@ -402,41 +399,35 @@ type Proc struct {
 // race and a determinism leak between simulations.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 	e.procIDs++
-	p := &Proc{eng: e, Name: name, ID: e.procIDs, resume: make(chan struct{})}
+	p := &Proc{eng: e, Name: name, ID: e.procIDs}
 	e.live++
 	label := e.Label
-	go func() {
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		if label != "" {
-			// Label the goroutine for CPU profiles: samples of a parallel
+			// Label the coroutine for CPU profiles: samples of a parallel
 			// cluster run attribute to their logical process.
 			pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(),
 				pprof.Labels("lp", label)))
 		}
-		<-p.resume // wait for the engine to run our start event
 		defer func() {
 			if r := recover(); r != nil {
-				// Forward the panic to the engine goroutine; swallowing it
-				// here would deadlock Run on the yield channel.
-				e.yield <- yieldMsg{done: true, panicV: r, stack: debug.Stack()}
-				return
+				// iter.Pull hands a panic to whoever called next — the
+				// dispatch loop — so Run's caller sees it, with the process
+				// named and the stack it died on.
+				panic(fmt.Sprintf("sim: process %q panicked: %v\n%s", p.Name, r, debug.Stack()))
 			}
-			e.yield <- yieldMsg{done: true}
 		}()
 		fn(p)
-	}()
+	})
 	e.wake(p)
 	return p
 }
 
-// runProc resumes p and blocks until p parks again (or finishes).
+// runProc resumes p and returns when p parks again (or finishes).
 func (e *Engine) runProc(p *Proc) {
-	p.resume <- struct{}{}
-	m := <-e.yield
-	if m.done {
+	if _, parked := p.next(); !parked {
 		e.live--
-	}
-	if m.panicV != nil {
-		panic(fmt.Sprintf("sim: process %q panicked: %v\n%s", p.Name, m.panicV, m.stack))
 	}
 }
 
@@ -445,9 +436,9 @@ func (e *Engine) Run() { e.RunUntil(maxTime) }
 
 // RunUntil executes events with timestamps <= limit, then stops, leaving the
 // remaining queue intact. Processes that are parked simply never resume;
-// their goroutines are garbage once the Engine is dropped (each is blocked
-// on a private channel). This is how crash-injection tests freeze a system
-// mid-flight. Stopping at the limit marks the engine halted (see Halted);
+// a parked coroutine holds no lock and nobody waits on it, so dropping the
+// Engine strands them without blocking anything. This is how
+// crash-injection tests freeze a system mid-flight. Stopping at the limit marks the engine halted (see Halted);
 // calling Run/RunUntil/RunWhile again clears the mark and resumes delivery.
 func (e *Engine) RunUntil(limit Time) { e.run(limit, nil) }
 
@@ -526,12 +517,9 @@ var (
 	_ Exec = (*LPGroup)(nil)
 )
 
-// block parks the calling process goroutine and hands control back to the
-// engine. The caller must already have arranged for something to resume it.
-func (p *Proc) block() {
-	p.eng.yield <- yieldMsg{}
-	<-p.resume
-}
+// block parks the calling process and hands control back to the engine. The
+// caller must already have arranged for something to resume it.
+func (p *Proc) block() { p.yield(struct{}{}) }
 
 // Sleep suspends the process for d of virtual time.
 func (p *Proc) Sleep(d Duration) {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -464,4 +465,60 @@ func TestProcPanicPropagatesWithContext(t *testing.T) {
 		}
 	}()
 	e.Run()
+}
+
+// TestProcPanicCarriesStack: the panic Run's caller recovers names the
+// process and carries the stack the process died on — the frame that
+// panicked, not just the dispatch loop that resumed it.
+func TestProcPanicCarriesStack(t *testing.T) {
+	e := NewEngine()
+	e.Spawn("idler", func(p *Proc) { p.Sleep(Second) })
+	e.Spawn("bomber", func(p *Proc) {
+		p.Sleep(Millisecond)
+		explode()
+	})
+	defer func() {
+		msg, _ := recover().(string)
+		for _, want := range []string{`process "bomber" panicked: boom`, "sim.explode", "goroutine "} {
+			if !strings.Contains(msg, want) {
+				t.Errorf("panic message lacks %q:\n%s", want, msg)
+			}
+		}
+		if e.Now() != Millisecond {
+			t.Errorf("panic surfaced at %v, want the instant the process died (1 ms)", e.Now())
+		}
+	}()
+	e.Run()
+	t.Fatal("Run returned; the panic was swallowed")
+}
+
+//go:noinline
+func explode() { panic("boom") }
+
+// TestDroppedEngineWithParkedProcs: freezing a simulation mid-flight leaves
+// processes parked for good. Dropping such an engine must neither block
+// (nobody waits on a parked process) nor panic, and a second engine built
+// afterwards is unaffected.
+func TestDroppedEngineWithParkedProcs(t *testing.T) {
+	freeze := func() int {
+		e := NewEngine()
+		var never Completion
+		for i := 0; i < 100; i++ {
+			e.Spawn("sleeper", func(p *Proc) { p.Sleep(Second) })
+			e.Spawn("waiter", func(p *Proc) { never.Wait(p) })
+		}
+		e.RunUntil(Millisecond)
+		return e.Live()
+	}
+	if live := freeze(); live != 200 {
+		t.Fatalf("%d live processes at the freeze, want 200", live)
+	}
+	runtime.GC() // the dropped engine and its parked coroutines are unreachable now
+	e := NewEngine()
+	done := false
+	e.Spawn("after", func(p *Proc) { p.Sleep(Second); done = true })
+	e.Run()
+	if !done || e.Live() != 0 {
+		t.Fatalf("engine after the drop: done=%v live=%d", done, e.Live())
+	}
 }
