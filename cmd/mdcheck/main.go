@@ -11,8 +11,9 @@
 //	mdcheck -schemes softupdates -seed-bug -shrink   # catch a planted bug
 //	mdcheck -dist -schemes conventional # sharded dmeta cluster, per-node sweeps
 //
-// Exit status is 1 when any scheme's verdict is unexpected: a violation
-// under an ordering scheme, or a fully clean sweep under noorder.
+// Exit status is 1 when any scheme's verdict is unexpected — the table
+// marks it "(UNEXPECTED)": a violation under an ordering scheme, or a fully
+// clean sweep under noorder or with -seed-bug planted.
 package main
 
 import (
@@ -88,8 +89,7 @@ func main() {
 			bad = true
 			continue
 		}
-		expectClean := r.ExpectClean() && !*seedBug
-		if r.Result.Clean() != expectClean {
+		if !r.AsExpected() {
 			bad = true
 		}
 		if *jsonOut {

@@ -110,18 +110,16 @@ type Options struct {
 	// write pattern, free re-ordering, no integrity).
 	IgnoreOrdering bool
 
-	// Sizes; zero values pick paper-scaled defaults.
+	// Sizes; zero values pick paper-scaled defaults. The file system is
+	// formatted over the whole disk, an HP C2447 (disk.HPC2447); the NVRAM
+	// scheme's log is 1 MB.
 	DiskBytes  int64 // materialized media (default 384 MB)
-	FSBytes    int64 // formatted size (default DiskBytes)
 	NInodes    uint32
-	CacheBytes int // buffer cache (default 32 MB)
-
-	// NVRAMBytes sizes the NVRAM log for Scheme == NVRAM (default 1 MB).
-	NVRAMBytes int
+	CacheBytes int // buffer cache (default 24 MB)
 
 	// JournalFrags sizes the on-disk journal region for Scheme ==
 	// Journaling. The default scales with the file system: one fragment per
-	// 128 KB of FSBytes, clamped to [128, 4096] fragments — 3 MB for the
+	// 128 KB of DiskBytes, clamped to [128, 4096] fragments — 3 MB for the
 	// default 384 MB file system, 128 KB for the few-MB images of the crash
 	// sweeps. One compound transaction may fill a quarter of the region.
 	// Other schemes ignore it and format without a journal, keeping their
@@ -135,21 +133,15 @@ type Options struct {
 	AsyncWindow   int
 	AsyncInterval Duration
 
-	SyncerFraction int // cache sweeps per full pass (default 30)
-	Costs          ffs.Costs
-	DiskParams     *disk.Params
-
 	// Faults selects the deterministic fault plan injected at the media
 	// layer (transient errors, permanent bad sectors, torn writes, latency
 	// spikes). The zero value is a fault-free disk, byte-identical to runs
 	// built before fault injection existed.
 	Faults fault.Spec
-	// MaxRetries / RetryBackoff / SpareSectors tune the driver's recovery
-	// machinery (zero values take the dev package defaults). They only
-	// matter when Faults is enabled.
-	MaxRetries   int
-	RetryBackoff Duration
-	SpareSectors int
+	// MaxRetries bounds the driver's redispatches after a recoverable fault
+	// (zero takes dev.DefaultMaxRetries). It only matters when Faults is
+	// enabled.
+	MaxRetries int
 
 	// OpenLoop configures an open-loop scenario workload (internal/arrival
 	// offered-load process + internal/scenario op stream) for RunOpenLoop.
@@ -169,18 +161,11 @@ func (o *Options) setDefaults() {
 	if o.DiskBytes == 0 {
 		o.DiskBytes = 384 << 20
 	}
-	if o.FSBytes == 0 {
-		o.FSBytes = o.DiskBytes
-	}
 	if o.NInodes == 0 {
 		o.NInodes = 16384
 	}
 	if o.CacheBytes == 0 {
 		o.CacheBytes = 24 << 20
-	}
-	if o.DiskParams == nil {
-		p := disk.HPC2447()
-		o.DiskParams = &p
 	}
 	if e := o.Scheme.info(); e != nil {
 		if e.paper != nil && !o.Explicit {
@@ -221,20 +206,15 @@ func assemble(eng *sim.Engine, opt Options, rec *obs.Recorder, p *sim.Proc) (*Sy
 	sys := &System{Opt: opt, Eng: eng, CPU: &sim.CPU{}, Obs: rec}
 	ord := e.build(&opt, sys)
 
-	sys.Disk = disk.New(*opt.DiskParams, opt.DiskBytes)
-	fp := ffs.FormatParams{TotalBytes: opt.FSBytes, NInodes: opt.NInodes}
+	sys.Disk = disk.New(disk.HPC2447(), opt.DiskBytes)
+	fp := ffs.FormatParams{TotalBytes: opt.DiskBytes, NInodes: opt.NInodes}
 	if e.journal {
 		fp.JournalFrags = opt.JournalFrags
 	}
 	if _, err := ffs.Format(sys.Disk, fp); err != nil {
 		return nil, err
 	}
-	dcfg := dev.Config{
-		Mode:         e.mode,
-		MaxRetries:   opt.MaxRetries,
-		RetryBackoff: opt.RetryBackoff,
-		SpareSectors: opt.SpareSectors,
-	}
+	dcfg := dev.Config{Mode: e.mode, MaxRetries: opt.MaxRetries}
 	if opt.IgnoreOrdering {
 		dcfg.Mode = dev.ModeIgnore
 	}
@@ -245,16 +225,12 @@ func assemble(eng *sim.Engine, opt Options, rec *obs.Recorder, p *sim.Proc) (*Sy
 	if opt.Faults.Enabled() {
 		// The plan is compiled after Format, so the bad-sector set is a pure
 		// function of (spec, disk size) and independent of mkfs traffic.
-		sys.Disk.SetFaults(fault.New(opt.Faults, sys.Disk.Sectors()), opt.SpareSectors)
+		sys.Disk.SetFaults(fault.New(opt.Faults, sys.Disk.Sectors()), 0)
 	}
-	sys.Cache = cache.New(eng, sys.Driver, sys.CPU, cache.Config{
-		MaxBytes:       opt.CacheBytes,
-		CB:             opt.CB,
-		SyncerFraction: opt.SyncerFraction,
-	})
+	sys.Cache = cache.New(eng, sys.Driver, sys.CPU, cache.Config{MaxBytes: opt.CacheBytes, CB: opt.CB})
 	var err error
 	sys.FS, err = ffs.Mount(eng, sys.CPU, sys.Cache, ord,
-		ffs.Config{AllocInit: opt.AllocInit, Costs: opt.Costs, Obs: rec}, p)
+		ffs.Config{AllocInit: opt.AllocInit, Obs: rec}, p)
 	return sys, err
 }
 

@@ -114,8 +114,8 @@ var schemeTable = [...]schemeInfo{
 	},
 	NVRAM: {
 		name: "NVRAM", slugs: []string{"nvram"},
-		build: func(o *Options, s *System) ffs.Ordering {
-			s.NV = nvram.New(nvram.NewLog(o.NVRAMBytes))
+		build: func(_ *Options, s *System) ffs.Ordering {
+			s.NV = nvram.New()
 			return s.NV
 		},
 		recover: func(s *System, img []byte) int { return s.NV.Log().Replay(img) },
@@ -130,7 +130,7 @@ var schemeTable = [...]schemeInfo{
 			// (modifications lock against in-flight writes).
 			o.CB = false
 			if o.JournalFrags == 0 {
-				o.JournalFrags = int32(min(max(o.FSBytes/(128<<10), 128), 4096))
+				o.JournalFrags = int32(min(max(o.DiskBytes/(128<<10), 128), 4096))
 			}
 		},
 		build: func(_ *Options, s *System) ffs.Ordering {

@@ -1,6 +1,7 @@
 package fsim_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -10,9 +11,14 @@ import (
 
 // TestSchemeTable walks the scheme table through the list the commands
 // print in their help texts (fsim.SchemeUsage): every name there parses,
-// round-trips, and builds a machine whose mounted ordering answers to the
-// table's display name.
+// round-trips, and builds a machine that mounts the scheme's ordering.
 func TestSchemeTable(t *testing.T) {
+	mounts := map[fsim.Scheme]string{
+		fsim.NoOrder: "*ordering.NoOrder", fsim.Conventional: "*ordering.Conventional",
+		fsim.SchedulerFlag: "*ordering.Flag", fsim.SchedulerChains: "*ordering.Chains",
+		fsim.SoftUpdates: "*core.SoftUpdates", fsim.NVRAM: "*nvram.Scheme",
+		fsim.Journaling: "*ordering.Journal", fsim.AsyncDurability: "*ordering.Async",
+	}
 	slugs := strings.Split(fsim.SchemeUsage, "|")
 	if len(slugs) != len(fsim.Schemes)+1 { // NVRAM is outside the comparison set
 		t.Fatalf("SchemeUsage %q names %d schemes, want %d", fsim.SchemeUsage, len(slugs), len(fsim.Schemes)+1)
@@ -34,8 +40,13 @@ func TestSchemeTable(t *testing.T) {
 		if err != nil {
 			t.Fatalf("fsim.New(%v): %v", s, err)
 		}
-		if got := sys.FS.Ordering().Name(); got != s.String() || sys.Opt.Scheme != s {
-			t.Errorf("%q mounts %q as scheme %v, want %q", slug, got, sys.Opt.Scheme, s.String())
+		// The mounted ordering is the object the table built: the System's
+		// handle where it has one, else of the scheme's type.
+		ord := sys.FS.Ordering()
+		handle := map[fsim.Scheme]any{fsim.SoftUpdates: sys.Soft, fsim.NVRAM: sys.NV,
+			fsim.Journaling: sys.Jnl, fsim.AsyncDurability: sys.Async}[s]
+		if got := fmt.Sprintf("%T", ord); got != mounts[s] || (handle != nil && handle != any(ord)) || sys.Opt.Scheme != s {
+			t.Errorf("%q mounts a %s as scheme %v, want the table's %s", slug, got, sys.Opt.Scheme, mounts[s])
 		}
 		sys.Shutdown()
 	}

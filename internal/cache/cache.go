@@ -4,11 +4,12 @@
 //
 //   - the block-copy enhancement of section 3.3 (-CB): write sources are
 //     snapshotted so in-flight writes do not write-lock the live buffer;
-//   - the hook surface soft updates needs (section 4.2): a scheme can roll
-//     back updates in the write source just before a write is issued, be
-//     told when writes are issued (scheduler chains records request IDs) and
-//     when they complete (undo/redo, workitems), and re-establish undone
-//     state when a block is next accessed.
+//   - the hook surface soft updates needs (section 4.2): a scheme can order
+//     a write behind one it has yet to submit, roll back updates in the
+//     write source just before the write is issued, and be told when the
+//     write lands (dependency resolution, workitems). Each buffer records
+//     its newest write in flight (Buf.WriteReq), which scheduler chains
+//     names as a dependency.
 //
 // Buffers are addressed in 1 KB fragments, the file system's smallest
 // allocation unit; a buffer covers 1..8 fragments.
@@ -43,8 +44,9 @@ type Buf struct {
 	Dirty  bool
 	marked bool // syncer two-pass mark
 
-	reading *sim.Completion // read in flight filling this buffer
-	writing *sim.Completion // write in flight from this buffer (non-CB)
+	reading  *sim.Completion // read in flight filling this buffer
+	writing  *sim.Completion // write in flight from this buffer (non-CB)
+	writeReq uint64          // newest write in flight from this buffer (WriteReq)
 	// cbInflight counts -CB snapshot writes in flight; the buffer is not
 	// write-locked by them but must not be evicted until they land (a
 	// re-read could observe pre-snapshot media).
@@ -104,13 +106,15 @@ func (b *Buf) Unhold() {
 // InFlight reports whether a write from this buffer is in progress.
 func (b *Buf) InFlight() bool { return b.writing != nil }
 
+// WriteReq returns the ID of the newest write request issued from this
+// buffer, 0 once that request has completed (successfully or not). Under
+// -CB an older write may still be in flight; the newest one is ordered
+// behind it on the media, so naming it covers both.
+func (b *Buf) WriteReq() uint64 { return b.writeReq }
+
 // Hooks is the scheme callback surface. All methods are called with the
 // simulation single-threaded; implementations must not block.
 type Hooks interface {
-	// OnAccess runs whenever a buffer is returned from Bread/Getblk; soft
-	// updates uses it to re-apply (redo) updates that were undone for a
-	// completed write and left lazy.
-	OnAccess(b *Buf)
 	// PrepareWrite runs when a write of b is about to be built, before its
 	// WriteFlag/WriteDeps are consumed: the last point at which a scheme can
 	// order this write behind a request it has yet to submit (journaling
@@ -122,19 +126,16 @@ type Hooks interface {
 	// copy-on-write approach the paper recommends over in-place undo).
 	// Returning nil keeps src.
 	BeforeWrite(b *Buf, src []byte) []byte
-	// WriteIssued reports the request created for a buffer write.
-	WriteIssued(b *Buf, req *dev.Request)
 	// WriteDone runs after the write's data is on the media.
 	WriteDone(b *Buf, req *dev.Request)
 }
 
-// NopHooks is the no-op Hooks implementation.
+// NopHooks is the no-op Hooks implementation; a scheme embeds it and
+// overrides the hooks it needs.
 type NopHooks struct{}
 
-func (NopHooks) OnAccess(*Buf)                   {}
 func (NopHooks) PrepareWrite(*Buf)               {}
 func (NopHooks) BeforeWrite(*Buf, []byte) []byte { return nil }
-func (NopHooks) WriteIssued(*Buf, *dev.Request)  {}
 func (NopHooks) WriteDone(*Buf, *dev.Request)    {}
 
 // Config parameterizes the cache.
@@ -145,9 +146,6 @@ type Config struct {
 	// cache (the conventional value is 30, approximating the classic
 	// 30-second sync). <=0 means 30.
 	SyncerFraction int
-	// CopyCPU is the CPU cost of snapshotting one 8 KB block for -CB
-	// (and for soft-updates "safe copies"); 0 means DefaultCopyCPU.
-	CopyCPU sim.Duration
 	// MaxCopyBytes bounds the kernel memory holding -CB write snapshots;
 	// issuers block when the pool is exhausted, which is the natural
 	// backpressure that keeps asynchronous-write schemes disk-bound once
@@ -160,8 +158,9 @@ type Config struct {
 // 48 MB machine).
 const DefaultMaxCopyBytes = 16 << 20
 
-// DefaultCopyCPU approximates an 8 KB memcpy on a 33 MHz i486 (~15 MB/s).
-const DefaultCopyCPU = 530 * sim.Microsecond
+// copyCPU is the CPU cost of snapshotting one 8 KB block for -CB (and for
+// soft-updates "safe copies"): an 8 KB memcpy on a 33 MHz i486 (~15 MB/s).
+const copyCPU = 530 * sim.Microsecond
 
 // Cache is the buffer cache.
 type Cache struct {
@@ -217,9 +216,6 @@ func New(eng *sim.Engine, drv *dev.Driver, cpu *sim.CPU, cfg Config) *Cache {
 	}
 	if cfg.SyncerFraction <= 0 {
 		cfg.SyncerFraction = 30
-	}
-	if cfg.CopyCPU == 0 {
-		cfg.CopyCPU = DefaultCopyCPU
 	}
 	if cfg.MaxCopyBytes <= 0 {
 		cfg.MaxCopyBytes = DefaultMaxCopyBytes
@@ -303,9 +299,9 @@ func (c *Cache) waitAccessible(p *sim.Proc, b *Buf) {
 }
 
 // Bread returns the buffer for nfrags fragments starting at frag, reading
-// from disk on a miss. The returned buffer's Data is valid and up to date
-// with respect to scheme redo state. On a media error (faulted disk) it
-// returns the driver's error and no buffer.
+// from disk on a miss. The returned buffer's Data is valid and current (a
+// scheme rolls back only write sources, never the buffer). On a media error
+// (faulted disk) it returns the driver's error and no buffer.
 func (c *Cache) Bread(p *sim.Proc, frag int64, nfrags int) (*Buf, error) {
 	b := c.bufs[frag]
 	if b != nil && b.NFrags() != nfrags {
@@ -327,7 +323,6 @@ func (c *Cache) Bread(p *sim.Proc, frag int64, nfrags int) (*Buf, error) {
 			return nil, b.readErr
 		}
 		c.touch(b)
-		c.Hooks.OnAccess(b)
 		return b, nil
 	}
 	c.Misses++
@@ -367,7 +362,6 @@ func (c *Cache) Bread(p *sim.Proc, frag int64, nfrags int) (*Buf, error) {
 	}
 	r.Fire(c.eng)
 	c.touch(b)
-	c.Hooks.OnAccess(b)
 	return b, nil
 }
 
@@ -388,14 +382,12 @@ func (c *Cache) Getblk(p *sim.Proc, frag int64, nfrags int) *Buf {
 			sp.Pop(p)
 		}
 		c.touch(b)
-		c.Hooks.OnAccess(b)
 		return b
 	}
 	c.Misses++
 	b = &Buf{Frag: frag, Data: make([]byte, nfrags*FragSize)}
 	c.insert(b)
 	c.makeRoom(p, b)
-	c.Hooks.OnAccess(b)
 	return b
 }
 
@@ -513,7 +505,7 @@ func (c *Cache) issueWrite(p *sim.Proc, b *Buf) *dev.Request {
 		cbSnap = src
 		c.copyOutstanding += len(src)
 		b.cbInflight++
-		copyCost = c.cfg.CopyCPU * sim.Duration(b.NFrags()) / 8
+		copyCost = copyCPU * sim.Duration(b.NFrags()) / 8
 	} else {
 		src = b.Data
 		done = sim.NewCompletion()
@@ -532,7 +524,7 @@ func (c *Cache) issueWrite(p *sim.Proc, b *Buf) *dev.Request {
 			cbSnap = nil
 		}
 		src = repl
-		copyCost += c.cfg.CopyCPU * sim.Duration(b.NFrags()) / 8
+		copyCost += copyCPU * sim.Duration(b.NFrags()) / 8
 	}
 	req := c.drv.Submit(&dev.Request{
 		Op:        disk.Write,
@@ -543,7 +535,7 @@ func (c *Cache) issueWrite(p *sim.Proc, b *Buf) *dev.Request {
 		DependsOn: deps,
 	})
 	c.WritesIssued++
-	c.Hooks.WriteIssued(b, req)
+	b.writeReq = req.ID
 	if copyCost > 0 && c.cpu != nil && p != nil {
 		sp := obs.SpanOf(p)
 		sp.Push(p, obs.StageCPU)
@@ -572,6 +564,9 @@ func (c *Cache) issueWrite(p *sim.Proc, b *Buf) *dev.Request {
 		}
 		if done2 != nil {
 			b.writing = nil
+		}
+		if b.writeReq == req.ID {
+			b.writeReq = 0
 		}
 		if req.Err != nil {
 			// The write never (fully) reached the media. Scheme completion

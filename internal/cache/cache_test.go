@@ -8,6 +8,7 @@ import (
 
 	"metaupdate/internal/dev"
 	"metaupdate/internal/disk"
+	"metaupdate/internal/fault"
 	"metaupdate/internal/sim"
 )
 
@@ -398,6 +399,79 @@ func TestIssueWhileWritingKeepsDirty(t *testing.T) {
 			t.Fatal("buffer lost dirty state")
 		}
 		req1.Done.Wait(p)
+	})
+}
+
+// failAllWrites fails every write for good: the driver exhausts its retries
+// and fails the request to its issuer.
+type failAllWrites struct{}
+
+func (failAllWrites) Judge(write bool, _ int64, _ int, _ func(int64) bool) fault.Outcome {
+	if write {
+		return fault.Outcome{Kind: fault.Transient}
+	}
+	return fault.Outcome{}
+}
+
+// TestWriteReq pins the newest write in flight a buffer reports: the
+// request while it is in flight and 0 once it has landed; under -CB with
+// two in flight, the newer one until that lands too; and 0 after a failed
+// write — the failed request left the driver, so naming it would order
+// nothing (the driver drops a DependsOn ID that is not pending).
+func TestWriteReq(t *testing.T) {
+	t.Run("one write", func(t *testing.T) {
+		eng, _, _, c := newRig(Config{})
+		runIn(eng, func(p *sim.Proc) {
+			b := c.Getblk(p, 10, 1)
+			if got := b.WriteReq(); got != 0 {
+				t.Fatalf("fresh buffer names write %d", got)
+			}
+			r := c.Bawrite(p, b)
+			if got := b.WriteReq(); got != r.ID {
+				t.Fatalf("in flight: WriteReq %d, want %d", got, r.ID)
+			}
+			r.Done.Wait(p)
+			if got := b.WriteReq(); got != 0 {
+				t.Fatalf("landed: WriteReq %d, want 0", got)
+			}
+		})
+	})
+	t.Run("two in flight under CB", func(t *testing.T) {
+		eng, _, _, c := newRig(Config{CB: true})
+		runIn(eng, func(p *sim.Proc) {
+			b := c.Getblk(p, 10, 1)
+			r1 := c.Bawrite(p, b)
+			r2 := c.Bawrite(p, b)
+			if got := b.WriteReq(); got != r2.ID || r1.ID == r2.ID {
+				t.Fatalf("WriteReq %d, want the newer %d (older %d)", got, r2.ID, r1.ID)
+			}
+			r1.Done.Wait(p)
+			if r2.Done.Fired() {
+				t.Fatal("setup: the newer write landed with the older")
+			}
+			if got := b.WriteReq(); got != r2.ID {
+				t.Fatalf("older landed: WriteReq %d, want the newer %d", got, r2.ID)
+			}
+			r2.Done.Wait(p)
+			if got := b.WriteReq(); got != 0 {
+				t.Fatalf("both landed: WriteReq %d, want 0", got)
+			}
+		})
+	})
+	t.Run("failed", func(t *testing.T) {
+		eng, dsk, _, c := newRig(Config{})
+		dsk.SetFaults(failAllWrites{}, 0)
+		runIn(eng, func(p *sim.Proc) {
+			b := c.Getblk(p, 10, 1)
+			r := c.Bawrite(p, b)
+			r.Done.Wait(p)
+			if r.Err == nil {
+				t.Fatal("setup: the write did not fail")
+			}
+			if got := b.WriteReq(); got != 0 {
+				t.Fatalf("failed: WriteReq %d, want 0", got)
+			}
+		})
 	})
 }
 

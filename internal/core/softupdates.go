@@ -49,8 +49,10 @@ type Stats struct {
 	DepsCreated   int64
 }
 
-// SoftUpdates implements ffs.Ordering and cache.Hooks.
+// SoftUpdates implements ffs.Ordering, whose cache hooks carry its
+// rollback (BeforeWrite) and dependency resolution (WriteDone).
 type SoftUpdates struct {
+	cache.NopHooks
 	fs   *ffs.FS
 	deps map[*cache.Buf]*bufDep // parallel to Buf.Dep, for iteration
 	Stat Stats
@@ -69,14 +71,8 @@ func New() *SoftUpdates {
 	return &SoftUpdates{deps: make(map[*cache.Buf]*bufDep)}
 }
 
-// Name implements ffs.Ordering.
-func (s *SoftUpdates) Name() string { return "Soft Updates" }
-
 // Start implements ffs.Ordering.
 func (s *SoftUpdates) Start(fs *ffs.FS) { s.fs = fs }
-
-// Hooks implements ffs.Ordering.
-func (s *SoftUpdates) Hooks() cache.Hooks { return suHooks{s} }
 
 // bufDep anchors all dependency state for one buffer (the cache never
 // evicts a buffer whose Dep is non-nil, which subsumes the paper's pinning
@@ -561,29 +557,19 @@ func (s *SoftUpdates) queueWait(fw *freeWait) {
 // MetaUpdate implements ffs.Ordering.
 func (s *SoftUpdates) MetaUpdate(p *sim.Proc, b *cache.Buf) { s.cache().Bdwrite(b) }
 
-// DataWrite implements ffs.Ordering.
-func (s *SoftUpdates) DataWrite(p *sim.Proc, b *cache.Buf) { s.cache().Bdwrite(b) }
-
 // ---------------------------------------------------------------------
-// Cache hooks: undo/redo
+// Cache hooks: rollback and resolution. Soft updates never orders writes
+// in the driver, so PrepareWrite stays the no-op; rollbacks happen in
+// write-source copies, so the in-memory buffer is always current.
 // ---------------------------------------------------------------------
 
-type suHooks struct{ s *SoftUpdates }
-
-// OnAccess is a no-op: rollbacks happen in write-source copies, so the
-// in-memory buffer is always current.
-func (h suHooks) OnAccess(b *cache.Buf) {}
-
-// PrepareWrite is a no-op: soft updates never orders writes in the driver.
-func (h suHooks) PrepareWrite(b *cache.Buf) {}
-
-// BeforeWrite builds the write source: when some updates in the buffer
-// still have unresolved dependencies, it returns a copy of src with those
-// updates rolled back — the block as written is consistent with the
-// current on-disk state, and the live buffer is never perturbed (the
-// copy-on-write variant the paper recommends over in-place undo/redo).
-func (h suHooks) BeforeWrite(b *cache.Buf, src []byte) []byte {
-	s := h.s
+// BeforeWrite implements cache.Hooks by building the write source: when
+// some updates in the buffer still have unresolved dependencies, it returns
+// a copy of src with those updates rolled back — the block as written is
+// consistent with the current on-disk state, and the live buffer is never
+// perturbed (the copy-on-write variant the paper recommends over in-place
+// undo/redo).
+func (s *SoftUpdates) BeforeWrite(b *cache.Buf, src []byte) []byte {
 	d := s.dep(b)
 	if d == nil {
 		return nil
@@ -638,13 +624,10 @@ func (h suHooks) BeforeWrite(b *cache.Buf, src []byte) []byte {
 	return out
 }
 
-func (h suHooks) WriteIssued(b *cache.Buf, req *dev.Request) {}
-
-// WriteDone resolves dependencies covered by the completed write, redoes
-// rolled-back updates in memory, and queues deferred work.
-func (h suHooks) WriteDone(b *cache.Buf, req *dev.Request) {
-	s := h.s
-
+// WriteDone implements cache.Hooks: it resolves dependencies covered by the
+// completed write, re-dirties buffers whose rolled-back updates may now
+// reach the disk, and queues deferred work.
+func (s *SoftUpdates) WriteDone(b *cache.Buf, req *dev.Request) {
 	// New-block side: allocations whose data this write carried are now
 	// initialized on disk.
 	if d := s.dep(b); d != nil {
@@ -693,7 +676,7 @@ func (h suHooks) WriteDone(b *cache.Buf, req *dev.Request) {
 	for off, add := range d.adds {
 		if add.covered && add.inoSafe {
 			delete(d.adds, off)
-			h.s.dropAdd(add)
+			s.dropAdd(add)
 			continue
 		}
 		if add.inoSafe {

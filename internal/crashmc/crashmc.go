@@ -245,13 +245,11 @@ type Config struct {
 	// so one huge pending set cannot starve the rest of the timeline
 	// (default 1024).
 	PerInstant int
-	// CheckContent additionally runs fsck.ContentViolations on each image
-	// (for workloads that stamp file data with fsck.MakeStampedData).
-	CheckContent bool
 	// ExtraCheck, if set, runs an additional oracle over each image; any
 	// strings it returns are recorded as findings alongside fsck's. It is
 	// called concurrently from the checker pool and must be safe for
-	// concurrent use with distinct images.
+	// concurrent use with distinct images. A content check over stamped
+	// file data (fsck.ContentViolationsImage) is one.
 	ExtraCheck func(fsck.Image) []string
 	// Recover, if set, runs crash-time recovery on each materialized crash
 	// image before the fsck oracle (the Journaling scheme sets it to journal
@@ -263,16 +261,17 @@ type Config struct {
 	// distinct images.
 	Recover func([]byte)
 	// Shrink reduces the lowest-sequence violating state to a minimal
-	// repro after the sweep.
+	// repro after the sweep, materializing at most shrinkTrials images.
 	Shrink bool
-	// MaxViolations bounds the retained violating states; the lowest
-	// sequence numbers are kept (default 64). The Violating counter is
-	// exact regardless.
-	MaxViolations int
-	// ShrinkTrials caps the images materialized while shrinking
-	// (default 800).
-	ShrinkTrials int
 }
+
+const (
+	// maxViolations bounds the retained violating states; the lowest
+	// sequence numbers are kept. The Violating counter is exact regardless.
+	maxViolations = 64
+	// shrinkTrials caps the images materialized while shrinking.
+	shrinkTrials = 800
+)
 
 func (c *Config) setDefaults(defaultWorkers int) {
 	if c.Workers <= 0 {
@@ -283,12 +282,6 @@ func (c *Config) setDefaults(defaultWorkers int) {
 	}
 	if c.PerInstant <= 0 {
 		c.PerInstant = 1024
-	}
-	if c.MaxViolations <= 0 {
-		c.MaxViolations = 64
-	}
-	if c.ShrinkTrials <= 0 {
-		c.ShrinkTrials = 800
 	}
 }
 

@@ -141,8 +141,8 @@ func TestSeededViolationShrinks(t *testing.T) {
 	if named > 6 {
 		t.Errorf("repro names %d writes; shrinking should do better", named)
 	}
-	if res.Repro.Trials > cfg.ShrinkTrials && cfg.ShrinkTrials > 0 {
-		t.Errorf("shrink used %d trials, cap %d", res.Repro.Trials, cfg.ShrinkTrials)
+	if res.Repro.Trials > crashmc.ShrinkTrials {
+		t.Errorf("shrink used %d trials, cap %d", res.Repro.Trials, crashmc.ShrinkTrials)
 	}
 }
 

@@ -624,16 +624,16 @@ func (cp *checkerPool) run(base []byte, jobs <-chan job) {
 			// candidate's report is discarded. Only candidates that would
 			// enter the retained set get a full formatted check, so the
 			// recorded strings are identical to the full path's.
-			if deltaViolates(dc, ov, cp.cfg.CheckContent, cp.cfg.ExtraCheck) {
+			if deltaViolates(dc, ov, cp.cfg.ExtraCheck) {
 				cp.violating.Add(1)
 				if cp.wouldRetain(j.seq) {
-					cp.record(j, checkImage(ov, cp.cfg.CheckContent, cp.cfg.ExtraCheck))
+					cp.record(j, checkImage(ov, cp.cfg.ExtraCheck))
 				}
 			}
 		} else {
 			scratch = ov.materialize(scratch)
 			cp.cfg.Recover(scratch)
-			findings := checkImage(fsck.Bytes(scratch), cp.cfg.CheckContent, cp.cfg.ExtraCheck)
+			findings := checkImage(fsck.Bytes(scratch), cp.cfg.ExtraCheck)
 			if len(findings) != 0 {
 				cp.violating.Add(1)
 				cp.record(j, findings)
@@ -652,7 +652,7 @@ func (cp *checkerPool) run(base []byte, jobs <-chan job) {
 func (cp *checkerPool) wouldRetain(seq int64) bool {
 	cp.vmu.Lock()
 	defer cp.vmu.Unlock()
-	if len(cp.violations) < cp.cfg.MaxViolations {
+	if len(cp.violations) < maxViolations {
 		return true
 	}
 	for _, o := range cp.violations {
@@ -663,7 +663,7 @@ func (cp *checkerPool) wouldRetain(seq int64) bool {
 	return false
 }
 
-// record retains the violation, keeping the MaxViolations lowest sequence
+// record retains the violation, keeping the maxViolations lowest sequence
 // numbers so the retained set is deterministic under any worker schedule.
 func (cp *checkerPool) record(j job, findings []string) {
 	v := Violation{
@@ -681,7 +681,7 @@ func (cp *checkerPool) record(j job, findings []string) {
 	}
 	cp.vmu.Lock()
 	defer cp.vmu.Unlock()
-	if len(cp.violations) < cp.cfg.MaxViolations {
+	if len(cp.violations) < maxViolations {
 		cp.violations = append(cp.violations, v)
 		return
 	}
@@ -707,7 +707,7 @@ func (cp *checkerPool) takeViolations() []Violation {
 // overlay — and returns the rule violations as strings. A panic inside
 // fsck (a corrupted superblock leading it somewhere unmapped) is itself
 // reported as a violation rather than killing the sweep.
-func checkImage(img fsck.Image, content bool, extra func(fsck.Image) []string) (findings []string) {
+func checkImage(img fsck.Image, extra func(fsck.Image) []string) (findings []string) {
 	defer func() {
 		if p := recover(); p != nil {
 			findings = append(findings, fmt.Sprintf("fsck panicked on image: %v", p))
@@ -716,17 +716,19 @@ func checkImage(img fsck.Image, content bool, extra func(fsck.Image) []string) (
 	for _, f := range fsck.CheckImage(img).Violations() {
 		findings = append(findings, f.String())
 	}
-	findings = auxFindings(findings, img, content, extra)
+	if extra != nil {
+		findings = append(findings, extra(img)...)
+	}
 	return findings
 }
 
 // deltaViolates is checkImage's incremental counterpart: the structural
-// check splices dc's cached baseline records, while the content scan and
-// any extra oracle still walk the candidate in full. It only answers
-// whether the candidate violates — dc runs with SkipDetails, and callers
-// that keep the candidate re-check it with checkImage for the strings. A
-// panic inside fsck counts as a violation; the re-check reproduces it.
-func deltaViolates(dc *fsck.DeltaChecker, ov *overlay, content bool, extra func(fsck.Image) []string) (vio bool) {
+// check splices dc's cached baseline records, while any extra oracle still
+// walks the candidate in full. It only answers whether the candidate
+// violates — dc runs with SkipDetails, and callers that keep the candidate
+// re-check it with checkImage for the strings. A panic inside fsck counts
+// as a violation; the re-check reproduces it.
+func deltaViolates(dc *fsck.DeltaChecker, ov *overlay, extra func(fsck.Image) []string) (vio bool) {
 	defer func() {
 		if p := recover(); p != nil {
 			vio = true
@@ -737,20 +739,5 @@ func deltaViolates(dc *fsck.DeltaChecker, ov *overlay, content bool, extra func(
 			return true
 		}
 	}
-	if content && len(fsck.ContentViolationsImage(ov)) != 0 {
-		return true
-	}
 	return extra != nil && len(extra(ov)) != 0
-}
-
-func auxFindings(findings []string, img fsck.Image, content bool, extra func(fsck.Image) []string) []string {
-	if content {
-		for _, f := range fsck.ContentViolationsImage(img) {
-			findings = append(findings, f.String())
-		}
-	}
-	if extra != nil {
-		findings = append(findings, extra(img)...)
-	}
-	return findings
 }

@@ -32,12 +32,12 @@ func (r *Recorder) shrink(v Violation, cfg Config, doneOrder []*node) *Repro {
 		}
 	}
 	violates := func(writes []*node, partial *node, psec int) bool {
-		if trials >= cfg.ShrinkTrials {
+		if trials >= shrinkTrials {
 			return false // out of budget: refuse the reduction, keep going
 		}
 		trials++
 		materialize(writes, partial, psec)
-		return len(checkImage(fsck.Bytes(img), cfg.CheckContent, cfg.ExtraCheck)) > 0
+		return len(checkImage(fsck.Bytes(img), cfg.ExtraCheck)) > 0
 	}
 
 	subset := make([]*node, 0, len(v.Applied))
@@ -110,13 +110,13 @@ func (r *Recorder) shrink(v Violation, cfg Config, doneOrder []*node) *Repro {
 		}
 		return false
 	}
-	for improved := true; improved && trials < cfg.ShrinkTrials; {
+	for improved := true; improved && trials < shrinkTrials; {
 		improved = false
 		if partial != nil && violates(writes, nil, 0) {
 			partial, psec = nil, 0
 			improved = true
 		}
-		for i := len(writes) - 1; i >= 0 && trials < cfg.ShrinkTrials; i-- {
+		for i := len(writes) - 1; i >= 0 && trials < shrinkTrials; i-- {
 			drop := dependents(writes, writes[i])
 			cand := without(writes, drop)
 			cp, cs := partial, psec
@@ -142,7 +142,7 @@ func (r *Recorder) shrink(v Violation, cfg Config, doneOrder []*node) *Repro {
 
 	// Re-materialize the final state for its findings.
 	materialize(writes, partial, psec)
-	rep := &Repro{Findings: checkImage(fsck.Bytes(img), cfg.CheckContent, cfg.ExtraCheck), Trials: trials}
+	rep := &Repro{Findings: checkImage(fsck.Bytes(img), cfg.ExtraCheck), Trials: trials}
 	for _, n := range writes {
 		rep.Writes = append(rep.Writes, WriteInfo{ID: n.id, LBN: n.lbn, Sectors: n.count})
 	}

@@ -91,9 +91,6 @@ type Config struct {
 	// ordering restrictions (the -NR option; meaningless for ModeChains,
 	// where reads simply carry no dependencies).
 	NR bool
-	// MaxConcat bounds the sectors dispatched as one concatenated disk
-	// command. 0 means DefaultMaxConcat.
-	MaxConcat int
 
 	// MaxRetries bounds the redispatch attempts after a recoverable fault
 	// (transient error, torn write). 0 means DefaultMaxRetries; negative
@@ -103,13 +100,11 @@ type Config struct {
 	// RetryBackoff is the virtual-time delay before the first redispatch,
 	// doubling per attempt. 0 means DefaultRetryBackoff.
 	RetryBackoff sim.Duration
-	// SpareSectors sizes the disk's bad-sector remap pool when the driver
-	// installs faults; 0 takes disk.DefaultSpareSectors.
-	SpareSectors int
 }
 
-// DefaultMaxConcat is 128 KB of sectors, a typical mid-90s transfer cap.
-const DefaultMaxConcat = 256
+// maxConcat bounds the sectors dispatched as one concatenated disk command:
+// 128 KB, a typical mid-90s transfer cap.
+const maxConcat = 256
 
 // DefaultMaxRetries is the default per-batch retry budget.
 const DefaultMaxRetries = 4
@@ -330,9 +325,6 @@ const (
 
 // New returns a driver for dsk driven by eng.
 func New(eng *sim.Engine, dsk *disk.Disk, cfg Config) *Driver {
-	if cfg.MaxConcat <= 0 {
-		cfg.MaxConcat = DefaultMaxConcat
-	}
 	if cfg.MaxRetries == 0 {
 		cfg.MaxRetries = DefaultMaxRetries
 	}
@@ -753,14 +745,14 @@ func (d *Driver) concat(pick *Request) []*Request {
 	batch := append(d.batchBuf[d.batchSel][:0], pick)
 	total := pick.Count
 	end := pick.end()
-	for total < d.cfg.MaxConcat {
+	for total < maxConcat {
 		var next *Request
 		for _, q := range d.bySector[end>>bucketShift] {
 			if q.LBN == end && q.Op == pick.Op && q.eligible() && (next == nil || q.ID < next.ID) {
 				next = q
 			}
 		}
-		if next == nil || total+next.Count > d.cfg.MaxConcat {
+		if next == nil || total+next.Count > maxConcat {
 			break
 		}
 		batch = append(batch, next)

@@ -100,7 +100,7 @@ func Mount(eng *sim.Engine, cpu *sim.CPU, c *cache.Cache, ord Ordering, cfg Conf
 		return nil, err
 	}
 	fs.inoRotor = RootIno + 1
-	c.Hooks = ord.Hooks()
+	c.Hooks = ord
 	ord.Start(fs)
 	return fs, nil
 }

@@ -93,9 +93,9 @@ func (fs *FS) Fsync(p *sim.Proc, ino Ino) error {
 		// something; drain them before deciding we are done.
 		fs.cache.RunWork(p)
 		if !wrote {
-			// Re-access the inode block: a scheme's lazy redo would
-			// re-dirty it here; if it stays clean, the on-disk state
-			// carries everything.
+			// Re-check the inode block after the workitems: one that
+			// finished a removal or a free may have re-dirtied it; if it
+			// stays clean, the on-disk state carries everything.
 			_, ib2, _, err := fs.getInode(p, ino)
 			if err != nil {
 				return err

@@ -165,11 +165,6 @@ func (h *hookRecorder) MetaUpdate(p *sim.Proc, b *cache.Buf) {
 	h.NoOrder.MetaUpdate(p, b)
 }
 
-func (h *hookRecorder) DataWrite(p *sim.Proc, b *cache.Buf) {
-	h.logf("DataWrite")
-	h.NoOrder.DataWrite(p, b)
-}
-
 // TestStructuralChangeHookSequence is the caller-side twin of
 // TestSequencedRuleTable: for every shape of the four structural changes
 // (block allocation, link addition, link removal, block freeing) it pins
@@ -219,13 +214,11 @@ func TestStructuralChangeHookSequence(t *testing.T) {
 			"MetaUpdate fbmap",
 			"AllocInit ino=3 data nfr=1 owner=inode+12 size=0->1024 | ptr=old isize=0",
 			"AllocPtr ino=3 data nfr=1 owner=inode+12 size=0->1024 | ptr=new isize=1024",
-			"DataWrite",
 		}},
 		{"extend in place", nil, func(p *sim.Proc) { must(fs.WriteAt(p, f, 1<<10, kb(1))) }, []string{
 			"MetaUpdate fbmap",
 			"AllocInit ino=3 data nfr=2 owner=inode+12 size=1024->2048 inplace | ptr=new isize=1024",
 			"AllocPtr ino=3 data nfr=2 owner=inode+12 size=1024->2048 inplace | ptr=new isize=2048",
-			"DataWrite",
 		}},
 		{"fragment move", func(p *sim.Proc) {
 			g = create(p, root, "g")
@@ -235,7 +228,6 @@ func TestStructuralChangeHookSequence(t *testing.T) {
 			"AllocInit ino=3 data nfr=3 owner=inode+12 size=2048->3072 retarget vacates=2 copied | ptr=old isize=2048",
 			"AllocPtr ino=3 data nfr=3 owner=inode+12 size=2048->3072 retarget vacates=2 copied | ptr=new isize=3072",
 			"MetaUpdate fbmap",
-			"DataWrite",
 		}},
 		{"indirect allocation", func(p *sim.Proc) {
 			must(fs.WriteAt(p, g, 1<<10, kb(ffs.NDirect*8-1)))
@@ -247,7 +239,6 @@ func TestStructuralChangeHookSequence(t *testing.T) {
 			"AllocInit ino=4 data nfr=1 owner=indir+0 | ptr=old isize=98304",
 			"AllocPtr ino=4 data nfr=1 owner=indir+0 | ptr=new isize=99328",
 			"MetaUpdate itable",
-			"DataWrite",
 		}},
 		{"extend in place under an indirect block", nil, func(p *sim.Proc) {
 			must(fs.WriteAt(p, g, ffs.NDirect*ffs.BlockSize+1<<10, kb(1)))
@@ -256,7 +247,6 @@ func TestStructuralChangeHookSequence(t *testing.T) {
 			"AllocInit ino=4 data nfr=2 owner=indir+0 inplace | ptr=new isize=99328",
 			"AllocPtr ino=4 data nfr=2 owner=indir+0 inplace | ptr=new isize=100352",
 			"MetaUpdate itable",
-			"DataWrite",
 		}},
 		{"fragment move under an indirect block", func(p *sim.Proc) {
 			for i := 0; i < 4; i++ {
@@ -270,7 +260,6 @@ func TestStructuralChangeHookSequence(t *testing.T) {
 			"AllocPtr ino=4 data nfr=3 owner=indir+0 retarget vacates=2 copied | ptr=new isize=101376",
 			"MetaUpdate fbmap",
 			"MetaUpdate itable",
-			"DataWrite",
 		}},
 		{"double-indirect allocation", func(p *sim.Proc) {
 			const upto = (ffs.NDirect + ffs.PtrsPerBlock) * ffs.BlockSize
@@ -289,7 +278,6 @@ func TestStructuralChangeHookSequence(t *testing.T) {
 			"AllocInit ino=4 data nfr=8 owner=indir+0 | ptr=old isize=16875520",
 			"AllocPtr ino=4 data nfr=8 owner=indir+0 | ptr=new isize=16883712",
 			"MetaUpdate itable",
-			"DataWrite",
 		}},
 		{"mkdir", nil, func(p *sim.Proc) { d = mkdir(p, root, "d") }, []string{
 			"MetaUpdate ibmap",

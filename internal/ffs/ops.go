@@ -586,7 +586,7 @@ func (fs *FS) WriteAt(p *sim.Proc, ino Ino, off uint64, data []byte) error {
 		b.Hold()
 		fs.cache.PrepareModify(p, b)
 		copy(b.Data[boff:], data[:n])
-		fs.ord.DataWrite(p, b)
+		fs.cache.Bdwrite(b)
 		b.Unhold()
 		fs.rele(ib)
 		off = end

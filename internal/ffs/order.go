@@ -11,6 +11,9 @@ import (
 // Journaling and Async Durability. The sequenced-write ones share one
 // implementation of the rule hooks, ordering.Sequenced.
 //
+// A scheme is also its own cache.Hooks, installed by Mount: it embeds
+// cache.NopHooks and overrides only the hooks its writes need.
+//
 // The file system calls the hooks at precisely the points where the paper's
 // three ordering rules create update dependencies:
 //
@@ -39,12 +42,9 @@ import (
 // A second FinishRemove or ApplyFree of one record panics; FS.Unfinished
 // counts the records still owed theirs.
 type Ordering interface {
-	Name() string
+	cache.Hooks
 	// Start attaches the scheme to a mounted file system.
 	Start(fs *FS)
-	// Hooks returns the buffer-cache hook implementation (soft updates
-	// does its undo/redo there; other schemes return cache.NopHooks).
-	Hooks() cache.Hooks
 
 	AllocInit(p *sim.Proc, rec *AllocRec)
 	AllocPtr(p *sim.Proc, rec *AllocRec)
@@ -54,9 +54,9 @@ type Ordering interface {
 	FreeBlocks(p *sim.Proc, rec *FreeRec)
 
 	// MetaUpdate covers metadata changes with no ordering requirement
-	// (bitmaps, timestamps, sizes); DataWrite covers file data.
+	// (bitmaps, timestamps, sizes). File data is a delayed write under every
+	// scheme and reaches none of them.
 	MetaUpdate(p *sim.Proc, b *cache.Buf)
-	DataWrite(p *sim.Proc, b *cache.Buf)
 }
 
 // FragRun is a contiguous run of fragments.

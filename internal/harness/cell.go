@@ -100,19 +100,10 @@ type CellResult struct {
 // fingerprints run byte-identical simulations. The key is the struct
 // itself in Go syntax, so a field added to Cell or fsim.Options takes part
 // without being listed here and distinct configurations can never
-// collide; the DiskParams pointer is dereferenced so equal parameter sets
-// compare equal regardless of pointer identity. %#v and not %+v: the
-// latter prints through String methods, and sim.Time's rounds to the
-// microsecond — two drives differing only in a 100 ns BusPerByte would
-// share a key.
-func (c Cell) Fingerprint() string {
-	dp := "default"
-	if c.Opt.DiskParams != nil {
-		dp = fmt.Sprintf("%#v", *c.Opt.DiskParams)
-		c.Opt.DiskParams = nil
-	}
-	return fmt.Sprintf("%#v|dp{%s}", c, dp)
-}
+// collide. %#v and not %+v: the latter prints through String methods, and
+// sim.Time's rounds to the microsecond — two cells differing only in a
+// sub-microsecond duration would share a key.
+func (c Cell) Fingerprint() string { return fmt.Sprintf("%#v", c) }
 
 // run executes the cell's simulation from scratch. It is a pure function
 // of the cell value: all state lives inside the freshly built system.

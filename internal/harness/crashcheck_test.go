@@ -44,6 +44,32 @@ func TestCrashCheckMatrix(t *testing.T) {
 	}
 }
 
+// TestCrashCheckSeededBugIsExpected: a planted soft updates bug must
+// violate, and the table calls that verdict expected — the rule mdcheck's
+// exit status reads too. A seeded sweep that came up clean would be the
+// unexpected one.
+func TestCrashCheckSeededBugIsExpected(t *testing.T) {
+	var buf bytes.Buffer
+	rows := CrashCheckMatrix([]fsim.Scheme{fsim.SoftUpdates}, CrashCheckOptions{
+		Files:   8,
+		SeedBug: true,
+		MC:      crashmc.Config{Workers: 2, Budget: 600, PerInstant: 256},
+	}, &buf)
+	r := rows[0]
+	if r.Err != nil {
+		t.Fatal(r.Err)
+	}
+	if r.ExpectClean() || r.Result.Clean() || !r.AsExpected() {
+		t.Errorf("seeded row: expect clean %v, clean %v, as expected %v", r.ExpectClean(), r.Result.Clean(), r.AsExpected())
+	}
+	if out := buf.String(); !strings.Contains(out, "VIOLATIONS (expected)") || strings.Contains(out, "UNEXPECTED") {
+		t.Errorf("seeded verdict not marked expected:\n%s", out)
+	}
+	if clean := (CrashCheckRow{Scheme: fsim.SoftUpdates, Seeded: true, Result: &crashmc.Result{}}); clean.AsExpected() {
+		t.Error("a clean sweep with the bug planted counts as expected")
+	}
+}
+
 // TestCrashCheckRefusesOffMediaRecovery: NVRAM's recovery replays a log the
 // media images of a sweep do not hold. Sweeping them anyway reports the
 // unrecovered images as violations (a false alarm mdcheck used to print), so

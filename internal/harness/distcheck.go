@@ -23,11 +23,6 @@ type DistCrashCheckOptions struct {
 	// each) — the mix includes cross-partition renames and links, so the
 	// two-phase prepare/commit path is always exercised.
 	Clients, Ops int
-	// Churn is the paper's create/remove workload at cluster level: after
-	// the mixed load, Churn files are created under one directory, synced,
-	// then removed — so the final flush carries remove-ordering traffic on
-	// every shard (that is where unordered schemes violate). Default 24.
-	Churn int
 	// Seed keys the cluster's decision streams and the workload.
 	Seed int64
 	// MC bounds each node's exploration; zero values take crashmc
@@ -50,10 +45,13 @@ func (o *DistCrashCheckOptions) setDefaults() {
 	if o.Ops <= 0 {
 		o.Ops = 40
 	}
-	if o.Churn <= 0 {
-		o.Churn = 24
-	}
 }
+
+// distChurn sizes the paper's create/remove workload at cluster level:
+// after the mixed load, distChurn files are created under one directory,
+// synced, then removed — so the final flush carries remove-ordering traffic
+// on every shard (that is where unordered schemes violate).
+const distChurn = 24
 
 // DistNodeCheck is one node's exploration outcome.
 type DistNodeCheck struct {
@@ -137,7 +135,7 @@ func DistCrashCheck(opt DistCrashCheckOptions) (*DistCrashCheckResult, error) {
 		if churnDir, werr = sys.Cluster.Mkdir(p, dmeta.RootIno, "mc"); werr != nil {
 			return
 		}
-		for i := 0; i < opt.Churn; i++ {
+		for i := 0; i < distChurn; i++ {
 			if _, err := sys.Cluster.Create(p, churnDir, fmt.Sprintf("m%d", i)); err != nil {
 				werr = err
 				return
@@ -149,7 +147,7 @@ func DistCrashCheck(opt DistCrashCheckOptions) (*DistCrashCheckResult, error) {
 	}
 	sys.SyncAll()
 	sys.Run(func(p *fsim.Proc) {
-		for i := 0; i < opt.Churn; i++ {
+		for i := 0; i < distChurn; i++ {
 			if err := sys.Cluster.Unlink(p, churnDir, fmt.Sprintf("m%d", i)); err != nil {
 				werr = err
 				return

@@ -37,7 +37,7 @@ type Record struct {
 // Log models the NVRAM device: bounded capacity, instantaneous persistence
 // (battery-backed RAM), byte-copy cost charged to the CPU.
 type Log struct {
-	Cap int // bytes of NVRAM available for record payloads
+	Cap int // bytes of NVRAM available for record payloads (default 1 MB)
 
 	used    int
 	nextSeq uint64
@@ -46,28 +46,17 @@ type Log struct {
 	// records are kept until their buffer reaches the disk.
 	records map[int64][]*Record
 
-	// CopyPerKB is the CPU cost of copying one KB into NVRAM.
-	CopyPerKB sim.Duration
-
 	// Stats.
 	Appends, Retired int64
 	PeakUsed         int
 }
 
-// DefaultCap is 1 MB of NVRAM — a realistically priced 1994 part.
-const DefaultCap = 1 << 20
+// defaultCap is 1 MB of NVRAM — a realistically priced 1994 part.
+const defaultCap = 1 << 20
 
-// NewLog returns an empty NVRAM log.
-func NewLog(capacity int) *Log {
-	if capacity <= 0 {
-		capacity = DefaultCap
-	}
-	return &Log{
-		Cap:       capacity,
-		records:   make(map[int64][]*Record),
-		CopyPerKB: 40 * sim.Microsecond, // uncached writes across the bus
-	}
-}
+// copyPerKB is the CPU cost of copying one KB into NVRAM: uncached writes
+// across the bus.
+const copyPerKB = 40 * sim.Microsecond
 
 // Used reports bytes currently held by live records.
 func (l *Log) Used() int { return l.used }
@@ -82,7 +71,7 @@ func (l *Log) append(p *sim.Proc, c *cache.Cache, cpu *sim.CPU, b *cache.Buf) {
 	if cpu != nil && p != nil {
 		sp := obs.SpanOf(p)
 		sp.Push(p, obs.StageCPU)
-		cpu.Use(p, l.CopyPerKB*sim.Duration((len(b.Data)+1023)/1024))
+		cpu.Use(p, copyPerKB*sim.Duration((len(b.Data)+1023)/1024))
 		sp.Pop(p)
 	}
 	l.nextSeq++
@@ -150,32 +139,19 @@ type Scheme struct {
 	log *Log
 }
 
-// New returns an NVRAM scheme over the given log (nil for a DefaultCap log).
-func New(log *Log) *Scheme {
-	if log == nil {
-		log = NewLog(0)
-	}
-	s := &Scheme{log: log}
-	s.Sequenced = ordering.NewSequenced("NVRAM", s.stable, s.stable)
+// New returns an NVRAM scheme over an empty 1 MB log.
+func New() *Scheme {
+	s := &Scheme{log: &Log{Cap: defaultCap, records: make(map[int64][]*Record)}}
+	s.Sequenced = ordering.NewSequenced(s.stable, s.stable)
 	return s
 }
 
 // Log exposes the underlying NVRAM log (for crash replay and stats).
 func (s *Scheme) Log() *Log { return s.log }
 
-// Hooks implements ffs.Ordering.
-func (s *Scheme) Hooks() cache.Hooks { return nvHooks{s: s} }
-
-type nvHooks struct {
-	cache.NopHooks
-	s *Scheme
-}
-
-func (h nvHooks) WriteDone(b *cache.Buf, r *dev.Request) {
-	// The buffer's (at least as new) state is on disk; its log records
-	// are no longer needed.
-	h.s.log.retire(b.Frag)
-}
+// WriteDone implements cache.Hooks: the buffer's (at least as new) state is
+// on disk; its log records are no longer needed.
+func (s *Scheme) WriteDone(b *cache.Buf, r *dev.Request) { s.log.retire(b.Frag) }
 
 // stable logs the buffer to NVRAM and leaves the disk write delayed.
 func (s *Scheme) stable(p *sim.Proc, b *cache.Buf) {

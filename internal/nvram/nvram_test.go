@@ -9,9 +9,9 @@ import (
 	"metaupdate/internal/sim"
 )
 
-func newSys(t *testing.T, nvBytes int) *fsim.System {
+func newSys(t *testing.T) *fsim.System {
 	t.Helper()
-	sys, err := fsim.New(fsim.Options{Scheme: fsim.NVRAM, DiskBytes: 64 << 20, NVRAMBytes: nvBytes})
+	sys, err := fsim.New(fsim.Options{Scheme: fsim.NVRAM, DiskBytes: 64 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -19,7 +19,7 @@ func newSys(t *testing.T, nvBytes int) *fsim.System {
 }
 
 func TestBasicOperations(t *testing.T) {
-	sys := newSys(t, 0)
+	sys := newSys(t)
 	sys.Run(func(p *fsim.Proc) {
 		dir, err := sys.FS.Mkdir(p, fsim.RootIno, "d")
 		if err != nil {
@@ -45,7 +45,7 @@ func TestBasicOperations(t *testing.T) {
 func TestOperationsDoNotBlockOnDisk(t *testing.T) {
 	// Like No Order, the NVRAM scheme must run metadata updates at memory
 	// speed: no disk writes in the create path.
-	sys := newSys(t, 0)
+	sys := newSys(t)
 	sys.Run(func(p *fsim.Proc) {
 		base := sys.Cache.WritesIssued
 		start := p.Now()
@@ -64,7 +64,7 @@ func TestOperationsDoNotBlockOnDisk(t *testing.T) {
 }
 
 func TestLogRetiresAfterFlush(t *testing.T) {
-	sys := newSys(t, 0)
+	sys := newSys(t)
 	sys.Run(func(p *fsim.Proc) {
 		for i := 0; i < 20; i++ {
 			sys.FS.Create(p, fsim.RootIno, fmt.Sprintf("f%d", i))
@@ -81,7 +81,8 @@ func TestLogRetiresAfterFlush(t *testing.T) {
 
 func TestLogBackpressure(t *testing.T) {
 	// A tiny log forces flushes instead of growing without bound.
-	sys := newSys(t, 64<<10)
+	sys := newSys(t)
+	sys.NV.Log().Cap = 64 << 10
 	sys.Run(func(p *fsim.Proc) {
 		for i := 0; i < 300; i++ {
 			if _, err := sys.FS.Create(p, fsim.RootIno, fmt.Sprintf("f%d", i)); err != nil {
@@ -120,7 +121,7 @@ func TestCrashReplayPreservesIntegrity(t *testing.T) {
 	}
 	// Determine total... churn is infinite; sweep fixed crash times.
 	for _, at := range []fsim.Time{5 * fsim.Second, 33 * fsim.Second, 61 * fsim.Second} {
-		sys := newSys(t, 0)
+		sys := newSys(t)
 		churn(sys)
 		img := sys.Crash(at)
 		if sys.NV.Log().Replay(img) == 0 && at > 10*fsim.Second {
@@ -155,7 +156,7 @@ func TestWithoutReplayIntegrityIsLost(t *testing.T) {
 	}
 	violations := 0
 	for _, at := range []fsim.Time{33 * fsim.Second, 47 * fsim.Second, 61 * fsim.Second, 75 * fsim.Second} {
-		sys := newSys(t, 0)
+		sys := newSys(t)
 		churn(sys)
 		img := sys.Crash(at)
 		violations += len(fsck.Check(img).Violations())

@@ -119,9 +119,6 @@ func NewAsync(window int, interval sim.Duration) *Async {
 	}
 }
 
-// Name implements ffs.Ordering.
-func (o *Async) Name() string { return "Async Durability" }
-
 // Start implements ffs.Ordering.
 func (o *Async) Start(fs *ffs.FS) {
 	o.Chains.Start(fs)
@@ -129,25 +126,19 @@ func (o *Async) Start(fs *ffs.FS) {
 	o.cb = fs.Cache().Config().CB
 }
 
-// Hooks implements ffs.Ordering.
-func (o *Async) Hooks() cache.Hooks { return asyncHooks{chainsHooks{o: o.Chains}, o} }
-
-type asyncHooks struct {
-	chainsHooks
-	a *Async
-}
-
-func (h asyncHooks) WriteDone(b *cache.Buf, r *dev.Request) {
-	h.chainsHooks.WriteDone(b, r)
+// WriteDone implements cache.Hooks: Chains' bookkeeping, then the ops
+// waiting on the buffer are credited.
+func (o *Async) WriteDone(b *cache.Buf, r *dev.Request) {
+	o.Chains.WriteDone(b, r)
 	// The written data reflects the buffer as of the write's submission
 	// under -CB (snapshot) and as of its completion without it (the
 	// buffer is write-locked while in flight, so any registration up to
 	// completion had its modification applied before submission).
-	asOf := h.a.eng.Now()
-	if h.a.cb {
+	asOf := o.eng.Now()
+	if o.cb {
 		asOf = r.SubmitTime()
 	}
-	h.a.fragDurableAsOf(b.Frag, asOf)
+	o.fragDurableAsOf(b.Frag, asOf)
 }
 
 // fragDurable credits every waiting op: the caller has verified the

@@ -162,7 +162,7 @@ var zeroFrag [ffs.FragSize]byte
 // driver configured with dev.ModeChains.
 func NewJournal() *Journal {
 	o := &Journal{byFrag: make(map[int64][]*jtxn), openSlot: make(map[int64]int), prev: make(map[int64]jprev)}
-	o.Sequenced = NewSequenced("Journaling", o.stable, o.stable)
+	o.Sequenced = NewSequenced(o.stable, o.stable)
 	return o
 }
 
@@ -184,21 +184,13 @@ func (o *Journal) Start(fs *ffs.FS) {
 	o.open = o.newTxn()
 }
 
-// Hooks implements ffs.Ordering.
-func (o *Journal) Hooks() cache.Hooks { return journalHooks{o: o} }
-
-type journalHooks struct {
-	cache.NopHooks
-	o *Journal
-}
-
-// PrepareWrite forces the commit a home write must wait for: a write of a
-// buffer that is in the open transaction, or whose stable() is blocked for
-// log space (it carries a change whose prerequisites may sit in the open
-// transaction), closes the transaction and names the newest log write,
-// which by the chain covers every earlier one.
-func (h journalHooks) PrepareWrite(b *cache.Buf) {
-	o := h.o
+// PrepareWrite implements cache.Hooks by forcing the commit a home write
+// must wait for: a write of a buffer that is in the open transaction, or
+// whose stable() is blocked for log space (it carries a change whose
+// prerequisites may sit in the open transaction), closes the transaction
+// and names the newest log write, which by the chain covers every earlier
+// one.
+func (o *Journal) PrepareWrite(b *cache.Buf) {
 	if _, member := o.openSlot[b.Frag]; !member && !slices.Contains(o.stalled, b) {
 		return
 	}
@@ -206,11 +198,10 @@ func (h journalHooks) PrepareWrite(b *cache.Buf) {
 	addDep(b, o.lastLog)
 }
 
-func (h journalHooks) WriteDone(b *cache.Buf, r *dev.Request) {
-	// The buffer's (at least as new) state is at its home location; the
-	// submitted transactions holding its image no longer need it replayed.
-	h.o.retireFrag(b.Frag)
-}
+// WriteDone implements cache.Hooks: the buffer's (at least as new) state is
+// at its home location; the submitted transactions holding its image no
+// longer need it replayed.
+func (o *Journal) WriteDone(b *cache.Buf, r *dev.Request) { o.retireFrag(b.Frag) }
 
 // retireFrag checks frag off in every submitted transaction waiting on it.
 // With no unretired image left the buffer's next journaling is whole.

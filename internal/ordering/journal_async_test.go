@@ -54,9 +54,6 @@ func newJournaledRigCosts(t *testing.T, ord ffs.Ordering, journalFrags int32, co
 // Afterwards the on-disk header must decode and point at a live tail.
 func TestJournalWrapReclaimAndBackpressure(t *testing.T) {
 	j := ordering.NewJournal()
-	if j.Name() != "Journaling" {
-		t.Fatalf("scheme name %q", j.Name())
-	}
 	r := newJournaledRig(t, j, 24)
 	r.run(t, func(p *sim.Proc) {
 		for i := 0; i < 30; i++ {
@@ -402,9 +399,6 @@ func TestAsyncNotificationsDrain(t *testing.T) {
 func TestAsyncThrottleEngages(t *testing.T) {
 	a := ordering.NewAsync(1, 500*sim.Millisecond)
 	r := newJournaledRig(t, a, 0)
-	if a.Name() != "Async Durability" {
-		t.Fatalf("scheme name %q", a.Name())
-	}
 	r.run(t, func(p *sim.Proc) {
 		for i := 0; i < 8; i++ {
 			if _, err := r.fs.Create(p, ffs.RootIno, fmt.Sprintf("t%d", i)); err != nil {

@@ -10,7 +10,7 @@
 // in the writes they use to keep the three ordering rules, so they share
 // one statement of the hook protocol, Sequenced, and supply those writes.
 // Chains, Async and Soft Updates do per-hook work of their own and
-// implement ffs.Ordering directly.
+// implement ffs.Ordering directly. Every scheme is its own cache.Hooks.
 package ordering
 
 import (
@@ -24,10 +24,10 @@ import (
 // storage, with which kind of write, and when the deferred half of a
 // removal (FinishRemove, ApplyFree) may run. A scheme embeds it and supplies
 // the two writes that carry ordering; everything without an ordering
-// requirement is a delayed write.
+// requirement is a delayed write. It has no cache hooks of its own.
 type Sequenced struct {
-	name string
-	fs   *ffs.FS
+	cache.NopHooks
+	fs *ffs.FS
 
 	// ordered is the write a later update depends on: when it returns, that
 	// update may be made in memory and can no longer reach stable storage
@@ -39,22 +39,15 @@ type Sequenced struct {
 
 // NewSequenced returns the protocol over a scheme's two writes. They are
 // bound here, once, not per hook call.
-func NewSequenced(name string, ordered, last func(p *sim.Proc, b *cache.Buf)) Sequenced {
-	return Sequenced{name: name, ordered: ordered, last: last}
+func NewSequenced(ordered, last func(p *sim.Proc, b *cache.Buf)) Sequenced {
+	return Sequenced{ordered: ordered, last: last}
 }
-
-// Name implements ffs.Ordering.
-func (s *Sequenced) Name() string { return s.name }
 
 // Start implements ffs.Ordering.
 func (s *Sequenced) Start(fs *ffs.FS) { s.fs = fs }
 
 // FS returns the file system the scheme was started on.
 func (s *Sequenced) FS() *ffs.FS { return s.fs }
-
-// Hooks implements ffs.Ordering: no cache hooks unless the scheme has its
-// own.
-func (s *Sequenced) Hooks() cache.Hooks { return cache.NopHooks{} }
 
 // delay is the delayed write, usable as either write of a scheme.
 func (s *Sequenced) delay(p *sim.Proc, b *cache.Buf) { s.fs.Cache().Bdwrite(b) }
@@ -107,9 +100,6 @@ func (s *Sequenced) FreeBlocks(p *sim.Proc, rec *ffs.FreeRec) {
 // MetaUpdate implements ffs.Ordering.
 func (s *Sequenced) MetaUpdate(p *sim.Proc, b *cache.Buf) { s.delay(p, b) }
 
-// DataWrite implements ffs.Ordering.
-func (s *Sequenced) DataWrite(p *sim.Proc, b *cache.Buf) { s.delay(p, b) }
-
 // NoOrder ignores every ordering constraint and uses delayed writes for
 // all metadata updates — the paper's baseline and performance goal, with
 // the same lack of reliability as the "delayed mount" option it cites.
@@ -118,7 +108,7 @@ type NoOrder struct{ Sequenced }
 // NewNoOrder returns the No Order scheme.
 func NewNoOrder() *NoOrder {
 	o := &NoOrder{}
-	o.Sequenced = NewSequenced("No Order", o.delay, o.delay)
+	o.Sequenced = NewSequenced(o.delay, o.delay)
 	return o
 }
 
@@ -130,7 +120,7 @@ type Conventional struct{ Sequenced }
 // NewConventional returns the Conventional scheme.
 func NewConventional() *Conventional {
 	o := &Conventional{}
-	o.Sequenced = NewSequenced("Conventional", o.syncWrite, o.delay)
+	o.Sequenced = NewSequenced(o.syncWrite, o.delay)
 	return o
 }
 

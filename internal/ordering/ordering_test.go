@@ -207,12 +207,3 @@ func TestNoOrderNeverBlocksAndCoalesces(t *testing.T) {
 		t.Fatalf("No Order wrote %d blocks after fully-cancelling churn", got)
 	}
 }
-
-func TestSchemeNames(t *testing.T) {
-	if ordering.NewNoOrder().Name() != "No Order" ||
-		ordering.NewConventional().Name() != "Conventional" ||
-		ordering.NewFlag().Name() != "Scheduler Flag" ||
-		ordering.NewChains().Name() != "Scheduler Chains" {
-		t.Fatal("scheme names wrong")
-	}
-}

@@ -27,7 +27,7 @@ type Flag struct{ Sequenced }
 // with dev.ModeFlag.
 func NewFlag() *Flag {
 	o := &Flag{}
-	o.Sequenced = NewSequenced("Scheduler Flag", o.flagWrite, o.delay)
+	o.Sequenced = NewSequenced(o.flagWrite, o.delay)
 	return o
 }
 
@@ -45,25 +45,20 @@ func (o *Flag) flagWrite(p *sim.Proc, b *cache.Buf) {
 // Chains is the scheduler-chains scheme of section 3.2: each ordered write
 // is asynchronous and tagged with the IDs of the specific requests that
 // must complete first, so unrelated requests reorder freely. The file
-// system tracks, per buffer, the outstanding request IDs that future
-// dependents must name, and — using the paper's better-performing second
-// approach to de-allocation — remembers recently freed fragments until the
-// write that re-initialized their old owner completes.
+// system names, per buffer, the outstanding write future dependents must
+// wait for (cache.Buf.WriteReq), and — using the paper's better-performing
+// second approach to de-allocation — remembers recently freed fragments
+// until the write that re-initialized their old owner completes.
 type Chains struct {
+	cache.NopHooks
 	fs *ffs.FS
-
-	// issued tracks the most recent outstanding write request per buffer;
-	// entries are removed at completion (a completed request needs no
-	// dependency edge).
-	issued map[*cache.Buf]uint64
-
-	// completions holds cleanup actions to run when a request finishes.
-	completions map[uint64][]func()
 
 	// freedPending maps a fragment to the request that clears its old
 	// owner's pointer; re-use before that request completes must depend
-	// on it (the paper's second, better-performing approach).
+	// on it (the paper's second, better-performing approach). freedBy
+	// lists, per such request, the runs it holds in freedPending.
 	freedPending map[int32]uint64
+	freedBy      map[uint64][]ffs.FragRun
 
 	// pendingRemove carries the directory-write request ID from
 	// RemoveEntry into the FinishRemove updates it orders.
@@ -79,37 +74,25 @@ type Chains struct {
 // configured with dev.ModeChains.
 func NewChains() *Chains {
 	return &Chains{
-		issued:       make(map[*cache.Buf]uint64),
-		completions:  make(map[uint64][]func()),
 		freedPending: make(map[int32]uint64),
+		freedBy:      make(map[uint64][]ffs.FragRun),
 	}
 }
-
-// Name implements ffs.Ordering.
-func (o *Chains) Name() string { return "Scheduler Chains" }
 
 // Start implements ffs.Ordering.
 func (o *Chains) Start(fs *ffs.FS) { o.fs = fs }
 
-// Hooks implements ffs.Ordering.
-func (o *Chains) Hooks() cache.Hooks { return chainsHooks{o: o} }
-
-type chainsHooks struct {
-	cache.NopHooks
-	o *Chains
-}
-
-func (h chainsHooks) WriteIssued(b *cache.Buf, r *dev.Request) {
-	h.o.issued[b] = r.ID
-}
-func (h chainsHooks) WriteDone(b *cache.Buf, r *dev.Request) {
-	if h.o.issued[b] == r.ID {
-		delete(h.o.issued, b)
+// WriteDone implements cache.Hooks: fragments whose old owner r cleared
+// are free of their obligation.
+func (o *Chains) WriteDone(b *cache.Buf, r *dev.Request) {
+	for _, run := range o.freedBy[r.ID] {
+		for i := int32(0); i < int32(run.N); i++ {
+			if o.freedPending[run.Start+i] == r.ID {
+				delete(o.freedPending, run.Start+i)
+			}
+		}
 	}
-	for _, fn := range h.o.completions[r.ID] {
-		fn()
-	}
-	delete(h.o.completions, r.ID)
+	delete(o.freedBy, r.ID)
 }
 
 // chainWrite issues an async write of b (dependencies accumulated on the
@@ -121,7 +104,7 @@ func (o *Chains) chainWrite(p *sim.Proc, b *cache.Buf) uint64 {
 	c := o.fs.Cache()
 	c.Bdwrite(b)
 	c.Bawrite(p, b)
-	return o.issued[b]
+	return b.WriteReq()
 }
 
 // addDep records that b's next write must wait for request id.
@@ -157,7 +140,7 @@ func (o *Chains) AllocInit(p *sim.Proc, rec *ffs.AllocRec) {
 		for _, d := range rec.OldBuf.WriteDeps {
 			addDep(rec.NewBuf, d)
 		}
-		addDep(rec.NewBuf, o.issued[rec.OldBuf])
+		addDep(rec.NewBuf, rec.OldBuf.WriteReq())
 	}
 	if rec.InitOrdered() {
 		id := o.chainWrite(p, rec.NewBuf)
@@ -193,15 +176,7 @@ func (o *Chains) rememberFreed(ownerReq uint64, runs []ffs.FragRun) {
 			o.freedPending[run.Start+i] = ownerReq
 		}
 	}
-	o.completions[ownerReq] = append(o.completions[ownerReq], func() {
-		for _, run := range runs {
-			for i := int32(0); i < int32(run.N); i++ {
-				if o.freedPending[run.Start+i] == ownerReq {
-					delete(o.freedPending, run.Start+i)
-				}
-			}
-		}
-	})
+	o.freedBy[ownerReq] = append(o.freedBy[ownerReq], runs...)
 }
 
 // AddInode implements ffs.Ordering.
@@ -211,7 +186,7 @@ func (o *Chains) AddInode(p *sim.Proc, rec *ffs.LinkRec) {
 
 // AddEntry implements ffs.Ordering.
 func (o *Chains) AddEntry(p *sim.Proc, rec *ffs.LinkRec) {
-	addDep(rec.DirBuf, o.issued[rec.InoBuf])
+	addDep(rec.DirBuf, rec.InoBuf.WriteReq())
 	rec.FS.Cache().Bdwrite(rec.DirBuf)
 }
 
@@ -247,6 +222,3 @@ func (o *Chains) MetaUpdate(p *sim.Proc, b *cache.Buf) {
 	addDep(b, o.pendingRemove)
 	o.fs.Cache().Bdwrite(b)
 }
-
-// DataWrite implements ffs.Ordering.
-func (o *Chains) DataWrite(p *sim.Proc, b *cache.Buf) { o.fs.Cache().Bdwrite(b) }

@@ -83,14 +83,11 @@ func TestSequencedRuleTable(t *testing.T) {
 		{"MetaUpdate", false, func(e env) {
 			e.s.MetaUpdate(e.p, e.a)
 		}, want{delayed: "a"}},
-		{"DataWrite", false, func(e env) {
-			e.s.DataWrite(e.p, e.a)
-		}, want{delayed: "a"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			pr := &seqProbe{}
-			seq := ordering.NewSequenced("probe",
+			seq := ordering.NewSequenced(
 				func(p *sim.Proc, b *cache.Buf) { pr.ordered = append(pr.ordered, b) },
 				func(p *sim.Proc, b *cache.Buf) { pr.last = append(pr.last, b) })
 			pr.Sequenced = &seq

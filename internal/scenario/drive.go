@@ -176,10 +176,10 @@ type RunSpec struct {
 	// operations in flight is dropped (counted, not executed). Zero means
 	// unbounded — true open loop.
 	MaxInFlight int
-	// LatCap bounds the latency digest's retained samples
-	// (trace.Digest.SetCap); zero takes 1<<14.
-	LatCap int
 }
+
+// latCap bounds the latency digest's retained samples (trace.Digest.SetCap).
+const latCap = 1 << 14
 
 // KindStats counts one op kind over the measured window.
 type KindStats struct {
@@ -217,11 +217,7 @@ type Result struct {
 func Drive(exec sim.Exec, target Target, stream Stream, spec RunSpec) Result {
 	res := Result{Scenario: stream.Name()}
 	var lat trace.Digest
-	if spec.LatCap > 0 {
-		lat.SetCap(spec.LatCap)
-	} else {
-		lat.SetCap(1 << 14)
-	}
+	lat.SetCap(latCap)
 	done := false
 	exec.Spawn("openloop", func(p *sim.Proc) {
 		eng := p.Engine()
