@@ -50,7 +50,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	jobs := fs.Int("j", 0, "max simulation cells in flight (0: GOMAXPROCS)")
 	jsonPath := fs.String("json", "", "also write a machine-readable report to this file")
 	list := fs.Bool("list", false, "list available experiments")
-	engineWorkers := fs.Int("engine-workers", 0, "with -exp dist/scenario-*: run each cluster cell on this many parallel event-engine workers (0/1: serial; output is byte-identical at any count)")
 	rate := fs.Int("rate", 200, "with -exp scenario-*: offered load in ops per virtual second")
 	scenarioNodes := fs.Int("scenario-nodes", 0, "with -exp scenario-*: also run the scenario against a metadata cluster of this many nodes (> 1)")
 	opTrace := fs.String("optrace", "", "run the 4-user copy under -optrace-scheme and write a Chrome trace-event JSON of the operation spans to this file")
@@ -156,7 +155,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// virtual-time, so stdout is byte-identical for any -j (the fault sweep
 	// has one size: it ignores -scale).
 	runner := harness.NewRunner(*jobs)
-	cfg := harness.Config{Scale: harness.Scale(*scale), Runner: runner, EngineWorkers: *engineWorkers}
+	cfg := harness.Config{Scale: harness.Scale(*scale), Runner: runner}
 	report := harness.Report{Scale: *scale, Jobs: runner.Workers(), CPUs: runtime.NumCPU()}
 	total := time.Now()
 	for _, ex := range exhibits {

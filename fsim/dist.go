@@ -52,7 +52,9 @@ type DistOptions struct {
 	// client/router) synchronized conservatively with the network
 	// latency as lookahead, on that many worker goroutines. 0 or 1
 	// selects the serial engine. Observable output is byte-identical
-	// at every worker count.
+	// at every worker count. No command or harness exhibit sets it: only
+	// the benchmark's sim.lpgroup probe and this package's parity tests
+	// do, and it goes with the parallel engine.
 	EngineWorkers int
 }
 

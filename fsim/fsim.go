@@ -143,12 +143,6 @@ type Options struct {
 	// enabled.
 	MaxRetries int
 
-	// OpenLoop configures an open-loop scenario workload (internal/arrival
-	// offered-load process + internal/scenario op stream) for RunOpenLoop.
-	// The zero value is disabled; constructing a System ignores it, so it
-	// is pure workload configuration, not machine configuration.
-	OpenLoop OpenLoopSpec
-
 	// Observe attaches the operation-span recorder (internal/obs): every
 	// FS operation records a virtual-time span with a per-stage latency
 	// breakdown, available as System.Obs. The recorder is a pure observer

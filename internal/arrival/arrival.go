@@ -7,14 +7,12 @@
 // self-throttles in the saturation regime where synchronous metadata
 // writes collapse. This package supplies the missing regime.
 //
-// Two processes are provided: Poisson (exponential inter-arrival gaps, the
-// memoryless baseline) and a bursty b-model cascade (self-similar arrival
-// clumps over many time scales, the shape measured on real servers). Both
-// are pure functions of (Spec, index) in the internal/fault idiom: the gap
-// preceding arrival i is computed from a splitmix64 state keyed by (seed,
-// i), never from a running stream, so a generator can be replayed from any
-// index, results are byte-identical at any harness worker count, and
-// harness cells fingerprinted on the Spec stay memoizable.
+// The process is Poisson (exponential inter-arrival gaps, the memoryless
+// baseline), a pure function of (Spec, index) in the internal/fault idiom:
+// the gap preceding arrival i is computed from a splitmix64 state keyed by
+// (seed, i), never from a running stream, so a generator can be replayed
+// from any index, results are byte-identical at any harness worker count,
+// and harness cells fingerprinted on the Spec stay memoizable.
 package arrival
 
 import (
@@ -27,37 +25,17 @@ import (
 // Kind selects the arrival process.
 type Kind uint8
 
-// The two processes.
-const (
-	// Poisson draws i.i.d. exponential inter-arrival gaps with mean
-	// 1/PerSec: the index of dispersion of the resulting counts is 1.
-	Poisson Kind = iota
-	// Bursty modulates the exponential gaps by a multiplicative b-model
-	// cascade over the arrival index: runs of adjacent arrivals share
-	// cascade prefixes, so density fluctuates on every dyadic scale and the
-	// index of dispersion exceeds 1 (self-similar clumping). The cascade
-	// factor averages exactly 1 over an aligned 2^Levels block, so the
-	// long-run offered rate is still PerSec.
-	Bursty
-)
+// Poisson draws i.i.d. exponential inter-arrival gaps with mean 1/PerSec:
+// the index of dispersion of the resulting counts is 1. It is the only
+// process.
+const Poisson Kind = 0
 
 func (k Kind) String() string {
-	switch k {
-	case Poisson:
+	if k == Poisson {
 		return "poisson"
-	case Bursty:
-		return "bursty"
 	}
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
-
-// Default cascade parameters (Bursty). BPer1000 = 700 reproduces the
-// "70/30" b-model commonly fit to file system traffic; 500 degenerates to
-// plain Poisson.
-const (
-	DefaultBPer1000 = 700
-	DefaultLevels   = 14
-)
 
 // Spec parameterizes an arrival process. All fields are plain integers so
 // a Spec is comparable and fingerprint-friendly (the harness prints it
@@ -70,50 +48,17 @@ type Spec struct {
 	// PerSec is the offered load in arrivals per virtual second. Zero
 	// disables the process.
 	PerSec int
-	// BPer1000 is the b-model bias in thousandths (Bursty only): the
-	// fraction of a cascade node's mass landing on its favored child.
-	// 500 is uniform (no burstiness); values toward 1000 are burstier.
-	// Zero takes DefaultBPer1000.
-	BPer1000 int
-	// Levels is the cascade depth (Bursty only): the process is
-	// self-similar over 2^Levels consecutive arrivals. Zero takes
-	// DefaultLevels.
-	Levels int
 }
 
 // Enabled reports whether the spec generates any arrivals.
 func (s Spec) Enabled() bool { return s.PerSec > 0 }
 
-// String renders the spec canonically, defaulted cascade parameters
-// filled in.
+// String renders the spec canonically.
 func (s Spec) String() string {
 	if !s.Enabled() {
 		return "off"
 	}
-	n := s.normalized()
-	if n.Kind == Poisson {
-		return fmt.Sprintf("poisson:seed%d,rate%d", n.Seed, n.PerSec)
-	}
-	return fmt.Sprintf("bursty:seed%d,rate%d,b%d,lv%d", n.Seed, n.PerSec, n.BPer1000, n.Levels)
-}
-
-// normalized fills the defaulted cascade parameters.
-func (s Spec) normalized() Spec {
-	if s.Kind == Bursty {
-		if s.BPer1000 <= 0 {
-			s.BPer1000 = DefaultBPer1000
-		}
-		if s.BPer1000 >= 1000 {
-			s.BPer1000 = 999
-		}
-		if s.Levels <= 0 {
-			s.Levels = DefaultLevels
-		}
-		if s.Levels > 30 {
-			s.Levels = 30
-		}
-	}
-	return s
+	return fmt.Sprintf("%v:seed%d,rate%d", s.Kind, s.Seed, s.PerSec)
 }
 
 // splitmix64 advances x and returns the next value of the stream (the
@@ -144,48 +89,16 @@ func unit(r uint64) float64 {
 // stream origin. It is a pure function of (Spec, i), allocation-free, and
 // the only randomness entry point of the package.
 func (s Spec) GapAt(i int64) sim.Duration {
-	n := s.normalized()
-	if !n.Enabled() {
+	if !s.Enabled() {
 		return 0
 	}
-	st := stateFor(n.Seed, i, 0x9E6D)
-	gap := -math.Log(unit(splitmix64(&st))) / float64(n.PerSec) // seconds
-	if n.Kind == Bursty {
-		gap *= n.cascadeAt(i)
-	}
+	st := stateFor(s.Seed, i, 0x9E6D)
+	gap := -math.Log(unit(splitmix64(&st))) / float64(s.PerSec) // seconds
 	d := sim.Duration(gap * float64(sim.Second))
 	if d < sim.Duration(1) {
 		d = 1 // arrivals are distinct instants; keeps prefix sums strictly increasing
 	}
 	return d
-}
-
-// cascadeAt computes the b-model factor for arrival i: the product over
-// cascade levels of 2b or 2(1-b), where the branch taken follows i's bit
-// path inside its aligned 2^Levels block and each internal node's
-// orientation (which child is favored) is a pure function of (seed, node).
-// Adjacent indices share all but the deepest branches, so the factor — and
-// with it the local arrival density — is correlated over runs of every
-// dyadic length: the classic multiplicative-cascade construction of
-// self-similar traffic. Summing the factor over one aligned block gives
-// exactly 2^Levels (each node splits its mass 2b + 2(1-b) = 2), so the
-// mean factor is exactly 1 and the offered rate is preserved.
-func (s Spec) cascadeAt(i int64) float64 {
-	b := float64(s.BPer1000) / 1000
-	hi, lo := 2*b, 2*(1-b)
-	block := i >> uint(s.Levels) // distinct blocks use distinct node keys
-	f := 1.0
-	for d := 1; d <= s.Levels; d++ {
-		prefix := i >> uint(s.Levels-d) // path from the block root to level d
-		node := uint64(block)<<32 ^ uint64(d)<<24 ^ uint64(prefix>>1)
-		orient := stateFor(s.Seed, int64(node), 0xB0DE)&1 == 0
-		if (prefix&1 == 0) == orient {
-			f *= hi
-		} else {
-			f *= lo
-		}
-	}
-	return f
 }
 
 // Gen iterates a spec's arrival instants: Next returns the virtual time of
@@ -201,7 +114,7 @@ type Gen struct {
 
 // NewGen returns a generator positioned before arrival 0.
 func NewGen(spec Spec) *Gen {
-	return &Gen{spec: spec.normalized()}
+	return &Gen{spec: spec}
 }
 
 // Next advances to the next arrival and returns its instant (offset from

@@ -44,24 +44,6 @@ func TestPoissonMoments(t *testing.T) {
 	}
 }
 
-// TestBurstyMeanPreserved: the cascade factor averages 1 over aligned
-// blocks, so the bursty process still offers PerSec arrivals per second in
-// the long run — the mean gap stays within 15% of 1/lambda at n = 100k
-// (the factor's heavy variance makes the sample mean noisier than
-// Poisson's; the fixed seed makes the bound exact).
-func TestBurstyMeanPreserved(t *testing.T) {
-	const rate = 200.0
-	gaps := gapSample(Spec{Kind: Bursty, Seed: 7, PerSec: 200}, 100_000)
-	mean, variance := meanVar(gaps)
-	if got, want := mean, 1/rate; math.Abs(got-want)/want > 0.15 {
-		t.Errorf("bursty sample mean %.6f, want within 15%% of %.6f", got, want)
-	}
-	// The whole point of the cascade: gap variance well above exponential.
-	if expVar := 1 / (rate * rate); variance < 2*expVar {
-		t.Errorf("bursty gap variance %.3e not heavier than exponential %.3e", variance, expVar)
-	}
-}
-
 // dispersion bins the arrival count process into windows of `win` mean
 // inter-arrival times and returns var(count)/mean(count).
 func dispersion(s Spec, n, win int) float64 {
@@ -81,15 +63,11 @@ func dispersion(s Spec, n, win int) float64 {
 	return v / m
 }
 
-// TestIndexOfDispersion: Poisson counts have dispersion ~= 1; the bursty
-// cascade must clump (dispersion well above 1). Fixed seeds make the
-// thresholds exact.
+// TestIndexOfDispersion: Poisson counts have dispersion ~= 1. The fixed
+// seed makes the threshold exact.
 func TestIndexOfDispersion(t *testing.T) {
 	if d := dispersion(Spec{Kind: Poisson, Seed: 11, PerSec: 500}, 100_000, 20); d < 0.9 || d > 1.1 {
 		t.Errorf("Poisson index of dispersion %.3f, want ~1 (0.9..1.1)", d)
-	}
-	if d := dispersion(Spec{Kind: Bursty, Seed: 11, PerSec: 500}, 100_000, 20); d < 1.5 {
-		t.Errorf("bursty index of dispersion %.3f, want > 1.5", d)
 	}
 }
 
@@ -132,7 +110,6 @@ func TestPoissonChiSquared(t *testing.T) {
 func TestPureFunctionOfIndex(t *testing.T) {
 	for _, spec := range []Spec{
 		{Kind: Poisson, Seed: 42, PerSec: 300},
-		{Kind: Bursty, Seed: 42, PerSec: 300},
 	} {
 		g := NewGen(spec)
 		const n = 4096
@@ -170,18 +147,14 @@ func TestPureFunctionOfIndex(t *testing.T) {
 	}
 }
 
-// TestSpecString pins the canonical fingerprint forms, including
-// normalization of defaulted cascade parameters.
+// TestSpecString pins the canonical fingerprint forms.
 func TestSpecString(t *testing.T) {
 	cases := []struct {
 		spec Spec
 		want string
 	}{
 		{Spec{}, "off"},
-		{Spec{Kind: Bursty}, "off"},
 		{Spec{Kind: Poisson, Seed: 5, PerSec: 100}, "poisson:seed5,rate100"},
-		{Spec{Kind: Bursty, Seed: 5, PerSec: 100}, "bursty:seed5,rate100,b700,lv14"},
-		{Spec{Kind: Bursty, Seed: 5, PerSec: 100, BPer1000: 900, Levels: 8}, "bursty:seed5,rate100,b900,lv8"},
 	}
 	for _, c := range cases {
 		if got := c.spec.String(); got != c.want {
@@ -191,12 +164,10 @@ func TestSpecString(t *testing.T) {
 }
 
 // TestAllocFreeDraws guards the generator hot path: next-arrival draws
-// must not allocate, for either process kind (CI runs this normally and
-// under -race).
+// must not allocate (CI runs this normally and under -race).
 func TestAllocFreeDraws(t *testing.T) {
 	for _, spec := range []Spec{
 		{Kind: Poisson, Seed: 1, PerSec: 1000},
-		{Kind: Bursty, Seed: 1, PerSec: 1000},
 	} {
 		spec := spec
 		g := NewGen(spec)

@@ -37,12 +37,13 @@ const (
 	// (each a full stack built from Opt) behind the inode-range router,
 	// under the deterministic client load, with dynamic splitting.
 	CellDist
-	// CellOpenLoop runs one open-loop scenario point (Opt.OpenLoop names
-	// the stream and the offered-load arrival process) on a single machine
-	// and reports the scenario driver's result.
+	// CellOpenLoop runs one open-loop scenario point (Scenario names the
+	// stream, Load the offered-load arrival process and the measured
+	// window) on a single machine and reports the scenario driver's result.
 	CellOpenLoop
 	// CellOpenLoopDist runs the same open-loop point against the sharded
-	// metadata service (Dist shapes the cluster; Opt.OpenLoop the load).
+	// metadata service (Dist shapes the cluster; Scenario and Load the
+	// load).
 	CellOpenLoopDist
 )
 
@@ -75,8 +76,14 @@ type Cell struct {
 	// CrashAt is the virtual instant the plug is pulled (CellFaultRecovery).
 	CrashAt sim.Duration
 
-	// Dist configures the cluster shape and client load (CellDist).
+	// Dist configures the cluster shape and client load (CellDist), or the
+	// cluster shape alone (CellOpenLoopDist).
 	Dist DistSpec
+
+	// Scenario names the internal/scenario stream and Load drives it
+	// (CellOpenLoop, CellOpenLoopDist).
+	Scenario string
+	Load     scenario.RunSpec
 }
 
 // CellResult carries every measurement a cell kind can produce; unused
@@ -124,10 +131,8 @@ func (c Cell) run() CellResult {
 		return CellResult{OpProf: opProfileRun(c.Opt, c.Users, c.Scale)}
 	case CellDist:
 		return CellResult{Dist: distRun(c.Opt, c.Dist)}
-	case CellOpenLoop:
-		return CellResult{OpenLoop: openLoopRun(c.Opt)}
-	case CellOpenLoopDist:
-		return CellResult{OpenLoop: openLoopDistRun(c.Opt, c.Dist)}
+	case CellOpenLoop, CellOpenLoopDist:
+		return CellResult{OpenLoop: openLoopRun(c)}
 	}
 	panic(fmt.Sprintf("harness: unknown cell kind %d", c.Kind))
 }

@@ -22,10 +22,6 @@ type DistSpec struct {
 	SplitEntries, SplitQueue int
 	// Seed keys every decision stream (routing, split points, workload).
 	Seed int64
-	// EngineWorkers selects the parallel PDES engine (> 1) or the serial
-	// one (0/1). Results are byte-identical either way; the field is in
-	// the fingerprint so benchmark sweeps memoize the modes separately.
-	EngineWorkers int
 }
 
 // DistResult is what one CellDist run measures: cluster growth, load
@@ -45,25 +41,31 @@ type DistResult struct {
 	NetBytes   int64
 }
 
-// distRun executes one cluster simulation from scratch (pure function of
-// the options + spec, like every cell kind).
-func distRun(opt fsim.Options, spec DistSpec) DistResult {
+// mustDist builds the cluster of spec, each node from opt, or panics
+// (harness-internal, like mustSystem).
+func mustDist(opt fsim.Options, spec DistSpec) *fsim.DistSystem {
 	s, err := fsim.NewDist(fsim.DistOptions{
-		Base:          opt,
-		Nodes:         spec.Nodes,
-		Seed:          spec.Seed,
-		SplitEntries:  spec.SplitEntries,
-		SplitQueue:    spec.SplitQueue,
-		EngineWorkers: spec.EngineWorkers,
+		Base:         opt,
+		Nodes:        spec.Nodes,
+		Seed:         spec.Seed,
+		SplitEntries: spec.SplitEntries,
+		SplitQueue:   spec.SplitQueue,
 	})
 	if err != nil {
 		panic(fmt.Sprintf("harness: dist: %v", err))
 	}
+	return s
+}
+
+// distRun executes one cluster simulation from scratch (pure function of
+// the options + spec, like every cell kind).
+func distRun(opt fsim.Options, spec DistSpec) DistResult {
+	s := mustDist(opt, spec)
 	res := s.Cluster.Load(dmeta.LoadSpec{Clients: spec.Clients, Ops: spec.Ops, Seed: spec.Seed})
 	s.SyncAll()
 	// Shut down before reading the per-node/per-endpoint counters
-	// (forwards, network traffic): they live on their host LPs and are
-	// only coherent once the exec has drained.
+	// (forwards, network traffic): they are only final once the exec has
+	// drained.
 	s.Shutdown()
 	c := s.Cluster
 	tot := s.Net.Totals()
@@ -113,12 +115,11 @@ func buildDist(cfg Config, get func(Cell) CellResult) []Table {
 		}
 		for _, v := range fiveSchemes(nil) {
 			d := get(Cell{Kind: CellDist, Opt: v.opt, Dist: DistSpec{
-				Nodes:         nodes,
-				Clients:       clients,
-				Ops:           ops,
-				SplitEntries:  splitEntries,
-				Seed:          42,
-				EngineWorkers: cfg.EngineWorkers,
+				Nodes:        nodes,
+				Clients:      clients,
+				Ops:          ops,
+				SplitEntries: splitEntries,
+				Seed:         42,
 			}}).Dist
 			opsPerSec := "-"
 			if d.Wall > 0 {

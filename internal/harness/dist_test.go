@@ -10,11 +10,10 @@ import (
 )
 
 // distText renders the full mdsim -exp dist report through a runner with the
-// given worker count, exactly as cmd/mdsim does. engineWorkers selects the
-// per-cell event-engine parallelism (-engine-workers).
-func distText(workers, engineWorkers int, scale Scale) (string, *Runner, Config) {
+// given worker count, exactly as cmd/mdsim does.
+func distText(workers int, scale Scale) (string, *Runner, Config) {
 	r := NewRunner(workers)
-	cfg := Config{Scale: scale, Runner: r, EngineWorkers: engineWorkers}
+	cfg := Config{Scale: scale, Runner: r}
 	var sb strings.Builder
 	for _, tb := range DistExhibit.Tables(cfg) {
 		tb.Fprint(&sb)
@@ -26,8 +25,8 @@ func distText(workers, engineWorkers int, scale Scale) (string, *Runner, Config)
 // serial and a parallel runner, and for a cold versus warm memo — the
 // satellite determinism pin for the distributed service.
 func TestDistDeterministic(t *testing.T) {
-	serial, _, _ := distText(1, 0, opTestScale)
-	parallel, r4, cfg := distText(4, 0, opTestScale)
+	serial, _, _ := distText(1, opTestScale)
+	parallel, r4, cfg := distText(4, opTestScale)
 	if serial == "" {
 		t.Fatal("empty dist report")
 	}
@@ -48,37 +47,6 @@ func TestDistDeterministic(t *testing.T) {
 	}
 	if r4.Stats().Hits <= hits0 {
 		t.Error("warm rerun did not hit the memo")
-	}
-}
-
-// TestDistEngineWorkersDeterministic is the report-level byte-identity pin
-// for the PDES engine: the full dist report must match the serial render
-// at every -engine-workers count, cold and warm (EngineWorkers is part of
-// the cell fingerprint, so each count simulates its own cells — identical
-// text proves identical simulations, not a shared memo entry).
-func TestDistEngineWorkersDeterministic(t *testing.T) {
-	serial, _, _ := distText(1, 0, opTestScale)
-	if serial == "" {
-		t.Fatal("empty dist report")
-	}
-	for _, ew := range []int{2, 4, 8} {
-		text, r, cfg := distText(2, ew, opTestScale)
-		if text != serial {
-			t.Errorf("-engine-workers %d report differs from serial:\n--- serial ---\n%s\n--- ew=%d ---\n%s",
-				ew, serial, ew, text)
-			continue
-		}
-		hits0 := r.Stats().Hits
-		var warm strings.Builder
-		for _, tb := range DistExhibit.Tables(cfg) {
-			tb.Fprint(&warm)
-		}
-		if warm.String() != text {
-			t.Errorf("-engine-workers %d differs between cold and warm memo", ew)
-		}
-		if r.Stats().Hits <= hits0 {
-			t.Errorf("-engine-workers %d warm rerun did not hit the memo", ew)
-		}
 	}
 }
 

@@ -29,10 +29,6 @@ type DistCrashCheckOptions struct {
 	// defaults. The per-node budget is MC.Budget (not divided), so a
 	// 4-node run checks up to 4x MC.Budget states.
 	MC crashmc.Config
-	// EngineWorkers selects the parallel PDES engine (> 1) or the
-	// serial one (0/1); the crash cut and every explored image are
-	// byte-identical either way.
-	EngineWorkers int
 }
 
 func (o *DistCrashCheckOptions) setDefaults() {
@@ -107,9 +103,8 @@ func DistCrashCheck(opt DistCrashCheckOptions) (*DistCrashCheckResult, error) {
 			NInodes:    1024,
 			CacheBytes: 2 << 20,
 		},
-		Nodes:         opt.Nodes,
-		Seed:          opt.Seed,
-		EngineWorkers: opt.EngineWorkers,
+		Nodes: opt.Nodes,
+		Seed:  opt.Seed,
 	})
 	if err != nil {
 		return nil, err
@@ -158,11 +153,8 @@ func DistCrashCheck(opt DistCrashCheckOptions) (*DistCrashCheckResult, error) {
 		return nil, werr
 	}
 	// Flush the delayed writes into the recorded timelines (the sweep still
-	// explores every pre-flush crash instant) and take the quiescent cut.
-	// The cut lands one network delay after LP 0's clock: under the
-	// parallel engine other LPs may sit up to one sync window (< one
-	// network delay) ahead, so this is the earliest cut that is provably
-	// identical at every worker count — and the cluster is quiescent, so
+	// explores every pre-flush crash instant) and take the quiescent cut,
+	// one network delay after the clock — the cluster is quiescent, so
 	// nothing moves in the gap.
 	sys.SyncAll()
 	imgs := sys.Crash(sys.Eng.Now() + sys.Net.MinDelay())

@@ -89,12 +89,6 @@ type Config struct {
 	// private GOMAXPROCS-wide runner; share one Runner across exhibits to
 	// let common cells simulate once per process (mdsim does).
 	Runner *Runner
-	// EngineWorkers > 1 runs each distributed cell on that many parallel
-	// event-engine workers (fsim.DistOptions.EngineWorkers); output is
-	// byte-identical to the serial engine. It participates in the cell
-	// fingerprint via DistSpec, so parallel and serial runs memoize
-	// separately.
-	EngineWorkers int
 }
 
 // variant names one system configuration under test.

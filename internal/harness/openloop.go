@@ -4,7 +4,9 @@ import (
 	"fmt"
 
 	"metaupdate/fsim"
+	"metaupdate/internal/arrival"
 	"metaupdate/internal/scenario"
+	"metaupdate/internal/sim"
 )
 
 // The open-loop exhibits (mdsim -exp load / scenario-<name>) compare the
@@ -18,17 +20,21 @@ import (
 // loadRates is the offered-load sweep (arrivals per virtual second).
 var loadRates = []int{25, 50, 100, 200, 400, 800, 1600}
 
-// openLoopLoad is the workload half of an open-loop cell: the scheme
-// under the named stream at one Poisson offered load, machine sizes left
-// to their defaults (what the cluster cells run on, per node).
-func openLoopLoad(scheme fsim.Scheme, scen string, rate, ops, warm int) fsim.Options {
-	opt := fsim.Options{
-		Scheme: scheme,
-		OpenLoop: fsim.OpenLoopSpec{
-			Scenario: scen,
-			Arrival:  fsim.ArrivalSpec{Kind: fsim.Poisson, Seed: 1, PerSec: rate},
-			Ops:      ops,
-			Warmup:   warm,
+// openLoopCell is one open-loop point: the scheme under the named stream
+// at one Poisson offered load. With nodes == 0 it runs on the small
+// machine every single-machine cell uses — a compact disk and cache, so
+// the sweep crosses each scheme's capacity within the cell's op budget;
+// otherwise against a nodes-node metadata cluster whose per-node sizes
+// take the dist defaults.
+func openLoopCell(scheme fsim.Scheme, scen string, rate, ops, warm, nodes int) Cell {
+	c := Cell{
+		Kind:     CellOpenLoop,
+		Opt:      fsim.Options{Scheme: scheme},
+		Scenario: scen,
+		Load: scenario.RunSpec{
+			Arrival: arrival.Spec{Kind: arrival.Poisson, Seed: 1, PerSec: rate},
+			Ops:     ops,
+			Warmup:  warm,
 		},
 	}
 	if scheme == fsim.AsyncDurability {
@@ -39,54 +45,42 @@ func openLoopLoad(scheme fsim.Scheme, scen string, rate, ops, warm int) fsim.Opt
 		// the inode lock — a convoy that measures the configuration, not
 		// the scheme. Submit-time notification crediting keeps the crash
 		// contract exact under -CB.
-		opt.Explicit, opt.CB = true, true
+		c.Opt.Explicit, c.Opt.CB = true, true
 	}
-	return opt
+	if nodes > 0 {
+		c.Kind, c.Dist = CellOpenLoopDist, DistSpec{Nodes: nodes, Seed: 42}
+	} else {
+		c.Opt.DiskBytes, c.Opt.NInodes, c.Opt.CacheBytes = 64<<20, 8192, 8<<20
+	}
+	return c
 }
 
-// openLoopOpt is openLoopLoad on the small machine every single-machine
-// cell runs on: a compact disk and cache so the sweep crosses each
-// scheme's capacity within the cell's op budget.
-func openLoopOpt(scheme fsim.Scheme, scen string, rate, ops, warm int) fsim.Options {
-	opt := openLoopLoad(scheme, scen, rate, ops, warm)
-	opt.DiskBytes = 64 << 20
-	opt.NInodes = 8192
-	opt.CacheBytes = 8 << 20
-	return opt
-}
-
-// openLoopRun executes one single-machine open-loop cell (pure function
-// of the options, like every cell kind).
-func openLoopRun(opt fsim.Options) scenario.Result {
-	sys := mustSystem(opt)
-	defer sys.Shutdown()
-	res, err := sys.RunOpenLoop()
+// openLoopRun executes one open-loop cell of either kind (pure function
+// of the cell, like every cell kind): the stream's directory set is
+// created on the single machine or through the cluster's router, then
+// Drive offers c.Load until the last operation completes.
+func openLoopRun(c Cell) scenario.Result {
+	stream, err := scenario.New(c.Scenario, c.Load.Arrival.Seed)
 	if err != nil {
 		panic(fmt.Sprintf("harness: openloop: %v", err))
 	}
-	return res
-}
-
-// openLoopDistRun executes one open-loop cell against a sharded
-// metadata cluster built from opt (per-node sizes take dist defaults).
-func openLoopDistRun(opt fsim.Options, spec DistSpec) scenario.Result {
-	s, err := fsim.NewDist(fsim.DistOptions{
-		Base:          opt,
-		Nodes:         spec.Nodes,
-		Seed:          spec.Seed,
-		SplitEntries:  spec.SplitEntries,
-		SplitQueue:    spec.SplitQueue,
-		EngineWorkers: spec.EngineWorkers,
-	})
-	if err != nil {
-		panic(fmt.Sprintf("harness: openloop dist: %v", err))
+	var exec sim.Exec
+	var target scenario.Target
+	if c.Kind == CellOpenLoopDist {
+		s := mustDist(c.Opt, c.Dist)
+		defer s.Shutdown()
+		exec = s.Exec
+		target, err = scenario.SetupCluster(s.Cluster, stream)
+	} else {
+		sys := mustSystem(c.Opt)
+		defer sys.Shutdown()
+		exec = sys.Eng
+		target, err = scenario.SetupFS(sys.Eng, sys.FS, stream)
 	}
-	defer s.Shutdown()
-	res, err := s.RunOpenLoop(opt.OpenLoop)
 	if err != nil {
-		panic(fmt.Sprintf("harness: openloop dist: %v", err))
+		panic(fmt.Sprintf("harness: openloop: %v", err))
 	}
-	return res
+	return scenario.Drive(exec, target, stream, c.Load)
 }
 
 // loadOps sizes one load-curve cell: total arrivals and warmup prefix.
@@ -123,7 +117,7 @@ func buildLoadCurve(cfg Config, get func(Cell) CellResult) []Table {
 		}
 		sumRow := []string{v.name}
 		for _, rate := range loadRates {
-			r := get(Cell{Kind: CellOpenLoop, Opt: openLoopOpt(v.opt.Scheme, "mail", rate, ops, warm)}).OpenLoop
+			r := get(openLoopCell(v.opt.Scheme, "mail", rate, ops, warm, 0)).OpenLoop
 			t.AddRow(
 				fmt.Sprintf("%d", rate),
 				fmt.Sprintf("%.0f", r.MeasuredPerSec),
@@ -144,8 +138,7 @@ func buildLoadCurve(cfg Config, get func(Cell) CellResult) []Table {
 // ScenarioExhibit is the single-rate scenario report behind mdsim -exp
 // scenario-<name>: every scheme runs the named stream at one offered load
 // (rate >= 1 arrivals per virtual second) on the single machine, and —
-// when nodes > 1 — against a sharded cluster (CellOpenLoopDist, the
-// variant the -engine-workers determinism checks exercise).
+// when nodes > 1 — against a sharded cluster (CellOpenLoopDist).
 func ScenarioExhibit(name string, rate, nodes int) *Exhibit {
 	return &Exhibit{Name: "scenario-" + name, Build: func(cfg Config, get func(Cell) CellResult) []Table {
 		ops, warm := loadOps(cfg.Scale)
@@ -166,7 +159,7 @@ func ScenarioExhibit(name string, rate, nodes int) *Exhibit {
 			}
 		}
 		for _, v := range fiveSchemes(nil) {
-			r := get(Cell{Kind: CellOpenLoop, Opt: openLoopOpt(v.opt.Scheme, name, rate, ops, warm)}).OpenLoop
+			r := get(openLoopCell(v.opt.Scheme, name, rate, ops, warm, 0)).OpenLoop
 			t.AddRow(row(r, v.name)...)
 		}
 		tables := []Table{t}
@@ -184,12 +177,7 @@ func ScenarioExhibit(name string, rate, nodes int) *Exhibit {
 				Columns: t.Columns,
 			}
 			for _, v := range fiveSchemes(nil) {
-				opt := openLoopLoad(v.opt.Scheme, name, rate, dops, dops/8)
-				r := get(Cell{Kind: CellOpenLoopDist, Opt: opt, Dist: DistSpec{
-					Nodes:         nodes,
-					Seed:          42,
-					EngineWorkers: cfg.EngineWorkers,
-				}}).OpenLoop
+				r := get(openLoopCell(v.opt.Scheme, name, rate, dops, dops/8, nodes)).OpenLoop
 				dt.AddRow(row(r, v.name)...)
 			}
 			tables = append(tables, dt)

@@ -14,9 +14,9 @@ var updateLoadGolden = flag.Bool("update-load-golden", false, "rewrite testdata/
 
 // loadText renders the full mdsim -exp load report through a runner with the
 // given worker count, exactly as cmd/mdsim does.
-func loadText(workers, engineWorkers int, scale Scale) (string, *Runner, Config) {
+func loadText(workers int, scale Scale) (string, *Runner, Config) {
 	r := NewRunner(workers)
-	cfg := Config{Scale: scale, Runner: r, EngineWorkers: engineWorkers}
+	cfg := Config{Scale: scale, Runner: r}
 	var sb strings.Builder
 	for _, tb := range LoadCurveExhibit.Tables(cfg) {
 		tb.Fprint(&sb)
@@ -29,8 +29,8 @@ func loadText(workers, engineWorkers int, scale Scale) (string, *Runner, Config)
 // the open-loop cells are pure functions of their fingerprints like every
 // other cell kind, unbounded arrival processes included.
 func TestLoadCurveDeterministic(t *testing.T) {
-	serial, _, _ := loadText(1, 0, opTestScale)
-	parallel, r4, cfg := loadText(4, 0, opTestScale)
+	serial, _, _ := loadText(1, opTestScale)
+	parallel, r4, cfg := loadText(4, opTestScale)
 	if serial == "" {
 		t.Fatal("empty load report")
 	}
@@ -89,9 +89,9 @@ func TestLoadCurveDeterministic(t *testing.T) {
 
 // scenarioTables renders the mdsim -exp scenario-mail report (2-node cluster
 // variant included, so CellOpenLoopDist participates).
-func scenarioTables(workers, engineWorkers int) (string, *Runner, Config) {
+func scenarioTables(workers int) (string, *Runner, Config) {
 	r := NewRunner(workers)
-	cfg := Config{Scale: opTestScale, Runner: r, EngineWorkers: engineWorkers}
+	cfg := Config{Scale: opTestScale, Runner: r}
 	var sb strings.Builder
 	for _, tb := range ScenarioExhibit("mail", 100, 2).Tables(cfg) {
 		tb.Fprint(&sb)
@@ -99,36 +99,32 @@ func scenarioTables(workers, engineWorkers int) (string, *Runner, Config) {
 	return sb.String(), r, cfg
 }
 
-// TestScenarioEngineWorkersDeterministic is the PDES byte-identity pin
-// for the open loop: the scenario report (which runs the cluster cells
-// through the parallel engine) must match the serial render at every
-// -engine-workers count, cold and warm.
-func TestScenarioEngineWorkersDeterministic(t *testing.T) {
-	serial, _, _ := scenarioTables(1, 0)
+// TestScenarioDeterministic is the runner-level pin on the cluster open
+// loop — the only runner test that drives CellOpenLoopDist: the scenario
+// report is byte-identical for a serial and a parallel runner and for a
+// cold versus warm memo, and the warm rerun hits the memo.
+func TestScenarioDeterministic(t *testing.T) {
+	serial, _, _ := scenarioTables(1)
 	if serial == "" {
 		t.Fatal("empty scenario report")
 	}
 	if !strings.Contains(serial, "metadata cluster") {
 		t.Error("report is missing the cluster table")
 	}
-	for _, ew := range []int{1, 8} {
-		text, r, cfg := scenarioTables(2, ew)
-		if text != serial {
-			t.Errorf("-engine-workers %d report differs from serial:\n--- serial ---\n%s\n--- ew=%d ---\n%s",
-				ew, serial, ew, text)
-			continue
-		}
-		hits0 := r.Stats().Hits
-		var warm strings.Builder
-		for _, tb := range ScenarioExhibit("mail", 100, 2).Tables(cfg) {
-			tb.Fprint(&warm)
-		}
-		if warm.String() != text {
-			t.Errorf("-engine-workers %d differs between cold and warm memo", ew)
-		}
-		if r.Stats().Hits <= hits0 {
-			t.Errorf("-engine-workers %d warm rerun did not hit the memo", ew)
-		}
+	parallel, r, cfg := scenarioTables(2)
+	if parallel != serial {
+		t.Fatalf("scenario report differs between -j1 and -j2:\n--- j1 ---\n%s\n--- j2 ---\n%s", serial, parallel)
+	}
+	hits0 := r.Stats().Hits
+	var warm strings.Builder
+	for _, tb := range ScenarioExhibit("mail", 100, 2).Tables(cfg) {
+		tb.Fprint(&warm)
+	}
+	if warm.String() != parallel {
+		t.Error("scenario report differs between cold and warm memo on the same runner")
+	}
+	if r.Stats().Hits <= hits0 {
+		t.Error("warm rerun did not hit the memo")
 	}
 }
 
@@ -137,7 +133,7 @@ func TestScenarioEngineWorkersDeterministic(t *testing.T) {
 func loadCurve(r *Runner, scheme fsim.Scheme) (measured, p99 []float64) {
 	ops, warm := loadOps(opTestScale)
 	for _, rate := range loadRates {
-		res := r.Get(Cell{Kind: CellOpenLoop, Opt: openLoopOpt(scheme, "mail", rate, ops, warm)}).OpenLoop
+		res := r.Get(openLoopCell(scheme, "mail", rate, ops, warm, 0)).OpenLoop
 		measured = append(measured, res.MeasuredPerSec)
 		p99 = append(p99, res.Lat.P99MS)
 	}

@@ -362,19 +362,11 @@ func (o *Async) RemoveEntry(p *sim.Proc, rec *ffs.RemRec) {
 // blocks until its notification — the group-commit flusher's next sweeps
 // carry the writes, so concurrent fsyncs share batched I/O instead of
 // each stalling the driver's dependency chains with synchronous writes.
+// ffs hands over a non-empty list of fragments that are dirty or in
+// flight, and nothing between its filter and this call yields.
 func (o *Async) WaitDurable(p *sim.Proc, ino ffs.Ino, frags []int64) error {
-	c := o.fs.Cache()
-	live := frags[:0]
-	for _, frag := range frags {
-		if b := c.Lookup(frag); b != nil && (b.Dirty || b.InFlight()) {
-			live = append(live, frag)
-		}
-	}
-	if len(live) == 0 {
-		return nil
-	}
 	done := sim.NewCompletion()
-	o.admit(p, &aop{kind: NoticeFsync, ino: ino, done: done}, live)
+	o.admit(p, &aop{kind: NoticeFsync, ino: ino, done: done}, frags)
 	done.Wait(p)
 	return nil
 }

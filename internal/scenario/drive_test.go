@@ -115,7 +115,7 @@ func TestDriveAdmissionBound(t *testing.T) {
 // simulation's virtual-time determinism.
 func TestDriveDeterministic(t *testing.T) {
 	spec := scenario.RunSpec{
-		Arrival: arrival.Spec{Kind: arrival.Bursty, Seed: 9, PerSec: 300},
+		Arrival: arrival.Spec{Kind: arrival.Poisson, Seed: 9, PerSec: 300},
 		Ops:     400,
 		Warmup:  50,
 	}
@@ -138,15 +138,19 @@ func TestDriveCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sys.Shutdown()
-	res, err := sys.RunOpenLoop(fsim.OpenLoopSpec{
-		Scenario: "mail",
-		Arrival:  fsim.ArrivalSpec{Kind: fsim.Poisson, Seed: 3, PerSec: 100},
-		Ops:      400,
-		Warmup:   50,
-	})
+	stream, err := scenario.New("mail", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
+	target, err := scenario.SetupCluster(sys.Cluster, stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := scenario.Drive(sys.Exec, target, stream, scenario.RunSpec{
+		Arrival: arrival.Spec{Kind: arrival.Poisson, Seed: 3, PerSec: 100},
+		Ops:     400,
+		Warmup:  50,
+	})
 	if res.Completed != 400 || res.MeasuredOps != 350 {
 		t.Errorf("cluster run completed %d measured %d, want 400/350", res.Completed, res.MeasuredOps)
 	}
