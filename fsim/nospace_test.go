@@ -13,8 +13,9 @@ import (
 // TestFailedLinkAdditionLeaksNothing fills a 4 MB file system to the last
 // fragment and then asks for link additions whose directory must grow. Each
 // fails with ErrNoSpace after the addition has already taken something — a
-// fresh inode (Create, Mkdir), a link count (Link, Rename, RenameDir), the
-// parent's ".." reference (Mkdir, RenameDir) — and must give it back: after
+// fresh inode (Create, Mkdir), a link count (Link, Rename of a file or a
+// directory), the parent's ".." reference (Mkdir, Rename of a directory into
+// another parent) — and must give it back: after
 // a Sync the image has no fsck finding at all, under every scheme.
 func TestFailedLinkAdditionLeaksNothing(t *testing.T) {
 	long := func(i int) string { return fmt.Sprintf("%0120d", i) }
@@ -86,7 +87,7 @@ func TestFailedLinkAdditionLeaksNothing(t *testing.T) {
 				noSpace("Rename", fs.Rename(p, fsim.RootIno, "victim", d, long(i)))
 				_, err = fs.Mkdir(p, d, long(i))
 				noSpace("Mkdir", err)
-				noSpace("RenameDir", fs.RenameDir(p, fsim.RootIno, "m", d, long(i)))
+				noSpace("Rename of a directory", fs.Rename(p, fsim.RootIno, "m", d, long(i)))
 				fs.Sync(p)
 			})
 			if rep := fsck.Check(sys.Disk.Image()); len(rep.Findings) != 0 {

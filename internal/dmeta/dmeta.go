@@ -518,7 +518,8 @@ func (c *Cluster) Unlink(p *sim.Proc, parent uint64, name string) error {
 // operation: prepares — a link-count bump covering the transient second
 // name, then the destination dentry add — complete before the commits —
 // source dentry removal, count release, and (on replace) the old
-// target's count release — are sent.
+// target's count release — are sent. A name renamed onto itself is left
+// alone.
 func (c *Cluster) Rename(p *sim.Proc, sparent uint64, sname string, dparent uint64, dname string) error {
 	sp := c.obs.Begin(p, obs.OpRename)
 	defer c.obs.End(p, sp)
@@ -528,6 +529,10 @@ func (c *Cluster) Rename(p *sim.Proc, sparent uint64, sname string, dparent uint
 		err := rl.Code.err()
 		c.record(p, t0, false, err)
 		return err
+	}
+	if sparent == dparent && sname == dname {
+		c.record(p, t0, false, nil)
+		return nil
 	}
 	ino := rl.Target
 	iOwner := c.ownerOf(ino)

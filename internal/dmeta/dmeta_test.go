@@ -230,6 +230,32 @@ func TestRouterBasicOps(t *testing.T) {
 	}
 }
 
+// TestRenameOntoItself is the cluster twin of fsim's: renaming a name onto
+// itself changes nothing. The add would replace the dentry with itself and
+// the commit would then remove it, orphaning the inode.
+func TestRenameOntoItself(t *testing.T) {
+	s := mustDist(t, distOpt(fsim.Conventional, 2, 7))
+	defer s.Shutdown()
+	c := s.Cluster
+	s.Run(func(p *fsim.Proc) {
+		f, err := c.Create(p, dmeta.RootIno, "f")
+		if err != nil {
+			t.Fatalf("create: %v", err)
+		}
+		if err := c.Rename(p, dmeta.RootIno, "f", dmeta.RootIno, "f"); err != nil {
+			t.Fatalf("rename onto itself: %v", err)
+		}
+		if err := c.Rename(p, dmeta.RootIno, "g", dmeta.RootIno, "g"); err != fsim.ErrNotExist {
+			t.Fatalf("rename of a missing name onto itself = %v, want ErrNotExist", err)
+		}
+		if got, err := c.Lookup(p, dmeta.RootIno, "f"); err != nil || got != f {
+			t.Fatalf("lookup after the rename = %d, %v; want %d", got, err, f)
+		}
+	})
+	s.SyncAll()
+	checkUnion(t, s, parseImages(t, s.Cluster.Images()))
+}
+
 // TestCrossPartitionConsistency is the satellite check: a multi-node run
 // with dynamic splits, then fsck over the union of per-node images.
 func TestCrossPartitionConsistency(t *testing.T) {

@@ -327,15 +327,16 @@ func TestStructuralChangeHookSequence(t *testing.T) {
 			"RemoveEntry ino=4 dir=2 dirlocked | entry=0 nlink=2",
 			"MetaUpdate itable",
 		}},
-		{"RenameDir within a parent", func(p *sim.Proc) { mkdir(p, d, "e") },
-			func(p *sim.Proc) { must(fs.RenameDir(p, d, "e", d, "e2")) }, []string{
+		{"rename onto itself", nil, func(p *sim.Proc) { must(fs.Rename(p, d, "f3", d, "f3")) }, nil},
+		{"rename a directory within a parent", func(p *sim.Proc) { mkdir(p, d, "e") },
+			func(p *sim.Proc) { must(fs.Rename(p, d, "e", d, "e2")) }, []string{
 				"AddInode ino=14 | nlink=3",
 				"AddEntry ino=14 | entry=14 nlink=3",
 				"RemoveEntry ino=14 dir=9 dirlocked linkonly | entry=0 nlink=3",
 				"MetaUpdate itable",
 			}},
-		{"RenameDir across parents", nil,
-			func(p *sim.Proc) { must(fs.RenameDir(p, d, "e2", root, "e")) }, []string{
+		{"rename a directory across parents", nil,
+			func(p *sim.Proc) { must(fs.Rename(p, d, "e2", root, "e")) }, []string{
 				"AddInode ino=14 | nlink=3",
 				"AddInode ino=2 | nlink=4",
 				"AddEntry ino=14 | entry=14 nlink=3",

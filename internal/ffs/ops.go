@@ -402,9 +402,14 @@ func (fs *FS) dirEmpty(p *sim.Proc, ino Ino, ip *Inode, ib *cache.Buf, ioff int)
 	return true, nil
 }
 
-// Rename moves sname in sdir to dname in ddir. An existing destination
-// entry is replaced in place (the sector-atomic overwrite satisfies rule 1
-// for the pair); the classic add-then-remove ordering covers the rest.
+// Rename moves sname in sdir to dname in ddir, a file or a directory, by the
+// classic add-then-remove order (rule 1). An existing destination file is
+// replaced in place (the sector-atomic overwrite satisfies rule 1 for the
+// pair); a directory's destination must not exist, and ddir must not be
+// inside the moved directory. A directory that changes parent has its ".."
+// retargeted in place the same way — an addition for the new parent, a
+// removal for the old — so the old parent's link count falls only after
+// the new one rose. A name renamed onto itself is left alone.
 func (fs *FS) Rename(p *sim.Proc, sdir Ino, sname string, ddir Ino, dname string) error {
 	sp := fs.begin(p, obs.OpRename)
 	defer fs.end(p, sp)
@@ -420,19 +425,55 @@ func (fs *FS) Rename(p *sim.Proc, sdir Ino, sname string, ddir Ino, dname string
 		return err
 	}
 	defer func() { fs.rele(sdb) }()
+	if sdir == ddir && sname == dname {
+		return nil
+	}
 	ip, ib, ioff, err := fs.getInode(p, ino)
 	if err != nil {
 		return err
 	}
 	defer fs.rele(ib)
-	if ip.IsDir() {
-		return ErrIsDir // directory rename not supported by this substrate
+	isDir := ip.IsDir()
+	reparent := isDir && sdir != ddir
+	if reparent {
+		// Cycle check: ddir must not be the moved directory or inside it.
+		var inside bool
+		if inside, err = fs.isAncestor(p, ino, ddir); inside {
+			err = ErrNotEmpty // EINVAL in POSIX; reuse the closest error
+		}
+	}
+	if isDir && err == nil {
+		err = fs.absent(p, ddir, dname)
+	}
+	if err != nil {
+		return err
 	}
 
-	// Add the new link first (rule 1): bump the link count, order the
-	// inode write, then add/replace the destination entry.
+	// Add the new link first (rule 1): the renamed inode gains a transient
+	// extra link, and a directory's new parent the ".." reference. The
+	// renamed inode is not locked, so it is decoded afresh once its block
+	// may be modified.
+	fs.cache.PrepareModify(p, ib)
+	ip = DecodeInode(ib.Data[ioff:])
 	addRec := fs.addLink(p, ino, &ip, ib, ioff, false)
-	oldIno, ddb, doff, derr := fs.lookupLocked(p, ddir, dname)
+	var parentRec *LinkRec
+	if reparent {
+		dip, dib, dioff, err := fs.getInode(p, ddir)
+		if err != nil {
+			return err
+		}
+		defer fs.rele(dib)
+		parentRec = fs.addLink(p, ddir, &dip, dib, dioff, true)
+	}
+
+	// Then the destination entry: a file's is replaced if it exists.
+	var oldIno Ino
+	var ddb *cache.Buf
+	var doff int
+	derr := ErrNotExist
+	if !isDir {
+		oldIno, ddb, doff, derr = fs.lookupLocked(p, ddir, dname)
+	}
 	switch derr {
 	case nil:
 		oldIp, oib, _, gerr := fs.getInode(p, oldIno)
@@ -450,7 +491,14 @@ func (fs *FS) Rename(p *sim.Proc, sdir Ino, sname string, ddir Ino, dname string
 		fs.removeLink(p, &RemRec{Ino: oldIno, DirIno: ddir, DirBuf: ddb, EntryOff: doff, DirLocked: true}, addRec)
 		fs.rele(ddb)
 	case ErrNotExist:
-		if err := fs.addEntry(p, addRec, ddir, dname, FtypeFile); err != nil {
+		ftype := FtypeFile
+		if isDir {
+			ftype = FtypeDir
+		}
+		if err := fs.addEntry(p, addRec, ddir, dname, ftype); err != nil {
+			if parentRec != nil {
+				fs.dropLink(p, parentRec, ino)
+			}
 			return err
 		}
 		if db := addRec.DirBuf; sdir == ddir && db != sdb {
@@ -466,10 +514,61 @@ func (fs *FS) Rename(p *sim.Proc, sdir Ino, sname string, ddir Ino, dname string
 		return derr
 	}
 
+	// A directory that changes parent: ".." in its first block is retargeted
+	// to the new parent. Its inode is decoded afresh again.
+	if reparent {
+		ip = DecodeInode(ib.Data[ioff:])
+		cb, err := fs.readBlock(p, ino, &ip, ib, ioff, 0)
+		if err != nil {
+			return err
+		}
+		defer fs.rele(cb.Hold())
+		d, found, _ := findEntry(cb.Data[:DirChunk], "..")
+		if !found {
+			return ErrNotDir
+		}
+		fs.removeLink(p, &RemRec{Ino: sdir, DirIno: ino, DirBuf: cb, EntryOff: d.Off,
+			InoLocked: true, LinkOnly: true}, parentRec)
+	}
+
 	// Remove the old name (its offset is still valid: removals only clear
-	// or coalesce within the held buffer).
-	fs.removeLink(p, &RemRec{Ino: ino, DirIno: sdir, DirBuf: sdb, EntryOff: soff, DirLocked: true}, nil)
+	// or coalesce within the held buffer); the deferred half drops the
+	// transient extra link.
+	fs.removeLink(p, &RemRec{Ino: ino, DirIno: sdir, DirBuf: sdb, EntryOff: soff,
+		DirLocked: true, LinkOnly: isDir}, nil)
 	return nil
+}
+
+// isAncestor reports whether `anc` appears on the ".." chain from `node`
+// to the root. The caller must not hold locks on the chain (directory
+// tree shape is stable under the caller's sdir/ddir locks for the rename
+// use case).
+func (fs *FS) isAncestor(p *sim.Proc, anc, node Ino) (bool, error) {
+	for node != RootIno {
+		if node == anc {
+			return true, nil
+		}
+		ip, ib, ioff, err := fs.getInode(p, node)
+		if err != nil {
+			return false, err
+		}
+		if !ip.IsDir() {
+			fs.rele(ib)
+			return false, ErrNotDir
+		}
+		b, err := fs.readBlock(p, node, &ip, ib, ioff, 0)
+		if err != nil {
+			fs.rele(ib)
+			return false, err
+		}
+		d, found, _ := findEntry(b.Data[:DirChunk], "..")
+		fs.rele(ib)
+		if !found {
+			return false, ErrNotDir
+		}
+		node = d.Ino
+	}
+	return anc == RootIno, nil
 }
 
 // FinishRemove performs the deferred half of a link removal: decrement the

@@ -103,7 +103,7 @@ func TestRenameDirAcrossParents(t *testing.T) {
 		f, _ := r.fs.Create(p, sub, "payload")
 		r.fs.WriteAt(p, f, 0, fileData(1, 2000))
 
-		if err := r.fs.RenameDir(p, a, "sub", b, "moved"); err != nil {
+		if err := r.fs.Rename(p, a, "sub", b, "moved"); err != nil {
 			t.Fatal(err)
 		}
 		// Old name gone, new name resolves, ".." retargeted.
@@ -139,7 +139,7 @@ func TestRenameDirSameParent(t *testing.T) {
 	r := newRig(t, ordering.NewNoOrder(), ffs.Config{})
 	r.run(t, func(p *sim.Proc) {
 		d, _ := r.fs.Mkdir(p, ffs.RootIno, "old")
-		if err := r.fs.RenameDir(p, ffs.RootIno, "old", ffs.RootIno, "new"); err != nil {
+		if err := r.fs.Rename(p, ffs.RootIno, "old", ffs.RootIno, "new"); err != nil {
 			t.Fatal(err)
 		}
 		got, err := r.fs.Lookup(p, ffs.RootIno, "new")
@@ -161,11 +161,11 @@ func TestRenameDirCycleRejected(t *testing.T) {
 		bIno, _ := r.fs.Mkdir(p, a, "b")
 		c, _ := r.fs.Mkdir(p, bIno, "c")
 		// Moving "a" under its own grandchild must fail.
-		if err := r.fs.RenameDir(p, ffs.RootIno, "a", c, "boom"); err == nil {
+		if err := r.fs.Rename(p, ffs.RootIno, "a", c, "boom"); err == nil {
 			t.Fatal("cycle-creating rename accepted")
 		}
 		// Moving "a" onto itself must fail too.
-		if err := r.fs.RenameDir(p, ffs.RootIno, "a", a, "boom"); err == nil {
+		if err := r.fs.Rename(p, ffs.RootIno, "a", a, "boom"); err == nil {
 			t.Fatal("rename into itself accepted")
 		}
 	})
@@ -192,7 +192,7 @@ func TestRenameDirUnderEveryScheme(t *testing.T) {
 						t.Fatal(err)
 					}
 					_ = d
-					if err := r.fs.RenameDir(p, a, fmt.Sprintf("d%d", i), b, fmt.Sprintf("m%d", i)); err != nil {
+					if err := r.fs.Rename(p, a, fmt.Sprintf("d%d", i), b, fmt.Sprintf("m%d", i)); err != nil {
 						t.Fatal(err)
 					}
 				}

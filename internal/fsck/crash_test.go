@@ -111,7 +111,7 @@ func metadataChurn(p *sim.Proc, fs *ffs.FS) {
 		// Directory moves (".." retargeting and link-count migration).
 		if d, err := fs.Mkdir(p, dir, fmt.Sprintf("mv%d", round)); err == nil {
 			_ = d
-			fs.RenameDir(p, dir, fmt.Sprintf("mv%d", round), sub, fmt.Sprintf("mv%d", round))
+			fs.Rename(p, dir, fmt.Sprintf("mv%d", round), sub, fmt.Sprintf("mv%d", round))
 		}
 		// One large file per round: appends through the single-indirect
 		// zone exercise allocindirect rollback vs. the inode size.

@@ -113,7 +113,7 @@ func buildDist(cfg Config, get func(Cell) CellResult) []Table {
 				"cross ops", "forwards", "p50 ms", "p99 ms", "cross p50 ms", "cross p99 ms",
 				"net msgs", "net MB"},
 		}
-		for _, v := range fiveSchemes(nil) {
+		for _, v := range fiveSchemes() {
 			d := get(Cell{Kind: CellDist, Opt: v.opt, Dist: DistSpec{
 				Nodes:        nodes,
 				Clients:      clients,

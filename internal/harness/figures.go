@@ -193,7 +193,7 @@ var Fig5 = &Exhibit{Name: "fig5", Build: func(cfg Config, get func(Cell) CellRes
 		for _, u := range userCounts {
 			t.Columns = append(t.Columns, fmt.Sprintf("%d user(s)", u))
 		}
-		for _, v := range fiveSchemes(nil) {
+		for _, v := range fiveSchemes() {
 			row := []string{v.name}
 			for _, users := range userCounts {
 				res := get(Cell{Kind: CellFig5, Opt: v.opt, Fig5: k.kind, Users: users, TotalFiles: total})
@@ -286,7 +286,7 @@ var Fig6 = &Exhibit{Name: "fig6", Build: func(cfg Config, get func(Cell) CellRes
 		t.Columns = append(t.Columns, fmt.Sprintf("%d script(s)", u))
 	}
 	commands := cfg.Scale.files(workload.DefaultSdet().CommandsPerScript)
-	for _, v := range fiveSchemes(nil) {
+	for _, v := range fiveSchemes() {
 		row := []string{v.name}
 		for _, users := range userCounts {
 			res := get(Cell{Kind: CellSdet, Opt: v.opt, Users: users, Commands: commands})

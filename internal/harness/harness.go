@@ -98,16 +98,11 @@ type variant struct {
 }
 
 // fiveSchemes returns the paper's five comparison systems (section 5
-// configuration: Part-NR/CB for the scheduler schemes; allocation
-// initialization controlled per-variant).
-func fiveSchemes(allocInit map[fsim.Scheme]bool) []variant {
+// configuration: Part-NR/CB for the scheduler schemes).
+func fiveSchemes() []variant {
 	var out []variant
 	for _, s := range fsim.Schemes {
-		if allocInit != nil {
-			out = append(out, schemeVariant(s, allocInit[s]))
-		} else {
-			out = append(out, variant{s.String(), fsim.Options{Scheme: s}})
-		}
+		out = append(out, variant{s.String(), fsim.Options{Scheme: s}})
 	}
 	return out
 }

@@ -108,7 +108,7 @@ func buildLoadCurve(cfg Config, get func(Cell) CellResult) []Table {
 		summary.Columns = append(summary.Columns, fmt.Sprintf("@%d", rate))
 	}
 	var tables []Table
-	for _, v := range fiveSchemes(nil) {
+	for _, v := range fiveSchemes() {
 		t := Table{
 			Title: fmt.Sprintf("Open-loop load curve — %s, mail scenario, %d ops (%d warmup)", v.name, ops, warm),
 			Note:  "open loop: arrivals keep coming whether or not earlier operations finished",
@@ -158,7 +158,7 @@ func ScenarioExhibit(name string, rate, nodes int) *Exhibit {
 				fmt.Sprintf("%d", r.SoftErrs),
 			}
 		}
-		for _, v := range fiveSchemes(nil) {
+		for _, v := range fiveSchemes() {
 			r := get(openLoopCell(v.opt.Scheme, name, rate, ops, warm, 0)).OpenLoop
 			t.AddRow(row(r, v.name)...)
 		}
@@ -176,7 +176,7 @@ func ScenarioExhibit(name string, rate, nodes int) *Exhibit {
 				Note:    "metadata-only op mapping (reads/stats/fsyncs become lookups); latencies include the network",
 				Columns: t.Columns,
 			}
-			for _, v := range fiveSchemes(nil) {
+			for _, v := range fiveSchemes() {
 				r := get(openLoopCell(v.opt.Scheme, name, rate, dops, dops/8, nodes)).OpenLoop
 				dt.AddRow(row(r, v.name)...)
 			}

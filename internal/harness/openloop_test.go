@@ -145,7 +145,7 @@ func loadCurve(r *Runner, scheme fsim.Scheme) (measured, p99 []float64) {
 // non-decreasing), and past saturation it plateaus instead of collapsing.
 func TestLoadCurveSaturation(t *testing.T) {
 	r := NewRunner(0)
-	for _, v := range fiveSchemes(nil) {
+	for _, v := range fiveSchemes() {
 		m, _ := loadCurve(r, v.opt.Scheme)
 		peak := 0.0
 		for _, x := range m {

@@ -95,7 +95,7 @@ func buildOpStats(cfg Config, get func(Cell) CellResult) []Table {
 			"ordering stalls", "rollbacks", "cancelled adds", "workitems"},
 	}
 	var tables []Table
-	for _, v := range fiveSchemes(nil) {
+	for _, v := range fiveSchemes() {
 		opt := v.opt
 		opt.Observe = true
 		prof := get(Cell{Kind: CellOpProfile, Opt: opt, Users: users, Scale: cfg.Scale}).OpProf

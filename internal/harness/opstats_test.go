@@ -56,7 +56,7 @@ func checkSpanPartition(t *testing.T, phase string, spans []obs.SpanRecord) {
 // each operation span's stage segments partition its latency exactly.
 func TestSpanPartitionProperty(t *testing.T) {
 	const users = 4
-	for _, v := range fiveSchemes(nil) {
+	for _, v := range fiveSchemes() {
 		v := v
 		t.Run(v.name, func(t *testing.T) {
 			t.Parallel()
@@ -89,7 +89,7 @@ var (
 func sharedOpProfiles() map[fsim.Scheme]OpProfile {
 	opProfOnce.Do(func() {
 		r := NewRunner(0)
-		vs := fiveSchemes(nil)
+		vs := fiveSchemes()
 		cells := make([]Cell, len(vs))
 		for i, v := range vs {
 			opt := v.opt

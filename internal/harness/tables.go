@@ -77,7 +77,7 @@ var Table2 = &Exhibit{Name: "table2", Build: func(cfg Config, get func(Cell) Cel
 		Columns: []string{"Scheme", "Elapsed (s)", "% of NoOrder", "CPU (s)",
 			"Disk requests", "Avg response (ms)"},
 	}
-	variants := fiveSchemes(nil)
+	variants := fiveSchemes()
 	results := make([]copyStats, len(variants))
 	var baseline fsim.Duration
 	for i, v := range variants {
@@ -105,7 +105,7 @@ var Table3 = &Exhibit{Name: "table3", Build: func(cfg Config, get func(Cell) Cel
 		Columns: []string{"Scheme", "(1) MakeDir", "(2) Copy", "(3) ScanDir",
 			"(4) ReadAll", "(5) Compile", "Total"},
 	}
-	for _, v := range fiveSchemes(nil) {
+	for _, v := range fiveSchemes() {
 		times := get(Cell{Kind: CellAndrew, Opt: v.opt}).Andrew
 		t.AddRow(v.name, secs2(times.MakeDir), secs2(times.Copy), secs2(times.ScanDir),
 			secs2(times.ReadAll), secs(times.Compile), secs(times.Total()))

@@ -52,9 +52,9 @@ type Async struct {
 	notices []Notice
 
 	// Stats.
-	Registered, Notified, Superseded int64
-	PeakPending                      int
-	GroupFlushes                     int64
+	Registered, Notified int64
+	PeakPending          int
+	GroupFlushes         int64
 }
 
 // aop is one operation awaiting its durability notification.
@@ -269,7 +269,6 @@ func (o *Async) throttle(p *sim.Proc) {
 		if b == nil || (!b.Dirty && !b.InFlight()) {
 			// Buffer dropped (freed) or its post-registration write
 			// already completed: the registered state is durable or moot.
-			o.Superseded++
 			o.fragDurable(frag)
 			continue
 		}
@@ -279,7 +278,6 @@ func (o *Async) throttle(p *sim.Proc) {
 			// Terminal write failure (faulted disk): deliver the
 			// notification anyway — the data is lost either way and the
 			// window must drain.
-			o.Superseded++
 			o.fragDurable(frag)
 		}
 	}
@@ -316,7 +314,6 @@ func (o *Async) flusher(p *sim.Proc) {
 			}
 			b := c.Lookup(frag)
 			if b == nil || (!b.Dirty && !b.InFlight()) {
-				o.Superseded++
 				o.fragDurable(frag)
 				continue
 			}
