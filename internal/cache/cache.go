@@ -23,7 +23,7 @@ package cache
 
 import (
 	"fmt"
-	"slices"
+	"math/bits"
 
 	"metaupdate/internal/dev"
 	"metaupdate/internal/disk"
@@ -176,6 +176,9 @@ type Cache struct {
 	// eviction order: ascending (lastUse, Frag), least recently used at
 	// lru.next. The order is kept by touch, never recomputed.
 	lru Buf
+	// mapped has one bit per fragment, set while a buffer starting there is
+	// mapped: the syncer's sweep order, kept instead of sorted.
+	mapped []uint64
 	// fragScratch is the syncer's fragment-sweep slice between sweeps.
 	fragScratch []int64
 
@@ -221,12 +224,13 @@ func New(eng *sim.Engine, drv *dev.Driver, cpu *sim.CPU, cfg Config) *Cache {
 		cfg.MaxCopyBytes = DefaultMaxCopyBytes
 	}
 	c := &Cache{
-		eng:   eng,
-		drv:   drv,
-		cpu:   cpu,
-		cfg:   cfg,
-		Hooks: NopHooks{},
-		bufs:  make(map[int64]*Buf),
+		eng:    eng,
+		drv:    drv,
+		cpu:    cpu,
+		cfg:    cfg,
+		Hooks:  NopHooks{},
+		bufs:   make(map[int64]*Buf),
+		mapped: make([]uint64, (drv.Sectors()/SectorsPerFrag+63)/64),
 	}
 	c.lru.prev, c.lru.next = &c.lru, &c.lru
 	return c
@@ -249,6 +253,7 @@ func (c *Cache) insert(b *Buf) {
 	c.bytes += len(b.Data)
 	b.lastUse = c.eng.Now()
 	c.link(b)
+	c.mapped[b.Frag/64] |= 1 << (b.Frag % 64)
 }
 
 // remove drops b from the cache, keeping the byte count and the eviction
@@ -262,6 +267,7 @@ func (c *Cache) remove(b *Buf) {
 	c.bytes -= len(b.Data)
 	b.prev.next, b.next.prev = b.next, b.prev
 	b.prev, b.next = nil, nil
+	c.mapped[b.Frag/64] &^= 1 << (b.Frag % 64)
 }
 
 // touch stamps b as used now and moves it to its place in the eviction
@@ -791,12 +797,9 @@ func (c *Cache) StopSyncer() { c.syncerStop = true }
 func (c *Cache) SyncerPass(p *sim.Proc) {
 	c.RunWork(p)
 
-	frags := c.sortedFrags()
-	n := len(frags)
 	k := c.cfg.SyncerFraction
-	seg := c.syncerRound % k
-	lo, hi := n*seg/k, n*(seg+1)/k
-	for _, frag := range frags[lo:hi] {
+	frags := c.sweep(c.syncerRound%k, k)
+	for _, frag := range frags {
 		b := c.bufs[frag]
 		if b == nil {
 			continue
@@ -822,17 +825,35 @@ func (c *Cache) RunWork(p *sim.Proc) {
 	}
 }
 
-// sortedFrags returns the mapped fragments in ascending order. The slice is
-// the caller's until it hands it back through c.fragScratch: issueWrite can
-// yield mid-sweep, and a second sweeper starting meanwhile (SyncAll beside
-// the syncer) finds no scratch and gets a slice of its own.
-func (c *Cache) sortedFrags() []int64 {
-	frags := slices.Grow(c.fragScratch[:0], len(c.bufs))
+// sweep returns segment seg of k of the mapped fragments in ascending
+// order: those of rank [n·seg/k, n·(seg+1)/k) among the n mapped. The rank of
+// a set bit of c.mapped is its position in that order, so the segment is
+// found by counting bits, not by sorting. The result is a snapshot, taken
+// before the sweep issues a write, and the caller's until it hands it back
+// through c.fragScratch: issueWrite can yield mid-sweep, buffers mapped
+// meanwhile do not join it, and a second sweeper starting meanwhile
+// (SyncAll beside the syncer) finds no scratch and gets a slice of its own.
+func (c *Cache) sweep(seg, k int) []int64 {
+	n := len(c.bufs)
+	lo, hi := n*seg/k, n*(seg+1)/k
+	frags := c.fragScratch[:0]
 	c.fragScratch = nil
-	for f := range c.bufs {
-		frags = append(frags, f)
+	rank := 0
+	for w, word := range c.mapped {
+		if rank >= hi {
+			break
+		}
+		if ones := bits.OnesCount64(word); rank+ones <= lo {
+			rank += ones
+			continue
+		}
+		for ; word != 0 && rank < hi; word &= word - 1 {
+			if rank >= lo {
+				frags = append(frags, int64(w)*64+int64(bits.TrailingZeros64(word)))
+			}
+			rank++
+		}
 	}
-	slices.Sort(frags)
 	return frags
 }
 
@@ -843,7 +864,7 @@ func (c *Cache) SyncAll(p *sim.Proc, maxRounds int) int {
 	for round := 1; ; round++ {
 		c.RunWork(p)
 		wrote := false
-		frags := c.sortedFrags()
+		frags := c.sweep(0, 1)
 		for _, frag := range frags {
 			b := c.bufs[frag]
 			if b != nil && b.Dirty && b.writing == nil {

@@ -3,6 +3,7 @@ package cache
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -730,5 +731,152 @@ func TestAllocFreeEviction(t *testing.T) {
 	roomy, full := getblks(nbufs/2), getblks(2*nbufs)
 	if roomy == 0 || full != roomy {
 		t.Fatalf("Getblk allocates %.1f times into a full cache, %.1f into a half-empty one", full, roomy)
+	}
+}
+
+// sweepOracle is the syncer's sweep by definition, the collect-and-sort that
+// SyncerPass and SyncAll ran before the mapped-fragment bitset: every mapped
+// fragment in ascending order, cut to segment seg of k.
+func sweepOracle(c *Cache, seg, k int) []int64 {
+	frags := make([]int64, 0, len(c.bufs))
+	for f := range c.bufs {
+		frags = append(frags, f)
+	}
+	slices.Sort(frags)
+	n := len(frags)
+	return frags[n*seg/k : n*(seg+1)/k]
+}
+
+// TestSyncerSweepMatchesSortOracle is the differential test of the bitset
+// sweep. Users map, dirty, hold, drop and evict buffers on a small -CB cache
+// whose snapshot pool holds two writes, so a sweep's writes wait for the pool
+// and for the copy's CPU time, and a SyncAll runs beside the syncer. After
+// every user step each of the k segments must be the oracle's. Around every
+// pass: what the pass swept — left in c.fragScratch when it returns, as
+// nothing runs between its last statement and the check — must be the
+// segment the oracle named when the pass began, whatever was mapped, dropped
+// or swept by SyncAll while the pass was blocked.
+func TestSyncerSweepMatchesSortOracle(t *testing.T) {
+	const k = 4
+	var passes, overlapped, passWrites int64
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		eng, _, _, c := newRig(Config{MaxBytes: 40 * FragSize, CB: true, MaxCopyBytes: 8 * FragSize, SyncerFraction: k})
+		checkSegments := func(step int, what string) {
+			t.Helper()
+			for seg := 0; seg < k; seg++ {
+				got := c.sweep(seg, k)
+				if want := sweepOracle(c, seg, k); !slices.Equal(got, want) {
+					t.Errorf("seed %d step %d (%s): segment %d of %d is %v, oracle %v", seed, step, what, seg, k, got, want)
+				}
+				c.fragScratch = got
+			}
+		}
+		users, syncing, stop := 3, false, false
+		eng.Spawn("syncer", func(p *sim.Proc) {
+			for !stop {
+				p.Sleep(sim.Duration(1 + rng.Int63n(int64(40*sim.Millisecond))))
+				seg := c.syncerRound % k
+				want := sweepOracle(c, seg, k)
+				beside, writes := syncing, c.WritesIssued
+				c.SyncerPass(p)
+				if got := c.fragScratch; !slices.Equal(got, want) {
+					t.Errorf("seed %d: pass over segment %d swept %v, oracle at its start %v", seed, seg, got, want)
+				}
+				passes++
+				passWrites += c.WritesIssued - writes
+				if beside || syncing {
+					overlapped++
+				}
+			}
+		})
+		eng.Spawn("sync", func(p *sim.Proc) {
+			for !stop {
+				p.Sleep(sim.Duration(rng.Int63n(int64(200 * sim.Millisecond))))
+				syncing = true
+				c.SyncAll(p, 2)
+				syncing = false
+			}
+		})
+		// Buffers start every 4 fragments and cover 1–4, as in
+		// TestEvictionOrderMatchesSortOracle.
+		size := func(frag int64) int {
+			if b := c.Lookup(frag); b != nil {
+				return b.NFrags()
+			}
+			return 1 + int(frag/4)%4
+		}
+		for w := 0; w < users; w++ {
+			eng.Spawn("user", func(p *sim.Proc) {
+				defer func() { users-- }()
+				var held []*Buf
+				for step := 0; step < 300 && !t.Failed(); step++ {
+					frag := 4 * rng.Int63n(30)
+					what := "Bread"
+					switch op := rng.Intn(8); {
+					case op < 2:
+						b, err := c.Bread(p, frag, size(frag))
+						if err != nil {
+							t.Errorf("Bread: %v", err)
+						} else if rng.Intn(4) == 0 {
+							held = append(held, b.Hold())
+						}
+					case op < 5:
+						what = "Getblk+Bdwrite"
+						b := c.Getblk(p, frag, size(frag))
+						c.PrepareModify(p, b)
+						c.Bdwrite(b)
+					case op < 6:
+						what = "Drop"
+						if b := c.Lookup(frag); b != nil && b.hold == 0 {
+							c.Drop(frag)
+						}
+					case op < 7:
+						what = "Unhold"
+						for _, b := range held {
+							b.Unhold()
+						}
+						held = held[:0]
+					default:
+						what = "Sleep"
+						p.Sleep(sim.Duration(rng.Int63n(int64(30 * sim.Millisecond))))
+					}
+					checkSegments(step, what)
+				}
+				for _, b := range held {
+					b.Unhold()
+				}
+			})
+		}
+		eng.RunWhile(func() bool { return users > 0 })
+		stop = true
+		eng.Run()
+		if c.Misses < 100 || c.Hits < 100 {
+			t.Fatalf("seed %d: %d hits, %d misses: stream too tame", seed, c.Hits, c.Misses)
+		}
+	}
+	if passes < 200 || passWrites < 200 || overlapped < 50 {
+		t.Fatalf("%d passes wrote %d buffers, %d of them beside a SyncAll: too tame", passes, passWrites, overlapped)
+	}
+}
+
+// TestAllocFreeSyncerPass: once its sweep slice has reached its size, a
+// syncer pass over a cache of a thousand clean buffers — the workitem
+// check, the segment's selection from the bitset, the walk — allocates
+// nothing.
+func TestAllocFreeSyncerPass(t *testing.T) {
+	eng, _, _, c := newRig(Config{})
+	var allocs float64
+	runIn(eng, func(p *sim.Proc) {
+		for frag := int64(0); frag < 1000*40; frag += 40 {
+			c.Getblk(p, frag, 8)
+		}
+		for i := 0; i < 2*c.cfg.SyncerFraction; i++ {
+			c.SyncerPass(p)
+		}
+		allocs = testing.AllocsPerRun(2*c.cfg.SyncerFraction, func() { c.SyncerPass(p) })
+	})
+	if allocs != 0 {
+		t.Errorf("syncer pass over %d buffers: %.2f allocs, want 0", len(c.bufs), allocs)
 	}
 }

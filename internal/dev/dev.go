@@ -24,6 +24,7 @@ package dev
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"metaupdate/internal/disk"
@@ -140,14 +141,17 @@ type Request struct {
 	// of the predecessor relation with the same closure over the pending
 	// set, at most one per (predecessor, successor) pair — so completion is
 	// a plain counter decrement per edge.
-	nwait  int        // outstanding wired predecessors; dispatchable at zero
 	blocks []*Request // successors to unblock when this request completes
+	nwait  int32      // outstanding wired predecessors; dispatchable at zero
 
 	// Pending-set bookkeeping. The set is indexed by LBN, Count, Op and
 	// Flag, which must not change while the request is pending.
-	seenBy     uint64 // ID of the last submission whose barrier wired this request
-	flagIdx    int    // position in Driver.flagLoose
-	dispatched bool   // member of the in-flight batch
+	flagIdx int32  // position in Driver.flagLoose
+	seenBy  uint64 // ID of the last submission whose barrier wired this request
+	// qprev and qnext thread a queued request into Driver.queue (nil once
+	// dispatched); qpos is its position there, larger for later arrivals.
+	qprev, qnext *Request
+	qpos         uint64
 
 	enqueueAt  sim.Time
 	dispatchAt sim.Time
@@ -205,12 +209,11 @@ type Stat struct {
 
 // Trace accumulates per-request statistics.
 type Trace struct {
-	Stats       []Stat
-	MaxQueueLen int
+	Stats []Stat
 }
 
 // Reset clears the trace (used to scope measurement to a benchmark window).
-func (t *Trace) Reset() { t.Stats = nil; t.MaxQueueLen = 0 }
+func (t *Trace) Reset() { t.Stats = nil }
 
 // Requests returns the number of traced requests.
 func (t *Trace) Requests() int { return len(t.Stats) }
@@ -241,12 +244,18 @@ type Driver struct {
 	cfg Config
 
 	nextID uint64
-	// queue holds the submitted, not dispatched requests: in submission order
-	// until splitReadBatch puts the survivors of a bad-sector read batch back
-	// at the tail.
-	queue    []*Request
+	// queue is the sentinel of a circular list through the submitted, not
+	// dispatched requests: in submission order until splitReadBatch puts the
+	// survivors of a bad-sector read batch back at the tail. nqueued counts
+	// them and qseq numbers their arrivals (Request.qpos).
+	queue    Request
+	nqueued  int
+	qseq     uint64
 	inflight []*Request // dispatched batch, in LBN order
 	pending  map[uint64]*Request
+	// ready has one bit per 16-sector bucket, set while a queued eligible
+	// request starts in it: where C-LOOK looks instead of scanning the queue.
+	ready []uint64
 	// The pending set as predecessorOf asks about it, so that computeBarrier
 	// visits candidates, not every pending request: by the 16-sector buckets
 	// a request touches (conflicts; concat looks up its next member here
@@ -289,6 +298,9 @@ type Driver struct {
 	idleC   *sim.Completion
 	crashed bool
 	obs     Observer
+	// dispatchHook, set by tests, sees each batch before it is dispatched,
+	// while the head is still where C-LOOK looked from.
+	dispatchHook func(batch []*Request)
 
 	// Faults counts the driver's fault handling (all zero on a clean disk).
 	Faults FaultStats
@@ -337,7 +349,9 @@ func New(eng *sim.Engine, dsk *disk.Disk, cfg Config) *Driver {
 		cfg:      cfg,
 		pending:  make(map[uint64]*Request),
 		bySector: make(map[int64][]*Request),
+		ready:    make([]uint64, (dsk.Sectors()-1)>>bucketShift/64+1),
 	}
+	d.queue.qprev, d.queue.qnext = &d.queue, &d.queue
 	d.batchDone = func() { d.complete(d.inflight, d.batchAccess) }
 	return d
 }
@@ -373,6 +387,9 @@ func (d *Driver) Release(r *Request) {
 
 // Config returns the driver configuration.
 func (d *Driver) Config() Config { return d.cfg }
+
+// Sectors returns the number of sectors of the disk the driver addresses.
+func (d *Driver) Sectors() int64 { return d.dsk.Sectors() }
 
 // Observer receives the driver's request timeline: a submission event for
 // every request (with the barrier set the driver will enforce) and a
@@ -416,16 +433,19 @@ type FaultObserver interface {
 func (d *Driver) SetObserver(o Observer) { d.obs = o }
 
 // QueueLen reports queued (not yet dispatched) requests.
-func (d *Driver) QueueLen() int { return len(d.queue) }
+func (d *Driver) QueueLen() int { return d.nqueued }
 
 // Busy reports whether any request is queued or in flight.
-func (d *Driver) Busy() bool { return len(d.queue) > 0 || len(d.inflight) > 0 }
+func (d *Driver) Busy() bool { return d.nqueued > 0 || len(d.inflight) > 0 }
 
 // Submit enqueues r, computes its ordering barrier, and starts the disk if
 // idle. It returns r for convenience; r.Done fires at completion.
 func (d *Driver) Submit(r *Request) *Request {
 	if r.Count <= 0 {
 		panic("dev: request with no sectors")
+	}
+	if r.LBN < 0 || r.end() > d.dsk.Sectors() {
+		panic("dev: request outside the disk")
 	}
 	if r.Op == disk.Write && len(r.Data) != r.Count*disk.SectorSize {
 		panic("dev: write data size mismatch")
@@ -452,16 +472,64 @@ func (d *Driver) Submit(r *Request) *Request {
 		d.obs.RequestSubmitted(r, d.predScratch)
 	}
 
-	d.queue = append(d.queue, r)
 	d.index(r)
+	d.enqueue(r)
 	if r.Flag && d.cfg.Mode == ModeFlag {
 		d.lastFlagID = r.ID
 	}
-	if len(d.queue) > d.Trace.MaxQueueLen {
-		d.Trace.MaxQueueLen = len(d.queue)
-	}
 	d.kick()
 	return r
+}
+
+// enqueue puts r at the tail of the queue, entering its bucket into the
+// ready set if r is eligible.
+func (d *Driver) enqueue(r *Request) {
+	r.qprev, r.qnext = d.queue.qprev, &d.queue
+	r.qprev.qnext, d.queue.qprev = r, r
+	d.qseq++
+	r.qpos = d.qseq
+	d.nqueued++
+	if r.eligible() {
+		d.markReady(r)
+	}
+}
+
+// dequeue takes r off the queue; its bucket leaves the ready set unless
+// another queued eligible request starts there.
+func (d *Driver) dequeue(r *Request) {
+	r.qprev.qnext, r.qnext.qprev = r.qnext, r.qprev
+	r.qprev, r.qnext = nil, nil
+	d.nqueued--
+	k := r.LBN >> bucketShift
+	for _, q := range d.bySector[k] {
+		if q.qnext != nil && q.eligible() && q.LBN>>bucketShift == k {
+			return
+		}
+	}
+	d.ready[k/64] &^= 1 << (k % 64)
+}
+
+// markReady adds the bucket r starts in to the ready set; r is queued and
+// eligible.
+func (d *Driver) markReady(r *Request) {
+	k := r.LBN >> bucketShift
+	d.ready[k/64] |= 1 << (k % 64)
+}
+
+// nextReady returns the first bucket at or after k in the ready set, or -1.
+func (d *Driver) nextReady(k int64) int64 {
+	w := k / 64
+	if w >= int64(len(d.ready)) {
+		return -1
+	}
+	word := d.ready[w] &^ (1<<(k%64) - 1)
+	for word == 0 {
+		if w++; w == int64(len(d.ready)) {
+			return -1
+		}
+		word = d.ready[w]
+	}
+	return w*64 + int64(bits.TrailingZeros64(word))
 }
 
 // bucketShift sizes the sector index: 16-sector buckets, one file system
@@ -488,7 +556,7 @@ func (d *Driver) index(r *Request) {
 		if behindFlags(&d.cfg, r) {
 			d.flagTail = r
 		} else {
-			r.flagIdx = len(d.flagLoose)
+			r.flagIdx = int32(len(d.flagLoose))
 			d.flagLoose = append(d.flagLoose, r)
 		}
 	}
@@ -572,13 +640,17 @@ func (d *Driver) computeBarrier(r *Request) {
 	ordered := false
 	behind := behindFlags(cfg, r)
 	if behind && cfg.Mode == ModeFlag && cfg.Sem != SemPart {
-		for _, qs := range [2][]*Request{d.inflight, d.queue} {
-			for _, q := range qs {
-				if predecessorOf(cfg, r, q, d.lastFlagID) {
-					d.wire(q, r)
-					ordered = ordered || !conflicts(r, q)
-				}
+		visit := func(q *Request) {
+			if predecessorOf(cfg, r, q, d.lastFlagID) {
+				d.wire(q, r)
+				ordered = ordered || !conflicts(r, q)
 			}
+		}
+		for _, q := range d.inflight {
+			visit(q)
+		}
+		for q := d.queue.qnext; q != &d.queue; q = q.qnext {
+			visit(q)
 		}
 	} else {
 		flagConflicts := 0
@@ -702,36 +774,41 @@ func (r *Request) eligible() bool { return r.nwait == 0 }
 
 // kick dispatches the next batch if the disk is idle and work is eligible.
 func (d *Driver) kick() {
-	if d.crashed || len(d.inflight) > 0 || len(d.queue) == 0 {
+	if d.crashed || len(d.inflight) > 0 || d.nqueued == 0 {
 		return
 	}
-	pick := d.pickCLOOK()
-	if pick == nil {
-		return // everything is barrier-blocked; a completion will re-kick
-	}
-	batch := d.concat(pick)
-	d.dispatch(batch)
+	// Some request is eligible: with nothing in flight, the oldest pending
+	// one has no pending predecessor left.
+	d.dispatch(d.concat(d.pickCLOOK()))
 }
 
 // pickCLOOK selects the eligible request with the smallest LBN at or after
-// the head position, wrapping to the smallest LBN when none is ahead.
+// the head position, wrapping to the smallest LBN when none is ahead; of
+// several at that LBN, the one queued first.
 func (d *Driver) pickCLOOK() *Request {
-	var ahead, first *Request
-	for _, r := range d.queue {
-		if !r.eligible() {
-			continue
+	if r := d.firstReady(d.headLBN); r != nil {
+		return r
+	}
+	return d.firstReady(0)
+}
+
+// firstReady returns the queued eligible request with the smallest (LBN,
+// queue position) at or after sector lbn, or nil. The ready set names the
+// buckets to look in; only the first one can hold requests before lbn.
+func (d *Driver) firstReady(lbn int64) *Request {
+	for k := d.nextReady(lbn >> bucketShift); k >= 0; k = d.nextReady(k + 1) {
+		var best *Request
+		for _, q := range d.bySector[k] {
+			if q.LBN>>bucketShift == k && q.LBN >= lbn && q.qnext != nil && q.eligible() &&
+				(best == nil || q.LBN < best.LBN || q.LBN == best.LBN && q.qpos < best.qpos) {
+				best = q
+			}
 		}
-		if first == nil || r.LBN < first.LBN {
-			first = r
-		}
-		if r.LBN >= d.headLBN && (ahead == nil || r.LBN < ahead.LBN) {
-			ahead = r
+		if best != nil {
+			return best
 		}
 	}
-	if ahead != nil {
-		return ahead
-	}
-	return first
+	return nil
 }
 
 // concat gathers pick plus any eligible same-op requests exactly contiguous
@@ -764,19 +841,14 @@ func (d *Driver) concat(pick *Request) []*Request {
 }
 
 func (d *Driver) dispatch(batch []*Request) {
+	if d.dispatchHook != nil {
+		d.dispatchHook(batch)
+	}
 	now := d.eng.Now()
 	for _, r := range batch {
 		r.dispatchAt = now
-		r.dispatched = true
+		d.dequeue(r)
 	}
-	// Remove batch members from the queue, preserving order.
-	out := d.queue[:0]
-	for _, r := range d.queue {
-		if !r.dispatched {
-			out = append(out, r)
-		}
-	}
-	d.queue = out
 	d.inflight = batch
 	d.batchRetries = 0
 	d.headLBN = batch[len(batch)-1].end() // a batch is one contiguous run
@@ -890,7 +962,6 @@ func (d *Driver) finish(batch []*Request, now sim.Time, err error, cacheHit bool
 // reached the media) and is traced.
 func (d *Driver) retire(r *Request, now sim.Time, err error, cacheHit bool) {
 	d.unindex(r)
-	r.dispatched = false
 	if r.Err = err; err != nil {
 		d.Faults.Errors++
 	}
@@ -898,6 +969,7 @@ func (d *Driver) retire(r *Request, now sim.Time, err error, cacheHit bool) {
 		blocked.nwait--
 		if blocked.nwait == 0 {
 			blocked.readyAt = now
+			d.markReady(blocked) // still queued: it could not be dispatched
 		}
 		r.blocks[i] = nil
 	}
@@ -990,8 +1062,7 @@ func (d *Driver) splitReadBatch(batch []*Request, bad int64, now sim.Time) {
 		if r.LBN <= bad && bad < r.end() {
 			failed = append(failed, r)
 		} else {
-			r.dispatched = false
-			d.queue = append(d.queue, r)
+			d.enqueue(r)
 		}
 	}
 	d.finish(failed, now, ErrBadSector, false)
@@ -1041,17 +1112,6 @@ func (d *Driver) Crash(at sim.Time) {
 		}
 	}
 	d.commitPrefix(d.inflight, sectorsDone)
-}
-
-// PendingIDs returns the IDs of all pending requests in submission order
-// (exposed for the ordering layer and for tests).
-func (d *Driver) PendingIDs() []uint64 {
-	ids := make([]uint64, 0, len(d.pending))
-	for id := range d.pending {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	return ids
 }
 
 // IsPending reports whether request id has not yet completed.

@@ -334,10 +334,10 @@ func TestConcatPrefersEarliestSubmission(t *testing.T) {
 	if a.Err != ErrBadSector || b.Done.Fired() || c.Done.Fired() {
 		t.Fatalf("setup: a.Err = %v, b fired %v, c fired %v; want a failed and b, c requeued", a.Err, b.Done.Fired(), c.Done.Fired())
 	}
-	if got := []*Request{drv.queue[0], drv.inflight[0], drv.inflight[1]}; len(drv.queue) != 1 ||
-		got[0] != late || got[1] != b || got[2] != c {
+	if q := queued(drv); len(q) != 1 || len(drv.inflight) != 2 ||
+		q[0] != late || drv.inflight[0] != b || drv.inflight[1] != c {
 		t.Fatalf("after the split: queue %d, in flight %d; want b+c (IDs %d, %d) redispatched and %d left queued",
-			len(drv.queue), len(drv.inflight), b.ID, c.ID, late.ID)
+			len(q), len(drv.inflight), b.ID, c.ID, late.ID)
 	}
 	eng.Run()
 	if b.Err != nil || c.Err != nil || late.Err != nil || late.DispatchTime() <= c.DispatchTime() {

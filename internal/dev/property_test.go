@@ -282,7 +282,7 @@ func (o *barrierOracle) RequestSubmitted(r *Request, preds []uint64) {
 		prior = append(prior, q)
 	}
 	want := Predecessors(o.cfg, r, prior, o.lastFlagID)
-	if r.nwait != len(preds) || !slices.IsSorted(preds) || len(slices.Compact(slices.Clone(preds))) != len(preds) {
+	if int(r.nwait) != len(preds) || !slices.IsSorted(preds) || len(slices.Compact(slices.Clone(preds))) != len(preds) {
 		o.fail(r, "nwait %d, preds %v: not one count per distinct sorted pred", r.nwait, preds)
 	}
 	reach := map[uint64]struct{}{}
@@ -357,6 +357,64 @@ func (j flakyJudge) Judge(write bool, lbn int64, count int, _ func(int64) bool) 
 	return fault.Outcome{}
 }
 
+// everyConfig returns the eight mode × semantics × NR configurations, each
+// with a retry budget of one, so that two transients in a row fail a batch.
+func everyConfig() []Config {
+	cfgs := []Config{{Mode: ModeIgnore}, {Mode: ModeChains}}
+	for _, sem := range []FlagSemantics{SemFull, SemBack, SemPart} {
+		cfgs = append(cfgs, Config{Mode: ModeFlag, Sem: sem}, Config{Mode: ModeFlag, Sem: sem, NR: true})
+	}
+	for i := range cfgs {
+		cfgs[i].MaxRetries = 1
+	}
+	return cfgs
+}
+
+func configName(cfg Config) string {
+	return fmt.Sprintf("mode%d-%v-nr%v", cfg.Mode, cfg.Sem, cfg.NR)
+}
+
+// crowdedStream submits 300 random requests from one process and runs the
+// engine until it stops: writes and reads, a quarter flagged (reads too),
+// naming pending, completed and never-issued IDs, mostly in one crowded
+// 600-sector region so ranges overlap, sometimes anywhere on the disk and
+// sometimes right behind the previous request, so that batches form.
+func crowdedStream(eng *sim.Engine, dsk *disk.Disk, drv *Driver, rng *rand.Rand) {
+	var issued []uint64
+	var next int64 // sector after the previous request
+	eng.Spawn("submitter", func(p *sim.Proc) {
+		for i := 0; i < 300; i++ {
+			count := 1 + rng.Intn(40)
+			lbn := rng.Int63n(600)
+			switch rng.Intn(5) {
+			case 0:
+				lbn = rng.Int63n(dsk.Sectors() - 40)
+			case 1, 2:
+				lbn = next
+			}
+			next = lbn + int64(count)
+			r := &Request{Op: disk.Write, LBN: lbn, Count: count, Flag: rng.Intn(4) == 0}
+			if rng.Intn(3) == 0 {
+				r.Op, r.Buf = disk.Read, make([]byte, count*disk.SectorSize)
+			} else {
+				r.Data = make([]byte, count*disk.SectorSize)
+			}
+			for n := rng.Intn(4); n > 0 && len(issued) > 0; n-- {
+				id := issued[rng.Intn(len(issued))] // pending or long completed
+				if rng.Intn(6) == 0 {
+					id = drv.nextID + 1 + uint64(rng.Intn(50)) // not issued yet
+				}
+				r.DependsOn = append(r.DependsOn, id)
+			}
+			issued = append(issued, drv.Submit(r).ID)
+			if rng.Intn(4) == 0 {
+				p.Sleep(sim.Duration(rng.Int63n(int64(20 * sim.Millisecond))))
+			}
+		}
+	})
+	eng.Run()
+}
+
 // TestBarrierIndexMatchesPredecessors is the differential test of the
 // indexed pending set and of the reduced barrier graph: under every ordering
 // mode, with requests that span index buckets, overlap, carry flags (reads
@@ -364,14 +422,8 @@ func (j flakyJudge) Judge(write bool, lbn int64, count int, _ func(int64) bool) 
 // failing and splitting underneath, the barrier the driver wires must have
 // the oracle's closure and the barrier it enforces must be the oracle's.
 func TestBarrierIndexMatchesPredecessors(t *testing.T) {
-	cfgs := []Config{{Mode: ModeIgnore}, {Mode: ModeChains}}
-	for _, sem := range []FlagSemantics{SemFull, SemBack, SemPart} {
-		cfgs = append(cfgs, Config{Mode: ModeFlag, Sem: sem}, Config{Mode: ModeFlag, Sem: sem, NR: true})
-	}
-	for _, cfg := range cfgs {
-		cfg.MaxRetries = 1
-		name := fmt.Sprintf("mode%d-%v-nr%v", cfg.Mode, cfg.Sem, cfg.NR)
-		t.Run(name, func(t *testing.T) {
+	for _, cfg := range everyConfig() {
+		t.Run(configName(cfg), func(t *testing.T) {
 			edges, failed := 0, int64(0)
 			for seed := int64(1); seed <= 12; seed++ {
 				rng := rand.New(rand.NewSource(seed))
@@ -381,42 +433,7 @@ func TestBarrierIndexMatchesPredecessors(t *testing.T) {
 				}
 				o := newBarrierOracle(drv.Config(), eng.Now)
 				drv.SetObserver(o)
-				var issued []uint64
-				var next int64 // sector after the previous request
-				eng.Spawn("submitter", func(p *sim.Proc) {
-					for i := 0; i < 300; i++ {
-						// Mostly one crowded 600-sector region, so ranges
-						// overlap; sometimes anywhere on the disk, sometimes
-						// right behind the previous request (batches form).
-						count := 1 + rng.Intn(40)
-						lbn := rng.Int63n(600)
-						switch rng.Intn(5) {
-						case 0:
-							lbn = rng.Int63n(dsk.Sectors() - 40)
-						case 1, 2:
-							lbn = next
-						}
-						next = lbn + int64(count)
-						r := &Request{Op: disk.Write, LBN: lbn, Count: count, Flag: rng.Intn(4) == 0}
-						if rng.Intn(3) == 0 {
-							r.Op, r.Buf = disk.Read, make([]byte, count*disk.SectorSize)
-						} else {
-							r.Data = make([]byte, count*disk.SectorSize)
-						}
-						for n := rng.Intn(4); n > 0 && len(issued) > 0; n-- {
-							id := issued[rng.Intn(len(issued))] // pending or long completed
-							if rng.Intn(6) == 0 {
-								id = drv.nextID + 1 + uint64(rng.Intn(50)) // not issued yet
-							}
-							r.DependsOn = append(r.DependsOn, id)
-						}
-						issued = append(issued, drv.Submit(r).ID)
-						if rng.Intn(4) == 0 {
-							p.Sleep(sim.Duration(rng.Int63n(int64(20 * sim.Millisecond))))
-						}
-					}
-				})
-				eng.Run()
+				crowdedStream(eng, dsk, drv, rng)
 				if o.err != nil {
 					t.Fatalf("seed %d: %v", seed, o.err)
 				}
@@ -459,7 +476,7 @@ func TestFlagBarrierEdgesLinear(t *testing.T) {
 				if w := reqs[i].nwait; w > 2 {
 					t.Fatalf("submission %d wired behind %d requests, want at most 2", i, w)
 				}
-				edges += reqs[i].nwait
+				edges += int(reqs[i].nwait)
 			}
 			if edges != n-1 || drv.nflagged != n {
 				t.Fatalf("%d edges over %d pending flagged writes, want %d (one each but the first)", edges, drv.nflagged, n-1)
