@@ -34,6 +34,7 @@ import (
 	"time"
 
 	"metaupdate/fsim"
+	"metaupdate/internal/dev"
 	"metaupdate/internal/harness"
 	"metaupdate/internal/trace"
 )
@@ -202,12 +203,11 @@ func runOpTrace(stdout io.Writer, schemeName string, scale harness.Scale, path s
 	if err != nil {
 		return err
 	}
-	spans, elapsed, err := harness.OpTraceCopy(fsim.Options{Scheme: scheme}, 4, scale, f)
-	if err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
+	var spans int
+	elapsed := harness.TraceCopy(fsim.Options{Scheme: scheme, Observe: true}, 4, scale, func(sys *fsim.System) {
+		spans, err = len(sys.Obs.Spans()), sys.Obs.WriteChromeTrace(f)
+	})
+	if err := errors.Join(err, f.Close()); err != nil {
 		return err
 	}
 	fmt.Fprintf(stdout, "4-user copy under %s: mean per-user elapsed %.1fs\n", scheme, elapsed.Seconds())
@@ -223,7 +223,9 @@ func runTrace(stdout io.Writer, schemeName string, scale harness.Scale, csvPath 
 	if err != nil {
 		return err
 	}
-	stats, elapsed := harness.TraceCopy(fsim.Options{Scheme: scheme}, 4, scale)
+	var stats []dev.Stat
+	elapsed := harness.TraceCopy(fsim.Options{Scheme: scheme}, 4, scale,
+		func(sys *fsim.System) { stats = sys.Driver.Trace.Stats })
 	fmt.Fprintf(stdout, "4-user copy under %s: mean per-user elapsed %.1fs\n\n", scheme, elapsed.Seconds())
 	trace.Analyze(stats).Fprint(stdout)
 	fmt.Fprintln(stdout)

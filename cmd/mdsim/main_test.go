@@ -75,6 +75,47 @@ func TestList(t *testing.T) {
 	}
 }
 
+// TestTraceModesDeterministic: -trace and -optrace are one run of the
+// 4-user copy, read through the driver trace or the span recorder. A second
+// run of either mode prints and writes the same bytes, and both modes report
+// the same mean per-user elapsed time.
+func TestTraceModesDeterministic(t *testing.T) {
+	dir := t.TempDir()
+	csv, spans := filepath.Join(dir, "trace.csv"), filepath.Join(dir, "spans.json")
+	var heads []string
+	for _, mode := range []struct {
+		args []string
+		file string
+	}{
+		{[]string{"-trace", "softupdates", "-csv", csv, "-scale", "0.02"}, csv},
+		{[]string{"-optrace", spans, "-optrace-scheme", "softupdates", "-scale", "0.02"}, spans},
+	} {
+		var outs, files [2][]byte
+		for i := range outs {
+			var stdout, stderr bytes.Buffer
+			if code := run(mode.args, &stdout, &stderr); code != 0 {
+				t.Fatalf("%v: exit %d, stderr %q", mode.args, code, stderr.String())
+			}
+			raw, err := os.ReadFile(mode.file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			outs[i], files[i] = stdout.Bytes(), raw
+		}
+		if !bytes.Equal(outs[0], outs[1]) {
+			t.Errorf("%v: stdout differs between runs:\n%s\n--- second ---\n%s", mode.args, outs[0], outs[1])
+		}
+		if len(files[0]) == 0 || !bytes.Equal(files[0], files[1]) {
+			t.Errorf("%v: %s is empty or differs between runs", mode.args, mode.file)
+		}
+		head, _, _ := strings.Cut(string(outs[0]), "\n")
+		heads = append(heads, head)
+	}
+	if heads[0] != heads[1] || !strings.Contains(heads[0], "mean per-user elapsed") {
+		t.Errorf("the trace modes report different runs: %q vs %q", heads[0], heads[1])
+	}
+}
+
 // TestExtensionThroughTheOneLoop: an extension exhibit run by name prints
 // exactly its Tables, and -json carries them like any paper exhibit's.
 func TestExtensionThroughTheOneLoop(t *testing.T) {

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"metaupdate/fsim"
+	"metaupdate/internal/cache"
+	"metaupdate/internal/fault"
 	"metaupdate/internal/ffs"
 	"metaupdate/internal/fsck"
 )
@@ -94,6 +96,70 @@ func TestFsyncDurableUnderEveryScheme(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// failWrites fails every write that touches sectors [lo, hi), for good.
+type failWrites struct{ lo, hi int64 }
+
+func (f failWrites) Judge(write bool, lbn int64, count int, _ func(int64) bool) fault.Outcome {
+	if write && lbn < f.hi && lbn+int64(count) > f.lo {
+		return fault.Outcome{Kind: fault.Transient}
+	}
+	return fault.Outcome{}
+}
+
+// A data write the cache gave up on must come back as fsync's error under
+// every scheme — whether the cache abandoned it before the fsync (the
+// buffer is then clean, yet not durable) or the write fails during it.
+func TestFsyncReportsAbandonedWrite(t *testing.T) {
+	payload := bytes.Repeat([]byte("lost"), 256)
+	for _, scheme := range allSchemes {
+		for _, shape := range []string{"abandoned-before", "failing-during"} {
+			scheme, shape := scheme, shape
+			t.Run(scheme.String()+"/"+shape, func(t *testing.T) {
+				sys, err := fsim.New(fsim.Options{Scheme: scheme, DiskBytes: 64 << 20})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer sys.Shutdown()
+				sys.Run(func(p *fsim.Proc) {
+					ino, err := sys.FS.Create(p, fsim.RootIno, "f")
+					if err == nil {
+						err = sys.FS.WriteAt(p, ino, 0, payload)
+					}
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					sys.FS.Sync(p)
+					ip, err := sys.FS.Stat(p, ino)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					frag := int64(ip.Direct[0])
+					sys.Disk.SetFaults(failWrites{frag * cache.SectorsPerFrag, (frag + 1) * cache.SectorsPerFrag}, 0)
+					defer sys.Disk.SetFaults(nil, 0)
+					if err := sys.FS.WriteAt(p, ino, 0, payload); err != nil {
+						t.Error(err)
+						return
+					}
+					if shape == "abandoned-before" {
+						for i := 0; i < 8 && sys.Cache.LostWrites == 0; i++ {
+							sys.FS.Sync(p)
+						}
+						if sys.Cache.LostWrites != 1 {
+							t.Errorf("LostWrites = %d after the syncs, want 1", sys.Cache.LostWrites)
+							return
+						}
+					}
+					if err := sys.FS.Fsync(p, ino); err == nil {
+						t.Error("fsync reported durable although the file's data write was abandoned")
+					}
+				})
+			})
+		}
 	}
 }
 

@@ -103,6 +103,11 @@ func (b *Buf) Unhold() {
 	b.hold--
 }
 
+// Lost reports whether the cache abandoned the buffer's contents after
+// repeated failed writes: it then reads as clean without being durable.
+// The verdict holds until a later write of the buffer succeeds.
+func (b *Buf) Lost() bool { return b.writeFails > maxWriteFails }
+
 // InFlight reports whether a write from this buffer is in progress.
 func (b *Buf) InFlight() bool { return b.writing != nil }
 
@@ -205,8 +210,6 @@ type Cache struct {
 	SyncWrites    int64
 	DelayedWrites int64
 	// Fault-path stats (all zero on a clean disk).
-	ReadErrors  int64 // Bread fills that completed with an error
-	WriteErrors int64 // buffer writes that completed with an error
 	LostWrites  int64 // dirty buffers dropped after maxWriteFails failures
 	syncerRound int
 	syncerStop  bool
@@ -355,7 +358,6 @@ func (c *Cache) Bread(p *sim.Proc, frag int64, nfrags int) (*Buf, error) {
 	r := b.reading
 	b.reading = nil
 	if err != nil {
-		c.ReadErrors++
 		b.readErr = err
 		c.remove(b)
 		r.Fire(c.eng)
@@ -581,7 +583,6 @@ func (c *Cache) issueWrite(p *sim.Proc, b *Buf) *dev.Request {
 			// retries, a bounded number of times: a write that keeps
 			// failing (exhausted spare pool) is eventually dropped and
 			// counted rather than wedging SyncAll forever.
-			c.WriteErrors++
 			b.writeFails++
 			if !b.invalid {
 				if b.writeFails <= maxWriteFails {

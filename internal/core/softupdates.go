@@ -46,7 +46,6 @@ type Stats struct {
 	Rollbacks     int64 // individual updates undone in a write image
 	CancelledAdds int64 // add+remove pairs serviced with no disk writes
 	Workitems     int64 // deferred tasks queued
-	DepsCreated   int64
 }
 
 // SoftUpdates implements ffs.Ordering, whose cache hooks carry its
@@ -193,7 +192,6 @@ func (s *SoftUpdates) ensureDep(b *cache.Buf) *bufDep {
 	d := &bufDep{}
 	b.Dep = d
 	s.deps[b] = d
-	s.Stat.DepsCreated++
 	return d
 }
 

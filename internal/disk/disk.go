@@ -149,9 +149,7 @@ type Disk struct {
 	SectorsRead    int64
 	SectorsWritten int64
 	BusyTime       sim.Duration
-	SeekTimeTotal  sim.Duration
 	Remaps         int64 // sectors remapped to spares
-	FaultsSeen     int64 // accesses judged to fault (any kind)
 }
 
 // New returns a disk with the given parameters and zeroed media. Only
@@ -344,7 +342,6 @@ func (d *Disk) Plan(now sim.Time, op Op, lbn int64, count int) Access {
 	cyl := d.cylOf(lbn)
 	seek := d.seekTime(d.headCyl, cyl)
 	d.headCyl = cyl
-	d.SeekTimeTotal += seek
 	rot := d.rotationalLatency(now+d.P.CmdOverhead+seek, lbn)
 	transfer := sim.Duration(count) * d.mediaPerSector
 	acc := Access{
@@ -405,7 +402,6 @@ func (d *Disk) applyFaults(acc *Access, op Op, lbn int64, count int) {
 	if out.Kind == fault.None {
 		return
 	}
-	d.FaultsSeen++
 	switch out.Kind {
 	case fault.Latency:
 		acc.Service += out.Extra

@@ -173,7 +173,6 @@ type Node struct {
 	splitting bool
 	receiving bool // mid-migration destination: owned range still filling
 	noSpares  bool // the router reported spare exhaustion; stop asking
-	Processed int64
 }
 
 func newNode(c *Cluster, id int, st *Stack, ep *simnet.Endpoint, p *sim.Proc, start, end uint64) (*Node, error) {
@@ -248,7 +247,6 @@ func (n *Node) handle(p *sim.Proc, m simnet.Message) {
 		n.ep.Close()
 		return
 	}
-	n.Processed++
 	n.ep.Reply(m, respSize, n.apply(p, r))
 }
 

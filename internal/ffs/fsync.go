@@ -1,6 +1,7 @@
 package ffs
 
 import (
+	"metaupdate/internal/dev"
 	"metaupdate/internal/obs"
 	"metaupdate/internal/sim"
 )
@@ -29,6 +30,8 @@ type DurabilityWaiter interface {
 // the paper's SYNCIO semantics ("a SYNCIO flag that tells the file system
 // to guarantee that changes are permanent before returning", section 6.1).
 // Like POSIX fsync, it covers the file, not the directory entry naming it.
+// A write of the file the cache abandoned (cache.Buf.Lost) is an error
+// under every scheme, whether it failed before the call or during it.
 //
 // The implementation works for every ordering scheme: it repeatedly writes
 // the file's dirty blocks (data first, so soft-updates allocation
@@ -103,7 +106,7 @@ func (fs *FS) Fsync(p *sim.Proc, ino Ino) error {
 			clean := !ib2.Dirty
 			fs.rele(ib2)
 			if clean {
-				return nil
+				return fs.abandoned(runs, ib2.Frag)
 			}
 		}
 	}
@@ -140,8 +143,26 @@ func (fs *FS) fsyncAwait(p *sim.Proc, ino Ino, dw DurabilityWaiter) error {
 		frags = append(frags, ib.Frag)
 	}
 	fs.rele(ib)
-	if len(frags) == 0 {
-		return nil
+	if len(frags) > 0 {
+		if err := dw.WaitDurable(p, ino, frags); err != nil {
+			return err
+		}
 	}
-	return dw.WaitDurable(p, ino, frags)
+	return fs.abandoned(runs, ib.Frag)
+}
+
+// abandoned returns dev.ErrIO when the cache gave up on a write of one of
+// the file's resident buffers (its runs, then its inode-table block): such
+// a buffer reads as clean, yet its contents never reached the media. It
+// only looks buffers up, so the check costs no simulated time.
+func (fs *FS) abandoned(runs []FragRun, inodeFrag int64) error {
+	for _, run := range runs {
+		if b := fs.cache.Lookup(int64(run.Start)); b != nil && b.Lost() {
+			return dev.ErrIO
+		}
+	}
+	if b := fs.cache.Lookup(inodeFrag); b != nil && b.Lost() {
+		return dev.ErrIO
+	}
+	return nil
 }

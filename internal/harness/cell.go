@@ -13,11 +13,12 @@ import (
 // CellKind selects the workload a Cell simulates.
 type CellKind int
 
-// The four workload shapes the paper's exhibits are built from.
+// The workload shapes the exhibits are built from.
 const (
 	// CellCopy prepares per-user source trees and runs the N-user copy
 	// benchmark; with Remove set, it then runs the N-user remove benchmark
-	// on the fresh copies (the paper's paired copy/remove methodology).
+	// on the fresh copies (the paper's paired copy/remove methodology). With
+	// Opt.Observe, each phase also carries its operation-span profile.
 	CellCopy CellKind = iota
 	// CellFig5 runs one figure 5 throughput point (1 KB metadata
 	// operations split across the users).
@@ -29,10 +30,6 @@ const (
 	// CellFaultRecovery runs the metadata churn under a fault plan, pulls
 	// the plug at CrashAt, recovers the image, and reports what survived.
 	CellFaultRecovery
-	// CellOpProfile runs the paired copy/remove benchmark with the
-	// operation-span recorder attached and reports per-op latency/stage
-	// digests plus per-scheme write-discipline counters for both phases.
-	CellOpProfile
 	// CellDist runs the sharded metadata service: Dist.Nodes machines
 	// (each a full stack built from Opt) behind the inode-range router,
 	// under the deterministic client load, with dynamic splitting.
@@ -97,7 +94,6 @@ type CellResult struct {
 	SdetWall   sim.Duration         // CellSdet: wall virtual time for all scripts
 	Andrew     workload.AndrewTimes // CellAndrew
 	FaultRec   FaultRecovery        // CellFaultRecovery
-	OpProf     OpProfile            // CellOpProfile
 	Dist       DistResult           // CellDist
 	OpenLoop   scenario.Result      // CellOpenLoop / CellOpenLoopDist
 	Wall       time.Duration        // real execution time of the simulation
@@ -117,7 +113,7 @@ func (c Cell) Fingerprint() string { return fmt.Sprintf("%#v", c) }
 func (c Cell) run() CellResult {
 	switch c.Kind {
 	case CellCopy:
-		cp, rm := copyBench(c.Opt, c.Users, c.Scale, c.Remove)
+		cp, rm := copyBench(c.Opt, c.Users, c.Scale, c.Remove, nil)
 		return CellResult{Copy: cp, RemoveRes: rm}
 	case CellFig5:
 		return CellResult{Throughput: Fig5Point(c.Opt, c.Fig5, c.Users, c.TotalFiles)}
@@ -127,8 +123,6 @@ func (c Cell) run() CellResult {
 		return CellResult{Andrew: andrewBench(c.Opt)}
 	case CellFaultRecovery:
 		return CellResult{FaultRec: faultRecoveryRun(c.Opt, c.CrashAt)}
-	case CellOpProfile:
-		return CellResult{OpProf: opProfileRun(c.Opt, c.Users, c.Scale)}
 	case CellDist:
 		return CellResult{Dist: distRun(c.Opt, c.Dist)}
 	case CellOpenLoop, CellOpenLoopDist:

@@ -113,8 +113,8 @@ func buildDist(cfg Config, get func(Cell) CellResult) []Table {
 				"cross ops", "forwards", "p50 ms", "p99 ms", "cross p50 ms", "cross p99 ms",
 				"net msgs", "net MB"},
 		}
-		for _, v := range fiveSchemes() {
-			d := get(Cell{Kind: CellDist, Opt: v.opt, Dist: DistSpec{
+		for _, s := range fsim.Schemes {
+			d := get(Cell{Kind: CellDist, Opt: fsim.Options{Scheme: s}, Dist: DistSpec{
 				Nodes:        nodes,
 				Clients:      clients,
 				Ops:          ops,
@@ -125,7 +125,7 @@ func buildDist(cfg Config, get func(Cell) CellResult) []Table {
 			if d.Wall > 0 {
 				opsPerSec = fmt.Sprintf("%.0f", float64(d.Ops)/d.Wall.Seconds())
 			}
-			t.AddRow(v.name,
+			t.AddRow(s.String(),
 				fmt.Sprintf("%d", d.FinalNodes),
 				fmt.Sprintf("%d", d.Splits),
 				fmt.Sprintf("%d", d.Migrated),

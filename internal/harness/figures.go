@@ -168,7 +168,7 @@ const (
 )
 
 // Fig5 reproduces figure 5: metadata update throughput (files/second) as a
-// function of concurrent users for all five schemes — (a) 1 KB creates,
+// function of concurrent users for every scheme — (a) 1 KB creates,
 // (b) removes, (c) create/removes. 10,000 files split among the users at
 // full scale; allocation initialization only for Soft Updates.
 var Fig5 = &Exhibit{Name: "fig5", Build: func(cfg Config, get func(Cell) CellResult) []Table {
@@ -193,10 +193,10 @@ var Fig5 = &Exhibit{Name: "fig5", Build: func(cfg Config, get func(Cell) CellRes
 		for _, u := range userCounts {
 			t.Columns = append(t.Columns, fmt.Sprintf("%d user(s)", u))
 		}
-		for _, v := range fiveSchemes() {
-			row := []string{v.name}
+		for _, s := range fsim.Schemes {
+			row := []string{s.String()}
 			for _, users := range userCounts {
-				res := get(Cell{Kind: CellFig5, Opt: v.opt, Fig5: k.kind, Users: users, TotalFiles: total})
+				res := get(Cell{Kind: CellFig5, Opt: fsim.Options{Scheme: s}, Fig5: k.kind, Users: users, TotalFiles: total})
 				row = append(row, fmt.Sprintf("%.1f", res.Throughput))
 			}
 			t.AddRow(row...)
@@ -274,7 +274,7 @@ func Fig5Point(opt fsim.Options, kind Fig5Kind, users, totalFiles int) float64 {
 }
 
 // Fig6 reproduces figure 6: Sdet throughput (scripts/hour) as a function of
-// script concurrency for the five schemes.
+// script concurrency for every scheme.
 var Fig6 = &Exhibit{Name: "fig6", Build: func(cfg Config, get func(Cell) CellResult) []Table {
 	userCounts := []int{1, 2, 4, 6, 8}
 	t := Table{
@@ -286,10 +286,10 @@ var Fig6 = &Exhibit{Name: "fig6", Build: func(cfg Config, get func(Cell) CellRes
 		t.Columns = append(t.Columns, fmt.Sprintf("%d script(s)", u))
 	}
 	commands := cfg.Scale.files(workload.DefaultSdet().CommandsPerScript)
-	for _, v := range fiveSchemes() {
-		row := []string{v.name}
+	for _, s := range fsim.Schemes {
+		row := []string{s.String()}
 		for _, users := range userCounts {
-			res := get(Cell{Kind: CellSdet, Opt: v.opt, Users: users, Commands: commands})
+			res := get(Cell{Kind: CellSdet, Opt: fsim.Options{Scheme: s}, Users: users, Commands: commands})
 			row = append(row, fmt.Sprintf("%.1f", float64(users)*3600/res.SdetWall.Seconds()))
 		}
 		t.AddRow(row...)

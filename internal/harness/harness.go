@@ -11,9 +11,9 @@ import (
 	"io"
 	"strings"
 
-	"metaupdate/internal/dev"
-
 	"metaupdate/fsim"
+	"metaupdate/internal/core"
+	"metaupdate/internal/obs"
 	"metaupdate/internal/sim"
 	"metaupdate/internal/workload"
 )
@@ -97,16 +97,6 @@ type variant struct {
 	opt  fsim.Options
 }
 
-// fiveSchemes returns the paper's five comparison systems (section 5
-// configuration: Part-NR/CB for the scheduler schemes).
-func fiveSchemes() []variant {
-	var out []variant
-	for _, s := range fsim.Schemes {
-		out = append(out, variant{s.String(), fsim.Options{Scheme: s}})
-	}
-	return out
-}
-
 func secs(d sim.Duration) string  { return fmt.Sprintf("%.1f", d.Seconds()) }
 func secs2(d sim.Duration) string { return fmt.Sprintf("%.2f", d.Seconds()) }
 func pct(d, base sim.Duration) string {
@@ -159,65 +149,79 @@ func prepTrees(sys *fsim.System, users int, scale Scale) workload.TreeSpec {
 	return ts
 }
 
-// copyStats holds one copy/remove benchmark measurement.
+// copyStats is one measured phase of the copy benchmark (the copy or the
+// remove): the mean per-user elapsed time, the system-wide statistics, the
+// Soft Updates counters the phase added (zero under other schemes), and —
+// with Options.Observe — the per-op digests of its operation spans.
 type copyStats struct {
 	elapsed sim.Duration // mean per-user elapsed
 	stats   fsim.Stats
+	soft    core.Stats
+	ops     []obs.OpDigest
 }
 
-// runCopy executes the N-user copy benchmark on a prepared system. The
-// elapsed time is the mean per-user time; the disk statistics are
-// "system-wide" as in the paper, so the measurement window extends through
-// the settle-flush of the delayed writes the benchmark left behind.
-func runCopy(sys *fsim.System, users int) copyStats {
+// runPhase runs one phase of the N-user copy benchmark on a prepared
+// system: every user's work, timed per user. The measurement window — of
+// the statistics and, when observed, of the span recorder — runs through
+// the settle-flush of the delayed writes the phase left behind, so the disk
+// statistics are "system-wide" as in the paper and the sync that flushes
+// them is profiled too (as the "sync" op row).
+func runPhase(sys *fsim.System, users int, work func(p *fsim.Proc, u int) error) copyStats {
+	var su0 core.Stats
+	if sys.Soft != nil {
+		su0 = sys.Soft.Stat
+	}
+	sys.Obs.Reset()
 	sys.ResetStats()
 	each, _ := sys.RunUsers(users, func(p *fsim.Proc, u int) {
-		if err := workload.CopyTree(p, sys.FS, fsim.RootIno,
-			fmt.Sprintf("src%d", u), fsim.RootIno, fmt.Sprintf("dst%d", u)); err != nil {
+		if err := work(p, u); err != nil {
 			panic(err)
 		}
 	})
-	elapsed := mean(each)
+	cs := copyStats{elapsed: mean(each)}
 	sys.Run(func(p *fsim.Proc) { sys.FS.Sync(p) })
-	return copyStats{elapsed: elapsed, stats: sys.CollectStats()}
-}
-
-// runRemove executes the N-user remove benchmark: each user deletes one
-// newly copied tree. Statistics include the settle-flush, like runCopy.
-func runRemove(sys *fsim.System, users int) copyStats {
-	sys.ResetStats()
-	each, _ := sys.RunUsers(users, func(p *fsim.Proc, u int) {
-		if err := workload.RemoveTree(p, sys.FS, fsim.RootIno, fmt.Sprintf("dst%d", u)); err != nil {
-			panic(err)
+	cs.stats = sys.CollectStats()
+	if sys.Soft != nil {
+		su := sys.Soft.Stat
+		cs.soft = core.Stats{
+			Rollbacks:     su.Rollbacks - su0.Rollbacks,
+			CancelledAdds: su.CancelledAdds - su0.CancelledAdds,
+			Workitems:     su.Workitems - su0.Workitems,
 		}
-	})
-	elapsed := mean(each)
-	sys.Run(func(p *fsim.Proc) { sys.FS.Sync(p) })
-	return copyStats{elapsed: elapsed, stats: sys.CollectStats()}
+	}
+	cs.ops = sys.Obs.Profile()
+	return cs
 }
 
-// copyBench prepares trees, runs the copy, and (optionally) the remove, on
-// a fresh system per call.
-func copyBench(opt fsim.Options, users int, scale Scale, alsoRemove bool) (cp, rm copyStats) {
+// copyBench prepares trees on a fresh system, runs the copy and, with
+// remove, the remove of the fresh copies (the paper's paired methodology),
+// then hands the system to inspect, if non-nil, before shutting it down.
+func copyBench(opt fsim.Options, users int, scale Scale, remove bool, inspect func(*fsim.System)) (cp, rm copyStats) {
 	sys := mustSystem(opt)
 	defer sys.Shutdown()
 	prepTrees(sys, users, scale)
-	cp = runCopy(sys, users)
-	if alsoRemove {
+	cp = runPhase(sys, users, func(p *fsim.Proc, u int) error {
+		return workload.CopyTree(p, sys.FS, fsim.RootIno, fmt.Sprintf("src%d", u), fsim.RootIno, fmt.Sprintf("dst%d", u))
+	})
+	if remove {
 		// Settle background work between phases, as consecutive benchmark
 		// runs would.
 		sys.Run(func(p *fsim.Proc) { sys.FS.Sync(p) })
-		rm = runRemove(sys, users)
+		rm = runPhase(sys, users, func(p *fsim.Proc, u int) error {
+			return workload.RemoveTree(p, sys.FS, fsim.RootIno, fmt.Sprintf("dst%d", u))
+		})
+	}
+	if inspect != nil {
+		inspect(sys)
 	}
 	return cp, rm
 }
 
-// TraceCopy runs the N-user copy benchmark and returns the raw per-request
-// trace plus the mean per-user elapsed time (the mdsim -trace mode).
-func TraceCopy(opt fsim.Options, users int, scale Scale) ([]dev.Stat, sim.Duration) {
-	sys := mustSystem(opt)
-	defer sys.Shutdown()
-	prepTrees(sys, users, scale)
-	cp := runCopy(sys, users)
-	return sys.Driver.Trace.Stats, cp.elapsed
+// TraceCopy runs the N-user copy benchmark — the mdsim -trace and -optrace
+// modes — and returns the mean per-user elapsed time. inspect receives the
+// system before shutdown, still holding the copy phase's window: the
+// driver's per-request trace and, with Options.Observe, the operation spans.
+func TraceCopy(opt fsim.Options, users int, scale Scale, inspect func(*fsim.System)) sim.Duration {
+	cp, _ := copyBench(opt, users, scale, false, inspect)
+	return cp.elapsed
 }

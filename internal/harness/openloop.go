@@ -108,16 +108,16 @@ func buildLoadCurve(cfg Config, get func(Cell) CellResult) []Table {
 		summary.Columns = append(summary.Columns, fmt.Sprintf("@%d", rate))
 	}
 	var tables []Table
-	for _, v := range fiveSchemes() {
+	for _, s := range fsim.Schemes {
 		t := Table{
-			Title: fmt.Sprintf("Open-loop load curve — %s, mail scenario, %d ops (%d warmup)", v.name, ops, warm),
+			Title: fmt.Sprintf("Open-loop load curve — %s, mail scenario, %d ops (%d warmup)", s, ops, warm),
 			Note:  "open loop: arrivals keep coming whether or not earlier operations finished",
 			Columns: []string{"offered/s", "measured/s", "p50 ms", "p99 ms", "p999 ms", "max ms",
 				"inflight hwm", "soft errs"},
 		}
-		sumRow := []string{v.name}
+		sumRow := []string{s.String()}
 		for _, rate := range loadRates {
-			r := get(openLoopCell(v.opt.Scheme, "mail", rate, ops, warm, 0)).OpenLoop
+			r := get(openLoopCell(s, "mail", rate, ops, warm, 0)).OpenLoop
 			t.AddRow(
 				fmt.Sprintf("%d", rate),
 				fmt.Sprintf("%.0f", r.MeasuredPerSec),
@@ -158,9 +158,9 @@ func ScenarioExhibit(name string, rate, nodes int) *Exhibit {
 				fmt.Sprintf("%d", r.SoftErrs),
 			}
 		}
-		for _, v := range fiveSchemes() {
-			r := get(openLoopCell(v.opt.Scheme, name, rate, ops, warm, 0)).OpenLoop
-			t.AddRow(row(r, v.name)...)
+		for _, s := range fsim.Schemes {
+			r := get(openLoopCell(s, name, rate, ops, warm, 0)).OpenLoop
+			t.AddRow(row(r, s.String())...)
 		}
 		tables := []Table{t}
 		if nodes > 1 {
@@ -176,9 +176,9 @@ func ScenarioExhibit(name string, rate, nodes int) *Exhibit {
 				Note:    "metadata-only op mapping (reads/stats/fsyncs become lookups); latencies include the network",
 				Columns: t.Columns,
 			}
-			for _, v := range fiveSchemes() {
-				r := get(openLoopCell(v.opt.Scheme, name, rate, dops, dops/8, nodes)).OpenLoop
-				dt.AddRow(row(r, v.name)...)
+			for _, s := range fsim.Schemes {
+				r := get(openLoopCell(s, name, rate, dops, dops/8, nodes)).OpenLoop
+				dt.AddRow(row(r, s.String())...)
 			}
 			tables = append(tables, dt)
 		}

@@ -145,8 +145,8 @@ func loadCurve(r *Runner, scheme fsim.Scheme) (measured, p99 []float64) {
 // non-decreasing), and past saturation it plateaus instead of collapsing.
 func TestLoadCurveSaturation(t *testing.T) {
 	r := NewRunner(0)
-	for _, v := range fiveSchemes() {
-		m, _ := loadCurve(r, v.opt.Scheme)
+	for _, s := range fsim.Schemes {
+		m, _ := loadCurve(r, s)
 		peak := 0.0
 		for _, x := range m {
 			if x > peak {
@@ -154,7 +154,7 @@ func TestLoadCurveSaturation(t *testing.T) {
 			}
 		}
 		if peak <= 0 {
-			t.Errorf("%s: no throughput measured", v.name)
+			t.Errorf("%s: no throughput measured", s)
 			continue
 		}
 		for i := 0; i+1 < len(m); i++ {
@@ -162,11 +162,11 @@ func TestLoadCurveSaturation(t *testing.T) {
 			// past it (seek patterns shift with queue depth).
 			if m[i] < 0.75*peak && m[i+1] < m[i] {
 				t.Errorf("%s: measured/s fell %.1f -> %.1f at offered %d -> %d while below saturation (peak %.1f)",
-					v.name, m[i], m[i+1], loadRates[i], loadRates[i+1], peak)
+					s, m[i], m[i+1], loadRates[i], loadRates[i+1], peak)
 			}
 		}
 		if last := m[len(m)-1]; last < 0.7*peak {
-			t.Errorf("%s: throughput collapsed past saturation: peak %.1f/s, final %.1f/s", v.name, peak, last)
+			t.Errorf("%s: throughput collapsed past saturation: peak %.1f/s, final %.1f/s", s, peak, last)
 		}
 	}
 }

@@ -1,14 +1,16 @@
 package harness
 
 import (
-	"bytes"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
 
 	"metaupdate/fsim"
+	"metaupdate/internal/core"
 	"metaupdate/internal/obs"
 	"metaupdate/internal/sim"
+	"metaupdate/internal/workload"
 )
 
 // opTestScale keeps the observability suite's simulations affordable under
@@ -55,81 +57,87 @@ func checkSpanPartition(t *testing.T, phase string, spans []obs.SpanRecord) {
 // taxonomy: for every scheme, on the 4-user copy and remove workloads,
 // each operation span's stage segments partition its latency exactly.
 func TestSpanPartitionProperty(t *testing.T) {
-	const users = 4
-	for _, v := range fiveSchemes() {
-		v := v
-		t.Run(v.name, func(t *testing.T) {
+	for _, s := range fsim.Schemes {
+		s := s
+		t.Run(s.String(), func(t *testing.T) {
 			t.Parallel()
-			opt := v.opt
-			opt.Observe = true
-			sys := mustSystem(opt)
-			defer sys.Shutdown()
-			prepTrees(sys, users, opTestScale)
-
-			sys.Obs.Reset()
-			runCopy(sys, users)
-			checkSpanPartition(t, "copy", sys.Obs.Spans())
-
-			sys.Run(func(p *fsim.Proc) { sys.FS.Sync(p) })
-			sys.Obs.Reset()
-			runRemove(sys, users)
-			checkSpanPartition(t, "remove", sys.Obs.Spans())
+			// The recorder holds the last phase's window when inspect runs.
+			for phase, remove := range map[string]bool{"copy": false, "remove": true} {
+				copyBench(fsim.Options{Scheme: s, Observe: true}, 4, opTestScale, remove, func(sys *fsim.System) {
+					checkSpanPartition(t, phase, sys.Obs.Spans())
+				})
+			}
 		})
 	}
 }
 
-// sharedOpProfiles runs the five CellOpProfile cells once per test binary
-// (on a shared runner, like mdsim -exp opstats) and hands the results to every
-// invariant test.
-var (
-	opProfOnce sync.Once
-	opProfs    map[fsim.Scheme]OpProfile
-)
+// observedCopies runs the observed paired copy/remove cell of every scheme
+// once per test binary (on a shared runner, like mdsim -exp opstats) and
+// hands the results to every invariant test.
+var observedCopies = sync.OnceValue(func() map[fsim.Scheme]CellResult {
+	cells := make([]Cell, len(fsim.Schemes))
+	for i, s := range fsim.Schemes {
+		cells[i] = copyRemoveCell(fsim.Options{Scheme: s, Observe: true}, 4, opTestScale)
+	}
+	res := NewRunner(0).All(cells)
+	out := make(map[fsim.Scheme]CellResult, len(cells))
+	for i, s := range fsim.Schemes {
+		out[s] = res[i]
+	}
+	return out
+})
 
-func sharedOpProfiles() map[fsim.Scheme]OpProfile {
-	opProfOnce.Do(func() {
-		r := NewRunner(0)
-		vs := fiveSchemes()
-		cells := make([]Cell, len(vs))
-		for i, v := range vs {
-			opt := v.opt
-			opt.Observe = true
-			cells[i] = Cell{Kind: CellOpProfile, Opt: opt, Users: 4, Scale: opTestScale}
+// TestObservedCopyMatchesPlain: the span recorder is a pure observer, so
+// the observed copy/remove cell of every scheme measures exactly what the
+// plain one does — elapsed time, statistics and Soft Updates counters in
+// both phases — and only the observed one carries an operation profile.
+func TestObservedCopyMatchesPlain(t *testing.T) {
+	observed := observedCopies()
+	r := NewRunner(0)
+	for _, s := range fsim.Schemes {
+		plain := r.Get(copyRemoveCell(fsim.Options{Scheme: s}, 4, opTestScale))
+		obsd := observed[s]
+		for _, ph := range []struct {
+			name       string
+			plain, obs copyStats
+		}{{"copy", plain.Copy, obsd.Copy}, {"remove", plain.RemoveRes, obsd.RemoveRes}} {
+			p, o := ph.plain, ph.obs
+			if p.elapsed != o.elapsed || p.stats != o.stats || p.soft != o.soft {
+				t.Errorf("%v %s: observed run differs from the plain one:\n plain    %v %+v %+v\n observed %v %+v %+v",
+					s, ph.name, p.elapsed, p.stats, p.soft, o.elapsed, o.stats, o.soft)
+			}
+			if len(p.ops) != 0 || len(o.ops) == 0 {
+				t.Errorf("%v %s: %d plain / %d observed op digests, want 0 / some", s, ph.name, len(p.ops), len(o.ops))
+			}
 		}
-		res := r.All(cells)
-		opProfs = make(map[fsim.Scheme]OpProfile, len(vs))
-		for i, v := range vs {
-			opProfs[v.opt.Scheme] = res[i].OpProf
-		}
-	})
-	return opProfs
+	}
 }
 
 // TestCrossSchemeCounterInvariants pins the write-discipline relationships
 // the paper's schemes are defined by.
 func TestCrossSchemeCounterInvariants(t *testing.T) {
-	profs := sharedOpProfiles()
-	conv := profs[fsim.Conventional]
+	res := observedCopies()
+	conv := res[fsim.Conventional]
 
 	// Conventional turns every ordered metadata update into a synchronous
 	// write, so it must issue at least as many as any other scheme — in
 	// both phases — and strictly more than zero.
-	for ph, phase := range map[string]func(OpProfile) SchemeCounters{
-		"copy":   func(p OpProfile) SchemeCounters { return p.Copy.Counters },
-		"remove": func(p OpProfile) SchemeCounters { return p.Remove.Counters },
+	for ph, phase := range map[string]func(CellResult) copyStats{
+		"copy":   func(r CellResult) copyStats { return r.Copy },
+		"remove": func(r CellResult) copyStats { return r.RemoveRes },
 	} {
-		if phase(conv).SyncWrites == 0 {
+		if phase(conv).stats.SyncWrites == 0 {
 			t.Errorf("%s: Conventional issued no sync writes", ph)
 		}
-		for s, p := range profs {
+		for s, r := range res {
 			if s == fsim.Conventional {
 				continue
 			}
-			if got, conv := phase(p).SyncWrites, phase(conv).SyncWrites; got > conv {
+			if got, conv := phase(r).stats.SyncWrites, phase(conv).stats.SyncWrites; got > conv {
 				t.Errorf("%s: %v issued %d sync writes > Conventional's %d", ph, s, got, conv)
 			}
 			// The delayed-write schemes must actually delay something.
-			if phase(p).DelayedWrites == 0 {
+			if phase(r).stats.DelayedWrites == 0 {
 				t.Errorf("%s: %v recorded no delayed writes", ph, s)
 			}
 		}
@@ -139,20 +147,20 @@ func TestCrossSchemeCounterInvariants(t *testing.T) {
 	// edges; schemes running the driver in ignore mode (No Order,
 	// Conventional, Soft Updates) must report exactly zero.
 	for _, s := range []fsim.Scheme{fsim.NoOrder, fsim.Conventional, fsim.SoftUpdates} {
-		p := profs[s]
-		if p.Copy.Counters.OrderingStalls != 0 || p.Remove.Counters.OrderingStalls != 0 {
+		r := res[s]
+		if r.Copy.stats.OrderingStalls != 0 || r.RemoveRes.stats.OrderingStalls != 0 {
 			t.Errorf("%v: ordering stalls = %d/%d (copy/remove), want 0/0",
-				s, p.Copy.Counters.OrderingStalls, p.Remove.Counters.OrderingStalls)
+				s, r.Copy.stats.OrderingStalls, r.RemoveRes.stats.OrderingStalls)
 		}
 	}
 
 	// Only Soft Updates has rollback machinery.
-	for s, p := range profs {
+	for s, r := range res {
 		if s == fsim.SoftUpdates {
 			continue
 		}
-		if p.Copy.Counters.Rollbacks != 0 || p.Remove.Counters.Workitems != 0 {
-			t.Errorf("%v reports soft-updates counters: %+v / %+v", s, p.Copy.Counters, p.Remove.Counters)
+		if r.Copy.soft.Rollbacks != 0 || r.RemoveRes.soft.Workitems != 0 {
+			t.Errorf("%v reports soft-updates counters: %+v / %+v", s, r.Copy.soft, r.RemoveRes.soft)
 		}
 	}
 
@@ -163,61 +171,70 @@ func TestCrossSchemeCounterInvariants(t *testing.T) {
 	// directory add or allocation pointer reverted in the write image — so
 	// a remove phase that starts from a settled image produces workitems
 	// and cancelled adds, not rollbacks; see TestSoftUpdatesRollbackAccounting.)
-	su := profs[fsim.SoftUpdates]
-	if su.Copy.Counters.Rollbacks == 0 {
+	su := res[fsim.SoftUpdates]
+	if su.Copy.soft.Rollbacks == 0 {
 		t.Error("Soft Updates copy phase recorded no rollbacks")
 	}
-	if su.Copy.Counters.Rollbacks+su.Remove.Counters.Rollbacks == 0 {
+	if su.Copy.soft.Rollbacks+su.RemoveRes.soft.Rollbacks == 0 {
 		t.Error("Soft Updates paired copy/remove run recorded no rollbacks")
 	}
-	if su.Remove.Counters.Workitems == 0 {
+	if su.RemoveRes.soft.Workitems == 0 {
 		t.Error("Soft Updates remove phase recorded no workitems")
 	}
 }
 
-// TestSoftUpdatesRollbackAccounting checks the profile's rollback counters
-// against an independent snapshot diff of core.Stats taken around a
-// replica of the same deterministic benchmark — the reported numbers must
+// TestSoftUpdatesRollbackAccounting checks the phase's Soft Updates
+// counters against an independent snapshot diff of core.Stats taken around
+// a replica of the same deterministic benchmark — the reported numbers must
 // be exactly the scheme's own accounting, not a recomputation.
 func TestSoftUpdatesRollbackAccounting(t *testing.T) {
-	su := sharedOpProfiles()[fsim.SoftUpdates]
+	su := observedCopies()[fsim.SoftUpdates]
 
 	sys := mustSystem(fsim.Options{Scheme: fsim.SoftUpdates, Observe: true})
 	defer sys.Shutdown()
 	prepTrees(sys, 4, opTestScale)
-
-	before := sys.Soft.Stat
-	runCopy(sys, 4)
-	copyDiff := SchemeCounters{
-		Rollbacks:     sys.Soft.Stat.Rollbacks - before.Rollbacks,
-		CancelledAdds: sys.Soft.Stat.CancelledAdds - before.CancelledAdds,
-		Workitems:     sys.Soft.Stat.Workitems - before.Workitems,
+	// replica runs one phase — every user's work, then the settle-sync —
+	// and returns what it added to core.Stats.
+	replica := func(work func(p *fsim.Proc, u int) error) core.Stats {
+		before := sys.Soft.Stat
+		sys.RunUsers(4, func(p *fsim.Proc, u int) {
+			if err := work(p, u); err != nil {
+				t.Error(err)
+			}
+		})
+		sys.Run(func(p *fsim.Proc) { sys.FS.Sync(p) })
+		after := sys.Soft.Stat
+		return core.Stats{
+			Rollbacks:     after.Rollbacks - before.Rollbacks,
+			CancelledAdds: after.CancelledAdds - before.CancelledAdds,
+			Workitems:     after.Workitems - before.Workitems,
+		}
 	}
+
+	copyDiff := replica(func(p *fsim.Proc, u int) error {
+		return workload.CopyTree(p, sys.FS, fsim.RootIno, fmt.Sprintf("src%d", u), fsim.RootIno, fmt.Sprintf("dst%d", u))
+	})
 	if copyDiff.Rollbacks == 0 {
 		t.Error("independent copy run observed no rollbacks")
 	}
-	if got, want := su.Copy.Counters.Rollbacks, copyDiff.Rollbacks; got != want {
+	if got, want := su.Copy.soft.Rollbacks, copyDiff.Rollbacks; got != want {
 		t.Errorf("profile copy rollbacks = %d, core.Stats diff = %d", got, want)
 	}
-	if got, want := su.Copy.Counters.CancelledAdds, copyDiff.CancelledAdds; got != want {
+	if got, want := su.Copy.soft.CancelledAdds, copyDiff.CancelledAdds; got != want {
 		t.Errorf("profile copy cancelled adds = %d, core.Stats diff = %d", got, want)
 	}
-	if got, want := su.Copy.Counters.Workitems, copyDiff.Workitems; got != want {
+	if got, want := su.Copy.soft.Workitems, copyDiff.Workitems; got != want {
 		t.Errorf("profile copy workitems = %d, core.Stats diff = %d", got, want)
 	}
 
 	sys.Run(func(p *fsim.Proc) { sys.FS.Sync(p) })
-	before = sys.Soft.Stat
-	runRemove(sys, 4)
-	remDiff := SchemeCounters{
-		Rollbacks:     sys.Soft.Stat.Rollbacks - before.Rollbacks,
-		CancelledAdds: sys.Soft.Stat.CancelledAdds - before.CancelledAdds,
-		Workitems:     sys.Soft.Stat.Workitems - before.Workitems,
-	}
-	if got, want := su.Remove.Counters.Rollbacks, remDiff.Rollbacks; got != want {
+	remDiff := replica(func(p *fsim.Proc, u int) error {
+		return workload.RemoveTree(p, sys.FS, fsim.RootIno, fmt.Sprintf("dst%d", u))
+	})
+	if got, want := su.RemoveRes.soft.Rollbacks, remDiff.Rollbacks; got != want {
 		t.Errorf("profile remove rollbacks = %d, core.Stats diff = %d", got, want)
 	}
-	if got, want := su.Remove.Counters.Workitems, remDiff.Workitems; got != want {
+	if got, want := su.RemoveRes.soft.Workitems, remDiff.Workitems; got != want {
 		t.Errorf("profile remove workitems = %d, core.Stats diff = %d", got, want)
 	}
 	if remDiff.Workitems == 0 {
@@ -263,32 +280,5 @@ func TestOpStatsDeterministic(t *testing.T) {
 	}
 	if r4.Stats().Hits <= hits0 {
 		t.Error("warm rerun did not hit the memo")
-	}
-}
-
-// TestOpTraceDeterministic asserts two fresh -optrace runs of the same
-// configuration produce byte-identical Chrome traces.
-func TestOpTraceDeterministic(t *testing.T) {
-	run := func(buf *bytes.Buffer) int {
-		n, elapsed, err := OpTraceCopy(fsim.Options{Scheme: fsim.SoftUpdates}, 4, 0.02, buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if elapsed <= 0 {
-			t.Errorf("non-positive elapsed time %v", elapsed)
-		}
-		return n
-	}
-	var a, b bytes.Buffer
-	na := run(&a)
-	nb := run(&b)
-	if na == 0 {
-		t.Fatal("trace recorded no spans")
-	}
-	if na != nb {
-		t.Errorf("span counts differ: %d vs %d", na, nb)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Error("identical runs produced different Chrome traces")
 	}
 }

@@ -77,18 +77,17 @@ var Table2 = &Exhibit{Name: "table2", Build: func(cfg Config, get func(Cell) Cel
 		Columns: []string{"Scheme", "Elapsed (s)", "% of NoOrder", "CPU (s)",
 			"Disk requests", "Avg response (ms)"},
 	}
-	variants := fiveSchemes()
-	results := make([]copyStats, len(variants))
+	results := make([]copyStats, len(fsim.Schemes))
 	var baseline fsim.Duration
-	for i, v := range variants {
-		results[i] = get(copyRemoveCell(v.opt, 4, cfg.Scale)).RemoveRes
-		if v.opt.Scheme == fsim.NoOrder {
+	for i, s := range fsim.Schemes {
+		results[i] = get(copyRemoveCell(fsim.Options{Scheme: s}, 4, cfg.Scale)).RemoveRes
+		if s == fsim.NoOrder {
 			baseline = results[i].elapsed
 		}
 	}
-	for i, v := range variants {
+	for i, s := range fsim.Schemes {
 		rm := results[i]
-		t.AddRow(v.name, secs2(rm.elapsed), pct(rm.elapsed, baseline),
+		t.AddRow(s.String(), secs2(rm.elapsed), pct(rm.elapsed, baseline),
 			secs2(rm.stats.CPUTime), fmt.Sprintf("%d", rm.stats.DiskRequests),
 			fmt.Sprintf("%.1f", rm.stats.AvgResponseMS))
 	}
@@ -105,9 +104,9 @@ var Table3 = &Exhibit{Name: "table3", Build: func(cfg Config, get func(Cell) Cel
 		Columns: []string{"Scheme", "(1) MakeDir", "(2) Copy", "(3) ScanDir",
 			"(4) ReadAll", "(5) Compile", "Total"},
 	}
-	for _, v := range fiveSchemes() {
-		times := get(Cell{Kind: CellAndrew, Opt: v.opt}).Andrew
-		t.AddRow(v.name, secs2(times.MakeDir), secs2(times.Copy), secs2(times.ScanDir),
+	for _, s := range fsim.Schemes {
+		times := get(Cell{Kind: CellAndrew, Opt: fsim.Options{Scheme: s}}).Andrew
+		t.AddRow(s.String(), secs2(times.MakeDir), secs2(times.Copy), secs2(times.ScanDir),
 			secs2(times.ReadAll), secs(times.Compile), secs(times.Total()))
 	}
 	return []Table{t}

@@ -47,8 +47,8 @@ type Log struct {
 	records map[int64][]*Record
 
 	// Stats.
-	Appends, Retired int64
-	PeakUsed         int
+	Appends  int64
+	PeakUsed int
 }
 
 // defaultCap is 1 MB of NVRAM — a realistically priced 1994 part.
@@ -112,7 +112,6 @@ func (l *Log) flushOldest(p *sim.Proc, c *cache.Cache) {
 func (l *Log) retire(frag int64) {
 	for _, r := range l.records[frag] {
 		l.used -= len(r.Data)
-		l.Retired++
 	}
 	delete(l.records, frag)
 }

@@ -109,7 +109,7 @@ type Message struct {
 // the per-endpoint counters live on their host LPs, so read Totals only
 // when the group is idle (between runs, or after the final drain).
 type Totals struct {
-	Sent, Delivered, Bytes int64
+	Sent, Bytes int64
 }
 
 // Network connects a set of integer-addressed endpoints over directed
@@ -152,7 +152,6 @@ func (n *Network) Totals() Totals {
 	var t Totals
 	for _, ep := range n.eps {
 		t.Sent += ep.sent
-		t.Delivered += ep.delivered
 		t.Bytes += ep.bytes
 	}
 	return t
@@ -202,7 +201,6 @@ func (cr *carrier) Deliver() {
 	cr.dst = nil
 	cr.m = Message{} // drop the payload reference
 	dst.pool = append(dst.pool, cr)
-	dst.delivered++
 	dst.deliver(m)
 }
 
@@ -228,7 +226,7 @@ type Endpoint struct {
 	reqID   uint64           // per-endpoint Call id source
 	busy    map[int]sim.Time // per-destination pipe occupancy
 
-	sent, delivered, bytes int64
+	sent, bytes int64
 
 	inbox    []Message
 	head     int
