@@ -27,14 +27,33 @@ func bitGet(bm []byte, i int32) bool { return bm[i/8]&(1<<(uint(i)%8)) != 0 }
 func bitSet(bm []byte, i int32)      { bm[i/8] |= 1 << (uint(i) % 8) }
 func bitClr(bm []byte, i int32)      { bm[i/8] &^= 1 << (uint(i) % 8) }
 
-// runFree reports whether frags [start, start+n) are all free.
-func runFree(bm []byte, start int32, n int) bool {
-	for i := int32(0); i < int32(n); i++ {
-		if bitGet(bm, start+i) {
-			return false
+// blockRunFree reports whether frags [start, start+n), which lie in one
+// block, are all free: a block's fragments are one bitmap byte, so the run
+// is one mask test.
+func blockRunFree(bm []byte, start int32, n int) bool {
+	mask := byte(uint(1)<<n-1) << uint(start%BlockFrags)
+	return bm[start/BlockFrags]&mask == 0
+}
+
+// firstFit returns the first run of n free fragments in [from, to) that
+// does not cross a block boundary: blocks in order, and within a block each
+// start that keeps the run inside it. A full block is skipped by its byte.
+func firstFit(bm []byte, from, to int32, n int) (int32, bool) {
+	blk := from / BlockFrags * BlockFrags
+	if blk < from {
+		blk += BlockFrags
+	}
+	for ; blk+BlockFrags <= to; blk += BlockFrags {
+		if bm[blk/BlockFrags] == 0xFF {
+			continue
+		}
+		for s := blk; s+int32(n) <= blk+BlockFrags; s++ {
+			if blockRunFree(bm, s, n) {
+				return s, true
+			}
 		}
 	}
-	return true
+	return 0, false
 }
 
 // Cylinder-group geometry: the data region is carved into allocation
@@ -114,32 +133,13 @@ func (fs *FS) allocFrags(p *sim.Proc, n int, cg int32) (int32, error) {
 	}
 	defer fb.Hold().Unhold()
 	bm := fb.Data
-	try := func(from, to int32) (int32, bool) {
-		// Scan block by block; within a block, try each aligned start that
-		// keeps the run inside the block.
-		blk := from / BlockFrags * BlockFrags
-		if blk < from {
-			blk += BlockFrags
-		}
-		for ; blk+BlockFrags <= to; blk += BlockFrags {
-			for s := blk; s+int32(n) <= blk+BlockFrags; s++ {
-				if runFree(bm, s, n) {
-					return s, true
-				}
-				if n == BlockFrags {
-					break // full blocks only at aligned starts
-				}
-			}
-		}
-		return 0, false
-	}
 	// Scan the preferred group, then the following groups, wrapping.
 	ngroups := fs.nCG()
 	var start int32
 	ok := false
 	for g := int32(0); g < ngroups && !ok; g++ {
 		grp := (cg + g) % ngroups
-		start, ok = try(fs.cgStart(grp), fs.cgEnd(grp))
+		start, ok = firstFit(bm, fs.cgStart(grp), fs.cgEnd(grp), n)
 	}
 	if !ok {
 		return 0, ErrNoSpace
@@ -166,7 +166,7 @@ func (fs *FS) tryExtendFrags(p *sim.Proc, start int32, oldN, newN int) bool {
 		return false // cannot extend; the caller falls back to a move
 	}
 	defer fb.Hold().Unhold()
-	if !runFree(fb.Data, start+int32(oldN), newN-oldN) {
+	if !blockRunFree(fb.Data, start+int32(oldN), newN-oldN) {
 		return false
 	}
 	fs.cache.PrepareModify(p, fb)

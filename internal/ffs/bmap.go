@@ -240,6 +240,9 @@ func (fs *FS) growBlock(p *sim.Proc, ino Ino, ip *Inode, ib *cache.Buf, ioff, bi
 		defer nb.Hold().Unhold()
 		fs.charge(p, fs.cfg.Costs.PerKBCopy*sim.Duration(oldNF))
 		copy(nb.Data, b.Data)
+		if isDir {
+			fs.dirIdx.moved(ino, b, nb)
+		}
 		rec.NewBuf, rec.NewFrag, rec.NewNFr = nb, newFrag, wantNF
 		rec.MovedFrom, rec.OldBuf = &FragRun{Start: frag, N: oldNF}, b
 	}

@@ -94,7 +94,9 @@ func scanChunk(b []byte, chunkOff int, f func(d Dirent) bool) int {
 // findEntry scans directory data for name. It returns the entry and true if
 // found, and always returns the total number of entries scanned (the CPU
 // cost driver for the paper's "less CPU time spent checking the directory
-// contents" effect).
+// contents" effect). Lookups reach it through a block's dirIndex, which
+// gives the same answer without the walk and falls back to it only for a
+// block it cannot index.
 //
 // The scan reads raw dirent bytes in place: every create/lookup/remove
 // walks directories, so materializing a Dirent (and its name string) per
@@ -129,30 +131,38 @@ func findEntry(data []byte, name string) (Dirent, bool, int) {
 // full. Free space is either an unused entry (ino 0) or slack at the tail
 // of a live entry's reclen.
 func addEntryInData(data []byte, name string, ino Ino, ftype uint8) (off int, ok bool) {
+	for chunk := 0; chunk < len(data); chunk += DirChunk {
+		if off, ok := addEntryInChunk(data, chunk, name, ino, ftype); ok {
+			return off, true
+		}
+	}
+	return 0, false
+}
+
+// addEntryInChunk is addEntryInData confined to the chunk at chunkOff.
+func addEntryInChunk(data []byte, chunkOff int, name string, ino Ino, ftype uint8) (off int, ok bool) {
 	le := binary.LittleEndian
 	need := entrySpace(len(name))
-	for chunk := 0; chunk < len(data); chunk += DirChunk {
-		for off := chunk; off < chunk+DirChunk; {
-			reclen := int(le.Uint16(data[off+4:]))
-			if reclen <= 0 {
-				break // corrupt; fsck's problem
-			}
-			entIno := Ino(le.Uint32(data[off:]))
-			if entIno == 0 && reclen >= need {
-				// Claim the free entry's space.
-				PutDirent(data[off:], ino, reclen, name, ftype)
-				return off, true
-			}
-			used := entrySpace(int(data[off+6]))
-			if entIno != 0 && reclen-used >= need {
-				// Split the slack off the live entry.
-				le.PutUint16(data[off+4:], uint16(used))
-				newOff := off + used
-				PutDirent(data[newOff:], ino, reclen-used, name, ftype)
-				return newOff, true
-			}
-			off += reclen
+	for off := chunkOff; off < chunkOff+DirChunk; {
+		reclen := int(le.Uint16(data[off+4:]))
+		if reclen <= 0 {
+			break // corrupt; fsck's problem
 		}
+		entIno := Ino(le.Uint32(data[off:]))
+		if entIno == 0 && reclen >= need {
+			// Claim the free entry's space.
+			PutDirent(data[off:], ino, reclen, name, ftype)
+			return off, true
+		}
+		used := entrySpace(int(data[off+6]))
+		if entIno != 0 && reclen-used >= need {
+			// Split the slack off the live entry.
+			le.PutUint16(data[off+4:], uint16(used))
+			newOff := off + used
+			PutDirent(data[newOff:], ino, reclen-used, name, ftype)
+			return newOff, true
+		}
+		off += reclen
 	}
 	return 0, false
 }

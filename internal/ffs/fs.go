@@ -73,6 +73,7 @@ type FS struct {
 	dirCGRotor int32
 
 	inoLocks map[Ino]*sim.Mutex
+	dirIdx   dirIndexes // directory lookup from an index (dirindex.go)
 
 	unfinished int // see Unfinished
 }
@@ -90,6 +91,7 @@ func Mount(eng *sim.Engine, cpu *sim.CPU, c *cache.Cache, ord Ordering, cfg Conf
 		ord:      ord,
 		cfg:      cfg,
 		inoLocks: make(map[Ino]*sim.Mutex),
+		dirIdx:   make(dirIndexes),
 		prefCG:   make(map[Ino]int32),
 	}
 	sbuf, err := c.Bread(p, 0, BlockFrags)

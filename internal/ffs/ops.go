@@ -52,9 +52,9 @@ func (fs *FS) dirBlock(p *sim.Proc, dir Ino, dip *Inode, dib *cache.Buf, dioff, 
 	return b, b.Data[:min(int(dip.Size)-bi*BlockSize, len(b.Data))], nil
 }
 
-// lookupLocked scans dir for name; it returns the entry's inode, the held
-// block buffer and entry offset. The caller holds dir's lock and must
-// release the buffer.
+// lookupLocked looks name up in dir, block by block through each block's
+// index; it returns the entry's inode, the held block buffer and entry
+// offset. The caller holds dir's lock and must release the buffer.
 func (fs *FS) lookupLocked(p *sim.Proc, dir Ino, name string) (Ino, *cache.Buf, int, error) {
 	dip, dib, dioff, err := fs.getInode(p, dir)
 	if err != nil {
@@ -72,7 +72,7 @@ func (fs *FS) lookupLocked(p *sim.Proc, dir Ino, name string) (Ino, *cache.Buf, 
 		if err != nil {
 			return 0, nil, 0, err
 		}
-		d, found, scanned := findEntry(data, name)
+		d, found, scanned := fs.dirIdx.of(dir, b, data).find(data, name)
 		fs.charge(p, fs.cfg.Costs.DirScanEntry*sim.Duration(scanned))
 		if found {
 			return d.Ino, b.Hold(), d.Off, nil
@@ -113,7 +113,7 @@ func (fs *FS) dirAddEntry(p *sim.Proc, dir Ino, name string, ino Ino, ftype uint
 		}
 		b.Hold()
 		fs.cache.PrepareModify(p, b)
-		if off, ok := addEntryInData(data, name, ino, ftype); ok {
+		if off, ok := fs.dirIdx.of(dir, b, data).add(data, name, ino, ftype); ok {
 			return b, off, nil
 		}
 		b.Unhold()
@@ -130,7 +130,8 @@ func (fs *FS) dirAddEntry(p *sim.Proc, dir Ino, name string, ino Ino, ftype uint
 	if err != nil {
 		return nil, 0, err
 	}
-	off, ok := addEntryInData(b.Data[:chunkStart+DirChunk], name, ino, ftype)
+	data := b.Data[:chunkStart+DirChunk]
+	off, ok := fs.dirIdx.of(dir, b, data).add(data, name, ino, ftype)
 	if !ok || off < int(chunkStart) {
 		// The fresh chunk always fits a new entry at its start.
 		panic("ffs: new directory chunk could not hold entry")
@@ -214,8 +215,9 @@ func (fs *FS) removeLink(p *sim.Proc, rec *RemRec, add *LinkRec) {
 	fs.charge(p, fs.cfg.Costs.DirModify)
 	fs.cache.PrepareModify(p, rec.DirBuf)
 	if add == nil {
-		removeEntryInData(rec.DirBuf.Data, rec.EntryOff)
+		fs.dirIdx.remove(rec.DirIno, rec.DirBuf, rec.EntryOff)
 	} else {
+		// The name stays, so the block's index does too.
 		setPtr(rec.DirBuf.Data, rec.EntryOff, int32(add.Ino))
 		fs.entryStored(p, add, rec.DirBuf, rec.EntryOff)
 	}
@@ -626,6 +628,9 @@ func (fs *FS) freeFile(p *sim.Proc, ino Ino, ip *Inode, ib *cache.Buf, ioff int)
 	runs, _ := fs.collectRuns(p, ip)
 	fs.charge(p, fs.cfg.Costs.InodeOp)
 	delete(fs.prefCG, ino)
+	if ip.IsDir() {
+		fs.dirIdx.drop(ino, runs)
+	}
 	fs.freeBlocks(p, ino, &Inode{Gen: ip.Gen}, ib, ioff, runs, ino)
 }
 
