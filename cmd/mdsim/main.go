@@ -42,7 +42,8 @@ import (
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run is the whole command: 0 on success, 1 when a run fails, 2 on a
-// usage error (reported in one line, before any cell simulates).
+// usage error (reported in one line, before any file is created or any
+// cell simulates).
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("mdsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -74,6 +75,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *scenarioNodes < 0 {
 		return fail(2, "-scenario-nodes %d: the cluster size cannot be negative (see -h)", *scenarioNodes)
+	}
+	schemeSet := false
+	fs.Visit(func(f *flag.Flag) { schemeSet = schemeSet || f.Name == "optrace-scheme" })
+	switch {
+	case *traceScheme != "" && *opTrace != "":
+		return fail(2, "-trace and -optrace are two runs: give one (see -h)")
+	case schemeSet && *opTrace == "":
+		return fail(2, "-optrace-scheme applies only with -optrace (see -h)")
+	case *csvPath != "" && *traceScheme == "":
+		return fail(2, "-csv applies only with -trace (see -h)")
+	}
+	schemeFlag, schemeName := "-trace", *traceScheme
+	if *opTrace != "" {
+		schemeFlag, schemeName = "-optrace-scheme", *opTraceScheme
+	}
+	var scheme fsim.Scheme
+	if schemeName != "" {
+		var err error
+		if scheme, err = fsim.ParseScheme(schemeName); err != nil {
+			return fail(2, "%s: %v", schemeFlag, err)
+		}
 	}
 
 	if *cpuProfile != "" {
@@ -110,13 +132,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *opTrace != "" {
-		if err := runOpTrace(stdout, *opTraceScheme, harness.Scale(*scale), *opTrace); err != nil {
+		if err := runOpTrace(stdout, scheme, harness.Scale(*scale), *opTrace); err != nil {
 			return fail(1, "%v", err)
 		}
 		return 0
 	}
 	if *traceScheme != "" {
-		if err := runTrace(stdout, *traceScheme, harness.Scale(*scale), *csvPath); err != nil {
+		if err := runTrace(stdout, scheme, harness.Scale(*scale), *csvPath); err != nil {
 			return fail(1, "%v", err)
 		}
 		return 0
@@ -194,11 +216,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 // attached and writes the spans as Chrome trace-event JSON (load in
 // chrome://tracing or Perfetto). The file is byte-deterministic: all
 // timestamps are virtual.
-func runOpTrace(stdout io.Writer, schemeName string, scale harness.Scale, path string) error {
-	scheme, err := fsim.ParseScheme(schemeName)
-	if err != nil {
-		return err
-	}
+func runOpTrace(stdout io.Writer, scheme fsim.Scheme, scale harness.Scale, path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -218,11 +236,7 @@ func runOpTrace(stdout io.Writer, schemeName string, scale harness.Scale, path s
 // runTrace reproduces the paper's measurement methodology on demand: run
 // the 4-user copy benchmark under one scheme with the driver instrumented,
 // then analyze the per-request queue and service delays.
-func runTrace(stdout io.Writer, schemeName string, scale harness.Scale, csvPath string) error {
-	scheme, err := fsim.ParseScheme(schemeName)
-	if err != nil {
-		return err
-	}
+func runTrace(stdout io.Writer, scheme fsim.Scheme, scale harness.Scale, csvPath string) error {
 	var stats []dev.Stat
 	elapsed := harness.TraceCopy(fsim.Options{Scheme: scheme}, 4, scale,
 		func(sys *fsim.System) { stats = sys.Driver.Trace.Stats })

@@ -11,10 +11,13 @@ import (
 	"metaupdate/internal/harness"
 )
 
-// TestUsageErrors: a bad name or parameter is one line on stderr and exit
-// status 2, decided before any cell simulates — never a goroutine trace
-// out of a runner worker.
+// TestUsageErrors: a bad name or parameter, or a flag the chosen mode does
+// not use, is one line on stderr and exit status 2, decided before any file
+// is created or any cell simulates — never a goroutine trace out of a
+// runner worker.
 func TestUsageErrors(t *testing.T) {
+	dir := t.TempDir()
+	out := filepath.Join(dir, "out")
 	cases := []struct {
 		args []string
 		want string // substring of the one stderr line
@@ -24,6 +27,11 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"-exp", "scenario-mail", "-rate", "0"}, "-rate 0"},
 		{[]string{"-exp", "all", "-rate", "-5"}, "-rate -5"},
 		{[]string{"-exp", "scenario-mail", "-scenario-nodes", "-1"}, "-scenario-nodes -1"},
+		{[]string{"-trace", "bogus"}, `-trace: unknown scheme "bogus"`},
+		{[]string{"-optrace", out, "-optrace-scheme", "bogus"}, `-optrace-scheme: unknown scheme "bogus"`},
+		{[]string{"-exp", "fig1", "-csv", out}, "-csv applies only with -trace"},
+		{[]string{"-exp", "fig1", "-optrace-scheme", "chains"}, "-optrace-scheme applies only with -optrace"},
+		{[]string{"-trace", "softupdates", "-optrace", out}, "-trace and -optrace are two runs"},
 	}
 	for _, c := range cases {
 		var stdout, stderr bytes.Buffer
@@ -36,6 +44,10 @@ func TestUsageErrors(t *testing.T) {
 		}
 		if stdout.Len() != 0 {
 			t.Errorf("%v: wrote %q to stdout before failing", c.args, stdout.String())
+		}
+		if _, err := os.Stat(out); err == nil {
+			t.Errorf("%v: created %s before failing", c.args, out)
+			os.Remove(out)
 		}
 	}
 	var stdout, stderr bytes.Buffer

@@ -124,6 +124,3 @@ func (g *Gen) Next() sim.Time {
 	g.i++
 	return g.at
 }
-
-// Index reports how many arrivals have been generated.
-func (g *Gen) Index() int64 { return g.i }

@@ -242,9 +242,6 @@ func New(eng *sim.Engine, drv *dev.Driver, cpu *sim.CPU, cfg Config) *Cache {
 // Config returns the cache configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
-// Engine returns the simulation engine (for scheme timer scheduling).
-func (c *Cache) Engine() *sim.Engine { return c.eng }
-
 // Driver returns the device driver.
 func (c *Cache) Driver() *dev.Driver { return c.drv }
 

@@ -33,7 +33,6 @@ package core
 
 import (
 	"encoding/binary"
-	"fmt"
 
 	"metaupdate/internal/cache"
 	"metaupdate/internal/dev"
@@ -125,12 +124,12 @@ type inodeDep struct {
 }
 
 type allocDirect struct {
-	owner            *cache.Buf // where the pointer lives
-	ptrOff           int
-	oldPtr, newPtr   int32
-	sizeOff          int // -1 when the owner is an indirect block
-	oldSize, newSize uint64
-	initDone         bool // new block contents have reached the disk
+	owner          *cache.Buf // where the pointer lives
+	ptrOff         int
+	oldPtr, newPtr int32
+	sizeOff        int // -1 when the owner is an indirect block
+	oldSize        uint64
+	initDone       bool // new block contents have reached the disk
 	// covered: the write currently in flight from the owner carries this
 	// allocation's pointer (it was ready at issue time).
 	covered bool
@@ -160,7 +159,6 @@ func (ad *allocDirect) ready() bool {
 type dirAdd struct {
 	buf     *cache.Buf // directory block
 	off     int
-	ino     ffs.Ino
 	idep    *inodeDep
 	inoSafe bool
 	covered bool // in the in-flight write's source
@@ -221,37 +219,6 @@ func (s *SoftUpdates) cache() *cache.Cache { return s.fs.Cache() }
 // (zero once every update has drained to the disk).
 func (s *SoftUpdates) DepCount() int { return len(s.deps) }
 
-// DebugDeps describes the remaining dependency state (test diagnostics).
-func (s *SoftUpdates) DebugDeps() []string {
-	var out []string
-	for b, d := range s.deps {
-		desc := fmt.Sprintf("frag %d:", b.Frag)
-		for ino, idep := range d.inodeDeps {
-			desc += fmt.Sprintf(" idep(%d w=%v adds=%d allocs=%d)", ino, idep.written, len(idep.waitingAdds), len(idep.waitingAllocs))
-		}
-		if len(d.allocs) > 0 {
-			desc += fmt.Sprintf(" allocs=%d", len(d.allocs))
-			for _, ad := range d.allocs {
-				desc += fmt.Sprintf("[ptr@%d init=%v ready=%v waits=%d]", ad.ptrOff, ad.initDone, ad.ready(), len(ad.waitInodes))
-			}
-		}
-		if len(d.initOf) > 0 {
-			desc += fmt.Sprintf(" initOf=%d", len(d.initOf))
-		}
-		if len(d.adds) > 0 {
-			desc += fmt.Sprintf(" adds=%d", len(d.adds))
-		}
-		if len(d.rems)+len(d.remsInFlight) > 0 {
-			desc += " rems"
-		}
-		if len(d.frees)+len(d.freesInFlight) > 0 {
-			desc += " frees"
-		}
-		out = append(out, desc)
-	}
-	return out
-}
-
 // ---------------------------------------------------------------------
 // Ordering hooks
 // ---------------------------------------------------------------------
@@ -276,7 +243,7 @@ func (s *SoftUpdates) AllocInit(p *sim.Proc, rec *ffs.AllocRec) {
 		ptrOff: rec.PtrOff,
 		oldPtr: rec.OldPtr, newPtr: rec.NewFrag,
 		sizeOff: -1,
-		oldSize: rec.OldSize, newSize: rec.NewSize,
+		oldSize: rec.OldSize,
 		newBuf:  rec.NewBuf,
 		vacated: rec.Vacated(),
 	}
@@ -352,7 +319,7 @@ func (s *SoftUpdates) AddEntry(p *sim.Proc, rec *ffs.LinkRec) {
 	if d.adds == nil {
 		d.adds = make(map[int]*dirAdd)
 	}
-	add := &dirAdd{buf: rec.DirBuf, off: rec.EntryOff, ino: rec.Ino, idep: idep}
+	add := &dirAdd{buf: rec.DirBuf, off: rec.EntryOff, idep: idep}
 	d.adds[rec.EntryOff] = add
 	idep.waitingAdds = append(idep.waitingAdds, add)
 }

@@ -78,9 +78,6 @@ type node struct {
 	// ordinal.
 	effPreds []uint64
 	predOrds []int
-	// completedAt is the event index of the completion, -1 if the run
-	// ended with the request still pending.
-	completedAt int
 }
 
 // apply copies the write's full content onto img.
@@ -113,14 +110,13 @@ type event struct {
 // Attach it before the workload runs; it is not safe to explore while the
 // simulation is still moving.
 type Recorder struct {
-	base    []byte
-	nodes   map[uint64]*node
-	events  []event
-	writes  int
-	sectors int64
-	torn    int          // BatchTorn events observed
-	failed  int          // requests that completed with an error
-	hseed   maphash.Seed // content-fingerprint seed, one per recording
+	base   []byte
+	nodes  map[uint64]*node
+	events []event
+	writes int
+	torn   int          // BatchTorn events observed
+	failed int          // requests that completed with an error
+	hseed  maphash.Seed // content-fingerprint seed, one per recording
 }
 
 // Attach snapshots the disk's current media as the pre-workload base image
@@ -138,12 +134,11 @@ func Attach(drv *dev.Driver, dsk *disk.Disk) *Recorder {
 // RequestSubmitted implements dev.Observer.
 func (r *Recorder) RequestSubmitted(q *dev.Request, preds []uint64) {
 	n := &node{
-		id:          q.ID,
-		ord:         len(r.nodes),
-		write:       q.Op == disk.Write,
-		lbn:         q.LBN,
-		count:       q.Count,
-		completedAt: -1,
+		id:    q.ID,
+		ord:   len(r.nodes),
+		write: q.Op == disk.Write,
+		lbn:   q.LBN,
+		count: q.Count,
 	}
 	if n.write {
 		n.data = append([]byte(nil), q.Data...)
@@ -152,7 +147,6 @@ func (r *Recorder) RequestSubmitted(q *dev.Request, preds []uint64) {
 			n.sech[s] = maphash.Bytes(r.hseed, n.data[s*disk.SectorSize:(s+1)*disk.SectorSize])
 		}
 		r.writes++
-		r.sectors += int64(q.Count)
 	}
 	// Collapse read chains: a predecessor that is itself a read
 	// contributes its own write ancestors instead. Predecessors that
@@ -186,13 +180,7 @@ func (r *Recorder) RequestSubmitted(q *dev.Request, preds []uint64) {
 
 // RequestsCompleted implements dev.Observer.
 func (r *Recorder) RequestsCompleted(ids []uint64, at sim.Time) {
-	ev := event{complete: append([]uint64(nil), ids...)}
-	r.events = append(r.events, ev)
-	for _, id := range ids {
-		if n := r.nodes[id]; n != nil {
-			n.completedAt = len(r.events) - 1
-		}
-	}
+	r.events = append(r.events, event{complete: append([]uint64(nil), ids...)})
 }
 
 // BatchTorn implements dev.FaultObserver: a faulted write batch committed
@@ -211,9 +199,6 @@ func (r *Recorder) RequestsFailed(ids []uint64, at sim.Time) {
 	r.failed += len(ids)
 	r.events = append(r.events, event{failed: append([]uint64(nil), ids...)})
 }
-
-// Writes reports the number of recorded write requests.
-func (r *Recorder) Writes() int { return r.writes }
 
 // Instant reports the crash instant the recorded timeline stands at, as
 // Explore will number it (0 is the pre-workload image; every event that

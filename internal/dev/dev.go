@@ -204,7 +204,6 @@ type Stat struct {
 	Service  sim.Duration // dispatch -> completion ("disk access time")
 	Response sim.Duration // submission -> completion ("driver response time")
 	CacheHit bool
-	Failed   bool // request completed with an error
 }
 
 // Trace accumulates per-request statistics.
@@ -431,9 +430,6 @@ type FaultObserver interface {
 
 // SetObserver installs (or, with nil, removes) the timeline observer.
 func (d *Driver) SetObserver(o Observer) { d.obs = o }
-
-// QueueLen reports queued (not yet dispatched) requests.
-func (d *Driver) QueueLen() int { return d.nqueued }
 
 // Busy reports whether any request is queued or in flight.
 func (d *Driver) Busy() bool { return d.nqueued > 0 || len(d.inflight) > 0 }
@@ -982,7 +978,6 @@ func (d *Driver) retire(r *Request, now sim.Time, err error, cacheHit bool) {
 		Service:  now - r.dispatchAt,
 		Response: now - r.enqueueAt,
 		CacheHit: cacheHit,
-		Failed:   err != nil,
 	})
 }
 
@@ -1112,10 +1107,4 @@ func (d *Driver) Crash(at sim.Time) {
 		}
 	}
 	d.commitPrefix(d.inflight, sectorsDone)
-}
-
-// IsPending reports whether request id has not yet completed.
-func (d *Driver) IsPending(id uint64) bool {
-	_, ok := d.pending[id]
-	return ok
 }

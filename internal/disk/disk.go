@@ -149,7 +149,6 @@ type Disk struct {
 	SectorsRead    int64
 	SectorsWritten int64
 	BusyTime       sim.Duration
-	Remaps         int64 // sectors remapped to spares
 }
 
 // New returns a disk with the given parameters and zeroed media. Only
@@ -206,7 +205,6 @@ func (d *Disk) Remap(lbn int64) bool {
 		return false
 	}
 	d.remapped[lbn] = struct{}{}
-	d.Remaps++
 	return true
 }
 

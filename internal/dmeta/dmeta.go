@@ -119,19 +119,12 @@ type part struct {
 	next       uint64
 }
 
-// PartInfo is the exported view of one partition map entry.
-type PartInfo struct {
-	Start, End uint64
-	Node       int
-}
-
 // Cluster is the distributed metadata service: the node set, the
 // client-side router state (partition map + allocation cursors), and the
 // cross-partition statistics the experiments report. All Cluster fields
 // are LP 0 state.
 type Cluster struct {
 	exec     sim.Exec
-	net      *simnet.Network
 	cfg      Config
 	obs      *obs.Recorder
 	clientEp *simnet.Endpoint
@@ -185,7 +178,6 @@ func New(exec sim.Exec, net *simnet.Network, cfg Config) (*Cluster, error) {
 	}
 	c := &Cluster{
 		exec:     exec,
-		net:      net,
 		cfg:      cfg,
 		obs:      cfg.Obs,
 		clientEp: net.Endpoint(0),
@@ -289,9 +281,6 @@ func (c *Cluster) router(p *sim.Proc) {
 // Exec returns the execution host the cluster runs on.
 func (c *Cluster) Exec() sim.Exec { return c.exec }
 
-// Net returns the cluster's network.
-func (c *Cluster) Net() *simnet.Network { return c.net }
-
 // ActiveNodes returns the number of nodes currently owning a partition.
 func (c *Cluster) ActiveNodes() int { return c.active }
 
@@ -307,15 +296,6 @@ func (c *Cluster) Forwards() int64 {
 		n += nd.forwards
 	}
 	return n
-}
-
-// Parts returns a copy of the partition map in key order.
-func (c *Cluster) Parts() []PartInfo {
-	out := make([]PartInfo, len(c.parts))
-	for i, pt := range c.parts {
-		out[i] = PartInfo{Start: pt.start, End: pt.end, Node: pt.node}
-	}
-	return out
 }
 
 // ownerOf returns the node id owning key under the router's (possibly
@@ -613,16 +593,6 @@ func (c *Cluster) Crash(t sim.Time) [][]byte {
 	imgs := make([][]byte, len(c.nodes))
 	for i, n := range c.nodes {
 		n.St.Driver.Crash(t)
-		imgs[i] = n.St.Disk.CloneImage()
-	}
-	return imgs
-}
-
-// Images returns an independent media snapshot per node (quiescent
-// cluster assumed; use Crash for failure snapshots).
-func (c *Cluster) Images() [][]byte {
-	imgs := make([][]byte, len(c.nodes))
-	for i, n := range c.nodes {
 		imgs[i] = n.St.Disk.CloneImage()
 	}
 	return imgs

@@ -156,24 +156,6 @@ func New(spec Spec, sectors int64) *Plan {
 	return p
 }
 
-// Spec returns the plan's spec.
-func (p *Plan) Spec() Spec { return p.spec }
-
-// BadSectorList returns the permanent bad sectors in ascending order (for
-// tests and reports).
-func (p *Plan) BadSectorList() []int64 {
-	out := make([]int64, 0, len(p.bad))
-	for s := range p.bad {
-		out = append(out, s)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
-
 // Judge decides the outcome of one media access. Exactly three draws are
 // taken from the stream per call regardless of outcome, so the stream
 // position is a pure function of the access count.

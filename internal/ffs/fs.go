@@ -122,9 +122,6 @@ func (fs *FS) CPU() *sim.CPU { return fs.cpu }
 // Ordering returns the active scheme.
 func (fs *FS) Ordering() Ordering { return fs.ord }
 
-// Config returns the mount configuration.
-func (fs *FS) Config() Config { return fs.cfg }
-
 func (fs *FS) charge(p *sim.Proc, d sim.Duration) {
 	if fs.cpu != nil {
 		sp := obs.SpanOf(p)

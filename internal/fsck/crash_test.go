@@ -240,7 +240,7 @@ func TestAllocationInitializationSecurity(t *testing.T) {
 			r := buildCrashRig(t, scheme, allocInit, reuseChurn)
 			r.eng.RunUntil(at)
 			r.drv.Crash(at)
-			found += len(fsck.ContentViolations(r.dsk.Image()))
+			found += len(fsck.ContentViolationsImage(fsck.Bytes(r.dsk.Image())))
 		}
 		return found
 	}

@@ -221,10 +221,6 @@ func MakeStampedData(ino ffs.Ino, n int) []byte {
 	return b
 }
 
-// ContentViolations scans a materialized image's file data fragments; see
-// ContentViolationsImage.
-func ContentViolations(img []byte) []Finding { return ContentViolationsImage(Bytes(img)) }
-
 // ContentViolationsImage scans every file's data fragments — the data runs
 // of the checker's own walk scripts, so whatever block map Check follows
 // (indirect blocks included) this follows too. A fragment must be all-zero

@@ -107,14 +107,6 @@ func NewBaseline(base Image, workers int) *Baseline {
 	return bl
 }
 
-// NInodes reports the baseline geometry (0 if the superblock was bad).
-func (bl *Baseline) NInodes() int {
-	if !bl.ok {
-		return 0
-	}
-	return int(bl.sb.NInodes)
-}
-
 // DeltaCheckerStats counts the work a DeltaChecker has done; the gap
 // between Checks×NInodes and InodesRederived is the incremental win.
 type DeltaCheckerStats struct {

@@ -8,10 +8,9 @@ import (
 
 // TreeEntry describes one reachable object in an image's logical namespace.
 type TreeEntry struct {
-	Ino   ffs.Ino
-	Dir   bool
-	Size  uint64
-	Nlink int
+	Ino  ffs.Ino
+	Dir  bool
+	Size uint64
 }
 
 // Tree walks the directory namespace of img from the root and returns the
@@ -44,13 +43,13 @@ func Tree(img Image) (tree map[string]TreeEntry, err error) {
 		return nil, fmt.Errorf("root inode is not a directory")
 	}
 	tree = make(map[string]TreeEntry)
-	tree["/"] = TreeEntry{Ino: ffs.RootIno, Dir: true, Size: root.Size, Nlink: int(root.Nlink)}
+	tree["/"] = TreeEntry{Ino: ffs.RootIno, Dir: true, Size: root.Size}
 	// WalkTree descends into a directory where it first meets it, parents
 	// before children: that entry's path prefixes everything inside.
 	paths := map[ffs.Ino]string{ffs.RootIno: ""}
 	WalkTree(img, func(e WalkEntry) bool {
 		path := paths[e.Parent] + "/" + e.Name
-		tree[path] = TreeEntry{Ino: e.Ino, Dir: e.Inode.IsDir(), Size: e.Inode.Size, Nlink: int(e.Inode.Nlink)}
+		tree[path] = TreeEntry{Ino: e.Ino, Dir: e.Inode.IsDir(), Size: e.Inode.Size}
 		if _, seen := paths[e.Ino]; e.Inode.IsDir() && !seen {
 			paths[e.Ino] = path
 		}

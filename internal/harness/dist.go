@@ -30,7 +30,7 @@ type DistSpec struct {
 type DistResult struct {
 	FinalNodes int
 	Wall       sim.Duration
-	Ops, Errs  int64
+	Ops        int64
 	CrossOps   int64 // two-phase (cross-partition) rename/link/unlink ops
 	Forwards   int64 // requests routed by a stale partition map
 	Splits     int64
@@ -73,7 +73,6 @@ func distRun(opt fsim.Options, spec DistSpec) DistResult {
 		FinalNodes: c.ActiveNodes(),
 		Wall:       res.Wall,
 		Ops:        res.Ops,
-		Errs:       res.Errs,
 		CrossOps:   c.CrossOps,
 		Forwards:   c.Forwards(),
 		Splits:     c.Splits,

@@ -58,9 +58,6 @@ const defaultCap = 1 << 20
 // across the bus.
 const copyPerKB = 40 * sim.Microsecond
 
-// Used reports bytes currently held by live records.
-func (l *Log) Used() int { return l.used }
-
 // append logs the buffer's current image, blocking p while the log is full
 // (NVRAM backpressure: somebody must flush buffers to retire records).
 func (l *Log) append(p *sim.Proc, c *cache.Cache, cpu *sim.CPU, b *cache.Buf) {

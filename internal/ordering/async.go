@@ -329,16 +329,6 @@ func (o *Async) flusher(p *sim.Proc) {
 // completion) without clearing them.
 func (o *Async) Notices() []Notice { return o.notices }
 
-// DrainNotices returns and clears the delivered notifications.
-func (o *Async) DrainNotices() []Notice {
-	n := o.notices
-	o.notices = nil
-	return n
-}
-
-// PendingOps reports operations still inside the in-flight window.
-func (o *Async) PendingOps() int { return len(o.pending) }
-
 // AddEntry implements ffs.Ordering: Chains' ordering, plus the op enters
 // the durability window on the directory and inode buffers.
 func (o *Async) AddEntry(p *sim.Proc, rec *ffs.LinkRec) {

@@ -118,7 +118,7 @@ func TestFlagSchemeDoesNotBlockOnCreate(t *testing.T) {
 		if elapsed > 40*sim.Millisecond {
 			t.Fatalf("flag creates took %v; async writes should not block", elapsed)
 		}
-		if r.drv.Trace.Requests()+r.drv.QueueLen() < 1 {
+		if r.drv.Trace.Requests() < 1 && !r.drv.Busy() {
 			t.Fatal("no async writes were issued")
 		}
 	})

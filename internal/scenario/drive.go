@@ -190,8 +190,6 @@ type KindStats struct {
 // Result is one open-loop run's outcome. All fields are plain values
 // derived from virtual time, so results memoize and compare exactly.
 type Result struct {
-	Scenario string
-
 	// Whole-run counters (warmup included).
 	Issued      int // arrivals offered
 	Dropped     int // arrivals refused by the MaxInFlight bound
@@ -215,7 +213,7 @@ type Result struct {
 // queueing delay a closed-loop harness would hide is included, which is
 // the point of the open loop.
 func Drive(exec sim.Exec, target Target, stream Stream, spec RunSpec) Result {
-	res := Result{Scenario: stream.Name()}
+	var res Result
 	var lat trace.Digest
 	lat.SetCap(latCap)
 	done := false

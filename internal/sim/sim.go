@@ -135,11 +135,6 @@ func (e *Engine) Executed() uint64 { return e.executed }
 // Live reports the number of spawned processes that have not finished.
 func (e *Engine) Live() int { return e.live }
 
-// Halted reports whether the last RunUntil stopped at its limit (leaving
-// events queued) rather than draining the queue. A halted engine rejects new
-// events until Run/RunUntil/RunWhile is called again.
-func (e *Engine) Halted() bool { return e.halted }
-
 // NewEngine returns an empty simulation at time zero.
 func NewEngine() *Engine { return &Engine{} }
 
@@ -195,9 +190,6 @@ func (e *Engine) AtPri(t Time, pri uint64, d Delivery) {
 	e.seq++
 	e.push(event{at: t, pri: pri, seq: e.seq, del: d})
 }
-
-// After schedules fn to run in engine context d from now.
-func (e *Engine) After(d Duration, fn func()) { e.At(e.now+d, fn) }
 
 // scheduleProc schedules p to resume at time t. This is the allocation-free
 // wake path: the event carries the proc pointer, no closure is created.
@@ -637,15 +629,6 @@ func (m *Mutex) Lock(p *Proc) {
 	// Ownership was transferred to us by Unlock.
 }
 
-// TryLock acquires m if free and reports whether it did.
-func (m *Mutex) TryLock() bool {
-	if m.held {
-		return false
-	}
-	m.held = true
-	return true
-}
-
 // Unlock releases m, handing ownership to the oldest waiter if any. It may
 // be called from engine context (completion callbacks) as well as from
 // processes, so it takes the engine rather than a proc.
@@ -725,7 +708,6 @@ func (c *CPU) release(e *Engine) {
 type WaitGroup struct {
 	n      int
 	waiter *Proc
-	eng    *Engine
 }
 
 // Add increments the outstanding count.

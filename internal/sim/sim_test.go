@@ -409,9 +409,9 @@ func TestRunWhileStopsOnCondition(t *testing.T) {
 	var tick func()
 	tick = func() {
 		count++
-		e.After(Millisecond, tick)
+		e.At(e.Now()+Millisecond, tick)
 	}
-	e.After(Millisecond, tick)
+	e.At(e.Now()+Millisecond, tick)
 	e.RunWhile(func() bool { return count < 10 })
 	if count != 10 {
 		t.Fatalf("ran %d ticks, want 10", count)

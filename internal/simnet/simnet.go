@@ -95,9 +95,6 @@ type Message struct {
 	ReplyTo int
 	IsReply bool
 
-	// Seq is the sender's per-endpoint send sequence number; (From, Seq)
-	// identifies a message globally and orders same-instant deliveries.
-	Seq uint64
 	// SentAt is when the sender issued the message; At when it arrived.
 	SentAt, At sim.Time
 	// Queued is time spent waiting for the link pipe; Wire is
@@ -222,7 +219,7 @@ type Endpoint struct {
 	lp     int         // host LP index (0 on a serial network)
 	outbox *sim.Outbox // cross-LP send buffer (nil on a serial network)
 
-	sendSeq uint64           // per-source sequence: Message.Seq and the pri key
+	sendSeq uint64           // per-source sequence: the pri key
 	reqID   uint64           // per-endpoint Call id source
 	busy    map[int]sim.Time // per-destination pipe occupancy
 
@@ -238,9 +235,6 @@ type Endpoint struct {
 	closed   bool
 }
 
-// ID returns the endpoint's network address.
-func (ep *Endpoint) ID() int { return ep.id }
-
 // Host returns the engine the endpoint lives on — the place to spawn
 // the processes that serve it.
 func (ep *Endpoint) Host() *sim.Engine { return ep.eng }
@@ -248,9 +242,6 @@ func (ep *Endpoint) Host() *sim.Engine { return ep.eng }
 // Queued returns the inbox depth — the load signal the dmeta split
 // policy watches.
 func (ep *Endpoint) Queued() int { return len(ep.inbox) - ep.head }
-
-// Sent reports the messages this endpoint has sent.
-func (ep *Endpoint) Sent() int64 { return ep.sent }
 
 // priBits is the width of the per-source sequence inside the pri key.
 const priBits = 40
@@ -269,7 +260,6 @@ func (ep *Endpoint) send(m Message) Message {
 	ep.busy[m.To] = start + xmit
 
 	ep.sendSeq++
-	m.Seq = ep.sendSeq
 	m.SentAt = now
 	m.At = start + xmit + ep.n.p.Latency
 	m.Queued = start - now

@@ -39,7 +39,6 @@ func DefaultSdet() Sdet {
 
 // sdetCommand is one entry in the predetermined function mix.
 type sdetCommand struct {
-	name   string
 	weight int
 	run    func(s *sdetScript, p *sim.Proc) error
 }
@@ -56,9 +55,8 @@ type sdetScript struct {
 	home  ffs.Ino
 	seq   int
 	files []string // files currently existing in the home directory
-	cfg   Sdet
-	buf   []byte // read scratch
-	data  []byte // write-payload scratch
+	buf   []byte   // read scratch
+	data  []byte   // write-payload scratch
 }
 
 func (s *sdetScript) newName(prefix string) string {
@@ -88,7 +86,7 @@ func (s *sdetScript) pickFile() (string, bool) {
 // file creation, editing and searching, with occasional compiles and
 // directory operations.
 var sdetMix = []sdetCommand{
-	{"touch", 15, func(s *sdetScript, p *sim.Proc) error { // create small file
+	{15, func(s *sdetScript, p *sim.Proc) error { // touch: create a small file
 		name := s.newName("f")
 		ino, err := s.fs.Create(p, s.home, name)
 		if err != nil {
@@ -97,7 +95,7 @@ var sdetMix = []sdetCommand{
 		s.files = append(s.files, name)
 		return s.fs.WriteAt(p, ino, 0, s.fill(500+s.rng.Intn(4000)))
 	}},
-	{"edit", 20, func(s *sdetScript, p *sim.Proc) error { // read-modify-write
+	{20, func(s *sdetScript, p *sim.Proc) error { // edit: read-modify-write
 		name, ok := s.pickFile()
 		if !ok {
 			return nil
@@ -110,7 +108,7 @@ var sdetMix = []sdetCommand{
 		s.cpu.Use(p, 10*sim.Millisecond) // editor startup + buffer work
 		return s.fs.WriteAt(p, ino, uint64(n), s.fill(512))
 	}},
-	{"rm", 10, func(s *sdetScript, p *sim.Proc) error {
+	{10, func(s *sdetScript, p *sim.Proc) error { // rm
 		if len(s.files) == 0 {
 			return nil
 		}
@@ -119,7 +117,7 @@ var sdetMix = []sdetCommand{
 		s.files = append(s.files[:i], s.files[i+1:]...)
 		return s.fs.Unlink(p, s.home, name)
 	}},
-	{"cp", 10, func(s *sdetScript, p *sim.Proc) error {
+	{10, func(s *sdetScript, p *sim.Proc) error { // cp
 		name, ok := s.pickFile()
 		if !ok {
 			return nil
@@ -137,7 +135,7 @@ var sdetMix = []sdetCommand{
 		n, _ := s.fs.ReadAt(p, src, 0, s.buf)
 		return s.fs.WriteAt(p, ino, 0, s.buf[:n])
 	}},
-	{"cc", 8, func(s *sdetScript, p *sim.Proc) error { // small compile
+	{8, func(s *sdetScript, p *sim.Proc) error { // cc: a small compile
 		name, ok := s.pickFile()
 		if !ok {
 			return nil
@@ -156,7 +154,7 @@ var sdetMix = []sdetCommand{
 		s.files = append(s.files, obj)
 		return s.fs.WriteAt(p, oino, 0, s.fill(6000))
 	}},
-	{"ls", 15, func(s *sdetScript, p *sim.Proc) error {
+	{15, func(s *sdetScript, p *sim.Proc) error { // ls
 		ents, err := s.fs.ReadDir(p, s.home)
 		if err != nil {
 			return err
@@ -164,7 +162,7 @@ var sdetMix = []sdetCommand{
 		s.cpu.Use(p, sim.Duration(len(ents))*sim.Millisecond)
 		return nil
 	}},
-	{"grep", 12, func(s *sdetScript, p *sim.Proc) error { // read a few files
+	{12, func(s *sdetScript, p *sim.Proc) error { // grep: read a few files
 		buf := s.buf
 		for i := 0; i < 3; i++ {
 			name, ok := s.pickFile()
@@ -180,14 +178,14 @@ var sdetMix = []sdetCommand{
 		}
 		return nil
 	}},
-	{"mkdir-rmdir", 5, func(s *sdetScript, p *sim.Proc) error {
+	{5, func(s *sdetScript, p *sim.Proc) error { // mkdir-rmdir
 		name := s.newName("d")
 		if _, err := s.fs.Mkdir(p, s.home, name); err != nil {
 			return err
 		}
 		return s.fs.Rmdir(p, s.home, name)
 	}},
-	{"mv", 5, func(s *sdetScript, p *sim.Proc) error {
+	{5, func(s *sdetScript, p *sim.Proc) error { // mv
 		name, ok := s.pickFile()
 		if !ok {
 			return nil
@@ -243,7 +241,6 @@ func (cfg Sdet) RunScript(p *sim.Proc, fs *ffs.FS, parent ffs.Ino, binDir ffs.In
 		cpu:  fs.CPU(),
 		rng:  rand.New(rand.NewSource(cfg.Seed + int64(scriptID)*7919)),
 		home: home,
-		cfg:  cfg,
 		buf:  make([]byte, 8192),
 		data: make([]byte, 8192),
 	}

@@ -27,7 +27,6 @@ type TreeSpec struct {
 	Files      int
 	TotalBytes int64
 	Dirs       int
-	Depth      int
 	Seed       int64
 }
 
@@ -35,12 +34,7 @@ type TreeSpec struct {
 // "535 files totaling 14.3 MB of storage taken from the first author's
 // home directory".
 func PaperTree() TreeSpec {
-	return TreeSpec{Files: 535, TotalBytes: 14_300_000, Dirs: 36, Depth: 3, Seed: 1994}
-}
-
-// SmallTree is a scaled-down variant for quick tests and examples.
-func SmallTree() TreeSpec {
-	return TreeSpec{Files: 60, TotalBytes: 1_500_000, Dirs: 8, Depth: 2, Seed: 7}
+	return TreeSpec{Files: 535, TotalBytes: 14_300_000, Dirs: 36, Seed: 1994}
 }
 
 // Sizes returns the deterministic per-file sizes: a clamped lognormal mix
@@ -96,7 +90,10 @@ func fillContent(b []byte, idx int) {
 }
 
 // Build creates the tree under parent/name and returns its root directory.
-// Files are distributed round-robin over a dir hierarchy Depth levels deep.
+// It makes Dirs directories, the root included, each new one a child of
+// the first that has fewer than three (branching factor 3), so the depth
+// follows from Dirs: 36 reach three levels below the root, 8 reach two.
+// Files are distributed round-robin over the directories.
 func (ts TreeSpec) Build(p *sim.Proc, fs *ffs.FS, parent ffs.Ino, name string) (ffs.Ino, error) {
 	root, err := fs.Mkdir(p, parent, name)
 	if err != nil {
