@@ -72,6 +72,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return code
 	}
 
+	// Out-of-range sizes are usage errors: the layers below would each
+	// read them as "use my default", which is not the flag's.
+	for _, f := range []struct {
+		name    string
+		val, lo int
+	}{
+		{"budget", *budget, 1},
+		{"per-instant", *perInstant, 1},
+		{"files", *files, 1},
+		{"dist-nodes", *distNodes, 1},
+		{"workers", *workers, 0},
+	} {
+		if f.val < f.lo {
+			return fail(2, "-%s %d: must be at least %d", f.name, f.val, f.lo)
+		}
+	}
+
 	var list []fsim.Scheme
 	for _, name := range strings.Split(*schemes, ",") {
 		s, err := fsim.ParseScheme(name)

@@ -7,9 +7,10 @@ import (
 	"testing"
 )
 
-// TestUsageErrors: a flag -dist cannot honour, an unknown scheme or an
-// unknown flag is one line on stderr and exit status 2, before anything
-// simulates (nothing reaches stdout).
+// TestUsageErrors: a flag -dist cannot honour, an unknown scheme, a size
+// below its range (each of which a layer below would silently replace by
+// its own default) or an unknown flag is one line on stderr and exit
+// status 2, before anything simulates (nothing reaches stdout).
 func TestUsageErrors(t *testing.T) {
 	cases := []struct {
 		args []string
@@ -19,6 +20,13 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"-dist", "-seed-bug", "-schemes", "softupdates"}, "-seed-bug"},
 		{[]string{"-files", "5", "-dist"}, "cannot be combined with -dist"},
 		{[]string{"-schemes", "bogus"}, "bogus"},
+		{[]string{"-budget", "0", "-files", "2", "-schemes", "noorder"}, "-budget 0"},
+		{[]string{"-budget", "-5", "-files", "2", "-schemes", "noorder"}, "-budget -5"},
+		{[]string{"-per-instant", "-1", "-files", "2", "-schemes", "noorder"}, "-per-instant -1"},
+		{[]string{"-files", "0", "-schemes", "noorder"}, "-files 0"},
+		{[]string{"-files", "-3", "-schemes", "noorder"}, "-files -3"},
+		{[]string{"-workers", "-2", "-files", "2", "-schemes", "noorder"}, "-workers -2"},
+		{[]string{"-dist", "-dist-nodes", "0", "-schemes", "noorder"}, "-dist-nodes 0"},
 	}
 	for _, c := range cases {
 		var stdout, stderr bytes.Buffer

@@ -284,13 +284,16 @@ type Stats struct {
 	Checked   int64 `json:"checked"`   // distinct images run through fsck
 	Violating int64 `json:"violating"` // distinct images with rule violations
 
-	// Incremental reports the checking mode; BaselineBuilds counts the
-	// committed-image baselines derived in incremental mode, summed over
-	// the workers: each derives one whenever its own image has moved, so
-	// with more than one worker the count depends on which worker drew
-	// which job.
-	Incremental    bool  `json:"incremental"`
-	BaselineBuilds int64 `json:"baseline_builds,omitempty"`
+	// Incremental reports the checking mode. In incremental mode each
+	// worker derives a Baseline of its committed image once and advances
+	// it whenever the image moves: BaselineBuilds counts the full
+	// derivations (one per worker, plus the advances that wrote the
+	// superblock sector and so fell back to one), BaselineAdvances the
+	// others. Both are summed over the workers, so with more than one
+	// worker they depend on which worker drew which job.
+	Incremental      bool  `json:"incremental"`
+	BaselineBuilds   int64 `json:"baseline_builds,omitempty"`
+	BaselineAdvances int64 `json:"baseline_advances,omitempty"`
 
 	ElapsedSec    float64 `json:"elapsed_sec"`     // wall-clock exploration time
 	CheckedPerSec float64 `json:"checked_per_sec"` // fsck throughput

@@ -148,25 +148,45 @@ func TestSeededViolationShrinks(t *testing.T) {
 
 // TestWorkerCountInvariance pins the determinism contract: the exploration
 // is enumerated single-threaded and every worker rolls its own committed
-// image along the same done order, so every counter and the retained
-// violation set must be identical regardless of checker parallelism.
+// image along the same done order, advancing its own Baseline with it, so
+// every counter and the retained violation set must be identical
+// regardless of checker parallelism. No Order brings retained violations;
+// Conventional and Async Durability bring images that move, so each row
+// asserts the Baselines advanced.
 func TestWorkerCountInvariance(t *testing.T) {
-	rec := record(t, fsim.NoOrder, 8, false)
-	one := rec.Explore(crashmc.Config{Workers: 1, Budget: 1000, PerInstant: 256})
-	if one.Clean() {
-		t.Fatal("noorder exploration is clean: no retained violations to compare")
-	}
-	for _, workers := range []int{2, 4} {
-		many := rec.Explore(crashmc.Config{Workers: workers, Budget: 1000, PerInstant: 256})
-		if one.Stats.Explored != many.Stats.Explored ||
-			one.Stats.Checked != many.Stats.Checked ||
-			one.Stats.Deduped != many.Stats.Deduped ||
-			one.Stats.Violating != many.Stats.Violating {
-			t.Fatalf("counters differ across worker counts:\n1: %+v\n%d: %+v", one.Stats, workers, many.Stats)
-		}
-		if !reflect.DeepEqual(one.Violations, many.Violations) {
-			t.Fatalf("retained violations differ between 1 and %d workers:\n1: %+v\n%d: %+v",
-				workers, one.Violations, workers, many.Violations)
-		}
+	for _, tc := range []struct {
+		scheme   fsim.Scheme
+		advances bool
+	}{
+		{fsim.NoOrder, false},
+		{fsim.Conventional, true},
+		{fsim.AsyncDurability, true},
+	} {
+		t.Run(tc.scheme.Slug(), func(t *testing.T) {
+			rec := record(t, tc.scheme, 8, false)
+			one := rec.Explore(crashmc.Config{Workers: 1, Budget: 1000, PerInstant: 256})
+			if tc.scheme == fsim.NoOrder && one.Clean() {
+				t.Fatal("noorder exploration is clean: no retained violations to compare")
+			}
+			for _, workers := range []int{2, 4} {
+				many := rec.Explore(crashmc.Config{Workers: workers, Budget: 1000, PerInstant: 256})
+				if one.Stats.Explored != many.Stats.Explored ||
+					one.Stats.Checked != many.Stats.Checked ||
+					one.Stats.Deduped != many.Stats.Deduped ||
+					one.Stats.Violating != many.Stats.Violating {
+					t.Fatalf("counters differ across worker counts:\n1: %+v\n%d: %+v", one.Stats, workers, many.Stats)
+				}
+				if !reflect.DeepEqual(one.Violations, many.Violations) {
+					t.Fatalf("retained violations differ between 1 and %d workers:\n1: %+v\n%d: %+v",
+						workers, one.Violations, workers, many.Violations)
+				}
+				if tc.advances && many.Stats.BaselineAdvances == 0 {
+					t.Errorf("%d workers advanced no baseline", workers)
+				}
+			}
+			if tc.advances && one.Stats.BaselineAdvances == 0 {
+				t.Error("one worker advanced no baseline: the rolling path went unchecked")
+			}
+		})
 	}
 }

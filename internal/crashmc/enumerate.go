@@ -137,17 +137,18 @@ func (r *Recorder) Explore(cfg Config) *Result {
 
 	res := &Result{
 		Stats: Stats{
-			Requests:       len(r.nodes),
-			Writes:         r.writes,
-			Instants:       x.instant + 1,
-			Torn:           r.torn,
-			Failed:         r.failed,
-			Explored:       x.explored,
-			Deduped:        x.preDeduped,
-			Checked:        pool.checked.Load(),
-			Violating:      pool.violating.Load(),
-			BaselineBuilds: pool.builds.Load(),
-			Incremental:    pool.incremental,
+			Requests:         len(r.nodes),
+			Writes:           r.writes,
+			Instants:         x.instant + 1,
+			Torn:             r.torn,
+			Failed:           r.failed,
+			Explored:         x.explored,
+			Deduped:          x.preDeduped,
+			Checked:          pool.checked.Load(),
+			Violating:        pool.violating.Load(),
+			BaselineBuilds:   pool.builds.Load(),
+			BaselineAdvances: pool.advances.Load(),
+			Incremental:      pool.incremental,
 		},
 		Violations: pool.takeViolations(),
 	}
@@ -527,11 +528,11 @@ func (x *explorer) emitInstant() {
 // candidate.
 //
 // By default checking is incremental: a worker derives an fsck.Baseline of
-// its committed image whenever that image has moved, and replays candidate
-// overlays against it through its DeltaChecker — re-deriving only the state
-// the delta's dirty sectors reach. The differential oracle
-// (incremental_test.go) pins the reports bit-identical to the full walks
-// cfg.Recover needs.
+// its committed image once, advances it by the sectors the image moved by
+// whenever it moves, and replays candidate overlays against it through its
+// DeltaChecker — re-deriving only the state the delta's dirty sectors
+// reach. The differential oracle (incremental_test.go) pins the reports
+// bit-identical to the full walks cfg.Recover needs.
 type checkerPool struct {
 	cfg         Config
 	incremental bool
@@ -539,6 +540,7 @@ type checkerPool struct {
 	checked   atomic.Int64
 	violating atomic.Int64
 	builds    atomic.Int64
+	advances  atomic.Int64
 
 	// subsets free-lists the job subset slices (dev's request-pool idiom):
 	// the single-threaded explorer copies each emitted subset into a slice
@@ -587,6 +589,7 @@ func (cp *checkerPool) putSubset(sp *[]*node) {
 type committedImage struct {
 	img     []byte
 	applied int
+	dirty   []int64 // sectors the last move wrote (repeats allowed)
 }
 
 // advance rolls the image forward to done and reports whether it moved.
@@ -594,8 +597,12 @@ func (c *committedImage) advance(done []*node) bool {
 	if len(done) == c.applied {
 		return false
 	}
+	c.dirty = c.dirty[:0]
 	for _, n := range done[c.applied:] {
 		n.apply(c.img)
+		for i := 0; i < n.count; i++ {
+			c.dirty = append(c.dirty, n.lbn+int64(i))
+		}
 	}
 	c.applied = len(done)
 	return true
@@ -604,21 +611,26 @@ func (c *committedImage) advance(done []*node) bool {
 func (cp *checkerPool) run(base []byte, jobs <-chan job) {
 	com := committedImage{img: append([]byte(nil), base...)}
 	ov := &overlay{}
-	var dc *fsck.DeltaChecker // bound to a Baseline of com.img as it stands
+	var bl *fsck.Baseline     // of com.img as it stands; aliases it
+	var dc *fsck.DeltaChecker // bound to bl
 	var scratch []byte        // materialized image for cfg.Recover
 	for j := range jobs {
 		moved := com.advance(j.done)
 		ov.load(&j, com.img)
 		if cp.incremental {
-			if dc == nil || moved {
+			switch {
+			case dc == nil:
 				cp.builds.Add(1)
-				bl := fsck.NewBaseline(fsck.Bytes(com.img), 1)
-				if dc == nil {
-					dc = fsck.NewDeltaChecker(bl)
-					dc.SkipDetails(true)
+				bl = fsck.NewBaseline(fsck.Bytes(com.img), 1)
+				dc = fsck.NewDeltaChecker(bl)
+				dc.SkipDetails(true)
+			case moved:
+				if bl.Advance(com.dirty) {
+					cp.builds.Add(1)
 				} else {
-					dc.Rebind(bl)
+					cp.advances.Add(1)
 				}
+				dc.Rebind(bl)
 			}
 			// Triage without formatting finding details — almost every
 			// candidate's report is discarded. Only candidates that would

@@ -174,50 +174,67 @@ func TestIncrementalEqualsFull(t *testing.T) {
 // TestExploreFullCheckAgrees runs whole explorations on the incremental
 // (default) path and on the per-candidate full path — selected the way
 // production selects it, by a Recover hook (here one that recovers nothing)
-// — each at one pool worker and at four (every worker then derives the
-// baselines of its own committed image), and requires identical counters
-// and identical retained violations.
+// — each at one pool worker and at four, and requires identical counters
+// and identical retained violations. No Order brings the violations to
+// compare; Conventional and Async Durability bring committed images that
+// move, so the workers' Baselines advance (each row asserts they did).
 func TestExploreFullCheckAgrees(t *testing.T) {
-	rec := recordRun(t, fsim.NoOrder, 8)
-	base := Config{Workers: 1, Budget: 1000, PerInstant: 256}
-	inc := rec.Explore(base)
+	for _, tc := range []struct {
+		scheme   fsim.Scheme
+		advances bool
+	}{
+		{fsim.NoOrder, false},
+		{fsim.Conventional, true},
+		{fsim.AsyncDurability, true},
+	} {
+		t.Run(tc.scheme.Slug(), func(t *testing.T) {
+			rec := recordRun(t, tc.scheme, 8)
+			base := Config{Workers: 1, Budget: 1000, PerInstant: 256}
+			inc := rec.Explore(base)
 
-	full := base
-	full.Recover = func([]byte) {}
-	fres := rec.Explore(full)
+			full := base
+			full.Recover = func([]byte) {}
+			fres := rec.Explore(full)
 
-	pw := base
-	pw.Workers = 4
-	pres := rec.Explore(pw)
+			pw := base
+			pw.Workers = 4
+			pres := rec.Explore(pw)
 
-	fpw := full
-	fpw.Workers = 4
-	fpres := rec.Explore(fpw)
+			fpw := full
+			fpw.Workers = 4
+			fpres := rec.Explore(fpw)
 
-	for name, res := range map[string]*Result{"full": fres, "incremental, 4 workers": pres, "full, 4 workers": fpres} {
-		if inc.Stats.Explored != res.Stats.Explored || inc.Stats.Checked != res.Stats.Checked ||
-			inc.Stats.Deduped != res.Stats.Deduped || inc.Stats.Violating != res.Stats.Violating {
-			t.Fatalf("%s: counters differ from incremental:\ninc:  %+v\n%s: %+v", name, inc.Stats, name, res.Stats)
-		}
-		if len(inc.Violations) != len(res.Violations) {
-			t.Fatalf("%s: retained violations differ: %d vs %d", name, len(inc.Violations), len(res.Violations))
-		}
-		for i := range inc.Violations {
-			if inc.Violations[i].Seq != res.Violations[i].Seq ||
-				!reflect.DeepEqual(inc.Violations[i].Findings, res.Violations[i].Findings) {
-				t.Fatalf("%s: violation %d differs:\ninc:  %+v\nother: %+v", name, i,
-					inc.Violations[i], res.Violations[i])
+			for name, res := range map[string]*Result{"full": fres, "incremental, 4 workers": pres, "full, 4 workers": fpres} {
+				if inc.Stats.Explored != res.Stats.Explored || inc.Stats.Checked != res.Stats.Checked ||
+					inc.Stats.Deduped != res.Stats.Deduped || inc.Stats.Violating != res.Stats.Violating {
+					t.Fatalf("%s: counters differ from incremental:\ninc:  %+v\n%s: %+v", name, inc.Stats, name, res.Stats)
+				}
+				if len(inc.Violations) != len(res.Violations) {
+					t.Fatalf("%s: retained violations differ: %d vs %d", name, len(inc.Violations), len(res.Violations))
+				}
+				for i := range inc.Violations {
+					if inc.Violations[i].Seq != res.Violations[i].Seq ||
+						!reflect.DeepEqual(inc.Violations[i].Findings, res.Violations[i].Findings) {
+						t.Fatalf("%s: violation %d differs:\ninc:  %+v\nother: %+v", name, i,
+							inc.Violations[i], res.Violations[i])
+					}
+				}
 			}
-		}
-	}
-	if !inc.Stats.Incremental || fres.Stats.Incremental {
-		t.Fatalf("Incremental flags wrong: inc=%v full=%v", inc.Stats.Incremental, fres.Stats.Incremental)
-	}
-	if inc.Stats.BaselineBuilds == 0 {
-		t.Error("incremental exploration built no baselines")
-	}
-	if fres.Stats.BaselineBuilds != 0 {
-		t.Errorf("full exploration built %d baselines; wanted none", fres.Stats.BaselineBuilds)
+			if !inc.Stats.Incremental || fres.Stats.Incremental {
+				t.Fatalf("Incremental flags wrong: inc=%v full=%v", inc.Stats.Incremental, fres.Stats.Incremental)
+			}
+			if inc.Stats.BaselineBuilds != 1 {
+				t.Errorf("one worker derived %d baselines in full; want 1, advanced after", inc.Stats.BaselineBuilds)
+			}
+			if tc.advances && (inc.Stats.BaselineAdvances == 0 || pres.Stats.BaselineAdvances == 0) {
+				t.Errorf("no baseline advanced (1 worker: %d, 4 workers: %d): the rolling path went unchecked",
+					inc.Stats.BaselineAdvances, pres.Stats.BaselineAdvances)
+			}
+			if fres.Stats.BaselineBuilds != 0 || fres.Stats.BaselineAdvances != 0 {
+				t.Errorf("full exploration built %d and advanced %d baselines; wanted none",
+					fres.Stats.BaselineBuilds, fres.Stats.BaselineAdvances)
+			}
+		})
 	}
 }
 

@@ -215,9 +215,10 @@ func TestDFSSignatureMatchesDefinition(t *testing.T) {
 
 // TestAllocFreeExploreNoImagePerInstant: an exploration allocates a fixed
 // number of images (the worker's; with the sector-indexed arrays, well under
-// three), a Baseline's records per instant and a small constant per state —
-// not an image per crash instant, which is what copying the committed image
-// after every emitted instant cost.
+// three), one Baseline per worker and a small constant per state — not an
+// image per crash instant, which is what copying the committed image after
+// every emitted instant cost, and not a Baseline per move of the committed
+// image, which is what deriving one afresh instead of advancing it cost.
 func TestAllocFreeExploreNoImagePerInstant(t *testing.T) {
 	rec := recordRun(t, fsim.Conventional, 40)
 	cfg := Config{Workers: 1, Budget: 4000, PerInstant: 64}
@@ -231,14 +232,14 @@ func TestAllocFreeExploreNoImagePerInstant(t *testing.T) {
 		t.Fatalf("timeline has %d instants, want at least 100", res.Stats.Instants)
 	}
 	const (
-		perBaseline = 512 << 10 // fsck.NewBaseline on this geometry: ≈ 390 KB
+		perBaseline = 1 << 20 // fsck.NewBaseline on this geometry: ≈ 600 KB
 		perState    = 2 << 10
 	)
 	got := after.TotalAlloc - before.TotalAlloc
-	limit := 3*uint64(len(rec.base)) + uint64(res.Stats.Instants)*perBaseline + uint64(res.Stats.Checked)*perState
+	limit := 3*uint64(len(rec.base)) + uint64(cfg.Workers)*perBaseline + uint64(res.Stats.Checked)*perState
 	perInstant := uint64(res.Stats.Instants) * uint64(len(rec.base))
-	t.Logf("%d instants, %d states: %.1f MB allocated (limit %.1f MB; an image per instant is %.1f MB)",
-		res.Stats.Instants, res.Stats.Checked, float64(got)/(1<<20), float64(limit)/(1<<20), float64(perInstant)/(1<<20))
+	t.Logf("%d instants, %d states, %d baseline advances: %.1f MB allocated (limit %.1f MB; an image per instant is %.1f MB)",
+		res.Stats.Instants, res.Stats.Checked, res.Stats.BaselineAdvances, float64(got)/(1<<20), float64(limit)/(1<<20), float64(perInstant)/(1<<20))
 	if got >= limit {
 		t.Errorf("Explore allocated %d bytes over %d instants and %d states, limit %d", got, res.Stats.Instants, res.Stats.Checked, limit)
 	}

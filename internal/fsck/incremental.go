@@ -18,30 +18,44 @@ package fsck
 // read live from the delta each time. The superblock is the one input read
 // outside a record (geometry for every derivation); a delta that dirties
 // its sector falls back to a full check.
+//
+// The same argument moves a Baseline itself: Advance re-derives the
+// records a committed change reaches and re-runs the merge over them, so a
+// crash explorer whose committed image rolls forward a few sectors at a
+// time pays per change, not per image.
 
 import (
 	"bytes"
+	"slices"
 
 	"metaupdate/internal/disk"
 	"metaupdate/internal/ffs"
 )
 
 // Baseline is the reusable derived state of one base image. It is
-// immutable after construction and safe for concurrent use by multiple
-// DeltaCheckers.
+// immutable between Advances, and safe for concurrent use by multiple
+// DeltaCheckers while it is; Advance itself needs the only reference.
 type Baseline struct {
 	ok bool // superblock decoded; if false every Check falls back to full
 	sb ffs.Superblock
 	st *checkState
 	// rev maps a sector to the records derived from it; values encode
 	// ino<<1 | isDirParse. Indexed directly by sector number — Check runs
-	// once per dirty sector, and a map lookup there is measurable.
+	// once per dirty sector, and a map lookup there is measurable. Every
+	// inode record depends on its own table sector, so the index names
+	// the inodes a dirty inode-table sector holds too.
 	rev [][]uint32
 	// base is the image the records were derived from; the incremental
 	// merge diffs delta bitmap sectors against it.
 	base Image
 	// art is the baseline's own merge result, recorded for splicing.
 	art mergeArtifacts
+
+	// Advance's scratch: the records one advance re-derives, and their
+	// generation stamps (== gen means listed).
+	gen                  uint32
+	inoMark, dirMark     []uint32
+	staleInos, staleDirs []ffs.Ino
 }
 
 // NewBaseline derives every record of base. workers > 1 derives in
@@ -49,27 +63,69 @@ type Baseline struct {
 // Bytes does, an Image that rotates scratch behind Range does not, and
 // nothing here would catch it. The crashmc pool builds with workers == 1.
 func NewBaseline(base Image, workers int) *Baseline {
-	bl := &Baseline{}
-	if err := decodeSB(base, &bl.sb); err != nil {
-		return bl // ok == false: checks against this baseline run full
+	bl := &Baseline{base: base}
+	bl.derive(workers)
+	return bl
+}
+
+// derive is the full derivation of bl.base: every record, the merge
+// artifacts and the reverse index, written into bl's storage wherever its
+// geometry still fits. NewBaseline runs it on fresh storage, Advance when
+// a change is outside what it can re-derive piecemeal.
+func (bl *Baseline) derive(workers int) {
+	bl.ok = decodeSB(bl.base, &bl.sb) == nil
+	if !bl.ok {
+		return // checks against this baseline run full
 	}
-	bl.ok = true
-	bl.base = base
-	bl.st = newCheckState(bl.sb)
+	if bl.st == nil || len(bl.st.inodes) != int(bl.sb.NInodes) {
+		bl.st = newCheckState(bl.sb)
+		bl.inoMark = make([]uint32, bl.sb.NInodes)
+		bl.dirMark = make([]uint32, bl.sb.NInodes)
+	}
+	bl.st.sb = bl.sb
 	if workers > 1 {
-		bl.st.deriveAllParallel(base, workers)
+		bl.st.deriveAllParallel(bl.base, workers)
 	} else {
-		bl.st.deriveAll(base)
+		bl.st.deriveAll(bl.base)
 	}
 
-	// Run the baseline's own merge once, recording the artifacts the
-	// incremental merge splices against.
-	bl.art.rep.Refs = make(map[ffs.Ino]int)
-	bl.art.success = make([]int32, bl.sb.NInodes)
-	bl.art.ownBase = make([]ffs.Ino, bl.sb.TotalFrags-bl.sb.DataStart)
-	bl.st.merge(base, &bl.art.rep, &bl.art)
-	bl.st.own = nil // the baseline keeps the records, not the merge scratch
-	bl.art.refDirs = make(map[ffs.Ino][]ffs.Ino)
+	nsec := int(int64(bl.sb.TotalFrags) * ffs.FragSize / disk.SectorSize)
+	if len(bl.rev) != nsec {
+		bl.rev = make([][]uint32, nsec)
+	}
+	for s := range bl.rev {
+		bl.rev[s] = bl.rev[s][:0]
+	}
+	for ino := ffs.Ino(2); uint32(ino) < bl.sb.NInodes; ino++ {
+		r := &bl.st.inodes[ino]
+		bl.index(uint32(ino)<<1, r.deps)
+		if r.alloc && r.ok && r.ip.IsDir() {
+			bl.index(uint32(ino)<<1|1, bl.st.dirs[ino].deps)
+		}
+	}
+	bl.merge()
+}
+
+// merge runs the baseline's own merge, recording into bl.art the artifacts
+// the incremental merge splices against. Every artifact is rebuilt in its
+// existing storage.
+func (bl *Baseline) merge() {
+	a := &bl.art
+	a.rep.reset()
+	for p := range a.segs {
+		a.segs[p] = a.segs[p][:0]
+	}
+	a.success = resized(a.success, int(bl.sb.NInodes))
+	a.ownBase = resized(a.ownBase, int(bl.sb.TotalFrags-bl.sb.DataStart))
+	a.aggStale, a.aggLeaks, a.rootOK = 0, 0, false
+	bl.st.merge(bl.base, &a.rep, a)
+
+	if a.refDirs == nil {
+		a.refDirs = make(map[ffs.Ino][]ffs.Ino)
+	}
+	for t, ds := range a.refDirs {
+		a.refDirs[t] = ds[:0]
+	}
 	for ino := ffs.Ino(2); uint32(ino) < bl.sb.NInodes; ino++ {
 		r := &bl.st.inodes[ino]
 		if !(r.alloc && r.ok && r.ip.IsDir()) {
@@ -78,33 +134,142 @@ func NewBaseline(base Image, workers int) *Baseline {
 		dr := &bl.st.dirs[ino]
 		for i := range dr.steps {
 			if st := &dr.steps[i]; !st.bad {
-				bl.art.refDirs[st.ino] = append(bl.art.refDirs[st.ino], ino)
+				a.refDirs[st.ino] = append(a.refDirs[st.ino], ino)
+			}
+		}
+	}
+	for t, ds := range a.refDirs {
+		if len(ds) == 0 {
+			delete(a.refDirs, t) // a target no entry names any more
+		}
+	}
+}
+
+// resized returns s with length n and every element zero, reusing its
+// storage when it is large enough.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// index adds v to the reverse index under every sector of deps.
+func (bl *Baseline) index(v uint32, deps []secRange) {
+	for _, sr := range deps {
+		for s := max(sr.lo, 0); s < min(sr.hi, int64(len(bl.rev))); s++ {
+			bl.rev[s] = append(bl.rev[s], v)
+		}
+	}
+}
+
+// unindex removes what index(v, deps) added: one entry of v per sector of
+// deps, so a record that names a sector twice keeps its multiplicity.
+func (bl *Baseline) unindex(v uint32, deps []secRange) {
+	for _, sr := range deps {
+		for s := max(sr.lo, 0); s < min(sr.hi, int64(len(bl.rev))); s++ {
+			l := bl.rev[s]
+			if i := slices.Index(l, v); i >= 0 {
+				l[i] = l[len(l)-1]
+				bl.rev[s] = l[:len(l)-1]
+			}
+		}
+	}
+}
+
+// Advance moves bl from the image it was derived from to the same image
+// after the listed sectors changed. The bytes are read where bl already
+// reads them: the Image passed to NewBaseline must now hold the new
+// contents (crashmc's workers write completed requests into the slice
+// their Baseline aliases). dirty may list a sector more than once.
+//
+// Only the records stale after the change are re-derived — those the
+// reverse index maps from a dirty sector, which includes every inode
+// whose slot lies in a dirty inode-table sector — plus the parse of every
+// re-derived inode that is a valid directory. Their reverse-index entries
+// move from their old dependency sectors to their new ones, and the merge
+// artifacts are recomputed in place. Where a DeltaChecker would fall back
+// to a full check (a dirty superblock sector, or a baseline whose
+// superblock did not decode), Advance falls back to the full derivation
+// NewBaseline runs, into the same storage, and reports true.
+//
+// A DeltaChecker bound to bl must be Rebound before its next Check.
+func (bl *Baseline) Advance(dirty []int64) (full bool) {
+	if !bl.ok || slices.Contains(dirty, 0) {
+		bl.derive(1)
+		return true
+	}
+	bl.gen++
+	if bl.gen == 0 {
+		// The stamps wrapped: clear them so no old stamp reads as current.
+		clear(bl.inoMark)
+		clear(bl.dirMark)
+		bl.gen = 1
+	}
+	bl.staleInos, bl.staleDirs = bl.staleInos[:0], bl.staleDirs[:0]
+	for _, s := range dirty {
+		if s < 0 || s >= int64(len(bl.rev)) {
+			continue // past the filesystem: no record depends on it
+		}
+		for _, v := range bl.rev[s] {
+			if v&1 == 0 {
+				bl.staleIno(ffs.Ino(v >> 1))
+			} else {
+				bl.staleDir(ffs.Ino(v >> 1))
 			}
 		}
 	}
 
-	bl.rev = make([][]uint32, int64(bl.sb.TotalFrags)*ffs.FragSize/disk.SectorSize)
-	add := func(s int64, v uint32) {
-		if s >= 0 && s < int64(len(bl.rev)) {
-			bl.rev[s] = append(bl.rev[s], v)
-		}
-	}
-	for ino := ffs.Ino(2); uint32(ino) < bl.sb.NInodes; ino++ {
+	// Withdraw the stale records from the index while their old deps are
+	// at hand. A stale inode that was a valid directory takes its parse
+	// with it: the parse starts from the inode's block pointers. Every
+	// listed directory is then one the index holds a parse of.
+	for _, ino := range bl.staleInos {
 		r := &bl.st.inodes[ino]
-		for _, sr := range r.deps {
-			for s := sr.lo; s < sr.hi; s++ {
-				add(s, uint32(ino)<<1)
-			}
-		}
+		bl.unindex(uint32(ino)<<1, r.deps)
 		if r.alloc && r.ok && r.ip.IsDir() {
-			for _, sr := range bl.st.dirs[ino].deps {
-				for s := sr.lo; s < sr.hi; s++ {
-					add(s, uint32(ino)<<1|1)
-				}
-			}
+			bl.staleDir(ino)
 		}
 	}
-	return bl
+	for _, ino := range bl.staleDirs {
+		bl.unindex(uint32(ino)<<1|1, bl.st.dirs[ino].deps)
+	}
+
+	d := deriver{img: bl.base, sb: &bl.sb}
+	for _, ino := range bl.staleInos {
+		r := &bl.st.inodes[ino]
+		d.deriveInode(ino, r)
+		bl.index(uint32(ino)<<1, r.deps)
+		if r.alloc && r.ok && r.ip.IsDir() {
+			bl.staleDir(ino) // (still or newly) a directory: re-parse it
+		}
+	}
+	for _, ino := range bl.staleDirs {
+		// A directory that stopped being one keeps its old parse, which
+		// nothing reads: the merge asks only valid directories for theirs.
+		if r := &bl.st.inodes[ino]; r.alloc && r.ok && r.ip.IsDir() {
+			d.deriveDir(ino, &r.ip, &bl.st.dirs[ino])
+			bl.index(uint32(ino)<<1|1, bl.st.dirs[ino].deps)
+		}
+	}
+	bl.merge()
+	return false
+}
+
+func (bl *Baseline) staleIno(ino ffs.Ino) {
+	if bl.inoMark[ino] != bl.gen {
+		bl.inoMark[ino] = bl.gen
+		bl.staleInos = append(bl.staleInos, ino)
+	}
+}
+
+func (bl *Baseline) staleDir(ino ffs.Ino) {
+	if bl.dirMark[ino] != bl.gen {
+		bl.dirMark[ino] = bl.gen
+		bl.staleDirs = append(bl.staleDirs, ino)
+	}
 }
 
 // DeltaCheckerStats counts the work a DeltaChecker has done; the gap
@@ -147,9 +312,9 @@ func NewDeltaChecker(bl *Baseline) *DeltaChecker {
 	return dc
 }
 
-// Rebind points dc at a new baseline, keeping its scratch when the
-// geometry matches (the common case: successive committed images of one
-// exploration share a superblock).
+// Rebind points dc at a new baseline, or at its baseline after an Advance,
+// keeping its scratch when the geometry matches (the common case:
+// successive committed images of one exploration share a superblock).
 func (dc *DeltaChecker) Rebind(bl *Baseline) {
 	dc.bl = bl
 	if !bl.ok {
@@ -201,7 +366,7 @@ func (dc *DeltaChecker) dirRec(ino ffs.Ino) *dirRec {
 }
 
 // Check verifies img incrementally. img.Base() must be byte-identical to
-// the image the bound Baseline was built from. The returned Report aliases
+// the image the bound Baseline was built from, or last advanced to. The returned Report aliases
 // dc's reused scratch: it is valid until the next Check call.
 func (dc *DeltaChecker) Check(img DeltaImage) *Report {
 	dc.Stats.Checks++
