@@ -3,11 +3,13 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"metaupdate/fsim"
 	"metaupdate/internal/harness"
 )
 
@@ -125,6 +127,47 @@ func TestTraceModesDeterministic(t *testing.T) {
 	}
 	if heads[0] != heads[1] || !strings.Contains(heads[0], "mean per-user elapsed") {
 		t.Errorf("the trace modes report different runs: %q vs %q", heads[0], heads[1])
+	}
+}
+
+// TestTraceMatchesGolden: -trace prints and writes exactly the committed
+// transcript and CSV of a soft-updates 4-user copy, and both describe every
+// request of the run: the request count and the CSV rows equal the
+// DiskRequests the driver's running sums report for the same copy.
+func TestTraceMatchesGolden(t *testing.T) {
+	dir := t.TempDir()
+	csv := filepath.Join(dir, "trace.csv")
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-trace", "softupdates", "-scale", "0.02", "-csv", csv}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, stderr.String())
+	}
+	got := strings.ReplaceAll(stdout.String(), csv, "trace.csv") // stdout names the file
+	rows, err := os.ReadFile(csv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []struct{ name, got string }{
+		{"trace-softupdates-0.02.txt", got},
+		{"trace-softupdates-0.02.csv", string(rows)},
+	} {
+		want, err := os.ReadFile(filepath.Join("testdata", g.name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g.got != string(want) {
+			t.Errorf("output differs from testdata/%s:\n%s", g.name, g.got)
+		}
+	}
+
+	var requests int
+	harness.TraceCopy(fsim.Options{Scheme: fsim.SoftUpdates}, 4, 0.02, func(sys *fsim.System) {
+		requests = sys.CollectStats().DiskRequests
+	})
+	if requests == 0 || !strings.Contains(got, fmt.Sprintf("\nrequests: %d (", requests)) {
+		t.Errorf("-trace does not report the run's %d disk requests:\n%s", requests, got)
+	}
+	if n := strings.Count(string(rows), "\n") - 1; n != requests { // less the header
+		t.Errorf("the CSV has %d rows, want one per disk request: %d", n, requests)
 	}
 }
 

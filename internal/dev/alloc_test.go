@@ -6,22 +6,32 @@ import (
 	"metaupdate/internal/disk"
 )
 
-// pooledLifeAllocs keeps `window` pooled one-sector requests pending, each in
-// a sector bucket of its own, and measures the allocations of one more whole
-// life in steady state: AllocRequest, fill, Submit (barrier, indexing), the
-// oldest pending request's dispatch, completion and retirement, Release.
-func pooledLifeAllocs(t *testing.T, cfg Config, window int, fill func(*Request)) float64 {
+// lifeAllocs keeps `window` one-sector requests pending and measures the
+// allocations of one more whole life in steady state: fill a request,
+// Submit it (barrier, indexing), dispatch, complete and retire the oldest
+// pending one. Request i starts in sector bucket 4*(i%buckets), modulo the
+// disk, so with buckets > window each pending request has a bucket of its
+// own, and with fewer each write is wired behind the pending one in its
+// bucket. A pooled life takes its request from AllocRequest and ends in
+// Release; a plain one is a fresh &Request{}, as the buffer cache's writes
+// are.
+func lifeAllocs(t *testing.T, cfg Config, window, buckets int, pooled bool, fill func(*Request)) float64 {
 	t.Helper()
 	eng, dsk, drv := newRig(cfg)
 	ring := make([]*Request, 0, window+1)
-	var lbn int64
+	var i int
 	var head *Request
 	headPending := func() bool { return !head.Done.Fired() }
 	submit := func() {
-		r := drv.AllocRequest()
-		r.LBN, r.Count = lbn, 1
+		var r *Request
+		if pooled {
+			r = drv.AllocRequest()
+		} else {
+			r = &Request{}
+		}
+		r.LBN, r.Count = int64(i%buckets)*4<<bucketShift%(dsk.Sectors()-1), 1
+		i++
 		fill(r)
-		lbn = (lbn + 4<<bucketShift) % (dsk.Sectors() - 1)
 		ring = append(ring, drv.Submit(r))
 	}
 	cycle := func() {
@@ -29,19 +39,20 @@ func pooledLifeAllocs(t *testing.T, cfg Config, window int, fill func(*Request))
 		head = ring[0]
 		eng.RunWhile(headPending)
 		ring = ring[:copy(ring, ring[1:])]
-		drv.Release(head)
+		if pooled {
+			drv.Release(head)
+		}
 	}
 	for len(ring) < window {
 		submit()
 	}
-	for i := 0; i < 3*window; i++ { // pools, scratch and maps reach their steady size
+	for range 3 * window { // pools, scratch and maps reach their steady size
 		cycle()
 	}
-	drv.Trace.Stats = make([]Stat, 0, 4*window) // the trace grows by design; give it room
 	allocs := testing.AllocsPerRun(2*window, cycle)
-	if len(drv.pending) != window || len(drv.bySector) != window {
+	if want := min(window, buckets); len(drv.pending) != window || len(drv.bySector) != want {
 		t.Fatalf("pending set drifted: %d requests in %d buckets, want %d in %d",
-			len(drv.pending), len(drv.bySector), window, window)
+			len(drv.pending), len(drv.bySector), window, want)
 	}
 	return allocs
 }
@@ -55,7 +66,7 @@ func pooledLifeAllocs(t *testing.T, cfg Config, window int, fill func(*Request))
 func TestAllocFreeSubmitNoConflict(t *testing.T) {
 	const window = 1000
 	buf := make([]byte, disk.SectorSize)
-	n := pooledLifeAllocs(t, Config{Mode: ModeIgnore}, window, func(r *Request) {
+	n := lifeAllocs(t, Config{Mode: ModeIgnore}, window, 4*window, true, func(r *Request) {
 		r.Op, r.Buf = disk.Read, buf
 	})
 	if n != 0 {
@@ -71,10 +82,27 @@ func TestAllocFreeSubmitNoConflict(t *testing.T) {
 func TestAllocFreeSubmitBehindFlagBarrier(t *testing.T) {
 	const window = 1000
 	data := make([]byte, disk.SectorSize)
-	n := pooledLifeAllocs(t, Config{Mode: ModeFlag, Sem: SemPart, NR: true}, window, func(r *Request) {
+	n := lifeAllocs(t, Config{Mode: ModeFlag, Sem: SemPart, NR: true}, window, 4*window, true, func(r *Request) {
 		r.Op, r.Data, r.Flag = disk.Write, data, true
 	})
 	if n != 0 {
 		t.Errorf("pooled flagged write behind %d pending flagged writes: %.2f allocs per Submit→completion, want 0", window, n)
+	}
+}
+
+// TestPlainWriteAllocatesOnlyItself pins the cost of the buffer cache's
+// writes: a fresh &Request{} write, wired behind the pending write to its
+// sector and with the next one wired behind it, costs exactly one
+// allocation per life — the Request. Its completion is embedded, its
+// successor list is storage a retired request handed back, and the trace
+// keeps sums, not a record.
+func TestPlainWriteAllocatesOnlyItself(t *testing.T) {
+	const window = 1000
+	data := make([]byte, disk.SectorSize)
+	n := lifeAllocs(t, Config{Mode: ModeIgnore}, window, window/2, false, func(r *Request) {
+		r.Op, r.Data = disk.Write, data
+	})
+	if n != 1 {
+		t.Errorf("plain write behind a pending write to its sector: %.2f allocs per Submit→completion, want 1", n)
 	}
 }

@@ -113,9 +113,11 @@ const DefaultMaxRetries = 4
 // DefaultRetryBackoff is the default base delay before a redispatch.
 const DefaultRetryBackoff = 2 * sim.Millisecond
 
-// Request is one disk request. Submit assigns ID and Done. The Data slice of
-// a write must not be modified until Done fires (the buffer cache enforces
-// this with write locks or by snapshotting — the -CB scheme).
+// Request is one disk request. Submit assigns ID and points a nil Done at
+// the request's own embedded completion, so a request costs one allocation.
+// The Data slice of a write must not be modified until Done fires (the
+// buffer cache enforces this with write locks or by snapshotting — the -CB
+// scheme).
 type Request struct {
 	ID    uint64
 	Op    disk.Op
@@ -128,6 +130,7 @@ type Request struct {
 	DependsOn []uint64 // ModeChains: request IDs that must complete first
 
 	Done *sim.Completion
+	done sim.Completion // what Done points at unless the caller set it
 
 	// Err is the request's final outcome, set before Done fires: nil on
 	// success, ErrIO/ErrBadSector when the driver exhausted its recovery
@@ -140,7 +143,8 @@ type Request struct {
 	// predecessors. The edges are the ones computeBarrier wires — a subset
 	// of the predecessor relation with the same closure over the pending
 	// set, at most one per (predecessor, successor) pair — so completion is
-	// a plain counter decrement per edge.
+	// a plain counter decrement per edge. The list's storage comes from,
+	// and at retirement goes back to, the driver's edgeFree.
 	blocks []*Request // successors to unblock when this request completes
 	nwait  int32      // outstanding wired predecessors; dispatchable at zero
 
@@ -206,34 +210,52 @@ type Stat struct {
 	CacheHit bool
 }
 
-// Trace accumulates per-request statistics.
+// Trace accumulates the statistics of the requests retired since the last
+// Reset: their count and the sums the means come from, in virtual
+// nanoseconds. Every reader but the per-request analysis wants only these,
+// so by default no per-request record is kept.
 type Trace struct {
+	n                 int
+	service, response sim.Duration
+	// Keep, when set, makes the trace also log each retired request's Stat
+	// in Stats, in completion order (mdsim -trace's analysis and CSV).
+	Keep  bool
 	Stats []Stat
 }
 
 // Reset clears the trace (used to scope measurement to a benchmark window).
-func (t *Trace) Reset() { t.Stats = nil }
-
-// Requests returns the number of traced requests.
-func (t *Trace) Requests() int { return len(t.Stats) }
-
-// AvgServiceMS returns the mean disk access time in milliseconds.
-func (t *Trace) AvgServiceMS() float64 { return t.avg(func(s Stat) sim.Duration { return s.Service }) }
-
-// AvgResponseMS returns the mean driver response time in milliseconds.
-func (t *Trace) AvgResponseMS() float64 {
-	return t.avg(func(s Stat) sim.Duration { return s.Response })
+// Keep stays as it is.
+func (t *Trace) Reset() {
+	t.n, t.service, t.response = 0, 0, 0
+	t.Stats = nil
 }
 
-func (t *Trace) avg(f func(Stat) sim.Duration) float64 {
-	if len(t.Stats) == 0 {
+// Requests returns the number of traced requests.
+func (t *Trace) Requests() int { return t.n }
+
+// AvgServiceMS returns the mean disk access time in milliseconds.
+func (t *Trace) AvgServiceMS() float64 { return t.avg(t.service) }
+
+// AvgResponseMS returns the mean driver response time in milliseconds.
+func (t *Trace) AvgResponseMS() float64 { return t.avg(t.response) }
+
+// avg is the mean of a sum over the traced requests, in whole virtual
+// nanoseconds, as milliseconds.
+func (t *Trace) avg(sum sim.Duration) float64 {
+	if t.n == 0 {
 		return 0
 	}
-	var sum sim.Duration
-	for _, s := range t.Stats {
-		sum += f(s)
+	return (sum / sim.Duration(t.n)).Milliseconds()
+}
+
+// add traces one retired request.
+func (t *Trace) add(s Stat) {
+	t.n++
+	t.service += s.Service
+	t.response += s.Response
+	if t.Keep {
+		t.Stats = append(t.Stats, s)
 	}
-	return (sum / sim.Duration(len(t.Stats))).Milliseconds()
 }
 
 // Driver is the device driver plus disk scheduler.
@@ -274,6 +296,9 @@ type Driver struct {
 
 	free        []*Request // LIFO request pool (see AllocRequest/Release)
 	predScratch []uint64   // reusable observer pred-ID buffer
+	// edgeFree recycles successor-list storage: edgeFree[k] holds emptied
+	// lists of capacity 1<<k, LIFO, for wire to grow a list into.
+	edgeFree [bits.UintSize][][]*Request
 	// batchBuf holds the batches concat builds, alternately: a batch is built
 	// while the previous one is still completing (a completion callback
 	// Submits and kicks the idle disk), never while an older one is.
@@ -372,15 +397,17 @@ func (d *Driver) AllocRequest() *Request {
 // Release returns a completed request to the pool for a later AllocRequest.
 // The caller must be the request's sole owner: Done must have fired and
 // nothing else may retain the pointer (the buffer cache uses this for read
-// requests, which it owns from Submit through completion). The request's
-// Done completion and successor list keep their storage across reuse.
+// requests, which it owns from Submit through completion). The embedded
+// completion keeps its storage across reuse; the successor list went back
+// to the driver when the request retired.
 func (d *Driver) Release(r *Request) {
 	if r.Done == nil || !r.Done.Fired() {
 		panic("dev: Release of incomplete request")
 	}
-	done := r.Done
-	done.Reset()
-	*r = Request{Done: done, blocks: r.blocks[:0]}
+	if r.Done == &r.done {
+		r.done.Reset()
+	}
+	*r = Request{done: r.done}
 	d.free = append(d.free, r)
 }
 
@@ -453,7 +480,7 @@ func (d *Driver) Submit(r *Request) *Request {
 	r.ID = d.nextID
 	r.Err = nil
 	if r.Done == nil {
-		r.Done = sim.NewCompletion()
+		r.Done = &r.done
 	} else if r.Done.Fired() {
 		r.Done.Reset()
 	}
@@ -687,12 +714,50 @@ func (d *Driver) wire(q, r *Request) bool {
 		return false
 	}
 	q.seenBy = r.ID
+	if len(q.blocks) == cap(q.blocks) {
+		q.blocks = d.growEdges(q.blocks)
+	}
 	q.blocks = append(q.blocks, r)
 	r.nwait++
 	if d.obs != nil {
 		d.predScratch = append(d.predScratch, q.ID)
 	}
 	return true
+}
+
+// minEdgeClass is the size class of a new successor list: room for four.
+const minEdgeClass = 2
+
+// growEdges returns s's successors in a list of twice its capacity (at
+// least 1<<minEdgeClass), taken from edgeFree when one is parked there;
+// s's own storage goes back to edgeFree.
+func (d *Driver) growEdges(s []*Request) []*Request {
+	k := minEdgeClass
+	if c := cap(s); c > 0 {
+		k = bits.Len(uint(c)) // c is 1<<(k-1)
+	}
+	var g []*Request
+	if free := d.edgeFree[k]; len(free) > 0 {
+		g = free[len(free)-1]
+		free[len(free)-1] = nil
+		d.edgeFree[k] = free[:len(free)-1]
+	} else {
+		g = make([]*Request, 0, 1<<k)
+	}
+	g = append(g, s...)
+	d.freeEdges(s)
+	return g
+}
+
+// freeEdges clears a successor list and parks its storage on edgeFree.
+func (d *Driver) freeEdges(s []*Request) {
+	c := cap(s)
+	if c == 0 {
+		return
+	}
+	clear(s)
+	k := bits.TrailingZeros(uint(c))
+	d.edgeFree[k] = append(d.edgeFree[k], s[:0])
 }
 
 // predecessorOf reports whether pending request q must complete before r
@@ -961,16 +1026,16 @@ func (d *Driver) retire(r *Request, now sim.Time, err error, cacheHit bool) {
 	if r.Err = err; err != nil {
 		d.Faults.Errors++
 	}
-	for i, blocked := range r.blocks {
+	for _, blocked := range r.blocks {
 		blocked.nwait--
 		if blocked.nwait == 0 {
 			blocked.readyAt = now
 			d.markReady(blocked) // still queued: it could not be dispatched
 		}
-		r.blocks[i] = nil
 	}
-	r.blocks = r.blocks[:0]
-	d.Trace.Stats = append(d.Trace.Stats, Stat{
+	d.freeEdges(r.blocks)
+	r.blocks = nil
+	d.Trace.add(Stat{
 		ID:       r.ID,
 		Op:       r.Op,
 		Sectors:  r.Count,

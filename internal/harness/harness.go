@@ -196,10 +196,13 @@ func runPhase(sys *fsim.System, users int, work func(p *fsim.Proc, u int) error)
 // copyBench prepares trees on a fresh system, runs the copy and, with
 // remove, the remove of the fresh copies (the paper's paired methodology),
 // then hands the system to inspect, if non-nil, before shutting it down.
+// For an inspect the driver trace keeps its per-request records too, from
+// the copy on.
 func copyBench(opt fsim.Options, users int, scale Scale, remove bool, inspect func(*fsim.System)) (cp, rm copyStats) {
 	sys := mustSystem(opt)
 	defer sys.Shutdown()
 	prepTrees(sys, users, scale)
+	sys.Driver.Trace.Keep = inspect != nil
 	cp = runPhase(sys, users, func(p *fsim.Proc, u int) error {
 		return workload.CopyTree(p, sys.FS, fsim.RootIno, fmt.Sprintf("src%d", u), fsim.RootIno, fmt.Sprintf("dst%d", u))
 	})
@@ -220,7 +223,8 @@ func copyBench(opt fsim.Options, users int, scale Scale, remove bool, inspect fu
 // TraceCopy runs the N-user copy benchmark — the mdsim -trace and -optrace
 // modes — and returns the mean per-user elapsed time. inspect receives the
 // system before shutdown, still holding the copy phase's window: the
-// driver's per-request trace and, with Options.Observe, the operation spans.
+// driver's per-request records (Trace.Stats) and, with Options.Observe, the
+// operation spans.
 func TraceCopy(opt fsim.Options, users int, scale Scale, inspect func(*fsim.System)) sim.Duration {
 	cp, _ := copyBench(opt, users, scale, false, inspect)
 	return cp.elapsed

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"metaupdate/fsim"
 	"metaupdate/internal/harness"
 )
 
@@ -72,5 +73,34 @@ func TestExperimentNamesAllRegistered(t *testing.T) {
 	want := "faults opstats dist load scenario-mail scenario-build scenario-webcache"
 	if got := strings.Join(ext, " "); got != want {
 		t.Fatalf("extensions = %q, want %q", got, want)
+	}
+}
+
+// TestTraceRecordsMatchRunningSums: the per-request records a traced copy
+// keeps and the sums the driver keeps for every run describe the same
+// requests — for every scheme, the records' count and mean service and
+// response times are exactly what Requests, AvgServiceMS and AvgResponseMS
+// report.
+func TestTraceRecordsMatchRunningSums(t *testing.T) {
+	for _, s := range fsim.Schemes {
+		harness.TraceCopy(fsim.Options{Scheme: s}, 4, 0.02, func(sys *fsim.System) {
+			tr := &sys.Driver.Trace
+			var service, response fsim.Duration
+			for _, st := range tr.Stats {
+				service += st.Service
+				response += st.Response
+			}
+			n := len(tr.Stats)
+			if n == 0 || n != tr.Requests() {
+				t.Fatalf("%s: %d records, %d requests traced", s, n, tr.Requests())
+			}
+			mean := func(sum fsim.Duration) float64 { return (sum / fsim.Duration(n)).Milliseconds() }
+			if got, want := mean(service), tr.AvgServiceMS(); got != want {
+				t.Errorf("%s: records' mean service %v ms, trace reports %v ms", s, got, want)
+			}
+			if got, want := mean(response), tr.AvgResponseMS(); got != want {
+				t.Errorf("%s: records' mean response %v ms, trace reports %v ms", s, got, want)
+			}
+		})
 	}
 }

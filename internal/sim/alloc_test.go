@@ -82,3 +82,24 @@ func TestAllocFreeCompletionFire(t *testing.T) {
 		t.Fatalf("Completion Fire/Reset cycle allocates %.1f objects, want 0", n)
 	}
 }
+
+// TestSpawnReusesCarriers: a running process that spawns short-lived
+// children costs at most the child's Proc per spawn once warm — each child
+// runs on the carrier the previous one parked, not on a new coroutine.
+func TestSpawnReusesCarriers(t *testing.T) {
+	e := NewEngine()
+	child := func(p *Proc) {}
+	var allocs float64
+	e.Spawn("parent", func(p *Proc) {
+		spawn := func() {
+			e.Spawn("child", child)
+			p.Sleep(1) // the child runs and finishes meanwhile
+		}
+		spawn() // warm-up: the first carrier, queue growth
+		allocs = testing.AllocsPerRun(200, spawn)
+	})
+	e.Run()
+	if allocs > 1 {
+		t.Fatalf("spawning a short-lived child allocates %.1f objects, want at most 1 (its Proc)", allocs)
+	}
+}

@@ -218,11 +218,17 @@ func (g *LPGroup) RunUntil(limit Time) { g.runLoop(limit, nil) }
 func (g *LPGroup) RunWhile(cond func() bool) { g.runLoop(maxTime, cond) }
 
 // runLoop is the coordinator: plan a window, execute it in parallel,
-// barrier, merge cross-LP messages, repeat.
+// barrier, merge cross-LP messages, repeat. On return it stops every LP's
+// idle carriers, as Engine.run does.
 func (g *LPGroup) runLoop(limit Time, cond func() bool) {
 	for _, e := range g.lps {
 		e.halted = false
 	}
+	defer func() {
+		for _, e := range g.lps {
+			e.stopIdle()
+		}
+	}()
 	g.condStop = false
 	for {
 		if cond != nil && !cond() {

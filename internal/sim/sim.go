@@ -114,6 +114,9 @@ type Engine struct {
 	halted   bool // RunUntil hit its limit; scheduling now panics until the next run
 	procIDs  int  // per-engine Proc.ID source; engines must not share state
 	executed uint64
+	// idle holds the carriers whose process finished during the current
+	// run, LIFO, for the next Spawn; run stops them when it returns.
+	idle []*carrier
 
 	// heapLow / fastLow are the shrink-hysteresis counters: consecutive
 	// pops (drains) during which the backing array stayed under a quarter
@@ -122,7 +125,7 @@ type Engine struct {
 	heapLow int
 	fastLow int
 
-	// Label, when set before Spawn, is attached to every process
+	// Label, when set before the first Spawn, is attached to every process
 	// coroutine as the pprof label "lp" — CPU profiles of a parallel
 	// cluster run then attribute samples to their logical process.
 	Label string
@@ -357,18 +360,17 @@ func (e *Engine) AdvanceTo(t Time) {
 	e.now = t
 }
 
-// Proc is a simulated process: a coroutine (iter.Pull) that runs only when
-// the engine resumes it and always parks itself back before the engine
-// continues. A resume and a park are each one direct runtime coroutine
-// switch — no channel, no trip through the Go scheduler.
+// Proc is a simulated process: a body that runs on a carrier coroutine
+// only when the engine resumes it, and always parks itself back before the
+// engine continues. A resume and a park are each one direct runtime
+// coroutine switch — no channel, no trip through the Go scheduler.
 type Proc struct {
 	eng  *Engine
 	Name string
 	ID   int
-	// next resumes the process and returns when it parks (ok) or has
-	// finished (!ok); yield is its other half, valid inside the process.
-	next  func() (struct{}, bool)
-	yield func(struct{}) bool
+	// c is the carrier the process runs on; nil once its body returned,
+	// when the carrier may already run another process.
+	c *carrier
 
 	// Obs anchors per-process observability state: the operation span the
 	// process is currently executing, owned by internal/obs. The engine
@@ -381,9 +383,62 @@ type Proc struct {
 	Obs any
 }
 
+// carrier is a process coroutine: one iter.Pull goroutine that runs the
+// bodies Spawn hands it, one after another. Between bodies it parks on its
+// engine's idle list, so a simulation that spawns a process per arrival
+// starts a goroutine per concurrent process, not per arrival.
+type carrier struct {
+	// next resumes the carrier and returns when it parks; yield is its
+	// other half, valid inside the carrier; stop ends an idle carrier.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+	proc  *Proc
+	fn    func(*Proc) // proc's body; nil once it returned
+}
+
+// newCarrier starts a carrier on e. Its pprof label is set once, from
+// e.Label, when it first runs.
+func (e *Engine) newCarrier() *carrier {
+	c := &carrier{}
+	label := e.Label
+	c.next, c.stop = iter.Pull(func(yield func(struct{}) bool) {
+		c.yield = yield
+		if label != "" {
+			// Label the coroutine for CPU profiles: samples of a parallel
+			// cluster run attribute to their logical process.
+			pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(),
+				pprof.Labels("lp", label)))
+		}
+		for {
+			c.run()
+			if !yield(struct{}{}) {
+				return // stopped while idle
+			}
+		}
+	})
+	return c
+}
+
+// run executes the carrier's current body to its end.
+func (c *carrier) run() {
+	p := c.proc
+	defer func() {
+		if r := recover(); r != nil {
+			// iter.Pull hands a panic to whoever called next — the
+			// dispatch loop — so Run's caller sees it, with the process
+			// named and the stack it died on.
+			panic(fmt.Sprintf("sim: process %q panicked: %v\n%s", p.Name, r, debug.Stack()))
+		}
+	}()
+	c.fn(p)
+	c.fn = nil
+}
+
 // Spawn starts a new simulated process executing fn. The process begins
 // running at the current virtual time (as a scheduled event), so Spawn can
-// be called before Run or from inside another process or callback.
+// be called before Run or from inside another process or callback. It runs
+// on an idle carrier when one is parked, else on a new one.
 //
 // Proc IDs are allocated per engine, not per process-wide counter: many
 // independent engines run concurrently under the harness experiment
@@ -393,34 +448,44 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 	e.procIDs++
 	p := &Proc{eng: e, Name: name, ID: e.procIDs}
 	e.live++
-	label := e.Label
-	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
-		p.yield = yield
-		if label != "" {
-			// Label the coroutine for CPU profiles: samples of a parallel
-			// cluster run attribute to their logical process.
-			pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(),
-				pprof.Labels("lp", label)))
-		}
-		defer func() {
-			if r := recover(); r != nil {
-				// iter.Pull hands a panic to whoever called next — the
-				// dispatch loop — so Run's caller sees it, with the process
-				// named and the stack it died on.
-				panic(fmt.Sprintf("sim: process %q panicked: %v\n%s", p.Name, r, debug.Stack()))
-			}
-		}()
-		fn(p)
-	})
+	var c *carrier
+	if n := len(e.idle); n > 0 {
+		c = e.idle[n-1]
+		e.idle[n-1] = nil
+		e.idle = e.idle[:n-1]
+	} else {
+		c = e.newCarrier()
+	}
+	c.proc, c.fn = p, fn
+	p.c = c
 	e.wake(p)
 	return p
 }
 
-// runProc resumes p and returns when p parks again (or finishes).
+// runProc resumes p and returns when p parks again or its body returns;
+// then its carrier goes on the idle list. Resuming a finished process is a
+// bookkeeping bug upstream (a stale wake-up) and panics.
 func (e *Engine) runProc(p *Proc) {
-	if _, parked := p.next(); !parked {
-		e.live--
+	c := p.c
+	if c == nil {
+		panic(fmt.Sprintf("sim: wake of finished process %q", p.Name))
 	}
+	c.next()
+	if c.fn == nil {
+		p.c, c.proc = nil, nil
+		e.live--
+		e.idle = append(e.idle, c)
+	}
+}
+
+// stopIdle ends the idle carriers' goroutines. run calls it on return, so
+// an engine dropped between runs leaves behind only its parked processes.
+func (e *Engine) stopIdle() {
+	for i, c := range e.idle {
+		c.stop()
+		e.idle[i] = nil
+	}
+	e.idle = e.idle[:0]
 }
 
 // Run executes events until the event queue is empty.
@@ -442,6 +507,7 @@ func (e *Engine) RunWhile(cond func() bool) { e.run(maxTime, cond) }
 // run is the single dispatch loop behind Run, RunUntil and RunWhile.
 func (e *Engine) run(limit Time, cond func() bool) {
 	e.halted = false
+	defer e.stopIdle()
 	for cond == nil || cond() {
 		at, ok := e.peek()
 		if !ok {
@@ -511,7 +577,7 @@ var (
 
 // block parks the calling process and hands control back to the engine. The
 // caller must already have arranged for something to resume it.
-func (p *Proc) block() { p.yield(struct{}{}) }
+func (p *Proc) block() { p.c.yield(struct{}{}) }
 
 // Sleep suspends the process for d of virtual time.
 func (p *Proc) Sleep(d Duration) {

@@ -522,3 +522,51 @@ func TestDroppedEngineWithParkedProcs(t *testing.T) {
 		t.Fatalf("engine after the drop: done=%v live=%d", done, e.Live())
 	}
 }
+
+// TestStaleWakeOfFinishedProcessPanics: waking a process whose body has
+// returned is a bookkeeping bug upstream. It panics naming the process
+// instead of resuming whatever now runs on the carrier or counting the
+// process finished twice (Live() would go negative).
+func TestStaleWakeOfFinishedProcessPanics(t *testing.T) {
+	e := NewEngine()
+	q := e.Spawn("quick", func(p *Proc) {})
+	e.At(5, func() { e.wake(q) })
+	defer func() {
+		msg, _ := recover().(string)
+		if want := `sim: wake of finished process "quick"`; msg != want {
+			t.Errorf("panic %q, want %q", msg, want)
+		}
+		if e.Live() != 0 {
+			t.Errorf("Live() = %d, want 0", e.Live())
+		}
+	}()
+	e.Run()
+	t.Fatal("Run returned; the stale wake went unnoticed")
+}
+
+// TestRunStopsIdleCarriers: the carriers finished processes leave parked
+// are stopped when Run returns — by the serial engine and by an LPGroup
+// for its LPs — so a drained simulation holds no goroutines; a parked
+// process keeps its own, as before.
+func TestRunStopsIdleCarriers(t *testing.T) {
+	group, err := NewLPGroup([]*Engine{NewEngine(), NewEngine()}, Millisecond, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer group.Close()
+	for _, x := range []Exec{NewEngine(), group} {
+		base := runtime.NumGoroutine()
+		var never Completion
+		x.Spawn("waiter", func(p *Proc) { never.Wait(p) })
+		for i := 0; i < 50; i++ {
+			x.Spawn("worker", func(p *Proc) {
+				p.Sleep(Millisecond)
+				p.Engine().Spawn("child", func(p *Proc) { p.Sleep(Millisecond) })
+			})
+		}
+		x.Run()
+		if got := runtime.NumGoroutine(); got != base+1 {
+			t.Errorf("%T: %d goroutines after Run, want %d: the baseline plus the parked waiter", x, got, base+1)
+		}
+	}
+}
