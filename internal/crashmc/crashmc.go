@@ -27,8 +27,10 @@
 // private image forward along that order, lays the hypothesized writes over
 // it as a copy-on-write overlay, and verifies the result through
 // fsck.CheckImage (plus, optionally, fsck.ContentViolationsImage): neither
-// an instant nor a candidate costs a media-sized copy, unless the scheme
-// needs recovery run on the image first (Config.Recover).
+// an instant nor a candidate costs a media-sized copy. A scheme that needs
+// recovery run on the image first (Config.Recover) recovers each candidate
+// in one worker-owned image and is checked by the sectors recovery left
+// different from the committed image.
 // Real goroutine parallelism is safe here because image checking happens
 // entirely outside the deterministic simulation. Any violating image can
 // be shrunk to a minimal repro: the smallest dependency-closed write
@@ -236,14 +238,15 @@ type Config struct {
 	// concurrent use with distinct images. A content check over stamped
 	// file data (fsck.ContentViolationsImage) is one.
 	ExtraCheck func(fsck.Image) []string
-	// Recover, if set, runs crash-time recovery on each materialized crash
-	// image before the fsck oracle (the Journaling scheme sets it to journal
-	// replay). Setting it means a full fsck walk per candidate instead of a
-	// delta replayed against the worker's Baseline of the instant — recovery
-	// rewrites arbitrary home fragments, so the delta replay would be
-	// unsound. Reports are identical either way (the differential oracle in
-	// incremental_test.go enforces it). It is called concurrently on
-	// distinct images.
+	// Recover, if set, runs crash-time recovery on each crash image before
+	// the fsck oracle (the Journaling scheme sets it to journal replay). It
+	// gets a mutable media-sized image — the worker's committed image with
+	// the candidate's writes laid over it — and may rewrite any of it: the
+	// worker then compares every page with the committed image and checks
+	// the sectors that differ as a delta against its Baseline, so the cost
+	// per candidate is the recovery plus one scan of the image, not a full
+	// fsck walk. A panic inside it is reported as the state's finding. It is
+	// called concurrently on distinct images.
 	Recover func([]byte)
 	// Shrink reduces the lowest-sequence violating state to a minimal
 	// repro after the sweep, materializing at most shrinkTrials images.
@@ -284,14 +287,12 @@ type Stats struct {
 	Checked   int64 `json:"checked"`   // distinct images run through fsck
 	Violating int64 `json:"violating"` // distinct images with rule violations
 
-	// Incremental reports the checking mode. In incremental mode each
-	// worker derives a Baseline of its committed image once and advances
-	// it whenever the image moves: BaselineBuilds counts the full
+	// Each worker derives a Baseline of its committed image once and
+	// advances it whenever the image moves: BaselineBuilds counts the full
 	// derivations (one per worker, plus the advances that wrote the
 	// superblock sector and so fell back to one), BaselineAdvances the
 	// others. Both are summed over the workers, so with more than one
 	// worker they depend on which worker drew which job.
-	Incremental      bool  `json:"incremental"`
 	BaselineBuilds   int64 `json:"baseline_builds,omitempty"`
 	BaselineAdvances int64 `json:"baseline_advances,omitempty"`
 

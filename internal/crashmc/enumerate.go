@@ -148,7 +148,6 @@ func (r *Recorder) Explore(cfg Config) *Result {
 			Violating:        pool.violating.Load(),
 			BaselineBuilds:   pool.builds.Load(),
 			BaselineAdvances: pool.advances.Load(),
-			Incremental:      pool.incremental,
 		},
 		Violations: pool.takeViolations(),
 	}
@@ -527,15 +526,17 @@ func (x *explorer) emitInstant() {
 // own committed image and runs fsck through it, never materializing a
 // candidate.
 //
-// By default checking is incremental: a worker derives an fsck.Baseline of
-// its committed image once, advances it by the sectors the image moved by
-// whenever it moves, and replays candidate overlays against it through its
-// DeltaChecker — re-deriving only the state the delta's dirty sectors
-// reach. The differential oracle (incremental_test.go) pins the reports
-// bit-identical to the full walks cfg.Recover needs.
+// Checking is incremental for every scheme: a worker derives an
+// fsck.Baseline of its committed image once, advances it by the sectors
+// the image moved by whenever it moves, and replays candidate deltas
+// against it through its DeltaChecker — re-deriving only the state the
+// delta's dirty sectors reach. A scheme with a recovery step (cfg.Recover)
+// recovers each candidate in the worker's recoveryImage and replays the
+// sectors the recovered image differs from the committed one by. The
+// differential oracles (incremental_test.go) pin the reports bit-identical
+// to full walks of the materialized, recovered candidate.
 type checkerPool struct {
-	cfg         Config
-	incremental bool
+	cfg Config
 
 	checked   atomic.Int64
 	violating atomic.Int64
@@ -553,12 +554,7 @@ type checkerPool struct {
 }
 
 func newCheckerPool(cfg Config) *checkerPool {
-	return &checkerPool{
-		cfg: cfg,
-		// Recovery (journal replay) rewrites arbitrary home fragments, so
-		// candidates cannot be checked as deltas over a committed baseline.
-		incremental: cfg.Recover == nil,
-	}
+	return &checkerPool{cfg: cfg}
 }
 
 // getSubset copies subset into a pooled slice (nil for the empty subset).
@@ -611,50 +607,73 @@ func (c *committedImage) advance(done []*node) bool {
 func (cp *checkerPool) run(base []byte, jobs <-chan job) {
 	com := committedImage{img: append([]byte(nil), base...)}
 	ov := &overlay{}
+	var rec *recoveryImage // cfg.Recover's image; mirrors com.img
+	if cp.cfg.Recover != nil {
+		rec = newRecoveryImage(com.img)
+	}
 	var bl *fsck.Baseline     // of com.img as it stands; aliases it
 	var dc *fsck.DeltaChecker // bound to bl
-	var scratch []byte        // materialized image for cfg.Recover
 	for j := range jobs {
 		moved := com.advance(j.done)
+		if moved && rec != nil {
+			rec.sync(com.dirty)
+		}
 		ov.load(&j, com.img)
-		if cp.incremental {
-			switch {
-			case dc == nil:
-				cp.builds.Add(1)
-				bl = fsck.NewBaseline(fsck.Bytes(com.img), 1)
-				dc = fsck.NewDeltaChecker(bl)
-				dc.SkipDetails(true)
-			case moved:
-				if bl.Advance(com.dirty) {
-					cp.builds.Add(1)
-				} else {
-					cp.advances.Add(1)
-				}
-				dc.Rebind(bl)
-			}
-			// Triage without formatting finding details — almost every
-			// candidate's report is discarded. Only candidates that would
-			// enter the retained set get a full formatted check, so the
-			// recorded strings are identical to the full path's.
-			if deltaViolates(dc, ov, cp.cfg.ExtraCheck) {
-				cp.violating.Add(1)
-				if cp.wouldRetain(j.seq) {
-					cp.record(j, checkImage(ov, cp.cfg.ExtraCheck))
-				}
-			}
-		} else {
-			scratch = ov.materialize(scratch)
-			cp.cfg.Recover(scratch)
-			findings := checkImage(fsck.Bytes(scratch), cp.cfg.ExtraCheck)
-			if len(findings) != 0 {
+		switch {
+		case fullCheck != nil:
+			if findings := fullCheck(ov, cp.cfg); len(findings) != 0 {
 				cp.violating.Add(1)
 				cp.record(j, findings)
 			}
+			cp.checked.Add(1)
+			cp.putSubset(j.subset)
+			continue
+		case dc == nil:
+			cp.builds.Add(1)
+			bl = fsck.NewBaseline(fsck.Bytes(com.img), 1)
+			dc = fsck.NewDeltaChecker(bl)
+			dc.SkipDetails(true)
+		case moved:
+			if bl.Advance(com.dirty) {
+				cp.builds.Add(1)
+			} else {
+				cp.advances.Add(1)
+			}
+			dc.Rebind(bl)
+		}
+		var img fsck.DeltaImage = ov
+		var findings []string
+		if rec != nil {
+			if f := rec.load(ov, cp.cfg.Recover); f != "" {
+				findings = []string{f}
+			}
+			img = rec
+		}
+		// Triage without formatting finding details — almost every
+		// candidate's report is discarded. Only candidates that would
+		// enter the retained set get a full formatted check, so the
+		// recorded strings are identical to the full path's.
+		if findings != nil || deltaViolates(dc, img, cp.cfg.ExtraCheck) {
+			cp.violating.Add(1)
+			if cp.wouldRetain(j.seq) {
+				if findings == nil {
+					findings = checkImage(img, cp.cfg.ExtraCheck)
+				}
+				cp.record(j, findings)
+			}
+		}
+		if rec != nil {
+			rec.restore()
 		}
 		cp.checked.Add(1)
 		cp.putSubset(j.subset)
 	}
 }
+
+// fullCheck, when set (tests), replaces a worker's incremental check of
+// each candidate: it returns the candidate's findings from a reference
+// path of its own. No Baseline is built while it is set.
+var fullCheck func(ov *overlay, cfg Config) []string
 
 // wouldRetain reports whether a violating candidate with this sequence
 // number could enter the retained set. The retention bar (the highest seq
@@ -740,16 +759,16 @@ func checkImage(img fsck.Image, extra func(fsck.Image) []string) (findings []str
 // violates — dc runs with SkipDetails, and callers that keep the candidate
 // re-check it with checkImage for the strings. A panic inside fsck counts
 // as a violation; the re-check reproduces it.
-func deltaViolates(dc *fsck.DeltaChecker, ov *overlay, extra func(fsck.Image) []string) (vio bool) {
+func deltaViolates(dc *fsck.DeltaChecker, img fsck.DeltaImage, extra func(fsck.Image) []string) (vio bool) {
 	defer func() {
 		if p := recover(); p != nil {
 			vio = true
 		}
 	}()
-	for _, f := range dc.Check(ov).Findings {
+	for _, f := range dc.Check(img).Findings {
 		if f.Kind.Violation() {
 			return true
 		}
 	}
-	return extra != nil && len(extra(ov)) != 0
+	return extra != nil && len(extra(img)) != 0
 }

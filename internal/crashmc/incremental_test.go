@@ -3,17 +3,22 @@ package crashmc
 // The incremental checker's differential oracle: fsck reports for delta
 // images replayed against a cached Baseline must equal, field for field,
 // full checks of the materialized image — over randomized (seeded
-// splitmix64) overlay deltas drawn from all five schemes' recorded write
-// timelines, and end-to-end over whole explorations.
+// splitmix64) overlay deltas drawn from six schemes' recorded write
+// timelines — Journaling's recovered first — and end-to-end over whole
+// explorations.
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"reflect"
+	"slices"
 	"sort"
+	"sync/atomic"
 	"testing"
 
 	"metaupdate/fsim"
+	"metaupdate/internal/disk"
 	"metaupdate/internal/ffs"
 	"metaupdate/internal/fsck"
 	"metaupdate/internal/workload"
@@ -97,22 +102,24 @@ func compareReports(t *testing.T, trial int, inc, full *fsck.Report) {
 // image — and requires the DeltaChecker's spliced report to equal a full
 // CheckImage of the materialized bytes, field for field. The subsets are
 // not restricted to barrier-closed ones: incremental checking must agree
-// on every delta, legal or not.
+// on every delta, legal or not. The Journaling row recovers each delta
+// first: the recovered delta a recoveryImage hands the DeltaChecker must
+// check as the materialized delta does after fsck.ReplayJournal.
 func TestIncrementalEqualsFull(t *testing.T) {
-	schemes := []fsim.Scheme{fsim.Conventional, fsim.SchedulerFlag, fsim.SchedulerChains, fsim.SoftUpdates, fsim.NoOrder}
-	for _, scheme := range schemes {
-		t.Run(scheme.String(), func(t *testing.T) {
-			rec := recordRun(t, scheme, 10)
-			var writes []*node
-			for _, n := range rec.nodes {
-				if n.write {
-					writes = append(writes, n)
-				}
-			}
-			sort.Slice(writes, func(i, j int) bool { return writes[i].id < writes[j].id })
-			if len(writes) == 0 {
-				t.Fatal("no writes recorded")
-			}
+	for _, tc := range []struct {
+		scheme  fsim.Scheme
+		recover bool
+	}{
+		{fsim.Conventional, false},
+		{fsim.SchedulerFlag, false},
+		{fsim.SchedulerChains, false},
+		{fsim.SoftUpdates, false},
+		{fsim.NoOrder, false},
+		{fsim.Journaling, true},
+	} {
+		t.Run(tc.scheme.String(), func(t *testing.T) {
+			rec := recordRun(t, tc.scheme, 10)
+			writes := recordedWrites(t, rec)
 
 			// Two bases: the pre-workload image and a mid-timeline committed
 			// image (first half of the writes applied in ID order).
@@ -122,8 +129,9 @@ func TestIncrementalEqualsFull(t *testing.T) {
 			}
 			bases := [][]byte{rec.base, mid}
 
-			rng := uint64(0x1994_1114) ^ uint64(scheme)<<8
+			rng := uint64(0x1994_1114) ^ uint64(tc.scheme)<<8
 			ov := &overlay{}
+			replayed := 0
 			for bi, base := range bases {
 				var sb ffs.Superblock
 				if err := sb.Decode(base); err != nil {
@@ -131,25 +139,26 @@ func TestIncrementalEqualsFull(t *testing.T) {
 				}
 				bl := fsck.NewBaseline(fsck.Bytes(base), 1)
 				dc := fsck.NewDeltaChecker(bl)
+				rc := newRecoveryImage(base)
 				for trial := 0; trial < 60; trial++ {
-					var subset []*node
-					for _, w := range writes {
-						if splitmix(&rng)%4 == 0 {
-							subset = append(subset, w)
+					ov.load(randomJob(&rng, writes), base)
+					want := fsck.Materialize(ov)
+					var img fsck.DeltaImage = ov
+					if tc.recover {
+						replayed += fsck.ReplayJournal(want)
+						if f := rc.load(ov, func(b []byte) { fsck.ReplayJournal(b) }); f != "" {
+							t.Fatalf("trial %d: %s", trial, f)
+						}
+						checkRecovered(t, trial, rc, want, base)
+						img = rc
+					}
+					compareReports(t, trial, dc.Check(img), fsck.CheckImage(fsck.Bytes(want)))
+					if tc.recover {
+						rc.restore()
+						if !bytes.Equal(rc.img, base) {
+							t.Fatalf("trial %d: the recovery image differs from the committed image after restore", trial)
 						}
 					}
-					j := job{subset: &subset}
-					if splitmix(&rng)%2 == 0 {
-						p := writes[splitmix(&rng)%uint64(len(writes))]
-						if p.count > 1 {
-							j.partial = p
-							j.psec = 1 + int(splitmix(&rng)%uint64(p.count-1))
-						}
-					}
-					ov.load(&j, base)
-					inc := dc.Check(ov)
-					full := fsck.CheckImage(fsck.Bytes(fsck.Materialize(ov)))
-					compareReports(t, trial, inc, full)
 				}
 				if dc.Stats.Checks == 0 || dc.Stats.FullFallbacks != 0 {
 					t.Fatalf("base %d: delta checks did not run incrementally: %+v", bi, dc.Stats)
@@ -167,17 +176,175 @@ func TestIncrementalEqualsFull(t *testing.T) {
 						bi, dc.Stats.InodesRederived, dc.Stats.Checks, sb.NInodes)
 				}
 			}
+			if tc.recover && replayed == 0 {
+				t.Error("no delta replayed a journal transaction: recovery went unchecked")
+			}
 		})
 	}
 }
 
+// recordedWrites returns rec's write requests in ID order.
+func recordedWrites(t *testing.T, rec *Recorder) []*node {
+	t.Helper()
+	var writes []*node
+	for _, n := range rec.nodes {
+		if n.write {
+			writes = append(writes, n)
+		}
+	}
+	sort.Slice(writes, func(i, j int) bool { return writes[i].id < writes[j].id })
+	if len(writes) == 0 {
+		t.Fatal("no writes recorded")
+	}
+	return writes
+}
+
+// randomJob draws a job hypothesizing a random subset of writes durable,
+// half the time with a random write caught mid-transfer on top.
+func randomJob(rng *uint64, writes []*node) *job {
+	var subset []*node
+	for _, w := range writes {
+		if splitmix(rng)%4 == 0 {
+			subset = append(subset, w)
+		}
+	}
+	j := &job{subset: &subset}
+	if splitmix(rng)%2 == 0 {
+		p := writes[splitmix(rng)%uint64(len(writes))]
+		if p.count > 1 {
+			j.partial = p
+			j.psec = 1 + int(splitmix(rng)%uint64(p.count-1))
+		}
+	}
+	return j
+}
+
+// checkRecovered asserts rc holds want, the materialized and recovered
+// candidate, and names as dirty exactly the sectors where want differs
+// from base.
+func checkRecovered(t *testing.T, trial int, rc *recoveryImage, want, base []byte) {
+	t.Helper()
+	if !bytes.Equal(rc.img, want) {
+		t.Fatalf("trial %d: the recovery image differs from the materialized, recovered candidate", trial)
+	}
+	var dirty []int64
+	for s := int64(0); s*disk.SectorSize < int64(len(base)); s++ {
+		lo, hi := s*disk.SectorSize, (s+1)*disk.SectorSize
+		if !bytes.Equal(want[lo:hi], base[lo:hi]) {
+			dirty = append(dirty, s)
+		}
+	}
+	if !slices.Equal(rc.DirtySectors(), dirty) {
+		t.Fatalf("trial %d: dirty sectors %v, want %v", trial, rc.DirtySectors(), dirty)
+	}
+}
+
+// TestRecoveryImageAdversarialRecover drives the recovery image with a
+// Recover that does what journal replay never does here: (i) it writes
+// into a page that is all zero in the committed image and that no
+// recorded write touches, (ii) it rewrites sector 0, which takes the
+// DeltaChecker's full fallback, (iii) it writes bytes equal to the
+// committed image's over a recorded write's sectors (reverting the
+// candidate's write where it had one), and (iv) it zeroes a page the
+// committed image gained by a move after the recovery image was made.
+// Every recovered delta must check as the materialized candidate does
+// after the same Recover, name exactly the sectors it changed, and leave
+// the recovery image equal to the committed image after restore.
+func TestRecoveryImageAdversarialRecover(t *testing.T) {
+	rec := recordRun(t, fsim.Conventional, 10)
+	writes := recordedWrites(t, rec)
+	com := append([]byte(nil), rec.base...)
+	rc := newRecoveryImage(com)
+
+	touched := make(map[int64]bool)
+	for _, w := range writes {
+		for s := w.lbn; s < w.lbn+int64(w.count); s++ {
+			touched[s*disk.SectorSize/pageSize] = true
+		}
+	}
+	zeroPg := int64(-1)
+	for p := int64(len(com)/pageSize) - 1; p > 0; p-- {
+		if !touched[p] && isZero(com[p*pageSize:(p+1)*pageSize]) {
+			zeroPg = p
+			break
+		}
+	}
+	if zeroPg < 0 {
+		t.Fatal("no all-zero page untouched by the recorded writes")
+	}
+	// The committed image moves halfway, by the first half of the writes;
+	// gained is a page that was all zero before and is not after.
+	moveAt, moved := 40, writes[:len(writes)/2]
+	gained := int64(-1)
+	for _, w := range moved {
+		if p := w.lbn * disk.SectorSize / pageSize; rc.zero[p] && gained < 0 {
+			gained = p
+		}
+	}
+	if gained < 0 {
+		t.Fatal("the move gains no page that was all zero")
+	}
+	reverted := writes[len(writes)-1]
+
+	var trial int
+	adversary := func(img []byte) {
+		switch trial % 5 {
+		case 1:
+			img[zeroPg*pageSize+int64(trial)] = byte(trial)
+		case 2:
+			img[disk.SectorSize-1] ^= 0xA5 // past the superblock's fields
+		case 3:
+			lo := reverted.lbn * disk.SectorSize
+			copy(img[lo:lo+int64(reverted.count)*disk.SectorSize], com[lo:])
+		case 4:
+			clear(img[gained*pageSize : (gained+1)*pageSize])
+		}
+	}
+
+	bl := fsck.NewBaseline(fsck.Bytes(com), 1)
+	dc := fsck.NewDeltaChecker(bl)
+	rng := uint64(0x5EC7_0000)
+	ov := &overlay{}
+	for trial = 0; trial < 80; trial++ {
+		if trial == moveAt {
+			var dirty []int64
+			for _, w := range moved {
+				w.apply(com)
+				for s := w.lbn; s < w.lbn+int64(w.count); s++ {
+					dirty = append(dirty, s)
+				}
+			}
+			rc.sync(dirty)
+			bl.Advance(dirty)
+			dc.Rebind(bl)
+		}
+		ov.load(randomJob(&rng, writes), com)
+		want := fsck.Materialize(ov)
+		adversary(want)
+		if f := rc.load(ov, adversary); f != "" {
+			t.Fatalf("trial %d: %s", trial, f)
+		}
+		checkRecovered(t, trial, rc, want, com)
+		compareReports(t, trial, dc.Check(rc), fsck.CheckImage(fsck.Bytes(want)))
+		rc.restore()
+		if !bytes.Equal(rc.img, com) {
+			t.Fatalf("trial %d: the recovery image differs from the committed image after restore", trial)
+		}
+	}
+	if dc.Stats.FullFallbacks == 0 {
+		t.Error("no recovered delta dirtied sector 0: the full fallback went unchecked")
+	}
+}
+
 // TestExploreFullCheckAgrees runs whole explorations on the incremental
-// (default) path and on the per-candidate full path — selected the way
-// production selects it, by a Recover hook (here one that recovers nothing)
-// — each at one pool worker and at four, and requires identical counters
-// and identical retained violations. No Order brings the violations to
-// compare; Conventional and Async Durability bring committed images that
-// move, so the workers' Baselines advance (each row asserts they did).
+// path and on a reference that checks every candidate in full — the
+// candidate materialized, recovered and walked (checkFull, installed by
+// exploreFull) — each at one pool worker and at four, and requires
+// identical counters and identical retained violations. No Order brings
+// the violations to compare; Conventional and Async Durability bring
+// committed images that move, so the workers' Baselines advance (each row
+// asserts they did); Journaling brings journal replay, recovered in each
+// worker's recovery image and checked against the same Baseline.
 func TestExploreFullCheckAgrees(t *testing.T) {
 	for _, tc := range []struct {
 		scheme   fsim.Scheme
@@ -186,23 +353,22 @@ func TestExploreFullCheckAgrees(t *testing.T) {
 		{fsim.NoOrder, false},
 		{fsim.Conventional, true},
 		{fsim.AsyncDurability, true},
+		{fsim.Journaling, true},
 	} {
 		t.Run(tc.scheme.Slug(), func(t *testing.T) {
 			rec := recordRun(t, tc.scheme, 8)
 			base := Config{Workers: 1, Budget: 1000, PerInstant: 256}
+			var replayed atomic.Int64
+			if tc.scheme == fsim.Journaling {
+				base.Recover = func(img []byte) { replayed.Add(int64(fsck.ReplayJournal(img))) }
+			}
 			inc := rec.Explore(base)
-
-			full := base
-			full.Recover = func([]byte) {}
-			fres := rec.Explore(full)
+			fres := exploreFull(rec, base)
 
 			pw := base
 			pw.Workers = 4
 			pres := rec.Explore(pw)
-
-			fpw := full
-			fpw.Workers = 4
-			fpres := rec.Explore(fpw)
+			fpres := exploreFull(rec, pw)
 
 			for name, res := range map[string]*Result{"full": fres, "incremental, 4 workers": pres, "full, 4 workers": fpres} {
 				if inc.Stats.Explored != res.Stats.Explored || inc.Stats.Checked != res.Stats.Checked ||
@@ -220,11 +386,9 @@ func TestExploreFullCheckAgrees(t *testing.T) {
 					}
 				}
 			}
-			if !inc.Stats.Incremental || fres.Stats.Incremental {
-				t.Fatalf("Incremental flags wrong: inc=%v full=%v", inc.Stats.Incremental, fres.Stats.Incremental)
-			}
-			if inc.Stats.BaselineBuilds != 1 {
-				t.Errorf("one worker derived %d baselines in full; want 1, advanced after", inc.Stats.BaselineBuilds)
+			if inc.Stats.BaselineBuilds != 1 || pres.Stats.BaselineBuilds > int64(pw.Workers) {
+				t.Errorf("%d baselines derived in full at 1 worker, %d at %d; want one per worker, advanced after",
+					inc.Stats.BaselineBuilds, pres.Stats.BaselineBuilds, pw.Workers)
 			}
 			if tc.advances && (inc.Stats.BaselineAdvances == 0 || pres.Stats.BaselineAdvances == 0) {
 				t.Errorf("no baseline advanced (1 worker: %d, 4 workers: %d): the rolling path went unchecked",
@@ -234,7 +398,42 @@ func TestExploreFullCheckAgrees(t *testing.T) {
 				t.Errorf("full exploration built %d and advanced %d baselines; wanted none",
 					fres.Stats.BaselineBuilds, fres.Stats.BaselineAdvances)
 			}
+			if base.Recover != nil && replayed.Load() == 0 {
+				t.Error("no candidate replayed a journal transaction: recovery went unchecked")
+			}
 		})
+	}
+}
+
+// TestRecoverPanicIsAFinding: a Recover that panics on one candidate does
+// not kill the sweep. The state counts as violating, with the panic as its
+// finding, and every other state checks as it does without the panic.
+func TestRecoverPanicIsAFinding(t *testing.T) {
+	rec := recordRun(t, fsim.Conventional, 8)
+	for _, workers := range []int{1, 4} {
+		cfg := Config{Workers: workers, Budget: 600, PerInstant: 64, Recover: func([]byte) {}}
+		clean := rec.Explore(cfg)
+		if !clean.Clean() {
+			t.Fatalf("%d workers: %d violating states without the panic", workers, clean.Stats.Violating)
+		}
+		var calls atomic.Int64
+		cfg.Recover = func([]byte) {
+			if calls.Add(1) == 5 {
+				panic("boom")
+			}
+		}
+		res := rec.Explore(cfg)
+		if res.Stats.Checked != clean.Stats.Checked || res.Stats.Violating != 1 {
+			t.Fatalf("%d workers: checked %d, violating %d; want %d checked, 1 violating",
+				workers, res.Stats.Checked, res.Stats.Violating, clean.Stats.Checked)
+		}
+		want := []string{"recovery panicked on image: boom"}
+		if len(res.Violations) != 1 || !reflect.DeepEqual(res.Violations[0].Findings, want) {
+			t.Fatalf("%d workers: retained %+v, want one state with findings %q", workers, res.Violations, want)
+		}
+		if workers == 1 && res.Violations[0].Seq != 5 {
+			t.Errorf("the panic was reported at state %d, want 5 (the fifth recovered)", res.Violations[0].Seq)
+		}
 	}
 }
 

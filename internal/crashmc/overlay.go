@@ -65,20 +65,6 @@ func (o *overlay) set(s int64, view []byte) {
 	o.view[s] = view
 }
 
-// materialize flattens the crash state into dst (grown as needed) — the
-// recovery path (Config.Recover) needs a mutable image to replay into.
-func (o *overlay) materialize(dst []byte) []byte {
-	if cap(dst) < len(o.base) {
-		dst = make([]byte, len(o.base))
-	}
-	dst = dst[:len(o.base)]
-	copy(dst, o.base)
-	for _, s := range o.dirty {
-		copy(dst[s*disk.SectorSize:], o.view[s])
-	}
-	return dst
-}
-
 // Len implements fsck.Image.
 func (o *overlay) Len() int64 { return int64(len(o.base)) }
 

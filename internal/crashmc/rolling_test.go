@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"metaupdate/fsim"
+	"metaupdate/internal/fsck"
 	"metaupdate/internal/workload"
 )
 
@@ -214,36 +215,52 @@ func TestDFSSignatureMatchesDefinition(t *testing.T) {
 }
 
 // TestAllocFreeExploreNoImagePerInstant: an exploration allocates a fixed
-// number of images (the worker's; with the sector-indexed arrays, well under
-// three), one Baseline per worker and a small constant per state — not an
-// image per crash instant, which is what copying the committed image after
-// every emitted instant cost, and not a Baseline per move of the committed
-// image, which is what deriving one afresh instead of advancing it cost.
+// number of images (the worker's committed image and, under a recovery
+// step, its recovery image; with the sector-indexed arrays, the limits
+// allow three and four image sizes), one Baseline per worker and a small
+// constant per state —
+// not an image per crash instant, which is what copying the committed
+// image after every emitted instant cost, not a Baseline per move of the
+// committed image, which is what deriving one afresh instead of advancing
+// it cost, and not a full fsck walk per recovered candidate, which is
+// what checking Journaling's candidates by materializing them cost.
 func TestAllocFreeExploreNoImagePerInstant(t *testing.T) {
-	rec := recordRun(t, fsim.Conventional, 40)
-	cfg := Config{Workers: 1, Budget: 4000, PerInstant: 64}
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	res := rec.Explore(cfg)
-	runtime.ReadMemStats(&after)
+	for _, tc := range []struct {
+		scheme  fsim.Scheme
+		files   int
+		recover func([]byte)
+		images  uint64
+	}{
+		{fsim.Conventional, 40, nil, 3},
+		{fsim.Journaling, 80, func(img []byte) { fsck.ReplayJournal(img) }, 4},
+	} {
+		t.Run(tc.scheme.Slug(), func(t *testing.T) {
+			rec := recordRun(t, tc.scheme, tc.files)
+			cfg := Config{Workers: 1, Budget: 4000, PerInstant: 64, Recover: tc.recover}
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			res := rec.Explore(cfg)
+			runtime.ReadMemStats(&after)
 
-	if res.Stats.Instants < 100 {
-		t.Fatalf("timeline has %d instants, want at least 100", res.Stats.Instants)
-	}
-	const (
-		perBaseline = 1 << 20 // fsck.NewBaseline on this geometry: ≈ 600 KB
-		perState    = 2 << 10
-	)
-	got := after.TotalAlloc - before.TotalAlloc
-	limit := 3*uint64(len(rec.base)) + uint64(cfg.Workers)*perBaseline + uint64(res.Stats.Checked)*perState
-	perInstant := uint64(res.Stats.Instants) * uint64(len(rec.base))
-	t.Logf("%d instants, %d states, %d baseline advances: %.1f MB allocated (limit %.1f MB; an image per instant is %.1f MB)",
-		res.Stats.Instants, res.Stats.Checked, res.Stats.BaselineAdvances, float64(got)/(1<<20), float64(limit)/(1<<20), float64(perInstant)/(1<<20))
-	if got >= limit {
-		t.Errorf("Explore allocated %d bytes over %d instants and %d states, limit %d", got, res.Stats.Instants, res.Stats.Checked, limit)
-	}
-	if limit*4 > perInstant {
-		t.Errorf("limit %d is not well under an image per instant (%d): the guard guards nothing", limit, perInstant)
+			if res.Stats.Instants < 100 {
+				t.Fatalf("timeline has %d instants, want at least 100", res.Stats.Instants)
+			}
+			const (
+				perBaseline = 1 << 20 // fsck.NewBaseline on this geometry: ≈ 600 KB
+				perState    = 2 << 10
+			)
+			got := after.TotalAlloc - before.TotalAlloc
+			limit := tc.images*uint64(len(rec.base)) + uint64(cfg.Workers)*perBaseline + uint64(res.Stats.Checked)*perState
+			perInstant := uint64(res.Stats.Instants) * uint64(len(rec.base))
+			t.Logf("%d instants, %d states, %d baseline advances: %.1f MB allocated (limit %.1f MB; an image per instant is %.1f MB)",
+				res.Stats.Instants, res.Stats.Checked, res.Stats.BaselineAdvances, float64(got)/(1<<20), float64(limit)/(1<<20), float64(perInstant)/(1<<20))
+			if got >= limit {
+				t.Errorf("Explore allocated %d bytes over %d instants and %d states, limit %d", got, res.Stats.Instants, res.Stats.Checked, limit)
+			}
+			if limit*4 > perInstant {
+				t.Errorf("limit %d is not well under an image per instant (%d): the guard guards nothing", limit, perInstant)
+			}
+		})
 	}
 }

@@ -19,7 +19,7 @@ func (r *Recorder) shrink(v Violation, cfg Config, doneOrder []*node) *Repro {
 	// so reusing the buffer (like the checker pool's per-worker scratch)
 	// avoids an image-sized allocation per candidate.
 	img := make([]byte, len(r.base))
-	materialize := func(writes []*node, partial *node, psec int) {
+	findings := func(writes []*node, partial *node, psec int) []string {
 		copy(img, r.base)
 		for _, n := range writes {
 			n.apply(img)
@@ -28,16 +28,18 @@ func (r *Recorder) shrink(v Violation, cfg Config, doneOrder []*node) *Repro {
 			partial.applyPrefix(img, psec)
 		}
 		if cfg.Recover != nil {
-			cfg.Recover(img)
+			if f := runRecover(cfg.Recover, img); f != "" {
+				return []string{f}
+			}
 		}
+		return checkImage(fsck.Bytes(img), cfg.ExtraCheck)
 	}
 	violates := func(writes []*node, partial *node, psec int) bool {
 		if trials >= shrinkTrials {
 			return false // out of budget: refuse the reduction, keep going
 		}
 		trials++
-		materialize(writes, partial, psec)
-		return len(checkImage(fsck.Bytes(img), cfg.ExtraCheck)) > 0
+		return len(findings(writes, partial, psec)) > 0
 	}
 
 	subset := make([]*node, 0, len(v.Applied))
@@ -141,8 +143,7 @@ func (r *Recorder) shrink(v Violation, cfg Config, doneOrder []*node) *Repro {
 	}
 
 	// Re-materialize the final state for its findings.
-	materialize(writes, partial, psec)
-	rep := &Repro{Findings: checkImage(fsck.Bytes(img), cfg.ExtraCheck), Trials: trials}
+	rep := &Repro{Findings: findings(writes, partial, psec), Trials: trials}
 	for _, n := range writes {
 		rep.Writes = append(rep.Writes, WriteInfo{ID: n.id, LBN: n.lbn, Sectors: n.count})
 	}

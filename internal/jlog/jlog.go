@@ -17,8 +17,9 @@
 // Replay trusts only the chain: starting from the durable header's
 // (tailSeq, tailOff), each transaction must carry the expected sequence
 // number and a commit whose CRC32 matches the begin sector and payload
-// bytes. The first failure stops the scan — later transactions cannot be
-// durable because each commit write depends on its predecessor.
+// bytes, and home runs that lie inside the image. The first failure stops
+// the scan — later transactions cannot be durable because each commit
+// write depends on its predecessor.
 //
 // Every encoder writes into a caller-provided buffer and allocates
 // nothing; the commit hot path is covered by an AllocsPerRun == 0 guard.
@@ -213,13 +214,14 @@ func Replay(img []byte, journalStart, journalFrags int32) int {
 	}
 	var txns []txn
 	var scratch []HomeRun
+	imgFrags := int64(len(img)) / FragSize
 	seq, off := hdr.TailSeq, hdr.TailOff
 	for {
-		cand, ok := replayOne(region, journalFrags, off, seq, scratch[:0])
+		cand, ok := replayOne(region, journalFrags, imgFrags, off, seq, scratch[:0])
 		if !ok && off != 1 {
 			// The writer may have wrapped: the next transaction starts at
 			// offset 1 when it did not fit before the region end.
-			cand, ok = replayOne(region, journalFrags, 1, seq, scratch[:0])
+			cand, ok = replayOne(region, journalFrags, imgFrags, 1, seq, scratch[:0])
 		}
 		if !ok {
 			break
@@ -248,8 +250,12 @@ type replayCand struct {
 }
 
 // replayOne validates the transaction at region-relative offset off with
-// the expected sequence number. The payload slice aliases the image.
-func replayOne(region []byte, journalFrags, off int32, want uint64, scratch []HomeRun) (replayCand, bool) {
+// the expected sequence number. A home run that does not lie inside the
+// image's imgFrags fragments makes the transaction invalid, as a bad
+// checksum does: the checksum covers the begin record, so only a record
+// the writer never wrote — or media corrupted past detection — names one.
+// The payload slice aliases the image.
+func replayOne(region []byte, journalFrags int32, imgFrags int64, off int32, want uint64, scratch []HomeRun) (replayCand, bool) {
 	if off < 1 || off+2 > journalFrags {
 		return replayCand{}, false
 	}
@@ -270,6 +276,11 @@ func replayOne(region []byte, journalFrags, off int32, want uint64, scratch []Ho
 	}
 	if Checksum(beginSector, payload) != sum {
 		return replayCand{}, false
+	}
+	for _, h := range homes {
+		if h.Frag > imgFrags-int64(h.NFrags) {
+			return replayCand{}, false
+		}
 	}
 	return replayCand{homes: homes, payload: payload, next: end + 1}, true
 }

@@ -236,6 +236,41 @@ func TestReplayWrapScan(t *testing.T) {
 	}
 }
 
+// TestReplayRejectsHomeRunPastImage: a checksummed transaction whose home
+// run lies past the image end — wholly, or straddling it — is invalid, the
+// same as one with a bad checksum. Replay stops there: it applies the
+// transactions before it, nothing of it, and none after it, and it neither
+// panics nor writes a truncated image.
+func TestReplayRejectsHomeRunPastImage(t *testing.T) {
+	const jFrags = 12
+	const imgFrags = 24
+	for _, bad := range []HomeRun{
+		{Frag: 1000, NFrags: 1},         // wholly past the end
+		{Frag: imgFrags - 1, NFrags: 2}, // straddles the end
+		{Frag: imgFrags, NFrags: 1},     // starts at the end
+		{Frag: 1<<62 + 1, NFrags: 1},    // overflows a byte offset
+	} {
+		img := make([]byte, imgFrags*FragSize)
+		region := img[:jFrags*FragSize]
+		EncodeHeader(img, Header{TailSeq: 5, TailOff: 1})
+		p1 := bytes.Repeat([]byte{0x11}, FragSize)
+		p2 := bytes.Repeat([]byte{0x22}, int(bad.NFrags)*FragSize)
+		p3 := bytes.Repeat([]byte{0x33}, FragSize)
+		off := putTxn(region, 1, 5, []HomeRun{{Frag: 20, NFrags: 1}}, p1)
+		off = putTxn(region, off, 6, []HomeRun{bad}, p2)
+		putTxn(region, off, 7, []HomeRun{{Frag: 21, NFrags: 1}}, p3)
+		want := bytes.Clone(img)
+		copy(want[20*FragSize:], p1)
+
+		if n := Replay(img, 0, jFrags); n != 1 {
+			t.Fatalf("home run %+v: replayed %d txns, want 1 (stop at the bad one)", bad, n)
+		}
+		if !bytes.Equal(img, want) {
+			t.Fatalf("home run %+v: image differs from the first transaction applied alone", bad)
+		}
+	}
+}
+
 // TestAllocFreeCommitPath pins the package's contract: every encoder on
 // the transaction commit hot path writes into caller-provided buffers and
 // allocates nothing — here the way the journaling scheme calls them, on one
