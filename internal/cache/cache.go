@@ -22,8 +22,10 @@
 package cache
 
 import (
+	"bytes"
 	"fmt"
 	"math/bits"
+	"testing"
 
 	"metaupdate/internal/dev"
 	"metaupdate/internal/disk"
@@ -39,8 +41,12 @@ const SectorsPerFrag = FragSize / disk.SectorSize
 
 // Buf is a cached range of fragments.
 type Buf struct {
-	Frag   int64  // first fragment number
-	Data   []byte // len = NFrags * FragSize
+	Frag int64 // first fragment number
+	// Data is len = NFrags * FragSize of storage from the cache's pool. It
+	// goes back to the pool, and Data becomes nil, once the buffer has no
+	// reader left (Cache.retire): a holder that breaks the last-reader rule
+	// of DESIGN.md §9 panics instead of reading another buffer's bytes.
+	Data   []byte
 	Dirty  bool
 	marked bool // syncer two-pass mark
 
@@ -71,6 +77,10 @@ type Buf struct {
 	// evicted, so a pointer obtained from Bread/Getblk stays valid across
 	// the sleeps inside one file system operation.
 	hold int
+	// lent counts the Bread and Getblk calls handing b to their callers:
+	// its storage stays until they have (eviction is not affected).
+	lent int
+	c    *Cache // the cache whose pool Data came from
 
 	// Dep anchors scheme-owned dependency state (pagedep / inodedep /
 	// indirdep). The cache never interprets it.
@@ -95,12 +105,14 @@ func (b *Buf) NFrags() int { return len(b.Data) / FragSize }
 // Hold takes a reference: the buffer will not be evicted until Unhold.
 func (b *Buf) Hold() *Buf { b.hold++; return b }
 
-// Unhold drops a Hold reference.
+// Unhold drops a Hold reference; the last one from a buffer that left the
+// cache returns its storage to the pool.
 func (b *Buf) Unhold() {
 	if b.hold == 0 {
 		panic("cache: Unhold without Hold")
 	}
 	b.hold--
+	b.c.retire(b)
 }
 
 // Lost reports whether the cache abandoned the buffer's contents after
@@ -129,9 +141,12 @@ type Hooks interface {
 	// slice makes it the bytes that reach the platter (soft updates
 	// returns a copy with unresolved updates rolled back — the
 	// copy-on-write approach the paper recommends over in-place undo).
-	// Returning nil keeps src.
+	// Returning nil keeps src. A substitute is taken with Cache.Copy and
+	// belongs to the cache from then on: it goes back to the pool when the
+	// write lands.
 	BeforeWrite(b *Buf, src []byte) []byte
-	// WriteDone runs after the write's data is on the media.
+	// WriteDone runs after the write's data is on the media. req is valid
+	// only during the call.
 	WriteDone(b *Buf, req *dev.Request)
 }
 
@@ -194,10 +209,14 @@ type Cache struct {
 	// -CB snapshot pool accounting.
 	copyOutstanding int
 	copyWait        *sim.Completion
-	// snapFree recycles -CB snapshot buffers by size class (fragments per
-	// buffer); per-cache and LIFO, so reuse is deterministic. Snapshots are
-	// fully overwritten on reuse, so no stale bytes can escape.
-	snapFree [9][][]byte
+	// free recycles block storage by size class (fragments per slice):
+	// buffer Data, -CB snapshots and rollback copies alike. Per-cache and
+	// LIFO, so which bytes back what is deterministic. Each stack is sized
+	// once in New to hold MaxBytes of its class and never grows; storage
+	// released into a full stack is left to the garbage collector.
+	free [maxFrags + 1][][]byte
+	// writeFree recycles the bookkeeping of completed writes.
+	writeFree []*cwrite
 
 	// Stats.
 	Hits, Misses int64
@@ -236,7 +255,84 @@ func New(eng *sim.Engine, drv *dev.Driver, cpu *sim.CPU, cfg Config) *Cache {
 		mapped: make([]uint64, (drv.Sectors()/SectorsPerFrag+63)/64),
 	}
 	c.lru.prev, c.lru.next = &c.lru, &c.lru
+	n := 0
+	for k := 1; k <= maxFrags; k++ {
+		n += cfg.MaxBytes / (k * FragSize)
+	}
+	stacks := make([][]byte, n)
+	for k := 1; k <= maxFrags; k++ {
+		n = cfg.MaxBytes / (k * FragSize)
+		c.free[k], stacks = stacks[:0:n], stacks[n:]
+	}
 	return c
+}
+
+// maxFrags is the largest buffer, in fragments (an FFS block).
+const maxFrags = 8
+
+// poisonCheck turns on the use-after-release check in test binaries:
+// released storage is filled with poisonByte and must still hold it when
+// it is reused, or some reader wrote through a slice it kept past the
+// release.
+var poisonCheck = testing.Testing()
+
+const poisonByte = 0xdb
+
+var poison = bytes.Repeat([]byte{poisonByte}, maxFrags*FragSize)
+
+// getStorage returns nfrags fragments of block storage, recycled when the
+// pool has some of that size. zero clears recycled bytes; a caller that
+// overwrites all of them (a read, a snapshot, a copy) skips that.
+func (c *Cache) getStorage(nfrags int, zero bool) []byte {
+	if nfrags >= 1 && nfrags <= maxFrags {
+		if list := c.free[nfrags]; len(list) > 0 {
+			s := list[len(list)-1]
+			list[len(list)-1] = nil
+			c.free[nfrags] = list[:len(list)-1]
+			if poisonCheck && !bytes.Equal(s, poison[:len(s)]) {
+				panic("cache: block storage written after its release")
+			}
+			if zero {
+				clear(s)
+			}
+			return s
+		}
+	}
+	return make([]byte, nfrags*FragSize)
+}
+
+// putStorage releases s to the pool. Nothing may touch s afterwards.
+func (c *Cache) putStorage(s []byte) {
+	nfrags := len(s) / FragSize
+	if nfrags < 1 || nfrags > maxFrags || len(s) != nfrags*FragSize {
+		return
+	}
+	if poisonCheck {
+		copy(s, poison)
+	}
+	if list := c.free[nfrags]; len(list) < cap(list) {
+		c.free[nfrags] = append(list, s)
+	}
+}
+
+// retire returns b's storage to the pool once b has no reader left: it is
+// unmapped, unheld, not being handed to a caller, filled or written from
+// (a -CB write carries its own snapshot). Every place one of those ends
+// calls it.
+func (c *Cache) retire(b *Buf) {
+	if b.next != nil || b.hold > 0 || b.lent > 0 || b.reading != nil || b.writing != nil || b.Data == nil {
+		return
+	}
+	c.putStorage(b.Data)
+	b.Data = nil
+}
+
+// Copy returns pooled storage holding a copy of src, a whole buffer's
+// bytes: the write source a BeforeWrite hook substitutes.
+func (c *Cache) Copy(src []byte) []byte {
+	s := c.getStorage(len(src)/FragSize, false)
+	copy(s, src)
+	return s
 }
 
 // Config returns the cache configuration.
@@ -257,8 +353,9 @@ func (c *Cache) insert(b *Buf) {
 }
 
 // remove drops b from the cache, keeping the byte count and the eviction
-// order in step. A buffer that already left (dropped, or replaced at its
-// fragment and re-read) is left alone.
+// order in step, and retires its storage if nothing else reads it. A
+// buffer that already left (dropped, or replaced at its fragment and
+// re-read) is left alone.
 func (c *Cache) remove(b *Buf) {
 	if b.next == nil {
 		return
@@ -268,6 +365,7 @@ func (c *Cache) remove(b *Buf) {
 	b.prev.next, b.next.prev = b.next, b.prev
 	b.prev, b.next = nil, nil
 	c.mapped[b.Frag/64] &^= 1 << (b.Frag % 64)
+	c.retire(b)
 }
 
 // touch stamps b as used now and moves it to its place in the eviction
@@ -297,11 +395,14 @@ func (c *Cache) link(b *Buf) {
 	at.next = b
 }
 
-// waitAccessible blocks p while b is being read in.
+// waitAccessible blocks p while b is being read in. b's storage stays for
+// the caller, whatever happens to b meanwhile.
 func (c *Cache) waitAccessible(p *sim.Proc, b *Buf) {
+	b.lent++
 	for b.reading != nil {
 		b.reading.Wait(p)
 	}
+	b.lent--
 }
 
 // Bread returns the buffer for nfrags fragments starting at frag, reading
@@ -332,7 +433,7 @@ func (c *Cache) Bread(p *sim.Proc, frag int64, nfrags int) (*Buf, error) {
 		return b, nil
 	}
 	c.Misses++
-	b = &Buf{Frag: frag, Data: make([]byte, nfrags*FragSize)}
+	b = &Buf{Frag: frag, Data: c.getStorage(nfrags, false), c: c, lent: 1}
 	b.reading = sim.NewCompletion()
 	c.insert(b)
 	c.makeRoom(p, b)
@@ -355,7 +456,9 @@ func (c *Cache) Bread(p *sim.Proc, frag int64, nfrags int) (*Buf, error) {
 	r := b.reading
 	b.reading = nil
 	if err != nil {
+		// Waiters see readErr, never the bytes: the storage goes back now.
 		b.readErr = err
+		b.lent--
 		c.remove(b)
 		r.Fire(c.eng)
 		return nil, err
@@ -363,8 +466,10 @@ func (c *Cache) Bread(p *sim.Proc, frag int64, nfrags int) (*Buf, error) {
 	if b.invalid {
 		// Dropped while the fill was in flight: the fragment was freed, so
 		// the buffer must not stay mapped for its next owner to trip over.
+		// The caller still reads it, so its storage stays.
 		c.remove(b)
 	}
+	b.lent--
 	r.Fire(c.eng)
 	c.touch(b)
 	return b, nil
@@ -390,9 +495,10 @@ func (c *Cache) Getblk(p *sim.Proc, frag int64, nfrags int) *Buf {
 		return b
 	}
 	c.Misses++
-	b = &Buf{Frag: frag, Data: make([]byte, nfrags*FragSize)}
+	b = &Buf{Frag: frag, Data: c.getStorage(nfrags, true), c: c, lent: 1}
 	c.insert(b)
 	c.makeRoom(p, b)
+	b.lent--
 	return b
 }
 
@@ -418,11 +524,12 @@ func (c *Cache) Bdwrite(b *Buf) {
 	b.Dirty = true
 }
 
-// Bawrite issues an asynchronous write of b, returning the request (nil if
-// a write was already in flight; the buffer stays dirty and will be written
-// again).
+// Bawrite issues an asynchronous write of b. It returns the request with a
+// reference the caller holds — drop it with Driver().Release once done
+// reading the request — or nil if a write was already in flight (the
+// buffer stays dirty and will be written again).
 func (c *Cache) Bawrite(p *sim.Proc, b *Buf) *dev.Request {
-	return c.issueWrite(p, b)
+	return c.issueWrite(p, b, true)
 }
 
 // Bwrite guarantees b's current contents are on stable storage before
@@ -434,7 +541,7 @@ func (c *Cache) Bwrite(p *sim.Proc, b *Buf) error {
 	c.SyncWrites++
 	sp := obs.SpanOf(p)
 	for {
-		req := c.issueWrite(p, b)
+		req := c.issueWrite(p, b, true)
 		if req != nil {
 			// The whole wait is pushed as queue time, then split
 			// retroactively from the request's recorded timeline: time
@@ -444,7 +551,9 @@ func (c *Cache) Bwrite(p *sim.Proc, b *Buf) error {
 			sp.Push(p, obs.StageQueue)
 			req.Done.Wait(p)
 			sp.PopWait(p, t0, req.ReadyTime(), req.DispatchTime())
-			return req.Err
+			err := req.Err
+			c.drv.Release(req)
+			return err
 		}
 		// A write was already in flight (issued before this call, possibly
 		// without the caller's ordering state); wait it out and reissue.
@@ -459,12 +568,53 @@ func (c *Cache) Bwrite(p *sim.Proc, b *Buf) error {
 	}
 }
 
+// cwrite is the bookkeeping of one write in flight from the cache: what its
+// completion needs. Completed ones are recycled through Cache.writeFree.
+type cwrite struct {
+	c   *Cache
+	b   *Buf
+	req *dev.Request
+	// src is pooled storage the write carries instead of b.Data — a -CB
+	// snapshot (its size is what the write holds of the snapshot pool) or
+	// a rollback copy — released when the write lands.
+	src []byte
+	// done is b.writing while a write without -CB is in flight.
+	done sim.Completion
+	fire func() // w.complete, bound once
+}
+
+// newWrite returns blank write bookkeeping for b.
+func (c *Cache) newWrite(b *Buf) *cwrite {
+	var w *cwrite
+	if n := len(c.writeFree); n > 0 {
+		w = c.writeFree[n-1]
+		c.writeFree[n-1] = nil
+		c.writeFree = c.writeFree[:n-1]
+		if w.done.Fired() {
+			w.done.Reset()
+		}
+	} else {
+		w = &cwrite{c: c}
+		w.fire = w.complete
+	}
+	w.b = b
+	return w
+}
+
+// freeWrite recycles w.
+func (c *Cache) freeWrite(w *cwrite) {
+	w.b, w.req, w.src = nil, nil, nil
+	c.writeFree = append(c.writeFree, w)
+}
+
 // issueWrite builds and submits the write request for b. Without -CB a
 // second write of the same buffer cannot be issued while one is in flight
 // (the source is the live buffer); with -CB each write carries its own
 // snapshot, so concurrent writes are allowed — the driver's conflict rule
-// keeps them in submission order on the media.
-func (c *Cache) issueWrite(p *sim.Proc, b *Buf) *dev.Request {
+// keeps them in submission order on the media. With ref the caller gets a
+// reference to the returned request (DESIGN.md §9's last-reader rule); the
+// completion holds one of its own.
+func (c *Cache) issueWrite(p *sim.Proc, b *Buf, ref bool) *dev.Request {
 	if !c.cfg.CB && b.writing != nil {
 		// Already in flight; the caller (syncer) will retry later.
 		b.Dirty = true
@@ -481,126 +631,139 @@ func (c *Cache) issueWrite(p *sim.Proc, b *Buf) *dev.Request {
 	b.Dirty = false
 	b.marked = false
 
-	var src []byte
-	var done *sim.Completion
-	var copyCost sim.Duration
-	var cbSnap []byte // pooled -CB snapshot to recycle at completion
-	if c.cfg.CB {
-		// Bounded snapshot pool: block until there is room (a process
+	if c.cfg.CB && p != nil && c.copyOutstanding+len(b.Data) > c.cfg.MaxCopyBytes {
+		// Bounded -CB snapshot pool: block until there is room (a process
 		// context is required to block; engine-context issuers skip the
 		// wait and overshoot slightly, which a real ISR path would too).
-		if p != nil && c.copyOutstanding+len(b.Data) > c.cfg.MaxCopyBytes {
-			sp := obs.SpanOf(p)
-			sp.Push(p, obs.StageSyncer)
-			for c.copyOutstanding+len(b.Data) > c.cfg.MaxCopyBytes {
-				if c.copyWait == nil {
-					c.copyWait = sim.NewCompletion()
-				}
-				c.copyWait.Wait(p)
+		// The buffer is held across the wait, so its storage stays
+		// whatever happens meanwhile. One dropped meanwhile is not written:
+		// its fragments are free, perhaps already another buffer's, and its
+		// old bytes would land on them.
+		b.hold++
+		sp := obs.SpanOf(p)
+		sp.Push(p, obs.StageSyncer)
+		for c.copyOutstanding+len(b.Data) > c.cfg.MaxCopyBytes {
+			if c.copyWait == nil {
+				c.copyWait = sim.NewCompletion()
 			}
-			sp.Pop(p)
+			c.copyWait.Wait(p)
 		}
+		sp.Pop(p)
+		b.Unhold()
+		if b.invalid {
+			return nil
+		}
+	}
+	w := c.newWrite(b)
+	src := b.Data
+	var copyCost sim.Duration
+	if c.cfg.CB {
 		// Block-copy enhancement: snapshot the source so the live buffer
 		// stays unlocked. The snapshot and submission happen without
 		// yielding the virtual CPU, so concurrent issuers cannot invert
 		// snapshot order vs. submission order; the memcpy cost is charged
 		// right after.
-		src = c.getSnapshot(b.NFrags())
-		copy(src, b.Data)
-		cbSnap = src
+		src = c.Copy(b.Data)
+		w.src = src
 		c.copyOutstanding += len(src)
 		b.cbInflight++
 		copyCost = copyCPU * sim.Duration(b.NFrags()) / 8
 	} else {
-		src = b.Data
-		done = sim.NewCompletion()
-		b.writing = done
+		b.writing = &w.done
 	}
 	if repl := c.Hooks.BeforeWrite(b, src); repl != nil {
 		// The hook substituted a (rolled back) copy; charge the memcpy.
 		// The live buffer stays write-locked until completion so at most
 		// one rollback snapshot per buffer is in flight — updates still
 		// wait, as with in-place undo, but readers never see undone bytes.
-		if cbSnap != nil {
+		if w.src != nil {
 			// The -CB snapshot never reaches the disk; recycle it now.
 			// (copyOutstanding still accounts len(src) == len(repl) until
 			// completion, matching the kernel-memory model.)
-			c.putSnapshot(cbSnap)
-			cbSnap = nil
+			c.putStorage(w.src)
 		}
-		src = repl
+		src, w.src = repl, repl
 		copyCost += copyCPU * sim.Duration(b.NFrags()) / 8
 	}
-	req := c.drv.Submit(&dev.Request{
-		Op:        disk.Write,
-		LBN:       lbnOf(b.Frag),
-		Count:     b.NFrags() * SectorsPerFrag,
-		Data:      src,
-		Flag:      flag,
-		DependsOn: deps,
-	})
+	req := c.drv.AllocRequest()
+	req.Op = disk.Write
+	req.LBN = lbnOf(b.Frag)
+	req.Count = len(src) / disk.SectorSize
+	req.Data = src
+	req.Flag = flag
+	req.DependsOn = deps
+	if ref {
+		req.Ref()
+	}
+	w.req = c.drv.Submit(req)
 	c.WritesIssued++
 	b.writeReq = req.ID
+	req.Done.OnFire(w.fire)
 	if copyCost > 0 && c.cpu != nil && p != nil {
 		sp := obs.SpanOf(p)
 		sp.Push(p, obs.StageCPU)
 		c.cpu.Use(p, copyCost)
 		sp.Pop(p)
 	}
-	snapshotLen := 0
-	if c.cfg.CB {
-		snapshotLen = len(src)
+	if !ref {
+		return nil
 	}
-	done2 := done
-	req.Done.OnFire(func() {
-		if snapshotLen > 0 {
-			c.copyOutstanding -= snapshotLen
-			b.cbInflight--
-			if cbSnap != nil {
-				// Data is on the media (and the crash recorder took its
-				// own copy at submission), so the snapshot is dead.
-				c.putSnapshot(cbSnap)
-			}
-			if c.copyWait != nil {
-				w := c.copyWait
-				c.copyWait = nil
-				w.Fire(c.eng)
-			}
-		}
-		if done2 != nil {
-			b.writing = nil
-		}
-		if b.writeReq == req.ID {
-			b.writeReq = 0
-		}
-		if req.Err != nil {
-			// The write never (fully) reached the media. Scheme completion
-			// hooks are skipped — WriteDone means "the bytes are durable",
-			// and they are not. The buffer is re-dirtied so the syncer
-			// retries, a bounded number of times: a write that keeps
-			// failing (exhausted spare pool) is eventually dropped and
-			// counted rather than wedging SyncAll forever.
-			b.writeFails++
-			if !b.invalid {
-				if b.writeFails <= maxWriteFails {
-					b.Dirty = true
-				} else {
-					c.LostWrites++
-					b.Dirty = false
-				}
-			}
-		} else {
-			b.writeFails = 0
-			c.Hooks.WriteDone(b, req)
-		}
-		if b.invalid && b.writing == nil && b.cbInflight == 0 {
-			c.remove(b)
-		}
-		if done2 != nil {
-			done2.Fire(c.eng)
-		}
-	})
 	return req
+}
+
+// complete is a write's completion callback, run in engine context as its
+// request's Done fires. It drops the completion's reference to the request
+// last, after the hooks have seen it.
+func (w *cwrite) complete() {
+	c, b, req := w.c, w.b, w.req
+	if c.cfg.CB {
+		c.copyOutstanding -= len(w.src)
+		b.cbInflight--
+		if c.copyWait != nil {
+			cw := c.copyWait
+			c.copyWait = nil
+			cw.Fire(c.eng)
+		}
+	} else {
+		b.writing = nil
+	}
+	if b.writeReq == req.ID {
+		b.writeReq = 0
+	}
+	if req.Err != nil {
+		// The write never (fully) reached the media. Scheme completion
+		// hooks are skipped — WriteDone means "the bytes are durable",
+		// and they are not. The buffer is re-dirtied so the syncer
+		// retries, a bounded number of times: a write that keeps
+		// failing (exhausted spare pool) is eventually dropped and
+		// counted rather than wedging SyncAll forever.
+		b.writeFails++
+		if !b.invalid {
+			if b.writeFails <= maxWriteFails {
+				b.Dirty = true
+			} else {
+				c.LostWrites++
+				b.Dirty = false
+			}
+		}
+	} else {
+		b.writeFails = 0
+		c.Hooks.WriteDone(b, req)
+	}
+	if b.invalid && b.writing == nil && b.cbInflight == 0 {
+		c.remove(b)
+	}
+	if w.src != nil {
+		// The data is on the media (and the crash recorder took its own
+		// copy at submission), so the write's own source is dead.
+		c.putStorage(w.src)
+	}
+	c.retire(b)
+	if !c.cfg.CB {
+		w.done.Fire(c.eng)
+	}
+	c.drv.Release(req)
+	c.freeWrite(w)
 }
 
 // maxWriteFails bounds consecutive failed writes of one buffer before its
@@ -608,32 +771,10 @@ func (c *Cache) issueWrite(p *sim.Proc, b *Buf) *dev.Request {
 // backstop for whatever inconsistency the loss introduces).
 const maxWriteFails = 4
 
-// getSnapshot returns a len == nfrags*FragSize buffer for a -CB write
-// snapshot, reusing a retired one of the same size class when available.
-// Callers overwrite the full buffer, so recycled contents never leak.
-func (c *Cache) getSnapshot(nfrags int) []byte {
-	if nfrags >= 1 && nfrags < len(c.snapFree) {
-		if list := c.snapFree[nfrags]; len(list) > 0 {
-			s := list[len(list)-1]
-			list[len(list)-1] = nil
-			c.snapFree[nfrags] = list[:len(list)-1]
-			return s
-		}
-	}
-	return make([]byte, nfrags*FragSize)
-}
-
-// putSnapshot retires a snapshot buffer to its size-class free list.
-func (c *Cache) putSnapshot(s []byte) {
-	nfrags := len(s) / FragSize
-	if nfrags >= 1 && nfrags < len(c.snapFree) && len(s) == nfrags*FragSize {
-		c.snapFree[nfrags] = append(c.snapFree[nfrags], s)
-	}
-}
-
-// Resize grows or shrinks b to nfrags fragments in place (fragment
-// extension). The caller must have called PrepareModify; resizing a buffer
-// with I/O in flight panics.
+// Resize grows or shrinks b to nfrags fragments (fragment extension): b
+// moves to new storage of the new size holding its bytes, zero past them,
+// and its old storage goes back to the pool. The caller must have called
+// PrepareModify; resizing a buffer with I/O in flight panics.
 func (c *Cache) Resize(b *Buf, nfrags int) {
 	// With -CB an in-flight write holds its own snapshot, so resizing the
 	// live buffer is safe; otherwise PrepareModify has already waited.
@@ -644,8 +785,9 @@ func (c *Cache) Resize(b *Buf, nfrags int) {
 		return
 	}
 	c.bytes += nfrags*FragSize - len(b.Data)
-	data := make([]byte, nfrags*FragSize)
-	copy(data, b.Data)
+	data := c.getStorage(nfrags, false)
+	clear(data[copy(data, b.Data):])
+	c.putStorage(b.Data)
 	b.Data = data
 }
 
@@ -665,8 +807,8 @@ func (c *Cache) Drop(frag int64) {
 	}
 	// Remove immediately so the fragments can be re-cached by a new owner;
 	// any write still in flight from the old buffer holds its own source
-	// and is ordered before the new owner's writes by the driver's
-	// conflict rule.
+	// (without -CB, b's storage, kept until the write lands) and is ordered
+	// before the new owner's writes by the driver's conflict rule.
 	c.remove(b)
 }
 
@@ -745,30 +887,42 @@ func (c *Cache) makeRoom(p *sim.Proc, keep *Buf) {
 			sp.Pop(p)
 			continue
 		}
-		// Write-behind the batch and wait for the first completion.
+		// Write-behind the batch and wait for the first completion. An
+		// issue can yield (the -CB pool, the copy's CPU time), and meanwhile
+		// other processes write, drop or evict buffers: a member is written
+		// only if it is still mapped, dirty and not being written.
 		var first *dev.Request
 		for _, b := range dirty[:ndirty] {
-			if r := c.issueWrite(p, b); r != nil && first == nil {
+			if b.next == nil || !b.Dirty || b.writing != nil {
+				continue
+			}
+			if r := c.issueWrite(p, b, first == nil); r != nil {
 				first = r
 			}
 		}
-		if first != nil && p != nil {
-			sp := obs.SpanOf(p)
-			sp.Push(p, obs.StageSyncer)
-			first.Done.Wait(p)
-			sp.Pop(p)
+		if first != nil {
+			if p != nil {
+				sp := obs.SpanOf(p)
+				sp.Push(p, obs.StageSyncer)
+				first.Done.Wait(p)
+				sp.Pop(p)
+			}
+			c.drv.Release(first)
 		}
 	}
 }
 
 // DropClean evicts every clean, idle, unpinned buffer — benchmarks use it
 // (after a full sync) to cold-start a measurement the way a freshly booted
-// machine would.
+// machine would. It walks the eviction order, not the map, so the order
+// storage goes back to the pool in is deterministic.
 func (c *Cache) DropClean() {
-	for _, b := range c.bufs {
+	for b := c.lru.next; b != &c.lru; {
+		next := b.next
 		if !b.Dirty && !b.Pinned && b.hold == 0 && b.reading == nil && b.writing == nil && b.cbInflight == 0 && b.Dep == nil {
 			c.remove(b)
 		}
+		b = next
 	}
 }
 
@@ -803,7 +957,7 @@ func (c *Cache) SyncerPass(p *sim.Proc) {
 			continue
 		}
 		if b.marked && b.Dirty && b.writing == nil {
-			c.issueWrite(p, b)
+			c.issueWrite(p, b, false)
 		} else if b.Dirty {
 			b.marked = true
 		}
@@ -866,7 +1020,7 @@ func (c *Cache) SyncAll(p *sim.Proc, maxRounds int) int {
 		for _, frag := range frags {
 			b := c.bufs[frag]
 			if b != nil && b.Dirty && b.writing == nil {
-				c.issueWrite(p, b)
+				c.issueWrite(p, b, false)
 				wrote = true
 			}
 		}

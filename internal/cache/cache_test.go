@@ -711,8 +711,9 @@ func TestEvictionOrderMatchesSortOracle(t *testing.T) {
 }
 
 // TestAllocFreeEviction: making room by evicting a clean buffer costs no
-// allocation — a Getblk into a full cache allocates exactly what a Getblk
-// into a half-empty one does (the buffer and its data).
+// allocation, and the evicted buffer's storage backs the new one — a Getblk
+// into a full cache allocates less than a Getblk into a half-empty one does
+// (the buffer, without its data).
 func TestAllocFreeEviction(t *testing.T) {
 	const nbufs = 64
 	getblks := func(fill int) float64 {
@@ -729,7 +730,7 @@ func TestAllocFreeEviction(t *testing.T) {
 		return allocs
 	}
 	roomy, full := getblks(nbufs/2), getblks(2*nbufs)
-	if roomy == 0 || full != roomy {
+	if full == 0 || full >= roomy {
 		t.Fatalf("Getblk allocates %.1f times into a full cache, %.1f into a half-empty one", full, roomy)
 	}
 }

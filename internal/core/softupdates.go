@@ -542,7 +542,7 @@ func (s *SoftUpdates) BeforeWrite(b *cache.Buf, src []byte) []byte {
 	var out []byte
 	ensure := func() []byte {
 		if out == nil {
-			out = append([]byte(nil), src...)
+			out = s.cache().Copy(src)
 		}
 		return out
 	}

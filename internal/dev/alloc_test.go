@@ -13,8 +13,7 @@ import (
 // disk, so with buckets > window each pending request has a bucket of its
 // own, and with fewer each write is wired behind the pending one in its
 // bucket. A pooled life takes its request from AllocRequest and ends in
-// Release; a plain one is a fresh &Request{}, as the buffer cache's writes
-// are.
+// Release; a plain one is a fresh &Request{}.
 func lifeAllocs(t *testing.T, cfg Config, window, buckets int, pooled bool, fill func(*Request)) float64 {
 	t.Helper()
 	eng, dsk, drv := newRig(cfg)
@@ -90,8 +89,8 @@ func TestAllocFreeSubmitBehindFlagBarrier(t *testing.T) {
 	}
 }
 
-// TestPlainWriteAllocatesOnlyItself pins the cost of the buffer cache's
-// writes: a fresh &Request{} write, wired behind the pending write to its
+// TestPlainWriteAllocatesOnlyItself pins the cost of a request from outside
+// the pool: a fresh &Request{} write, wired behind the pending write to its
 // sector and with the next one wired behind it, costs exactly one
 // allocation per life — the Request. Its completion is embedded, its
 // successor list is storage a retired request handed back, and the trace
@@ -104,5 +103,28 @@ func TestPlainWriteAllocatesOnlyItself(t *testing.T) {
 	})
 	if n != 1 {
 		t.Errorf("plain write behind a pending write to its sector: %.2f allocs per Submit→completion, want 1", n)
+	}
+}
+
+// TestReleaseAtLastReference: a pooled request goes back to the pool when
+// its last reference is dropped, not before. A reference may be dropped
+// while the request is in flight; the last one only after it completed.
+func TestReleaseAtLastReference(t *testing.T) {
+	eng, _, drv := newRig(Config{Mode: ModeIgnore})
+	r := drv.AllocRequest()
+	r.Op, r.LBN, r.Count, r.Data = disk.Write, 0, 1, make([]byte, disk.SectorSize)
+	drv.Submit(r.Ref().Ref())
+	drv.Release(r) // one reader leaves before completion
+	eng.Run()
+	drv.Release(r)
+	if len(drv.free) != 0 {
+		t.Fatal("a request with a reference left went back to the pool")
+	}
+	if r.ID == 0 || !r.Done.Fired() {
+		t.Fatal("a referenced request was recycled")
+	}
+	drv.Release(r)
+	if len(drv.free) != 1 || drv.AllocRequest() != r {
+		t.Fatal("the last Release did not recycle the request")
 	}
 }

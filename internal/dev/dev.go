@@ -131,6 +131,9 @@ type Request struct {
 
 	Done *sim.Completion
 	done sim.Completion // what Done points at unless the caller set it
+	// refs counts the readers of a pooled request (AllocRequest, Ref,
+	// Release); the last Release recycles it.
+	refs int32
 
 	// Err is the request's final outcome, set before Done fires: nil on
 	// success, ErrIO/ErrBadSector when the driver exhausted its recovery
@@ -384,23 +387,41 @@ func New(eng *sim.Engine, dsk *disk.Disk, cfg Config) *Driver {
 // when available. The pool is per-driver (so per-System) and LIFO, which
 // keeps reuse deterministic. Callers fill in the request and Submit it as
 // usual; pooling is optional — a plain &Request{} behaves identically.
+// The caller holds the request's one reference.
 func (d *Driver) AllocRequest() *Request {
+	var r *Request
 	if n := len(d.free); n > 0 {
-		r := d.free[n-1]
+		r = d.free[n-1]
 		d.free[n-1] = nil
 		d.free = d.free[:n-1]
-		return r
+	} else {
+		r = &Request{}
 	}
-	return &Request{}
+	r.refs = 1
+	return r
 }
 
-// Release returns a completed request to the pool for a later AllocRequest.
-// The caller must be the request's sole owner: Done must have fired and
-// nothing else may retain the pointer (the buffer cache uses this for read
-// requests, which it owns from Submit through completion). The embedded
-// completion keeps its storage across reuse; the successor list went back
-// to the driver when the request retired.
+// Ref takes one more reference to a request from AllocRequest: a reader
+// that looks at the request after it may have completed (its Done, Err or
+// timeline) holds one from before it could complete until it is done
+// reading, and then drops it with Release.
+func (r *Request) Ref() *Request {
+	r.refs++
+	return r
+}
+
+// Release drops a reference to a request; the last one returns it to the
+// pool for a later AllocRequest, and Done must have fired by then. Once the
+// last reference is dropped nothing may touch the pointer again: the buffer
+// cache's reads own theirs end to end, and its writes follow the
+// last-reader rule of DESIGN.md §9. The embedded completion keeps its
+// storage across reuse; the successor list went back to the driver when
+// the request retired.
 func (d *Driver) Release(r *Request) {
+	if r.refs > 1 {
+		r.refs--
+		return
+	}
 	if r.Done == nil || !r.Done.Fired() {
 		panic("dev: Release of incomplete request")
 	}

@@ -23,9 +23,12 @@ import (
 //     walked.
 //
 // An index is keyed by directory and block address and bound to the buffer
-// it was built from. Another buffer at that address means the block was
-// evicted and read back, or its abandoned write dropped it, so the index is
-// rebuilt from the bytes; a block that growBlock moves carries its index
+// it was built from. The binding is a pointer compared, never read through:
+// the bytes always come from a caller that holds the buffer, so an index
+// bound to a buffer whose storage went back to the cache's pool is only
+// stale. Another buffer at that address means the block was evicted and
+// read back, or its abandoned write dropped it, so the index is rebuilt
+// from the bytes; a block that growBlock moves carries its index
 // along, since its bytes are copied unchanged. A block holding two live names
 // with one hash, or an entry that runs past its chunk, is answered by the
 // scans themselves.

@@ -318,7 +318,9 @@ func (o *Async) flusher(p *sim.Proc) {
 				continue
 			}
 			if b.Dirty && !b.InFlight() {
-				c.Bawrite(p, b)
+				if r := c.Bawrite(p, b); r != nil {
+					c.Driver().Release(r)
+				}
 			}
 		}
 	}

@@ -418,7 +418,7 @@ func (o *Journal) WaitDurable(p *sim.Proc, ino ffs.Ino, frags []int64) error {
 	c := o.fs.Cache()
 	sb := o.fs.Superblock()
 	iblk, _ := sb.InodeFrag(ino)
-	var data []*dev.Request
+	var data []*dev.Request // each holds a reference, dropped once read
 	for _, frag := range frags {
 		b := c.Lookup(frag)
 		if b == nil || frag == int64(iblk) {
@@ -434,7 +434,9 @@ func (o *Journal) WaitDurable(p *sim.Proc, ino ffs.Ino, frags []int64) error {
 		}
 	}
 	if ib := c.Lookup(int64(iblk)); ib != nil && (ib.Dirty || ib.InFlight()) {
-		o.stable(p, ib)
+		// Held: stable reads its bytes again after waiting for log space.
+		o.stable(p, ib.Hold())
+		ib.Unhold()
 	}
 	// Everything journaled so far is durable once the open transaction
 	// commits or, if that is empty, the newest submitted one has.
@@ -454,6 +456,7 @@ func (o *Journal) WaitDurable(p *sim.Proc, ino ffs.Ino, frags []int64) error {
 		if err == nil {
 			err = r.Err
 		}
+		o.drv.Release(r)
 	}
 	return err
 }
@@ -578,7 +581,9 @@ func (o *Journal) flushOldest(p *sim.Proc) {
 		}
 		if !b.InFlight() {
 			o.Flushes++
-			c.Bawrite(p, b) // WriteDone checks the fragment off
+			if r := c.Bawrite(p, b); r != nil { // WriteDone checks the fragment off
+				o.drv.Release(r)
+			}
 		}
 		wait = b
 	}

@@ -39,7 +39,9 @@ func (o *Flag) flagWrite(p *sim.Proc, b *cache.Buf) {
 	c := o.fs.Cache()
 	b.WriteFlag = true
 	c.Bdwrite(b)
-	c.Bawrite(p, b)
+	if r := c.Bawrite(p, b); r != nil {
+		c.Driver().Release(r)
+	}
 }
 
 // Chains is the scheduler-chains scheme of section 3.2: each ordered write
@@ -103,7 +105,9 @@ func (o *Chains) WriteDone(b *cache.Buf, r *dev.Request) {
 func (o *Chains) chainWrite(p *sim.Proc, b *cache.Buf) uint64 {
 	c := o.fs.Cache()
 	c.Bdwrite(b)
-	c.Bawrite(p, b)
+	if r := c.Bawrite(p, b); r != nil {
+		c.Driver().Release(r)
+	}
 	return b.WriteReq()
 }
 
