@@ -56,12 +56,7 @@ var allowlist = map[string]string{
 	"internal/fsck.Materialize":            "reference oracle: the full image the incremental checker's reports are compared with",
 	"internal/fsck.ContentViolationsImage": "reference oracle: the crash tests' file-content check; ROADMAP item 1(e) makes it a crashmc ExtraCheck",
 
-	// ROADMAP item 3 deletes the parallel engine, and these with it.
-	"internal/sim.LPGroup.Executed":  "the parallel engine's accessors go with ROADMAP item 3",
-	"internal/sim.LPGroup.Lookahead": "the parallel engine's accessors go with ROADMAP item 3",
-	"internal/sim.LPGroup.Pending":   "the parallel engine's accessors go with ROADMAP item 3",
-	"internal/sim.LPGroup.Workers":   "the parallel engine's accessors go with ROADMAP item 3",
-	"internal/simnet.ZeroLatency":    "goes with the parallel engine's parity tests, ROADMAP item 3",
+	"fsim.DistOptions.EngineWorkers": "deprecated and ignored: bench's sim.lpgroup probe still sets it, and ROADMAP item 5 removes both",
 
 	"internal/ffs.FS.Truncate": "a documented operation (README's operation set); EXPERIMENTS.md's crash results cite partial truncation",
 

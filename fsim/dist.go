@@ -47,14 +47,10 @@ type DistOptions struct {
 	// Net is the link cost model; zero fields take simnet defaults.
 	Net NetParams
 
-	// EngineWorkers > 1 runs the cluster on a parallel group of
-	// per-node event engines (one LP per node plus one for the
-	// client/router) synchronized conservatively with the network
-	// latency as lookahead, on that many worker goroutines. 0 or 1
-	// selects the serial engine. Observable output is byte-identical
-	// at every worker count. No command or harness exhibit sets it: only
-	// the benchmark's sim.lpgroup probe and this package's parity tests
-	// do, and it goes with the parallel engine.
+	// EngineWorkers has no effect: the cluster always runs on one
+	// engine. It stays only while bench's sim.lpgroup probe sets it.
+	//
+	// Deprecated: ignored.
 	EngineWorkers int
 }
 
@@ -82,14 +78,10 @@ func (o *DistOptions) setDefaults() {
 
 // DistSystem is a fully assembled sharded metadata service: drive it
 // through Cluster's router operations (Lookup, Create, Mkdir, Link,
-// Unlink, Rename) or Cluster.Load. It runs either on one serial engine
-// or (Opt.EngineWorkers > 1) on a parallel LP group — same protocol,
-// byte-identical observables.
+// Unlink, Rename) or Cluster.Load. The whole cluster runs on Eng.
 type DistSystem struct {
 	Opt     DistOptions
-	Exec    sim.Exec
-	Eng     *sim.Engine  // the serial engine, or the group's LP 0
-	Group   *sim.LPGroup // non-nil in parallel mode
+	Eng     *sim.Engine
 	Net     *simnet.Network
 	Cluster *dmeta.Cluster
 	Obs     *obs.Recorder // non-nil when Base.Observe
@@ -100,51 +92,22 @@ type DistSystem struct {
 // and syncer daemons.
 func NewDist(opt DistOptions) (*DistSystem, error) {
 	opt.setDefaults()
-	pe := opt.Net.Normalized()
-	s := &DistSystem{Opt: opt}
-	if opt.EngineWorkers > 1 {
-		if opt.Base.Observe {
-			return nil, fmt.Errorf("fsim: Observe needs the serial engine (the span recorder is single-engine state); drop EngineWorkers or Observe")
-		}
-		// One LP per node (spares included) plus LP 0 for the client and
-		// router; the minimum network delay is the sync lookahead. The
-		// labels reach pprof as per-LP goroutine labels.
-		lps := make([]*sim.Engine, 1+opt.MaxNodes)
-		for i := range lps {
-			lps[i] = sim.NewEngine()
-			if i == 0 {
-				lps[i].Label = "router"
-			} else {
-				lps[i].Label = fmt.Sprintf("node%d", i)
-			}
-		}
-		g, err := sim.NewLPGroup(lps, pe.Latency, opt.EngineWorkers)
-		if err != nil {
-			return nil, fmt.Errorf("fsim: EngineWorkers %d: %w", opt.EngineWorkers, err)
-		}
-		s.Exec, s.Eng, s.Group = g, lps[0], g
-		s.Net = simnet.NewParallel(g, pe)
-	} else {
-		eng := sim.NewEngine()
-		s.Exec, s.Eng = eng, eng
-		s.Net = simnet.New(eng, pe)
-		if opt.Base.Observe {
-			s.Obs = obs.New(eng)
-		}
+	eng := sim.NewEngine()
+	s := &DistSystem{Opt: opt, Eng: eng, Net: simnet.New(eng, opt.Net)}
+	if opt.Base.Observe {
+		s.Obs = obs.New(eng)
 	}
 
-	// Per-node stack registry: init procs fill disjoint slots, so the
-	// slice is safe to share across concurrently-built nodes.
 	stacks := make([]*dmeta.Stack, opt.MaxNodes)
 	build := func(p *sim.Proc, id int) (*dmeta.Stack, error) {
-		st, err := buildStack(s.Net.Endpoint(id).Host(), opt.Base, s.Obs, p)
+		st, err := buildStack(eng, opt.Base, s.Obs, p)
 		if err != nil {
 			return nil, err
 		}
 		stacks[id-1] = st
 		return st, nil
 	}
-	cl, err := dmeta.New(s.Exec, s.Net, dmeta.Config{
+	cl, err := dmeta.New(eng, s.Net, dmeta.Config{
 		Nodes:        opt.Nodes,
 		MaxNodes:     opt.MaxNodes,
 		Seed:         opt.Seed,
@@ -154,9 +117,6 @@ func NewDist(opt DistOptions) (*DistSystem, error) {
 		Obs:          s.Obs,
 	})
 	if err != nil {
-		if s.Group != nil {
-			s.Group.Close()
-		}
 		return nil, err
 	}
 	s.Cluster = cl
@@ -166,10 +126,9 @@ func NewDist(opt DistOptions) (*DistSystem, error) {
 	return s, nil
 }
 
-// buildStack assembles one node's machine on the node's host engine (the
-// shared serial engine, or the node's own LP). It runs inside an
-// already-live proc (p), unlike New which owns its engine and mounts from a
-// fresh one.
+// buildStack assembles one node's machine on the cluster's engine. It
+// runs inside an already-live proc (p), unlike New which owns its engine
+// and mounts from a fresh one.
 func buildStack(eng *sim.Engine, opt Options, rec *obs.Recorder, p *sim.Proc) (*dmeta.Stack, error) {
 	sys, err := assemble(eng, opt, rec, p)
 	if err != nil {
@@ -183,25 +142,19 @@ func buildStack(eng *sim.Engine, opt Options, rec *obs.Recorder, p *sim.Proc) (*
 func (s *DistSystem) Run(fn func(p *Proc)) Duration {
 	start := s.Eng.Now()
 	done := false
-	s.Exec.Spawn("main", func(p *Proc) {
+	s.Eng.Spawn("main", func(p *Proc) {
 		fn(p)
 		done = true
 	})
-	s.Exec.RunWhile(func() bool { return !done })
+	s.Eng.RunWhile(func() bool { return !done })
 	return s.Eng.Now() - start
 }
 
 // SyncAll flushes every node's delayed writes.
 func (s *DistSystem) SyncAll() { s.Cluster.SyncAll() }
 
-// Shutdown stops the syncers and server loops, drains the exec, and
-// releases the parallel worker pool.
-func (s *DistSystem) Shutdown() {
-	s.Cluster.Shutdown()
-	if s.Group != nil {
-		s.Group.Close()
-	}
-}
+// Shutdown stops the syncers and server loops and drains the engine.
+func (s *DistSystem) Shutdown() { s.Cluster.Shutdown() }
 
 // Crash runs the cluster to virtual time t, power-fails every node
 // simultaneously, and returns the per-node surviving media images.
@@ -209,20 +162,6 @@ func (s *DistSystem) Crash(t Time) [][]byte {
 	if t < s.Eng.Now() {
 		panic(fmt.Sprintf("fsim: dist crash time %v is in the past", t))
 	}
-	if s.Group != nil {
-		if max := s.Group.NowMax(); t < max {
-			// Some LP legitimately ran ahead of LP 0 (bounded by one
-			// window, i.e. under the network latency): a cut below its
-			// clock would not be mode-independent. Cut at LP 0 time +
-			// MinDelay or later and the snapshot is byte-identical at
-			// every worker count.
-			panic(fmt.Sprintf("fsim: dist crash time %v precedes a parallel LP clock %v; cut at Now()+Net.MinDelay() or later", t, max))
-		}
-	}
-	s.Exec.RunUntil(t)
-	imgs := s.Cluster.Crash(t)
-	if s.Group != nil {
-		s.Group.Close()
-	}
-	return imgs
+	s.Eng.RunUntil(t)
+	return s.Cluster.Crash(t)
 }

@@ -1,13 +1,10 @@
 package fsim
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 
 	"metaupdate/internal/dmeta"
 	"metaupdate/internal/fsck"
-	"metaupdate/internal/simnet"
 )
 
 // TestDistSurface exercises the public distributed-cluster surface end to
@@ -87,100 +84,4 @@ func TestDistCrashPastPanics(t *testing.T) {
 		}
 	}()
 	s.Crash(s.Eng.Now() - 1)
-}
-
-// TestDistZeroLatencyGate: a zero-latency network leaves the conservative
-// scheduler no lookahead, so the parallel engine must refuse it up front
-// with the deadlock explanation — while the serial engine, which needs no
-// lookahead, still accepts the same topology.
-func TestDistZeroLatencyGate(t *testing.T) {
-	opt := DistOptions{
-		Base:  Options{Scheme: NoOrder},
-		Nodes: 2, Seed: 3,
-		Net:           NetParams{Latency: simnet.ZeroLatency},
-		EngineWorkers: 4,
-	}
-	if _, err := NewDist(opt); err == nil || !strings.Contains(err.Error(), "lookahead") {
-		t.Fatalf("zero-latency parallel cluster error = %v, want the lookahead-deadlock explanation", err)
-	}
-	opt.EngineWorkers = 0
-	s, err := NewDist(opt)
-	if err != nil {
-		t.Fatalf("zero-latency serial cluster: %v", err)
-	}
-	defer s.Shutdown()
-	s.Run(func(p *Proc) {
-		if _, err := s.Cluster.Create(p, dmeta.RootIno, "z"); err != nil {
-			t.Fatalf("create: %v", err)
-		}
-	})
-}
-
-// TestDistObserveNeedsSerialEngine: the span recorder is single-engine
-// state, so Observe and EngineWorkers are mutually exclusive.
-func TestDistObserveNeedsSerialEngine(t *testing.T) {
-	_, err := NewDist(DistOptions{
-		Base:          Options{Scheme: SoftUpdates, Observe: true},
-		Nodes:         2,
-		EngineWorkers: 2,
-	})
-	if err == nil || !strings.Contains(err.Error(), "Observe") {
-		t.Fatalf("Observe + EngineWorkers error = %v, want a refusal naming Observe", err)
-	}
-}
-
-// TestDistParallelMatchesSerial is the end-to-end identity check at the
-// fsim surface: the same splitting cluster under the same load must
-// produce identical operation counters, traffic totals, virtual clocks,
-// and byte-identical crash images at every worker count.
-func TestDistParallelMatchesSerial(t *testing.T) {
-	type outcome struct {
-		wall                       Duration
-		ops, errs, cross           int64
-		splits, migrated, forwards int64
-		sent, bytes                int64
-		active                     int
-		now                        Time
-	}
-	run := func(workers int) (outcome, [][]byte) {
-		s, err := NewDist(DistOptions{
-			Base:  Options{Scheme: SoftUpdates},
-			Nodes: 3, Seed: 7, SplitEntries: 12,
-			EngineWorkers: workers,
-		})
-		if err != nil {
-			t.Fatalf("NewDist(workers=%d): %v", workers, err)
-		}
-		res := s.Cluster.Load(dmeta.LoadSpec{Clients: 4, Ops: 40, Seed: 7})
-		s.SyncAll()
-		imgs := s.Crash(s.Eng.Now() + s.Net.MinDelay())
-		tot := s.Net.Totals()
-		c := s.Cluster
-		return outcome{
-			wall: res.Wall,
-			ops:  c.Ops, errs: c.Errs, cross: c.CrossOps,
-			splits: c.Splits, migrated: c.Migrated, forwards: c.Forwards(),
-			sent: tot.Sent, bytes: tot.Bytes,
-			active: c.ActiveNodes(), now: s.Eng.Now(),
-		}, imgs
-	}
-
-	want, wantImgs := run(0)
-	if want.splits == 0 || want.cross == 0 {
-		t.Fatalf("baseline did not exercise splits/cross-ops: %+v", want)
-	}
-	for _, workers := range []int{2, 8} {
-		got, imgs := run(workers)
-		if got != want {
-			t.Errorf("workers=%d outcome:\n got %+v\nwant %+v", workers, got, want)
-		}
-		if len(imgs) != len(wantImgs) {
-			t.Fatalf("workers=%d: %d crash images, serial %d", workers, len(imgs), len(wantImgs))
-		}
-		for i := range imgs {
-			if !bytes.Equal(imgs[i], wantImgs[i]) {
-				t.Errorf("workers=%d: node %d crash image differs from serial", workers, i+1)
-			}
-		}
-	}
 }

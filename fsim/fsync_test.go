@@ -58,19 +58,39 @@ func fsyncedFileLost(img fsck.Image, sb ffs.Superblock, ino fsim.Ino, payload []
 // size, its block map and the data. The empty file has no data write to
 // wait for: only the inode's own durability point stands behind its fsync.
 func TestFsyncDurableUnderEveryScheme(t *testing.T) {
+	type config struct {
+		name string
+		opt  fsim.Options
+	}
+	var configs []config
 	for _, scheme := range allSchemes {
-		scheme := scheme
-		t.Run(scheme.String(), func(t *testing.T) {
-			sys, err := fsim.New(fsim.Options{Scheme: scheme, DiskBytes: 64 << 20})
+		configs = append(configs, config{scheme.String(), fsim.Options{Scheme: scheme}})
+	}
+	// Async as the open-loop exhibits and bench's mail-open run it.
+	configs = append(configs, config{"Async-CB", fsim.Options{Scheme: fsim.AsyncDurability, Explicit: true, CB: true}})
+	for _, c := range configs {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			opt := c.opt
+			opt.DiskBytes = 64 << 20
+			sys, err := fsim.New(opt)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, payload := range [][]byte{bytes.Repeat([]byte("fsync!"), 3000) /* ~18 KB, 3 blocks */, nil} {
-				if payload == nil && (scheme == fsim.SchedulerFlag || scheme == fsim.SchedulerChains) {
+				switch {
+				case payload == nil && (opt.Scheme == fsim.SchedulerFlag || opt.Scheme == fsim.SchedulerChains):
 					// Known defect (ROADMAP, known-bad region 4): create leaves
 					// the inode block's write in flight under these two, and
 					// the generic fsync loop looks at dirty buffers only, so it
 					// returns before that write lands.
+					continue
+				case opt.CB:
+					// Known defect (ROADMAP 1(a)): a -CB snapshot write leaves
+					// the buffer clean without setting the write Buf.InFlight
+					// reads, so fsyncAwait drops a fragment whose write is
+					// still in flight and Fsync returns before the file is on
+					// the media — both files are missing from the cut.
 					continue
 				}
 				var ino fsim.Ino
@@ -88,7 +108,7 @@ func TestFsyncDurableUnderEveryScheme(t *testing.T) {
 					}
 					img = sys.Disk.CloneImage()
 				})
-				if scheme == fsim.Journaling {
+				if opt.Scheme == fsim.Journaling {
 					fsck.ReplayJournal(img)
 				}
 				if lost := fsyncedFileLost(fsck.Bytes(img), sys.FS.Superblock(), ino, payload); lost != nil {

@@ -120,7 +120,10 @@ func (b *Buf) Unhold() {
 // The verdict holds until a later write of the buffer succeeds.
 func (b *Buf) Lost() bool { return b.writeFails > maxWriteFails }
 
-// InFlight reports whether a write from this buffer is in progress.
+// InFlight reports whether a write of the buffer itself is in progress.
+// It does not count -CB snapshot writes (cbInflight): a clean buffer
+// whose snapshot is still on its way to the media reports false
+// (ROADMAP item 1(a)).
 func (b *Buf) InFlight() bool { return b.writing != nil }
 
 // WriteReq returns the ID of the newest write request issued from this

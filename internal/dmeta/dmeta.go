@@ -34,14 +34,12 @@
 // internal/fault idiom — so the whole message timeline is a pure
 // function of the options and the cells memoize byte-identically.
 //
-// Execution model: the cluster runs on a sim.Exec — either one serial
-// Engine or a sim.LPGroup with one LP per node plus LP 0 for the
-// client/router. All router state (partition map, allocation cursors,
-// spare pool, split/op counters) lives on LP 0 and is touched only by
-// client procs and the router proc; all node state is touched only by
-// that node's LP. Every cross-LP interaction is a simnet message, so the
-// same protocol runs serially or in parallel with a byte-identical
-// message timeline.
+// Execution model: the whole cluster — client procs, the router and
+// every node's server loop and storage stack — runs on the network's one
+// sim.Engine. Router state (partition map, allocation cursors, spare
+// pool, split/op counters) is touched only by client procs and the
+// router proc, node state only by that node's procs, and every
+// interaction between them is a simnet message.
 package dmeta
 
 import (
@@ -94,14 +92,10 @@ type Config struct {
 	// 0 disables the queue trigger.
 	SplitQueue int
 	// Build assembles node id's storage stack. It is called once per
-	// node, spares included, from a proc on the node's own LP — with a
-	// parallel exec the Build calls run concurrently, so the closure
-	// must not touch shared mutable state.
+	// node, spares included, from a proc of its own.
 	Build func(p *sim.Proc, id int) (*Stack, error)
 	// Obs, when non-nil, records spans for router-level operations and
-	// the nodes' local file system operations. A recorder is
-	// single-engine state: it must be nil when the cluster runs on a
-	// parallel exec (fsim enforces this).
+	// the nodes' local file system operations.
 	Obs *obs.Recorder
 }
 
@@ -121,10 +115,9 @@ type part struct {
 
 // Cluster is the distributed metadata service: the node set, the
 // client-side router state (partition map + allocation cursors), and the
-// cross-partition statistics the experiments report. All Cluster fields
-// are LP 0 state.
+// cross-partition statistics the experiments report.
 type Cluster struct {
-	exec     sim.Exec
+	eng      *sim.Engine
 	cfg      Config
 	obs      *obs.Recorder
 	clientEp *simnet.Endpoint
@@ -161,12 +154,10 @@ func rngFor(seed int64, id int) uint64 {
 	return (uint64(seed)^(uint64(id)*0x9E3779B97F4A7C15))*0x9E3779B97F4A7C15 + 0x1234567
 }
 
-// New assembles a cluster on exec — net's host, either a serial Engine
-// or an LPGroup with endpoint i's LP hosting node i. Each node's stack
-// is built and initialized by a proc on its own LP (concurrently under
-// a parallel exec), the group clocks are aligned to a common epoch, and
-// the server and router loops are spawned before New returns.
-func New(exec sim.Exec, net *simnet.Network, cfg Config) (*Cluster, error) {
+// New assembles a cluster on eng, net's engine. Each node's stack is
+// built and initialized by a proc of its own, and the server and router
+// loops are spawned before New returns.
+func New(eng *sim.Engine, net *simnet.Network, cfg Config) (*Cluster, error) {
 	if cfg.Nodes < 1 {
 		return nil, fmt.Errorf("dmeta: need at least one node")
 	}
@@ -177,7 +168,7 @@ func New(exec sim.Exec, net *simnet.Network, cfg Config) (*Cluster, error) {
 		return nil, fmt.Errorf("dmeta: Config.Build is required")
 	}
 	c := &Cluster{
-		exec:     exec,
+		eng:      eng,
 		cfg:      cfg,
 		obs:      cfg.Obs,
 		clientEp: net.Endpoint(0),
@@ -206,16 +197,13 @@ func New(exec sim.Exec, net *simnet.Network, cfg Config) (*Cluster, error) {
 		c.parts = append(c.parts, part{start: start, end: end, node: i + 1, next: next})
 	}
 
-	// Build and initialize every node on its own LP. The endpoint table
-	// is populated here, single-threaded, before any proc runs; the init
-	// procs touch only their node's state (plus their own slot of nodes/
-	// errs — disjoint elements), so the windows may run concurrently.
+	// Build and initialize every node, one init proc each.
 	c.nodes = make([]*Node, cfg.MaxNodes)
 	errs := make([]error, cfg.MaxNodes)
 	for id := 1; id <= cfg.MaxNodes; id++ {
 		id := id
 		ep := net.Endpoint(id)
-		ep.Host().Spawn(fmt.Sprintf("init%d", id), func(p *sim.Proc) {
+		eng.Spawn(fmt.Sprintf("init%d", id), func(p *sim.Proc) {
 			st, err := cfg.Build(p, id)
 			if err != nil {
 				errs[id-1] = fmt.Errorf("dmeta: build node %d: %w", id, err)
@@ -235,31 +223,24 @@ func New(exec sim.Exec, net *simnet.Network, cfg Config) (*Cluster, error) {
 			c.nodes[id-1] = n
 		})
 	}
-	exec.Run()
+	eng.Run()
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
 	}
-	// Bring every LP to the same epoch, so server start times (and
-	// everything after) match the serial engine's single clock.
-	if g, ok := exec.(*sim.LPGroup); ok {
-		g.Align()
-	}
 
 	for _, n := range c.nodes {
-		n := n
-		n.ep.Host().Spawn(fmt.Sprintf("mds%d", n.id), n.serve)
+		eng.Spawn(fmt.Sprintf("mds%d", n.id), n.serve)
 	}
-	exec.Spawn("router", c.router)
+	eng.Spawn("router", c.router)
 	return c, nil
 }
 
 // router serves the cluster-control requests nodes address to endpoint 0
 // (replies to client Calls never surface here — they are demultiplexed
 // by request id). It owns the spare pool and the partition map, so
-// claim and publish decisions are serialized in message-delivery order
-// no matter which LPs the nodes run on.
+// claim and publish decisions are serialized in message-delivery order.
 func (c *Cluster) router(p *sim.Proc) {
 	for {
 		m, ok := c.clientEp.Recv(p)
@@ -278,8 +259,8 @@ func (c *Cluster) router(p *sim.Proc) {
 	}
 }
 
-// Exec returns the execution host the cluster runs on.
-func (c *Cluster) Exec() sim.Exec { return c.exec }
+// Engine returns the engine the cluster runs on.
+func (c *Cluster) Engine() *sim.Engine { return c.eng }
 
 // ActiveNodes returns the number of nodes currently owning a partition.
 func (c *Cluster) ActiveNodes() int { return c.active }
@@ -287,9 +268,7 @@ func (c *Cluster) ActiveNodes() int { return c.active }
 // Node returns node id's handle (1-based, spares included).
 func (c *Cluster) Node(id int) *Node { return c.nodes[id-1] }
 
-// Forwards sums the nodes' forwarded-request counters. The counters are
-// per-node LP state: read only when the exec is idle (after SyncAll or
-// Shutdown).
+// Forwards sums the nodes' forwarded-request counters.
 func (c *Cluster) Forwards() int64 {
 	var n int64
 	for _, nd := range c.nodes {
@@ -548,23 +527,22 @@ func (c *Cluster) Rename(p *sim.Proc, sparent uint64, sname string, dparent uint
 
 // SyncAll flushes every node's file system (delayed writes included) and
 // returns when the cluster is quiescent. The flushes run as one kSync
-// RPC per node, issued concurrently — on a parallel exec the nodes
-// flush their disks simultaneously.
+// RPC per node, issued concurrently.
 func (c *Cluster) SyncAll() {
 	remaining := len(c.nodes)
 	for _, n := range c.nodes {
 		id := n.id
-		c.exec.Spawn(fmt.Sprintf("sync%d", id), func(p *sim.Proc) {
+		c.eng.Spawn(fmt.Sprintf("sync%d", id), func(p *sim.Proc) {
 			c.clientEp.Call(p, id, reqSize(req{Kind: kSync}), req{Kind: kSync})
 			remaining--
 		})
 	}
-	c.exec.RunWhile(func() bool { return remaining > 0 })
+	c.eng.RunWhile(func() bool { return remaining > 0 })
 }
 
 // Shutdown stops every node (syncer halted, endpoint closed) via
 // kShutdown RPCs, closes the client endpoint so the router exits, and
-// drains the exec. After Crash the machines are dead and the clocks are
+// drains the engine. After Crash the machines are dead and the clocks are
 // frozen, so there is nothing left to wind down.
 func (c *Cluster) Shutdown() {
 	if c.crashed {
@@ -573,21 +551,20 @@ func (c *Cluster) Shutdown() {
 	remaining := len(c.nodes)
 	for _, n := range c.nodes {
 		id := n.id
-		c.exec.Spawn(fmt.Sprintf("stop%d", id), func(p *sim.Proc) {
+		c.eng.Spawn(fmt.Sprintf("stop%d", id), func(p *sim.Proc) {
 			c.clientEp.Call(p, id, reqSize(req{Kind: kShutdown}), req{Kind: kShutdown})
 			remaining--
 		})
 	}
-	c.exec.RunWhile(func() bool { return remaining > 0 })
+	c.eng.RunWhile(func() bool { return remaining > 0 })
 	c.clientEp.Close()
-	c.exec.Run()
+	c.eng.Run()
 }
 
 // Crash snapshots every node's media as of a simultaneous power failure
-// at time t (the exec must already have run up to t, and — parallel —
-// no LP clock may be past it: fsim checks NowMax): in-flight disk state
-// is resolved by each node's driver crash model, and the returned images
-// are independent copies.
+// at time t (the engine must already have run up to t): in-flight disk
+// state is resolved by each node's driver crash model, and the returned
+// images are independent copies.
 func (c *Cluster) Crash(t sim.Time) [][]byte {
 	c.crashed = true
 	imgs := make([][]byte, len(c.nodes))

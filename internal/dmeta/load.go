@@ -23,8 +23,7 @@ type LoadResult struct {
 	Errs int64
 }
 
-// Load runs the workload to completion on the cluster's exec (clients
-// are LP 0 procs). Each
+// Load runs the workload to completion on the cluster's engine. Each
 // client makes its own directory under the root (spreading dentry
 // traffic off the root partition) and then mixes creates, lookups,
 // cross-directory renames, links, and unlinks over its own files;
@@ -34,18 +33,18 @@ func (c *Cluster) Load(spec LoadSpec) LoadResult {
 	if spec.Clients < 1 {
 		spec.Clients = 1
 	}
-	start := c.exec.Now()
+	start := c.eng.Now()
 	ops0, errs0 := c.Ops, c.Errs
 	remaining := spec.Clients
 	for u := 0; u < spec.Clients; u++ {
 		u := u
-		c.exec.Spawn(fmt.Sprintf("client%d", u), func(p *sim.Proc) {
+		c.eng.Spawn(fmt.Sprintf("client%d", u), func(p *sim.Proc) {
 			c.clientLoad(p, u, spec)
 			remaining--
 		})
 	}
-	c.exec.RunWhile(func() bool { return remaining > 0 })
-	return LoadResult{Wall: c.exec.Now() - start, Ops: c.Ops - ops0, Errs: c.Errs - errs0}
+	c.eng.RunWhile(func() bool { return remaining > 0 })
+	return LoadResult{Wall: c.eng.Now() - start, Ops: c.Ops - ops0, Errs: c.Errs - errs0}
 }
 
 // fileRef tracks one name a client owns.

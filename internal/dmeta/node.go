@@ -139,10 +139,9 @@ type fwdRange struct {
 
 // Node is one metadata server: a local storage stack, the owned slices
 // of the inode and dentry trees, and the mapping of logical objects to
-// local backing files. All Node state is owned by the node's LP — a
-// node never reads router state; its view of the partition map is its
-// own range [start, end) plus the forwarding table of ranges it gave
-// away, kept accurate by the split protocol itself.
+// local backing files. A node never reads router state; its view of the
+// partition map is its own range [start, end) plus the forwarding table
+// of ranges it gave away, kept accurate by the split protocol itself.
 type Node struct {
 	c  *Cluster
 	id int

@@ -620,10 +620,13 @@ func newCheckState(sb ffs.Superblock) *checkState {
 	}
 }
 
-// checkStates recycles the state of one-shot checks: crashmc's recovery
-// path runs a full check per crash state, and two NInodes-long record
-// arrays plus a TotalFrags-long ownership table per call dominated its
-// allocation. Every record is reset as it is derived and the merge reads
+// checkStates recycles the state of one-shot checks (CheckImage, Check,
+// Repair): two NInodes-long record arrays plus a TotalFrags-long ownership
+// table per call. Since crashmc checks every candidate as a delta against
+// its worker's Baseline, Journaling's recovered ones included, it runs a
+// full check only for a retained violation and a shrink step; the rest
+// are one per image (mdcrash, the fault exhibit, a benchmark cell's final
+// check). Every record is reset as it is derived and the merge reads
 // only records derived from its own image, so a recycled state reports
 // exactly what a fresh one does.
 var checkStates sync.Pool

@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"flag"
+	"os"
 	"strings"
 	"testing"
 
@@ -47,6 +49,46 @@ func TestDistDeterministic(t *testing.T) {
 	}
 	if r4.Stats().Hits <= hits0 {
 		t.Error("warm rerun did not hit the memo")
+	}
+}
+
+var updateDistGolden = flag.Bool("update-dist-golden", false, "rewrite testdata/dist-0.05.txt from the current output")
+
+// TestClusterGolden pins the cluster exhibits to a committed transcript:
+// mdsim -exp dist followed by -exp scenario-mail -rate 100
+// -scenario-nodes 2, both at scale 0.05. Routing, splits, the network's
+// delivery order and every node's ordering scheme show up in these
+// bytes, so a change to the engine or the network that moves any
+// cluster number fails here.
+func TestClusterGolden(t *testing.T) {
+	dist, _, _ := distText(0, opTestScale)
+	mail, _, _ := scenarioTables(0)
+	got := dist + mail
+
+	const path = "testdata/dist-0.05.txt"
+	if *updateDistGolden {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s (%d bytes)", path, len(got))
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing cluster golden (regenerate with -update-dist-golden): %v", err)
+	}
+	gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gotLines) || i < len(wantLines); i++ {
+		var g, w string
+		if i < len(gotLines) {
+			g = gotLines[i]
+		}
+		if i < len(wantLines) {
+			w = wantLines[i]
+		}
+		if g != w {
+			t.Fatalf("cluster report diverges from %s at line %d:\n got: %s\nwant: %s", path, i+1, g, w)
+		}
 	}
 }
 

@@ -64,23 +64,23 @@ func openLoopRun(c Cell) scenario.Result {
 	if err != nil {
 		panic(fmt.Sprintf("harness: openloop: %v", err))
 	}
-	var exec sim.Exec
+	var eng *sim.Engine
 	var target scenario.Target
 	if c.Kind == CellOpenLoopDist {
 		s := mustDist(c.Opt, c.Dist)
 		defer s.Shutdown()
-		exec = s.Exec
+		eng = s.Eng
 		target, err = scenario.SetupCluster(s.Cluster, stream)
 	} else {
 		sys := mustSystem(c.Opt)
 		defer sys.Shutdown()
-		exec = sys.Eng
+		eng = sys.Eng
 		target, err = scenario.SetupFS(sys.Eng, sys.FS, stream)
 	}
 	if err != nil {
 		panic(fmt.Sprintf("harness: openloop: %v", err))
 	}
-	return scenario.Drive(exec, target, stream, c.Load)
+	return scenario.Drive(eng, target, stream, c.Load)
 }
 
 // loadOps sizes one load-curve cell: total arrivals and warmup prefix.

@@ -3,7 +3,7 @@
 // per admitted operation — work is offered on the arrival schedule
 // whether or not earlier operations have finished, which is exactly the
 // regime the repository's closed-loop benchmarks cannot reach. Everything
-// runs in virtual time on the caller's executive, so results are
+// runs in virtual time on the caller's engine, so results are
 // byte-identical across harness worker counts and memo replay.
 
 package scenario
@@ -43,12 +43,12 @@ type FSTarget struct {
 }
 
 // SetupFS creates the stream's directory set under the root and returns
-// the ready target. It runs its own process on exec.
-func SetupFS(exec sim.Exec, fs *ffs.FS, s Stream) (*FSTarget, error) {
+// the ready target. It runs its own process on eng.
+func SetupFS(eng *sim.Engine, fs *ffs.FS, s Stream) (*FSTarget, error) {
 	t := &FSTarget{FS: fs}
 	var err error
 	done := false
-	exec.Spawn("scenario-setup", func(p *sim.Proc) {
+	eng.Spawn("scenario-setup", func(p *sim.Proc) {
 		defer func() { done = true }()
 		for d := 0; d < s.NDirs(); d++ {
 			var ino ffs.Ino
@@ -58,7 +58,7 @@ func SetupFS(exec sim.Exec, fs *ffs.FS, s Stream) (*FSTarget, error) {
 			t.Dirs = append(t.Dirs, ino)
 		}
 	})
-	exec.RunWhile(func() bool { return !done })
+	eng.RunWhile(func() bool { return !done })
 	if err != nil {
 		return nil, err
 	}
@@ -124,12 +124,12 @@ type ClusterTarget struct {
 
 // SetupCluster creates the stream's directory set under the cluster root
 // and returns the ready target. It runs its own client process on the
-// cluster's executive.
+// cluster's engine.
 func SetupCluster(c *dmeta.Cluster, s Stream) (*ClusterTarget, error) {
 	t := &ClusterTarget{C: c}
 	var err error
 	done := false
-	c.Exec().Spawn("scenario-setup", func(p *sim.Proc) {
+	c.Engine().Spawn("scenario-setup", func(p *sim.Proc) {
 		defer func() { done = true }()
 		for d := 0; d < s.NDirs(); d++ {
 			var ino uint64
@@ -139,7 +139,7 @@ func SetupCluster(c *dmeta.Cluster, s Stream) (*ClusterTarget, error) {
 			t.Dirs = append(t.Dirs, ino)
 		}
 	})
-	c.Exec().RunWhile(func() bool { return !done })
+	c.Engine().RunWhile(func() bool { return !done })
 	if err != nil {
 		return nil, err
 	}
@@ -208,17 +208,16 @@ type Result struct {
 }
 
 // Drive offers stream's operations to target on spec.Arrival's schedule
-// and runs the executive until the last admitted operation completes.
+// and runs the engine until the last admitted operation completes.
 // Operation latency is measured from the scheduled arrival instant —
 // queueing delay a closed-loop harness would hide is included, which is
 // the point of the open loop.
-func Drive(exec sim.Exec, target Target, stream Stream, spec RunSpec) Result {
+func Drive(eng *sim.Engine, target Target, stream Stream, spec RunSpec) Result {
 	var res Result
 	var lat trace.Digest
 	lat.SetCap(latCap)
 	done := false
-	exec.Spawn("openloop", func(p *sim.Proc) {
-		eng := p.Engine()
+	eng.Spawn("openloop", func(p *sim.Proc) {
 		origin := p.Now()
 		gen := arrival.NewGen(spec.Arrival)
 		inflight := 0
@@ -274,7 +273,7 @@ func Drive(exec sim.Exec, target Target, stream Stream, spec RunSpec) Result {
 		res.End = lastDone
 		done = true
 	})
-	exec.RunWhile(func() bool { return !done })
+	eng.RunWhile(func() bool { return !done })
 	res.Lat = lat.Dist()
 	res.LatCount = lat.Count()
 	if wall := res.End - res.WarmStart; wall > 0 && res.MeasuredOps > 0 {

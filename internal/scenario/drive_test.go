@@ -146,7 +146,7 @@ func TestDriveCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := scenario.Drive(sys.Exec, target, stream, scenario.RunSpec{
+	res := scenario.Drive(sys.Eng, target, stream, scenario.RunSpec{
 		Arrival: arrival.Spec{Kind: arrival.Poisson, Seed: 3, PerSec: 100},
 		Ops:     400,
 		Warmup:  50,

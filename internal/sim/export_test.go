@@ -13,3 +13,9 @@ func (m *Mutex) TryLock() bool {
 	m.held = true
 	return true
 }
+
+// Pending reports the number of queued events.
+func (e *Engine) Pending() int { return len(e.heap) + len(e.fast) - e.fastHead }
+
+// Engine returns the engine driving this process.
+func (p *Proc) Engine() *Engine { return p.eng }

@@ -18,15 +18,13 @@
 // and events scheduled for the current instant — every wake-up — go through
 // a FIFO fast queue that bypasses the heap entirely. Ordering is identical
 // to a single global queue: the dispatcher always fires the queued event
-// with the smallest (time, sequence) pair.
+// with the smallest (time, delivery priority, sequence) key.
 package sim
 
 import (
-	"context"
 	"fmt"
 	"iter"
 	"runtime/debug"
-	"runtime/pprof"
 )
 
 // Time is a virtual-time instant in nanoseconds since simulation start.
@@ -54,9 +52,9 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
 func (t Time) String() string { return fmt.Sprintf("%.6fs", t.Seconds()) }
 
-// Delivery is a value-carrying event payload: the parallel-simulation
-// message path schedules deliveries without allocating a closure per
-// message (the payload object is pooled by its owner and carries its own
+// Delivery is a value-carrying event payload: the simulated network
+// schedules message deliveries without allocating a closure per message
+// (the payload object is pooled by its owner and carries its own
 // context). Deliver runs in engine context, exactly like an At callback.
 type Delivery interface {
 	Deliver()
@@ -68,13 +66,12 @@ type Delivery interface {
 type event struct {
 	at  Time
 	seq uint64
-	// pri is the cross-engine priority class. Ordinary events have pri 0;
-	// cross-LP message deliveries carry pri = (source LP, source sequence)
-	// packed into one word, so two engines that receive the same message
-	// set order them identically no matter which engine hosted the sender
-	// — the deterministic per-LP seq-tiebreak the PDES scheduler relies
-	// on. Within one instant all pri-0 events fire (in schedule order)
-	// before any delivery, and deliveries fire in pri order.
+	// pri is the delivery priority class. Ordinary events have pri 0;
+	// message deliveries carry pri = (source endpoint, source sequence)
+	// packed into one word, so same-instant deliveries fire in (source,
+	// source order) order rather than in the order they were scheduled.
+	// Within one instant all pri-0 events fire (in schedule order) before
+	// any delivery, and deliveries fire in pri order.
 	pri  uint64
 	proc *Proc    // if non-nil: resume this process
 	fn   func()   // else if non-nil: run this callback in engine context
@@ -100,7 +97,7 @@ func (ev *event) less(o *event) bool {
 type Engine struct {
 	now Time
 	seq uint64
-	// heap is a flat 4-ary min-heap of value events ordered by (at, seq).
+	// heap is a flat 4-ary min-heap of value events ordered by (at, pri, seq).
 	// 4-ary beats binary here: sift paths are ~half as long and the four
 	// children share a cache line's worth of adjacent slots.
 	heap []event
@@ -121,14 +118,9 @@ type Engine struct {
 	// heapLow / fastLow are the shrink-hysteresis counters: consecutive
 	// pops (drains) during which the backing array stayed under a quarter
 	// full. A burst grows the arrays; without this they would retain the
-	// peak capacity for the rest of a long run (DESIGN.md §14).
+	// peak capacity for the rest of a long run (DESIGN.md §9).
 	heapLow int
 	fastLow int
-
-	// Label, when set before the first Spawn, is attached to every process
-	// coroutine as the pprof label "lp" — CPU profiles of a parallel
-	// cluster run then attribute samples to their logical process.
-	Label string
 }
 
 // Executed reports the number of events dispatched since the engine was
@@ -181,10 +173,10 @@ func (e *Engine) At(t Time, fn func()) {
 
 // AtPri schedules d's Deliver to run in engine context at time t, ordered
 // after every ordinary (pri-0) event at that instant and against other
-// deliveries by pri. This is the cross-LP message path: pri packs the
-// sending LP and its per-sender sequence number, so delivery order at an
-// instant is a pure function of the message set — identical whether the
-// messages crossed between engines or looped back on one.
+// deliveries by pri. This is the network's message path: pri packs the
+// sending endpoint and its per-sender sequence number, so delivery order
+// at an instant is a pure function of the message set, not of the order
+// the sends were made in.
 func (e *Engine) AtPri(t Time, pri uint64, d Delivery) {
 	if pri == 0 {
 		panic("sim: AtPri with zero priority (use At)")
@@ -341,25 +333,6 @@ func (e *Engine) resetFast() {
 	e.fastHead = 0
 }
 
-// NextAt reports the timestamp of the next queued event, if any — the
-// PDES coordinator's window-planning probe.
-func (e *Engine) NextAt() (Time, bool) { return e.peek() }
-
-// AdvanceTo moves an idle engine's clock forward to t without executing
-// anything. The PDES scheduler uses it once, after per-LP setup, to align
-// every logical process on a common epoch (the serial engine gets the
-// same alignment for free: one clock). Advancing over a pending event or
-// backwards panics — it would reorder causality.
-func (e *Engine) AdvanceTo(t Time) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: AdvanceTo %v before now %v", t, e.now))
-	}
-	if at, ok := e.peek(); ok && at < t {
-		panic(fmt.Sprintf("sim: AdvanceTo %v over pending event at %v", t, at))
-	}
-	e.now = t
-}
-
 // Proc is a simulated process: a body that runs on a carrier coroutine
 // only when the engine resumes it, and always parks itself back before the
 // engine continues. A resume and a park are each one direct runtime
@@ -397,19 +370,11 @@ type carrier struct {
 	fn    func(*Proc) // proc's body; nil once it returned
 }
 
-// newCarrier starts a carrier on e. Its pprof label is set once, from
-// e.Label, when it first runs.
+// newCarrier starts a carrier on e.
 func (e *Engine) newCarrier() *carrier {
 	c := &carrier{}
-	label := e.Label
 	c.next, c.stop = iter.Pull(func(yield func(struct{}) bool) {
 		c.yield = yield
-		if label != "" {
-			// Label the coroutine for CPU profiles: samples of a parallel
-			// cluster run attribute to their logical process.
-			pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(),
-				pprof.Labels("lp", label)))
-		}
 		for {
 			c.run()
 			if !yield(struct{}{}) {
@@ -535,46 +500,6 @@ func (e *Engine) dispatch(ev event) {
 	}
 }
 
-// runWindow executes events with timestamps strictly below horizon — one
-// bounded PDES window — and returns whether cond (which, when non-nil, is
-// checked before every event, exactly like RunWhile) stopped it early.
-// Unlike RunUntil it never marks the engine halted: between windows the
-// coordinator injects cross-LP deliveries and host code spawns processes,
-// both of which a halted engine would reject.
-func (e *Engine) runWindow(horizon Time, cond func() bool) bool {
-	for {
-		if cond != nil && !cond() {
-			return true
-		}
-		at, ok := e.peek()
-		if !ok || at >= horizon {
-			return false
-		}
-		e.dispatch(e.pop())
-	}
-}
-
-// Pending reports the number of queued events (useful in tests).
-func (e *Engine) Pending() int { return len(e.heap) + len(e.fast) - e.fastHead }
-
-// Exec is the executive surface shared by the serial Engine and the
-// parallel LPGroup: hosts that only spawn processes and run the
-// simulation to a condition can accept either. LPGroup's Spawn targets
-// its coordinator LP (LP 0), and its RunWhile condition may read only
-// state owned by that LP — see lp.go.
-type Exec interface {
-	Spawn(name string, fn func(p *Proc)) *Proc
-	Run()
-	RunUntil(limit Time)
-	RunWhile(cond func() bool)
-	Now() Time
-}
-
-var (
-	_ Exec = (*Engine)(nil)
-	_ Exec = (*LPGroup)(nil)
-)
-
 // block parks the calling process and hands control back to the engine. The
 // caller must already have arranged for something to resume it.
 func (p *Proc) block() { p.c.yield(struct{}{}) }
@@ -591,9 +516,6 @@ func (p *Proc) Sleep(d Duration) {
 
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.eng.Now() }
-
-// Engine returns the engine driving this process.
-func (p *Proc) Engine() *Engine { return p.eng }
 
 // Completion is a one-shot event that processes can wait on and that either
 // processes or engine-context callbacks can fire. Waiting after the

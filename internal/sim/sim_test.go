@@ -545,28 +545,21 @@ func TestStaleWakeOfFinishedProcessPanics(t *testing.T) {
 }
 
 // TestRunStopsIdleCarriers: the carriers finished processes leave parked
-// are stopped when Run returns — by the serial engine and by an LPGroup
-// for its LPs — so a drained simulation holds no goroutines; a parked
-// process keeps its own, as before.
+// are stopped when Run returns, so a drained simulation holds no
+// goroutines; a parked process keeps its own, as before.
 func TestRunStopsIdleCarriers(t *testing.T) {
-	group, err := NewLPGroup([]*Engine{NewEngine(), NewEngine()}, Millisecond, 2)
-	if err != nil {
-		t.Fatal(err)
+	e := NewEngine()
+	base := runtime.NumGoroutine()
+	var never Completion
+	e.Spawn("waiter", func(p *Proc) { never.Wait(p) })
+	for i := 0; i < 50; i++ {
+		e.Spawn("worker", func(p *Proc) {
+			p.Sleep(Millisecond)
+			p.Engine().Spawn("child", func(p *Proc) { p.Sleep(Millisecond) })
+		})
 	}
-	defer group.Close()
-	for _, x := range []Exec{NewEngine(), group} {
-		base := runtime.NumGoroutine()
-		var never Completion
-		x.Spawn("waiter", func(p *Proc) { never.Wait(p) })
-		for i := 0; i < 50; i++ {
-			x.Spawn("worker", func(p *Proc) {
-				p.Sleep(Millisecond)
-				p.Engine().Spawn("child", func(p *Proc) { p.Sleep(Millisecond) })
-			})
-		}
-		x.Run()
-		if got := runtime.NumGoroutine(); got != base+1 {
-			t.Errorf("%T: %d goroutines after Run, want %d: the baseline plus the parked waiter", x, got, base+1)
-		}
+	e.Run()
+	if got := runtime.NumGoroutine(); got != base+1 {
+		t.Errorf("%d goroutines after Run, want %d: the baseline plus the parked waiter", got, base+1)
 	}
 }

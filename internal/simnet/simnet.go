@@ -8,24 +8,16 @@
 //	busyUntil = xmitStart + size/bandwidth
 //
 // Because busyUntil is monotone per link, per-link delivery is FIFO by
-// construction. Deliveries are engine events with a cross-engine priority
-// key — (source endpoint, per-source sequence) packed into one word — so
-// the global message timeline is totally ordered by (at, pri, seq): two
-// messages delivered at the same virtual instant fire in (source, source
-// order) order, a rule every engine evaluates identically. That is what
-// lets the same network run serially on one engine or partitioned across
-// a sim.LPGroup (one engine per endpoint set) with byte-identical
-// observable behavior: all state is endpoint-local (send sequences, link
-// pipes, call tables, traffic counters — no shared counters, no package
-// globals, no wall clock, no map-order iteration), sends from an endpoint
-// hosted on another LP are buffered in that LP's outbox and merged at the
-// window barrier, and delivery order never depends on which engine hosted
-// the sender.
+// construction. Deliveries are engine events with a priority key —
+// (source endpoint, per-source sequence) packed into one word — so the
+// message timeline is totally ordered by (at, pri, seq): two messages
+// delivered at the same virtual instant fire in (source, source order)
+// order. There are no package globals, no wall clock and no map-order
+// iteration, so a run is a pure function of its inputs.
 //
 // The send path is allocation-free in steady state: delivery payloads are
-// value messages carried by pooled carriers that migrate sender → receiver
-// (each endpoint pops carriers from its own free list and delivery pushes
-// onto the destination's, so each list is touched only by its owner LP).
+// value messages carried by pooled carriers, taken from the network's
+// free list on send and returned to it on delivery.
 //
 // Instrumentation: Call brackets its blocking wait in StageNetQueue and,
 // on reply, retroactively moves the measured wire time (request + reply
@@ -41,17 +33,9 @@ import (
 	"metaupdate/internal/sim"
 )
 
-// ZeroLatency is the Params.Latency sentinel for a genuinely free link
-// (zero propagation delay). A literal 0 means "default": the zero Params
-// value must keep meaning the standard cost model everywhere. Zero-latency
-// links are legal on a serial engine but reject parallel partitioning —
-// conservative sync needs positive lookahead (sim.NewLPGroup).
-const ZeroLatency sim.Duration = -1
-
 // Params is the link cost model, shared by every link in the network.
 type Params struct {
-	// Latency is the per-message propagation delay (default 200µs;
-	// ZeroLatency for a zero-delay link).
+	// Latency is the per-message propagation delay (default 200µs).
 	Latency sim.Duration
 	// BytesPerSec is the link bandwidth (default 125 MB/s ≈ 1 Gbit/s).
 	BytesPerSec int64
@@ -62,14 +46,12 @@ func DefaultParams() Params {
 	return Params{Latency: 200 * sim.Microsecond, BytesPerSec: 125_000_000}
 }
 
-// Normalized resolves defaults and sentinels to the effective cost model:
-// zero fields take defaults, ZeroLatency becomes a literal 0.
+// Normalized resolves defaults to the effective cost model: zero or
+// negative fields take defaults.
 func (p Params) Normalized() Params {
 	d := DefaultParams()
-	if p.Latency == 0 {
+	if p.Latency <= 0 {
 		p.Latency = d.Latency
-	} else if p.Latency < 0 {
-		p.Latency = 0
 	}
 	if p.BytesPerSec <= 0 {
 		p.BytesPerSec = d.BytesPerSec
@@ -102,49 +84,34 @@ type Message struct {
 	Queued, Wire sim.Duration
 }
 
-// Totals is the summed traffic of every endpoint. With a parallel group
-// the per-endpoint counters live on their host LPs, so read Totals only
-// when the group is idle (between runs, or after the final drain).
+// Totals is the summed traffic of every endpoint.
 type Totals struct {
 	Sent, Bytes int64
 }
 
 // Network connects a set of integer-addressed endpoints over directed
-// links sharing one cost model. With a serial engine every endpoint runs
-// on it; with a parallel group, endpoint id i is hosted by LP i (the
-// dmeta convention: endpoint 0 is the client/router LP, endpoint i node
-// i's LP).
+// links sharing one cost model, all on one engine.
 type Network struct {
-	p   Params
-	eng *sim.Engine  // serial host (nil when grp is set)
-	grp *sim.LPGroup // parallel host (nil when eng is set)
-	eps map[int]*Endpoint
+	p    Params
+	eng  *sim.Engine
+	eps  map[int]*Endpoint
+	pool []*carrier // idle delivery carriers, LIFO
 }
 
-// New returns an empty serial network on eng. Zero-valued Params fields
-// take defaults (ZeroLatency means a genuine zero-delay link).
+// New returns an empty network on eng. Zero-valued Params fields take
+// defaults.
 func New(eng *sim.Engine, p Params) *Network {
 	return &Network{eng: eng, p: p.Normalized(), eps: make(map[int]*Endpoint)}
-}
-
-// NewParallel returns an empty network partitioned over g: endpoint id i
-// is hosted by g.LP(i), and sends between endpoints on different LPs go
-// through the group's outboxes. The group's lookahead must not exceed
-// MinDelay — sim.NewLPGroup enforces positivity; the caller wires
-// MinDelay in as the lookahead.
-func NewParallel(g *sim.LPGroup, p Params) *Network {
-	return &Network{grp: g, p: p.Normalized(), eps: make(map[int]*Endpoint)}
 }
 
 // Params returns the network's effective cost model.
 func (n *Network) Params() Params { return n.p }
 
-// MinDelay is the minimum virtual time any message spends in flight — the
-// conservative-sync lookahead a parallel partitioning of this network may
-// safely use (transmission time only adds to it).
+// MinDelay is the minimum virtual time any message spends in flight
+// (transmission time only adds to it).
 func (n *Network) MinDelay() sim.Duration { return n.p.Latency }
 
-// Totals sums the per-endpoint traffic counters (see Totals on safety).
+// Totals sums the per-endpoint traffic counters.
 func (n *Network) Totals() Totals {
 	var t Totals
 	for _, ep := range n.eps {
@@ -155,10 +122,7 @@ func (n *Network) Totals() Totals {
 }
 
 // Endpoint returns (creating on first use) the endpoint with the given
-// address. Addresses are small ints chosen by the caller; on a parallel
-// network the address doubles as the host LP index. Create endpoints
-// during single-threaded setup — the address table is read-only once the
-// simulation runs.
+// address. Addresses are small ints chosen by the caller.
 func (n *Network) Endpoint(id int) *Endpoint {
 	if ep, ok := n.eps[id]; ok {
 		return ep
@@ -166,38 +130,29 @@ func (n *Network) Endpoint(id int) *Endpoint {
 	ep := &Endpoint{
 		n:    n,
 		id:   id,
-		eng:  n.eng,
 		busy: make(map[int]sim.Time),
-	}
-	if n.grp != nil {
-		ep.eng = n.grp.LP(id)
-		ep.lp = id
-		ep.outbox = n.grp.Outbox(id)
 	}
 	n.eps[id] = ep
 	return ep
 }
 
-// carrier is the pooled Delivery that walks a Message into its
-// destination's engine. Carriers migrate with the traffic: a sender pops
-// from its own free list, and Deliver pushes onto the destination's —
-// each list is touched only by the LP that owns it, and steady-state
-// RPC traffic (request out, reply back) recycles carriers with zero
-// allocation.
+// carrier is the pooled Delivery that walks a Message to its destination.
+// Steady-state RPC traffic (request out, reply back) recycles carriers
+// through the network's free list with zero allocation.
 type carrier struct {
 	dst *Endpoint
 	m   Message
 }
 
 // Deliver hands the message to the destination endpoint and returns the
-// carrier to the destination's free list. It runs on the destination's
-// engine, exactly like an At callback.
+// carrier to the network's free list. It runs in engine context, exactly
+// like an At callback.
 func (cr *carrier) Deliver() {
 	dst := cr.dst
 	m := cr.m
 	cr.dst = nil
 	cr.m = Message{} // drop the payload reference
-	dst.pool = append(dst.pool, cr)
+	dst.n.pool = append(dst.n.pool, cr)
 	dst.deliver(m)
 }
 
@@ -211,13 +166,10 @@ type call struct {
 // links (pipe occupancy, send sequence, traffic counters). One process
 // may serve the inbox (Recv) while others issue Calls through the same
 // endpoint — replies are demultiplexed by ReqID and never enter the
-// inbox. All of an endpoint's state is touched only by its host LP.
+// inbox.
 type Endpoint struct {
-	n      *Network
-	id     int
-	eng    *sim.Engine
-	lp     int         // host LP index (0 on a serial network)
-	outbox *sim.Outbox // cross-LP send buffer (nil on a serial network)
+	n  *Network
+	id int
 
 	sendSeq uint64           // per-source sequence: the pri key
 	reqID   uint64           // per-endpoint Call id source
@@ -231,13 +183,8 @@ type Endpoint struct {
 	wakeBuf  *sim.Completion // the (single, reused) completion behind wake
 	calls    map[uint64]*call
 	callPool []*call
-	pool     []*carrier
 	closed   bool
 }
-
-// Host returns the engine the endpoint lives on — the place to spawn
-// the processes that serve it.
-func (ep *Endpoint) Host() *sim.Engine { return ep.eng }
 
 // Queued returns the inbox depth — the load signal the dmeta split
 // policy watches.
@@ -247,11 +194,11 @@ func (ep *Endpoint) Queued() int { return len(ep.inbox) - ep.head }
 const priBits = 40
 
 // send computes the message's timeline under the link cost model and
-// schedules its delivery with pri = (source, source sequence): every
-// engine orders a same-instant delivery set identically, whether the
-// senders were local or remote.
+// schedules its delivery with pri = (source, source sequence), which
+// orders a same-instant delivery set by sender.
 func (ep *Endpoint) send(m Message) Message {
-	now := ep.eng.Now()
+	eng := ep.n.eng
+	now := eng.Now()
 	start := ep.busy[m.To]
 	if start < now {
 		start = now
@@ -268,23 +215,17 @@ func (ep *Endpoint) send(m Message) Message {
 	ep.sent++
 	ep.bytes += int64(m.Size)
 
-	dst := ep.n.Endpoint(m.To)
 	var cr *carrier
-	if k := len(ep.pool); k > 0 {
-		cr = ep.pool[k-1]
-		ep.pool[k-1] = nil
-		ep.pool = ep.pool[:k-1]
+	if k := len(ep.n.pool); k > 0 {
+		cr = ep.n.pool[k-1]
+		ep.n.pool[k-1] = nil
+		ep.n.pool = ep.n.pool[:k-1]
 	} else {
 		cr = &carrier{}
 	}
-	cr.dst = dst
+	cr.dst = ep.n.Endpoint(m.To)
 	cr.m = m
-	pri := uint64(ep.id+1)<<priBits | (ep.sendSeq & (1<<priBits - 1))
-	if ep.outbox != nil && dst.lp != ep.lp {
-		ep.outbox.Send(dst.lp, m.At, pri, cr)
-	} else {
-		ep.eng.AtPri(m.At, pri, cr)
-	}
+	eng.AtPri(m.At, uint64(ep.id+1)<<priBits|(ep.sendSeq&(1<<priBits-1)), cr)
 	return m
 }
 
@@ -296,14 +237,14 @@ func (ep *Endpoint) deliver(m Message) {
 		}
 		delete(ep.calls, m.ReqID)
 		c.reply = m
-		c.done.Fire(ep.eng)
+		c.done.Fire(ep.n.eng)
 		return
 	}
 	ep.inbox = append(ep.inbox, m)
 	if ep.wake != nil {
 		w := ep.wake
 		ep.wake = nil
-		w.Fire(ep.eng)
+		w.Fire(ep.n.eng)
 	}
 }
 
@@ -398,13 +339,12 @@ func (ep *Endpoint) Recv(p *sim.Proc) (Message, bool) {
 
 // Close marks the endpoint closed and wakes any parked receiver so its
 // server loop can exit. In-flight deliveries still land (and are
-// discarded unread if nobody Recvs them). Close on a parallel network
-// must run on the endpoint's host LP (or between rounds).
+// discarded unread if nobody Recvs them).
 func (ep *Endpoint) Close() {
 	ep.closed = true
 	if ep.wake != nil {
 		w := ep.wake
 		ep.wake = nil
-		w.Fire(ep.eng)
+		w.Fire(ep.n.eng)
 	}
 }

@@ -208,3 +208,38 @@ func TestDeterministicTimeline(t *testing.T) {
 		t.Fatalf("sent %d messages, want 200", s1)
 	}
 }
+
+// TestAllocFreeRPC: the steady-state RPC path — pooled call frames,
+// pooled message carriers, inbox reuse, busy-map bookkeeping — allocates
+// nothing once warm. Two client/server pairs keep the carrier free list
+// shared between interleaved calls.
+func TestAllocFreeRPC(t *testing.T) {
+	eng := sim.NewEngine()
+	net := New(eng, DefaultParams())
+	for pair := 0; pair < 2; pair++ {
+		server := net.Endpoint(1 + pair)
+		client := net.Endpoint(3 + pair)
+		eng.Spawn("server", func(p *sim.Proc) {
+			for {
+				m, ok := server.Recv(p)
+				if !ok {
+					return
+				}
+				server.Reply(m, 0, nil)
+			}
+		})
+		sid := 1 + pair
+		eng.Spawn("client", func(p *sim.Proc) {
+			for {
+				client.Call(p, sid, 0, nil)
+			}
+		})
+	}
+	window := 50 * net.Params().Latency
+	cycle := func() { eng.RunUntil(eng.Now() + window) }
+	cycle() // warm: pools, inboxes, heap slices
+	cycle()
+	if n := testing.AllocsPerRun(50, cycle); n != 0 {
+		t.Fatalf("steady-state RPC allocates %.1f objects per window, want 0", n)
+	}
+}
