@@ -131,11 +131,12 @@ func (f failWrites) Judge(write bool, lbn int64, count int, _ func(int64) bool) 
 
 // A data write the cache gave up on must come back as fsync's error under
 // every scheme — whether the cache abandoned it before the fsync (the
-// buffer is then clean, yet not durable) or the write fails during it.
+// buffer is then clean, yet not durable), abandoned it and then evicted the
+// buffer, or the write fails during the fsync.
 func TestFsyncReportsAbandonedWrite(t *testing.T) {
 	payload := bytes.Repeat([]byte("lost"), 256)
 	for _, scheme := range allSchemes {
-		for _, shape := range []string{"abandoned-before", "failing-during"} {
+		for _, shape := range []string{"abandoned-before", "abandoned-evicted", "failing-during"} {
 			scheme, shape := scheme, shape
 			t.Run(scheme.String()+"/"+shape, func(t *testing.T) {
 				sys, err := fsim.New(fsim.Options{Scheme: scheme, DiskBytes: 64 << 20})
@@ -165,12 +166,19 @@ func TestFsyncReportsAbandonedWrite(t *testing.T) {
 						t.Error(err)
 						return
 					}
-					if shape == "abandoned-before" {
+					if shape != "failing-during" {
 						for i := 0; i < 8 && sys.Cache.LostWrites == 0; i++ {
 							sys.FS.Sync(p)
 						}
 						if sys.Cache.LostWrites != 1 {
 							t.Errorf("LostWrites = %d after the syncs, want 1", sys.Cache.LostWrites)
+							return
+						}
+					}
+					if shape == "abandoned-evicted" {
+						sys.Cache.DropClean()
+						if sys.Cache.Lookup(frag) != nil {
+							t.Error("setup: the abandoned buffer was not evicted")
 							return
 						}
 					}

@@ -115,11 +115,6 @@ func (b *Buf) Unhold() {
 	b.c.retire(b)
 }
 
-// Lost reports whether the cache abandoned the buffer's contents after
-// repeated failed writes: it then reads as clean without being durable.
-// The verdict holds until a later write of the buffer succeeds.
-func (b *Buf) Lost() bool { return b.writeFails > maxWriteFails }
-
 // InFlight reports whether a write of the buffer itself is in progress.
 // It does not count -CB snapshot writes (cbInflight): a clean buffer
 // whose snapshot is still on its way to the media reports false
@@ -193,8 +188,14 @@ type Cache struct {
 	cfg   Config
 	Hooks Hooks
 
-	bufs  map[int64]*Buf
-	bytes int // running sum of len(Data) over bufs
+	bufs  sim.Table[*Buf] // the buffer mapped at each first fragment
+	nbufs int             // mapped buffers
+	// lost holds the abandoned-write verdicts by first fragment (Lost),
+	// made at the first one. It is a table of its own because it is written
+	// only on a faulted disk: in the buffer table it would double the pages
+	// every workload touches.
+	lost  *sim.Table[bool]
+	bytes int // running sum of len(Data) over the mapped buffers
 	// lru is the sentinel of a circular list through every mapped buffer in
 	// eviction order: ascending (lastUse, Frag), least recently used at
 	// lru.next. The order is kept by touch, never recomputed.
@@ -254,7 +255,7 @@ func New(eng *sim.Engine, drv *dev.Driver, cpu *sim.CPU, cfg Config) *Cache {
 		cpu:    cpu,
 		cfg:    cfg,
 		Hooks:  NopHooks{},
-		bufs:   make(map[int64]*Buf),
+		bufs:   sim.NewTable[*Buf](drv.Sectors() / SectorsPerFrag),
 		mapped: make([]uint64, (drv.Sectors()/SectorsPerFrag+63)/64),
 	}
 	c.lru.prev, c.lru.next = &c.lru, &c.lru
@@ -348,7 +349,9 @@ func lbnOf(frag int64) int64 { return frag * SectorsPerFrag }
 
 // insert maps a new buffer as the most recently used.
 func (c *Cache) insert(b *Buf) {
-	c.bufs[b.Frag] = b
+	*c.bufs.At(b.Frag) = b
+	c.bufs.Use(b.Frag)
+	c.nbufs++
 	c.bytes += len(b.Data)
 	b.lastUse = c.eng.Now()
 	c.link(b)
@@ -363,7 +366,9 @@ func (c *Cache) remove(b *Buf) {
 	if b.next == nil {
 		return
 	}
-	delete(c.bufs, b.Frag)
+	*c.bufs.At(b.Frag) = nil
+	c.bufs.Unuse(b.Frag)
+	c.nbufs--
 	c.bytes -= len(b.Data)
 	b.prev.next, b.next.prev = b.next, b.prev
 	b.prev, b.next = nil, nil
@@ -413,7 +418,7 @@ func (c *Cache) waitAccessible(p *sim.Proc, b *Buf) {
 // scheme rolls back only write sources, never the buffer). On a media error
 // (faulted disk) it returns the driver's error and no buffer.
 func (c *Cache) Bread(p *sim.Proc, frag int64, nfrags int) (*Buf, error) {
-	b := c.bufs[frag]
+	b := c.Lookup(frag)
 	if b != nil && b.NFrags() != nfrags {
 		panic(fmt.Sprintf("cache: Bread(%d,%d) conflicts with resident buffer of %d frags",
 			frag, nfrags, b.NFrags()))
@@ -481,7 +486,7 @@ func (c *Cache) Bread(p *sim.Proc, frag int64, nfrags int) (*Buf, error) {
 // Getblk returns a buffer for a range about to be fully overwritten (no
 // disk read): freshly allocated blocks. Contents start zeroed.
 func (c *Cache) Getblk(p *sim.Proc, frag int64, nfrags int) *Buf {
-	b := c.bufs[frag]
+	b := c.Lookup(frag)
 	if b != nil {
 		if b.NFrags() != nfrags {
 			panic(fmt.Sprintf("cache: Getblk(%d,%d) conflicts with resident buffer of %d frags",
@@ -747,10 +752,12 @@ func (w *cwrite) complete() {
 			} else {
 				c.LostWrites++
 				b.Dirty = false
+				c.setLost(b.Frag, true)
 			}
 		}
 	} else {
 		b.writeFails = 0
+		c.setLost(b.Frag, false)
 		c.Hooks.WriteDone(b, req)
 	}
 	if b.invalid && b.writing == nil && b.cbInflight == 0 {
@@ -797,7 +804,8 @@ func (c *Cache) Resize(b *Buf, nfrags int) {
 // Drop removes the buffer at frag from the cache (block freed). If a write
 // is in flight the buffer is removed once it completes.
 func (c *Cache) Drop(frag int64) {
-	b := c.bufs[frag]
+	c.setLost(frag, false)
+	b := c.Lookup(frag)
 	if b == nil {
 		return
 	}
@@ -816,14 +824,39 @@ func (c *Cache) Drop(frag int64) {
 }
 
 // Lookup returns the resident buffer at frag, or nil (no I/O, no waiting).
-func (c *Cache) Lookup(frag int64) *Buf { return c.bufs[frag] }
+func (c *Cache) Lookup(frag int64) *Buf { return c.bufs.Get(frag) }
+
+// Lost reports whether the cache abandoned a write of the buffer starting at
+// frag after repeated failures: its contents never reached the media, yet
+// the buffer reads as clean. The verdict holds, whether or not the buffer
+// stays resident, until a later write from frag succeeds or frag is dropped.
+func (c *Cache) Lost(frag int64) bool { return c.lost != nil && c.lost.Get(frag) }
+
+// setLost records or clears the abandoned-write verdict at frag: set when
+// the cache abandons a write from frag, cleared by a later successful write
+// from it or by its Drop.
+func (c *Cache) setLost(frag int64, lost bool) {
+	if c.Lost(frag) == lost {
+		return
+	}
+	if c.lost == nil {
+		t := sim.NewTable[bool](c.drv.Sectors() / SectorsPerFrag)
+		c.lost = &t
+	}
+	*c.lost.At(frag) = lost
+	if lost {
+		c.lost.Use(frag)
+	} else {
+		c.lost.Unuse(frag)
+	}
+}
 
 // HeldCount reports buffers with outstanding Hold references (should be
 // zero whenever no file system operation is mid-flight — tests assert it).
 func (c *Cache) HeldCount() int {
 	n := 0
-	for _, b := range c.bufs {
-		if b.hold > 0 {
+	for _, b := range c.bufs.All() {
+		if *b != nil && (*b).hold > 0 {
 			n++
 		}
 	}
@@ -833,7 +866,7 @@ func (c *Cache) HeldCount() int {
 // DirtyCount reports the number of dirty buffers.
 func (c *Cache) DirtyCount() int {
 	n := 0
-	for _, b := range c.bufs {
+	for b := c.lru.next; b != &c.lru; b = b.next {
 		if b.Dirty {
 			n++
 		}
@@ -955,7 +988,7 @@ func (c *Cache) SyncerPass(p *sim.Proc) {
 	k := c.cfg.SyncerFraction
 	frags := c.sweep(c.syncerRound%k, k)
 	for _, frag := range frags {
-		b := c.bufs[frag]
+		b := c.Lookup(frag)
 		if b == nil {
 			continue
 		}
@@ -989,7 +1022,7 @@ func (c *Cache) RunWork(p *sim.Proc) {
 // meanwhile do not join it, and a second sweeper starting meanwhile
 // (SyncAll beside the syncer) finds no scratch and gets a slice of its own.
 func (c *Cache) sweep(seg, k int) []int64 {
-	n := len(c.bufs)
+	n := c.nbufs
 	lo, hi := n*seg/k, n*(seg+1)/k
 	frags := c.fragScratch[:0]
 	c.fragScratch = nil
@@ -1021,7 +1054,7 @@ func (c *Cache) SyncAll(p *sim.Proc, maxRounds int) int {
 		wrote := false
 		frags := c.sweep(0, 1)
 		for _, frag := range frags {
-			b := c.bufs[frag]
+			b := c.Lookup(frag)
 			if b != nil && b.Dirty && b.writing == nil {
 				c.issueWrite(p, b, false)
 				wrote = true

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"slices"
 	"sort"
@@ -597,8 +598,10 @@ func TestDropDuringReadUnmapsAtCompletion(t *testing.T) {
 // sorted by (lastUse, Frag) — which makeRoom used to recompute per miss.
 func sortOracle(c *Cache) []*Buf {
 	var order []*Buf
-	for _, b := range c.bufs {
-		order = append(order, b)
+	for _, b := range c.bufs.All() {
+		if *b != nil {
+			order = append(order, *b)
+		}
 	}
 	sort.Slice(order, func(i, j int) bool {
 		if order[i].lastUse != order[j].lastUse {
@@ -626,10 +629,10 @@ func checkLRU(t *testing.T, c *Cache, step int, what string) bool {
 		}
 		i++
 	}
-	if i != len(c.bufs) {
-		t.Errorf("step %d (%s): list holds %d buffers, map %d", step, what, i, len(c.bufs))
+	if i != len(want) || i != c.nbufs {
+		t.Errorf("step %d (%s): list holds %d buffers, index %d, count %d", step, what, i, len(want), c.nbufs)
 	}
-	return i == len(c.bufs)
+	return i == len(want) && i == c.nbufs
 }
 
 // TestEvictionOrderMatchesSortOracle is the differential test of the kept
@@ -739,9 +742,11 @@ func TestAllocFreeEviction(t *testing.T) {
 // SyncerPass and SyncAll ran before the mapped-fragment bitset: every mapped
 // fragment in ascending order, cut to segment seg of k.
 func sweepOracle(c *Cache, seg, k int) []int64 {
-	frags := make([]int64, 0, len(c.bufs))
-	for f := range c.bufs {
-		frags = append(frags, f)
+	frags := make([]int64, 0, c.nbufs)
+	for f, b := range c.bufs.All() {
+		if *b != nil {
+			frags = append(frags, f)
+		}
 	}
 	slices.Sort(frags)
 	n := len(frags)
@@ -878,6 +883,180 @@ func TestAllocFreeSyncerPass(t *testing.T) {
 		allocs = testing.AllocsPerRun(2*c.cfg.SyncerFraction, func() { c.SyncerPass(p) })
 	})
 	if allocs != 0 {
-		t.Errorf("syncer pass over %d buffers: %.2f allocs, want 0", len(c.bufs), allocs)
+		t.Errorf("syncer pass over %d buffers: %.2f allocs, want 0", c.nbufs, allocs)
+	}
+}
+
+// checkBufIndex compares the cache's first-touch buffer table against a map
+// oracle of the mapped buffers, built from the eviction list: the same
+// buffers at the same fragments, the buffer count and the mapped bitset.
+func checkBufIndex(c *Cache) error {
+	oracle := map[int64]*Buf{}
+	for b := c.lru.next; b != &c.lru; b = b.next {
+		oracle[b.Frag] = b
+	}
+	n := 0
+	for frag, b := range c.bufs.All() {
+		if *b == nil {
+			continue
+		}
+		n++
+		if oracle[frag] != *b {
+			return fmt.Errorf("table maps a buffer at frag %d the list does not hold there", frag)
+		}
+	}
+	if n != len(oracle) || c.nbufs != n {
+		return fmt.Errorf("table maps %d buffers, the list holds %d, the count says %d", n, len(oracle), c.nbufs)
+	}
+	for frag, b := range oracle {
+		if c.Lookup(frag) != b || c.mapped[frag/64]&(1<<(frag%64)) == 0 {
+			return fmt.Errorf("frag %d: Lookup or the mapped bitset disagrees with the list", frag)
+		}
+	}
+	return nil
+}
+
+// TestBufIndexMatchesMapOracle is the differential test of the buffer
+// table: users map buffers (Bread, Getblk) over fragments spread across
+// several pages of the table, unmap them (Drop, eviction from a cache of
+// 40 fragments), resize them and hold them, with the syncer writing behind;
+// after every step the table must be the oracle's map, and what an
+// operation returned is what Lookup finds. Once everything is dropped, every
+// page of the table has been given back.
+func TestBufIndexMatchesMapOracle(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		eng, _, _, c := newRig(Config{MaxBytes: 40 * FragSize, CB: seed%2 == 0})
+		c.StartSyncer()
+		pages := []int64{0, 512, 3 * 512, 40 * 512}
+		frags := func() int64 { return pages[rng.Intn(len(pages))] + 4*rng.Int63n(20) }
+		size := func(frag int64) int {
+			if b := c.Lookup(frag); b != nil {
+				return b.NFrags()
+			}
+			return 1 + int(frag/4)%4
+		}
+		steps := 0
+		for w := 0; w < 3; w++ {
+			eng.Spawn("user", func(p *sim.Proc) {
+				var held []*Buf
+				for step := 0; step < 300 && !t.Failed(); step++ {
+					frag := frags()
+					var got *Buf
+					switch op := rng.Intn(10); {
+					case op < 3:
+						b, err := c.Bread(p, frag, size(frag))
+						if err != nil {
+							t.Errorf("Bread: %v", err)
+						}
+						got = b
+					case op < 6:
+						got = c.Getblk(p, frag, size(frag))
+						if rng.Intn(3) > 0 {
+							c.PrepareModify(p, got)
+							c.Bdwrite(got)
+						}
+					case op < 7:
+						if b := c.Lookup(frag); b != nil && b.hold == 0 {
+							c.Drop(frag)
+							if c.Lookup(frag) != nil && b.reading == nil {
+								t.Errorf("frag %d still mapped after its Drop", frag)
+							}
+						}
+					case op < 8:
+						if b := c.Lookup(frag); b != nil && b.reading == nil {
+							c.PrepareModify(p, b)
+							if c.Lookup(frag) == b {
+								c.Resize(b, 1+rng.Intn(4))
+								got = b
+							}
+						}
+					case op < 9:
+						if b := c.Lookup(frag); b != nil {
+							held = append(held, b.Hold())
+						}
+					default:
+						for _, b := range held {
+							b.Unhold()
+						}
+						held = held[:0]
+						p.Sleep(sim.Duration(rng.Int63n(int64(30 * sim.Millisecond))))
+					}
+					if got != nil && got.next != nil && c.Lookup(got.Frag) != got {
+						t.Errorf("step %d: Lookup(%d) is not the buffer just returned there", step, got.Frag)
+					}
+					if err := checkBufIndex(c); err != nil {
+						t.Errorf("seed %d step %d: %v", seed, step, err)
+					}
+					steps++
+				}
+				for _, b := range held {
+					b.Unhold()
+				}
+			})
+		}
+		eng.RunWhile(func() bool { return eng.Live() > 1 }) // all but the syncer
+		c.StopSyncer()
+		runIn(eng, func(p *sim.Proc) {
+			c.SyncAll(p, 16)
+			for b := c.lru.next; b != &c.lru; {
+				next := b.next
+				c.Drop(b.Frag)
+				b = next
+			}
+		})
+		if err := checkBufIndex(c); err != nil {
+			t.Fatalf("seed %d at the end: %v", seed, err)
+		}
+		for frag := range c.bufs.All() {
+			t.Fatalf("seed %d: an empty cache keeps the table page of frag %d", seed, frag)
+		}
+		if c.Misses < 100 || steps < 900 {
+			t.Fatalf("seed %d: %d misses in %d steps: stream too tame", seed, c.Misses, steps)
+		}
+	}
+}
+
+// TestLostVerdictOutlivesEviction: the verdict on an abandoned write is
+// kept by fragment, not on the buffer. It survives the buffer's eviction
+// and a re-read of the fragment, and only a successful write from the
+// fragment or its Drop clears it; then the verdict table is empty again.
+func TestLostVerdictOutlivesEviction(t *testing.T) {
+	eng, dsk, _, c := newRig(Config{})
+	runIn(eng, func(p *sim.Proc) {
+		abandon := func(frag int64) {
+			dsk.SetFaults(failAllWrites{}, 0)
+			defer dsk.SetFaults(nil, 0)
+			b := c.Getblk(p, frag, 1)
+			c.Bdwrite(b)
+			lost := c.LostWrites
+			for i := 0; i < 2*maxWriteFails && c.LostWrites == lost; i++ {
+				c.Bwrite(p, b)
+			}
+			if c.LostWrites != lost+1 || !c.Lost(frag) || b.Dirty {
+				t.Fatalf("setup: frag %d not abandoned (LostWrites %d, Lost %v, dirty %v)", frag, c.LostWrites, c.Lost(frag), b.Dirty)
+			}
+		}
+		abandon(10)
+		c.DropClean()
+		if c.Lookup(10) != nil || !c.Lost(10) {
+			t.Fatalf("after eviction: resident %v, Lost %v; want evicted and still lost", c.Lookup(10) != nil, c.Lost(10))
+		}
+		b, err := c.Bread(p, 10, 1)
+		if err != nil || !c.Lost(10) {
+			t.Fatalf("re-read: err %v, Lost %v; want the verdict kept", err, c.Lost(10))
+		}
+		c.Bdwrite(b)
+		if err := c.Bwrite(p, b); err != nil || c.Lost(10) {
+			t.Fatalf("successful rewrite: err %v, Lost %v; want the verdict cleared", err, c.Lost(10))
+		}
+		abandon(20)
+		c.Drop(20)
+		if c.Lost(20) {
+			t.Fatal("Drop kept the verdict of a freed fragment")
+		}
+	})
+	for frag := range c.lost.All() {
+		t.Fatalf("no verdict left, yet the verdict table keeps the page of frag %d", frag)
 	}
 }

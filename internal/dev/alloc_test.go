@@ -49,9 +49,9 @@ func lifeAllocs(t *testing.T, cfg Config, window, buckets int, pooled bool, fill
 		cycle()
 	}
 	allocs := testing.AllocsPerRun(2*window, cycle)
-	if want := min(window, buckets); len(drv.pending) != window || len(drv.bySector) != want {
+	if want := min(window, buckets); len(drv.pending) != window || drv.buckets() != want {
 		t.Fatalf("pending set drifted: %d requests in %d buckets, want %d in %d",
-			len(drv.pending), len(drv.bySector), window, want)
+			len(drv.pending), drv.buckets(), window, want)
 	}
 	return allocs
 }

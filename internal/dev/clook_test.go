@@ -1,6 +1,7 @@
 package dev
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -144,5 +145,97 @@ func TestCLOOKTieGoesToQueuePosition(t *testing.T) {
 	if x.Done.FiredAt >= a.Done.FiredAt {
 		t.Fatalf("the requeued read (ID %d) completed at %v, before or with the read queued ahead of it (ID %d) at %v",
 			a.ID, a.Done.FiredAt, x.ID, x.Done.FiredAt)
+	}
+}
+
+// scanBuckets is the sector index by definition, the scan of the pending
+// set: every pending request listed in each 16-sector bucket it touches.
+func scanBuckets(pending map[uint64]*Request) map[int64][]*Request {
+	want := map[int64][]*Request{}
+	for _, r := range pending {
+		for k, hi := r.buckets(); k <= hi; k++ {
+			want[k] = append(want[k], r)
+		}
+	}
+	return want
+}
+
+// checkSectorIndex reports the first difference between the driver's
+// sector table and the scan of its pending set.
+func checkSectorIndex(d *Driver) error {
+	want := scanBuckets(d.pending)
+	got := 0
+	for k, s := range d.bySector.All() {
+		if len(*s) == 0 {
+			if *s != nil {
+				return fmt.Errorf("bucket %d is empty but not nil", k)
+			}
+			continue
+		}
+		got++
+		w := want[k]
+		byID := func(a, b *Request) int { return cmp.Compare(a.ID, b.ID) }
+		g := slices.SortedFunc(slices.Values(*s), byID)
+		slices.SortFunc(w, byID)
+		if !slices.Equal(g, w) {
+			return fmt.Errorf("bucket %d holds %d requests, the scan %d", k, len(g), len(w))
+		}
+	}
+	if got != len(want) {
+		return fmt.Errorf("%d non-empty buckets, the scan touches %d", got, len(want))
+	}
+	return nil
+}
+
+// sectorIndexObserver checks the sector table at every submission, before
+// the new request is indexed.
+type sectorIndexObserver struct {
+	shadowQueue
+	d   *Driver
+	err error
+}
+
+func (o *sectorIndexObserver) RequestSubmitted(r *Request, preds []uint64) {
+	if o.err == nil {
+		o.err = checkSectorIndex(o.d)
+	}
+}
+
+// TestSectorTableMatchesPendingScan is the differential test of the
+// driver's first-touch sector table: under all eight configurations, with
+// requests spanning buckets and pages of the table, batches failing and
+// splitting, at every submission and every dispatch, each bucket must hold
+// exactly the pending requests that touch it; at idle every page of the
+// table has been given back.
+func TestSectorTableMatchesPendingScan(t *testing.T) {
+	for _, cfg := range everyConfig() {
+		t.Run(configName(cfg), func(t *testing.T) {
+			checks := 0
+			for seed := int64(1); seed <= 8; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				eng, dsk, drv := newRig(cfg)
+				if seed%2 == 0 {
+					dsk.SetFaults(flakyJudge{rng}, 0)
+				}
+				o := &sectorIndexObserver{d: drv}
+				drv.SetObserver(o)
+				drv.dispatchHook = func([]*Request) {
+					if o.err == nil {
+						o.err = checkSectorIndex(drv)
+					}
+					checks++
+				}
+				crowdedStream(eng, dsk, drv, rng)
+				if o.err != nil {
+					t.Fatalf("seed %d: %v", seed, o.err)
+				}
+				for k := range drv.bySector.All() {
+					t.Fatalf("seed %d: idle driver keeps the table page of bucket %d", seed, k)
+				}
+			}
+			if checks < 100 {
+				t.Fatalf("only %d dispatches checked", checks)
+			}
+		})
 	}
 }

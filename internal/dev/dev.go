@@ -284,8 +284,10 @@ type Driver struct {
 	// visits candidates, not every pending request: by the 16-sector buckets
 	// a request touches (conflicts; concat looks up its next member here
 	// too), and the flagged ones (flag barriers). Dependencies by ID go
-	// through pending itself.
-	bySector   map[int64][]*Request
+	// through pending itself. An empty bucket is nil; there is one bucket
+	// past the disk's last, where concat looks for the successor of a
+	// request ending at the last sector.
+	bySector   sim.Table[[]*Request]
 	bucketFree [][]*Request // emptied bucket slices, for the next new bucket
 	// The pending flagged requests. Those that themselves wait for every
 	// pending flagged request (behindFlags) form a chain in ID order — each
@@ -375,7 +377,7 @@ func New(eng *sim.Engine, dsk *disk.Disk, cfg Config) *Driver {
 		dsk:      dsk,
 		cfg:      cfg,
 		pending:  make(map[uint64]*Request),
-		bySector: make(map[int64][]*Request),
+		bySector: sim.NewTable[[]*Request](dsk.Sectors()>>bucketShift + 1),
 		ready:    make([]uint64, (dsk.Sectors()-1)>>bucketShift/64+1),
 	}
 	d.queue.qprev, d.queue.qnext = &d.queue, &d.queue
@@ -545,7 +547,7 @@ func (d *Driver) dequeue(r *Request) {
 	r.qprev, r.qnext = nil, nil
 	d.nqueued--
 	k := r.LBN >> bucketShift
-	for _, q := range d.bySector[k] {
+	for _, q := range d.bySector.Get(k) {
 		if q.qnext != nil && q.eligible() && q.LBN>>bucketShift == k {
 			return
 		}
@@ -589,11 +591,14 @@ func (r *Request) buckets() (lo, hi int64) {
 func (d *Driver) index(r *Request) {
 	d.pending[r.ID] = r
 	for k, hi := r.buckets(); k <= hi; k++ {
-		s, ok := d.bySector[k]
-		if n := len(d.bucketFree); !ok && n > 0 {
-			s, d.bucketFree = d.bucketFree[n-1], d.bucketFree[:n-1]
+		s := d.bySector.At(k)
+		if *s == nil {
+			d.bySector.Use(k)
+			if n := len(d.bucketFree); n > 0 {
+				*s, d.bucketFree = d.bucketFree[n-1], d.bucketFree[:n-1]
+			}
 		}
-		d.bySector[k] = append(s, r)
+		*s = append(*s, r)
 	}
 	if r.Flag {
 		d.nflagged++
@@ -610,14 +615,16 @@ func (d *Driver) index(r *Request) {
 func (d *Driver) unindex(r *Request) {
 	delete(d.pending, r.ID)
 	for k, hi := r.buckets(); k <= hi; k++ {
-		s := d.bySector[k]
+		bucket := d.bySector.At(k)
+		s := *bucket
 		n := len(s) - 1
 		s[slices.Index(s, r)] = s[n]
 		s[n] = nil
 		if n > 0 {
-			d.bySector[k] = s[:n]
+			*bucket = s[:n]
 		} else {
-			delete(d.bySector, k)
+			*bucket = nil
+			d.bySector.Unuse(k)
 			d.bucketFree = append(d.bucketFree, s[:0])
 		}
 	}
@@ -699,7 +706,7 @@ func (d *Driver) computeBarrier(r *Request) {
 	} else {
 		flagConflicts := 0
 		for k, hi := r.buckets(); k <= hi; k++ {
-			for _, q := range d.bySector[k] {
+			for _, q := range d.bySector.Get(k) {
 				if conflicts(r, q) && d.wire(q, r) && q.Flag {
 					flagConflicts++
 				}
@@ -880,7 +887,7 @@ func (d *Driver) pickCLOOK() *Request {
 func (d *Driver) firstReady(lbn int64) *Request {
 	for k := d.nextReady(lbn >> bucketShift); k >= 0; k = d.nextReady(k + 1) {
 		var best *Request
-		for _, q := range d.bySector[k] {
+		for _, q := range d.bySector.Get(k) {
 			if q.LBN>>bucketShift == k && q.LBN >= lbn && q.qnext != nil && q.eligible() &&
 				(best == nil || q.LBN < best.LBN || q.LBN == best.LBN && q.qpos < best.qpos) {
 				best = q
@@ -906,7 +913,7 @@ func (d *Driver) concat(pick *Request) []*Request {
 	end := pick.end()
 	for total < maxConcat {
 		var next *Request
-		for _, q := range d.bySector[end>>bucketShift] {
+		for _, q := range d.bySector.Get(end >> bucketShift) {
 			if q.LBN == end && q.Op == pick.Op && q.eligible() && (next == nil || q.ID < next.ID) {
 				next = q
 			}

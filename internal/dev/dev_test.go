@@ -434,3 +434,15 @@ func TestSemanticsString(t *testing.T) {
 		t.Error("FlagSemantics strings wrong")
 	}
 }
+
+// TestRequestEndingAtLastSector: concat looks for the successor of a
+// request ending at the disk's last sector one bucket past the disk, which
+// the sector table has.
+func TestRequestEndingAtLastSector(t *testing.T) {
+	eng, dsk, drv := newRig(Config{Mode: ModeIgnore})
+	r := drv.Submit(wreq(dsk.Sectors()-8, 8, false))
+	eng.Run()
+	if !r.Done.Fired() || r.Err != nil {
+		t.Fatalf("the last sectors' write: fired %v, err %v", r.Done.Fired(), r.Err)
+	}
+}

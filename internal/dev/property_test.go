@@ -440,9 +440,9 @@ func TestBarrierIndexMatchesPredecessors(t *testing.T) {
 				if len(o.pending) != 0 || drv.Busy() {
 					t.Fatalf("seed %d: %d requests never retired", seed, len(o.pending))
 				}
-				if len(drv.pending)+len(drv.bySector)+drv.nflagged+len(drv.flagLoose) != 0 || drv.flagTail != nil {
+				if len(drv.pending)+drv.buckets()+drv.nflagged+len(drv.flagLoose) != 0 || drv.flagTail != nil {
 					t.Fatalf("seed %d: index not empty at idle: %d pending, %d buckets, %d flagged (%d loose, tail %v)",
-						seed, len(drv.pending), len(drv.bySector), drv.nflagged, len(drv.flagLoose), drv.flagTail)
+						seed, len(drv.pending), drv.buckets(), drv.nflagged, len(drv.flagLoose), drv.flagTail)
 				}
 				if o.wiredEdges > o.edges {
 					t.Fatalf("seed %d: %d edges wired for %d oracle pairs", seed, o.wiredEdges, o.edges)

@@ -98,8 +98,8 @@ func (fs *FS) cgOfFrag(frag int32) int32 {
 // preference (directories get a fresh group, files inherit their
 // directory's), or the group of its first data block.
 func (fs *FS) preferredCG(ino Ino, ip *Inode) int32 {
-	if cg, ok := fs.prefCG[ino]; ok {
-		return cg
+	if cg := fs.inodes.Get(int64(ino)).cg; cg != 0 {
+		return cg - 1
 	}
 	if ip != nil && ip.Direct[0] != 0 {
 		return fs.cgOfFrag(ip.Direct[0])
@@ -108,7 +108,7 @@ func (fs *FS) preferredCG(ino Ino, ip *Inode) int32 {
 }
 
 // assignCG records ino's allocation group.
-func (fs *FS) assignCG(ino Ino, cg int32) { fs.prefCG[ino] = cg % fs.nCG() }
+func (fs *FS) assignCG(ino Ino, cg int32) { fs.inode(ino).cg = cg%fs.nCG() + 1 }
 
 // nextDirCG rotates new directories across groups (the FFS policy of
 // spreading directories out).

@@ -69,13 +69,20 @@ type FS struct {
 
 	allocMu    sim.Mutex
 	inoRotor   Ino
-	prefCG     map[Ino]int32
 	dirCGRotor int32
 
-	inoLocks map[Ino]*sim.Mutex
-	dirIdx   dirIndexes // directory lookup from an index (dirindex.go)
+	inodes sim.Table[inodeSlot] // per-inode state, by inode number
+	dirIdx dirIndexes           // directory lookup from an index (dirindex.go)
 
 	unfinished int // see Unfinished
+}
+
+// inodeSlot is the file system's in-memory state of one inode.
+type inodeSlot struct {
+	lock sim.Mutex // the per-inode lock (lockInode)
+	// cg is the inode's preferred allocation group plus one; 0 means none
+	// recorded (preferredCG).
+	cg int32
 }
 
 // Mount reads the superblock through the cache and attaches the ordering
@@ -85,14 +92,12 @@ func Mount(eng *sim.Engine, cpu *sim.CPU, c *cache.Cache, ord Ordering, cfg Conf
 		cfg.Costs = DefaultCosts()
 	}
 	fs := &FS{
-		eng:      eng,
-		cpu:      cpu,
-		cache:    c,
-		ord:      ord,
-		cfg:      cfg,
-		inoLocks: make(map[Ino]*sim.Mutex),
-		dirIdx:   make(dirIndexes),
-		prefCG:   make(map[Ino]int32),
+		eng:    eng,
+		cpu:    cpu,
+		cache:  c,
+		ord:    ord,
+		cfg:    cfg,
+		dirIdx: make(dirIndexes),
 	}
 	sbuf, err := c.Bread(p, 0, BlockFrags)
 	if err != nil {
@@ -102,6 +107,7 @@ func Mount(eng *sim.Engine, cpu *sim.CPU, c *cache.Cache, ord Ordering, cfg Conf
 		return nil, err
 	}
 	fs.inoRotor = RootIno + 1
+	fs.inodes = sim.NewTable[inodeSlot](int64(fs.sb.NInodes))
 	c.Hooks = ord
 	ord.Start(fs)
 	return fs, nil
@@ -142,13 +148,22 @@ func (fs *FS) end(p *sim.Proc, sp *obs.Span) {
 	fs.cfg.Obs.End(p, sp)
 }
 
+// checkIno panics on an inode number outside the inode table.
+func (fs *FS) checkIno(ino Ino) {
+	if ino == 0 || uint32(ino) >= fs.sb.NInodes {
+		panic(fmt.Sprintf("ffs: inode %d out of range", ino))
+	}
+}
+
+// inode returns ino's in-memory state.
+func (fs *FS) inode(ino Ino) *inodeSlot {
+	fs.checkIno(ino)
+	return fs.inodes.At(int64(ino))
+}
+
 // lockInode acquires the per-inode lock.
 func (fs *FS) lockInode(p *sim.Proc, ino Ino) {
-	mu := fs.inoLocks[ino]
-	if mu == nil {
-		mu = &sim.Mutex{}
-		fs.inoLocks[ino] = mu
-	}
+	mu := &fs.inode(ino).lock
 	sp := obs.SpanOf(p)
 	sp.Push(p, obs.StageLock)
 	mu.Lock(p)
@@ -165,7 +180,7 @@ func (fs *FS) lockAlloc(p *sim.Proc) {
 }
 
 func (fs *FS) unlockInode(ino Ino) {
-	fs.inoLocks[ino].Unlock(fs.eng)
+	fs.inode(ino).lock.Unlock(fs.eng)
 }
 
 // lockPair locks two inodes in canonical order (deadlock avoidance for
@@ -194,9 +209,7 @@ func (fs *FS) unlockPair(a, b Ino) {
 // inodeBuf returns the (held) buffer holding ino's inode-table block and
 // the byte offset of the inode within it. The caller must release it.
 func (fs *FS) inodeBuf(p *sim.Proc, ino Ino) (*cache.Buf, int, error) {
-	if ino == 0 || uint32(ino) >= fs.sb.NInodes {
-		panic(fmt.Sprintf("ffs: inode %d out of range", ino))
-	}
+	fs.checkIno(ino)
 	frag, off := fs.sb.InodeFrag(ino)
 	b, err := fs.cache.Bread(p, int64(frag), BlockFrags)
 	if err != nil {

@@ -30,7 +30,7 @@ type DurabilityWaiter interface {
 // the paper's SYNCIO semantics ("a SYNCIO flag that tells the file system
 // to guarantee that changes are permanent before returning", section 6.1).
 // Like POSIX fsync, it covers the file, not the directory entry naming it.
-// A write of the file the cache abandoned (cache.Buf.Lost) is an error
+// A write of the file the cache abandoned (cache.Cache.Lost) is an error
 // under every scheme, whether it failed before the call or during it.
 //
 // The implementation works for every ordering scheme: it repeatedly writes
@@ -152,16 +152,16 @@ func (fs *FS) fsyncAwait(p *sim.Proc, ino Ino, dw DurabilityWaiter) error {
 }
 
 // abandoned returns dev.ErrIO when the cache gave up on a write of one of
-// the file's resident buffers (its runs, then its inode-table block): such
-// a buffer reads as clean, yet its contents never reached the media. It
-// only looks buffers up, so the check costs no simulated time.
+// the file's buffers (its runs, then its inode-table block), resident or
+// evicted since: their contents never reached the media. It only reads the
+// cache's verdicts, so the check costs no simulated time.
 func (fs *FS) abandoned(runs []FragRun, inodeFrag int64) error {
 	for _, run := range runs {
-		if b := fs.cache.Lookup(int64(run.Start)); b != nil && b.Lost() {
+		if fs.cache.Lost(int64(run.Start)) {
 			return dev.ErrIO
 		}
 	}
-	if b := fs.cache.Lookup(inodeFrag); b != nil && b.Lost() {
+	if fs.cache.Lost(inodeFrag) {
 		return dev.ErrIO
 	}
 	return nil

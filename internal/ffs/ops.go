@@ -627,7 +627,7 @@ func (fs *FS) freeFile(p *sim.Proc, ino Ino, ip *Inode, ib *cache.Buf, ioff int)
 	// rest (fsck's free-map reconciliation reclaims leaked fragments).
 	runs, _ := fs.collectRuns(p, ip)
 	fs.charge(p, fs.cfg.Costs.InodeOp)
-	delete(fs.prefCG, ino)
+	fs.inode(ino).cg = 0
 	if ip.IsDir() {
 		fs.dirIdx.drop(ino, runs)
 	}

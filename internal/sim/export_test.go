@@ -19,3 +19,7 @@ func (e *Engine) Pending() int { return len(e.heap) + len(e.fast) - e.fastHead }
 
 // Engine returns the engine driving this process.
 func (p *Proc) Engine() *Engine { return p.eng }
+
+// SetFastPath turns Sleep's fast path (wakeIsNext) on or off; off, every
+// sleep parks and is woken by the dispatch loop, as before the fast path.
+func (e *Engine) SetFastPath(on bool) { e.parkAlways = !on }

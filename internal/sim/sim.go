@@ -18,7 +18,17 @@
 // and events scheduled for the current instant — every wake-up — go through
 // a FIFO fast queue that bypasses the heap entirely. Ordering is identical
 // to a single global queue: the dispatcher always fires the queued event
-// with the smallest (time, delivery priority, sequence) key.
+// with the smallest (time, delivery priority, sequence) key. A process whose
+// Sleep would schedule that very event — its wake-up is the next one the
+// running dispatch loop would fire — does not park at all: the engine
+// advances the clock and counts the event in place, so event order,
+// Executed() and every virtual result are those of the parked path. The
+// dispatch loop does not nest: running an engine from one of its own
+// processes or callbacks panics.
+//
+// Table, the package's other export for the hot path, is the dense
+// first-touch index the cache, file system and driver look their per-
+// fragment, per-inode and per-bucket state up in without hashing.
 package sim
 
 import (
@@ -111,6 +121,13 @@ type Engine struct {
 	halted   bool // RunUntil hit its limit; scheduling now panics until the next run
 	procIDs  int  // per-engine Proc.ID source; engines must not share state
 	executed uint64
+	// running is set while run's dispatch loop is active; limit and cond
+	// are that loop's, which Sleep's fast path must honour.
+	running bool
+	limit   Time
+	cond    func() bool
+	// parkAlways turns the sleeper fast path off (tests only).
+	parkAlways bool
 	// idle holds the carriers whose process finished during the current
 	// run, LIFO, for the next Spawn; run stops them when it returns.
 	idle []*carrier
@@ -469,10 +486,18 @@ func (e *Engine) RunUntil(limit Time) { e.run(limit, nil) }
 // syncer) keep scheduling events forever.
 func (e *Engine) RunWhile(cond func() bool) { e.run(maxTime, cond) }
 
-// run is the single dispatch loop behind Run, RunUntil and RunWhile.
+// run is the single dispatch loop behind Run, RunUntil and RunWhile. It
+// does not nest: a process or callback that runs its own engine would
+// dispatch that engine's events inside one of them, and Sleep's fast path
+// would read the inner loop's limit and condition, so entering run while
+// the engine is dispatching panics.
 func (e *Engine) run(limit Time, cond func() bool) {
+	if e.running {
+		panic("sim: Engine.Run/RunUntil/RunWhile called while the same engine is dispatching (from one of its processes or callbacks)")
+	}
+	e.running, e.limit, e.cond = true, limit, cond
 	e.halted = false
-	defer e.stopIdle()
+	defer e.endRun()
 	for cond == nil || cond() {
 		at, ok := e.peek()
 		if !ok {
@@ -484,6 +509,12 @@ func (e *Engine) run(limit Time, cond func() bool) {
 		}
 		e.dispatch(e.pop())
 	}
+}
+
+// endRun leaves the dispatch loop, also when a process panicked out of it.
+func (e *Engine) endRun() {
+	e.running, e.cond = false, nil
+	e.stopIdle()
 }
 
 // dispatch fires one popped event.
@@ -504,14 +535,45 @@ func (e *Engine) dispatch(ev event) {
 // caller must already have arranged for something to resume it.
 func (p *Proc) block() { p.c.yield(struct{}{}) }
 
-// Sleep suspends the process for d of virtual time.
+// Sleep suspends the process for d of virtual time. When the wake-up is
+// the next event the dispatch loop would fire anyway (wakeIsNext), the
+// process runs on without parking: the engine advances the clock and
+// counts the event exactly as dispatching the wake-up would.
 func (p *Proc) Sleep(d Duration) {
 	if d < 0 {
 		panic("sim: negative sleep")
 	}
 	e := p.eng
-	e.scheduleProc(e.now+d, p)
+	t := e.now + d
+	if e.wakeIsNext(t) {
+		e.seq++
+		e.now = t
+		e.executed++
+		return
+	}
+	e.scheduleProc(t, p)
 	p.block()
+}
+
+// wakeIsNext reports whether a wake-up scheduled now for instant t would be
+// the next event the running dispatch loop fires. Its key would be (t, 0,
+// a sequence number above every queued one), so every fast-queue entry (at
+// now <= t, pri 0, older) precedes it, as does a heap top earlier than t or
+// at t with pri 0; a top later than t, or at t with a delivery priority,
+// follows it. The loop would then fire it unless the wake is past
+// RunUntil's limit or RunWhile's condition no longer holds — both read
+// here just as the loop would read them once the process parked, since
+// nothing runs in between.
+func (e *Engine) wakeIsNext(t Time) bool {
+	if e.parkAlways || e.fastHead < len(e.fast) || t > e.limit {
+		return false
+	}
+	if len(e.heap) > 0 {
+		if top := &e.heap[0]; top.at < t || top.at == t && top.pri == 0 {
+			return false
+		}
+	}
+	return e.cond == nil || e.cond()
 }
 
 // Now returns the current virtual time.
