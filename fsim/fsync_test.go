@@ -191,6 +191,63 @@ func TestFsyncReportsAbandonedWrite(t *testing.T) {
 	}
 }
 
+// Under Soft Updates a link removal's deferred half (FinishRemove) runs as
+// a workitem in whichever process drains the queue. Fsync drains it while
+// it holds its file's inode lock, so when the removed link is the file's
+// own, FinishRemove must not take that lock again: the fsync returns, and
+// the link count it leaves is the one the media ends with.
+func TestFsyncDrainsItsFileRemoval(t *testing.T) {
+	sys, err := fsim.New(fsim.Options{Scheme: fsim.SoftUpdates, DiskBytes: 64 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Shutdown()
+	var ino fsim.Ino
+	sys.Run(func(p *fsim.Proc) {
+		ino, err = sys.FS.Create(p, fsim.RootIno, "f")
+		if err == nil {
+			err = sys.FS.WriteAt(p, ino, 0, bytes.Repeat([]byte("x"), 3000))
+		}
+		if err == nil {
+			err = sys.FS.Link(p, ino, fsim.RootIno, "g")
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys.FS.Sync(p)
+		if err := sys.FS.Unlink(p, fsim.RootIno, "g"); err != nil {
+			t.Fatal(err)
+		}
+		// Write the directory block that dropped "g": its completion
+		// queues the FinishRemove, and nothing drains the queue before
+		// the fsync does.
+		root, err := sys.FS.Stat(p, fsim.RootIno)
+		if err != nil {
+			t.Fatal(err)
+		}
+		queued := sys.Soft.Stat.Workitems
+		db := sys.Cache.Lookup(int64(root.Direct[0])).Hold()
+		err = sys.Cache.Bwrite(p, db)
+		db.Unhold()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sys.Soft.Stat.Workitems != queued+1 {
+			t.Fatalf("setup: the directory write queued %d workitems, want the FinishRemove", sys.Soft.Stat.Workitems-queued)
+		}
+		if err := sys.FS.Fsync(p, ino); err != nil {
+			t.Fatalf("Fsync: %v", err)
+		}
+		sys.FS.Sync(p)
+	})
+	if n := onDiskInode(sys, ino).Nlink; n != 1 {
+		t.Errorf("nlink on the media = %d after the unlink of one of two names, want 1", n)
+	}
+	if n := sys.FS.Unfinished(); n != 0 {
+		t.Errorf("%d removals/frees handed to the scheme and never finished", n)
+	}
+}
+
 func TestFsyncMissingFile(t *testing.T) {
 	sys, err := fsim.New(fsim.Options{Scheme: fsim.SoftUpdates, DiskBytes: 64 << 20})
 	if err != nil {

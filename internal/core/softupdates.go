@@ -511,8 +511,6 @@ func (s *SoftUpdates) queueWait(fw *freeWait) {
 	s.Stat.Workitems++
 	s.cache().QueueWork(func(p *sim.Proc) {
 		for _, rem := range fw.rems {
-			rem.rec.DirLocked = false
-			rem.rec.InoLocked = false
 			rem.rec.FS.FinishRemove(p, rem.rec)
 		}
 		fw.rec.FS.ApplyFree(p, fw.rec)
@@ -650,7 +648,7 @@ func (s *SoftUpdates) WriteDone(b *cache.Buf, req *dev.Request) {
 	}
 
 	// Inode addsafe state: anything in flight is now on disk.
-	for ino, idep := range d.inodeDeps {
+	for _, idep := range d.inodeDeps {
 		if !idep.inFlight {
 			continue
 		}
@@ -672,18 +670,12 @@ func (s *SoftUpdates) WriteDone(b *cache.Buf, req *dev.Request) {
 			}
 		}
 		idep.waitingAllocs = nil
-		_ = ino
 	}
 
 	// Deferred link removals and frees covered by this write.
 	for _, rem := range d.remsInFlight {
-		rec := rem.rec
-		rec.DirLocked = false // the workitem runs in syncer context, lock-free
-		rec.InoLocked = false
 		s.Stat.Workitems++
-		s.cache().QueueWork(func(p *sim.Proc) {
-			rec.FS.FinishRemove(p, rec)
-		})
+		s.cache().QueueWork(func(p *sim.Proc) { rem.rec.FS.FinishRemove(p, rem.rec) })
 	}
 	d.remsInFlight = nil
 	for _, fw := range d.freesInFlight {

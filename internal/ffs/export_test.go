@@ -4,7 +4,12 @@ import (
 	"fmt"
 	"maps"
 	"slices"
+
+	"metaupdate/internal/sim"
 )
+
+// InodeLockedBy reports whether p holds ino's lock.
+func (fs *FS) InodeLockedBy(p *sim.Proc, ino Ino) bool { return fs.inode(ino).lock.HeldBy(p) }
 
 // indexDrift reports how x differs from an index rebuilt from the bytes of
 // the buffer it is bound to, "" when it does not.

@@ -121,12 +121,19 @@ func (h *hookRecorder) AddEntry(p *sim.Proc, r *ffs.LinkRec) {
 	h.NoOrder.AddEntry(p, r)
 }
 
+// RemoveEntry logs, beside the record, which of its two inodes the removing
+// process holds locked: the locks FinishRemove, run right behind, does not
+// take again.
 func (h *hookRecorder) RemoveEntry(p *sim.Proc, r *ffs.RemRec) {
 	s := fmt.Sprintf("RemoveEntry ino=%d dir=%d", r.Ino, r.DirIno)
 	for _, f := range []struct {
 		on   bool
 		name string
-	}{{r.DirLocked, " dirlocked"}, {r.InoLocked, " inolocked"}, {r.LinkOnly, " linkonly"}} {
+	}{
+		{h.fs.InodeLockedBy(p, r.DirIno), " dirlocked"},
+		{h.fs.InodeLockedBy(p, r.Ino), " inolocked"},
+		{r.LinkOnly, " linkonly"},
+	} {
 		if f.on {
 			s += f.name
 		}

@@ -167,12 +167,11 @@ func (fs *FS) newInode(p *sim.Proc, dir Ino, mode uint16) (*LinkRec, Inode, int,
 }
 
 // addLink starts a link addition to ino (ip, decoded from ioff in the held
-// table block ib): one more link, then AddInode. locked says the caller
-// holds ino's lock.
-func (fs *FS) addLink(p *sim.Proc, ino Ino, ip *Inode, ib *cache.Buf, ioff int, locked bool) *LinkRec {
+// table block ib): one more link, then AddInode.
+func (fs *FS) addLink(p *sim.Proc, ino Ino, ip *Inode, ib *cache.Buf, ioff int) *LinkRec {
 	ip.Nlink++
 	fs.putInode(p, ip, ib, ioff)
-	rec := &LinkRec{FS: fs, Ino: ino, InoBuf: ib, inoLocked: locked}
+	rec := &LinkRec{FS: fs, Ino: ino, InoBuf: ib}
 	fs.ord.AddInode(p, rec)
 	return rec
 }
@@ -199,11 +198,10 @@ func (fs *FS) entryStored(p *sim.Proc, rec *LinkRec, db *cache.Buf, off int) {
 }
 
 // dropLink gives back the link (and a new inode, with what a new directory
-// took from its parent) of an addition whose entry never made it into dir,
-// which the caller has locked: the deferred half of a removal, run at once.
+// took from its parent) of an addition whose entry never made it into dir:
+// the deferred half of a removal, run at once.
 func (fs *FS) dropLink(p *sim.Proc, rec *LinkRec, dir Ino) {
-	fs.FinishRemove(p, &RemRec{Ino: rec.Ino, DirIno: dir,
-		DirLocked: true, InoLocked: rec.inoLocked, LinkOnly: !rec.NewInode})
+	fs.FinishRemove(p, &RemRec{Ino: rec.Ino, DirIno: dir, LinkOnly: !rec.NewInode})
 }
 
 // removeLink is link removal: the entry at rec.EntryOff in the held block
@@ -279,7 +277,7 @@ func (fs *FS) Mkdir(p *sim.Proc, dir Ino, name string) (Ino, error) {
 		return 0, err
 	}
 	defer fs.rele(dib)
-	parentRec := fs.addLink(p, dir, &dip, dib, dioff, true)
+	parentRec := fs.addLink(p, dir, &dip, dib, dioff)
 
 	// 3. The child's first directory block, with "." and ".." in place
 	// before initialization is ordered.
@@ -329,7 +327,7 @@ func (fs *FS) Link(p *sim.Proc, ino Ino, dir Ino, name string) error {
 	if ip.IsDir() {
 		return ErrIsDir
 	}
-	return fs.addEntry(p, fs.addLink(p, ino, &ip, ib, ioff, true), dir, name, FtypeFile)
+	return fs.addEntry(p, fs.addLink(p, ino, &ip, ib, ioff), dir, name, FtypeFile)
 }
 
 // Unlink removes name (a regular file link) from dir.
@@ -353,7 +351,7 @@ func (fs *FS) Unlink(p *sim.Proc, dir Ino, name string) error {
 	if ip.IsDir() {
 		return ErrIsDir
 	}
-	fs.removeLink(p, &RemRec{Ino: ino, DirIno: dir, DirBuf: db, EntryOff: off, DirLocked: true}, nil)
+	fs.removeLink(p, &RemRec{Ino: ino, DirIno: dir, DirBuf: db, EntryOff: off}, nil)
 	return nil
 }
 
@@ -385,7 +383,7 @@ func (fs *FS) Rmdir(p *sim.Proc, dir Ino, name string) error {
 	if !empty {
 		return ErrNotEmpty
 	}
-	fs.removeLink(p, &RemRec{Ino: ino, DirIno: dir, DirBuf: db, EntryOff: off, DirLocked: true}, nil)
+	fs.removeLink(p, &RemRec{Ino: ino, DirIno: dir, DirBuf: db, EntryOff: off}, nil)
 	return nil
 }
 
@@ -457,7 +455,7 @@ func (fs *FS) Rename(p *sim.Proc, sdir Ino, sname string, ddir Ino, dname string
 	// may be modified.
 	fs.cache.PrepareModify(p, ib)
 	ip = DecodeInode(ib.Data[ioff:])
-	addRec := fs.addLink(p, ino, &ip, ib, ioff, false)
+	addRec := fs.addLink(p, ino, &ip, ib, ioff)
 	var parentRec *LinkRec
 	if reparent {
 		dip, dib, dioff, err := fs.getInode(p, ddir)
@@ -465,7 +463,7 @@ func (fs *FS) Rename(p *sim.Proc, sdir Ino, sname string, ddir Ino, dname string
 			return err
 		}
 		defer fs.rele(dib)
-		parentRec = fs.addLink(p, ddir, &dip, dib, dioff, true)
+		parentRec = fs.addLink(p, ddir, &dip, dib, dioff)
 	}
 
 	// Then the destination entry: a file's is replaced if it exists.
@@ -490,7 +488,7 @@ func (fs *FS) Rename(p *sim.Proc, sdir Ino, sname string, ddir Ino, dname string
 			fs.dropLink(p, addRec, ddir)
 			return gerr
 		}
-		fs.removeLink(p, &RemRec{Ino: oldIno, DirIno: ddir, DirBuf: ddb, EntryOff: doff, DirLocked: true}, addRec)
+		fs.removeLink(p, &RemRec{Ino: oldIno, DirIno: ddir, DirBuf: ddb, EntryOff: doff}, addRec)
 		fs.rele(ddb)
 	case ErrNotExist:
 		ftype := FtypeFile
@@ -529,15 +527,13 @@ func (fs *FS) Rename(p *sim.Proc, sdir Ino, sname string, ddir Ino, dname string
 		if !found {
 			return ErrNotDir
 		}
-		fs.removeLink(p, &RemRec{Ino: sdir, DirIno: ino, DirBuf: cb, EntryOff: d.Off,
-			InoLocked: true, LinkOnly: true}, parentRec)
+		fs.removeLink(p, &RemRec{Ino: sdir, DirIno: ino, DirBuf: cb, EntryOff: d.Off, LinkOnly: true}, parentRec)
 	}
 
 	// Remove the old name (its offset is still valid: removals only clear
 	// or coalesce within the held buffer); the deferred half drops the
 	// transient extra link.
-	fs.removeLink(p, &RemRec{Ino: ino, DirIno: sdir, DirBuf: sdb, EntryOff: soff,
-		DirLocked: true, LinkOnly: isDir}, nil)
+	fs.removeLink(p, &RemRec{Ino: ino, DirIno: sdir, DirBuf: sdb, EntryOff: soff, LinkOnly: isDir}, nil)
 	return nil
 }
 
@@ -575,10 +571,11 @@ func (fs *FS) isAncestor(p *sim.Proc, anc, node Ino) (bool, error) {
 
 // FinishRemove performs the deferred half of a link removal: decrement the
 // link count and, at zero, free the file. Ordering schemes call it exactly
-// once per RemoveEntry, at the moment their discipline allows.
+// once per RemoveEntry, at the moment their discipline allows, in a process
+// that may hold either inode's lock already (DESIGN.md §3).
 func (fs *FS) FinishRemove(p *sim.Proc, rec *RemRec) {
 	fs.finish(&rec.state, "FinishRemove")
-	if !rec.InoLocked {
+	if !fs.inode(rec.Ino).lock.HeldBy(p) {
 		fs.lockInode(p, rec.Ino)
 		defer fs.unlockInode(rec.Ino)
 	}
@@ -593,8 +590,9 @@ func (fs *FS) FinishRemove(p *sim.Proc, rec *RemRec) {
 	fs.charge(p, fs.cfg.Costs.InodeOp)
 	if ip.IsDir() && !rec.LinkOnly {
 		// rmdir: the child loses "." and the parent entry; the parent
-		// loses "..". The parent may already be locked by the caller.
-		if !rec.DirLocked {
+		// loses "..".
+		held := fs.inode(rec.DirIno).lock.HeldBy(p)
+		if !held {
 			fs.lockInode(p, rec.DirIno)
 		}
 		// An unreadable parent keeps its stale link count, like the child
@@ -605,7 +603,7 @@ func (fs *FS) FinishRemove(p *sim.Proc, rec *RemRec) {
 			fs.ord.MetaUpdate(p, pib)
 			fs.rele(pib)
 		}
-		if !rec.DirLocked {
+		if !held {
 			fs.unlockInode(rec.DirIno)
 		}
 		ip.Nlink = 1 // "." goes with the entry

@@ -124,8 +124,6 @@ type LinkRec struct {
 
 	DirBuf   *cache.Buf // directory block; entry already stored (AddEntry)
 	EntryOff int        // byte offset of the entry in DirBuf.Data
-
-	inoLocked bool // the adding process holds Ino's lock (dropLink)
 }
 
 // RemRec describes one link removal.
@@ -136,16 +134,6 @@ type RemRec struct {
 	DirIno   Ino
 	DirBuf   *cache.Buf
 	EntryOff int // offset the entry occupied
-
-	// DirLocked reports whether the process calling FS.FinishRemove still
-	// holds DirIno's inode lock (true on the synchronous path out of
-	// unlink/rmdir/rename; false when a scheme defers the removal to a
-	// workitem). FinishRemove uses it to avoid self-deadlock when it must
-	// update the parent. InoLocked is the analogous hint for Ino itself
-	// (directory rename removes a ".." reference while holding the old
-	// parent's lock).
-	DirLocked bool
-	InoLocked bool
 
 	// LinkOnly restricts FinishRemove to a link-count decrement even when
 	// Ino is a directory (directory rename: the old parent loses its ".."

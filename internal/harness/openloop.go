@@ -80,7 +80,17 @@ func openLoopRun(c Cell) scenario.Result {
 	if err != nil {
 		panic(fmt.Sprintf("harness: openloop: %v", err))
 	}
-	return scenario.Drive(eng, target, stream, c.Load)
+	return drained(c, scenario.Drive(eng, target, stream, c.Load))
+}
+
+// drained returns r, or panics if Drive returned with admitted operations
+// parked: their cell has no throughput to report.
+func drained(c Cell, r scenario.Result) scenario.Result {
+	if parked := r.Issued - r.Dropped - r.Completed; parked != 0 {
+		panic(fmt.Sprintf("harness: openloop: %s, %s stream at %d/s: %d admitted operations never completed",
+			c.Opt.Scheme, c.Scenario, c.Load.Arrival.PerSec, parked))
+	}
+	return r
 }
 
 // loadOps sizes one load-curve cell: total arrivals and warmup prefix.

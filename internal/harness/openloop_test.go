@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"metaupdate/fsim"
+	"metaupdate/internal/fsck"
+	"metaupdate/internal/scenario"
 )
 
 var updateLoadGolden = flag.Bool("update-load-golden", false, "rewrite testdata/load-0.05.txt from the current output")
@@ -231,4 +233,66 @@ func fmtCurve(p []float64) string {
 		parts[i] = fmt.Sprintf("@%d:%.0fms", loadRates[i], x)
 	}
 	return strings.Join(parts, " ")
+}
+
+// TestSoftUpdatesOpenLoopDrains runs the load-curve cells in which a Soft
+// Updates fsync used to wait on itself: Fsync holds its file's lock while
+// it drains the workitem queue, and a rename of that file has queued the
+// FinishRemove that drops the rename's transient extra link. Every
+// admitted arrival must complete without a soft error, and after a Sync
+// the image must be fsck-clean with every removal and free finished.
+func TestSoftUpdatesOpenLoopDrains(t *testing.T) {
+	for _, tc := range []struct {
+		seed            int64
+		rate, ops, warm int
+	}{
+		{1, 100, 8000, 1000},
+		{1, 400, 8000, 1000},
+		{6, 50, 2600, 325},
+	} {
+		t.Run(fmt.Sprintf("seed%d-%dps", tc.seed, tc.rate), func(t *testing.T) {
+			c := openLoopCell(fsim.SoftUpdates, "mail", tc.rate, tc.ops, tc.warm, 0)
+			c.Load.Arrival.Seed = tc.seed
+			stream, err := scenario.New(c.Scenario, tc.seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys := mustSystem(c.Opt)
+			target, err := scenario.SetupFS(sys.Eng, sys.FS, stream)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := scenario.Drive(sys.Eng, target, stream, c.Load)
+			if admitted := r.Issued - r.Dropped; r.Completed != admitted || r.SoftErrs != 0 {
+				t.Fatalf("%d of %d admitted arrivals completed, %d soft errors", r.Completed, admitted, r.SoftErrs)
+			}
+			sys.Run(func(p *fsim.Proc) { sys.FS.Sync(p) })
+			sys.Shutdown()
+			if f := fsck.Check(sys.Disk.Image()).Findings; len(f) != 0 {
+				t.Errorf("fsck after Sync: %d findings, first %v", len(f), f[0])
+			}
+			if n := sys.FS.Unfinished(); n != 0 {
+				t.Errorf("%d removals/frees handed to the scheme and never finished", n)
+			}
+		})
+	}
+}
+
+// TestDrainedNamesParkedOps: an open-loop result with an admitted
+// operation that never completed fails the cell, naming the scheme, the
+// stream, the rate and the count.
+func TestDrainedNamesParkedOps(t *testing.T) {
+	c := openLoopCell(fsim.SoftUpdates, "mail", 100, 8, 1, 0)
+	if r := (scenario.Result{Issued: 8, Dropped: 2, Completed: 6}); drained(c, r) != r {
+		t.Fatal("drained changed a drained result")
+	}
+	defer func() {
+		msg, _ := recover().(string)
+		for _, want := range []string{fsim.SoftUpdates.String(), "mail", "100/s", " 1 admitted"} {
+			if !strings.Contains(msg, want) {
+				t.Fatalf("drained panic %q does not name %q", msg, want)
+			}
+		}
+	}()
+	drained(c, scenario.Result{Issued: 8, Dropped: 2, Completed: 5})
 }

@@ -5,12 +5,16 @@ package sim
 // events until Run/RunUntil/RunWhile is called again.
 func (e *Engine) Halted() bool { return e.halted }
 
+// tryLocker is the holder TryLock records: the tests call it outside any
+// process.
+var tryLocker = &Proc{Name: "TryLock"}
+
 // TryLock acquires m if free and reports whether it did.
 func (m *Mutex) TryLock() bool {
-	if m.held {
+	if m.holder != nil {
 		return false
 	}
-	m.held = true
+	m.holder = tryLocker
 	return true
 }
 

@@ -662,36 +662,46 @@ func dequeue(waiters *[]*Proc) *Proc {
 	return head
 }
 
-// Mutex is a virtual-time mutual-exclusion lock with FIFO handoff.
+// Mutex is a virtual-time mutual-exclusion lock with FIFO handoff that
+// knows its holder.
 type Mutex struct {
-	held    bool
+	holder  *Proc // nil when free
 	waiters []*Proc
 }
 
-// Lock acquires m, blocking p in virtual time if necessary.
+// Lock acquires m, blocking p in virtual time if necessary. A process that
+// already holds m panics rather than wait on itself.
 func (m *Mutex) Lock(p *Proc) {
-	if !m.held {
-		m.held = true
+	if m.holder == nil {
+		m.holder = p
 		return
+	}
+	if m.holder == p {
+		panic(fmt.Sprintf("sim: process %q locks a Mutex it holds", p.Name))
 	}
 	m.waiters = append(m.waiters, p)
 	p.block()
 	// Ownership was transferred to us by Unlock.
 }
 
+// HeldBy reports whether p holds m: from Lock, or from the Unlock that
+// dequeued it, until p's Unlock.
+func (m *Mutex) HeldBy(p *Proc) bool { return p != nil && m.holder == p }
+
 // Unlock releases m, handing ownership to the oldest waiter if any. It may
 // be called from engine context (completion callbacks) as well as from
 // processes, so it takes the engine rather than a proc.
 func (m *Mutex) Unlock(e *Engine) {
-	if !m.held {
+	if m.holder == nil {
 		panic("sim: unlock of unlocked Mutex")
 	}
 	if len(m.waiters) == 0 {
-		m.held = false
+		m.holder = nil
 		return
 	}
 	// Lock stays held; the dequeued waiter now owns it.
-	e.wake(dequeue(&m.waiters))
+	m.holder = dequeue(&m.waiters)
+	e.wake(m.holder)
 }
 
 // CPU models a single time-shared processor. Use charges virtual CPU time

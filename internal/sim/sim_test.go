@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -233,6 +234,87 @@ func TestUnlockUnheldPanics(t *testing.T) {
 		}
 	}()
 	m.Unlock(e)
+}
+
+// TestMutexHolder: the process Lock returns to holds the mutex, and no
+// other process does.
+func TestMutexHolder(t *testing.T) {
+	e := NewEngine()
+	var m Mutex
+	other := e.Spawn("other", func(p *Proc) {})
+	e.Spawn("locker", func(p *Proc) {
+		if m.HeldBy(p) {
+			t.Error("HeldBy before Lock")
+		}
+		m.Lock(p)
+		if !m.HeldBy(p) || m.HeldBy(other) || m.HeldBy(nil) {
+			t.Errorf("after Lock: HeldBy(locker)=%v HeldBy(other)=%v HeldBy(nil)=%v",
+				m.HeldBy(p), m.HeldBy(other), m.HeldBy(nil))
+		}
+		m.Unlock(e)
+		if m.HeldBy(p) {
+			t.Error("HeldBy after the last Unlock")
+		}
+	})
+	e.Run()
+}
+
+// TestMutexHandoffHolder: Unlock hands the mutex to the oldest waiter,
+// which holds it from that instant — before it resumes — while the
+// process that unlocked holds it no more; the last Unlock leaves no
+// holder.
+func TestMutexHandoffHolder(t *testing.T) {
+	e := NewEngine()
+	var m Mutex
+	var waiters [2]*Proc
+	e.Spawn("first", func(p *Proc) {
+		m.Lock(p)
+		p.Sleep(10)
+		m.Unlock(e)
+		if m.HeldBy(p) || !m.HeldBy(waiters[0]) || m.HeldBy(waiters[1]) {
+			t.Errorf("after the hand-off: HeldBy(first)=%v HeldBy(w0)=%v HeldBy(w1)=%v",
+				m.HeldBy(p), m.HeldBy(waiters[0]), m.HeldBy(waiters[1]))
+		}
+	})
+	for i := range waiters {
+		waiters[i] = e.Spawn(fmt.Sprintf("w%d", i), func(p *Proc) {
+			p.Sleep(Time(i + 1))
+			m.Lock(p)
+			if !m.HeldBy(p) {
+				t.Errorf("w%d resumed from Lock without holding the mutex", i)
+			}
+			p.Sleep(10)
+			m.Unlock(e)
+		})
+	}
+	e.Run()
+	for i, w := range waiters {
+		if m.HeldBy(w) {
+			t.Errorf("w%d holds the mutex after the last Unlock", i)
+		}
+	}
+	if !m.TryLock() {
+		t.Fatal("TryLock failed after the last Unlock")
+	}
+}
+
+// TestMutexRelockPanics: a process that locks a mutex it holds would wait
+// on itself forever; Lock panics instead, naming the process.
+func TestMutexRelockPanics(t *testing.T) {
+	e := NewEngine()
+	var m Mutex
+	e.Spawn("op123", func(p *Proc) {
+		m.Lock(p)
+		m.Lock(p)
+	})
+	msg := func() (msg string) {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		e.Run()
+		return "no panic"
+	}()
+	if want := `sim: process "op123" locks a Mutex it holds`; !strings.Contains(msg, want) {
+		t.Fatalf("re-lock: %s, want %s", msg, want)
+	}
 }
 
 func TestCPUSharing(t *testing.T) {
