@@ -70,7 +70,7 @@ var allowlist = map[string]string{
 	"internal/ffs.FS.Unfinished":         "probe: fsim's stress and full-disk tests assert every removal finished",
 	"internal/ordering.Async.Notices":    "probe: fsim's conformance test checks durability follows each notification",
 	"internal/sim.Engine.Live":           "probe: fsim's test asserts no process outlives Shutdown",
-	"internal/simnet.Network.Params":     "probe: fsim's cluster test asserts the network parameters are defaulted",
+	"internal/simnet.Network.Params":     "probe: fsim's cluster test asserts the cluster runs on the default cost model",
 
 	"internal/harness.DistCrashCheckResult.Load": "encoding/json reads it: mdcheck -dist -json prints it",
 }

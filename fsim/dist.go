@@ -10,9 +10,6 @@ import (
 	"metaupdate/internal/simnet"
 )
 
-// NetParams re-exports the simulated-network cost model (internal/simnet).
-type NetParams = simnet.Params
-
 // Namespace errors the distributed router returns — the same values the
 // single-machine file system uses.
 var (
@@ -32,20 +29,17 @@ type DistOptions struct {
 	Base Options
 
 	// Nodes is the initial shard count (default 1). MaxNodes caps growth
-	// by dynamic splitting; it defaults to Nodes when no split trigger is
-	// configured and Nodes+2 otherwise.
+	// by dynamic splitting; it defaults to Nodes when SplitEntries is 0
+	// and Nodes+2 otherwise.
 	Nodes, MaxNodes int
 
 	// Seed keys every dmeta decision stream (router allocation, split
 	// points, migration batching, the workload).
 	Seed int64
 
-	// SplitEntries / SplitQueue are the dynamic-split triggers (tree
-	// size / inbox depth); 0 disables each.
-	SplitEntries, SplitQueue int
-
-	// Net is the link cost model; zero fields take simnet defaults.
-	Net NetParams
+	// SplitEntries is the dynamic-split trigger (tree size); 0 disables
+	// splitting.
+	SplitEntries int
 
 	// EngineWorkers has no effect: the cluster always runs on one
 	// engine. It stays only while bench's sim.lpgroup probe sets it.
@@ -60,7 +54,7 @@ func (o *DistOptions) setDefaults() {
 	}
 	if o.MaxNodes <= 0 {
 		o.MaxNodes = o.Nodes
-		if o.SplitEntries > 0 || o.SplitQueue > 0 {
+		if o.SplitEntries > 0 {
 			o.MaxNodes = o.Nodes + 2
 		}
 	}
@@ -93,7 +87,7 @@ type DistSystem struct {
 func NewDist(opt DistOptions) (*DistSystem, error) {
 	opt.setDefaults()
 	eng := sim.NewEngine()
-	s := &DistSystem{Opt: opt, Eng: eng, Net: simnet.New(eng, opt.Net)}
+	s := &DistSystem{Opt: opt, Eng: eng, Net: simnet.New(eng, simnet.DefaultParams())}
 	if opt.Base.Observe {
 		s.Obs = obs.New(eng)
 	}
@@ -112,7 +106,6 @@ func NewDist(opt DistOptions) (*DistSystem, error) {
 		MaxNodes:     opt.MaxNodes,
 		Seed:         opt.Seed,
 		SplitEntries: opt.SplitEntries,
-		SplitQueue:   opt.SplitQueue,
 		Build:        build,
 		Obs:          s.Obs,
 	})

@@ -5,6 +5,7 @@ import (
 
 	"metaupdate/internal/dmeta"
 	"metaupdate/internal/fsck"
+	"metaupdate/internal/simnet"
 )
 
 // TestDistSurface exercises the public distributed-cluster surface end to
@@ -18,8 +19,8 @@ func TestDistSurface(t *testing.T) {
 	if got := s.Opt.MaxNodes; got != 2 {
 		t.Errorf("MaxNodes default = %d, want Nodes", got)
 	}
-	if pp := s.Net.Params(); pp.Latency <= 0 || pp.BytesPerSec <= 0 || pp.String() == "" {
-		t.Errorf("network params not defaulted: %+v", pp)
+	if pp := s.Net.Params(); pp != simnet.DefaultParams() {
+		t.Errorf("network params %v, want the default cost model %v", pp, simnet.DefaultParams())
 	}
 	var ino uint64
 	wall := s.Run(func(p *Proc) {

@@ -155,10 +155,10 @@ var schemeTable = [...]schemeInfo{
 		// the whole op stream.
 		paper: func(o *Options) { o.CB = false },
 		fixed: func(o *Options) {
-			if o.AsyncWindow == 0 {
+			if o.AsyncWindow <= 0 {
 				o.AsyncWindow = ordering.DefaultAsyncWindow
 			}
-			if o.AsyncInterval == 0 {
+			if o.AsyncInterval <= 0 {
 				o.AsyncInterval = ordering.DefaultAsyncInterval
 			}
 		},

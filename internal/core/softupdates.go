@@ -249,18 +249,16 @@ func (s *SoftUpdates) AllocInit(p *sim.Proc, rec *ffs.AllocRec) {
 	}
 	if !rec.OwnerIsIndir {
 		// The size field rides along with direct (inode-owned) pointers.
-		ad.sizeOff = rec.PtrOff/ffs.InodeSize*ffs.InodeSize + ffs.InoSizeOff
-		// PtrOff is absolute within the inode table block; recover the
-		// inode's base offset robustly from the record instead:
-		base := inodeBaseOff(rec)
-		ad.sizeOff = base + ffs.InoSizeOff
+		ad.sizeOff = inodeBaseOff(rec.OwnerIno) + ffs.InoSizeOff
 	}
 	// Extension-in-place: the "new block" is the same buffer as before and
 	// its earlier fragments are already on disk; the newly added fragments
 	// still need initialization. Treat the whole run as needing a write
 	// (conservative and simple).
-	s.ensureDep(rec.NewBuf).initOf = append(s.ensureDep(rec.NewBuf).initOf, ad)
-	s.ensureDep(rec.OwnerBuf).allocs = append(s.ensureDep(rec.OwnerBuf).allocs, ad)
+	nd := s.ensureDep(rec.NewBuf)
+	nd.initOf = append(nd.initOf, ad)
+	od := s.ensureDep(rec.OwnerBuf)
+	od.allocs = append(od.allocs, ad)
 	rec.NewBuf.Pinned = false
 	if rec.IsIndir {
 		// Keep indirect blocks with pending dependencies resident and
@@ -269,10 +267,9 @@ func (s *SoftUpdates) AllocInit(p *sim.Proc, rec *ffs.AllocRec) {
 	}
 }
 
-// inodeBaseOff recovers the byte offset of the owning inode within its
-// table block from the allocation record.
-func inodeBaseOff(rec *ffs.AllocRec) int {
-	return int(rec.OwnerIno) % ffs.InodesPerBlock * ffs.InodeSize
+// inodeBaseOff is the byte offset of inode ino within its table block.
+func inodeBaseOff(ino ffs.Ino) int {
+	return int(ino) % ffs.InodesPerBlock * ffs.InodeSize
 }
 
 // AllocPtr implements ffs.Ordering: the owner is a delayed write; all
@@ -423,7 +420,7 @@ func (s *SoftUpdates) cancelAllocsFor(rec *ffs.FreeRec) []ffs.FragRun {
 	for _, run := range rec.Frags {
 		owned[run.Start] = true
 	}
-	base := int(rec.OwnerIno) % ffs.InodesPerBlock * ffs.InodeSize
+	base := inodeBaseOff(rec.OwnerIno)
 	for b, d := range s.deps {
 		kept := d.allocs[:0]
 		for _, ad := range d.allocs {
@@ -470,7 +467,7 @@ func removeAD(list []*allocDirect, ad *allocDirect) []*allocDirect {
 // allPointersCleared reports whether rec describes a full truncation (the
 // inode's size is zero in the owner buffer image).
 func allPointersCleared(rec *ffs.FreeRec) bool {
-	base := int(rec.OwnerIno) % ffs.InodesPerBlock * ffs.InodeSize
+	base := inodeBaseOff(rec.OwnerIno)
 	ip := ffs.DecodeInode(rec.OwnerBuf.Data[base : base+ffs.InodeSize])
 	return ip.Size == 0
 }

@@ -98,9 +98,6 @@ type Config struct {
 	// disables retries. Remap retries (a write healed a bad sector) do not
 	// count: they always make progress.
 	MaxRetries int
-	// RetryBackoff is the virtual-time delay before the first redispatch,
-	// doubling per attempt. 0 means DefaultRetryBackoff.
-	RetryBackoff sim.Duration
 }
 
 // maxConcat bounds the sectors dispatched as one concatenated disk command:
@@ -110,7 +107,8 @@ const maxConcat = 256
 // DefaultMaxRetries is the default per-batch retry budget.
 const DefaultMaxRetries = 4
 
-// DefaultRetryBackoff is the default base delay before a redispatch.
+// DefaultRetryBackoff is the virtual-time delay before the first
+// redispatch, doubling per attempt.
 const DefaultRetryBackoff = 2 * sim.Millisecond
 
 // Request is one disk request. Submit assigns ID and points a nil Done at
@@ -368,9 +366,6 @@ const (
 func New(eng *sim.Engine, dsk *disk.Disk, cfg Config) *Driver {
 	if cfg.MaxRetries == 0 {
 		cfg.MaxRetries = DefaultMaxRetries
-	}
-	if cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = DefaultRetryBackoff
 	}
 	d := &Driver{
 		eng:      eng,
@@ -1127,7 +1122,7 @@ func (d *Driver) retryOrFail(batch []*Request, err error) {
 // never observe a half-recovered write as durable.
 func (d *Driver) scheduleRetry(batch []*Request) {
 	d.Faults.Retries++
-	backoff := d.cfg.RetryBackoff
+	backoff := DefaultRetryBackoff
 	if d.batchRetries > 1 {
 		backoff <<= d.batchRetries - 1
 	}

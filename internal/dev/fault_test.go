@@ -124,8 +124,7 @@ func TestTornWriteCommitsPrefixThenRewrites(t *testing.T) {
 // elapsed-time prefix math only applies while a transfer is in progress.
 func TestCrashDuringBackoffCommitsNothingFurther(t *testing.T) {
 	j := &scriptJudge{script: []fault.Outcome{{Kind: fault.Torn, TornSectors: 2}}}
-	eng, dsk, drv := newFaultRig(
-		Config{Mode: ModeIgnore, RetryBackoff: 100 * sim.Millisecond}, j, 0)
+	eng, dsk, drv := newFaultRig(Config{Mode: ModeIgnore}, j, 0)
 	drv.Submit(wreq(100, 6, false))
 	// Run exactly through the torn attempt's completion; the driver is now
 	// waiting out the backoff with the redispatch scheduled.
@@ -134,7 +133,7 @@ func TestCrashDuringBackoffCommitsNothingFurther(t *testing.T) {
 	if drv.batchState != batchBackoff {
 		t.Fatalf("batchState = %d after torn attempt, want backoff", drv.batchState)
 	}
-	drv.Crash(attemptEnd + 10*sim.Millisecond)
+	drv.Crash(attemptEnd + DefaultRetryBackoff/2)
 	if n := mediaSectors(dsk, 100, 6); n != 2 {
 		t.Fatalf("media has %d sectors after crash in backoff, want exactly the torn prefix (2)", n)
 	}
@@ -171,8 +170,7 @@ func TestFailedPredecessorUnblocksSuccessor(t *testing.T) {
 // outcome, not dispatch between attempts.
 func TestNoSuccessorUnblockDuringRetries(t *testing.T) {
 	j := &scriptJudge{script: []fault.Outcome{{Kind: fault.Transient}}}
-	eng, _, drv := newFaultRig(
-		Config{Mode: ModeChains, RetryBackoff: 50 * sim.Millisecond}, j, 0)
+	eng, _, drv := newFaultRig(Config{Mode: ModeChains}, j, 0)
 	a := drv.Submit(wreq(100, 2, false))
 	b := drv.Submit(wreq(10, 1, false, a.ID)) // nearer the head than a
 	var order []uint64

@@ -22,9 +22,9 @@
 // removed only after its last dentry removal has completed.
 //
 // Partitions split dynamically, CubeFS-metanode style: when a node's
-// tree size or inbox depth crosses the configured threshold, it claims a
-// spare node from the router (a kClaimSpare RPC), streams the upper half
-// of its key range over the simulated network, deletes the moved state
+// tree size crosses the configured threshold, it claims a spare node
+// from the router (a kClaimSpare RPC), streams the upper half of its
+// key range over the simulated network, deletes the moved state
 // locally (copy-before-delete — the migration itself obeys the
 // no-dangling-pointer rule), narrows its own owned range, and announces
 // the split to the router (kSplitDone), which republishes the partition
@@ -86,21 +86,14 @@ type Config struct {
 	// Seed keys every splitmix64 decision stream.
 	Seed int64
 	// SplitEntries triggers a partition split when a node's tree size
-	// (inodes + dentries) exceeds it; 0 disables the size trigger.
+	// (inodes + dentries) exceeds it; 0 disables splitting.
 	SplitEntries int
-	// SplitQueue triggers a split when a node's inbox depth exceeds it;
-	// 0 disables the queue trigger.
-	SplitQueue int
 	// Build assembles node id's storage stack. It is called once per
 	// node, spares included, from a proc of its own.
 	Build func(p *sim.Proc, id int) (*Stack, error)
 	// Obs, when non-nil, records spans for router-level operations and
 	// the nodes' local file system operations.
 	Obs *obs.Recorder
-}
-
-func (cfg Config) String() string {
-	return fmt.Sprintf("n%d,mx%d,se%d,spe%d,spq%d", cfg.Nodes, cfg.MaxNodes, cfg.Seed, cfg.SplitEntries, cfg.SplitQueue)
 }
 
 // part is one partition map entry: node owns keys in [start, end), and

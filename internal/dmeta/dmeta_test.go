@@ -401,21 +401,6 @@ func equalStrings(a, b []string) bool {
 	return true
 }
 
-// TestQueueDepthSplit exercises the second split trigger: a deep inbox
-// on an otherwise small node.
-func TestQueueDepthSplit(t *testing.T) {
-	opt := distOpt(fsim.NoOrder, 1, 5)
-	opt.SplitQueue = 2
-	s := mustDist(t, opt)
-	defer s.Shutdown()
-	s.Cluster.Load(dmeta.LoadSpec{Clients: 6, Ops: 20, Seed: 5})
-	s.SyncAll()
-	if s.Cluster.Splits == 0 {
-		t.Fatal("queue-depth trigger never split")
-	}
-	checkUnion(t, s, parseImages(t, s.Cluster.Images()))
-}
-
 // TestLoadDeterminism: identical options produce identical virtual
 // timelines, counters, and durable unions — the property the memoized
 // cells and the CI dist diff rely on.

@@ -427,19 +427,17 @@ func (n *Node) install(p *sim.Proc, e migEnt) {
 	}
 }
 
-// maybeSplit runs the split policy: when the tree size or inbox depth
-// crosses its threshold, claim a spare from the router and migrate the
-// upper part of the owned key range to it. The whole migration runs on
-// the server proc — incoming requests queue behind it and any that
-// targeted moved keys get forwarded once the local range narrows.
+// maybeSplit runs the split policy: when the tree size crosses its
+// threshold, claim a spare from the router and migrate the upper part of
+// the owned key range to it. The whole migration runs on the server
+// proc — incoming requests queue behind it and any that targeted moved
+// keys get forwarded once the local range narrows.
 func (n *Node) maybeSplit(p *sim.Proc) {
 	c := n.c
 	if n.splitting || n.receiving || n.noSpares {
 		return
 	}
-	sizeTrip := c.cfg.SplitEntries > 0 && n.entries() > c.cfg.SplitEntries
-	queueTrip := c.cfg.SplitQueue > 0 && n.ep.Queued() > c.cfg.SplitQueue
-	if !sizeTrip && !queueTrip {
+	if c.cfg.SplitEntries <= 0 || n.entries() <= c.cfg.SplitEntries {
 		return
 	}
 

@@ -85,8 +85,6 @@ type Spec struct {
 	// LatencyPer10k is the per-access probability of a latency spike, in
 	// units of 1/10000.
 	LatencyPer10k int
-	// LatencySpikeMS is the spike length in milliseconds (default 40).
-	LatencySpikeMS int
 	// BadSectors is the number of permanently bad sectors sprinkled
 	// uniformly over the media by Seed.
 	BadSectors int
@@ -103,15 +101,11 @@ func (s Spec) String() string {
 		return "off"
 	}
 	return fmt.Sprintf("seed%d,tr%d,torn%d,lat%d/%dms,bad%d",
-		s.Seed, s.TransientPer10k, s.TornPer10k, s.LatencyPer10k, s.spikeMS(), s.BadSectors)
+		s.Seed, s.TransientPer10k, s.TornPer10k, s.LatencyPer10k, spikeMS, s.BadSectors)
 }
 
-func (s Spec) spikeMS() int {
-	if s.LatencySpikeMS <= 0 {
-		return 40
-	}
-	return s.LatencySpikeMS
-}
+// spikeMS is the length of a latency spike in milliseconds.
+const spikeMS = 40
 
 // splitmix64 advances x and returns the next value of the stream.
 func splitmix64(x *uint64) uint64 {
@@ -188,7 +182,7 @@ func (p *Plan) Judge(write bool, lbn int64, count int, remapped func(int64) bool
 		return Outcome{Kind: Torn, TornSectors: 1 + int(r2>>32)%(count-1)}
 	}
 	if p.spec.LatencyPer10k > 0 && r3%10000 < uint64(p.spec.LatencyPer10k) {
-		return Outcome{Kind: Latency, Extra: sim.Duration(p.spec.spikeMS()) * sim.Millisecond}
+		return Outcome{Kind: Latency, Extra: spikeMS * sim.Millisecond}
 	}
 	return Outcome{}
 }

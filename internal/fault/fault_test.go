@@ -102,7 +102,7 @@ func TestBadSectorCountClampedToMedia(t *testing.T) {
 
 func TestJudgeInvariants(t *testing.T) {
 	spec := Spec{Seed: 11, TransientPer10k: 400, TornPer10k: 2000,
-		LatencyPer10k: 400, LatencySpikeMS: 25, BadSectors: 30}
+		LatencyPer10k: 400, BadSectors: 30}
 	p := New(spec, 4096)
 	for i := 0; i < 2000; i++ {
 		write := i%2 == 0
@@ -127,8 +127,8 @@ func TestJudgeInvariants(t *testing.T) {
 					o.TornSectors, o.Sector, o.Sector-lbn)
 			}
 		case Latency:
-			if o.Extra != 25*sim.Millisecond {
-				t.Fatalf("latency spike %v, want the configured 25ms", o.Extra)
+			if o.Extra != 40*sim.Millisecond {
+				t.Fatalf("latency spike %v, want the model's 40ms", o.Extra)
 			}
 		}
 	}

@@ -58,13 +58,13 @@ type Baseline struct {
 	staleInos, staleDirs []ffs.Ino
 }
 
-// NewBaseline derives every record of base. workers > 1 derives in
-// parallel (deriveAllParallel); base must then support concurrent Range:
-// Bytes does, an Image that rotates scratch behind Range does not, and
-// nothing here would catch it. The crashmc pool builds with workers == 1.
+// NewBaseline derives every record of base, serially: the crashmc pool,
+// one Baseline per worker, is the checker's only parallelism.
+//
+// workers has no effect. It stays only while bench's fsck probe passes it.
 func NewBaseline(base Image, workers int) *Baseline {
 	bl := &Baseline{base: base}
-	bl.derive(workers)
+	bl.derive()
 	return bl
 }
 
@@ -72,7 +72,7 @@ func NewBaseline(base Image, workers int) *Baseline {
 // artifacts and the reverse index, written into bl's storage wherever its
 // geometry still fits. NewBaseline runs it on fresh storage, Advance when
 // a change is outside what it can re-derive piecemeal.
-func (bl *Baseline) derive(workers int) {
+func (bl *Baseline) derive() {
 	bl.ok = decodeSB(bl.base, &bl.sb) == nil
 	if !bl.ok {
 		return // checks against this baseline run full
@@ -83,11 +83,7 @@ func (bl *Baseline) derive(workers int) {
 		bl.dirMark = make([]uint32, bl.sb.NInodes)
 	}
 	bl.st.sb = bl.sb
-	if workers > 1 {
-		bl.st.deriveAllParallel(bl.base, workers)
-	} else {
-		bl.st.deriveAll(bl.base)
-	}
+	bl.st.deriveAll(bl.base)
 
 	nsec := int(int64(bl.sb.TotalFrags) * ffs.FragSize / disk.SectorSize)
 	if len(bl.rev) != nsec {
@@ -198,7 +194,7 @@ func (bl *Baseline) unindex(v uint32, deps []secRange) {
 // A DeltaChecker bound to bl must be Rebound before its next Check.
 func (bl *Baseline) Advance(dirty []int64) (full bool) {
 	if !bl.ok || slices.Contains(dirty, 0) {
-		bl.derive(1)
+		bl.derive()
 		return true
 	}
 	bl.gen++

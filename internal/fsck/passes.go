@@ -22,18 +22,16 @@ package fsck
 //     shared fragment-ownership table, emitting cross-links, reference
 //     counts, link-count results, and bitmap reconciliation exactly as the
 //     historical single-pass checker did. Merge order is fixed, so the
-//     report is byte-deterministic regardless of how (or when, or on which
-//     goroutine) the records were derived.
+//     report is byte-deterministic regardless of how (or when) the records
+//     were derived.
 //
 // Derivations are pure functions of the image bytes they read, which is
-// what makes records cacheable across delta images (see incremental.go)
-// and derivable concurrently (deriveAllParallel).
+// what makes records cacheable across delta images (see incremental.go).
 
 import (
 	"encoding/binary"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"metaupdate/internal/ffs"
 )
@@ -113,9 +111,7 @@ func (r *dirRec) dep(off, n int64) {
 	r.deps = append(r.deps, secRange{off / sectorSize, (off + n + sectorSize - 1) / sectorSize})
 }
 
-// deriver derives records from one image. Image implementations may rotate
-// scratch behind Range, so concurrent derivers need an image whose Range is
-// safe for concurrent use (Bytes is).
+// deriver derives records from one image.
 type deriver struct {
 	img Image
 	sb  *ffs.Superblock
@@ -658,64 +654,6 @@ func (st *checkState) deriveAll(img Image) {
 			d.deriveDir(ino, &r.ip, &st.dirs[ino])
 		}
 	}
-}
-
-// deriveAllParallel is deriveAll on workers goroutines per stage, after
-// pFSCK: scan workers claim 64-inode chunks off an atomic cursor and derive
-// inode records; each valid directory they find is handed through a bounded
-// channel to dirent workers that derive its parse while the scan is still
-// running. Records land in disjoint slice slots, and the channel send
-// orders each inode record before its directory parse, so the fill is
-// race-free; the caller merges only after both stages drain, and the merge
-// is ordered by inode, so the report does not depend on the worker count.
-// img's Range must be safe for concurrent use (Bytes is).
-func (st *checkState) deriveAllParallel(img Image, workers int) {
-	nino := st.sb.NInodes
-	// Deep enough that scan workers rarely wait on a slow directory parse.
-	dirCh := make(chan ffs.Ino, 256)
-	var cursor atomic.Uint32
-	const chunk = 64
-
-	var scanWG, dirWG sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		scanWG.Add(1)
-		go func() {
-			defer scanWG.Done()
-			d := deriver{img: img, sb: &st.sb}
-			for {
-				lo := cursor.Add(chunk) - chunk
-				if lo >= nino {
-					return
-				}
-				hi := lo + chunk
-				if hi > nino {
-					hi = nino
-				}
-				if lo < 2 {
-					lo = 2
-				}
-				for ino := ffs.Ino(lo); uint32(ino) < hi; ino++ {
-					r := &st.inodes[ino]
-					d.deriveInode(ino, r)
-					if r.alloc && r.ok && r.ip.IsDir() {
-						dirCh <- ino
-					}
-				}
-			}
-		}()
-		dirWG.Add(1)
-		go func() {
-			defer dirWG.Done()
-			d := deriver{img: img, sb: &st.sb}
-			for ino := range dirCh {
-				r := &st.inodes[ino]
-				d.deriveDir(ino, &r.ip, &st.dirs[ino])
-			}
-		}()
-	}
-	scanWG.Wait()
-	close(dirCh)
-	dirWG.Wait()
 }
 
 // merge replays st's records into rep (and art, when recording a

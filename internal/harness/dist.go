@@ -14,12 +14,12 @@ import (
 // configurations memoize separately.
 type DistSpec struct {
 	// Nodes is the initial shard count; growth by dynamic splitting is
-	// capped at Nodes+2 when a split trigger is set (fsim default).
+	// capped at Nodes+2 when SplitEntries is set (fsim default).
 	Nodes int
 	// Clients and Ops shape the deterministic metadata load.
 	Clients, Ops int
-	// SplitEntries / SplitQueue are the dynamic-split triggers (0 = off).
-	SplitEntries, SplitQueue int
+	// SplitEntries is the dynamic-split trigger (0 = off).
+	SplitEntries int
 	// Seed keys every decision stream (routing, split points, workload).
 	Seed int64
 }
@@ -49,7 +49,6 @@ func mustDist(opt fsim.Options, spec DistSpec) *fsim.DistSystem {
 		Nodes:        spec.Nodes,
 		Seed:         spec.Seed,
 		SplitEntries: spec.SplitEntries,
-		SplitQueue:   spec.SplitQueue,
 	})
 	if err != nil {
 		panic(fmt.Sprintf("harness: dist: %v", err))

@@ -102,15 +102,11 @@ const (
 	DefaultAsyncInterval = 25 * sim.Millisecond
 )
 
-// NewAsync returns the decoupled-durability scheme. The driver must be
+// NewAsync returns the decoupled-durability scheme with a group-commit
+// window of window operations and a flush every interval; both must be
+// positive (fsim's scheme table defaults them). The driver must be
 // configured with dev.ModeChains (the scheme's ordering is Chains').
 func NewAsync(window int, interval sim.Duration) *Async {
-	if window <= 0 {
-		window = DefaultAsyncWindow
-	}
-	if interval <= 0 {
-		interval = DefaultAsyncInterval
-	}
 	return &Async{
 		Chains:     NewChains(),
 		Window:     window,

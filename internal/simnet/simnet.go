@@ -46,19 +46,6 @@ func DefaultParams() Params {
 	return Params{Latency: 200 * sim.Microsecond, BytesPerSec: 125_000_000}
 }
 
-// Normalized resolves defaults to the effective cost model: zero or
-// negative fields take defaults.
-func (p Params) Normalized() Params {
-	d := DefaultParams()
-	if p.Latency <= 0 {
-		p.Latency = d.Latency
-	}
-	if p.BytesPerSec <= 0 {
-		p.BytesPerSec = d.BytesPerSec
-	}
-	return p
-}
-
 func (p Params) String() string {
 	return fmt.Sprintf("lat%d,bw%d", p.Latency, p.BytesPerSec)
 }
@@ -98,13 +85,12 @@ type Network struct {
 	pool []*carrier // idle delivery carriers, LIFO
 }
 
-// New returns an empty network on eng. Zero-valued Params fields take
-// defaults.
+// New returns an empty network on eng with cost model p.
 func New(eng *sim.Engine, p Params) *Network {
-	return &Network{eng: eng, p: p.Normalized(), eps: make(map[int]*Endpoint)}
+	return &Network{eng: eng, p: p, eps: make(map[int]*Endpoint)}
 }
 
-// Params returns the network's effective cost model.
+// Params returns the network's cost model.
 func (n *Network) Params() Params { return n.p }
 
 // MinDelay is the minimum virtual time any message spends in flight
@@ -185,10 +171,6 @@ type Endpoint struct {
 	callPool []*call
 	closed   bool
 }
-
-// Queued returns the inbox depth — the load signal the dmeta split
-// policy watches.
-func (ep *Endpoint) Queued() int { return len(ep.inbox) - ep.head }
 
 // priBits is the width of the per-source sequence inside the pri key.
 const priBits = 40
