@@ -3,7 +3,10 @@ package fsck
 import (
 	"fmt"
 	"maps"
+	"math"
 	"slices"
+
+	"metaupdate/internal/ffs"
 )
 
 // BaselineDiff describes the first difference between two Baselines'
@@ -50,7 +53,7 @@ func BaselineDiff(got, want *Baseline) string {
 	switch {
 	case !slices.Equal(ga.rep.Findings, wa.rep.Findings):
 		return fmt.Sprintf("merge findings %v, want %v", ga.rep.Findings, wa.rep.Findings)
-	case !maps.Equal(ga.rep.Refs, wa.rep.Refs):
+	case !slices.Equal(ga.rep.Refs, wa.rep.Refs):
 		return fmt.Sprintf("merge refs %v, want %v", ga.rep.Refs, wa.rep.Refs)
 	case ga.rep.AllocatedInodes != wa.rep.AllocatedInodes || ga.rep.ReferencedFrags != wa.rep.ReferencedFrags:
 		return fmt.Sprintf("merge counters %d/%d, want %d/%d", ga.rep.AllocatedInodes, ga.rep.ReferencedFrags,
@@ -72,4 +75,14 @@ func BaselineDiff(got, want *Baseline) string {
 		}
 	}
 	return ""
+}
+
+// WrapStamps sets every generation counter of dc to its maximum, so the
+// next Check wraps each of them.
+func WrapStamps(dc *DeltaChecker) {
+	dc.own.epoch = 1<<32 - 1
+	for _, s := range []*stampSet[ffs.Ino]{&dc.dirtyInos, &dc.dirtyDirs, &dc.inc.r1, &dc.inc.d2, &dc.inc.p3, &dc.inc.p4} {
+		s.gen = math.MaxUint32
+	}
+	dc.inc.patched.gen = math.MaxUint32
 }

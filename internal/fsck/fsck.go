@@ -105,8 +105,10 @@ func (f Finding) String() string {
 // Report is the outcome of a Check.
 type Report struct {
 	Findings []Finding
-	// Refs[ino] is the number of directory entries naming ino.
-	Refs map[ffs.Ino]int
+	// Refs[ino] is the number of directory entries naming ino, for every
+	// ino below the superblock's NInodes. An entry naming an inode past
+	// the table is dangling, and no pass reads its count.
+	Refs []int
 	// AllocatedInodes and ReferencedFrags summarize the walk.
 	AllocatedInodes int
 	ReferencedFrags int
@@ -161,7 +163,7 @@ func Check(img []byte) *Report { return CheckImage(Bytes(img)) }
 // referenced-but-free is the precursor to cross-links). All passes iterate
 // in ascending-inode order, so the report is deterministic.
 func CheckImage(img Image) *Report {
-	rep := &Report{Refs: make(map[ffs.Ino]int)}
+	rep := &Report{}
 	var sb ffs.Superblock
 	if err := decodeSB(img, &sb); err != nil {
 		rep.add(BadSuperblock, 0, "%v", err)
@@ -169,7 +171,7 @@ func CheckImage(img Image) *Report {
 	}
 	st := getCheckState(sb)
 	st.deriveAll(img)
-	st.merge(img, rep, nil)
+	mergeReport(&st.sb, img, st, rep, &st.own, nil)
 	checkStates.Put(st)
 	return rep
 }

@@ -51,11 +51,50 @@ type Baseline struct {
 	// art is the baseline's own merge result, recorded for splicing.
 	art mergeArtifacts
 
-	// Advance's scratch: the records one advance re-derives, and their
-	// generation stamps (== gen means listed).
-	gen                  uint32
-	inoMark, dirMark     []uint32
-	staleInos, staleDirs []ffs.Ino
+	// Advance's scratch: the inodes and directory parses one advance
+	// re-derives.
+	staleInos, staleDirs stampSet[ffs.Ino]
+}
+
+// stampSet is a set of small integers that empties in O(1) and lists its
+// members in insertion order: v is a member when mark[v] equals the
+// current generation. reset starts a new generation, and on wrap clears
+// the marks, so no mark from an old generation reads as current.
+type stampSet[T ~int32 | ~uint32] struct {
+	mark []uint32
+	gen  uint32
+	list []T
+}
+
+// sized gives the set room for values below n, emptied when it is
+// reallocated.
+func (s *stampSet[T]) sized(n int) {
+	if len(s.mark) != n {
+		s.mark, s.gen = make([]uint32, n), 0
+		s.reset()
+	}
+}
+
+// reset empties the set.
+func (s *stampSet[T]) reset() {
+	s.list = s.list[:0]
+	s.gen++
+	if s.gen == 0 {
+		clear(s.mark)
+		s.gen = 1
+	}
+}
+
+func (s *stampSet[T]) has(v T) bool { return s.mark[v] == s.gen }
+
+// add inserts v, reporting whether it was new.
+func (s *stampSet[T]) add(v T) bool {
+	if s.mark[v] == s.gen {
+		return false
+	}
+	s.mark[v] = s.gen
+	s.list = append(s.list, v)
+	return true
 }
 
 // NewBaseline derives every record of base, serially: the crashmc pool,
@@ -79,9 +118,9 @@ func (bl *Baseline) derive() {
 	}
 	if bl.st == nil || len(bl.st.inodes) != int(bl.sb.NInodes) {
 		bl.st = newCheckState(bl.sb)
-		bl.inoMark = make([]uint32, bl.sb.NInodes)
-		bl.dirMark = make([]uint32, bl.sb.NInodes)
 	}
+	bl.staleInos.sized(int(bl.sb.NInodes))
+	bl.staleDirs.sized(int(bl.sb.NInodes))
 	bl.st.sb = bl.sb
 	bl.st.deriveAll(bl.base)
 
@@ -114,7 +153,7 @@ func (bl *Baseline) merge() {
 	a.success = resized(a.success, int(bl.sb.NInodes))
 	a.ownBase = resized(a.ownBase, int(bl.sb.TotalFrags-bl.sb.DataStart))
 	a.aggStale, a.aggLeaks, a.rootOK = 0, 0, false
-	bl.st.merge(bl.base, &a.rep, a)
+	mergeReport(&bl.sb, bl.base, bl.st, &a.rep, &bl.st.own, a)
 
 	if a.refDirs == nil {
 		a.refDirs = make(map[ffs.Ino][]ffs.Ino)
@@ -197,23 +236,17 @@ func (bl *Baseline) Advance(dirty []int64) (full bool) {
 		bl.derive()
 		return true
 	}
-	bl.gen++
-	if bl.gen == 0 {
-		// The stamps wrapped: clear them so no old stamp reads as current.
-		clear(bl.inoMark)
-		clear(bl.dirMark)
-		bl.gen = 1
-	}
-	bl.staleInos, bl.staleDirs = bl.staleInos[:0], bl.staleDirs[:0]
+	bl.staleInos.reset()
+	bl.staleDirs.reset()
 	for _, s := range dirty {
 		if s < 0 || s >= int64(len(bl.rev)) {
 			continue // past the filesystem: no record depends on it
 		}
 		for _, v := range bl.rev[s] {
 			if v&1 == 0 {
-				bl.staleIno(ffs.Ino(v >> 1))
+				bl.staleInos.add(ffs.Ino(v >> 1))
 			} else {
-				bl.staleDir(ffs.Ino(v >> 1))
+				bl.staleDirs.add(ffs.Ino(v >> 1))
 			}
 		}
 	}
@@ -222,27 +255,27 @@ func (bl *Baseline) Advance(dirty []int64) (full bool) {
 	// at hand. A stale inode that was a valid directory takes its parse
 	// with it: the parse starts from the inode's block pointers. Every
 	// listed directory is then one the index holds a parse of.
-	for _, ino := range bl.staleInos {
+	for _, ino := range bl.staleInos.list {
 		r := &bl.st.inodes[ino]
 		bl.unindex(uint32(ino)<<1, r.deps)
 		if r.alloc && r.ok && r.ip.IsDir() {
-			bl.staleDir(ino)
+			bl.staleDirs.add(ino)
 		}
 	}
-	for _, ino := range bl.staleDirs {
+	for _, ino := range bl.staleDirs.list {
 		bl.unindex(uint32(ino)<<1|1, bl.st.dirs[ino].deps)
 	}
 
 	d := deriver{img: bl.base, sb: &bl.sb}
-	for _, ino := range bl.staleInos {
+	for _, ino := range bl.staleInos.list {
 		r := &bl.st.inodes[ino]
 		d.deriveInode(ino, r)
 		bl.index(uint32(ino)<<1, r.deps)
 		if r.alloc && r.ok && r.ip.IsDir() {
-			bl.staleDir(ino) // (still or newly) a directory: re-parse it
+			bl.staleDirs.add(ino) // (still or newly) a directory: re-parse it
 		}
 	}
-	for _, ino := range bl.staleDirs {
+	for _, ino := range bl.staleDirs.list {
 		// A directory that stopped being one keeps its old parse, which
 		// nothing reads: the merge asks only valid directories for theirs.
 		if r := &bl.st.inodes[ino]; r.alloc && r.ok && r.ip.IsDir() {
@@ -252,20 +285,6 @@ func (bl *Baseline) Advance(dirty []int64) (full bool) {
 	}
 	bl.merge()
 	return false
-}
-
-func (bl *Baseline) staleIno(ino ffs.Ino) {
-	if bl.inoMark[ino] != bl.gen {
-		bl.inoMark[ino] = bl.gen
-		bl.staleInos = append(bl.staleInos, ino)
-	}
-}
-
-func (bl *Baseline) staleDir(ino ffs.Ino) {
-	if bl.dirMark[ino] != bl.gen {
-		bl.dirMark[ino] = bl.gen
-		bl.staleDirs = append(bl.staleDirs, ino)
-	}
 }
 
 // DeltaCheckerStats counts the work a DeltaChecker has done; the gap
@@ -281,22 +300,21 @@ type DeltaCheckerStats struct {
 }
 
 // DeltaChecker checks DeltaImages against one Baseline, reusing all
-// scratch state across calls (epoch-stamped, so nothing is cleared per
-// check). Not safe for concurrent use; crashmc gives each pool worker its
-// own.
+// scratch state across calls (stamped sets and an epoch-tagged ownership
+// table, so nothing is cleared per check). Not safe for concurrent use;
+// crashmc gives each pool worker its own.
 type DeltaChecker struct {
-	bl    *Baseline
-	d     deriver
-	epoch uint64
+	bl *Baseline
+	d  deriver
 
-	inoStamp, dirStamp []uint64
-	freshIno           []inodeRec
-	freshDir           []dirRec
-	own                []uint64
-	rep                Report
-	dirtyInos          []ffs.Ino
-	dirtyDirs          []ffs.Ino
-	inc                incScratch
+	freshIno []inodeRec
+	freshDir []dirRec
+	own      ownTable
+	rep      Report
+	// The inodes re-derived into freshIno and the directories re-parsed
+	// into freshDir this check.
+	dirtyInos, dirtyDirs stampSet[ffs.Ino]
+	inc                  incScratch
 
 	Stats DeltaCheckerStats
 }
@@ -317,22 +335,13 @@ func (dc *DeltaChecker) Rebind(bl *Baseline) {
 		return
 	}
 	n := int(bl.sb.NInodes)
-	if len(dc.inoStamp) != n {
-		dc.inoStamp = make([]uint64, n)
-		dc.dirStamp = make([]uint64, n)
+	if len(dc.freshIno) != n {
 		dc.freshIno = make([]inodeRec, n)
 		dc.freshDir = make([]dirRec, n)
 	}
-	if nd := int(bl.sb.TotalFrags - bl.sb.DataStart); len(dc.own) != nd {
-		dc.own = make([]uint64, nd)
-	}
+	dc.dirtyInos.sized(n)
+	dc.dirtyDirs.sized(n)
 	dc.inc.sized(n, int(bl.sb.TotalFrags-bl.sb.DataStart))
-	// rep.Refs (if any) holds the previous baseline's reference counts;
-	// force a fresh sync on the next spliced merge.
-	dc.inc.refsSynced = false
-	if dc.epoch == 0 {
-		dc.epoch = 1
-	}
 	dc.d.sb = &dc.bl.sb
 }
 
@@ -348,14 +357,14 @@ func (dc *DeltaChecker) SkipDetails(skip bool) {
 // recProvider: splice fresh records over the baseline.
 
 func (dc *DeltaChecker) inodeRec(ino ffs.Ino) *inodeRec {
-	if dc.inoStamp[ino] == dc.epoch {
+	if dc.dirtyInos.has(ino) {
 		return &dc.freshIno[ino]
 	}
 	return &dc.bl.st.inodes[ino]
 }
 
 func (dc *DeltaChecker) dirRec(ino ffs.Ino) *dirRec {
-	if dc.dirStamp[ino] == dc.epoch {
+	if dc.dirtyDirs.has(ino) {
 		return &dc.freshDir[ino]
 	}
 	return &dc.bl.st.dirs[ino]
@@ -380,20 +389,6 @@ func (dc *DeltaChecker) Check(img DeltaImage) *Report {
 		}
 	}
 
-	dc.epoch++
-	if dc.epoch >= 1<<32 {
-		// The ownership table packs the epoch into 32 bits; on wrap, clear
-		// all stamped state and restart.
-		dc.epoch = 1
-		for i := range dc.own {
-			dc.own[i] = 0
-		}
-		for i := range dc.inoStamp {
-			dc.inoStamp[i] = 0
-			dc.dirStamp[i] = 0
-		}
-	}
-
 	// Invalidate records whose dependency sectors intersect the delta.
 	// Inode-table sectors get a finer test: a 512-byte sector holds 4 inode
 	// slabs, and DirtySectors over-approximates, so diffing each slab
@@ -401,8 +396,8 @@ func (dc *DeltaChecker) Check(img DeltaImage) *Report {
 	// an unchanged inode (decode + claim walk). An inode whose slab is
 	// clean but whose indirect block changed is still caught — the
 	// indirect sector is its own recorded dep and takes the rev path.
-	dc.dirtyInos = dc.dirtyInos[:0]
-	dc.dirtyDirs = dc.dirtyDirs[:0]
+	dc.dirtyInos.reset()
+	dc.dirtyDirs.reset()
 	itLo := int64(dc.bl.sb.InodeStart) * ffs.FragSize
 	itHi := int64(dc.bl.sb.IBmapStart) * ffs.FragSize
 	for _, s := range dirty {
@@ -422,10 +417,7 @@ func (dc *DeltaChecker) Check(img DeltaImage) *Report {
 				if bytes.Equal(cur[k*ffs.InodeSize:(k+1)*ffs.InodeSize], old[k*ffs.InodeSize:(k+1)*ffs.InodeSize]) {
 					continue
 				}
-				if dc.inoStamp[ino] != dc.epoch {
-					dc.inoStamp[ino] = dc.epoch
-					dc.dirtyInos = append(dc.dirtyInos, ino)
-				}
+				dc.dirtyInos.add(ino)
 			}
 			continue
 		}
@@ -435,13 +427,9 @@ func (dc *DeltaChecker) Check(img DeltaImage) *Report {
 		for _, v := range dc.bl.rev[s] {
 			ino := ffs.Ino(v >> 1)
 			if v&1 == 0 {
-				if dc.inoStamp[ino] != dc.epoch {
-					dc.inoStamp[ino] = dc.epoch
-					dc.dirtyInos = append(dc.dirtyInos, ino)
-				}
-			} else if dc.dirStamp[ino] != dc.epoch {
-				dc.dirStamp[ino] = dc.epoch
-				dc.dirtyDirs = append(dc.dirtyDirs, ino)
+				dc.dirtyInos.add(ino)
+			} else {
+				dc.dirtyDirs.add(ino)
 			}
 		}
 	}
@@ -450,16 +438,15 @@ func (dc *DeltaChecker) Check(img DeltaImage) *Report {
 	// that is (still or newly) a valid directory needs its parse refreshed
 	// too, since the parse starts from the inode's block pointers.
 	dc.d.img = img
-	for _, ino := range dc.dirtyInos {
+	for _, ino := range dc.dirtyInos.list {
 		r := &dc.freshIno[ino]
 		dc.d.deriveInode(ino, r)
 		dc.Stats.InodesRederived++
-		if r.alloc && r.ok && r.ip.IsDir() && dc.dirStamp[ino] != dc.epoch {
-			dc.dirStamp[ino] = dc.epoch
-			dc.dirtyDirs = append(dc.dirtyDirs, ino)
+		if r.alloc && r.ok && r.ip.IsDir() {
+			dc.dirtyDirs.add(ino)
 		}
 	}
-	for _, ino := range dc.dirtyDirs {
+	for _, ino := range dc.dirtyDirs.list {
 		r := dc.inodeRec(ino)
 		if r.alloc && r.ok && r.ip.IsDir() {
 			dc.d.deriveDir(ino, &r.ip, &dc.freshDir[ino])
@@ -473,19 +460,14 @@ func (dc *DeltaChecker) Check(img DeltaImage) *Report {
 		dc.Stats.SplicedMerges++
 		return &dc.rep
 	}
-	dc.inc.refsSynced = false // the full merge rebuilds rep.Refs from scratch
 	dc.rep.reset()
-	mergeReport(&dc.bl.sb, img, dc, &dc.rep, dc.own, dc.epoch, nil)
+	mergeReport(&dc.bl.sb, img, dc, &dc.rep, &dc.own, nil)
 	return &dc.rep
 }
 
+// reset empties r for a merge, which sizes Refs itself.
 func (r *Report) reset() {
 	r.Findings = r.Findings[:0]
-	if r.Refs == nil {
-		r.Refs = make(map[ffs.Ino]int)
-	} else {
-		clear(r.Refs)
-	}
 	r.AllocatedInodes = 0
 	r.ReferencedFrags = 0
 }

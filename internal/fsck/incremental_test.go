@@ -1,6 +1,8 @@
 package fsck_test
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"metaupdate/internal/disk"
@@ -123,6 +125,41 @@ func TestDeltaCheckerMatchesFull(t *testing.T) {
 	}
 }
 
+// TestDeltaCheckerSurvivesStampWrap forces every generation counter of a
+// DeltaChecker to its maximum before each check, so every stamped set
+// wraps on each check, and requires the spliced report to still equal a
+// full check. Half the corrupted sectors are live directory blocks, so
+// the directory replay sets wrap with findings in them, not only pass 1's.
+func TestDeltaCheckerSurvivesStampWrap(t *testing.T) {
+	total := totalRuntime(t, "noorder", false)
+	base := crashAt(t, "noorder", false, total/2)
+	dirSecs := liveDirSectors(t, base)
+	d := newSliceDelta(base)
+	dc := fsck.NewDeltaChecker(fsck.NewBaseline(fsck.Bytes(base), 1))
+	nsec := uint64(len(base)) / disk.SectorSize
+
+	rng := uint64(0x57a3)
+	for trial := 0; trial < 200; trial++ {
+		d.reset()
+		for k := int(splitmix(&rng)%8) + 1; k > 0; k-- {
+			s := int64(1 + splitmix(&rng)%(nsec-1)) // never the superblock: no fallback
+			if splitmix(&rng)%2 == 0 {
+				s = dirSecs[splitmix(&rng)%uint64(len(dirSecs))] / disk.SectorSize
+			}
+			sec := d.cur[s*disk.SectorSize : (s+1)*disk.SectorSize]
+			sec[splitmix(&rng)%disk.SectorSize] = byte(splitmix(&rng))
+			if !slices.Contains(d.dirty, s) {
+				d.dirty = append(d.dirty, s)
+			}
+		}
+		fsck.WrapStamps(dc)
+		reportsEqual(t, fmt.Sprintf("trial %d", trial), dc.Check(d), fsck.CheckImage(fsck.Bytes(d.cur)))
+	}
+	if dc.Stats.SplicedMerges == 0 {
+		t.Fatalf("no trial took the spliced merge: %+v", dc.Stats)
+	}
+}
+
 // TestEmptyDeltaMatchesCheckImage: a Baseline read back through a delta
 // that dirties nothing reports exactly what the one-shot CheckImage does,
 // findings in the same order.
@@ -156,8 +193,8 @@ func TestCheckImageRecycledState(t *testing.T) {
 
 // TestAllocFreeDeltaCheck pins the steady-state incremental check path at
 // zero heap allocations: re-deriving a dirty inode-table sector against a
-// warm DeltaChecker must reuse every piece of scratch (epoch-stamped
-// tables, record slices, the report and its Refs map).
+// warm DeltaChecker must reuse every piece of scratch (stamped sets, the
+// ownership table, record slices, the report and its reference counts).
 func TestAllocFreeDeltaCheck(t *testing.T) {
 	total := totalRuntime(t, "conventional", false)
 	base := crashAt(t, "conventional", false, total)
@@ -179,7 +216,7 @@ func TestAllocFreeDeltaCheck(t *testing.T) {
 
 	bl := fsck.NewBaseline(fsck.Bytes(base), 1)
 	dc := fsck.NewDeltaChecker(bl)
-	dc.Check(d) // warm the scratch: report capacity, Refs keys, dep slices
+	dc.Check(d) // warm the scratch: report capacity, dep slices
 	dc.Check(d)
 
 	if avg := testing.AllocsPerRun(50, func() { dc.Check(d) }); avg != 0 {

@@ -422,15 +422,36 @@ func (a *mergeArtifacts) seg(p int, ino ffs.Ino, start int) {
 	}
 }
 
+// ownTable is the merge's fragment-ownership table, one entry per data
+// fragment, tagged so a caller reuses it across merges without clearing:
+// entry (epoch<<32 | ino) is live only when its epoch is the current one.
+type ownTable struct {
+	own   []uint64
+	epoch uint64
+}
+
+// next sizes t for n data fragments and starts a new epoch, clearing the
+// table when the 32-bit epoch wraps so no old tag reads as current.
+func (t *ownTable) next(n int) {
+	if len(t.own) != n {
+		t.own, t.epoch = make([]uint64, n), 0
+	}
+	t.epoch++
+	if t.epoch == 1<<32 {
+		clear(t.own)
+		t.epoch = 1
+	}
+}
+
 // mergeReport replays the records in ascending-inode order, reproducing
-// the historical four passes. own is the fragment-ownership table (one
-// entry per data fragment), epoch-tagged so callers can reuse it across
-// checks without clearing: entry (epoch<<32 | ino) is live only when its
-// epoch matches. epoch must be >= 1. A non-nil art (whose rep must be the
-// same object as rep) additionally records the merge's artifacts for
-// incremental re-merging.
-func mergeReport(sb *ffs.Superblock, img Image, pr recProvider, rep *Report, own []uint64, epoch uint64, art *mergeArtifacts) {
+// the historical four passes, under a new epoch of ot. A non-nil art
+// (whose rep must be the same object as rep) additionally records the
+// merge's artifacts for incremental re-merging.
+func mergeReport(sb *ffs.Superblock, img Image, pr recProvider, rep *Report, ot *ownTable, art *mergeArtifacts) {
+	ot.next(int(sb.TotalFrags - sb.DataStart))
+	own, epoch := ot.own, ot.epoch
 	tag := epoch << 32
+	rep.Refs = resized(rep.Refs, int(sb.NInodes))
 	if art != nil {
 		art.conflictFree = true
 	}
@@ -572,10 +593,10 @@ func mergeDir(sb *ffs.Superblock, pr recProvider, ino ffs.Ino, dr *dirRec, rep *
 			rep.Findings = append(rep.Findings, Finding{Kind: BadDirFormat, Ino: ino, Detail: st.detail})
 			continue
 		}
-		rep.Refs[st.ino]++
 		var target *ffs.Inode
-		if uint32(st.ino) >= 2 && uint32(st.ino) < sb.NInodes {
-			if tr := pr.inodeRec(st.ino); tr.alloc && tr.ok {
+		if uint32(st.ino) < sb.NInodes {
+			rep.Refs[st.ino]++
+			if tr := pr.inodeRec(st.ino); st.ino >= 2 && tr.alloc && tr.ok {
 				target = &tr.ip
 			}
 		}
@@ -598,14 +619,12 @@ func mergeDir(sb *ffs.Superblock, pr recProvider, ino ffs.Ino, dr *dirRec, rep *
 
 // checkState is a full set of freshly derived records for one image; it is
 // the trivial recProvider behind CheckImage and Repair, and the
-// construction state of a Baseline. own is the merge's fragment-
-// ownership table, allocated on first merge and reused by epoch after.
+// construction state of a Baseline.
 type checkState struct {
 	sb     ffs.Superblock
 	inodes []inodeRec
 	dirs   []dirRec
-	own    []uint64
-	epoch  uint64
+	own    ownTable
 }
 
 func newCheckState(sb ffs.Superblock) *checkState {
@@ -654,14 +673,4 @@ func (st *checkState) deriveAll(img Image) {
 			d.deriveDir(ino, &r.ip, &st.dirs[ino])
 		}
 	}
-}
-
-// merge replays st's records into rep (and art, when recording a
-// Baseline's artifacts) under the ownership table's next epoch.
-func (st *checkState) merge(img Image, rep *Report, art *mergeArtifacts) {
-	if n := int(st.sb.TotalFrags - st.sb.DataStart); len(st.own) != n {
-		st.own, st.epoch = make([]uint64, n), 0
-	}
-	st.epoch++
-	mergeReport(&st.sb, img, st, rep, st.own, st.epoch, art)
 }

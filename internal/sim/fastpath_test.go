@@ -60,7 +60,7 @@ func runProgram(seed int64, fast bool) []string {
 					c.Wait(p)
 				case 4:
 					pri++
-					e.AtPri(e.Now()+d, pri, &logDelivery{log, name + " delivery"})
+					e.AtPri(e.Now()+d, pri, (&logDelivery{log, name + " delivery"}).Deliver)
 					p.Sleep(d)
 				case 5:
 					e.At(e.Now()+d, func() { log(name + " callback") })

@@ -62,17 +62,9 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
 func (t Time) String() string { return fmt.Sprintf("%.6fs", t.Seconds()) }
 
-// Delivery is a value-carrying event payload: the simulated network
-// schedules message deliveries without allocating a closure per message
-// (the payload object is pooled by its owner and carries its own
-// context). Deliver runs in engine context, exactly like an At callback.
-type Delivery interface {
-	Deliver()
-}
-
-// event is a queued occurrence. Exactly one of proc, fn and del is set:
-// proc wake-ups are the dominant case and carrying the pointer here is
-// what lets every wake site schedule without allocating a closure.
+// event is a queued occurrence. Exactly one of proc and fn is set: proc
+// wake-ups are the dominant case and carrying the pointer here is what
+// lets every wake site schedule without allocating a closure.
 type event struct {
 	at  Time
 	seq uint64
@@ -83,9 +75,8 @@ type event struct {
 	// Within one instant all pri-0 events fire (in schedule order) before
 	// any delivery, and deliveries fire in pri order.
 	pri  uint64
-	proc *Proc    // if non-nil: resume this process
-	fn   func()   // else if non-nil: run this callback in engine context
-	del  Delivery // otherwise: deliver this message payload
+	proc *Proc  // if non-nil: resume this process
+	fn   func() // otherwise: run this callback in engine context
 }
 
 // less orders events by (at, pri, seq): virtual time first, delivery
@@ -188,19 +179,21 @@ func (e *Engine) At(t Time, fn func()) {
 	e.push(event{at: t, seq: e.seq, fn: fn})
 }
 
-// AtPri schedules d's Deliver to run in engine context at time t, ordered
-// after every ordinary (pri-0) event at that instant and against other
+// AtPri schedules fn to run in engine context at time t, ordered after
+// every ordinary (pri-0) event at that instant and against other
 // deliveries by pri. This is the network's message path: pri packs the
 // sending endpoint and its per-sender sequence number, so delivery order
 // at an instant is a pure function of the message set, not of the order
-// the sends were made in.
-func (e *Engine) AtPri(t Time, pri uint64, d Delivery) {
+// the sends were made in. A caller that schedules often passes a function
+// it bound once (a pooled payload's method value), so scheduling
+// allocates nothing.
+func (e *Engine) AtPri(t Time, pri uint64, fn func()) {
 	if pri == 0 {
 		panic("sim: AtPri with zero priority (use At)")
 	}
 	e.checkSchedulable(t)
 	e.seq++
-	e.push(event{at: t, pri: pri, seq: e.seq, del: d})
+	e.push(event{at: t, pri: pri, seq: e.seq, fn: fn})
 }
 
 // scheduleProc schedules p to resume at time t. This is the allocation-free
@@ -521,13 +514,10 @@ func (e *Engine) endRun() {
 func (e *Engine) dispatch(ev event) {
 	e.now = ev.at
 	e.executed++
-	switch {
-	case ev.proc != nil:
+	if ev.proc != nil {
 		e.runProc(ev.proc)
-	case ev.fn != nil:
+	} else {
 		ev.fn()
-	default:
-		ev.del.Deliver()
 	}
 }
 

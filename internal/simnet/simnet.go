@@ -122,12 +122,14 @@ func (n *Network) Endpoint(id int) *Endpoint {
 	return ep
 }
 
-// carrier is the pooled Delivery that walks a Message to its destination.
+// carrier is the pooled delivery that walks a Message to its destination.
 // Steady-state RPC traffic (request out, reply back) recycles carriers
-// through the network's free list with zero allocation.
+// through the network's free list with zero allocation: each binds its
+// Deliver method once, when it is created, and schedules that.
 type carrier struct {
-	dst *Endpoint
-	m   Message
+	dst     *Endpoint
+	m       Message
+	deliver func() // cr.Deliver
 }
 
 // Deliver hands the message to the destination endpoint and returns the
@@ -204,10 +206,11 @@ func (ep *Endpoint) send(m Message) Message {
 		ep.n.pool = ep.n.pool[:k-1]
 	} else {
 		cr = &carrier{}
+		cr.deliver = cr.Deliver
 	}
 	cr.dst = ep.n.Endpoint(m.To)
 	cr.m = m
-	eng.AtPri(m.At, uint64(ep.id+1)<<priBits|(ep.sendSeq&(1<<priBits-1)), cr)
+	eng.AtPri(m.At, uint64(ep.id+1)<<priBits|(ep.sendSeq&(1<<priBits-1)), cr.deliver)
 	return m
 }
 
