@@ -61,23 +61,6 @@ func (s Spec) String() string {
 	return fmt.Sprintf("%v:seed%d,rate%d", s.Kind, s.Seed, s.PerSec)
 }
 
-// splitmix64 advances x and returns the next value of the stream (the
-// same generator internal/fault and internal/dmeta use).
-func splitmix64(x *uint64) uint64 {
-	*x += 0x9E3779B97F4A7C15
-	z := *x
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
-// stateFor keys a fresh splitmix64 state off (seed, index, salt) — the
-// draw for index i never depends on any other index's draws.
-func stateFor(seed, index int64, salt uint64) uint64 {
-	x := uint64(seed)*0x9E3779B97F4A7C15 ^ uint64(index)*0xD1B54A32D192ED03 ^ salt
-	return splitmix64(&x) // one mixing round so nearby (seed, index) decorrelate
-}
-
 // unit maps a draw to the half-open interval (0, 1] — never zero, so
 // -log(u) is always finite.
 func unit(r uint64) float64 {
@@ -92,8 +75,8 @@ func (s Spec) GapAt(i int64) sim.Duration {
 	if !s.Enabled() {
 		return 0
 	}
-	st := stateFor(s.Seed, i, 0x9E6D)
-	gap := -math.Log(unit(splitmix64(&st))) / float64(s.PerSec) // seconds
+	st := sim.Draw(s.Seed, i, 0x9E6D)
+	gap := -math.Log(unit(sim.SplitMix64(&st))) / float64(s.PerSec) // seconds
 	d := sim.Duration(gap * float64(sim.Second))
 	if d < sim.Duration(1) {
 		d = 1 // arrivals are distinct instants; keeps prefix sums strictly increasing

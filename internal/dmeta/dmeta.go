@@ -62,10 +62,6 @@ const RootIno uint64 = 1
 // it evenly across the starting nodes.
 const inoSpace uint64 = 1 << 30
 
-// latCap bounds the retained latency samples per digest (trace.Digest
-// reservoir), keeping million-op runs in constant memory.
-const latCap = 1 << 14
-
 // Stack is one node's single-machine storage stack, assembled by the
 // caller (fsim owns the recipe) so dmeta stays independent of option
 // plumbing.
@@ -131,17 +127,6 @@ type Cluster struct {
 	TestHookPrepared func(p *sim.Proc)
 }
 
-// splitmix64 advances x and returns the next value of the stream (the
-// internal/fault idiom: fixed draws per decision, so the stream position
-// is a pure function of the decision count).
-func splitmix64(x *uint64) uint64 {
-	*x += 0x9E3779B97F4A7C15
-	z := *x
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
 // rngFor returns the initial stream state for (seed, id).
 func rngFor(seed int64, id int) uint64 {
 	return (uint64(seed)^(uint64(id)*0x9E3779B97F4A7C15))*0x9E3779B97F4A7C15 + 0x1234567
@@ -168,8 +153,6 @@ func New(eng *sim.Engine, net *simnet.Network, cfg Config) (*Cluster, error) {
 		active:   cfg.Nodes,
 		rng:      rngFor(cfg.Seed, 0),
 	}
-	c.OpLat.SetCap(latCap)
-	c.CrossLat.SetCap(latCap)
 
 	// Stripe the id space over the initial nodes; node 1's partition
 	// holds the root and starts allocating above it. Spares own the
@@ -286,7 +269,7 @@ func (c *Cluster) ownerOf(key uint64) int {
 // partitions with allocation headroom, then takes that partition's next
 // sequential id.
 func (c *Cluster) allocIno() uint64 {
-	r := splitmix64(&c.rng)
+	r := sim.SplitMix64(&c.rng)
 	elig := make([]int, 0, len(c.parts))
 	for i := range c.parts {
 		if c.parts[i].next < c.parts[i].end {

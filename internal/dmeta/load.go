@@ -77,7 +77,7 @@ func (c *Cluster) clientLoad(p *sim.Proc, u int, spec LoadSpec) {
 	}
 
 	for i := 1; i < spec.Ops; i++ {
-		r := splitmix64(&rng)
+		r := sim.SplitMix64(&rng)
 		x := r % 100
 		pick := func() int { return int((r >> 32) % uint64(len(files))) }
 		switch {

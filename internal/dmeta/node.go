@@ -477,7 +477,7 @@ func (n *Node) maybeSplit(p *sim.Proc) {
 	// function of the options).
 	mid := len(keys) / 2
 	if span := len(keys) / 6; span > 0 {
-		mid += int(splitmix64(&n.rng)%uint64(2*span+1)) - span
+		mid += int(sim.SplitMix64(&n.rng)%uint64(2*span+1)) - span
 	}
 	if mid < 1 {
 		mid = 1
@@ -508,7 +508,7 @@ func (n *Node) maybeSplit(p *sim.Proc) {
 		ents = append(ents, e)
 	}
 	for i := 0; i < len(ents); {
-		bs := 16 + int(splitmix64(&n.rng)%16)
+		bs := 16 + int(sim.SplitMix64(&n.rng)%16)
 		if i+bs > len(ents) {
 			bs = len(ents) - i
 		}

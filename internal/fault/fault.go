@@ -107,15 +107,6 @@ func (s Spec) String() string {
 // spikeMS is the length of a latency spike in milliseconds.
 const spikeMS = 40
 
-// splitmix64 advances x and returns the next value of the stream.
-func splitmix64(x *uint64) uint64 {
-	*x += 0x9E3779B97F4A7C15
-	z := *x
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
 // Judge is what the drive model consults per media access. Implementations
 // must be deterministic functions of the access sequence. remapped reports
 // whether a sector has been remapped to a spare (remapped sectors cannot
@@ -143,7 +134,7 @@ func New(spec Spec, sectors int64) *Plan {
 	}
 	if sectors > 0 {
 		for len(p.bad) < spec.BadSectors && len(p.bad) < int(sectors) {
-			s := int64(splitmix64(&p.state) % uint64(sectors))
+			s := int64(sim.SplitMix64(&p.state) % uint64(sectors))
 			p.bad[s] = struct{}{}
 		}
 	}
@@ -157,9 +148,9 @@ func (p *Plan) Judge(write bool, lbn int64, count int, remapped func(int64) bool
 	if p == nil || !p.spec.Enabled() {
 		return Outcome{}
 	}
-	r1 := splitmix64(&p.state)
-	r2 := splitmix64(&p.state)
-	r3 := splitmix64(&p.state)
+	r1 := sim.SplitMix64(&p.state)
+	r2 := sim.SplitMix64(&p.state)
+	r3 := sim.SplitMix64(&p.state)
 
 	// Permanent bad sectors dominate: they are a property of the media, not
 	// of the command. The first (lowest) offending sector in the range is

@@ -31,26 +31,29 @@ func TestGoldenStdout(t *testing.T) {
 		}
 	}
 
-	const path = "testdata/golden-0.05.txt"
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
+	matchGolden(t, "testdata/golden-0.05.txt", buf.Bytes(), *updateGolden, "-update-golden")
+}
+
+// matchGolden rewrites path with got when update is set, and otherwise
+// fails at the first line where got differs from it.
+func matchGolden(t *testing.T, path string, got []byte, update bool, flagName string) {
+	t.Helper()
+	if update {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s (%d bytes)", path, buf.Len())
+		t.Logf("rewrote %s (%d bytes)", path, len(got))
 		return
 	}
 	want, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("missing golden file (regenerate with -update-golden): %v", err)
+		t.Fatalf("missing golden file (regenerate with %s): %v", flagName, err)
 	}
-	if bytes.Equal(buf.Bytes(), want) {
+	if bytes.Equal(got, want) {
 		return
 	}
 	// Point at the first differing line rather than dumping both outputs.
-	gotLines := bytes.Split(buf.Bytes(), []byte("\n"))
+	gotLines := bytes.Split(got, []byte("\n"))
 	wantLines := bytes.Split(want, []byte("\n"))
 	for i := 0; i < len(gotLines) || i < len(wantLines); i++ {
 		var g, w []byte
@@ -61,9 +64,35 @@ func TestGoldenStdout(t *testing.T) {
 			w = wantLines[i]
 		}
 		if !bytes.Equal(g, w) {
-			t.Fatalf("output diverges from golden at line %d:\n got: %q\nwant: %q\n%s", i+1, g, w,
-				fmt.Sprintf("(%d bytes got vs %d bytes want)", buf.Len(), len(want)))
+			t.Fatalf("output diverges from %s at line %d:\n got: %q\nwant: %q\n%s", path, i+1, g, w,
+				fmt.Sprintf("(%d bytes got vs %d bytes want)", len(got), len(want)))
 		}
 	}
-	t.Fatalf("output differs from golden in trailing bytes (%d got vs %d want)", buf.Len(), len(want))
+	t.Fatalf("output differs from %s in trailing bytes (%d got vs %d want)", path, len(got), len(want))
+}
+
+var updateExtGolden = flag.Bool("update-ext-golden", false, "rewrite testdata/ext-0.05.txt from the current output")
+
+// TestExtGolden pins the extension exhibits no other golden covers to a
+// committed transcript: mdsim -exp faults, opstats, scenario-build and
+// scenario-webcache, in that order, each at -scale 0.05 -rate 100
+// -scenario-nodes 2. The seeded fault streams, the arrival processes,
+// the scenario draws and the latency digests all show up in these bytes.
+//
+// Regenerate with: go test ./internal/harness -run TestExtGolden -update-ext-golden
+func TestExtGolden(t *testing.T) {
+	var buf bytes.Buffer
+	cfg := harness.Config{Scale: 0.05, Runner: harness.NewRunner(0)}
+	for _, name := range []string{"faults", "opstats", "scenario-build", "scenario-webcache"} {
+		for _, ex := range harness.Registry(100, 2) {
+			if ex.Name != name {
+				continue
+			}
+			for _, tb := range ex.Tables(cfg) {
+				tb.Fprint(&buf)
+			}
+		}
+	}
+
+	matchGolden(t, "testdata/ext-0.05.txt", buf.Bytes(), *updateExtGolden, "-update-ext-golden")
 }

@@ -137,16 +137,13 @@ func (o *Async) WriteDone(b *cache.Buf, r *dev.Request) {
 	o.fragDurableAsOf(b.Frag, asOf)
 }
 
-// fragDurable credits every waiting op: the caller has verified the
-// fragment's current contents are on the media (or moot), so every
-// registered state is covered.
-func (o *Async) fragDurable(frag int64) { o.fragDurableAsOf(frag, o.eng.Now()) }
-
 // fragDurableAsOf credits the ops whose registration predates asOf: the
 // caller asserts the fragment's on-media contents include every
-// modification made before that instant. Later registrants may have
-// modified state the write missed (-CB snapshots at submit), so they
-// stay waiting for a later write.
+// modification made before that instant. A caller that has verified the
+// fragment's current contents are on the media (or moot) passes Now, and
+// every waiting op is credited. Later registrants may have modified state
+// the write missed (-CB snapshots at submit), so they stay waiting for a
+// later write. Satisfied ops leave the window; the rest keep their order.
 func (o *Async) fragDurableAsOf(frag int64, asOf sim.Time) {
 	ops := o.waitByFrag[frag]
 	if len(ops) == 0 {
@@ -168,8 +165,10 @@ func (o *Async) fragDurableAsOf(frag int64, asOf sim.Time) {
 	} else {
 		o.waitByFrag[frag] = keep
 	}
-	o.compactPending()
+	o.pending = slices.DeleteFunc(o.pending, satisfied)
 }
+
+func satisfied(op *aop) bool { return op.waiting == 0 }
 
 // notify queues op's durability notification and wakes a blocked waiter.
 func (o *Async) notify(op *aop) {
@@ -183,35 +182,9 @@ func (o *Async) notify(op *aop) {
 	}
 }
 
-// compactPending drops satisfied ops from the window (front-biased; order
-// is preserved for the remaining ops).
-func (o *Async) compactPending() {
-	live := o.pending[:0]
-	for _, op := range o.pending {
-		if op.waiting > 0 {
-			live = append(live, op)
-		}
-	}
-	for i := len(live); i < len(o.pending); i++ {
-		o.pending[i] = nil
-	}
-	o.pending = live
-}
-
-// register enters an operation into the in-flight window, waiting on the
-// given home fragments. Full window: the oldest waiting op's buffers are
+// admit enters op into the in-flight window, waiting on the home
+// fragments frags. Full window: the oldest waiting op's buffers are
 // flushed synchronously (admission throttle).
-func (o *Async) register(p *sim.Proc, kind NoticeKind, ino ffs.Ino, bufs ...*cache.Buf) {
-	var frags []int64
-	for _, b := range bufs {
-		if b != nil {
-			frags = append(frags, b.Frag)
-		}
-	}
-	o.admit(p, &aop{kind: kind, ino: ino}, frags)
-}
-
-// admit enters op into the in-flight window, waiting on frags.
 func (o *Async) admit(p *sim.Proc, op *aop, frags []int64) {
 	o.nextOp++
 	op.id = o.nextOp
@@ -258,14 +231,14 @@ func (o *Async) throttle(p *sim.Proc) {
 	op := o.pending[0]
 	c := o.fs.Cache()
 	for _, frag := range o.waitFrags() {
-		if !containsOp(o.waitByFrag[frag], op) {
+		if !slices.Contains(o.waitByFrag[frag], op) {
 			continue
 		}
 		b := c.Lookup(frag)
 		if b == nil || (!b.Dirty && !b.InFlight()) {
 			// Buffer dropped (freed) or its post-registration write
 			// already completed: the registered state is durable or moot.
-			o.fragDurable(frag)
+			o.fragDurableAsOf(frag, o.eng.Now())
 			continue
 		}
 		c.Bdwrite(b)
@@ -274,24 +247,15 @@ func (o *Async) throttle(p *sim.Proc) {
 			// Terminal write failure (faulted disk): deliver the
 			// notification anyway — the data is lost either way and the
 			// window must drain.
-			o.fragDurable(frag)
+			o.fragDurableAsOf(frag, o.eng.Now())
 		}
 	}
 	if op.waiting > 0 {
 		// Defensive: every fragment path above resolves, but never spin.
 		op.waiting = 0
 		o.notify(op)
-		o.compactPending()
+		o.pending = slices.DeleteFunc(o.pending, satisfied)
 	}
-}
-
-func containsOp(ops []*aop, op *aop) bool {
-	for _, x := range ops {
-		if x == op {
-			return true
-		}
-	}
-	return false
 }
 
 // flusher is the group-commit daemon: while operations await
@@ -310,7 +274,7 @@ func (o *Async) flusher(p *sim.Proc) {
 			}
 			b := c.Lookup(frag)
 			if b == nil || (!b.Dirty && !b.InFlight()) {
-				o.fragDurable(frag)
+				o.fragDurableAsOf(frag, o.eng.Now())
 				continue
 			}
 			if b.Dirty && !b.InFlight() {
@@ -331,14 +295,14 @@ func (o *Async) Notices() []Notice { return o.notices }
 // the durability window on the directory and inode buffers.
 func (o *Async) AddEntry(p *sim.Proc, rec *ffs.LinkRec) {
 	o.Chains.AddEntry(p, rec)
-	o.register(p, NoticeAdd, rec.Ino, rec.DirBuf, rec.InoBuf)
+	o.admit(p, &aop{kind: NoticeAdd, ino: rec.Ino}, []int64{rec.DirBuf.Frag, rec.InoBuf.Frag})
 }
 
 // RemoveEntry implements ffs.Ordering: Chains' ordering, plus the op
 // enters the durability window on the directory buffer.
 func (o *Async) RemoveEntry(p *sim.Proc, rec *ffs.RemRec) {
 	o.Chains.RemoveEntry(p, rec)
-	o.register(p, NoticeRemove, rec.Ino, rec.DirBuf)
+	o.admit(p, &aop{kind: NoticeRemove, ino: rec.Ino}, []int64{rec.DirBuf.Frag})
 }
 
 // WaitDurable implements ffs.DurabilityWaiter: fsync under decoupled

@@ -62,9 +62,7 @@ type Journal struct {
 
 	head    int32  // region-relative offset of the next transaction
 	nextSeq uint64 // sequence number of the next transaction
-	// doneSeq is the newest transaction whose log write has completed. Log
-	// writes complete in sequence order (the chain), so nextSeq-1-doneSeq
-	// of them are in flight.
+	// doneSeq is the newest transaction whose log write has completed.
 	doneSeq uint64
 
 	// Durable header state as last written (Format wrote {1, 1}).
@@ -103,9 +101,9 @@ type Journal struct {
 	waiters []jwait
 	logErr  error
 
-	// Submitted log writes in submission order; completed ones are swept
-	// back to the pools at the next stable().
-	out []outReq
+	// inflight holds the log writes in flight, oldest first. They complete
+	// in sequence order (the chain), so each completion is the front one.
+	inflight []*dev.Request
 
 	// Pools: log frames, previous-image slabs (one block each), reclaimed
 	// txn structs, and the log write's dependency scratch (valid only
@@ -133,11 +131,6 @@ type jtxn struct {
 	homes   []jlog.HomeRun
 	frame   []byte
 	live    int
-}
-
-type outReq struct {
-	req   *dev.Request
-	frame []byte
 }
 
 // jprev is the newest journaled image of buf, in a pooled slab.
@@ -229,7 +222,6 @@ func (o *Journal) retireFrag(frag int64) {
 // replay), and the last write of a series is journaled like the rest.
 func (o *Journal) stable(p *sim.Proc, b *cache.Buf) {
 	o.fs.Cache().Bdwrite(b)
-	o.sweep()
 	n := int32(b.NFrags())
 	for {
 		t := o.open
@@ -266,7 +258,7 @@ func (o *Journal) stable(p *sim.Proc, b *cache.Buf) {
 		i = slices.Index(o.stalled, b)
 		o.stalled = slices.Delete(o.stalled, i, i+1)
 	}
-	if o.doneSeq == o.nextSeq-1 {
+	if len(o.inflight) == 0 {
 		o.closeOpen()
 	}
 }
@@ -324,17 +316,10 @@ func (o *Journal) closeOpen() {
 	jlog.EncodeBegin(begin, t.seq, t.homes)
 	jlog.EncodeCommit(t.frame[images:], t.seq, t.payload, jlog.Checksum(begin, t.frame[ffs.FragSize:images]))
 
-	r := o.drv.AllocRequest()
-	r.Op = disk.Write
-	r.LBN = int64(o.start+off) * cache.SectorsPerFrag
-	r.Count = len(t.frame) / disk.SectorSize
-	r.Data = t.frame
 	o.depsBuf = [2]uint64{o.lastLog, o.lastHeader}
-	r.DependsOn = o.depsBuf[:] // read inside Submit only
-	o.drv.Submit(r)
-	r.DependsOn = nil
-	o.out = append(o.out, outReq{req: r, frame: t.frame})
+	r := o.logWrite(off, t.frame, o.depsBuf[:])
 	t.frame = nil
+	o.inflight = append(o.inflight, r)
 	o.lastLog = r.ID
 	r.Done.OnFire(o.logWriteDone)
 
@@ -382,19 +367,40 @@ func (o *Journal) trim(b *cache.Buf, img []byte) (lo, hi int) {
 	return lo, hi
 }
 
+// logWrite submits frame as one write at region-relative fragment off,
+// chained behind deps (read inside Submit only). The caller holds the
+// request's one reference.
+func (o *Journal) logWrite(off int32, frame []byte, deps []uint64) *dev.Request {
+	r := o.drv.AllocRequest()
+	r.Op = disk.Write
+	r.LBN = int64(o.start+off) * cache.SectorsPerFrag
+	r.Count = len(frame) / disk.SectorSize
+	r.Data = frame
+	r.DependsOn = deps
+	o.drv.Submit(r)
+	r.DependsOn = nil
+	return r
+}
+
 // logWriteDone runs in engine context as a log write completes: the
-// fsyncs waiting for it wake, and with the log idle whatever gathered
-// behind it commits next.
+// fsyncs waiting for it wake, with the log idle whatever gathered behind
+// it commits next, and the write's frame and request go back to the pools.
+// The request is released last: released before closeOpen it could come
+// back from the driver's pool as the next log write while its completion
+// is still firing.
 func (o *Journal) logWriteDone() {
-	inflight := int(o.nextSeq - 1 - o.doneSeq) // the last so many of out, oldest first
-	if err := o.out[len(o.out)-inflight].req.Err; err != nil && o.logErr == nil {
-		o.logErr = fmt.Errorf("journal commit %d: %w", o.doneSeq+1, err)
+	r := o.inflight[0]
+	o.inflight = slices.Delete(o.inflight, 0, 1)
+	if r.Err != nil && o.logErr == nil {
+		o.logErr = fmt.Errorf("journal commit %d: %w", o.doneSeq+1, r.Err)
 	}
 	o.doneSeq++
 	o.wake()
-	if o.doneSeq == o.nextSeq-1 {
+	if len(o.inflight) == 0 {
 		o.closeOpen()
 	}
+	o.frames = append(o.frames, r.Data)
+	o.drv.Release(r)
 }
 
 // wake fires the waiters of every transaction whose log write is done.
@@ -463,21 +469,6 @@ func (o *Journal) WaitDurable(p *sim.Proc, ino ffs.Ino, frags []int64) error {
 
 var _ ffs.DurabilityWaiter = (*Journal)(nil)
 
-// sweep recycles completed log writes (requests and frames) from the
-// submission-order front.
-func (o *Journal) sweep() {
-	for len(o.out) > 0 && o.out[0].req.Done.Fired() {
-		or := o.out[0]
-		o.out[0] = outReq{}
-		o.out = o.out[1:]
-		o.frames = append(o.frames, or.frame)
-		o.drv.Release(or.req)
-	}
-	if len(o.out) == 0 && cap(o.out) > 64 {
-		o.out = nil
-	}
-}
-
 // place finds a spot for `size` fragments between the durable tail and
 // the head, honouring the no-straddle rule (wrap to offset 1). It is a
 // pure query: space found for the open transaction stays available until
@@ -544,12 +535,7 @@ func (o *Journal) writeHeader(p *sim.Proc, tailSeq uint64, tailOff int32) {
 	}
 	frame := o.getFrame()
 	jlog.EncodeHeader(frame, jlog.Header{TailSeq: tailSeq, TailOff: tailOff})
-	r := o.drv.AllocRequest()
-	r.Op = disk.Write
-	r.LBN = int64(o.start) * cache.SectorsPerFrag
-	r.Count = len(frame) / disk.SectorSize
-	r.Data = frame
-	o.drv.Submit(r)
+	r := o.logWrite(0, frame, nil)
 	o.lastHeader = r.ID
 	r.Done.Wait(p)
 	o.frames = append(o.frames, frame)

@@ -178,9 +178,6 @@ type RunSpec struct {
 	MaxInFlight int
 }
 
-// latCap bounds the latency digest's retained samples (trace.Digest.SetCap).
-const latCap = 1 << 14
-
 // KindStats counts one op kind over the measured window.
 type KindStats struct {
 	Issued int
@@ -215,7 +212,6 @@ type Result struct {
 func Drive(eng *sim.Engine, target Target, stream Stream, spec RunSpec) Result {
 	var res Result
 	var lat trace.Digest
-	lat.SetCap(latCap)
 	done := false
 	eng.Spawn("openloop", func(p *sim.Proc) {
 		origin := p.Now()

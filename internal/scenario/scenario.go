@@ -20,6 +20,8 @@ package scenario
 import (
 	"fmt"
 	"strings"
+
+	"metaupdate/internal/sim"
 )
 
 // Kind classifies a scenario operation.
@@ -86,20 +88,9 @@ func New(name string, seed int64) (Stream, error) {
 	return nil, fmt.Errorf("scenario: unknown scenario %q (have %s)", name, strings.Join(Names(), ", "))
 }
 
-// draw is the (seed, index, salt)-keyed splitmix64 draw shared with
-// internal/arrival and internal/fault: no stream state, pure per index.
-func draw(seed, i int64, salt uint64) uint64 {
-	x := uint64(seed)*0x9E3779B97F4A7C15 ^ uint64(i)*0xD1B54A32D192ED03 ^ salt
-	x += 0x9E3779B97F4A7C15
-	z := x
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
 // sizeIn maps a draw to [lo, hi] bytes.
 func sizeIn(seed, j int64, salt uint64, lo, hi int) int {
-	return lo + int(draw(seed, j, salt)%uint64(hi-lo+1))
+	return lo + int(sim.Draw(seed, j, salt)%uint64(hi-lo+1))
 }
 
 // mailStream models maildir-style spool churn — the paper's mail-server

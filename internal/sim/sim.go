@@ -599,16 +599,25 @@ func (c *Completion) Fired() bool { return c.fired }
 // Fire marks the completion done and wakes all waiters at the current time.
 // Firing twice panics — it always indicates a bookkeeping bug upstream.
 // The waiter and callback slices keep their capacity (entries are nilled
-// out) so a Reset completion reuses them allocation-free.
+// out) so a Reset completion reuses them allocation-free. A callback may
+// Reset its completion but must not register on it again before Fire
+// returns (that panics): its owner recycles it after whatever it submits.
 func (c *Completion) Fire(e *Engine) {
 	if c.fired {
 		panic("sim: Completion fired twice")
 	}
 	c.fired = true
 	c.FiredAt = e.Now()
+	n := len(c.callbacks)
 	for i, fn := range c.callbacks {
 		c.callbacks[i] = nil
 		fn()
+	}
+	if len(c.callbacks) > n {
+		// OnFire on a fired completion runs at once, so only a callback
+		// that Reset the completion can have appended: truncating would
+		// drop its registration silently.
+		panic("sim: Completion reset and reused by one of its own callbacks")
 	}
 	c.callbacks = c.callbacks[:0]
 	for i, p := range c.waiters {

@@ -187,6 +187,25 @@ func TestCompletionDoubleFirePanics(t *testing.T) {
 	c.Fire(e)
 }
 
+// A callback that recycles its own completion (Reset, then a new
+// registration, as a pooled request's owner would) before Fire returns
+// must panic: Fire would otherwise drop the new callback with the list it
+// has just run.
+func TestCompletionReusedByOwnCallbackPanics(t *testing.T) {
+	e := NewEngine()
+	c := NewCompletion()
+	c.OnFire(func() {
+		c.Reset()
+		c.OnFire(func() {})
+	})
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "reused by one of its own callbacks") {
+			t.Errorf("Fire after a callback re-registered: recovered %v, want the reuse panic", r)
+		}
+	}()
+	c.Fire(e)
+}
+
 func TestMutexFIFO(t *testing.T) {
 	e := NewEngine()
 	var m Mutex

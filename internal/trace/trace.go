@@ -72,79 +72,22 @@ func distOf(vals []float64) Dist {
 }
 
 // Digest accumulates latency samples (milliseconds) for percentile
-// reporting. By default it keeps the raw samples, so digests merge
-// exactly — the merged distribution equals the distribution of the
-// concatenated sample sets — unlike sketch-based digests. Sample counts
-// in the single-machine cells are bounded by the operation counts of one
-// experiment cell, so exactness is cheap there.
-//
-// For open-ended runs (million-op distributed sweeps), SetCap bounds the
-// retained-sample memory: once the reservoir reaches the cap it is
-// decimated deterministically — every other retained sample is dropped
-// and the keep stride doubles, so the reservoir always holds exactly the
-// observed samples whose index is a multiple of the current stride. The
-// retained set is a pure function of the Add sequence (no randomness, no
-// clock), so capped digests stay byte-deterministic across runs, -j
-// values, and memo replay. Below the cap the digest is exact: stride
-// stays 1 and Dist returns precisely what an uncapped digest would.
+// reporting. It keeps every raw sample, so its percentiles are exact and
+// digests merge exactly — the merged distribution equals the distribution
+// of the concatenated sample sets — unlike sketch-based digests. Sample
+// counts are bounded by the operations of one experiment cell, so
+// exactness is cheap.
 type Digest struct {
-	vals   []float64
-	cap    int // retained-sample bound; 0 = unbounded (exact)
-	stride int // keep observed samples with index % stride == 0; 0 means 1
-	skip   int // observed samples to discard before the next keep
-	seen   int // total observed samples (kept or not)
-}
-
-// SetCap bounds the retained samples to n (n <= 1 restores unbounded
-// exact mode). Call before Add; capping an already-full digest decimates
-// on the next overflow only.
-func (d *Digest) SetCap(n int) {
-	if n <= 1 {
-		n = 0
-	}
-	d.cap = n
+	vals []float64
 }
 
 // Add records one sample.
-func (d *Digest) Add(ms float64) {
-	d.seen++
-	if d.cap <= 0 {
-		d.vals = append(d.vals, ms)
-		return
-	}
-	if d.skip > 0 {
-		d.skip--
-		return
-	}
-	if d.stride == 0 {
-		d.stride = 1
-	}
-	d.skip = d.stride - 1
-	d.vals = append(d.vals, ms)
-	if len(d.vals) >= d.cap {
-		d.decimate()
-	}
-}
+func (d *Digest) Add(ms float64) { d.vals = append(d.vals, ms) }
 
-// decimate halves the reservoir in place, keeping every other retained
-// sample (observed indices that are multiples of the doubled stride), and
-// realigns the skip countdown to that grid.
-func (d *Digest) decimate() {
-	w := 0
-	for i := 0; i < len(d.vals); i += 2 {
-		d.vals[w] = d.vals[i]
-		w++
-	}
-	d.vals = d.vals[:w]
-	d.stride *= 2
-	d.skip = (d.stride - d.seen%d.stride) % d.stride
-}
+// Count returns the number of samples.
+func (d *Digest) Count() int { return len(d.vals) }
 
-// Count returns the number of observed samples (including any the
-// reservoir has decimated away).
-func (d *Digest) Count() int { return d.seen }
-
-// Dist computes the distribution of the retained samples. The digest is
+// Dist computes the distribution of the samples. The digest is
 // unchanged (distOf sorts its argument, so Dist works on a copy) and may
 // keep accumulating.
 func (d *Digest) Dist() Dist {

@@ -273,97 +273,3 @@ func TestWriteCSV(t *testing.T) {
 		t.Fatalf("row: %s", lines[1])
 	}
 }
-
-// TestDigestCapExactBelowCap pins the satellite contract: a capped digest
-// that never overflows is byte-identical to an uncapped one — same
-// retained samples, same nearest-rank percentiles.
-func TestDigestCapExactBelowCap(t *testing.T) {
-	var exact, capped Digest
-	capped.SetCap(1000)
-	for i := 0; i < 999; i++ {
-		v := float64((i*2654435761)%1000) / 7
-		exact.Add(v)
-		capped.Add(v)
-	}
-	if capped.Count() != exact.Count() || capped.Retained() != exact.Retained() {
-		t.Fatalf("below cap: count %d/%d retained %d/%d",
-			capped.Count(), exact.Count(), capped.Retained(), exact.Retained())
-	}
-	if got, want := capped.Dist(), exact.Dist(); got != want {
-		t.Fatalf("below cap Dist diverged: %+v vs %+v", got, want)
-	}
-}
-
-func TestDigestCapBoundedAndDeterministic(t *testing.T) {
-	const cap = 256
-	run := func() *Digest {
-		var d Digest
-		d.SetCap(cap)
-		for i := 0; i < 100_000; i++ {
-			d.Add(float64((i * 2654435761) % 9973))
-		}
-		return &d
-	}
-	a, b := run(), run()
-	if a.Retained() >= cap {
-		t.Fatalf("reservoir not bounded: retained %d, cap %d", a.Retained(), cap)
-	}
-	if a.Count() != 100_000 {
-		t.Fatalf("Count = %d, want observed total", a.Count())
-	}
-	if a.Dist() != b.Dist() || a.Retained() != b.Retained() {
-		t.Fatal("capped digest is not deterministic across identical runs")
-	}
-	// The decimated reservoir must still approximate the distribution:
-	// samples are ~uniform on [0, 9973), so p50 sits near the middle.
-	d := a.Dist()
-	if d.P50MS < 3500 || d.P50MS > 6500 {
-		t.Fatalf("decimated p50 implausible for uniform data: %+v", d)
-	}
-}
-
-// TestDigestCapStrideGrid checks the decimation invariant directly: the
-// retained set is exactly the observed samples whose index is a multiple
-// of the final stride. Encoding the observed index as the sample value
-// makes the grid visible.
-func TestDigestCapStrideGrid(t *testing.T) {
-	var d Digest
-	d.SetCap(64)
-	const n = 10_000
-	for i := 0; i < n; i++ {
-		d.Add(float64(i))
-	}
-	if d.Retained() == 0 {
-		t.Fatal("empty reservoir")
-	}
-	stride := int(d.vals[1] - d.vals[0])
-	for i, v := range d.vals {
-		if int(v) != i*stride {
-			t.Fatalf("vals[%d] = %v, want index grid of stride %d", i, v, stride)
-		}
-	}
-	// Stride is a power of two (doubling decimation) and the reservoir
-	// covers the whole observed range at that stride.
-	if stride&(stride-1) != 0 {
-		t.Fatalf("stride %d not a power of two", stride)
-	}
-	if want := (n - 1) / stride * stride; int(d.vals[len(d.vals)-1]) != want {
-		t.Fatalf("reservoir tail %v, want %d", d.vals[len(d.vals)-1], want)
-	}
-}
-
-func TestDigestMergeCapped(t *testing.T) {
-	var a Digest
-	a.SetCap(32)
-	var b Digest
-	for i := 0; i < 1000; i++ {
-		b.Add(float64(i % 101))
-	}
-	a.Merge(&b)
-	if a.Count() != 1000 {
-		t.Fatalf("merged observed count = %d, want 1000", a.Count())
-	}
-	if a.Retained() >= 32 {
-		t.Fatalf("merge overflowed the cap: retained %d", a.Retained())
-	}
-}
