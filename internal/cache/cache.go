@@ -25,6 +25,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/bits"
+	"slices"
 	"testing"
 
 	"metaupdate/internal/dev"
@@ -127,6 +128,18 @@ func (b *Buf) InFlight() bool { return b.writing != nil }
 // behind it on the media, so naming it covers both.
 func (b *Buf) WriteReq() uint64 { return b.writeReq }
 
+// AddWriteDep adds request id to WriteDeps once, a new list in the storage
+// of one a completed write carried.
+func (b *Buf) AddWriteDep(id uint64) {
+	if slices.Contains(b.WriteDeps, id) {
+		return
+	}
+	if c := b.c; b.WriteDeps == nil && len(c.depFree) > 0 {
+		b.WriteDeps, c.depFree = c.depFree[len(c.depFree)-1], c.depFree[:len(c.depFree)-1]
+	}
+	b.WriteDeps = append(b.WriteDeps, id)
+}
+
 // Hooks is the scheme callback surface. All methods are called with the
 // simulation single-threaded; implementations must not block.
 type Hooks interface {
@@ -210,17 +223,20 @@ type Cache struct {
 	// callbacks, serviced by the syncer before its normal activities.
 	work []func(p *sim.Proc)
 
-	// -CB snapshot pool accounting.
+	// -CB snapshot pool accounting; each snapshot write's completion fires
+	// and resets copyWait.
 	copyOutstanding int
-	copyWait        *sim.Completion
+	copyWait        sim.Completion
 	// free recycles block storage by size class (fragments per slice):
 	// buffer Data, -CB snapshots and rollback copies alike. Per-cache and
 	// LIFO, so which bytes back what is deterministic. Each stack is sized
 	// once in New to hold MaxBytes of its class and never grows; storage
 	// released into a full stack is left to the garbage collector.
 	free [maxFrags + 1][][]byte
-	// writeFree recycles the bookkeeping of completed writes.
+	// writeFree recycles the bookkeeping of completed writes, depFree the
+	// dependency lists (Buf.WriteDeps) they carried.
 	writeFree []*cwrite
+	depFree   [][]uint64
 
 	// Stats.
 	Hits, Misses int64
@@ -651,9 +667,6 @@ func (c *Cache) issueWrite(p *sim.Proc, b *Buf, ref bool) *dev.Request {
 		sp := obs.SpanOf(p)
 		sp.Push(p, obs.StageSyncer)
 		for c.copyOutstanding+len(b.Data) > c.cfg.MaxCopyBytes {
-			if c.copyWait == nil {
-				c.copyWait = sim.NewCompletion()
-			}
 			c.copyWait.Wait(p)
 		}
 		sp.Pop(p)
@@ -727,11 +740,8 @@ func (w *cwrite) complete() {
 	if c.cfg.CB {
 		c.copyOutstanding -= len(w.src)
 		b.cbInflight--
-		if c.copyWait != nil {
-			cw := c.copyWait
-			c.copyWait = nil
-			cw.Fire(c.eng)
-		}
+		c.copyWait.Fire(c.eng)
+		c.copyWait.Reset()
 	} else {
 		b.writing = nil
 	}
@@ -771,6 +781,10 @@ func (w *cwrite) complete() {
 	c.retire(b)
 	if !c.cfg.CB {
 		w.done.Fire(c.eng)
+	}
+	if req.DependsOn != nil { // read at submission only
+		c.depFree = append(c.depFree, req.DependsOn[:0])
+		req.DependsOn = nil
 	}
 	c.drv.Release(req)
 	c.freeWrite(w)
@@ -898,7 +912,7 @@ func (c *Cache) makeRoom(p *sim.Proc, keep *Buf) {
 					writing = b
 				}
 				switch {
-				case b.hold > 0:
+				case b.hold > 0 || b.lent > 0: // lent: a Getblk yielding in its own makeRoom
 				case !b.Dirty && b.writing == nil && b.cbInflight == 0 && b.Dep == nil:
 					c.remove(b)
 				case b.Dirty && b.writing == nil && ndirty < len(dirty):

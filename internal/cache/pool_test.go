@@ -181,6 +181,33 @@ func TestMakeRoomSkipsMembersGoneMeanwhile(t *testing.T) {
 	}
 }
 
+// TestMakeRoomSkipsLentBuffer: a Getblk whose makeRoom waits for its
+// write-behind batch has not yet handed its new buffer to its caller.
+// Another process's makeRoom meanwhile must not evict that buffer: the
+// caller would get one the cache no longer maps, whose storage goes back
+// to the pool at the caller's last Unhold while the caller still reads it
+// (a growing directory's new chunk, under open-loop load).
+func TestMakeRoomSkipsLentBuffer(t *testing.T) {
+	eng, _, _, c := newRig(Config{MaxBytes: 2 * 8 * FragSize})
+	const a, b, fresh, other = 0, 8, 16, 24
+	var got *Buf
+	eng.Spawn("grower", func(p *sim.Proc) {
+		for _, frag := range []int64{a, b} {
+			c.Bdwrite(c.Getblk(p, frag, 8))
+		}
+		got = c.Getblk(p, fresh, 8).Hold() // waits for a's and b's write-behind
+	})
+	eng.Spawn("other", func(p *sim.Proc) {
+		p.Sleep(sim.Microsecond) // the grower is waiting by now
+		c.Getblk(p, other, 8)
+	})
+	eng.Run()
+	if c.Lookup(fresh) != got {
+		t.Fatal("Getblk handed its caller a buffer that another process's eviction unmapped")
+	}
+	got.Unhold()
+}
+
 // TestCBPoolWaitSkipsDroppedBuffer: a -CB write waiting for snapshot room
 // holds its buffer, so the buffer's storage survives a Drop meanwhile; and
 // the write is not issued once the wait ends. Here the dropped fragment's
@@ -208,7 +235,7 @@ func TestCBPoolWaitSkipsDroppedBuffer(t *testing.T) {
 	})
 	eng.Spawn("freer", func(p *sim.Proc) {
 		waiting.Wait(p)
-		if c.copyWait == nil {
+		if old.hold == 0 { // the wait holds the buffer
 			t.Error("setup: the writer is not waiting for snapshot room")
 		}
 		c.Drop(frag)

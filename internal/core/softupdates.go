@@ -19,9 +19,9 @@
 //     old-size undo and the moved-fragment free (rule 2).
 //   - dirAdd         — one per pending link addition; undone by writing a
 //     zero inode number into the entry (the paper's exact technique).
-//   - dirRem         — one per link removal; the link count decrement and
-//     everything downstream is deferred until the directory block write
-//     completes (serviced from the workitem queue).
+//   - dirrem         — one per link removal, the ffs.RemRec itself; the
+//     link count decrement and everything downstream is deferred until the
+//     directory block write completes (serviced from the workitem queue).
 //   - freeWait       — one per freeblocks/freefile; resources are freed by
 //     a workitem after the cleared inode reaches stable storage.
 //
@@ -33,6 +33,7 @@ package core
 
 import (
 	"encoding/binary"
+	"slices"
 
 	"metaupdate/internal/cache"
 	"metaupdate/internal/dev"
@@ -55,6 +56,12 @@ type SoftUpdates struct {
 	deps map[*cache.Buf]*bufDep // parallel to Buf.Dep, for iteration
 	Stat Stats
 
+	// Storage a removal reuses (DESIGN.md §9): emptied bufDeps, run
+	// workitems and cancelAllocsFor's set of runs.
+	spareDeps []*bufDep
+	spareWork []*workItem
+	owned     map[int32]bool
+
 	// DropEntryDeps is a fault-injection hook for the crash-state model
 	// checker: when set, AddEntry registers no dependency at all, so a new
 	// directory entry can reach the disk before its target inode — the
@@ -66,7 +73,7 @@ type SoftUpdates struct {
 
 // New returns a soft updates instance.
 func New() *SoftUpdates {
-	return &SoftUpdates{deps: make(map[*cache.Buf]*bufDep)}
+	return &SoftUpdates{deps: make(map[*cache.Buf]*bufDep), owned: make(map[int32]bool)}
 }
 
 // Start implements ffs.Ordering.
@@ -90,12 +97,12 @@ type bufDep struct {
 	// Directory blocks: pending link additions by entry offset, and link
 	// removals waiting for the next write.
 	adds         map[int]*dirAdd
-	rems         []*dirRem
-	remsInFlight []*dirRem
+	rems         []ffs.RemRec
+	remsInFlight []ffs.RemRec
 
 	// Freeblocks/freefile waiting for this (inode-table) buffer's write.
-	frees         []*freeWait
-	freesInFlight []*freeWait
+	frees         []freeWait
+	freesInFlight []freeWait
 }
 
 func (d *bufDep) empty() bool {
@@ -138,8 +145,8 @@ type allocDirect struct {
 	// to this block may (see inodeDep.waitingAllocs).
 	waitInodes []*inodeDep
 	// vacated, the run a fragment move left behind, is freed (rule 2) once
-	// this allocation fully resolves.
-	vacated   *ffs.FreeRec
+	// this allocation fully resolves; it has no runs when there was no move.
+	vacated   ffs.FreeRec
 	cancelled bool
 }
 
@@ -164,16 +171,46 @@ type dirAdd struct {
 	covered bool // in the in-flight write's source
 }
 
-type dirRem struct {
-	rec *ffs.RemRec
-}
-
 type freeWait struct {
-	rec *ffs.FreeRec
+	rec ffs.FreeRec
 	// rems are link removals whose directory block is being freed; the
 	// appendix: "Any dependency structures 'owned' by the blocks are
 	// considered complete at this point" — they fire when the free does.
-	rems []*dirRem
+	rems []ffs.RemRec
+}
+
+// workItem is a task on the cache's workitem queue: finish rems, then apply
+// free if free.FS is set. run is bound once; the item is reused once run.
+type workItem struct {
+	s    *SoftUpdates
+	rems []ffs.RemRec
+	free ffs.FreeRec
+	run  func(p *sim.Proc)
+}
+
+func (w *workItem) exec(p *sim.Proc) {
+	for i := range w.rems {
+		w.rems[i].FS.FinishRemove(p, &w.rems[i])
+	}
+	if w.free.FS != nil {
+		w.free.FS.ApplyFree(p, &w.free)
+	}
+	w.rems, w.free = w.rems[:0], ffs.FreeRec{}
+	w.s.spareWork = append(w.s.spareWork, w)
+}
+
+// queue puts a workitem finishing rems, then free, on the cache's queue.
+func (s *SoftUpdates) queue(rems []ffs.RemRec, free ffs.FreeRec) {
+	var w *workItem
+	if n := len(s.spareWork); n > 0 {
+		w, s.spareWork = s.spareWork[n-1], s.spareWork[:n-1]
+	} else {
+		w = &workItem{s: s}
+		w.run = w.exec
+	}
+	w.rems, w.free = append(w.rems, rems...), free
+	s.Stat.Workitems++
+	s.cache().QueueWork(w.run)
 }
 
 func (s *SoftUpdates) dep(b *cache.Buf) *bufDep {
@@ -187,24 +224,28 @@ func (s *SoftUpdates) ensureDep(b *cache.Buf) *bufDep {
 	if d := s.dep(b); d != nil {
 		return d
 	}
-	d := &bufDep{}
+	var d *bufDep
+	if n := len(s.spareDeps); n > 0 {
+		d, s.spareDeps = s.spareDeps[n-1], s.spareDeps[:n-1]
+	} else {
+		d = &bufDep{inodeDeps: make(map[ffs.Ino]*inodeDep), adds: make(map[int]*dirAdd)}
+	}
 	b.Dep = d
 	s.deps[b] = d
 	return d
 }
 
+// prune drops b's dependency state once it is empty, keeping it for reuse.
 func (s *SoftUpdates) prune(b *cache.Buf) {
 	if d := s.dep(b); d != nil && d.empty() {
 		b.Dep = nil
 		delete(s.deps, b)
+		s.spareDeps = append(s.spareDeps, d)
 	}
 }
 
 func (s *SoftUpdates) ensureInodeDep(b *cache.Buf, ino ffs.Ino) *inodeDep {
 	d := s.ensureDep(b)
-	if d.inodeDeps == nil {
-		d.inodeDeps = make(map[ffs.Ino]*inodeDep)
-	}
 	idep := d.inodeDeps[ino]
 	if idep == nil {
 		idep = &inodeDep{ino: ino, buf: b}
@@ -229,12 +270,12 @@ func (s *SoftUpdates) AllocInit(p *sim.Proc, rec *ffs.AllocRec) {
 	c := rec.FS.Cache()
 	c.Bdwrite(rec.NewBuf)
 	if !rec.InitOrdered() {
-		if vacated := rec.Vacated(); vacated != nil {
+		if rec.MovedFrom != nil {
 			// Even without allocation initialization, the vacated run must
 			// not be re-used before the retargeted pointer is on disk
 			// (rule 2): wait for the owner buffer's next write.
 			d := s.ensureDep(rec.OwnerBuf)
-			d.frees = append(d.frees, &freeWait{rec: vacated})
+			d.frees = append(d.frees, freeWait{rec: rec.Vacated()})
 		}
 		return
 	}
@@ -313,9 +354,6 @@ func (s *SoftUpdates) AddEntry(p *sim.Proc, rec *ffs.LinkRec) {
 		}
 		return
 	}
-	if d.adds == nil {
-		d.adds = make(map[int]*dirAdd)
-	}
 	add := &dirAdd{buf: rec.DirBuf, off: rec.EntryOff, idep: idep}
 	d.adds[rec.EntryOff] = add
 	idep.waitingAdds = append(idep.waitingAdds, add)
@@ -325,7 +363,7 @@ func (s *SoftUpdates) AddEntry(p *sim.Proc, rec *ffs.LinkRec) {
 // addition, both are cancelled and the removal completes with no disk
 // writes at all; otherwise the removal is deferred until the directory
 // block reaches the disk.
-func (s *SoftUpdates) RemoveEntry(p *sim.Proc, rec *ffs.RemRec) {
+func (s *SoftUpdates) RemoveEntry(p *sim.Proc, rec ffs.RemRec) {
 	c := rec.FS.Cache()
 	c.Bdwrite(rec.DirBuf)
 	if d := s.dep(rec.DirBuf); d != nil {
@@ -335,21 +373,18 @@ func (s *SoftUpdates) RemoveEntry(p *sim.Proc, rec *ffs.RemRec) {
 			s.dropAdd(add)
 			s.Stat.CancelledAdds++
 			s.prune(rec.DirBuf)
-			rec.FS.FinishRemove(p, rec)
+			rec.FS.FinishRemove(p, &rec)
 			return
 		}
 	}
 	d := s.ensureDep(rec.DirBuf)
-	d.rems = append(d.rems, &dirRem{rec: rec})
+	d.rems = append(d.rems, rec)
 }
 
 func (s *SoftUpdates) dropAdd(add *dirAdd) {
 	idep := add.idep
-	for i, a := range idep.waitingAdds {
-		if a == add {
-			idep.waitingAdds = append(idep.waitingAdds[:i], idep.waitingAdds[i+1:]...)
-			break
-		}
+	if i := slices.Index(idep.waitingAdds, add); i >= 0 {
+		idep.waitingAdds = slices.Delete(idep.waitingAdds, i, i+1)
 	}
 	// A fully-resolved organizational structure can go now; nothing will
 	// revisit its buffer otherwise.
@@ -365,31 +400,30 @@ func (s *SoftUpdates) dropAdd(add *dirAdd) {
 // are cancelled (they no longer serve any purpose, as the appendix says);
 // the freed resources wait for the cleared inode to reach the disk — or
 // are released immediately when this incarnation never reached it.
-func (s *SoftUpdates) FreeBlocks(p *sim.Proc, rec *ffs.FreeRec) {
+func (s *SoftUpdates) FreeBlocks(p *sim.Proc, rec ffs.FreeRec) {
 	c := rec.FS.Cache()
 	c.Bdwrite(rec.OwnerBuf)
 
 	// Cancel pending allocations whose pointers lived in the cleared
 	// inode (and in the file's indirect blocks, which are being freed).
-	extra := s.cancelAllocsFor(rec)
-	rec.Frags = append(rec.Frags, extra...)
+	s.cancelAllocsFor(&rec)
 
 	// Directory blocks being freed carry their dependencies with them:
 	// pending additions are cancelled; pending removals are "considered
 	// complete at this point" and fire together with the free itself.
-	var orphanRems []*dirRem
-	for _, run := range rec.Frags {
+	var orphanRems []ffs.RemRec
+	for _, run := range rec.Frags.All() {
 		if b := c.Lookup(int64(run.Start)); b != nil {
 			if d := s.dep(b); d != nil {
 				for _, add := range d.adds {
 					s.dropAdd(add)
 					s.Stat.CancelledAdds++
 				}
-				d.adds = nil
-				d.initOf = nil
+				clear(d.adds)
+				d.initOf = d.initOf[:0]
 				orphanRems = append(orphanRems, d.rems...)
 				orphanRems = append(orphanRems, d.remsInFlight...)
-				d.rems, d.remsInFlight = nil, nil
+				d.rems, d.remsInFlight = d.rems[:0], d.remsInFlight[:0]
 				s.prune(b)
 			}
 			b.Pinned = false
@@ -401,23 +435,23 @@ func (s *SoftUpdates) FreeBlocks(p *sim.Proc, rec *ffs.FreeRec) {
 	if !idep.everWritten && rec.FreeIno != 0 {
 		// Nothing of this incarnation is on disk: free immediately.
 		s.deleteInodeDep(rec.OwnerBuf, rec.OwnerIno)
-		s.queueWait(&freeWait{rec: rec, rems: orphanRems})
+		s.queue(orphanRems, rec)
 		return
 	}
 	d := s.ensureDep(rec.OwnerBuf)
-	d.frees = append(d.frees, &freeWait{rec: rec, rems: orphanRems})
+	d.frees = append(d.frees, freeWait{rec: rec, rems: orphanRems})
 }
 
 // cancelAllocsFor removes pending allocDirects that no longer serve any
 // purpose: those whose pointers lived in the freed inode (full free) or
 // whose new blocks are among the freed fragment runs (partial truncation),
-// plus anything owned by a freed indirect block. It returns any moved-from
-// runs those allocations were still holding.
-func (s *SoftUpdates) cancelAllocsFor(rec *ffs.FreeRec) []ffs.FragRun {
+// plus anything owned by a freed indirect block. The moved-from runs those
+// allocations were still holding join rec's runs.
+func (s *SoftUpdates) cancelAllocsFor(rec *ffs.FreeRec) {
 	fullFree := rec.FreeIno != 0 || allPointersCleared(rec)
-	var extra []ffs.FragRun
-	owned := map[int32]bool{}
-	for _, run := range rec.Frags {
+	owned := s.owned
+	clear(owned)
+	for _, run := range rec.Frags.All() {
 		owned[run.Start] = true
 	}
 	base := inodeBaseOff(rec.OwnerIno)
@@ -437,11 +471,11 @@ func (s *SoftUpdates) cancelAllocsFor(rec *ffs.FreeRec) []ffs.FragRun {
 			}
 			if mine {
 				ad.cancelled = true
-				if ad.vacated != nil {
-					extra = append(extra, ad.vacated.Frags...)
+				for _, run := range ad.vacated.Frags.All() {
+					rec.Frags.Add(run)
 				}
 				if nd := s.dep(ad.newBuf); nd != nil {
-					nd.initOf = removeAD(nd.initOf, ad)
+					nd.initOf = slices.DeleteFunc(nd.initOf, func(a *allocDirect) bool { return a == ad })
 					s.prune(ad.newBuf)
 				}
 				continue
@@ -451,17 +485,6 @@ func (s *SoftUpdates) cancelAllocsFor(rec *ffs.FreeRec) []ffs.FragRun {
 		d.allocs = kept
 		s.prune(b)
 	}
-	return extra
-}
-
-func removeAD(list []*allocDirect, ad *allocDirect) []*allocDirect {
-	out := list[:0]
-	for _, a := range list {
-		if a != ad {
-			out = append(out, a)
-		}
-	}
-	return out
 }
 
 // allPointersCleared reports whether rec describes a full truncation (the
@@ -482,11 +505,8 @@ func (s *SoftUpdates) deleteInodeDep(b *cache.Buf, ino ffs.Ino) {
 		// forever: drop the gate and let the pointer write proceed — the
 		// entry that created the gate has already been removed.
 		for _, ad := range idep.waitingAllocs {
-			for i, w := range ad.waitInodes {
-				if w == idep {
-					ad.waitInodes = append(ad.waitInodes[:i], ad.waitInodes[i+1:]...)
-					break
-				}
+			if i := slices.Index(ad.waitInodes, idep); i >= 0 {
+				ad.waitInodes = slices.Delete(ad.waitInodes, i, i+1)
 			}
 			if !ad.cancelled && ad.ready() {
 				ad.owner.Dirty = true
@@ -496,22 +516,6 @@ func (s *SoftUpdates) deleteInodeDep(b *cache.Buf, ino ffs.Ino) {
 	}
 	delete(d.inodeDeps, ino)
 	s.prune(b)
-}
-
-func (s *SoftUpdates) queueFree(rec *ffs.FreeRec) {
-	s.queueWait(&freeWait{rec: rec})
-}
-
-// queueWait runs a resolved freeWait from the workitem queue: orphaned
-// removals first (their directory block is gone), then the free itself.
-func (s *SoftUpdates) queueWait(fw *freeWait) {
-	s.Stat.Workitems++
-	s.cache().QueueWork(func(p *sim.Proc) {
-		for _, rem := range fw.rems {
-			rem.rec.FS.FinishRemove(p, rem.rec)
-		}
-		fw.rec.FS.ApplyFree(p, fw.rec)
-	})
 }
 
 // MetaUpdate implements ffs.Ordering.
@@ -574,9 +578,9 @@ func (s *SoftUpdates) BeforeWrite(b *cache.Buf, src []byte) []byte {
 	// Removals and frees whose state is in this image resolve when it
 	// lands.
 	d.remsInFlight = append(d.remsInFlight, d.rems...)
-	d.rems = nil
+	d.rems = d.rems[:0]
 	d.freesInFlight = append(d.freesInFlight, d.frees...)
-	d.frees = nil
+	d.frees = d.frees[:0]
 
 	for _, idep := range d.inodeDeps {
 		idep.inFlight = true
@@ -600,7 +604,7 @@ func (s *SoftUpdates) WriteDone(b *cache.Buf, req *dev.Request) {
 				ad.owner.Dirty = true
 			}
 		}
-		d.initOf = nil
+		d.initOf = d.initOf[:0]
 	}
 
 	d := s.dep(b)
@@ -626,8 +630,8 @@ func (s *SoftUpdates) WriteDone(b *cache.Buf, req *dev.Request) {
 	}
 	d.allocs = kept
 	for _, ad := range resolved {
-		if ad.vacated != nil {
-			s.queueFree(ad.vacated)
+		if len(ad.vacated.Frags.All()) > 0 {
+			s.queue(nil, ad.vacated)
 		}
 	}
 
@@ -670,15 +674,14 @@ func (s *SoftUpdates) WriteDone(b *cache.Buf, req *dev.Request) {
 	}
 
 	// Deferred link removals and frees covered by this write.
-	for _, rem := range d.remsInFlight {
-		s.Stat.Workitems++
-		s.cache().QueueWork(func(p *sim.Proc) { rem.rec.FS.FinishRemove(p, rem.rec) })
+	for i := range d.remsInFlight {
+		s.queue(d.remsInFlight[i:i+1], ffs.FreeRec{})
 	}
-	d.remsInFlight = nil
+	d.remsInFlight = d.remsInFlight[:0]
 	for _, fw := range d.freesInFlight {
-		s.queueWait(fw)
+		s.queue(fw.rems, fw.rec)
 	}
-	d.freesInFlight = nil
+	d.freesInFlight = d.freesInFlight[:0]
 
 	// Sweep fully-resolved organizational structures.
 	for ino, idep := range d.inodeDeps {

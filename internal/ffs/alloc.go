@@ -220,7 +220,7 @@ func (fs *FS) allocInode(p *sim.Proc) (Ino, error) {
 // allows re-use (immediately for No Order; after the relevant disk write
 // for Conventional, Flag and Chains; from a workitem for Soft Updates).
 func (fs *FS) ApplyFree(p *sim.Proc, rec *FreeRec) {
-	fs.finish(&rec.state, "ApplyFree")
+	fs.finish(&rec.once, "ApplyFree")
 	fs.lockAlloc(p)
 	defer fs.allocMu.Unlock(fs.eng)
 	fs.charge(p, fs.cfg.Costs.AllocOp)
@@ -233,7 +233,7 @@ func (fs *FS) ApplyFree(p *sim.Proc, rec *FreeRec) {
 	}
 	defer fb.Hold().Unhold()
 	fs.cache.PrepareModify(p, fb)
-	for _, run := range rec.Frags {
+	for _, run := range rec.Frags.All() {
 		fs.cache.Drop(int64(run.Start))
 		for i := int32(0); i < int32(run.N); i++ {
 			bitClr(fb.Data, run.Start+i)
@@ -255,5 +255,5 @@ func (fs *FS) ApplyFree(p *sim.Proc, rec *FreeRec) {
 // FreeFragsRaw clears fragment bits without dropping buffers (used by the
 // fragment-move path where the buffer was already relocated).
 func (fs *FS) freeRun(p *sim.Proc, run FragRun) {
-	fs.ApplyFree(p, &FreeRec{FS: fs, Frags: []FragRun{run}})
+	fs.ApplyFree(p, &FreeRec{FS: fs, Frags: FragRuns{head: [4]FragRun{run}, n: 1}})
 }

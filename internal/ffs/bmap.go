@@ -278,25 +278,24 @@ func (fs *FS) updateSizeRaw(p *sim.Proc, ip *Inode, ib *cache.Buf, ioff int, new
 // block on a faulted disk) it returns the runs gathered so far together
 // with the error: callers in hook context free the partial set and leak
 // the rest — fsck's free-map reconciliation is the backstop.
-func (fs *FS) collectRuns(p *sim.Proc, ip *Inode) ([]FragRun, error) {
-	var runs []FragRun
+func (fs *FS) collectRuns(p *sim.Proc, ip *Inode, runs *FragRuns) error {
 	nblocks := blocksOf(ip.Size)
 	for bi := 0; bi < nblocks && bi < NDirect; bi++ {
 		if ip.Direct[bi] != 0 {
-			runs = append(runs, FragRun{Start: ip.Direct[bi], N: blockRunLen(ip.Size, bi)})
+			runs.Add(FragRun{Start: ip.Direct[bi], N: blockRunLen(ip.Size, bi)})
 		}
 	}
 	for i, root := range [2]int32{ip.Indir, ip.Dindir} {
-		if err := fs.collectTree(p, &runs, root, ptrTrees[i].base, ptrTrees[i].span, ip.Size); err != nil {
-			return runs, err
+		if err := fs.collectTree(p, runs, root, ptrTrees[i].base, ptrTrees[i].span, ip.Size); err != nil {
+			return err
 		}
 	}
-	return runs, nil
+	return nil
 }
 
 // collectTree appends the runs beneath pointer block frag — which maps span
 // file blocks from base on — and then the block itself.
-func (fs *FS) collectTree(p *sim.Proc, runs *[]FragRun, frag int32, base, span int, size uint64) error {
+func (fs *FS) collectTree(p *sim.Proc, runs *FragRuns, frag int32, base, span int, size uint64) error {
 	if frag == 0 {
 		return nil
 	}
@@ -312,9 +311,9 @@ func (fs *FS) collectTree(p *sim.Proc, runs *[]FragRun, frag int32, base, span i
 				return err
 			}
 		} else if ptr != 0 {
-			*runs = append(*runs, FragRun{Start: ptr, N: blockRunLen(size, base+i)})
+			runs.Add(FragRun{Start: ptr, N: blockRunLen(size, base+i)})
 		}
 	}
-	*runs = append(*runs, FragRun{Start: frag, N: BlockFrags})
+	runs.Add(FragRun{Start: frag, N: BlockFrags})
 	return nil
 }

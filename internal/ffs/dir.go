@@ -52,13 +52,14 @@ func PutDirent(b []byte, ino Ino, reclen int, name string, ftype uint8) {
 	copy(b[direntHdr:], name)
 }
 
-func readDirent(b []byte, off int) Dirent {
+// readDirent decodes the entry at off as holding name: a lookup that found
+// it passes the name it looked for, which the Dirent shares, not copies.
+func readDirent(b []byte, off int, name string) Dirent {
 	le := binary.LittleEndian
-	namelen := int(b[off+6])
 	return Dirent{
 		Ino:    Ino(le.Uint32(b[off:])),
 		Reclen: int(le.Uint16(b[off+4:])),
-		Name:   string(b[off+direntHdr : off+direntHdr+namelen]),
+		Name:   name,
 		Ftype:  b[off+7],
 		Off:    off,
 	}
@@ -78,7 +79,7 @@ func scanChunk(b []byte, chunkOff int, f func(d Dirent) bool) int {
 	n := 0
 	off := chunkOff
 	for off < chunkOff+DirChunk {
-		d := readDirent(b, off)
+		d := readDirent(b, off, string(entryName(b, off)))
 		if d.Reclen <= 0 {
 			break // corrupt; fsck's problem
 		}
@@ -118,7 +119,7 @@ func findEntry(data []byte, name string) (Dirent, bool, int) {
 			namelen := int(data[off+6])
 			if ino != 0 && namelen == len(name) &&
 				string(data[off+direntHdr:off+direntHdr+namelen]) == name {
-				return readDirent(data, off), true, scanned
+				return readDirent(data, off, name), true, scanned
 			}
 			off += reclen
 		}

@@ -22,7 +22,7 @@ func TestInitDirChunksProducesEmptyChunks(t *testing.T) {
 	b := make([]byte, 2*DirChunk)
 	initDirChunks(b)
 	for chunk := 0; chunk < len(b); chunk += DirChunk {
-		d := readDirent(b, chunk)
+		d := readDirent(b, chunk, string(entryName(b, chunk)))
 		if d.Ino != 0 || d.Reclen != DirChunk {
 			t.Fatalf("chunk %d: %+v", chunk, d)
 		}
@@ -154,7 +154,7 @@ func TestDirOpsStructuralInvariantQuick(t *testing.T) {
 			// Structural check: entries tile each chunk exactly.
 			off, seen := 0, 0
 			for off < DirChunk {
-				d := readDirent(b, off)
+				d := readDirent(b, off, string(entryName(b, off)))
 				if d.Reclen <= 0 || d.Reclen%4 != 0 || off+d.Reclen > DirChunk {
 					return false
 				}

@@ -183,7 +183,7 @@ func (x *dirIndex) find(data []byte, name string) (Dirent, bool, int) {
 	for e := c * DirChunk; e < off; e += int(binary.LittleEndian.Uint16(data[e+4:])) {
 		scanned++
 	}
-	return readDirent(data, off), true, scanned + 1
+	return readDirent(data, off, name), true, scanned + 1
 }
 
 // add is addEntryInData(data, name, ino, ftype) for the indexed block: the

@@ -74,7 +74,8 @@ type FS struct {
 	inodes sim.Table[inodeSlot] // per-inode state, by inode number
 	dirIdx dirIndexes           // directory lookup from an index (dirindex.go)
 
-	unfinished int // see Unfinished
+	handed uint64              // the last id given to a record handed to the scheme
+	open   map[uint64]struct{} // those not yet finished (Unfinished)
 }
 
 // inodeSlot is the file system's in-memory state of one inode.
@@ -98,6 +99,7 @@ func Mount(eng *sim.Engine, cpu *sim.CPU, c *cache.Cache, ord Ordering, cfg Conf
 		ord:    ord,
 		cfg:    cfg,
 		dirIdx: make(dirIndexes),
+		open:   make(map[uint64]struct{}),
 	}
 	sbuf, err := c.Bread(p, 0, BlockFrags)
 	if err != nil {

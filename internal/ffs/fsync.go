@@ -65,12 +65,12 @@ func (fs *FS) Fsync(p *sim.Proc, ino Ino) error {
 		}
 		wrote := false
 		// Flush the file's resident dirty blocks (data and indirect).
-		runs, err := fs.collectRuns(p, &ip)
-		if err != nil {
+		var runs FragRuns
+		if err := fs.collectRuns(p, &ip, &runs); err != nil {
 			fs.rele(ib)
 			return err
 		}
-		for _, run := range runs {
+		for _, run := range runs.All() {
 			b := fs.cache.Lookup(int64(run.Start))
 			if b != nil && b.Dirty {
 				b.Hold()
@@ -106,7 +106,7 @@ func (fs *FS) Fsync(p *sim.Proc, ino Ino) error {
 			clean := !ib2.Dirty
 			fs.rele(ib2)
 			if clean {
-				return fs.abandoned(runs, ib2.Frag)
+				return fs.abandoned(runs.All(), ib2.Frag)
 			}
 		}
 	}
@@ -128,13 +128,13 @@ func (fs *FS) fsyncAwait(p *sim.Proc, ino Ino, dw DurabilityWaiter) error {
 		fs.rele(ib)
 		return ErrNotExist
 	}
-	runs, err := fs.collectRuns(p, &ip)
-	if err != nil {
+	var runs FragRuns
+	if err := fs.collectRuns(p, &ip, &runs); err != nil {
 		fs.rele(ib)
 		return err
 	}
 	var frags []int64
-	for _, run := range runs {
+	for _, run := range runs.All() {
 		if b := fs.cache.Lookup(int64(run.Start)); b != nil && (b.Dirty || b.InFlight()) {
 			frags = append(frags, int64(run.Start))
 		}
@@ -148,7 +148,7 @@ func (fs *FS) fsyncAwait(p *sim.Proc, ino Ino, dw DurabilityWaiter) error {
 			return err
 		}
 	}
-	return fs.abandoned(runs, ib.Frag)
+	return fs.abandoned(runs.All(), ib.Frag)
 }
 
 // abandoned returns dev.ErrIO when the cache gave up on a write of one of

@@ -124,7 +124,7 @@ func (h *hookRecorder) AddEntry(p *sim.Proc, r *ffs.LinkRec) {
 // RemoveEntry logs, beside the record, which of its two inodes the removing
 // process holds locked: the locks FinishRemove, run right behind, does not
 // take again.
-func (h *hookRecorder) RemoveEntry(p *sim.Proc, r *ffs.RemRec) {
+func (h *hookRecorder) RemoveEntry(p *sim.Proc, r ffs.RemRec) {
 	s := fmt.Sprintf("RemoveEntry ino=%d dir=%d", r.Ino, r.DirIno)
 	for _, f := range []struct {
 		on   bool
@@ -146,13 +146,13 @@ func (h *hookRecorder) RemoveEntry(p *sim.Proc, r *ffs.RemRec) {
 	h.NoOrder.RemoveEntry(p, r)
 }
 
-func (h *hookRecorder) FreeBlocks(p *sim.Proc, r *ffs.FreeRec) {
+func (h *hookRecorder) FreeBlocks(p *sim.Proc, r ffs.FreeRec) {
 	// Every run with its length when they are few; always their number,
 	// their total and a checksum over (start, length) in order, which pins
 	// the order collectRuns walks a big file's pointer blocks in.
 	var lens []string
 	total, sum := 0, fnv.New32a()
-	for _, run := range r.Frags {
+	for _, run := range r.Frags.All() {
 		lens = append(lens, fmt.Sprint(run.N))
 		total += run.N
 		fmt.Fprintf(sum, "%d+%d,", run.Start, run.N)

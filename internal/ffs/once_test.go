@@ -12,27 +12,40 @@ import (
 // sloppy is No Order with seeded protocol bugs, in the idiom of
 // core.SoftUpdates.DropEntryDeps: it runs the deferred half of a removal or
 // of a free twice, or never — the two ways to break the "exactly once" half
-// of order.go's contract.
+// of order.go's contract. A record is a value: the Twice bugs finish the
+// copy No Order was handed and then the scheme's own, the OwnTwice bugs the
+// scheme's own copy twice.
 type sloppy struct {
 	*ordering.NoOrder
-	removeTwice, removeNever, freeTwice, freeNever bool
+	removeTwice, removeOwnTwice, removeNever bool
+	freeTwice, freeOwnTwice, freeNever       bool
 }
 
-func (o *sloppy) RemoveEntry(p *sim.Proc, rec *ffs.RemRec) {
+func (o *sloppy) RemoveEntry(p *sim.Proc, rec ffs.RemRec) {
+	if o.removeOwnTwice {
+		rec.FS.FinishRemove(p, &rec)
+		rec.FS.FinishRemove(p, &rec)
+		return
+	}
 	if !o.removeNever {
 		o.NoOrder.RemoveEntry(p, rec)
 	}
 	if o.removeTwice {
-		rec.FS.FinishRemove(p, rec)
+		rec.FS.FinishRemove(p, &rec)
 	}
 }
 
-func (o *sloppy) FreeBlocks(p *sim.Proc, rec *ffs.FreeRec) {
+func (o *sloppy) FreeBlocks(p *sim.Proc, rec ffs.FreeRec) {
+	if o.freeOwnTwice {
+		rec.FS.ApplyFree(p, &rec)
+		rec.FS.ApplyFree(p, &rec)
+		return
+	}
 	if !o.freeNever {
 		o.NoOrder.FreeBlocks(p, rec)
 	}
 	if o.freeTwice {
-		rec.FS.ApplyFree(p, rec)
+		rec.FS.ApplyFree(p, &rec)
 	}
 }
 
@@ -49,6 +62,8 @@ func TestExactlyOnceIsChecked(t *testing.T) {
 		{name: "correct"},
 		{name: "FinishRemove twice", bug: sloppy{removeTwice: true}, panics: "FinishRemove called twice"},
 		{name: "ApplyFree twice", bug: sloppy{freeTwice: true}, panics: "ApplyFree called twice"},
+		{name: "FinishRemove twice on one copy", bug: sloppy{removeOwnTwice: true}, panics: "FinishRemove called twice"},
+		{name: "ApplyFree twice on one copy", bug: sloppy{freeOwnTwice: true}, panics: "ApplyFree called twice"},
 		{name: "FinishRemove never", bug: sloppy{removeNever: true}, unfinished: 1},
 		{name: "ApplyFree never", bug: sloppy{freeNever: true}, unfinished: 1},
 	}

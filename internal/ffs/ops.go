@@ -209,7 +209,7 @@ func (fs *FS) dropLink(p *sim.Proc, rec *LinkRec, dir Ino) {
 // instead retargeted in place to add's inode — one sector-atomic store that
 // ends that addition and starts the old target's removal, so rule 1 holds
 // for the pair.
-func (fs *FS) removeLink(p *sim.Proc, rec *RemRec, add *LinkRec) {
+func (fs *FS) removeLink(p *sim.Proc, rec RemRec, add *LinkRec) {
 	fs.charge(p, fs.cfg.Costs.DirModify)
 	fs.cache.PrepareModify(p, rec.DirBuf)
 	if add == nil {
@@ -219,8 +219,7 @@ func (fs *FS) removeLink(p *sim.Proc, rec *RemRec, add *LinkRec) {
 		setPtr(rec.DirBuf.Data, rec.EntryOff, int32(add.Ino))
 		fs.entryStored(p, add, rec.DirBuf, rec.EntryOff)
 	}
-	rec.FS, rec.state = fs, handed
-	fs.unfinished++
+	rec.FS, rec.once = fs, fs.hand()
 	fs.ord.RemoveEntry(p, rec)
 }
 
@@ -351,7 +350,7 @@ func (fs *FS) Unlink(p *sim.Proc, dir Ino, name string) error {
 	if ip.IsDir() {
 		return ErrIsDir
 	}
-	fs.removeLink(p, &RemRec{Ino: ino, DirIno: dir, DirBuf: db, EntryOff: off}, nil)
+	fs.removeLink(p, RemRec{Ino: ino, DirIno: dir, DirBuf: db, EntryOff: off}, nil)
 	return nil
 }
 
@@ -383,7 +382,7 @@ func (fs *FS) Rmdir(p *sim.Proc, dir Ino, name string) error {
 	if !empty {
 		return ErrNotEmpty
 	}
-	fs.removeLink(p, &RemRec{Ino: ino, DirIno: dir, DirBuf: db, EntryOff: off}, nil)
+	fs.removeLink(p, RemRec{Ino: ino, DirIno: dir, DirBuf: db, EntryOff: off}, nil)
 	return nil
 }
 
@@ -488,7 +487,7 @@ func (fs *FS) Rename(p *sim.Proc, sdir Ino, sname string, ddir Ino, dname string
 			fs.dropLink(p, addRec, ddir)
 			return gerr
 		}
-		fs.removeLink(p, &RemRec{Ino: oldIno, DirIno: ddir, DirBuf: ddb, EntryOff: doff}, addRec)
+		fs.removeLink(p, RemRec{Ino: oldIno, DirIno: ddir, DirBuf: ddb, EntryOff: doff}, addRec)
 		fs.rele(ddb)
 	case ErrNotExist:
 		ftype := FtypeFile
@@ -527,13 +526,13 @@ func (fs *FS) Rename(p *sim.Proc, sdir Ino, sname string, ddir Ino, dname string
 		if !found {
 			return ErrNotDir
 		}
-		fs.removeLink(p, &RemRec{Ino: sdir, DirIno: ino, DirBuf: cb, EntryOff: d.Off, LinkOnly: true}, parentRec)
+		fs.removeLink(p, RemRec{Ino: sdir, DirIno: ino, DirBuf: cb, EntryOff: d.Off, LinkOnly: true}, parentRec)
 	}
 
 	// Remove the old name (its offset is still valid: removals only clear
 	// or coalesce within the held buffer); the deferred half drops the
 	// transient extra link.
-	fs.removeLink(p, &RemRec{Ino: ino, DirIno: sdir, DirBuf: sdb, EntryOff: soff, LinkOnly: isDir}, nil)
+	fs.removeLink(p, RemRec{Ino: ino, DirIno: sdir, DirBuf: sdb, EntryOff: soff, LinkOnly: isDir}, nil)
 	return nil
 }
 
@@ -574,7 +573,7 @@ func (fs *FS) isAncestor(p *sim.Proc, anc, node Ino) (bool, error) {
 // once per RemoveEntry, at the moment their discipline allows, in a process
 // that may hold either inode's lock already (DESIGN.md §3).
 func (fs *FS) FinishRemove(p *sim.Proc, rec *RemRec) {
-	fs.finish(&rec.state, "FinishRemove")
+	fs.finish(&rec.once, "FinishRemove")
 	if !fs.inode(rec.Ino).lock.HeldBy(p) {
 		fs.lockInode(p, rec.Ino)
 		defer fs.unlockInode(rec.Ino)
@@ -623,11 +622,12 @@ func (fs *FS) FinishRemove(p *sim.Proc, rec *RemRec) {
 func (fs *FS) freeFile(p *sim.Proc, ino Ino, ip *Inode, ib *cache.Buf, ioff int) {
 	// On an unreadable indirect block: free what was collected, leak the
 	// rest (fsck's free-map reconciliation reclaims leaked fragments).
-	runs, _ := fs.collectRuns(p, ip)
+	var runs FragRuns
+	fs.collectRuns(p, ip, &runs)
 	fs.charge(p, fs.cfg.Costs.InodeOp)
 	fs.inode(ino).cg = 0
 	if ip.IsDir() {
-		fs.dirIdx.drop(ino, runs)
+		fs.dirIdx.drop(ino, runs.All())
 	}
 	fs.freeBlocks(p, ino, &Inode{Gen: ip.Gen}, ib, ioff, runs, ino)
 }
@@ -635,10 +635,9 @@ func (fs *FS) freeFile(p *sim.Proc, ino Ino, ip *Inode, ib *cache.Buf, ioff int)
 // freeBlocks is block freeing: ip, the inode with its pointers to runs
 // cleared, is stored at ioff in the held table block ib, then FreeBlocks
 // called — with freeIno, for the inode as well.
-func (fs *FS) freeBlocks(p *sim.Proc, ino Ino, ip *Inode, ib *cache.Buf, ioff int, runs []FragRun, freeIno Ino) {
+func (fs *FS) freeBlocks(p *sim.Proc, ino Ino, ip *Inode, ib *cache.Buf, ioff int, runs FragRuns, freeIno Ino) {
 	fs.putInode(p, ip, ib, ioff)
-	fs.unfinished++
-	fs.ord.FreeBlocks(p, &FreeRec{FS: fs, OwnerIno: ino, OwnerBuf: ib, Frags: runs, FreeIno: freeIno, state: handed})
+	fs.ord.FreeBlocks(p, FreeRec{FS: fs, OwnerIno: ino, OwnerBuf: ib, Frags: runs, FreeIno: freeIno, once: fs.hand()})
 }
 
 // WriteAt writes data at byte offset off (sequential appends and in-place

@@ -39,8 +39,9 @@ import (
 //	    FreeBlocks; the scheme must (eventually) call FS.ApplyFree exactly
 //	    once.
 //
-// A second FinishRemove or ApplyFree of one record panics; FS.Unfinished
-// counts the records still owed theirs.
+// RemRec and FreeRec are values: a scheme that defers one keeps its own
+// copy (DESIGN.md §9). A second FinishRemove or ApplyFree of one record, of
+// any copy of it, panics; FS.Unfinished counts the records still owed theirs.
 type Ordering interface {
 	cache.Hooks
 	// Start attaches the scheme to a mounted file system.
@@ -50,8 +51,8 @@ type Ordering interface {
 	AllocPtr(p *sim.Proc, rec *AllocRec)
 	AddInode(p *sim.Proc, rec *LinkRec)
 	AddEntry(p *sim.Proc, rec *LinkRec)
-	RemoveEntry(p *sim.Proc, rec *RemRec)
-	FreeBlocks(p *sim.Proc, rec *FreeRec)
+	RemoveEntry(p *sim.Proc, rec RemRec)
+	FreeBlocks(p *sim.Proc, rec FreeRec)
 
 	// MetaUpdate covers metadata changes with no ordering requirement
 	// (bitmaps, timestamps, sizes). File data is a delayed write under every
@@ -63,6 +64,36 @@ type Ordering interface {
 type FragRun struct {
 	Start int32
 	N     int
+}
+
+// FragRuns is a list of fragment runs held by value: up to four in head, so
+// a record carries a small file's runs without a heap object, and past that
+// all of them in more. Copies share more: only one copy of a list may Add.
+type FragRuns struct {
+	head [4]FragRun
+	n    int
+	more []FragRun
+}
+
+// Add appends run.
+func (r *FragRuns) Add(run FragRun) {
+	if r.more == nil && r.n < len(r.head) {
+		r.head[r.n] = run
+		r.n++
+		return
+	}
+	if r.more == nil {
+		r.more = append([]FragRun(nil), r.head[:]...)
+	}
+	r.more = append(r.more, run)
+}
+
+// All returns the runs in the order they were added.
+func (r *FragRuns) All() []FragRun {
+	if r.more != nil {
+		return r.more
+	}
+	return r.head[:r.n]
 }
 
 // AllocRec describes one block (or fragment-run) allocation.
@@ -105,13 +136,15 @@ func (rec *AllocRec) InitOrdered() bool {
 	return rec.IsDir || rec.IsIndir || rec.FS.cfg.AllocInit
 }
 
-// Vacated returns the free of the run a fragment move vacated (nil when rec
-// is not a move), for the scheme to apply once the retargeted pointer is safe.
-func (rec *AllocRec) Vacated() *FreeRec {
-	if rec.MovedFrom == nil {
-		return nil
+// Vacated returns the free of the run a fragment move vacated (one with no
+// runs when rec is not a move), for the scheme to apply once the retargeted
+// pointer is safe.
+func (rec *AllocRec) Vacated() FreeRec {
+	v := FreeRec{FS: rec.FS}
+	if rec.MovedFrom != nil {
+		v.Frags.Add(*rec.MovedFrom)
 	}
-	return &FreeRec{FS: rec.FS, Frags: []FragRun{*rec.MovedFrom}}
+	return v
 }
 
 // LinkRec describes one link addition (create, mkdir, link, rename target).
@@ -140,7 +173,7 @@ type RemRec struct {
 	// reference but is not itself being removed).
 	LinkOnly bool
 
-	state recState
+	once recOnce
 }
 
 // FreeRec describes freed resources: fragment runs and, optionally, the
@@ -150,32 +183,38 @@ type FreeRec struct {
 
 	OwnerIno Ino
 	OwnerBuf *cache.Buf // buffer whose pointers were cleared (inode block)
-	Frags    []FragRun
+	Frags    FragRuns
 	FreeIno  Ino // 0 if only blocks are being freed
 
-	state recState
+	once recOnce
 }
 
-// recState follows a RemRec or FreeRec through the "exactly once" half of
-// the contract; the zero value is a record the file system finishes itself.
-type recState uint8
+// recOnce follows a RemRec or FreeRec through the "exactly once" half of the
+// contract. id names a record handed to the scheme (0: one the file system
+// finishes itself), so that finishing another copy of it is caught too;
+// done marks this copy finished.
+type recOnce struct {
+	id   uint64
+	done bool
+}
 
-const (
-	handed   recState = iota + 1 // given to the scheme (counted in fs.unfinished)
-	finished                     // FinishRemove / ApplyFree has run
-)
+// hand gives a record handed to the scheme its id and counts it open.
+func (fs *FS) hand() recOnce {
+	fs.handed++
+	fs.open[fs.handed] = struct{}{}
+	return recOnce{id: fs.handed}
+}
 
 // finish marks a record's deferred half as run, once.
-func (fs *FS) finish(st *recState, call string) {
-	switch *st {
-	case finished:
+func (fs *FS) finish(o *recOnce, call string) {
+	_, open := fs.open[o.id]
+	if o.done || o.id != 0 && !open {
 		panic("ffs: " + call + " called twice for one record")
-	case handed:
-		fs.unfinished--
 	}
-	*st = finished
+	o.done = true
+	delete(fs.open, o.id)
 }
 
 // Unfinished reports how many removals and frees the scheme has been handed
 // (RemoveEntry, FreeBlocks) and not yet finished; zero once it has drained.
-func (fs *FS) Unfinished() int { return fs.unfinished }
+func (fs *FS) Unfinished() int { return len(fs.open) }

@@ -40,7 +40,8 @@ func (fs *FS) Truncate(p *sim.Proc, ino Ino, newSize uint64) error {
 		// free: clear every pointer, keep the inode allocated. On an
 		// unreadable indirect block the collected prefix is freed and the
 		// rest leaks for fsck's free-map reconciliation.
-		runs, _ := fs.collectRuns(p, &ip)
+		var runs FragRuns
+		fs.collectRuns(p, &ip, &runs)
 		fs.charge(p, fs.cfg.Costs.InodeOp)
 		ip = Inode{Mode: ip.Mode, Nlink: ip.Nlink, Gen: ip.Gen}
 		fs.freeBlocks(p, ino, &ip, ib, ioff, runs, 0)
@@ -52,13 +53,13 @@ func (fs *FS) Truncate(p *sim.Proc, ino Ino, newSize uint64) error {
 
 	oldBlocks := blocksOf(ip.Size)
 	newBlocks := blocksOf(newSize)
-	var runs []FragRun
+	var runs FragRuns
 	fs.charge(p, fs.cfg.Costs.InodeOp)
 	fs.cache.PrepareModify(p, ib)
 	// Whole blocks past the new end.
 	for bi := newBlocks; bi < oldBlocks; bi++ {
 		if ip.Direct[bi] != 0 {
-			runs = append(runs, FragRun{Start: ip.Direct[bi], N: blockRunLen(ip.Size, bi)})
+			runs.Add(FragRun{Start: ip.Direct[bi], N: blockRunLen(ip.Size, bi)})
 			ip.Direct[bi] = 0
 		}
 	}
@@ -70,7 +71,7 @@ func (fs *FS) Truncate(p *sim.Proc, ino Ino, newSize uint64) error {
 		}
 		newNF := lastBlockFrags(newSize)
 		if newNF < oldNF {
-			runs = append(runs, FragRun{
+			runs.Add(FragRun{
 				Start: ip.Direct[newBlocks-1] + int32(newNF),
 				N:     oldNF - newNF,
 			})

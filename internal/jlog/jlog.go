@@ -197,6 +197,9 @@ func clearTail(b []byte) {
 // replaying an already-replayed image applies the same bytes again — a
 // byte-level no-op.
 //
+// A first pass counts the committed transactions and a second applies them,
+// both decoding into a stack scratch: a replay allocates nothing.
+//
 // journalStart/journalFrags come from the superblock; a zero-sized region
 // means no journal (old images), and Replay applies nothing.
 func Replay(img []byte, journalStart, journalFrags int32) int {
@@ -208,38 +211,37 @@ func Replay(img []byte, journalStart, journalFrags int32) int {
 	if !ok {
 		return 0
 	}
-	type txn struct {
-		homes   []HomeRun
-		payload []byte
-	}
-	var txns []txn
-	var scratch []HomeRun
+	var scratch [MaxHomes]HomeRun
 	imgFrags := int64(len(img)) / FragSize
-	seq, off := hdr.TailSeq, hdr.TailOff
-	for {
+	// next returns the transaction numbered seq, at off or — the writer
+	// wraps when one does not fit before the region end — at offset 1.
+	next := func(off int32, seq uint64) (replayCand, bool) {
 		cand, ok := replayOne(region, journalFrags, imgFrags, off, seq, scratch[:0])
 		if !ok && off != 1 {
-			// The writer may have wrapped: the next transaction starts at
-			// offset 1 when it did not fit before the region end.
 			cand, ok = replayOne(region, journalFrags, imgFrags, 1, seq, scratch[:0])
 		}
+		return cand, ok
+	}
+	n := 0
+	for off := hdr.TailOff; ; n++ {
+		cand, ok := next(off, hdr.TailSeq+uint64(n))
 		if !ok {
 			break
 		}
-		txns = append(txns, txn{homes: append([]HomeRun(nil), cand.homes...), payload: cand.payload})
-		scratch = cand.homes[:0]
 		off = cand.next
-		seq++
 	}
-	for _, t := range txns {
+	off := hdr.TailOff
+	for i := range n {
+		t, _ := next(off, hdr.TailSeq+uint64(i))
 		at := int64(0)
 		for _, h := range t.homes {
-			n := int64(h.NFrags) * FragSize
-			copy(img[h.Frag*FragSize:], t.payload[at:at+n])
-			at += n
+			size := int64(h.NFrags) * FragSize
+			copy(img[h.Frag*FragSize:], t.payload[at:at+size])
+			at += size
 		}
+		off = t.next
 	}
-	return len(txns)
+	return n
 }
 
 // replayCand is one validated transaction during the scan.

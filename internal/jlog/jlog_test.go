@@ -315,3 +315,24 @@ func TestAllocFreeCommitPath(t *testing.T) {
 		t.Fatalf("commit encode path allocates %.1f per txn, want 0", allocs)
 	}
 }
+
+// TestAllocFreeReplay: replay, run once per Journaling candidate by the
+// crash checker, allocates nothing — here over a chain of three
+// transactions, the last of them wrapped to offset 1.
+func TestAllocFreeReplay(t *testing.T) {
+	const jFrags = 12
+	img := make([]byte, 24*FragSize)
+	region := img[:jFrags*FragSize]
+	EncodeHeader(img, Header{TailSeq: 5, TailOff: 4})
+	off := putTxn(region, 4, 5, []HomeRun{{Frag: 20, NFrags: 1}}, bytes.Repeat([]byte{0x11}, FragSize))
+	putTxn(region, off, 6, []HomeRun{{Frag: 21, NFrags: 1}, {Frag: 22, NFrags: 1}}, bytes.Repeat([]byte{0x22}, 2*FragSize))
+	putTxn(region, 1, 7, []HomeRun{{Frag: 20, NFrags: 1}}, bytes.Repeat([]byte{0x33}, FragSize))
+	n := 0
+	allocs := testing.AllocsPerRun(100, func() { n = Replay(img, 0, jFrags) })
+	if n != 3 {
+		t.Fatalf("replayed %d txns, want 3", n)
+	}
+	if allocs != 0 {
+		t.Fatalf("Replay allocates %.1f per call, want 0", allocs)
+	}
+}

@@ -47,6 +47,10 @@ type Async struct {
 	// waitByFrag indexes pending ops by the home fragments they await.
 	waitByFrag map[int64][]*aop
 
+	// Reused storage: notified ops and emptied waitByFrag lists.
+	aopFree  []*aop
+	waitFree [][]*aop
+
 	flusherLive bool
 
 	notices []Notice
@@ -157,11 +161,15 @@ func (o *Async) fragDurableAsOf(frag int64, asOf sim.Time) {
 		}
 		op.waiting--
 		if op.waiting == 0 {
+			// In no list now, and out of pending below: reusable.
 			o.notify(op)
+			o.aopFree = append(o.aopFree, op)
 		}
 	}
 	if len(keep) == 0 {
 		delete(o.waitByFrag, frag)
+		clear(ops)
+		o.waitFree = append(o.waitFree, ops[:0])
 	} else {
 		o.waitByFrag[frag] = keep
 	}
@@ -182,16 +190,26 @@ func (o *Async) notify(op *aop) {
 	}
 }
 
-// admit enters op into the in-flight window, waiting on the home
-// fragments frags. Full window: the oldest waiting op's buffers are
-// flushed synchronously (admission throttle).
-func (o *Async) admit(p *sim.Proc, op *aop, frags []int64) {
+// admit enters an op into the in-flight window, waiting on the home
+// fragments frags (done fires on its notification). Full window: the
+// oldest waiting op's buffers are flushed synchronously (admission
+// throttle).
+func (o *Async) admit(p *sim.Proc, kind NoticeKind, ino ffs.Ino, done *sim.Completion, frags ...int64) {
+	var op *aop
+	if n := len(o.aopFree); n > 0 {
+		op, o.aopFree = o.aopFree[n-1], o.aopFree[:n-1]
+	} else {
+		op = new(aop)
+	}
 	o.nextOp++
-	op.id = o.nextOp
-	op.registeredAt = o.eng.Now()
+	*op = aop{id: o.nextOp, kind: kind, ino: ino, registeredAt: o.eng.Now(), done: done}
 	for _, frag := range frags {
 		op.waiting++
-		o.waitByFrag[frag] = append(o.waitByFrag[frag], op)
+		ops, ok := o.waitByFrag[frag]
+		if n := len(o.waitFree); !ok && n > 0 {
+			ops, o.waitFree = o.waitFree[n-1], o.waitFree[:n-1]
+		}
+		o.waitByFrag[frag] = append(ops, op)
 	}
 	o.Registered++
 	if op.waiting == 0 {
@@ -229,9 +247,10 @@ func (o *Async) waitFrags() []int64 {
 // throttle synchronously persists the oldest pending op's buffers.
 func (o *Async) throttle(p *sim.Proc) {
 	op := o.pending[0]
+	id := op.id // op is reused once notified, which a write below may do
 	c := o.fs.Cache()
 	for _, frag := range o.waitFrags() {
-		if !slices.Contains(o.waitByFrag[frag], op) {
+		if op.id != id || !slices.Contains(o.waitByFrag[frag], op) {
 			continue
 		}
 		b := c.Lookup(frag)
@@ -250,7 +269,7 @@ func (o *Async) throttle(p *sim.Proc) {
 			o.fragDurableAsOf(frag, o.eng.Now())
 		}
 	}
-	if op.waiting > 0 {
+	if op.id == id && op.waiting > 0 {
 		// Defensive: every fragment path above resolves, but never spin.
 		op.waiting = 0
 		o.notify(op)
@@ -295,14 +314,14 @@ func (o *Async) Notices() []Notice { return o.notices }
 // the durability window on the directory and inode buffers.
 func (o *Async) AddEntry(p *sim.Proc, rec *ffs.LinkRec) {
 	o.Chains.AddEntry(p, rec)
-	o.admit(p, &aop{kind: NoticeAdd, ino: rec.Ino}, []int64{rec.DirBuf.Frag, rec.InoBuf.Frag})
+	o.admit(p, NoticeAdd, rec.Ino, nil, rec.DirBuf.Frag, rec.InoBuf.Frag)
 }
 
 // RemoveEntry implements ffs.Ordering: Chains' ordering, plus the op
 // enters the durability window on the directory buffer.
-func (o *Async) RemoveEntry(p *sim.Proc, rec *ffs.RemRec) {
+func (o *Async) RemoveEntry(p *sim.Proc, rec ffs.RemRec) {
 	o.Chains.RemoveEntry(p, rec)
-	o.admit(p, &aop{kind: NoticeRemove, ino: rec.Ino}, []int64{rec.DirBuf.Frag})
+	o.admit(p, NoticeRemove, rec.Ino, nil, rec.DirBuf.Frag)
 }
 
 // WaitDurable implements ffs.DurabilityWaiter: fsync under decoupled
@@ -315,7 +334,7 @@ func (o *Async) RemoveEntry(p *sim.Proc, rec *ffs.RemRec) {
 // flight, and nothing between its filter and this call yields.
 func (o *Async) WaitDurable(p *sim.Proc, ino ffs.Ino, frags []int64) error {
 	done := sim.NewCompletion()
-	o.admit(p, &aop{kind: NoticeFsync, ino: ino, done: done}, frags)
+	o.admit(p, NoticeFsync, ino, done, frags...)
 	done.Wait(p)
 	return nil
 }

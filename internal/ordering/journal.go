@@ -104,6 +104,7 @@ type Journal struct {
 	// inflight holds the log writes in flight, oldest first. They complete
 	// in sequence order (the chain), so each completion is the front one.
 	inflight []*dev.Request
+	logDone  func() // logWriteDone, bound once
 
 	// Pools: log frames, previous-image slabs (one block each), reclaimed
 	// txn structs, and the log write's dependency scratch (valid only
@@ -156,6 +157,7 @@ var zeroFrag [ffs.FragSize]byte
 func NewJournal() *Journal {
 	o := &Journal{byFrag: make(map[int64][]*jtxn), openSlot: make(map[int64]int), prev: make(map[int64]jprev)}
 	o.Sequenced = NewSequenced(o.stable, o.stable)
+	o.logDone = o.logWriteDone
 	return o
 }
 
@@ -321,7 +323,7 @@ func (o *Journal) closeOpen() {
 	t.frame = nil
 	o.inflight = append(o.inflight, r)
 	o.lastLog = r.ID
-	r.Done.OnFire(o.logWriteDone)
+	r.Done.OnFire(o.logDone)
 
 	// Home writeback is ordered behind the commit (rule integrity: a home
 	// update on the media implies its transaction replays).
@@ -580,11 +582,11 @@ func (o *Journal) flushOldest(p *sim.Proc) {
 
 // newTxn returns an empty transaction holding a begin fragment.
 func (o *Journal) newTxn() *jtxn {
-	t := &jtxn{}
+	var t *jtxn
 	if n := len(o.txnFree); n > 0 {
-		t = o.txnFree[n-1]
-		o.txnFree[n-1] = nil
-		o.txnFree = o.txnFree[:n-1]
+		t, o.txnFree = o.txnFree[n-1], o.txnFree[:n-1]
+	} else {
+		t = new(jtxn)
 	}
 	clear(t.bufs)
 	*t = jtxn{bufs: t.bufs[:0], homes: t.homes[:0], frame: o.getFrame()}

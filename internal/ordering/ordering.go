@@ -72,7 +72,8 @@ func (s *Sequenced) AllocPtr(p *sim.Proc, rec *ffs.AllocRec) {
 		return
 	}
 	s.ordered(p, rec.OwnerBuf)
-	rec.FS.ApplyFree(p, rec.Vacated())
+	vacated := rec.Vacated()
+	rec.FS.ApplyFree(p, &vacated)
 }
 
 // AddInode implements ffs.Ordering: the inode (with its new link count) is
@@ -85,16 +86,16 @@ func (s *Sequenced) AddEntry(p *sim.Proc, rec *ffs.LinkRec) { s.last(p, rec.DirB
 // RemoveEntry implements ffs.Ordering: the cleared entry is ordered, after
 // which the link count may be decremented (and the file freed) at once
 // (rule 1).
-func (s *Sequenced) RemoveEntry(p *sim.Proc, rec *ffs.RemRec) {
+func (s *Sequenced) RemoveEntry(p *sim.Proc, rec ffs.RemRec) {
 	s.ordered(p, rec.DirBuf)
-	rec.FS.FinishRemove(p, rec)
+	rec.FS.FinishRemove(p, &rec)
 }
 
 // FreeBlocks implements ffs.Ordering: the cleared owner is ordered before
 // the free maps are updated and the fragments become re-usable (rule 2).
-func (s *Sequenced) FreeBlocks(p *sim.Proc, rec *ffs.FreeRec) {
+func (s *Sequenced) FreeBlocks(p *sim.Proc, rec ffs.FreeRec) {
 	s.ordered(p, rec.OwnerBuf)
-	rec.FS.ApplyFree(p, rec)
+	rec.FS.ApplyFree(p, &rec)
 }
 
 // MetaUpdate implements ffs.Ordering.

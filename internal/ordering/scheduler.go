@@ -60,7 +60,7 @@ type Chains struct {
 	// on it (the paper's second, better-performing approach). freedBy
 	// lists, per such request, the runs it holds in freedPending.
 	freedPending map[int32]uint64
-	freedBy      map[uint64][]ffs.FragRun
+	freedBy      map[uint64]ffs.FragRuns
 
 	// pendingRemove carries the directory-write request ID from
 	// RemoveEntry into the FinishRemove updates it orders.
@@ -77,7 +77,7 @@ type Chains struct {
 func NewChains() *Chains {
 	return &Chains{
 		freedPending: make(map[int32]uint64),
-		freedBy:      make(map[uint64][]ffs.FragRun),
+		freedBy:      make(map[uint64]ffs.FragRuns),
 	}
 }
 
@@ -87,7 +87,8 @@ func (o *Chains) Start(fs *ffs.FS) { o.fs = fs }
 // WriteDone implements cache.Hooks: fragments whose old owner r cleared
 // are free of their obligation.
 func (o *Chains) WriteDone(b *cache.Buf, r *dev.Request) {
-	for _, run := range o.freedBy[r.ID] {
+	runs := o.freedBy[r.ID]
+	for _, run := range runs.All() {
 		for i := int32(0); i < int32(run.N); i++ {
 			if o.freedPending[run.Start+i] == r.ID {
 				delete(o.freedPending, run.Start+i)
@@ -113,15 +114,9 @@ func (o *Chains) chainWrite(p *sim.Proc, b *cache.Buf) uint64 {
 
 // addDep records that b's next write must wait for request id.
 func addDep(b *cache.Buf, id uint64) {
-	if id == 0 {
-		return
+	if id != 0 {
+		b.AddWriteDep(id)
 	}
-	for _, d := range b.WriteDeps {
-		if d == id {
-			return
-		}
-	}
-	b.WriteDeps = append(b.WriteDeps, id)
 }
 
 // AllocInit implements ffs.Ordering.
@@ -161,8 +156,8 @@ func (o *Chains) AllocInit(p *sim.Proc, rec *ffs.AllocRec) {
 func (o *Chains) AllocPtr(p *sim.Proc, rec *ffs.AllocRec) {
 	if rec.MovedFrom != nil {
 		vacated := rec.Vacated()
-		o.rememberFreed(o.chainWrite(p, rec.OwnerBuf), vacated.Frags)
-		rec.FS.ApplyFree(p, vacated)
+		o.rememberFreed(o.chainWrite(p, rec.OwnerBuf), &vacated.Frags)
+		rec.FS.ApplyFree(p, &vacated)
 		return
 	}
 	rec.FS.Cache().Bdwrite(rec.OwnerBuf)
@@ -171,16 +166,18 @@ func (o *Chains) AllocPtr(p *sim.Proc, rec *ffs.AllocRec) {
 // rememberFreed maps the fragments of runs to ownerReq, the write that
 // clears their old owner's pointer, until that write completes (0: it
 // already has).
-func (o *Chains) rememberFreed(ownerReq uint64, runs []ffs.FragRun) {
+func (o *Chains) rememberFreed(ownerReq uint64, runs *ffs.FragRuns) {
 	if ownerReq == 0 {
 		return
 	}
-	for _, run := range runs {
+	held := o.freedBy[ownerReq]
+	for _, run := range runs.All() {
 		for i := int32(0); i < int32(run.N); i++ {
 			o.freedPending[run.Start+i] = ownerReq
 		}
+		held.Add(run)
 	}
-	o.freedBy[ownerReq] = append(o.freedBy[ownerReq], runs...)
+	o.freedBy[ownerReq] = held
 }
 
 // AddInode implements ffs.Ordering.
@@ -197,27 +194,27 @@ func (o *Chains) AddEntry(p *sim.Proc, rec *ffs.LinkRec) {
 // RemoveEntry implements ffs.Ordering: the directory write goes out
 // asynchronously; the inode updates FinishRemove performs are chained
 // behind it through pendingRemove.
-func (o *Chains) RemoveEntry(p *sim.Proc, rec *ffs.RemRec) {
+func (o *Chains) RemoveEntry(p *sim.Proc, rec ffs.RemRec) {
 	id := o.chainWrite(p, rec.DirBuf)
 	saved := o.pendingRemove
 	o.pendingRemove = id
-	rec.FS.FinishRemove(p, rec)
+	rec.FS.FinishRemove(p, &rec)
 	o.pendingRemove = saved
 }
 
 // FreeBlocks implements ffs.Ordering: the cleared owner (inode block) is
 // written with a dependency on the directory write; freed fragments are
 // remembered until that write completes so re-users can chain behind it.
-func (o *Chains) FreeBlocks(p *sim.Proc, rec *ffs.FreeRec) {
+func (o *Chains) FreeBlocks(p *sim.Proc, rec ffs.FreeRec) {
 	addDep(rec.OwnerBuf, o.pendingRemove)
 	if o.BarrierFrees {
 		rec.OwnerBuf.WriteFlag = true // barrier fallback (section 3.2 ablation)
 	}
 	ownerReq := o.chainWrite(p, rec.OwnerBuf)
 	if !o.BarrierFrees {
-		o.rememberFreed(ownerReq, rec.Frags)
+		o.rememberFreed(ownerReq, &rec.Frags)
 	}
-	rec.FS.ApplyFree(p, rec)
+	rec.FS.ApplyFree(p, &rec)
 }
 
 // MetaUpdate implements ffs.Ordering: link-count updates reached through

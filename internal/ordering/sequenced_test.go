@@ -75,10 +75,10 @@ func TestSequencedRuleTable(t *testing.T) {
 			e.s.AddEntry(e.p, &ffs.LinkRec{FS: e.fs, InoBuf: e.a, DirBuf: e.b})
 		}, want{last: "b"}},
 		{"RemoveEntry", false, func(e env) {
-			e.s.RemoveEntry(e.p, &ffs.RemRec{FS: e.fs, Ino: e.linked, DirIno: ffs.RootIno, DirBuf: e.b})
+			e.s.RemoveEntry(e.p, ffs.RemRec{FS: e.fs, Ino: e.linked, DirIno: ffs.RootIno, DirBuf: e.b})
 		}, want{ordered: "b", finishRemove: 1}},
 		{"FreeBlocks", false, func(e env) {
-			e.s.FreeBlocks(e.p, &ffs.FreeRec{FS: e.fs, OwnerBuf: e.a})
+			e.s.FreeBlocks(e.p, ffs.FreeRec{FS: e.fs, OwnerBuf: e.a})
 		}, want{ordered: "a", applyFree: 1}},
 		{"MetaUpdate", false, func(e env) {
 			e.s.MetaUpdate(e.p, e.a)
