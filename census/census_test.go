@@ -68,7 +68,6 @@ var allowlist = map[string]string{
 	"internal/dev.Driver.Config":         "probe: crashmc's reduction test holds the mounted driver to its barrier rule",
 	"internal/ffs.FS.Ordering":           "probe: fsim's scheme test checks the ordering each scheme mounts",
 	"internal/ffs.FS.Unfinished":         "probe: fsim's stress and full-disk tests assert every removal finished",
-	"internal/ordering.Async.Notices":    "probe: fsim's conformance test checks durability follows each notification",
 	"internal/sim.Engine.Live":           "probe: fsim's test asserts no process outlives Shutdown",
 	"internal/simnet.Network.Params":     "probe: fsim's cluster test asserts the cluster runs on the default cost model",
 

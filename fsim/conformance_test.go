@@ -227,6 +227,8 @@ func TestAsyncVisibilityVsDurabilitySplit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var notices []ordering.Notice
+	sys.Async.OnNotice = func(n ordering.Notice) { notices = append(notices, n) }
 	type op struct {
 		name string
 		ino  fsim.Ino
@@ -250,7 +252,7 @@ func TestAsyncVisibilityVsDurabilitySplit(t *testing.T) {
 	img := sys.Crash(fsim.Time(3050 * fsim.Millisecond))
 
 	notified := make(map[fsim.Ino]string)
-	for _, n := range sys.Async.Notices() {
+	for _, n := range notices {
 		if n.Kind == ordering.NoticeAdd {
 			for _, o := range visible {
 				if o.ino == n.Ino {

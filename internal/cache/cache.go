@@ -2,8 +2,10 @@
 // paper's base operating system (UNIX SVR4 MP, section 2), plus the two
 // mechanisms the paper adds to it:
 //
-//   - the block-copy enhancement of section 3.3 (-CB): write sources are
-//     snapshotted so in-flight writes do not write-lock the live buffer;
+//   - the block-copy enhancement of section 3.3 (-CB): in-flight writes do
+//     not write-lock the live buffer. A write shares the buffer's storage
+//     until the buffer is modified (PrepareModify), which moves the writes
+//     still in flight to one copy of the bytes they were issued with;
 //   - the hook surface soft updates needs (section 4.2): a scheme can order
 //     a write behind one it has yet to submit, roll back updates in the
 //     write source just before the write is issued, and be told when the
@@ -24,6 +26,7 @@ package cache
 import (
 	"bytes"
 	"fmt"
+	"hash/crc32"
 	"math/bits"
 	"slices"
 	"testing"
@@ -54,11 +57,14 @@ type Buf struct {
 	reading  *sim.Completion // read in flight filling this buffer
 	writing  *sim.Completion // write in flight from this buffer (non-CB)
 	writeReq uint64          // newest write in flight from this buffer (WriteReq)
-	// cbInflight counts -CB snapshot writes in flight; the buffer is not
+	// cbInflight counts -CB writes in flight; the buffer is not
 	// write-locked by them but must not be evicted until they land (a
-	// re-read could observe pre-snapshot media).
+	// re-read could observe pre-issue media).
 	cbInflight int
-	invalid    bool // dropped while I/O was in flight
+	// shared is one of the ring of -CB writes in flight whose source is
+	// Data itself (cwrite.next), nil when none is.
+	shared  *cwrite
+	invalid bool // dropped while I/O was in flight
 
 	// Pinned buffers are never evicted (soft updates keeps indirect blocks
 	// with pending dependencies "resident and dirty").
@@ -117,8 +123,8 @@ func (b *Buf) Unhold() {
 }
 
 // InFlight reports whether a write of the buffer itself is in progress.
-// It does not count -CB snapshot writes (cbInflight): a clean buffer
-// whose snapshot is still on its way to the media reports false
+// It does not count -CB writes (cbInflight): a clean buffer whose -CB
+// write is still on its way to the media reports false
 // (ROADMAP item 1(a)).
 func (b *Buf) InFlight() bool { return b.writing != nil }
 
@@ -172,7 +178,7 @@ func (NopHooks) WriteDone(*Buf, *dev.Request)    {}
 // Config parameterizes the cache.
 type Config struct {
 	MaxBytes int  // cache capacity; <=0 means 16 MB
-	CB       bool // block-copy enhancement: snapshot write sources
+	CB       bool // block-copy enhancement: writes do not lock their buffer
 	// SyncerFraction is the number of sweeps needed to cover the whole
 	// cache (the conventional value is 30, approximating the classic
 	// 30-second sync). <=0 means 30.
@@ -223,12 +229,13 @@ type Cache struct {
 	// callbacks, serviced by the syncer before its normal activities.
 	work []func(p *sim.Proc)
 
-	// -CB snapshot pool accounting; each snapshot write's completion fires
-	// and resets copyWait.
+	// -CB copy pool accounting: every -CB write holds its size from issue
+	// to completion, copied or not, and its completion fires and resets
+	// copyWait.
 	copyOutstanding int
 	copyWait        sim.Completion
 	// free recycles block storage by size class (fragments per slice):
-	// buffer Data, -CB snapshots and rollback copies alike. Per-cache and
+	// buffer Data, -CB copies and rollback copies alike. Per-cache and
 	// LIFO, so which bytes back what is deterministic. Each stack is sized
 	// once in New to hold MaxBytes of its class and never grows; storage
 	// released into a full stack is left to the garbage collector.
@@ -296,6 +303,11 @@ const maxFrags = 8
 // release.
 var poisonCheck = testing.Testing()
 
+// sumCheck turns on the write-source check in test binaries: a -CB write's
+// source is checksummed at issue and must still match when the write
+// lands, or something stored into the buffer without PrepareModify.
+var sumCheck = testing.Testing()
+
 const poisonByte = 0xdb
 
 var poison = bytes.Repeat([]byte{poisonByte}, maxFrags*FragSize)
@@ -335,20 +347,43 @@ func (c *Cache) putStorage(s []byte) {
 	}
 }
 
-// retire returns b's storage to the pool once b has no reader left: it is
-// unmapped, unheld, not being handed to a caller, filled or written from
-// (a -CB write carries its own snapshot). Every place one of those ends
-// calls it.
+// retire lets go of b's storage once b has no reader left: it is unmapped,
+// unheld, not being handed to a caller, filled or written from. Every place
+// one of those ends calls it.
 func (c *Cache) retire(b *Buf) {
 	if b.next != nil || b.hold > 0 || b.lent > 0 || b.reading != nil || b.writing != nil || b.Data == nil {
 		return
 	}
-	c.putStorage(b.Data)
+	c.release(b)
 	b.Data = nil
 }
 
+// release lets go of b.Data: -CB writes still sharing it keep it, and the
+// last of them to land returns it to the pool; otherwise it goes back now.
+func (c *Cache) release(b *Buf) {
+	if b.shared != nil {
+		c.unshare(b, b.Data)
+	} else {
+		c.putStorage(b.Data)
+	}
+}
+
+// unshare moves every write sharing b's storage to s, which holds the same
+// bytes and belongs to them from then on.
+func (c *Cache) unshare(b *Buf, s []byte) {
+	w := b.shared
+	for {
+		w.src, w.req.Data = s, s
+		if w = w.next; w == b.shared {
+			break
+		}
+	}
+	b.shared = nil
+}
+
 // Copy returns pooled storage holding a copy of src, a whole buffer's
-// bytes: the write source a BeforeWrite hook substitutes.
+// bytes: the write source a BeforeWrite hook substitutes, or the copy
+// PrepareModify moves -CB writes to.
 func (c *Cache) Copy(src []byte) []byte {
 	s := c.getStorage(len(src)/FragSize, false)
 	copy(s, src)
@@ -528,8 +563,12 @@ func (c *Cache) Getblk(p *sim.Proc, frag int64, nfrags int) *Buf {
 
 // PrepareModify blocks p until b may be modified: while a write is in
 // flight from the live buffer (no -CB), updates must wait — the write-lock
-// effect of section 3.3.
+// effect of section 3.3. Under -CB the writes still sharing b's storage
+// move to a copy instead, so b.Data itself stays where it is.
 func (c *Cache) PrepareModify(p *sim.Proc, b *Buf) {
+	if b.shared != nil {
+		c.unshare(b, c.Copy(b.Data))
+	}
 	if b.writing != nil && !c.cfg.CB {
 		// Write-behind backpressure: the in-flight write was issued by the
 		// syncer daemon or another process's flush of this buffer.
@@ -598,10 +637,14 @@ type cwrite struct {
 	c   *Cache
 	b   *Buf
 	req *dev.Request
-	// src is pooled storage the write carries instead of b.Data — a -CB
-	// snapshot (its size is what the write holds of the snapshot pool) or
-	// a rollback copy — released when the write lands.
+	// src is pooled storage the write carries instead of b.Data — a
+	// rollback copy, or a -CB write's bytes once its buffer was modified or
+	// let go of them — released when the last write carrying it lands.
 	src []byte
+	// next and prev ring the -CB writes carrying the same bytes: b.Data
+	// while b.shared is one of them, src after. A write alone rings itself.
+	next, prev *cwrite
+	sum        uint32 // the source's checksum at issue, under sumCheck
 	// done is b.writing while a write without -CB is in flight.
 	done sim.Completion
 	fire func() // w.complete, bound once
@@ -621,7 +664,7 @@ func (c *Cache) newWrite(b *Buf) *cwrite {
 		w = &cwrite{c: c}
 		w.fire = w.complete
 	}
-	w.b = b
+	w.b, w.next, w.prev = b, w, w
 	return w
 }
 
@@ -633,9 +676,9 @@ func (c *Cache) freeWrite(w *cwrite) {
 
 // issueWrite builds and submits the write request for b. Without -CB a
 // second write of the same buffer cannot be issued while one is in flight
-// (the source is the live buffer); with -CB each write carries its own
-// snapshot, so concurrent writes are allowed — the driver's conflict rule
-// keeps them in submission order on the media. With ref the caller gets a
+// (the source is the live buffer); with -CB each write carries the bytes
+// it was issued with, so concurrent writes are allowed — the driver's
+// conflict rule keeps them in submission order on the media. With ref the caller gets a
 // reference to the returned request (DESIGN.md §9's last-reader rule); the
 // completion holds one of its own.
 func (c *Cache) issueWrite(p *sim.Proc, b *Buf, ref bool) *dev.Request {
@@ -656,7 +699,7 @@ func (c *Cache) issueWrite(p *sim.Proc, b *Buf, ref bool) *dev.Request {
 	b.marked = false
 
 	if c.cfg.CB && p != nil && c.copyOutstanding+len(b.Data) > c.cfg.MaxCopyBytes {
-		// Bounded -CB snapshot pool: block until there is room (a process
+		// Bounded -CB copy pool: block until there is room (a process
 		// context is required to block; engine-context issuers skip the
 		// wait and overshoot slightly, which a real ISR path would too).
 		// The buffer is held across the wait, so its storage stays
@@ -679,13 +722,12 @@ func (c *Cache) issueWrite(p *sim.Proc, b *Buf, ref bool) *dev.Request {
 	src := b.Data
 	var copyCost sim.Duration
 	if c.cfg.CB {
-		// Block-copy enhancement: snapshot the source so the live buffer
-		// stays unlocked. The snapshot and submission happen without
-		// yielding the virtual CPU, so concurrent issuers cannot invert
-		// snapshot order vs. submission order; the memcpy cost is charged
-		// right after.
-		src = c.Copy(b.Data)
-		w.src = src
+		// Block-copy enhancement: the model snapshots the source so the
+		// live buffer stays unlocked, and charges the snapshot's pool room
+		// and memcpy here. The host copies only if the buffer is modified
+		// before the write lands (PrepareModify); the issue and submission
+		// happen without yielding the virtual CPU, so concurrent issuers
+		// cannot invert issue order vs. submission order.
 		c.copyOutstanding += len(src)
 		b.cbInflight++
 		copyCost = copyCPU * sim.Duration(b.NFrags()) / 8
@@ -697,14 +739,18 @@ func (c *Cache) issueWrite(p *sim.Proc, b *Buf, ref bool) *dev.Request {
 		// The live buffer stays write-locked until completion so at most
 		// one rollback snapshot per buffer is in flight — updates still
 		// wait, as with in-place undo, but readers never see undone bytes.
-		if w.src != nil {
-			// The -CB snapshot never reaches the disk; recycle it now.
-			// (copyOutstanding still accounts len(src) == len(repl) until
-			// completion, matching the kernel-memory model.)
-			c.putStorage(w.src)
-		}
 		src, w.src = repl, repl
 		copyCost += copyCPU * sim.Duration(b.NFrags()) / 8
+	} else if c.cfg.CB {
+		if s := b.shared; s != nil {
+			w.prev, w.next = s, s.next
+			s.next.prev, s.next = w, w
+		} else {
+			b.shared = w
+		}
+	}
+	if sumCheck && c.cfg.CB {
+		w.sum = crc32.ChecksumIEEE(src)
 	}
 	req := c.drv.AllocRequest()
 	req.Op = disk.Write
@@ -738,7 +784,10 @@ func (c *Cache) issueWrite(p *sim.Proc, b *Buf, ref bool) *dev.Request {
 func (w *cwrite) complete() {
 	c, b, req := w.c, w.b, w.req
 	if c.cfg.CB {
-		c.copyOutstanding -= len(w.src)
+		if sumCheck && crc32.ChecksumIEEE(req.Data) != w.sum {
+			panic(fmt.Sprintf("cache: the source of write %d (fragment %d) changed in flight: a store without PrepareModify", req.ID, b.Frag))
+		}
+		c.copyOutstanding -= len(req.Data)
 		b.cbInflight--
 		c.copyWait.Fire(c.eng)
 		c.copyWait.Reset()
@@ -770,13 +819,21 @@ func (w *cwrite) complete() {
 		c.setLost(b.Frag, false)
 		c.Hooks.WriteDone(b, req)
 	}
-	if b.invalid && b.writing == nil && b.cbInflight == 0 {
-		c.remove(b)
-	}
-	if w.src != nil {
+	if w.next != w {
+		// Others carry the same bytes; the last of them releases them.
+		w.prev.next, w.next.prev = w.next, w.prev
+		if b.shared == w {
+			b.shared = w.next
+		}
+	} else if b.shared == w {
+		b.shared = nil
+	} else if w.src != nil {
 		// The data is on the media (and the crash recorder took its own
 		// copy at submission), so the write's own source is dead.
 		c.putStorage(w.src)
+	}
+	if b.invalid && b.writing == nil && b.cbInflight == 0 {
+		c.remove(b)
 	}
 	c.retire(b)
 	if !c.cfg.CB {
@@ -797,10 +854,10 @@ const maxWriteFails = 4
 
 // Resize grows or shrinks b to nfrags fragments (fragment extension): b
 // moves to new storage of the new size holding its bytes, zero past them,
-// and its old storage goes back to the pool. The caller must have called
+// and its old storage is let go of (release). The caller must have called
 // PrepareModify; resizing a buffer with I/O in flight panics.
 func (c *Cache) Resize(b *Buf, nfrags int) {
-	// With -CB an in-flight write holds its own snapshot, so resizing the
+	// With -CB an in-flight write keeps the old storage, so resizing the
 	// live buffer is safe; otherwise PrepareModify has already waited.
 	if b.reading != nil || (b.writing != nil && !c.cfg.CB) {
 		panic("cache: Resize with I/O in flight")
@@ -811,7 +868,7 @@ func (c *Cache) Resize(b *Buf, nfrags int) {
 	c.bytes += nfrags*FragSize - len(b.Data)
 	data := c.getStorage(nfrags, false)
 	clear(data[copy(data, b.Data):])
-	c.putStorage(b.Data)
+	c.release(b)
 	b.Data = data
 }
 
@@ -831,8 +888,8 @@ func (c *Cache) Drop(frag int64) {
 		return
 	}
 	// Remove immediately so the fragments can be re-cached by a new owner;
-	// any write still in flight from the old buffer holds its own source
-	// (without -CB, b's storage, kept until the write lands) and is ordered
+	// any write still in flight from the old buffer keeps its source (b's
+	// storage among them, kept until the write lands) and is ordered
 	// before the new owner's writes by the driver's conflict rule.
 	c.remove(b)
 }

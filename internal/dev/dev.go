@@ -113,9 +113,10 @@ const DefaultRetryBackoff = 2 * sim.Millisecond
 
 // Request is one disk request. Submit assigns ID and points a nil Done at
 // the request's own embedded completion, so a request costs one allocation.
-// The Data slice of a write must not be modified until Done fires (the
-// buffer cache enforces this with write locks or by snapshotting — the -CB
-// scheme).
+// The bytes of a write's Data must not change until Done fires (the buffer
+// cache enforces this with write locks or, under -CB, by moving the write
+// to a copy of its bytes before its buffer is modified, which repoints
+// Data).
 type Request struct {
 	ID    uint64
 	Op    disk.Op
@@ -181,8 +182,8 @@ func conflicts(r, q *Request) bool {
 
 // SubmitTime returns when the request entered the driver queue. A write's
 // Data carries at least the source buffer's state as of this instant (a
-// later modification either waits for completion or diverts into a -CB
-// snapshot), which is what lets durability-notification schemes credit
+// later modification either waits for completion or moves the write to a
+// -CB copy), which is what lets durability-notification schemes credit
 // waiters registered at or before it.
 func (r *Request) SubmitTime() sim.Time { return r.enqueueAt }
 

@@ -130,6 +130,12 @@ func (fs *FS) dirAddEntry(p *sim.Proc, dir Ino, name string, ino Ino, ftype uint
 	if err != nil {
 		return nil, 0, err
 	}
+	if fs.cache.Config().CB {
+		// allocate may have issued the block's initialization write; a -CB
+		// write carries the bytes it was issued with, not this entry.
+		// (Without -CB the entry rides it: ROADMAP item 1(h).)
+		fs.cache.PrepareModify(p, b)
+	}
 	data := b.Data[:chunkStart+DirChunk]
 	off, ok := fs.dirIdx.of(dir, b, data).add(data, name, ino, ftype)
 	if !ok || off < int(chunkStart) {

@@ -53,7 +53,9 @@ type Async struct {
 
 	flusherLive bool
 
-	notices []Notice
+	// OnNotice, when set, is called with each delivered notification; no
+	// log of them is kept. Tests set it to check durability follows each.
+	OnNotice func(Notice)
 
 	// Stats.
 	Registered, Notified int64
@@ -178,12 +180,14 @@ func (o *Async) fragDurableAsOf(frag int64, asOf sim.Time) {
 
 func satisfied(op *aop) bool { return op.waiting == 0 }
 
-// notify queues op's durability notification and wakes a blocked waiter.
+// notify delivers op's durability notification and wakes a blocked waiter.
 func (o *Async) notify(op *aop) {
-	o.notices = append(o.notices, Notice{
-		ID: op.id, Kind: op.kind, Ino: op.ino,
-		RegisteredAt: op.registeredAt, NotifiedAt: o.eng.Now(),
-	})
+	if o.OnNotice != nil {
+		o.OnNotice(Notice{
+			ID: op.id, Kind: op.kind, Ino: op.ino,
+			RegisteredAt: op.registeredAt, NotifiedAt: o.eng.Now(),
+		})
+	}
 	o.Notified++
 	if op.done != nil {
 		op.done.Fire(o.eng)
@@ -305,10 +309,6 @@ func (o *Async) flusher(p *sim.Proc) {
 	}
 	o.flusherLive = false
 }
-
-// Notices returns the delivered notifications (registration order of
-// completion) without clearing them.
-func (o *Async) Notices() []Notice { return o.notices }
 
 // AddEntry implements ffs.Ordering: Chains' ordering, plus the op enters
 // the durability window on the directory and inode buffers.

@@ -11,11 +11,12 @@ func (o *Journal) PrevImages(f func(frag int64, img []byte)) {
 // Slabs reports the previous-image slabs in the pool and in use.
 func (o *Journal) Slabs() (pooled, held int) { return len(o.slabs), len(o.prev) }
 
-// DrainNotices returns and clears the delivered notifications.
-func (o *Async) DrainNotices() []Notice {
-	n := o.notices
-	o.notices = nil
-	return n
+// KeepNotices logs every notification delivered from now on, in delivery
+// order, into the returned slice.
+func (o *Async) KeepNotices() *[]Notice {
+	var log []Notice
+	o.OnNotice = func(n Notice) { log = append(log, n) }
+	return &log
 }
 
 // PendingOps reports operations still inside the in-flight window.
