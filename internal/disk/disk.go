@@ -14,6 +14,7 @@
 package disk
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 
@@ -109,19 +110,27 @@ type Access struct {
 
 // chunkBytes is the granularity of lazy media materialization. The harness
 // creates hundreds of Systems per sweep, each with a media limit in the
-// hundreds of megabytes but a working set of a few megabytes; allocating
-// (and zeroing) the full limit up front dominated whole-suite CPU time, so
-// media chunks come into existence only when first written.
-const chunkBytes = 1 << 20
+// hundreds of megabytes but a working set of a few megabytes, so a chunk
+// comes into existence only when a non-zero byte is first written to it.
+// At 64 KiB a copy's blocks, spread over the cylinder groups, and a small
+// cluster disk's few kilobytes no longer materialize a megabyte each, while
+// a create's clustered writes still share chunks (DESIGN.md §9). A constant
+// power of two keeps every offset split a shift and a mask.
+const chunkBytes = 64 << 10
+
+// zeroChunk is never written: writeAt compares a run against it to skip
+// all-zero writes into chunks that do not exist yet.
+var zeroChunk [chunkBytes]byte
 
 // Disk is the drive model plus its media contents.
 type Disk struct {
 	P    Params
 	size int64 // materialized media bytes (whole sectors)
 	// chunks holds the media in chunkBytes pieces; a nil chunk reads as
-	// zeros and is allocated on first write. After Image() flattens the
-	// media, every chunk aliases a window of the flat slice, so chunk
-	// writes and the returned image stay coherent.
+	// zeros and is allocated by the first write of a non-zero byte into
+	// it. After Image() flattens the media, every chunk aliases a window
+	// of the flat slice, so chunk writes and the returned image stay
+	// coherent.
 	chunks [][]byte
 	flat   []byte // non-nil once Image has flattened the media
 
@@ -155,7 +164,8 @@ type Disk struct {
 // `sizeLimit` bytes of media are addressable (the file systems in this
 // repository use far less than the full 1 GB); accesses past the limit
 // panic, which always indicates an addressing bug. Media is materialized
-// lazily in chunkBytes pieces, so an untouched region costs nothing.
+// lazily in chunkBytes pieces, so a region never written with a non-zero
+// byte costs nothing.
 func New(p Params, sizeLimit int64) *Disk {
 	if sizeLimit <= 0 || sizeLimit > p.Capacity() {
 		sizeLimit = p.Capacity()
@@ -217,19 +227,23 @@ func (d *Disk) chunkLen(i int64) int {
 }
 
 // writeAt copies p onto the media at byte offset off, materializing chunks
-// as needed.
+// as needed. A run that lands in a chunk not yet materialized and is all
+// zeros is skipped: that chunk already reads as zeros.
 func (d *Disk) writeAt(off int64, p []byte) {
 	if off < 0 || off+int64(len(p)) > d.size {
 		panic(fmt.Sprintf("disk: write [%d,%d) outside media [0,%d)", off, off+int64(len(p)), d.size))
 	}
 	for len(p) > 0 {
 		ci, co := off/chunkBytes, off%chunkBytes
+		n := min(len(p), d.chunkLen(ci)-int(co))
 		c := d.chunks[ci]
-		if c == nil {
+		if c == nil && !bytes.Equal(p[:n], zeroChunk[:n]) {
 			c = make([]byte, d.chunkLen(ci))
 			d.chunks[ci] = c
 		}
-		n := copy(c[co:], p)
+		if c != nil {
+			copy(c[co:], p[:n])
+		}
 		p = p[n:]
 		off += int64(n)
 	}
