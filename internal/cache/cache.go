@@ -14,7 +14,9 @@
 //     names as a dependency.
 //
 // Buffers are addressed in 1 KB fragments, the file system's smallest
-// allocation unit; a buffer covers 1..8 fragments.
+// allocation unit; a buffer covers 1..8 fragments. Their storage, the -CB
+// copies and soft updates' rollback copies come from one pool per process,
+// so what one cache releases serves the next cache the process builds.
 //
 // The syncer daemon follows the paper's description of SVR4 MP: it wakes
 // once a second, sweeps one fraction of the buffer cache marking dirty
@@ -29,6 +31,7 @@ import (
 	"hash/crc32"
 	"math/bits"
 	"slices"
+	"sync"
 	"testing"
 
 	"metaupdate/internal/dev"
@@ -46,10 +49,11 @@ const SectorsPerFrag = FragSize / disk.SectorSize
 // Buf is a cached range of fragments.
 type Buf struct {
 	Frag int64 // first fragment number
-	// Data is len = NFrags * FragSize of storage from the cache's pool. It
-	// goes back to the pool, and Data becomes nil, once the buffer has no
-	// reader left (Cache.retire): a holder that breaks the last-reader rule
-	// of DESIGN.md §9 panics instead of reading another buffer's bytes.
+	// Data is len = NFrags * FragSize of storage from the process-wide
+	// pool. It goes back to the pool, and Data becomes nil, once the buffer
+	// has no reader left (Cache.retire): a holder that breaks the
+	// last-reader rule of DESIGN.md §9 panics instead of reading another
+	// buffer's bytes.
 	Data   []byte
 	Dirty  bool
 	marked bool // syncer two-pass mark
@@ -234,12 +238,6 @@ type Cache struct {
 	// copyWait.
 	copyOutstanding int
 	copyWait        sim.Completion
-	// free recycles block storage by size class (fragments per slice):
-	// buffer Data, -CB copies and rollback copies alike. Per-cache and
-	// LIFO, so which bytes back what is deterministic. Each stack is sized
-	// once in New to hold MaxBytes of its class and never grows; storage
-	// released into a full stack is left to the garbage collector.
-	free [maxFrags + 1][][]byte
 	// writeFree recycles the bookkeeping of completed writes, depFree the
 	// dependency lists (Buf.WriteDeps) they carried.
 	writeFree []*cwrite
@@ -261,7 +259,9 @@ type Cache struct {
 	syncerStop  bool
 }
 
-// New returns a cache over drv. cpu is charged for block copies.
+// New returns a cache over drv. cpu is charged for block copies. The cache
+// takes its block storage from the process-wide pool and holds none of its
+// own.
 func New(eng *sim.Engine, drv *dev.Driver, cpu *sim.CPU, cfg Config) *Cache {
 	if cfg.MaxBytes <= 0 {
 		cfg.MaxBytes = 16 << 20
@@ -282,15 +282,6 @@ func New(eng *sim.Engine, drv *dev.Driver, cpu *sim.CPU, cfg Config) *Cache {
 		mapped: make([]uint64, (drv.Sectors()/SectorsPerFrag+63)/64),
 	}
 	c.lru.prev, c.lru.next = &c.lru, &c.lru
-	n := 0
-	for k := 1; k <= maxFrags; k++ {
-		n += cfg.MaxBytes / (k * FragSize)
-	}
-	stacks := make([][]byte, n)
-	for k := 1; k <= maxFrags; k++ {
-		n = cfg.MaxBytes / (k * FragSize)
-		c.free[k], stacks = stacks[:0:n], stacks[n:]
-	}
 	return c
 }
 
@@ -312,29 +303,58 @@ const poisonByte = 0xdb
 
 var poison = bytes.Repeat([]byte{poisonByte}, maxFrags*FragSize)
 
+// storage is the process-wide pool of block storage: buffer Data, -CB
+// copies and rollback copies of every cache alike, so what one cell or node
+// releases serves the next. LIFO stacks by size class (fragments per
+// slice), uncapped and shared under one mutex (harness cells run on
+// goroutines of their own). Not a sync.Pool: the GC forced before each
+// timed phase of the bench would empty it. Contents are always zeroed or
+// overwritten and identity is never read, so which slice backs what cannot
+// reach the model.
+var storage struct {
+	mu   sync.Mutex
+	free [maxFrags + 1][][]byte
+}
+
+// slabPieces is how many slices of its class an empty class carves from
+// one allocation: a pooled slice pins at most slabPieces-1 dead siblings,
+// and the GC sweeps one span per slab instead of one per slice.
+const slabPieces = 8
+
 // getStorage returns nfrags fragments of block storage, recycled when the
-// pool has some of that size. zero clears recycled bytes; a caller that
+// pool has some of that size and otherwise carved from a fresh slab, whose
+// other pieces go to the pool. zero clears recycled bytes; a caller that
 // overwrites all of them (a read, a snapshot, a copy) skips that.
-func (c *Cache) getStorage(nfrags int, zero bool) []byte {
-	if nfrags >= 1 && nfrags <= maxFrags {
-		if list := c.free[nfrags]; len(list) > 0 {
-			s := list[len(list)-1]
-			list[len(list)-1] = nil
-			c.free[nfrags] = list[:len(list)-1]
-			if poisonCheck && !bytes.Equal(s, poison[:len(s)]) {
-				panic("cache: block storage written after its release")
-			}
-			if zero {
-				clear(s)
-			}
-			return s
-		}
+func getStorage(nfrags int, zero bool) []byte {
+	if nfrags < 1 || nfrags > maxFrags {
+		return make([]byte, nfrags*FragSize)
 	}
-	return make([]byte, nfrags*FragSize)
+	storage.mu.Lock()
+	list := storage.free[nfrags]
+	if len(list) == 0 {
+		storage.mu.Unlock()
+		n := nfrags * FragSize
+		slab := make([]byte, slabPieces*n)
+		for i := 1; i < slabPieces; i++ {
+			putStorage(slab[i*n : (i+1)*n : (i+1)*n])
+		}
+		return slab[:n:n]
+	}
+	s := list[len(list)-1]
+	list[len(list)-1] = nil
+	storage.free[nfrags] = list[:len(list)-1]
+	storage.mu.Unlock()
+	if poisonCheck && !bytes.Equal(s, poison[:len(s)]) {
+		panic("cache: block storage written after its release")
+	}
+	if zero {
+		clear(s)
+	}
+	return s
 }
 
 // putStorage releases s to the pool. Nothing may touch s afterwards.
-func (c *Cache) putStorage(s []byte) {
+func putStorage(s []byte) {
 	nfrags := len(s) / FragSize
 	if nfrags < 1 || nfrags > maxFrags || len(s) != nfrags*FragSize {
 		return
@@ -342,9 +362,9 @@ func (c *Cache) putStorage(s []byte) {
 	if poisonCheck {
 		copy(s, poison)
 	}
-	if list := c.free[nfrags]; len(list) < cap(list) {
-		c.free[nfrags] = append(list, s)
-	}
+	storage.mu.Lock()
+	storage.free[nfrags] = append(storage.free[nfrags], s)
+	storage.mu.Unlock()
 }
 
 // retire lets go of b's storage once b has no reader left: it is unmapped,
@@ -364,7 +384,7 @@ func (c *Cache) release(b *Buf) {
 	if b.shared != nil {
 		c.unshare(b, b.Data)
 	} else {
-		c.putStorage(b.Data)
+		putStorage(b.Data)
 	}
 }
 
@@ -385,7 +405,7 @@ func (c *Cache) unshare(b *Buf, s []byte) {
 // bytes: the write source a BeforeWrite hook substitutes, or the copy
 // PrepareModify moves -CB writes to.
 func (c *Cache) Copy(src []byte) []byte {
-	s := c.getStorage(len(src)/FragSize, false)
+	s := getStorage(len(src)/FragSize, false)
 	copy(s, src)
 	return s
 }
@@ -492,7 +512,7 @@ func (c *Cache) Bread(p *sim.Proc, frag int64, nfrags int) (*Buf, error) {
 		return b, nil
 	}
 	c.Misses++
-	b = &Buf{Frag: frag, Data: c.getStorage(nfrags, false), c: c, lent: 1}
+	b = &Buf{Frag: frag, Data: getStorage(nfrags, false), c: c, lent: 1}
 	b.reading = sim.NewCompletion()
 	c.insert(b)
 	c.makeRoom(p, b)
@@ -554,7 +574,7 @@ func (c *Cache) Getblk(p *sim.Proc, frag int64, nfrags int) *Buf {
 		return b
 	}
 	c.Misses++
-	b = &Buf{Frag: frag, Data: c.getStorage(nfrags, true), c: c, lent: 1}
+	b = &Buf{Frag: frag, Data: getStorage(nfrags, true), c: c, lent: 1}
 	c.insert(b)
 	c.makeRoom(p, b)
 	b.lent--
@@ -830,7 +850,7 @@ func (w *cwrite) complete() {
 	} else if w.src != nil {
 		// The data is on the media (and the crash recorder took its own
 		// copy at submission), so the write's own source is dead.
-		c.putStorage(w.src)
+		putStorage(w.src)
 	}
 	if b.invalid && b.writing == nil && b.cbInflight == 0 {
 		c.remove(b)
@@ -866,7 +886,7 @@ func (c *Cache) Resize(b *Buf, nfrags int) {
 		return
 	}
 	c.bytes += nfrags*FragSize - len(b.Data)
-	data := c.getStorage(nfrags, false)
+	data := getStorage(nfrags, false)
 	clear(data[copy(data, b.Data):])
 	c.release(b)
 	b.Data = data

@@ -716,15 +716,23 @@ func TestEvictionOrderMatchesSortOracle(t *testing.T) {
 // TestAllocFreeEviction: making room by evicting a clean buffer costs no
 // allocation, and the evicted buffer's storage backs the new one — a Getblk
 // into a full cache allocates less than a Getblk into a half-empty one does
-// (the buffer, without its data).
+// (the buffer, without its data). The half-empty cache's Getblks each find
+// the process-wide pool drained, as a new cell's would at its high-water.
 func TestAllocFreeEviction(t *testing.T) {
 	const nbufs = 64
 	getblks := func(fill int) float64 {
 		eng, _, _, c := newRig(Config{MaxBytes: nbufs * 8 * FragSize})
+		roomy := fill < nbufs
 		var allocs float64
 		runIn(eng, func(p *sim.Proc) {
 			frag := int64(0)
-			next := func() { c.Getblk(p, frag, 8); frag += 8 }
+			next := func() {
+				if roomy {
+					DrainStorage()
+				}
+				c.Getblk(p, frag, 8)
+				frag += 8
+			}
 			for i := 0; i < fill; i++ {
 				next()
 			}

@@ -23,9 +23,9 @@ func mediaByte(dsk *disk.Disk, frag int64) byte {
 	return got[0]
 }
 
-// warm puts one 8-fragment slice into c's storage pool, so that a copy
+// warm puts one 8-fragment slice into the storage pool, so that a copy
 // taken from the pool shows in its length.
-func warm(c *Cache) { c.putStorage(make([]byte, 8*FragSize)) }
+func warm() { putStorage(make([]byte, 8*FragSize)) }
 
 // issue fills b's first byte with v and issues a -CB write of it. The
 // issue does not yield (no process is charged the copy's CPU time), so the
@@ -44,9 +44,9 @@ func TestCBWriteOfUnmodifiedBufferTakesNoCopy(t *testing.T) {
 	eng, dsk, drv, c := newRig(Config{CB: true})
 	runIn(eng, func(p *sim.Proc) {
 		b := c.Getblk(p, 8, 8).Hold()
-		pooled := len(c.free[8])
+		before := Pooled(8)
 		r := issue(p, c, b, 1)
-		if !sameStorage(r.Data, b.Data) || len(c.free[8]) != pooled {
+		if !sameStorage(r.Data, b.Data) || Pooled(8) != before {
 			t.Error("the write copied its buffer, which nobody modified")
 		}
 		r.Done.Wait(p)
@@ -92,22 +92,22 @@ func TestCBWritesIssuedBeforeModifyShareOneCopy(t *testing.T) {
 	eng, dsk, drv, c := newRig(Config{CB: true})
 	runIn(eng, func(p *sim.Proc) {
 		b := c.Getblk(p, 8, 8).Hold()
-		warm(c)
+		warm()
 		r1 := issue(p, c, b, 1)
 		c.Bdwrite(b)
 		r2 := c.Bawrite(nil, b)
-		pooled := len(c.free[8])
+		before := Pooled(8)
 		c.PrepareModify(p, b)
 		b.Data[0] = 2
-		if !sameStorage(r1.Data, r2.Data) || sameStorage(r1.Data, b.Data) || len(c.free[8]) != pooled-1 {
+		if !sameStorage(r1.Data, r2.Data) || sameStorage(r1.Data, b.Data) || Pooled(8) != before-1 {
 			t.Error("the two writes did not move to one copy")
 		}
 		r1.Done.Wait(p)
 		r2.Done.Wait(p)
 		drv.Release(r1)
 		drv.Release(r2)
-		if len(c.free[8]) != pooled {
-			t.Errorf("%d storage slices pooled after both writes landed, want %d", len(c.free[8]), pooled)
+		if Pooled(8) != before {
+			t.Errorf("%d storage slices pooled after both writes landed, want %d", Pooled(8), before)
 		}
 		if got := mediaByte(dsk, 8); got != 1 {
 			t.Errorf("media holds %d, want the issued 1", got)
@@ -143,15 +143,15 @@ func TestCBSharedStorageOutlivesResizeDropEvict(t *testing.T) {
 				if !sameStorage(r.Data, old) {
 					t.Error("the write lost its source")
 				}
-				pooled := len(c.free[2])
+				before := Pooled(2)
 				r.Done.Wait(p)
 				drv.Release(r)
 				if got := mediaByte(dsk, 8); got != 1 {
 					t.Errorf("media holds %d, want the issued 1", got)
 				}
 				c.DropClean()
-				if len(c.free[2]) != pooled+1 {
-					t.Errorf("%d 2-fragment slices pooled after the write landed, want %d", len(c.free[2]), pooled+1)
+				if Pooled(2) != before+1 {
+					t.Errorf("%d 2-fragment slices pooled after the write landed, want %d", Pooled(2), before+1)
 				}
 			})
 		})
@@ -211,18 +211,18 @@ func TestAllocFreeModifyInFlight(t *testing.T) {
 	var allocs float64
 	runIn(eng, func(p *sim.Proc) {
 		b := c.Getblk(p, 8, 8).Hold()
-		warm(c)
+		warm()
 		cycle := func() {
 			r := issue(p, c, b, 1)
-			pooled := len(c.free[8])
+			before := Pooled(8)
 			c.PrepareModify(p, b)
 			b.Data[0] = 2
-			if len(c.free[8]) != pooled-1 {
-				t.Errorf("modifying in flight took %d pooled copies, want 1", pooled-len(c.free[8]))
+			if Pooled(8) != before-1 {
+				t.Errorf("modifying in flight took %d pooled copies, want 1", before-Pooled(8))
 			}
 			r.Done.Wait(p)
 			drv.Release(r)
-			if len(c.free[8]) != pooled {
+			if Pooled(8) != before {
 				t.Error("the copy did not go back to the pool when the write landed")
 			}
 		}

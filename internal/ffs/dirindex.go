@@ -25,7 +25,7 @@ import (
 // An index is keyed by directory and block address and bound to the buffer
 // it was built from. The binding is a pointer compared, never read through:
 // the bytes always come from a caller that holds the buffer, so an index
-// bound to a buffer whose storage went back to the cache's pool is only
+// bound to a buffer whose storage went back to the storage pool is only
 // stale. Another buffer at that address means the block was evicted and
 // read back, or its abandoned write dropped it, so the index is rebuilt
 // from the bytes; a block that growBlock moves carries its index

@@ -36,7 +36,7 @@ func indexDrift(x *dirIndex) string {
 // is bound to and compares the two. It returns the number of indexes
 // checked and the first difference found. An index bound to a buffer no
 // longer resident at its address is not checked: its next use rebuilds it
-// (dirIndexes.of), and the buffer's storage may be back in the cache's pool.
+// (dirIndexes.of), and the buffer's storage may be back in the storage pool.
 func (fs *FS) CheckDirIndexes() (int, error) {
 	n := 0
 	for k, x := range fs.dirIdx {

@@ -12,7 +12,7 @@ import (
 
 // TestAllocFreeGrowBlockMove: a file's one-fragment block, its neighbours
 // taken, grows to a whole block, so growBlock moves it. The new 8 KB buffer
-// takes its storage from the cache's pool, where the blocks freed before
+// takes its storage from the storage pool, where the blocks freed before
 // left theirs: in steady state a move allocates its bookkeeping and none of
 // the buffer's bytes.
 func TestAllocFreeGrowBlockMove(t *testing.T) {
