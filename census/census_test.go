@@ -62,6 +62,7 @@ var allowlist = map[string]string{
 
 	// Probes that tests of another package assert; an export_test.go
 	// reaches only the tests of its own package.
+	"internal/cache.DrainStorage":        "test hook: ffs's allocation guard drains the process-wide storage pool before it counts",
 	"internal/cache.Cache.HeldCount":     "probe: fsim's and ffs's tests assert no buffer is left held",
 	"internal/core.SoftUpdates.DepCount": "probe: fsim's stress test asserts every dependency drains",
 	"internal/crashmc.Recorder.Instant":  "probe: fsim's journal test marks the crash instant an fsync returned at",

@@ -316,6 +316,19 @@ var storage struct {
 	free [maxFrags + 1][][]byte
 }
 
+// DrainStorage empties the storage pool, so the next get of each class
+// carves a slab. It is a test hook: an allocation guard, in this package or
+// another, starts from it so that storage earlier tests left pooled cannot
+// hide a leak.
+func DrainStorage() {
+	storage.mu.Lock()
+	defer storage.mu.Unlock()
+	for k := range storage.free {
+		clear(storage.free[k])
+		storage.free[k] = storage.free[k][:0]
+	}
+}
+
 // slabPieces is how many slices of its class an empty class carves from
 // one allocation: a pooled slice pins at most slabPieces-1 dead siblings,
 // and the GC sweeps one span per slab instead of one per slice.

@@ -718,31 +718,44 @@ func TestEvictionOrderMatchesSortOracle(t *testing.T) {
 // into a full cache allocates less than a Getblk into a half-empty one does
 // (the buffer, without its data). The half-empty cache's Getblks each find
 // the process-wide pool drained, as a new cell's would at its high-water.
+// The full cache starts from a drained pool too, and each of its measured
+// Getblks must leave the pool as it found it: it takes the slice the last
+// eviction returned and its own eviction returns one. A leak would show
+// there even where slabs spread one allocation over eight Getblks.
 func TestAllocFreeEviction(t *testing.T) {
 	const nbufs = 64
-	getblks := func(fill int) float64 {
+	getblks := func(fill int) (allocs float64, moved int) {
 		eng, _, _, c := newRig(Config{MaxBytes: nbufs * 8 * FragSize})
 		roomy := fill < nbufs
-		var allocs float64
 		runIn(eng, func(p *sim.Proc) {
+			DrainStorage()
 			frag := int64(0)
 			next := func() {
 				if roomy {
 					DrainStorage()
 				}
+				before := Pooled(8)
 				c.Getblk(p, frag, 8)
 				frag += 8
+				if Pooled(8) != before {
+					moved++
+				}
 			}
 			for i := 0; i < fill; i++ {
 				next()
 			}
+			moved = 0
 			allocs = testing.AllocsPerRun(nbufs/4, next)
 		})
-		return allocs
+		return allocs, moved
 	}
-	roomy, full := getblks(nbufs/2), getblks(2*nbufs)
+	roomy, _ := getblks(nbufs / 2)
+	full, moved := getblks(2 * nbufs)
 	if full == 0 || full >= roomy {
 		t.Fatalf("Getblk allocates %.1f times into a full cache, %.1f into a half-empty one", full, roomy)
+	}
+	if moved != 0 {
+		t.Fatalf("%d of %d Getblks into a full cache changed the pool's 8-fragment stack: the evicted storage did not serve the next Getblk", moved, nbufs/4+1)
 	}
 }
 

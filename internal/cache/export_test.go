@@ -2,22 +2,12 @@ package cache
 
 // The storage pool is process-wide: a test that counts it must not run in
 // parallel with another that uses a cache, and starts from a drained pool
-// where warm storage left by earlier tests would change what it counts.
+// (DrainStorage) where warm storage left by earlier tests would change what
+// it counts.
 
 // Pooled returns how many nfrags-fragment slices the storage pool holds.
 func Pooled(nfrags int) int {
 	storage.mu.Lock()
 	defer storage.mu.Unlock()
 	return len(storage.free[nfrags])
-}
-
-// DrainStorage empties the storage pool, leaving its stacks' capacity, so
-// the next getStorage of each class carves a slab.
-func DrainStorage() {
-	storage.mu.Lock()
-	defer storage.mu.Unlock()
-	for k := range storage.free {
-		clear(storage.free[k])
-		storage.free[k] = storage.free[k][:0]
-	}
 }

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"metaupdate/internal/cache"
 	"metaupdate/internal/ffs"
 	"metaupdate/internal/ordering"
 	"metaupdate/internal/sim"
@@ -14,15 +15,24 @@ import (
 // taken, grows to a whole block, so growBlock moves it. The new 8 KB buffer
 // takes its storage from the storage pool, where the blocks freed before
 // left theirs: in steady state a move allocates its bookkeeping and none of
-// the buffer's bytes.
+// the buffer's bytes. So does the whole cycle, the files' creation and
+// removal included: a leak of the moved block's storage or of the eight
+// fragments' costs at least a block per cycle. The move alone would miss
+// such a leak: a slab carved for an empty class serves the next eight gets,
+// so the allocation a leak forces can land outside the move. The pool is
+// process-wide, so the test drains it first: storage other tests left
+// there would otherwise hide a leak.
 func TestAllocFreeGrowBlockMove(t *testing.T) {
 	r := newRig(t, ordering.NewNoOrder(), ffs.Config{})
+	cache.DrainStorage()
 	const cycles, warm = 12, 2
 	small, rest := fileData(1, 1000), fileData(2, 7000)
 	var moves int
-	var bytes uint64
+	var bytes, cycleBytes uint64
 	r.run(t, func(p *sim.Proc) {
 		for i := 0; i < cycles; i++ {
+			var c0, c1 runtime.MemStats
+			runtime.ReadMemStats(&c0)
 			names := []string{"a"}
 			for j := 0; j < ffs.BlockFrags-1; j++ {
 				names = append(names, fmt.Sprintf("fill%d", j))
@@ -58,9 +68,16 @@ func TestAllocFreeGrowBlockMove(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			runtime.ReadMemStats(&c1)
+			if i >= warm {
+				cycleBytes += c1.TotalAlloc - c0.TotalAlloc
+			}
 		}
 	})
 	if per := bytes / uint64(moves); per >= ffs.BlockSize/2 {
 		t.Errorf("growBlock moving a block to 8 fragments: %d bytes per move, want no buffer bytes (< %d)", per, ffs.BlockSize/2)
+	}
+	if per := cycleBytes / uint64(moves); per >= ffs.BlockSize {
+		t.Errorf("creating, growing and removing %d files: %d bytes per cycle, want no buffer bytes (< %d)", ffs.BlockFrags, per, ffs.BlockSize)
 	}
 }
