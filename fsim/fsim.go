@@ -287,14 +287,15 @@ func (s *System) RunUsers(n int, fn func(p *Proc, user int)) (each []Duration, w
 	return each, s.Eng.Now() - start
 }
 
-// Shutdown stops the syncer daemon and drains the simulation so every
-// process goroutine exits. Call it when done with a System: a parked
-// daemon goroutine would otherwise retain the engine — and through it the
-// materialized disk image — for the life of the Go process. The harness
-// creates hundreds of Systems per experiment sweep, so this matters.
+// Shutdown ends a System's life: it stops the syncer daemon, drains the
+// simulation so every process goroutine exits (a parked daemon would hold
+// the engine and disk image for the life of the Go process, and the harness
+// makes hundreds of Systems per sweep) and closes the cache, whose storage
+// serves the next System. The disk and counters stay readable after it.
 func (s *System) Shutdown() {
 	s.Cache.StopSyncer()
 	s.Eng.Run() // the syncer wakes once more, observes the stop, and exits
+	s.Cache.Close()
 }
 
 // Crash freezes the system at virtual time t (which must be in the future)

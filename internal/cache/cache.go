@@ -15,8 +15,8 @@
 //
 // Buffers are addressed in 1 KB fragments, the file system's smallest
 // allocation unit; a buffer covers 1..8 fragments. Their storage, the -CB
-// copies and soft updates' rollback copies come from one pool per process,
-// so what one cache releases serves the next cache the process builds.
+// copies and rollback copies come from one pool per process: what a cache
+// releases, and what it still maps when it is closed, serves the next cache.
 //
 // The syncer daemon follows the paper's description of SVR4 MP: it wakes
 // once a second, sweeps one fraction of the buffer cache marking dirty
@@ -257,6 +257,7 @@ type Cache struct {
 	LostWrites  int64 // dirty buffers dropped after maxWriteFails failures
 	syncerRound int
 	syncerStop  bool
+	closed      bool // by Close: Getblk and Bread panic
 }
 
 // New returns a cache over drv. cpu is charged for block copies. The cache
@@ -502,6 +503,9 @@ func (c *Cache) waitAccessible(p *sim.Proc, b *Buf) {
 // scheme rolls back only write sources, never the buffer). On a media error
 // (faulted disk) it returns the driver's error and no buffer.
 func (c *Cache) Bread(p *sim.Proc, frag int64, nfrags int) (*Buf, error) {
+	if c.closed {
+		panic("cache: used after Close")
+	}
 	b := c.Lookup(frag)
 	if b != nil && b.NFrags() != nfrags {
 		panic(fmt.Sprintf("cache: Bread(%d,%d) conflicts with resident buffer of %d frags",
@@ -570,6 +574,9 @@ func (c *Cache) Bread(p *sim.Proc, frag int64, nfrags int) (*Buf, error) {
 // Getblk returns a buffer for a range about to be fully overwritten (no
 // disk read): freshly allocated blocks. Contents start zeroed.
 func (c *Cache) Getblk(p *sim.Proc, frag int64, nfrags int) *Buf {
+	if c.closed {
+		panic("cache: used after Close")
+	}
 	b := c.Lookup(frag)
 	if b != nil {
 		if b.NFrags() != nfrags {
@@ -1052,14 +1059,23 @@ func (c *Cache) makeRoom(p *sim.Proc, keep *Buf) {
 	}
 }
 
-// DropClean evicts every clean, idle, unpinned buffer — benchmarks use it
-// (after a full sync) to cold-start a measurement the way a freshly booted
-// machine would. It walks the eviction order, not the map, so the order
-// storage goes back to the pool in is deterministic.
-func (c *Cache) DropClean() {
+// DropClean evicts every clean, idle, unpinned buffer: benchmarks cold-start
+// a measurement with it (after a full sync), as a freshly booted machine.
+func (c *Cache) DropClean() { c.dropIdle(false) }
+
+// Close drops every idle buffer, dirty or clean, unwritten: its storage
+// serves the next cache. Getblk and Bread panic afterwards; the counters
+// and Bytes stay readable, and the disk is not touched.
+func (c *Cache) Close() { c.dropIdle(true); c.closed = true }
+
+// dropIdle unmaps every buffer no holder, reader or I/O uses — unless all,
+// only clean, unpinned ones without scheme state. It walks the eviction
+// order, so the order storage goes back to the pool in is deterministic.
+func (c *Cache) dropIdle(all bool) {
 	for b := c.lru.next; b != &c.lru; {
 		next := b.next
-		if !b.Dirty && !b.Pinned && b.hold == 0 && b.reading == nil && b.writing == nil && b.cbInflight == 0 && b.Dep == nil {
+		if b.hold == 0 && b.reading == nil && b.writing == nil && b.cbInflight == 0 &&
+			(all || !b.Dirty && !b.Pinned && b.Dep == nil) {
 			c.remove(b)
 		}
 		b = next

@@ -117,15 +117,19 @@ func TestSlabPiecesAreDisjoint(t *testing.T) {
 }
 
 // TestStoragePoolConcurrentCaches: caches on goroutines of their own, as
-// the harness runs cells, take and release storage at once. Each checks
-// that its buffers keep the bytes it wrote; under -race an unguarded pool
+// the harness runs cells, take and release storage at once, and then all
+// close at once with buffers still mapped, dirty and clean, as machines
+// shutting down together do. Each checks that its buffers keep the bytes
+// it wrote and that Close unmapped them all; under -race an unguarded pool
 // is a reported race.
 func TestStoragePoolConcurrentCaches(t *testing.T) {
 	const workers, rounds = 4, 200
-	var wg sync.WaitGroup
+	var wg, mapped sync.WaitGroup
+	shutdown := make(chan struct{})
 	errs := make([]error, workers)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
+		mapped.Add(1)
 		go func() {
 			defer wg.Done()
 			eng, _, drv, c := newRig(Config{CB: true, MaxBytes: 4 * 8 * FragSize})
@@ -145,9 +149,23 @@ func TestStoragePoolConcurrentCaches(t *testing.T) {
 					b.Unhold()
 					c.Drop(frag)
 				}
+				for i := 1; i <= maxFrags; i++ {
+					b := c.Getblk(p, int64(64*i), i)
+					if i%2 == 0 {
+						c.Bdwrite(b)
+					}
+				}
 			})
+			mapped.Done()
+			<-shutdown
+			c.Close()
+			if errs[w] == nil && c.Bytes() != 0 {
+				errs[w] = fmt.Errorf("worker %d: %d bytes still mapped after Close", w, c.Bytes())
+			}
 		}()
 	}
+	mapped.Wait()
+	close(shutdown)
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {

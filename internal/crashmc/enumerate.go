@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/maphash"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -24,18 +25,10 @@ type job struct {
 	// beyond every header it has sent, and the channel send orders its
 	// writes before the worker's reads.
 	done    []*node
-	subset  *[]*node // pooled (checkerPool.subsets); nil for the empty subset
+	subset  []*node // the writes hypothesized durable; pooled (checkerPool.subsets), nil if none
 	partial *node
 	psec    int
 	instant int
-}
-
-// writes returns the pending writes the job hypothesizes durable.
-func (j *job) writes() []*node {
-	if j.subset == nil {
-		return nil
-	}
-	return *j.subset
 }
 
 // explorer walks the recorded timeline and generates crash states. It holds
@@ -122,7 +115,7 @@ func (r *Recorder) Explore(cfg Config) *Result {
 	cfg.setDefaults(runtime.GOMAXPROCS(0))
 	start := time.Now()
 
-	pool := newCheckerPool(cfg)
+	pool := &checkerPool{cfg: cfg}
 	x := newExplorer(r, cfg, pool)
 	var wg sync.WaitGroup
 	for w := 0; w < cfg.Workers; w++ {
@@ -545,37 +538,38 @@ type checkerPool struct {
 
 	// subsets free-lists the job subset slices (dev's request-pool idiom):
 	// the single-threaded explorer copies each emitted subset into a slice
-	// drawn here, and workers hand the same pointer back after recording,
-	// so steady-state emission stops allocating.
-	subsets sync.Pool
+	// drawn here, and workers hand the same slice back after recording,
+	// so steady-state emission stops allocating. A list, not a sync.Pool,
+	// which a GC would empty.
+	smu     sync.Mutex
+	subsets [][]*node
 
 	vmu        sync.Mutex
 	violations []Violation
 }
 
-func newCheckerPool(cfg Config) *checkerPool {
-	return &checkerPool{cfg: cfg}
-}
-
 // getSubset copies subset into a pooled slice (nil for the empty subset).
-func (cp *checkerPool) getSubset(subset []*node) *[]*node {
+func (cp *checkerPool) getSubset(subset []*node) []*node {
 	if len(subset) == 0 {
 		return nil
 	}
-	sp, _ := cp.subsets.Get().(*[]*node)
-	if sp == nil {
-		sp = new([]*node)
+	var s []*node
+	cp.smu.Lock()
+	if n := len(cp.subsets); n > 0 {
+		s, cp.subsets = cp.subsets[n-1], cp.subsets[:n-1]
 	}
-	*sp = append((*sp)[:0], subset...)
-	return sp
+	cp.smu.Unlock()
+	return append(s[:0], subset...)
 }
 
-func (cp *checkerPool) putSubset(sp *[]*node) {
-	if sp == nil {
+func (cp *checkerPool) putSubset(s []*node) {
+	if s == nil {
 		return
 	}
-	clear(*sp) // drop node references while pooled
-	cp.subsets.Put(sp)
+	clear(s) // drop node references while pooled
+	cp.smu.Lock()
+	cp.subsets = append(cp.subsets, s)
+	cp.smu.Unlock()
 }
 
 // committedImage is a worker's private copy of the media as of the newest
@@ -605,7 +599,7 @@ func (c *committedImage) advance(done []*node) bool {
 }
 
 func (cp *checkerPool) run(base []byte, jobs <-chan job) {
-	com := committedImage{img: append([]byte(nil), base...)}
+	com := committedImage{img: getImage(base)}
 	ov := &overlay{}
 	var rec *recoveryImage // cfg.Recover's image; mirrors com.img
 	if cp.cfg.Recover != nil {
@@ -668,6 +662,39 @@ func (cp *checkerPool) run(base []byte, jobs <-chan job) {
 		cp.checked.Add(1)
 		cp.putSubset(j.subset)
 	}
+	putImage(com.img)
+	if rec != nil {
+		putImage(rec.img)
+	}
+}
+
+// images pools the workers' images for the next sweep, newest first and by
+// exact length, at most as many as workers ever ran at once: byte slices,
+// which the GC does not scan, in a list it does not empty (no sync.Pool).
+var images struct {
+	sync.Mutex
+	free [][]byte
+}
+
+// getImage returns a copy of src, in a pooled image of its length if any.
+func getImage(src []byte) (img []byte) {
+	images.Lock()
+	for i := len(images.free) - 1; i >= 0; i-- {
+		if len(images.free[i]) == len(src) {
+			img = images.free[i]
+			images.free = slices.Delete(images.free, i, i+1)
+			break
+		}
+	}
+	images.Unlock()
+	return append(img[:0], src...)
+}
+
+// putImage returns img to the pool. Nothing may touch it afterwards.
+func putImage(img []byte) {
+	images.Lock()
+	images.free = append(images.free, img)
+	images.Unlock()
 }
 
 // fullCheck, when set (tests), replaces a worker's incremental check of
@@ -703,7 +730,7 @@ func (cp *checkerPool) record(j job, findings []string) {
 		Completed: len(j.done),
 		Findings:  findings,
 	}
-	for _, n := range j.writes() {
+	for _, n := range j.subset {
 		v.Applied = append(v.Applied, WriteInfo{ID: n.id, LBN: n.lbn, Sectors: n.count})
 	}
 	if j.partial != nil {

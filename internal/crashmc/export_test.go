@@ -1,8 +1,6 @@
 package crashmc
 
 import (
-	"sync"
-
 	"metaupdate/internal/disk"
 	"metaupdate/internal/fsck"
 )
@@ -13,19 +11,12 @@ func (r *Recorder) Writes() int { return r.writes }
 // ShrinkTrials is the cap on the images a shrink materializes.
 const ShrinkTrials = shrinkTrials
 
-// fullImages holds checkFull's scratch images, one per concurrent caller.
-var fullImages sync.Pool
-
 // checkFull is the reference the incremental checker is pinned against:
-// the candidate materialized, recovered and walked in full.
+// the candidate materialized, recovered and walked in full. Its scratch
+// images come from the checker's image pool.
 func checkFull(ov *overlay, cfg Config) []string {
-	p, _ := fullImages.Get().(*[]byte)
-	if p == nil {
-		p = new([]byte)
-	}
-	defer fullImages.Put(p)
-	img := append((*p)[:0], ov.base...)
-	*p = img
+	img := getImage(ov.base)
+	defer putImage(img)
 	for _, s := range ov.dirty {
 		copy(img[s*disk.SectorSize:], ov.view[s])
 	}

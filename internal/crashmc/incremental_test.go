@@ -208,7 +208,7 @@ func randomJob(rng *uint64, writes []*node) *job {
 			subset = append(subset, w)
 		}
 	}
-	j := &job{subset: &subset}
+	j := &job{subset: subset}
 	if splitmix(rng)%2 == 0 {
 		p := writes[splitmix(rng)%uint64(len(writes))]
 		if p.count > 1 {

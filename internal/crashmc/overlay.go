@@ -45,7 +45,7 @@ func (o *overlay) load(j *job, img []byte) {
 	}
 	o.cur++
 	o.dirty = o.dirty[:0]
-	for _, n := range j.writes() {
+	for _, n := range j.subset {
 		for i := 0; i < n.count; i++ {
 			o.set(n.lbn+int64(i), n.data[i*disk.SectorSize:(i+1)*disk.SectorSize])
 		}

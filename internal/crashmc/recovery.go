@@ -39,7 +39,7 @@ type recoveryImage struct {
 func newRecoveryImage(com []byte) *recoveryImage {
 	r := &recoveryImage{
 		com:  com,
-		img:  append([]byte(nil), com...),
+		img:  getImage(com),
 		zero: make([]bool, (len(com)+pageSize-1)/pageSize),
 	}
 	for p := range r.zero {

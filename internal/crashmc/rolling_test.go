@@ -8,6 +8,7 @@ package crashmc
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
 	"slices"
 	"testing"
@@ -110,7 +111,7 @@ func TestWorkerImageIsReplayOfDone(t *testing.T) {
 			}
 			cfg := Config{Workers: 1, Budget: 4000, PerInstant: 32}
 			cfg.setDefaults(1)
-			x := newExplorer(rec, cfg, newCheckerPool(cfg))
+			x := newExplorer(rec, cfg, &checkerPool{cfg: cfg})
 			go x.walk()
 
 			oracle := &committedOracle{rec: rec, img: slices.Clone(rec.base)}
@@ -155,7 +156,7 @@ func TestDFSSignatureMatchesDefinition(t *testing.T) {
 			rec := tc.rec()
 			cfg := Config{Workers: 1, Budget: 6000, PerInstant: 128}
 			cfg.setDefaults(1)
-			x := newExplorer(rec, cfg, newCheckerPool(cfg))
+			x := newExplorer(rec, cfg, &checkerPool{cfg: cfg})
 			drained := make(chan struct{})
 			go func() {
 				for j := range x.jobs {
@@ -262,5 +263,62 @@ func TestAllocFreeExploreNoImagePerInstant(t *testing.T) {
 				t.Errorf("limit %d is not well under an image per instant (%d): the guard guards nothing", limit, perInstant)
 			}
 		})
+	}
+}
+
+// pooledImages empties the image pool of n-byte images when drain is set,
+// and returns how many it holds.
+func pooledImages(n int, drain bool) int {
+	images.Lock()
+	defer images.Unlock()
+	if drain {
+		images.free = slices.DeleteFunc(images.free, func(img []byte) bool { return len(img) == n })
+	}
+	count := 0
+	for _, img := range images.free {
+		if len(img) == n {
+			count++
+		}
+	}
+	return count
+}
+
+// TestAllocFreeExploreSecondSweep: a finished sweep's workers return their
+// images — the committed one and, under a recovery step, the recovery one
+// — to the pool, so a second sweep of the same size takes every image from
+// it and allocates none: the pool holds the same images after both, and
+// the second sweep allocates less than one image's bytes.
+func TestAllocFreeExploreSecondSweep(t *testing.T) {
+	for _, tc := range []struct {
+		scheme    fsim.Scheme
+		recover   func([]byte)
+		perWorker int
+	}{
+		{fsim.Conventional, nil, 1},
+		{fsim.Journaling, func(img []byte) { fsck.ReplayJournal(img) }, 2},
+	} {
+		rec := recordRun(t, tc.scheme, 40)
+		for _, workers := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/workers=%d", tc.scheme.Slug(), workers), func(t *testing.T) {
+				cfg := Config{Workers: workers, Budget: 300, PerInstant: 64, Recover: tc.recover}
+				n := len(rec.base)
+				pooledImages(n, true)
+				want := workers * tc.perWorker
+				for sweep := 1; sweep <= 2; sweep++ {
+					var before, after runtime.MemStats
+					runtime.ReadMemStats(&before)
+					rec.Explore(cfg)
+					runtime.ReadMemStats(&after)
+					alloc := after.TotalAlloc - before.TotalAlloc
+					t.Logf("sweep %d: %.2f MB allocated, an image is %.2f MB", sweep, float64(alloc)/(1<<20), float64(n)/(1<<20))
+					if sweep == 2 && alloc >= uint64(n) {
+						t.Errorf("the second sweep allocated %d bytes, at least an image (%d)", alloc, n)
+					}
+					if got := pooledImages(n, false); got != want {
+						t.Errorf("sweep %d: the pool holds %d images after the sweep, want %d (%d workers, %d each)", sweep, got, want, workers, tc.perWorker)
+					}
+				}
+			})
+		}
 	}
 }

@@ -516,10 +516,10 @@ func (c *Cluster) SyncAll() {
 	c.eng.RunWhile(func() bool { return remaining > 0 })
 }
 
-// Shutdown stops every node (syncer halted, endpoint closed) via
-// kShutdown RPCs, closes the client endpoint so the router exits, and
-// drains the engine. After Crash the machines are dead and the clocks are
-// frozen, so there is nothing left to wind down.
+// Shutdown stops every node (syncer halted, endpoint closed) via kShutdown
+// RPCs, closes the client endpoint so the router exits, drains the engine
+// and closes every node's cache. After Crash the machines are dead and the
+// clocks are frozen, so there is nothing left to wind down.
 func (c *Cluster) Shutdown() {
 	if c.crashed {
 		return
@@ -535,6 +535,9 @@ func (c *Cluster) Shutdown() {
 	c.eng.RunWhile(func() bool { return remaining > 0 })
 	c.clientEp.Close()
 	c.eng.Run()
+	for _, n := range c.nodes {
+		n.St.Cache.Close()
+	}
 }
 
 // Crash snapshots every node's media as of a simultaneous power failure

@@ -428,3 +428,33 @@ func TestLoadDeterminism(t *testing.T) {
 			r1, r2, t1, t2, m1, m2, u1, u2)
 	}
 }
+
+// TestShutdownClosesEveryCache: a cluster's shutdown closes every node's
+// cache, spares included, so no node keeps block storage mapped (it goes
+// back to the process-wide pool), while the counters a benchmark reads
+// afterwards keep their values.
+func TestShutdownClosesEveryCache(t *testing.T) {
+	opt := distOpt(fsim.SoftUpdates, 3, 5)
+	opt.SplitEntries = 24
+	s := mustDist(t, opt)
+	s.Cluster.Load(dmeta.LoadSpec{Clients: 4, Ops: 40, Seed: 5})
+	held, misses := 0, make([]int64, s.Cluster.NodeCount())
+	for id := 1; id <= s.Cluster.NodeCount(); id++ {
+		c := s.Cluster.Node(id).St.Cache
+		held += c.Bytes()
+		misses[id-1] = c.Misses
+	}
+	if held == 0 {
+		t.Fatal("setup: no node maps any buffer before the shutdown")
+	}
+	s.Shutdown()
+	for id := 1; id <= s.Cluster.NodeCount(); id++ {
+		c := s.Cluster.Node(id).St.Cache
+		if c.Bytes() != 0 || c.DirtyCount() != 0 {
+			t.Errorf("node %d: %d bytes mapped, %d dirty buffers after Shutdown, want none", id, c.Bytes(), c.DirtyCount())
+		}
+		if c.Misses != misses[id-1] {
+			t.Errorf("node %d: %d misses after Shutdown, %d before", id, c.Misses, misses[id-1])
+		}
+	}
+}

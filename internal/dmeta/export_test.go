@@ -24,3 +24,6 @@ func (c *Cluster) Images() [][]byte {
 	}
 	return imgs
 }
+
+// NodeCount returns the number of nodes, spares included.
+func (c *Cluster) NodeCount() int { return len(c.nodes) }

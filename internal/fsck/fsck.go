@@ -172,7 +172,7 @@ func CheckImage(img Image) *Report {
 	st := getCheckState(sb)
 	st.deriveAll(img)
 	mergeReport(&st.sb, img, st, rep, &st.own, nil)
-	checkStates.Put(st)
+	putCheckState(st)
 	return rep
 }
 

@@ -31,7 +31,6 @@ package fsck
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
 
 	"metaupdate/internal/ffs"
 )
@@ -643,18 +642,31 @@ func newCheckState(sb ffs.Superblock) *checkState {
 // are one per image (mdcrash, the fault exhibit, a benchmark cell's final
 // check). Every record is reset as it is derived and the merge reads
 // only records derived from its own image, so a recycled state reports
-// exactly what a fresh one does.
-var checkStates sync.Pool
+// exactly what a fresh one does. A leaky buffer, not a sync.Pool, which a
+// GC would empty; 8 covers the checks that usually run at once (the checker's
+// workers, harness cells), and a state put beyond it is left to the GC.
+var checkStates = make(chan *checkState, 8)
 
-// getCheckState returns a state for sb's geometry, recycled when the pool
-// has one of that geometry. Callers hand it back with checkStates.Put once
+// getCheckState returns a state for sb's geometry, recycled when the list
+// has one of that geometry. Callers hand it back with putCheckState once
 // the report is complete (a check that panics simply drops it).
 func getCheckState(sb ffs.Superblock) *checkState {
-	if st, _ := checkStates.Get().(*checkState); st != nil && len(st.inodes) == int(sb.NInodes) {
-		st.sb = sb // merge re-sizes the ownership table if the data region differs
-		return st
+	select {
+	case st := <-checkStates:
+		if len(st.inodes) == int(sb.NInodes) {
+			st.sb = sb // merge re-sizes the ownership table if the data region differs
+			return st
+		}
+	default:
 	}
 	return newCheckState(sb)
+}
+
+func putCheckState(st *checkState) {
+	select {
+	case checkStates <- st:
+	default:
+	}
 }
 
 func (st *checkState) inodeRec(ino ffs.Ino) *inodeRec { return &st.inodes[ino] }

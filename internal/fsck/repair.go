@@ -181,7 +181,7 @@ func Repair(img []byte) []string {
 	}); n > 0 {
 		log("rebuilt inode bitmap (%d bits corrected)", n)
 	}
-	checkStates.Put(st)
+	putCheckState(st)
 	return actions
 }
 
