@@ -9,9 +9,15 @@
 //   - the hook surface soft updates needs (section 4.2): a scheme can order
 //     a write behind one it has yet to submit, roll back updates in the
 //     write source just before the write is issued, and be told when the
-//     write lands (dependency resolution, workitems). Each buffer records
-//     its newest write in flight (Buf.WriteReq), which scheduler chains
-//     names as a dependency.
+//     write lands (dependency resolution, workitems).
+//
+// A buffer names one write in flight, its newest (Buf.write): the writes of
+// one buffer land in issue order, so that one field says whether any is in
+// flight, which request scheduler chains names as a dependency
+// (Buf.WriteReq), and, without -CB, the write lock (Buf.InFlight). The -CB
+// writes still sharing a buffer's storage hang off it in issue order, the
+// landing one first. Every user of a buffer, a Bread or Getblk still
+// handing it out included, counts in its hold.
 //
 // Buffers are addressed in 1 KB fragments, the file system's smallest
 // allocation unit; a buffer covers 1..8 fragments. Their storage, the -CB
@@ -58,17 +64,17 @@ type Buf struct {
 	Dirty  bool
 	marked bool // syncer two-pass mark
 
-	reading  *sim.Completion // read in flight filling this buffer
-	writing  *sim.Completion // write in flight from this buffer (non-CB)
-	writeReq uint64          // newest write in flight from this buffer (WriteReq)
-	// cbInflight counts -CB writes in flight; the buffer is not
-	// write-locked by them but must not be evicted until they land (a
-	// re-read could observe pre-issue media).
-	cbInflight int
-	// shared is one of the ring of -CB writes in flight whose source is
-	// Data itself (cwrite.next), nil when none is.
+	reading *sim.Completion // read in flight filling this buffer
+	// write is the newest write in flight from this buffer, nil once it has
+	// landed: the driver's conflict rule lands one buffer's writes in issue
+	// order, so then none is in flight. Without -CB it is the only one and
+	// write-locks the buffer; a -CB write does not, but the buffer is not
+	// evicted until it lands (a re-read could observe pre-issue media).
+	write *cwrite
+	// shared leads the list of -CB writes in flight whose source is Data
+	// itself (cwrite.next, in issue order), nil when none is.
 	shared  *cwrite
-	invalid bool // dropped while I/O was in flight
+	invalid bool // dropped: its fragments were freed
 
 	// Pinned buffers are never evicted (soft updates keeps indirect blocks
 	// with pending dependencies "resident and dirty").
@@ -85,12 +91,10 @@ type Buf struct {
 
 	// hold is the reference count of operations currently using the
 	// buffer (the classic B_BUSY/refcount role): held buffers are never
-	// evicted, so a pointer obtained from Bread/Getblk stays valid across
-	// the sleeps inside one file system operation.
+	// evicted or dropped idle, so a pointer obtained from Bread/Getblk stays
+	// valid across the sleeps inside one file system operation. A Bread or
+	// Getblk still handing b to its caller holds it too.
 	hold int
-	// lent counts the Bread and Getblk calls handing b to their callers:
-	// its storage stays until they have (eviction is not affected).
-	lent int
 	c    *Cache // the cache whose pool Data came from
 
 	// Dep anchors scheme-owned dependency state (pagedep / inodedep /
@@ -126,17 +130,22 @@ func (b *Buf) Unhold() {
 	b.c.retire(b)
 }
 
-// InFlight reports whether a write of the buffer itself is in progress.
-// It does not count -CB writes (cbInflight): a clean buffer whose -CB
-// write is still on its way to the media reports false
+// InFlight reports whether a write of the buffer itself is in progress: the
+// write lock of a cache without -CB. It does not count -CB writes: a clean
+// buffer whose -CB write is still on its way to the media reports false
 // (ROADMAP item 1(a)).
-func (b *Buf) InFlight() bool { return b.writing != nil }
+func (b *Buf) InFlight() bool { return b.write != nil && !b.c.cfg.CB }
 
 // WriteReq returns the ID of the newest write request issued from this
 // buffer, 0 once that request has completed (successfully or not). Under
 // -CB an older write may still be in flight; the newest one is ordered
 // behind it on the media, so naming it covers both.
-func (b *Buf) WriteReq() uint64 { return b.writeReq }
+func (b *Buf) WriteReq() uint64 {
+	if b.write == nil {
+		return 0
+	}
+	return b.write.req.ID
+}
 
 // AddWriteDep adds request id to WriteDeps once, a new list in the storage
 // of one a completed write carried.
@@ -382,10 +391,10 @@ func putStorage(s []byte) {
 }
 
 // retire lets go of b's storage once b has no reader left: it is unmapped,
-// unheld, not being handed to a caller, filled or written from. Every place
-// one of those ends calls it.
+// unheld, not filled and not the source of a write that locks it. Every
+// place one of those ends calls it.
 func (c *Cache) retire(b *Buf) {
-	if b.next != nil || b.hold > 0 || b.lent > 0 || b.reading != nil || b.writing != nil || b.Data == nil {
+	if b.next != nil || b.hold > 0 || b.reading != nil || b.InFlight() || b.Data == nil {
 		return
 	}
 	c.release(b)
@@ -405,12 +414,8 @@ func (c *Cache) release(b *Buf) {
 // unshare moves every write sharing b's storage to s, which holds the same
 // bytes and belongs to them from then on.
 func (c *Cache) unshare(b *Buf, s []byte) {
-	w := b.shared
-	for {
+	for w := b.shared; w != nil; w = w.next {
 		w.src, w.req.Data = s, s
-		if w = w.next; w == b.shared {
-			break
-		}
 	}
 	b.shared = nil
 }
@@ -488,14 +493,47 @@ func (c *Cache) link(b *Buf) {
 	at.next = b
 }
 
-// waitAccessible blocks p while b is being read in. b's storage stays for
-// the caller, whatever happens to b meanwhile.
-func (c *Cache) waitAccessible(p *sim.Proc, b *Buf) {
-	b.lent++
-	for b.reading != nil {
-		b.reading.Wait(p)
+// lookupOrInsert returns the buffer for nfrags fragments at frag. A hit is
+// touched and returned once no read is filling it. A miss maps a new buffer
+// that is held until its caller hands it out; with read it is filling until
+// the caller's read lands, and its storage is not zeroed. Either way b's
+// storage stays for the caller, whatever happens to b meanwhile.
+func (c *Cache) lookupOrInsert(p *sim.Proc, frag int64, nfrags int, read bool) (b *Buf, hit bool) {
+	if c.closed {
+		panic("cache: used after Close")
 	}
-	b.lent--
+	if b = c.Lookup(frag); b != nil {
+		if b.NFrags() != nfrags {
+			op := "Getblk"
+			if read {
+				op = "Bread"
+			}
+			panic(fmt.Sprintf("cache: %s(%d,%d) conflicts with resident buffer of %d frags",
+				op, frag, nfrags, b.NFrags()))
+		}
+		c.Hits++
+		if b.reading != nil {
+			// Piggyback on another process's in-flight fill.
+			sp := obs.SpanOf(p)
+			sp.Push(p, obs.StageCacheRead)
+			b.hold++
+			for b.reading != nil {
+				b.reading.Wait(p)
+			}
+			b.hold--
+			sp.Pop(p)
+		}
+		c.touch(b)
+		return b, true
+	}
+	c.Misses++
+	b = &Buf{Frag: frag, Data: getStorage(nfrags, !read), c: c, hold: 1}
+	if read {
+		b.reading = sim.NewCompletion()
+	}
+	c.insert(b)
+	c.makeRoom(p, b)
+	return b, false
 }
 
 // Bread returns the buffer for nfrags fragments starting at frag, reading
@@ -503,36 +541,15 @@ func (c *Cache) waitAccessible(p *sim.Proc, b *Buf) {
 // scheme rolls back only write sources, never the buffer). On a media error
 // (faulted disk) it returns the driver's error and no buffer.
 func (c *Cache) Bread(p *sim.Proc, frag int64, nfrags int) (*Buf, error) {
-	if c.closed {
-		panic("cache: used after Close")
-	}
-	b := c.Lookup(frag)
-	if b != nil && b.NFrags() != nfrags {
-		panic(fmt.Sprintf("cache: Bread(%d,%d) conflicts with resident buffer of %d frags",
-			frag, nfrags, b.NFrags()))
-	}
-	if b != nil {
-		c.Hits++
-		if b.reading != nil {
-			// Piggyback on another process's in-flight fill.
-			sp := obs.SpanOf(p)
-			sp.Push(p, obs.StageCacheRead)
-			c.waitAccessible(p, b)
-			sp.Pop(p)
-		}
+	b, hit := c.lookupOrInsert(p, frag, nfrags, true)
+	if hit {
 		if b.readErr != nil {
 			// The fill this waiter piggybacked on failed; the buffer is
 			// already gone from the cache.
 			return nil, b.readErr
 		}
-		c.touch(b)
 		return b, nil
 	}
-	c.Misses++
-	b = &Buf{Frag: frag, Data: getStorage(nfrags, false), c: c, lent: 1}
-	b.reading = sim.NewCompletion()
-	c.insert(b)
-	c.makeRoom(p, b)
 	// Read requests are owned by this function end to end (submitted,
 	// waited on inline, no callbacks registered), so they cycle through
 	// the driver's pool instead of allocating per miss.
@@ -554,7 +571,7 @@ func (c *Cache) Bread(p *sim.Proc, frag int64, nfrags int) (*Buf, error) {
 	if err != nil {
 		// Waiters see readErr, never the bytes: the storage goes back now.
 		b.readErr = err
-		b.lent--
+		b.hold--
 		c.remove(b)
 		r.Fire(c.eng)
 		return nil, err
@@ -565,7 +582,7 @@ func (c *Cache) Bread(p *sim.Proc, frag int64, nfrags int) (*Buf, error) {
 		// The caller still reads it, so its storage stays.
 		c.remove(b)
 	}
-	b.lent--
+	b.hold--
 	r.Fire(c.eng)
 	c.touch(b)
 	return b, nil
@@ -574,30 +591,10 @@ func (c *Cache) Bread(p *sim.Proc, frag int64, nfrags int) (*Buf, error) {
 // Getblk returns a buffer for a range about to be fully overwritten (no
 // disk read): freshly allocated blocks. Contents start zeroed.
 func (c *Cache) Getblk(p *sim.Proc, frag int64, nfrags int) *Buf {
-	if c.closed {
-		panic("cache: used after Close")
+	b, hit := c.lookupOrInsert(p, frag, nfrags, false)
+	if !hit {
+		b.hold--
 	}
-	b := c.Lookup(frag)
-	if b != nil {
-		if b.NFrags() != nfrags {
-			panic(fmt.Sprintf("cache: Getblk(%d,%d) conflicts with resident buffer of %d frags",
-				frag, nfrags, b.NFrags()))
-		}
-		c.Hits++
-		if b.reading != nil {
-			sp := obs.SpanOf(p)
-			sp.Push(p, obs.StageCacheRead)
-			c.waitAccessible(p, b)
-			sp.Pop(p)
-		}
-		c.touch(b)
-		return b
-	}
-	c.Misses++
-	b = &Buf{Frag: frag, Data: getStorage(nfrags, true), c: c, lent: 1}
-	c.insert(b)
-	c.makeRoom(p, b)
-	b.lent--
 	return b
 }
 
@@ -609,13 +606,13 @@ func (c *Cache) PrepareModify(p *sim.Proc, b *Buf) {
 	if b.shared != nil {
 		c.unshare(b, c.Copy(b.Data))
 	}
-	if b.writing != nil && !c.cfg.CB {
+	if b.InFlight() {
 		// Write-behind backpressure: the in-flight write was issued by the
 		// syncer daemon or another process's flush of this buffer.
 		sp := obs.SpanOf(p)
 		sp.Push(p, obs.StageSyncer)
-		for b.writing != nil {
-			b.writing.Wait(p)
+		for b.InFlight() {
+			b.write.done.Wait(p)
 		}
 		sp.Pop(p)
 	}
@@ -660,9 +657,9 @@ func (c *Cache) Bwrite(p *sim.Proc, b *Buf) error {
 		}
 		// A write was already in flight (issued before this call, possibly
 		// without the caller's ordering state); wait it out and reissue.
-		if b.writing != nil {
+		if b.InFlight() {
 			sp.Push(p, obs.StageSyncer)
-			b.writing.Wait(p)
+			b.write.done.Wait(p)
 			sp.Pop(p)
 		}
 		if !b.Dirty {
@@ -681,11 +678,13 @@ type cwrite struct {
 	// rollback copy, or a -CB write's bytes once its buffer was modified or
 	// let go of them — released when the last write carrying it lands.
 	src []byte
-	// next and prev ring the -CB writes carrying the same bytes: b.Data
-	// while b.shared is one of them, src after. A write alone rings itself.
-	next, prev *cwrite
-	sum        uint32 // the source's checksum at issue, under sumCheck
-	// done is b.writing while a write without -CB is in flight.
+	// next is the following -CB write carrying the same bytes, in issue
+	// order: b.Data while b.shared leads them, src after. They land in that
+	// order, so the landing write leads its list.
+	next *cwrite
+	sum  uint32 // the source's checksum at issue, under sumCheck
+	// done fires as a write without -CB lands, after b.write is cleared:
+	// the processes waiting on b's write lock sleep on it.
 	done sim.Completion
 	fire func() // w.complete, bound once
 }
@@ -704,13 +703,13 @@ func (c *Cache) newWrite(b *Buf) *cwrite {
 		w = &cwrite{c: c}
 		w.fire = w.complete
 	}
-	w.b, w.next, w.prev = b, w, w
+	w.b = b
 	return w
 }
 
 // freeWrite recycles w.
 func (c *Cache) freeWrite(w *cwrite) {
-	w.b, w.req, w.src = nil, nil, nil
+	w.b, w.req, w.src, w.next = nil, nil, nil, nil
 	c.writeFree = append(c.writeFree, w)
 }
 
@@ -722,7 +721,7 @@ func (c *Cache) freeWrite(w *cwrite) {
 // reference to the returned request (DESIGN.md §9's last-reader rule); the
 // completion holds one of its own.
 func (c *Cache) issueWrite(p *sim.Proc, b *Buf, ref bool) *dev.Request {
-	if !c.cfg.CB && b.writing != nil {
+	if b.InFlight() {
 		// Already in flight; the caller (syncer) will retry later.
 		b.Dirty = true
 		return nil
@@ -769,10 +768,7 @@ func (c *Cache) issueWrite(p *sim.Proc, b *Buf, ref bool) *dev.Request {
 		// happen without yielding the virtual CPU, so concurrent issuers
 		// cannot invert issue order vs. submission order.
 		c.copyOutstanding += len(src)
-		b.cbInflight++
 		copyCost = copyCPU * sim.Duration(b.NFrags()) / 8
-	} else {
-		b.writing = &w.done
 	}
 	if repl := c.Hooks.BeforeWrite(b, src); repl != nil {
 		// The hook substituted a (rolled back) copy; charge the memcpy.
@@ -782,12 +778,12 @@ func (c *Cache) issueWrite(p *sim.Proc, b *Buf, ref bool) *dev.Request {
 		src, w.src = repl, repl
 		copyCost += copyCPU * sim.Duration(b.NFrags()) / 8
 	} else if c.cfg.CB {
-		if s := b.shared; s != nil {
-			w.prev, w.next = s, s.next
-			s.next.prev, s.next = w, w
-		} else {
-			b.shared = w
+		// Join the writes sharing b.Data, behind the newest of them.
+		at := &b.shared
+		for *at != nil {
+			at = &(*at).next
 		}
+		*at = w
 	}
 	if sumCheck && c.cfg.CB {
 		w.sum = crc32.ChecksumIEEE(src)
@@ -803,8 +799,8 @@ func (c *Cache) issueWrite(p *sim.Proc, b *Buf, ref bool) *dev.Request {
 		req.Ref()
 	}
 	w.req = c.drv.Submit(req)
+	b.write = w
 	c.WritesIssued++
-	b.writeReq = req.ID
 	req.Done.OnFire(w.fire)
 	if copyCost > 0 && c.cpu != nil && p != nil {
 		sp := obs.SpanOf(p)
@@ -827,15 +823,15 @@ func (w *cwrite) complete() {
 		if sumCheck && crc32.ChecksumIEEE(req.Data) != w.sum {
 			panic(fmt.Sprintf("cache: the source of write %d (fragment %d) changed in flight: a store without PrepareModify", req.ID, b.Frag))
 		}
+		if w.src == nil && b.shared != w {
+			panic(fmt.Sprintf("cache: write %d (fragment %d) landed out of issue order among the writes sharing its buffer's storage", req.ID, b.Frag))
+		}
 		c.copyOutstanding -= len(req.Data)
-		b.cbInflight--
 		c.copyWait.Fire(c.eng)
 		c.copyWait.Reset()
-	} else {
-		b.writing = nil
 	}
-	if b.writeReq == req.ID {
-		b.writeReq = 0
+	if b.write == w {
+		b.write = nil
 	}
 	if req.Err != nil {
 		// The write never (fully) reached the media. Scheme completion
@@ -859,21 +855,12 @@ func (w *cwrite) complete() {
 		c.setLost(b.Frag, false)
 		c.Hooks.WriteDone(b, req)
 	}
-	if w.next != w {
-		// Others carry the same bytes; the last of them releases them.
-		w.prev.next, w.next.prev = w.next, w.prev
-		if b.shared == w {
-			b.shared = w.next
-		}
-	} else if b.shared == w {
-		b.shared = nil
-	} else if w.src != nil {
+	if b.shared == w {
+		b.shared = w.next
+	} else if w.next == nil && w.src != nil {
 		// The data is on the media (and the crash recorder took its own
-		// copy at submission), so the write's own source is dead.
+		// copy at submission), and no later write carries the same source.
 		putStorage(w.src)
-	}
-	if b.invalid && b.writing == nil && b.cbInflight == 0 {
-		c.remove(b)
 	}
 	c.retire(b)
 	if !c.cfg.CB {
@@ -899,7 +886,7 @@ const maxWriteFails = 4
 func (c *Cache) Resize(b *Buf, nfrags int) {
 	// With -CB an in-flight write keeps the old storage, so resizing the
 	// live buffer is safe; otherwise PrepareModify has already waited.
-	if b.reading != nil || (b.writing != nil && !c.cfg.CB) {
+	if b.reading != nil || b.InFlight() {
 		panic("cache: Resize with I/O in flight")
 	}
 	if nfrags == b.NFrags() {
@@ -912,8 +899,9 @@ func (c *Cache) Resize(b *Buf, nfrags int) {
 	b.Data = data
 }
 
-// Drop removes the buffer at frag from the cache (block freed). If a write
-// is in flight the buffer is removed once it completes.
+// Drop removes the buffer at frag from the cache (block freed): at once,
+// unless a read is still filling it, which unmaps it as the fill lands. A
+// write still in flight from it keeps its source.
 func (c *Cache) Drop(frag int64) {
 	c.setLost(frag, false)
 	b := c.Lookup(frag)
@@ -962,8 +950,9 @@ func (c *Cache) setLost(frag int64, lost bool) {
 	}
 }
 
-// HeldCount reports buffers with outstanding Hold references (should be
-// zero whenever no file system operation is mid-flight — tests assert it).
+// HeldCount reports buffers with outstanding Hold references or a Bread or
+// Getblk still handing them out (should be zero whenever no file system
+// operation is mid-flight — tests assert it).
 func (c *Cache) HeldCount() int {
 	n := 0
 	for _, b := range c.bufs.All() {
@@ -1005,14 +994,14 @@ func (c *Cache) makeRoom(p *sim.Proc, keep *Buf) {
 		for b := c.lru.next; b != &c.lru && c.Bytes() > c.cfg.MaxBytes; {
 			next := b.next
 			if b != keep && !b.Pinned && b.reading == nil {
-				if writing == nil && b.writing != nil {
+				if writing == nil && b.InFlight() {
 					writing = b
 				}
 				switch {
-				case b.hold > 0 || b.lent > 0: // lent: a Getblk yielding in its own makeRoom
-				case !b.Dirty && b.writing == nil && b.cbInflight == 0 && b.Dep == nil:
+				case b.hold > 0: // a holder, or a Getblk or Bread yielding in its own makeRoom
+				case !b.Dirty && b.write == nil && b.Dep == nil:
 					c.remove(b)
-				case b.Dirty && b.writing == nil && ndirty < len(dirty):
+				case b.Dirty && !b.InFlight() && ndirty < len(dirty):
 					dirty[ndirty] = b
 					ndirty++
 				}
@@ -1030,7 +1019,7 @@ func (c *Cache) makeRoom(p *sim.Proc, keep *Buf) {
 			}
 			sp := obs.SpanOf(p)
 			sp.Push(p, obs.StageSyncer)
-			writing.writing.Wait(p)
+			writing.write.done.Wait(p)
 			sp.Pop(p)
 			continue
 		}
@@ -1040,7 +1029,7 @@ func (c *Cache) makeRoom(p *sim.Proc, keep *Buf) {
 		// only if it is still mapped, dirty and not being written.
 		var first *dev.Request
 		for _, b := range dirty[:ndirty] {
-			if b.next == nil || !b.Dirty || b.writing != nil {
+			if b.next == nil || !b.Dirty || b.InFlight() {
 				continue
 			}
 			if r := c.issueWrite(p, b, first == nil); r != nil {
@@ -1074,7 +1063,7 @@ func (c *Cache) Close() { c.dropIdle(true); c.closed = true }
 func (c *Cache) dropIdle(all bool) {
 	for b := c.lru.next; b != &c.lru; {
 		next := b.next
-		if b.hold == 0 && b.reading == nil && b.writing == nil && b.cbInflight == 0 &&
+		if b.hold == 0 && b.reading == nil && b.write == nil &&
 			(all || !b.Dirty && !b.Pinned && b.Dep == nil) {
 			c.remove(b)
 		}
@@ -1112,7 +1101,7 @@ func (c *Cache) SyncerPass(p *sim.Proc) {
 		if b == nil {
 			continue
 		}
-		if b.marked && b.Dirty && b.writing == nil {
+		if b.marked && b.Dirty && !b.InFlight() {
 			c.issueWrite(p, b, false)
 		} else if b.Dirty {
 			b.marked = true
@@ -1175,7 +1164,7 @@ func (c *Cache) SyncAll(p *sim.Proc, maxRounds int) int {
 		frags := c.sweep(0, 1)
 		for _, frag := range frags {
 			b := c.Lookup(frag)
-			if b != nil && b.Dirty && b.writing == nil {
+			if b != nil && b.Dirty && !b.InFlight() {
 				c.issueWrite(p, b, false)
 				wrote = true
 			}

@@ -208,6 +208,29 @@ func TestMakeRoomSkipsLentBuffer(t *testing.T) {
 	got.Unhold()
 }
 
+// TestDropCleanSkipsBufferBeingHandedOut: a Getblk whose makeRoom waits
+// for its write-behind batch holds its new, clean buffer until it returns,
+// so DropClean (and Close, which shares its walk) meanwhile must not unmap
+// it: the caller would write into a buffer the cache no longer maps.
+func TestDropCleanSkipsBufferBeingHandedOut(t *testing.T) {
+	eng, _, _, c := newRig(Config{MaxBytes: 2 * 8 * FragSize})
+	const a, b, fresh = 0, 8, 16
+	var got *Buf
+	eng.Spawn("grower", func(p *sim.Proc) {
+		for _, frag := range []int64{a, b} {
+			c.Bdwrite(c.Getblk(p, frag, 8))
+		}
+		got = c.Getblk(p, fresh, 8).Hold() // waits for a's and b's write-behind
+	})
+	eng.RunUntil(sim.Microsecond)
+	c.DropClean()
+	eng.Run()
+	if c.Lookup(fresh) != got {
+		t.Fatal("Getblk handed its caller a buffer DropClean unmapped")
+	}
+	got.Unhold()
+}
+
 // TestCBPoolWaitSkipsDroppedBuffer: a -CB write waiting for snapshot room
 // holds its buffer, so the buffer's storage survives a Drop meanwhile; and
 // the write is not issued once the wait ends. Here the dropped fragment's

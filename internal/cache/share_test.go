@@ -116,6 +116,56 @@ func TestCBWritesIssuedBeforeModifyShareOneCopy(t *testing.T) {
 	})
 }
 
+// TestCBThreeGenerationsLandInIssueOrder: three generations of writes of
+// one buffer in flight at once — two sharing the first copy, one the
+// second, one the buffer's own storage. Each lands the bytes it was issued
+// with, in issue order; a copy goes back to the pool as its last writer
+// lands and not before, the buffer's own storage never; and WriteReq names
+// the newest write until it lands.
+func TestCBThreeGenerationsLandInIssueOrder(t *testing.T) {
+	eng, dsk, drv, c := newRig(Config{CB: true})
+	runIn(eng, func(p *sim.Proc) {
+		b := c.Getblk(p, 8, 8).Hold()
+		r1 := issue(p, c, b, 1)
+		c.Bdwrite(b)
+		r2 := c.Bawrite(nil, b)
+		r3 := issue(p, c, b, 2) // PrepareModify moves r1 and r2 to the first copy
+		r4 := issue(p, c, b, 3) // and r3 to the second
+		own, base := b.Data, Pooled(8)
+		for i, w := range []struct {
+			r      *dev.Request
+			media  byte
+			pooled int
+		}{{r1, 1, base}, {r2, 1, base + 1}, {r3, 2, base + 2}, {r4, 3, base + 2}} {
+			if got := b.WriteReq(); got != r4.ID {
+				t.Errorf("before write %d lands: WriteReq %d, want the newest %d", i+1, got, r4.ID)
+			}
+			w.r.Done.Wait(p)
+			for _, later := range []*dev.Request{r1, r2, r3, r4}[i+1:] {
+				if later.Done.Fired() {
+					t.Fatalf("write %d landed with write %d", later.ID, w.r.ID)
+				}
+			}
+			if got := mediaByte(dsk, 8); got != w.media {
+				t.Errorf("write %d landed %d, want its issued %d", i+1, got, w.media)
+			}
+			if got := Pooled(8); got != w.pooled {
+				t.Errorf("after write %d landed: %d storage slices pooled, want %d", i+1, got, w.pooled)
+			}
+		}
+		if got := b.WriteReq(); got != 0 {
+			t.Errorf("all landed: WriteReq %d, want 0", got)
+		}
+		if !sameStorage(b.Data, own) || b.Data[0] != 3 {
+			t.Error("the buffer lost its own storage or its bytes")
+		}
+		for _, r := range []*dev.Request{r1, r2, r3, r4} {
+			drv.Release(r)
+		}
+		b.Unhold()
+	})
+}
+
 // TestCBSharedStorageOutlivesResizeDropEvict: resizing, dropping or
 // evicting a buffer whose storage a write still shares hands the storage to
 // the write; the write lands its bytes, and the storage returns to the pool

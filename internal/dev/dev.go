@@ -111,8 +111,8 @@ const DefaultMaxRetries = 4
 // redispatch, doubling per attempt.
 const DefaultRetryBackoff = 2 * sim.Millisecond
 
-// Request is one disk request. Submit assigns ID and points a nil Done at
-// the request's own embedded completion, so a request costs one allocation.
+// Request is one disk request. Submit assigns ID; Done is the request's own
+// completion, so a request costs one allocation.
 // The bytes of a write's Data must not change until Done fires (the buffer
 // cache enforces this with write locks or, under -CB, by moving the write
 // to a copy of its bytes before its buffer is modified, which repoints
@@ -128,8 +128,7 @@ type Request struct {
 	Flag      bool     // ModeFlag: ordering flag
 	DependsOn []uint64 // ModeChains: request IDs that must complete first
 
-	Done *sim.Completion
-	done sim.Completion // what Done points at unless the caller set it
+	Done sim.Completion
 	// refs counts the readers of a pooled request (AllocRequest, Ref,
 	// Release); the last Release recycles it.
 	refs int32
@@ -412,7 +411,7 @@ func (r *Request) Ref() *Request {
 // pool for a later AllocRequest, and Done must have fired by then. Once the
 // last reference is dropped nothing may touch the pointer again: the buffer
 // cache's reads own theirs end to end, and its writes follow the
-// last-reader rule of DESIGN.md §9. The embedded completion keeps its
+// last-reader rule of DESIGN.md §9. Done keeps its waiter and callback
 // storage across reuse; the successor list went back to the driver when
 // the request retired.
 func (d *Driver) Release(r *Request) {
@@ -420,13 +419,11 @@ func (d *Driver) Release(r *Request) {
 		r.refs--
 		return
 	}
-	if r.Done == nil || !r.Done.Fired() {
+	if !r.Done.Fired() {
 		panic("dev: Release of incomplete request")
 	}
-	if r.Done == &r.done {
-		r.done.Reset()
-	}
-	*r = Request{done: r.done}
+	r.Done.Reset()
+	*r = Request{Done: r.Done}
 	d.free = append(d.free, r)
 }
 
@@ -498,9 +495,7 @@ func (d *Driver) Submit(r *Request) *Request {
 	d.nextID++
 	r.ID = d.nextID
 	r.Err = nil
-	if r.Done == nil {
-		r.Done = &r.done
-	} else if r.Done.Fired() {
+	if r.Done.Fired() {
 		r.Done.Reset()
 	}
 	r.enqueueAt = d.eng.Now()

@@ -251,9 +251,3 @@ func (fs *FS) ApplyFree(p *sim.Proc, rec *FreeRec) {
 		fs.ord.MetaUpdate(p, ib)
 	}
 }
-
-// FreeFragsRaw clears fragment bits without dropping buffers (used by the
-// fragment-move path where the buffer was already relocated).
-func (fs *FS) freeRun(p *sim.Proc, run FragRun) {
-	fs.ApplyFree(p, &FreeRec{FS: fs, Frags: FragRuns{head: [4]FragRun{run}, n: 1}})
-}

@@ -185,7 +185,8 @@ func (fs *FS) growBlock(p *sim.Proc, ino Ino, ip *Inode, ib *cache.Buf, ioff, bi
 		}
 		loc, _, err := fs.locatePtr(p, ino, ip, ib, ioff, bi, true)
 		if err != nil {
-			fs.freeRun(p, FragRun{Start: frag, N: wantNF})
+			// Nothing points at the new fragments yet: free them at once.
+			fs.ApplyFree(p, &FreeRec{FS: fs, Frags: FragRuns{head: [4]FragRun{{Start: frag, N: wantNF}}, n: 1}})
 			return nil, err
 		}
 		defer loc.buf.Hold().Unhold()

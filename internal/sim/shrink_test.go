@@ -2,43 +2,11 @@ package sim
 
 import "testing"
 
-// TestHeapCapacityShrinksAfterBurst pins the event-heap shrink hysteresis:
-// a one-off scheduling burst must not pin its peak backing array forever.
-// After the burst drains, a steady one-event trickle walks the capacity
-// down — first below half the peak, eventually to the shrinkMinCap floor —
-// and once at the floor the trickle is allocation-free.
-func TestHeapCapacityShrinksAfterBurst(t *testing.T) {
-	e := NewEngine()
-	nop := func() {}
-	const burst = 16 * shrinkMinCap
-	for i := 1; i <= burst; i++ {
-		e.At(Time(i), nop)
-	}
-	peak := cap(e.heap)
-	if peak < burst {
-		t.Fatalf("burst of %d events left heap capacity %d", burst, peak)
-	}
-	e.Run()
-	trickle := func() { e.At(e.Now()+1, nop); e.Run() }
-	for i := 0; cap(e.heap) > peak/2 && i < 4*peak; i++ {
-		trickle()
-	}
-	if c := cap(e.heap); c > peak/2 {
-		t.Fatalf("heap capacity %d retained after burst peak %d; hysteresis shrink never fired", c, peak)
-	}
-	for i := 0; cap(e.heap) >= shrinkMinCap && i < 16*peak; i++ {
-		trickle()
-	}
-	if c := cap(e.heap); c >= shrinkMinCap {
-		t.Fatalf("heap capacity %d never reached the %d floor", c, shrinkMinCap)
-	}
-	if n := testing.AllocsPerRun(200, trickle); n != 0 {
-		t.Fatalf("steady-state trickle allocates %.1f objects per event, want 0", n)
-	}
-}
-
-// TestFastQueueCapacityShrinksAfterBurst is the same property for the
-// same-instant FIFO: resetFast applies the shrink hysteresis on drain.
+// TestFastQueueCapacityShrinksAfterBurst pins the same-instant FIFO's shrink
+// hysteresis: a one-off burst of same-instant events must not pin its peak
+// backing array forever. After the burst drains, a steady one-event trickle
+// walks the capacity down — first below half the peak, eventually to the
+// shrinkMinCap floor — and once at the floor the trickle is allocation-free.
 func TestFastQueueCapacityShrinksAfterBurst(t *testing.T) {
 	e := NewEngine()
 	nop := func() {}
@@ -66,30 +34,5 @@ func TestFastQueueCapacityShrinksAfterBurst(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(200, trickle); n != 0 {
 		t.Fatalf("steady-state trickle allocates %.1f objects per event, want 0", n)
-	}
-}
-
-// TestHeapShrinkHysteresisHolds: a workload oscillating around the
-// quarter-full threshold must not thrash — any dip shorter than the
-// hysteresis window keeps the capacity.
-func TestHeapShrinkHysteresisHolds(t *testing.T) {
-	e := NewEngine()
-	nop := func() {}
-	const burst = 4 * shrinkMinCap
-	for i := 1; i <= burst; i++ {
-		e.At(Time(i), nop)
-	}
-	peak := cap(e.heap)
-	e.Run()
-	// Alternate short quarter-full dips with refills: each refill resets
-	// the low-water counter, so capacity must hold at the peak.
-	for cycle := 0; cycle < 50; cycle++ {
-		for i := 1; i <= peak/2; i++ {
-			e.At(e.Now()+Time(i), nop)
-		}
-		e.Run()
-	}
-	if c := cap(e.heap); c < peak {
-		t.Fatalf("heap capacity shrank %d -> %d under an oscillating load; hysteresis should hold it", peak, c)
 	}
 }

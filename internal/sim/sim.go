@@ -123,11 +123,10 @@ type Engine struct {
 	// run, LIFO, for the next Spawn; run stops them when it returns.
 	idle []*carrier
 
-	// heapLow / fastLow are the shrink-hysteresis counters: consecutive
-	// pops (drains) during which the backing array stayed under a quarter
-	// full. A burst grows the arrays; without this they would retain the
+	// fastLow is the fast queue's shrink-hysteresis counter: consecutive
+	// drains during which it stayed under a quarter of its backing array. A
+	// burst of wake-ups grows the array; without this it would retain the
 	// peak capacity for the rest of a long run (DESIGN.md §9).
-	heapLow int
 	fastLow int
 }
 
@@ -253,36 +252,12 @@ func (e *Engine) heapPop() event {
 		h[i], h[min] = h[min], h[i]
 		i = min
 	}
-	e.maybeShrinkHeap()
 	return top
 }
 
-// shrinkMinCap is the smallest backing capacity the shrink hysteresis
-// considers releasing; below it the retained memory is noise.
+// shrinkMinCap is the smallest backing capacity the fast queue's shrink
+// hysteresis considers releasing; below it the retained memory is noise.
 const shrinkMinCap = 128
-
-// maybeShrinkHeap releases heap capacity after a burst: when the heap has
-// stayed at or under a quarter of its backing capacity for cap(heap)
-// consecutive pops, the backing array is reallocated at half capacity.
-// The hysteresis window scales with the capacity being held, so a
-// workload that oscillates around the threshold never thrashes, while a
-// long steady-state run after a one-off burst returns the peak array to
-// the allocator instead of retaining it forever.
-func (e *Engine) maybeShrinkHeap() {
-	c := cap(e.heap)
-	if c < shrinkMinCap || len(e.heap)*4 > c {
-		e.heapLow = 0
-		return
-	}
-	e.heapLow++
-	if e.heapLow < c {
-		return
-	}
-	e.heapLow = 0
-	ns := make([]event, len(e.heap), c/2)
-	copy(ns, e.heap)
-	e.heap = ns
-}
 
 // peek returns the (at, seq) of the next event to fire, if any.
 func (e *Engine) peek() (Time, bool) {
@@ -323,9 +298,12 @@ func (e *Engine) pop() event {
 	return e.heapPop()
 }
 
-// resetFast rewinds a drained fast queue, applying the same shrink
-// hysteresis as the heap: the drain length is the cycle's peak occupancy,
-// so sustained quarter-full drains release the burst capacity.
+// resetFast rewinds a drained fast queue. When it has drained at or under a
+// quarter of its backing array (the drain length is the cycle's peak
+// occupancy) for cap(fast) drains in a row, the array is reallocated at half
+// capacity: the window scales with the capacity held, so a load oscillating
+// around the threshold never thrashes, while a long run after a one-off
+// burst hands the peak array back.
 func (e *Engine) resetFast() {
 	c := cap(e.fast)
 	if c >= shrinkMinCap && len(e.fast)*4 <= c {
