@@ -2,17 +2,20 @@ package crashmc
 
 // The driver hands the Recorder the barrier edges it wired, which are fewer
 // than the predecessor relation holds pairs (dev.computeBarrier: one edge per
-// flag chain). The crash-state space is defined by downward-closed subsets of
-// the pending writes, so what must not change is each node's closure over the
-// pending set — and, end to end, the exploration's counts.
+// flag chain, none to a request that a later pending write covers). The
+// crash-state space is defined by downward-closed subsets of the pending
+// writes, so what must not change is each node's closure over the pending
+// set — and, end to end, the exploration's counts.
 
 import (
+	"fmt"
 	"maps"
 	"slices"
 	"testing"
 
 	"metaupdate/fsim"
 	"metaupdate/internal/dev"
+	"metaupdate/internal/disk"
 	"metaupdate/internal/sim"
 	"metaupdate/internal/workload"
 )
@@ -29,6 +32,7 @@ type definitionTee struct {
 	pending    map[uint64]*dev.Request
 	lastFlagID uint64
 	fewer      int // submissions wired behind fewer requests than the definition names
+	shadowed   int // conflicting definition preds left unwired (a later write covers them)
 }
 
 func sortedIDs(set map[uint64]struct{}) []uint64 {
@@ -66,6 +70,13 @@ func (o *definitionTee) RequestSubmitted(q *dev.Request, preds []uint64) {
 	if len(preds) < len(def) {
 		o.fewer++
 	}
+	for _, id := range def {
+		p := o.pending[id]
+		overlap := p.LBN < q.LBN+int64(q.Count) && q.LBN < p.LBN+int64(p.Count)
+		if _, wired := slices.BinarySearch(preds, id); overlap && !wired && (p.Op == disk.Write || q.Op == disk.Write) {
+			o.shadowed++
+		}
+	}
 	o.wired.RequestSubmitted(q, preds)
 	o.def.RequestSubmitted(q, def)
 	got, want := o.closure(o.wired, o.wired.nodes[q.ID]), o.closure(o.def, o.def.nodes[q.ID])
@@ -100,6 +111,17 @@ func (o *definitionTee) RequestsFailed(ids []uint64, at sim.Time) {
 func (o *definitionTee) BatchTorn(ids []uint64, sectors int, at sim.Time) {
 	o.wired.BatchTorn(ids, sectors, at)
 	o.def.BatchTorn(ids, sectors, at)
+}
+
+// attachTee puts a definitionTee between sys's driver and rec.
+func attachTee(t *testing.T, sys *fsim.System, rec *Recorder) *definitionTee {
+	tee := &definitionTee{
+		t: t, cfg: sys.Driver.Config(), wired: rec,
+		def:     &Recorder{nodes: map[uint64]*node{}, hseed: rec.hseed},
+		pending: map[uint64]*dev.Request{},
+	}
+	sys.Driver.SetObserver(tee)
+	return tee
 }
 
 // faultPlan tears and fails writes; under it a timeline carries every kind
@@ -174,17 +196,54 @@ func TestReducedGraphSameStateSpace(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var tee *definitionTee
 			got := exploreCreateRemove(t, tc.opt, func(sys *fsim.System, rec *Recorder) {
-				tee = &definitionTee{
-					t: t, cfg: sys.Driver.Config(), wired: rec,
-					def:     &Recorder{nodes: map[uint64]*node{}, hseed: rec.hseed},
-					pending: map[uint64]*dev.Request{},
-				}
-				sys.Driver.SetObserver(tee)
+				tee = attachTee(t, sys, rec)
 			})
 			if tee.fewer == 0 {
 				t.Error("no submission was wired behind fewer requests than the definition names: nothing reduced, nothing tested")
 			}
 			checkCounts(t, got, tc.want)
+		})
+	}
+}
+
+// TestShadowedConflictsSameClosure records a hot-block timeline under Flag
+// and under Chains: four users each create files of one fragment in a
+// directory of their own, with a cache of 256 KB, so directory and inode
+// blocks are rewritten while earlier writes of them are still pending. A
+// conflicting request the driver leaves unwired because a later pending
+// write covers it must change no closure over the pending set (the tee
+// checks each submission), and the rule must have fired.
+func TestShadowedConflictsSameClosure(t *testing.T) {
+	for name, opt := range map[string]fsim.Options{
+		"flag":   {Scheme: fsim.SchedulerFlag},
+		"chains": {Scheme: fsim.SchedulerChains},
+	} {
+		t.Run(name, func(t *testing.T) {
+			opt.DiskBytes, opt.NInodes, opt.CacheBytes = 6<<20, 1024, 256<<10
+			sys, err := fsim.New(opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tee := attachTee(t, sys, Attach(sys.Driver, sys.Disk))
+			const users, files = 4, 240 // within the 1024 inodes
+			dirs := make([]fsim.Ino, users)
+			sys.Run(func(p *fsim.Proc) {
+				for u := range dirs {
+					dirs[u], err = sys.FS.Mkdir(p, fsim.RootIno, fmt.Sprintf("u%d", u))
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+			})
+			sys.RunUsers(users, func(p *fsim.Proc, u int) {
+				if err := workload.CreateFiles(p, sys.FS, dirs[u], files, 1024); err != nil {
+					t.Error(err)
+				}
+			})
+			sys.Shutdown()
+			if tee.shadowed == 0 {
+				t.Error("no conflicting request was left unwired behind a covering write: the timeline tests nothing")
+			}
 		})
 	}
 }

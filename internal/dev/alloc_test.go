@@ -2,6 +2,7 @@ package dev
 
 import (
 	"testing"
+	"unsafe"
 
 	"metaupdate/internal/disk"
 )
@@ -11,9 +12,9 @@ import (
 // Submit it (barrier, indexing), dispatch, complete and retire the oldest
 // pending one. Request i starts in sector bucket 4*(i%buckets), modulo the
 // disk, so with buckets > window each pending request has a bucket of its
-// own, and with fewer each write is wired behind the pending one in its
-// bucket. A pooled life takes its request from AllocRequest and ends in
-// Release; a plain one is a fresh &Request{}.
+// own, and with fewer each write is wired behind the newest pending one in
+// its bucket, which covers the older ones. A pooled life takes its request
+// from AllocRequest and ends in Release; a plain one is a fresh &Request{}.
 func lifeAllocs(t *testing.T, cfg Config, window, buckets int, pooled bool, fill func(*Request)) float64 {
 	t.Helper()
 	eng, dsk, drv := newRig(cfg)
@@ -86,6 +87,37 @@ func TestAllocFreeSubmitBehindFlagBarrier(t *testing.T) {
 	})
 	if n != 0 {
 		t.Errorf("pooled flagged write behind %d pending flagged writes: %.2f allocs per Submit→completion, want 0", window, n)
+	}
+}
+
+// TestAllocFreeSubmitRewritesOneBlock pins the cost of a hot block: with a
+// thousand writes of one sector pending, one more pooled write of it is wired
+// behind the newest of them only — that write covers, and so stands for, the
+// others — and its whole life allocates nothing.
+func TestAllocFreeSubmitRewritesOneBlock(t *testing.T) {
+	const window = 1000
+	data := make([]byte, disk.SectorSize)
+	var prev *Request
+	wide := 0
+	n := lifeAllocs(t, Config{Mode: ModeIgnore}, window, 1, true, func(r *Request) {
+		if prev != nil && prev.ID > 1 && prev.nwait != 1 { // the first went straight to the disk
+			wide++
+		}
+		r.Op, r.Data, prev = disk.Write, data, r
+	})
+	if n != 0 {
+		t.Errorf("pooled write behind %d pending writes of its block: %.2f allocs per Submit→completion, want 0", window, n)
+	}
+	if wide != 0 {
+		t.Errorf("%d writes of a hot block were wired behind other than one pending write", wide)
+	}
+}
+
+// TestAllocFreeRequestSizeClass pins Request in the 288-byte allocation size
+// class: one more field moves every request into the 320-byte class.
+func TestAllocFreeRequestSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(Request{}); n > 288 {
+		t.Errorf("Request is %d bytes, past the 288-byte size class", n)
 	}
 }
 

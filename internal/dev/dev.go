@@ -125,7 +125,10 @@ type Request struct {
 	Data  []byte // write source; nil for reads
 	Buf   []byte // read destination; nil for writes
 
-	Flag      bool     // ModeFlag: ordering flag
+	Flag bool // ModeFlag: ordering flag
+	// shadowed is set once a later pending write covers the request's whole
+	// sector range; computeBarrier wires a conflict to that write instead.
+	shadowed  bool
 	DependsOn []uint64 // ModeChains: request IDs that must complete first
 
 	Done sim.Completion
@@ -152,7 +155,7 @@ type Request struct {
 	// Pending-set bookkeeping. The set is indexed by LBN, Count, Op and
 	// Flag, which must not change while the request is pending.
 	flagIdx int32  // position in Driver.flagLoose
-	seenBy  uint64 // ID of the last submission whose barrier wired this request
+	seenBy  uint64 // ID of the last submission whose barrier visited this request
 	// qprev and qnext thread a queued request into Driver.queue (nil once
 	// dispatched); qpos is its position there, larger for later arrivals.
 	qprev, qnext *Request
@@ -494,7 +497,7 @@ func (d *Driver) Submit(r *Request) *Request {
 	}
 	d.nextID++
 	r.ID = d.nextID
-	r.Err = nil
+	r.Err, r.shadowed = nil, false
 	if r.Done.Fired() {
 		r.Done.Reset()
 	}
@@ -658,7 +661,12 @@ func behindFlags(cfg *Config, r *Request) bool {
 // instant:
 //
 //   - every pending q whose sectors conflict with r's, found through the
-//     sector buckets r touches;
+//     sector buckets r touches, unless q is shadowed: a later pending write
+//     covers q's whole range. That write overlaps r and writes, so r conflicts
+//     with it too, and it waits for q (directly or through a write covering q
+//     in turn): it retires after q, and fails only once dispatched, after q
+//     retired. A write marks shadowed what it covers as it meets it; reads
+//     never shadow;
 //   - where pending flags are barriers to r (behindFlags): the newest pending
 //     flagged request that is itself behind flags, and each pending flagged
 //     request that is not (a flagged read passing the barrier). The former
@@ -673,9 +681,10 @@ func behindFlags(cfg *Config, r *Request) bool {
 //
 // A request reached twice is wired once; visit order is immaterial (successor
 // lists grow by r at the end, nwait is a count, the observer's predScratch is
-// sorted). OrderingStalls is counted on the definition: a flag barrier stalls
-// r when some pending flagged request does not conflict with it, and all that
-// do were met through the buckets.
+// sorted); a shadowed request is stamped as visited, so the flag and ID routes
+// skip it too. OrderingStalls is counted on the definition: a flag barrier
+// stalls r when some pending flagged request does not conflict with it, and
+// all that do were met through the buckets, shadowed or not.
 func (d *Driver) computeBarrier(r *Request) {
 	cfg := &d.cfg
 	d.predScratch = d.predScratch[:0]
@@ -698,8 +707,19 @@ func (d *Driver) computeBarrier(r *Request) {
 		flagConflicts := 0
 		for k, hi := r.buckets(); k <= hi; k++ {
 			for _, q := range d.bySector.Get(k) {
-				if conflicts(r, q) && d.wire(q, r) && q.Flag {
+				if q.seenBy == r.ID || !conflicts(r, q) {
+					continue
+				}
+				if q.Flag {
 					flagConflicts++
+				}
+				if q.shadowed {
+					q.seenBy = r.ID // its coverer stands for it
+				} else {
+					d.wire(q, r)
+				}
+				if r.Op == disk.Write && r.LBN <= q.LBN && q.end() <= r.end() {
+					q.shadowed = true
 				}
 			}
 		}
@@ -726,11 +746,10 @@ func (d *Driver) computeBarrier(r *Request) {
 	}
 }
 
-// wire adds the barrier edge q → r unless r's submission already did, and
-// reports whether it added one.
-func (d *Driver) wire(q, r *Request) bool {
+// wire adds the barrier edge q → r unless r's submission already visited q.
+func (d *Driver) wire(q, r *Request) {
 	if q.seenBy == r.ID {
-		return false
+		return
 	}
 	q.seenBy = r.ID
 	if len(q.blocks) == cap(q.blocks) {
@@ -741,7 +760,6 @@ func (d *Driver) wire(q, r *Request) bool {
 	if d.obs != nil {
 		d.predScratch = append(d.predScratch, q.ID)
 	}
-	return true
 }
 
 // minEdgeClass is the size class of a new successor list: room for four.

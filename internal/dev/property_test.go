@@ -240,8 +240,9 @@ func TestPropertyConflictingWritesOrdered(t *testing.T) {
 // must preserve instead of the representation:
 //
 //   - at submission, the wired preds are a duplicate-free subset of the
-//     oracle set, nwait counts them, and every member of the oracle set is
-//     reachable from the request through wired edges between pending requests;
+//     oracle set, nwait counts them, every member of the oracle set is
+//     reachable from the request through wired edges between pending requests,
+//     and a conflicting member is left unwired only if it is shadowed;
 //   - at retirement, no member of a retiring request's oracle set is still
 //     pending (nor, therefore, in the same batch), and the request became
 //     ready at the instant the last of them retired.
@@ -255,6 +256,7 @@ type barrierOracle struct {
 	lastFlagID uint64
 	edges      int // oracle pairs
 	wiredEdges int
+	shadowed   int   // conflicting oracle pairs left unwired: the earlier request was shadowed
 	err        error // the first disagreement
 }
 
@@ -302,6 +304,14 @@ func (o *barrierOracle) RequestSubmitted(r *Request, preds []uint64) {
 	for id := range want {
 		if _, ok := reach[id]; !ok {
 			o.fail(r, "oracle predecessor %d not reachable through wired preds %v", id, preds)
+		}
+		if q := o.pending[id]; conflicts(r, q) {
+			if _, wired := slices.BinarySearch(preds, id); !wired {
+				if !q.shadowed {
+					o.fail(r, "conflicting predecessor %d left unwired, yet not shadowed", id)
+				}
+				o.shadowed++
+			}
 		}
 	}
 	o.edges += len(want)
@@ -424,7 +434,7 @@ func crowdedStream(eng *sim.Engine, dsk *disk.Disk, drv *Driver, rng *rand.Rand)
 func TestBarrierIndexMatchesPredecessors(t *testing.T) {
 	for _, cfg := range everyConfig() {
 		t.Run(configName(cfg), func(t *testing.T) {
-			edges, failed := 0, int64(0)
+			edges, shadowed, failed := 0, 0, int64(0)
 			for seed := int64(1); seed <= 12; seed++ {
 				rng := rand.New(rand.NewSource(seed))
 				eng, dsk, drv := newRig(cfg)
@@ -448,10 +458,16 @@ func TestBarrierIndexMatchesPredecessors(t *testing.T) {
 					t.Fatalf("seed %d: %d edges wired for %d oracle pairs", seed, o.wiredEdges, o.edges)
 				}
 				edges += o.edges
+				shadowed += o.shadowed
 				failed += drv.Faults.Errors
 			}
 			if edges == 0 || failed == 0 {
 				t.Fatalf("streams too tame to test anything: %d barrier edges, %d failed requests", edges, failed)
+			}
+			// Under SemBack/SemFull a write visits the whole pending set and
+			// shadows nothing; everywhere else the rule must have fired.
+			if shadowed == 0 && (cfg.Mode != ModeFlag || cfg.Sem == SemPart) {
+				t.Fatalf("streams too tame to test anything: no conflict left unwired behind a covering write")
 			}
 		})
 	}
@@ -486,6 +502,75 @@ func TestFlagBarrierEdgesLinear(t *testing.T) {
 				if reqs[i].Done.FiredAt < reqs[i-1].Done.FiredAt || reqs[i].DispatchTime() < reqs[i-1].Done.FiredAt {
 					t.Fatalf("flagged write %d passed %d", i, i-1)
 				}
+			}
+		})
+	}
+}
+
+// TestConflictChainsLinear pins the size of the conflict graph, by count: a
+// write that covers a pending request shadows it, so behind N pending writes
+// of one block a new write of it is wired to the newest one only, where an
+// edge per conflicting pair would be N²/2 in all. Only a covering write
+// shadows: a fragment write inside a pending block write, or a read, does not.
+func TestConflictChainsLinear(t *testing.T) {
+	const n = 2000
+	for name, cfg := range map[string]Config{ // SemBack/SemFull writes visit the whole pending set instead
+		"ignore": {Mode: ModeIgnore},
+		"part":   {Mode: ModeFlag, Sem: SemPart},
+		"chains": {Mode: ModeChains},
+	} {
+		t.Run(name+"/one-block", func(t *testing.T) {
+			eng, _, drv := newRig(cfg)
+			reqs := make([]*Request, n)
+			edges := 0
+			for i := range reqs {
+				reqs[i] = drv.Submit(wreq(0, 16, false)) // the first is in flight
+				edges += int(reqs[i].nwait)
+			}
+			if edges != n-1 {
+				t.Fatalf("%d edges over %d writes of one block, want %d (one each but the first)", edges, n, n-1)
+			}
+			eng.Run()
+			for i := 1; i < n; i++ {
+				if reqs[i].DispatchTime() < reqs[i-1].Done.FiredAt {
+					t.Fatalf("write %d of the block dispatched before write %d completed", i, i-1)
+				}
+			}
+		})
+		t.Run(name+"/cover", func(t *testing.T) {
+			_, _, drv := newRig(cfg)
+			frags := []*Request{drv.Submit(wreq(0, 2, false)), drv.Submit(wreq(2, 2, false)), drv.Submit(wreq(4, 2, false))}
+			blk := drv.Submit(wreq(0, 16, false))
+			if blk.nwait != 3 || !frags[0].shadowed || !frags[1].shadowed || !frags[2].shadowed {
+				t.Fatalf("block write over 3 pending fragment writes: %d edges, shadowed %v %v %v; want 3 edges, all shadowed",
+					blk.nwait, frags[0].shadowed, frags[1].shadowed, frags[2].shadowed)
+			}
+			if f := drv.Submit(wreq(2, 2, false)); f.nwait != 1 {
+				t.Fatalf("fragment write behind a shadowed fragment write and its coverer: %d edges, want 1", f.nwait)
+			}
+			if blk.shadowed {
+				t.Fatal("a fragment write inside a pending block write shadowed it")
+			}
+			if f := drv.Submit(wreq(8, 2, false)); f.nwait != 1 {
+				t.Fatalf("fragment write overlapping only the block write: %d edges, want 1", f.nwait)
+			}
+		})
+		t.Run(name+"/reads", func(t *testing.T) {
+			_, _, drv := newRig(cfg)
+			rd := drv.Submit(rreq(0, 16))
+			if drv.Submit(wreq(0, 16, false)); !rd.shadowed {
+				t.Fatal("a pending read covered by a later write is not shadowed")
+			}
+			if w := drv.Submit(wreq(4, 2, false)); w.nwait != 1 {
+				t.Fatalf("write behind a shadowed read and its coverer: %d edges, want 1", w.nwait)
+			}
+			w := drv.Submit(wreq(100, 2, false))
+			drv.Submit(rreq(96, 16))
+			if w.shadowed {
+				t.Fatal("a read shadowed the pending write it covers")
+			}
+			if w2 := drv.Submit(wreq(100, 2, false)); w2.nwait != 2 {
+				t.Fatalf("write behind a pending write and a read covering it: %d edges, want 2", w2.nwait)
 			}
 		})
 	}
