@@ -62,15 +62,15 @@ var allowlist = map[string]string{
 
 	// Probes that tests of another package assert; an export_test.go
 	// reaches only the tests of its own package.
-	"internal/cache.DrainStorage":        "test hook: ffs's allocation guard drains the process-wide storage pool before it counts",
-	"internal/cache.Cache.HeldCount":     "probe: fsim's and ffs's tests assert no buffer is left held",
-	"internal/core.SoftUpdates.DepCount": "probe: fsim's stress test asserts every dependency drains",
-	"internal/crashmc.Recorder.Instant":  "probe: fsim's journal test marks the crash instant an fsync returned at",
-	"internal/dev.Driver.Config":         "probe: crashmc's reduction test holds the mounted driver to its barrier rule",
-	"internal/ffs.FS.Ordering":           "probe: fsim's scheme test checks the ordering each scheme mounts",
-	"internal/ffs.FS.Unfinished":         "probe: fsim's stress and full-disk tests assert every removal finished",
-	"internal/sim.Engine.Live":           "probe: fsim's test asserts no process outlives Shutdown",
-	"internal/simnet.Network.Params":     "probe: fsim's cluster test asserts the cluster runs on the default cost model",
+	"internal/cache.DrainStorage":            "test hook: ffs's allocation guard drains the process-wide storage pool before it counts",
+	"internal/cache.Cache.HeldCount":         "probe: fsim's and ffs's tests assert no buffer is left held",
+	"internal/ordering.SoftUpdates.DepCount": "probe: fsim's stress test asserts every dependency drains",
+	"internal/crashmc.Recorder.Instant":      "probe: fsim's journal test marks the crash instant an fsync returned at",
+	"internal/dev.Driver.Config":             "probe: crashmc's reduction test holds the mounted driver to its barrier rule",
+	"internal/ffs.FS.Ordering":               "probe: fsim's scheme test checks the ordering each scheme mounts",
+	"internal/ffs.FS.Unfinished":             "probe: fsim's stress and full-disk tests assert every removal finished",
+	"internal/sim.Engine.Live":               "probe: fsim's test asserts no process outlives Shutdown",
+	"internal/simnet.Network.Params":         "probe: fsim's cluster test asserts the cluster runs on the default cost model",
 
 	"internal/harness.DistCrashCheckResult.Load": "encoding/json reads it: mdcheck -dist -json prints it",
 }

@@ -23,12 +23,10 @@ import (
 	"fmt"
 
 	"metaupdate/internal/cache"
-	"metaupdate/internal/core"
 	"metaupdate/internal/dev"
 	"metaupdate/internal/disk"
 	"metaupdate/internal/fault"
 	"metaupdate/internal/ffs"
-	"metaupdate/internal/nvram"
 	"metaupdate/internal/obs"
 	"metaupdate/internal/ordering"
 	"metaupdate/internal/sim"
@@ -180,11 +178,11 @@ type System struct {
 	Driver *dev.Driver
 	Cache  *cache.Cache
 	FS     *ffs.FS
-	Soft   *core.SoftUpdates // non-nil when Scheme == SoftUpdates
-	NV     *nvram.Scheme     // non-nil when Scheme == NVRAM
-	Jnl    *ordering.Journal // non-nil when Scheme == Journaling
-	Async  *ordering.Async   // non-nil when Scheme == AsyncDurability
-	Obs    *obs.Recorder     // non-nil when Options.Observe
+	Soft   *ordering.SoftUpdates // non-nil when Scheme == SoftUpdates
+	NV     *ordering.NVRAM       // non-nil when Scheme == NVRAM
+	Jnl    *ordering.Journal     // non-nil when Scheme == Journaling
+	Async  *ordering.Async       // non-nil when Scheme == AsyncDurability
+	Obs    *obs.Recorder         // non-nil when Options.Observe
 
 	statsStart sim.Time
 }

@@ -5,11 +5,9 @@ import (
 	"slices"
 	"strings"
 
-	"metaupdate/internal/core"
 	"metaupdate/internal/dev"
 	"metaupdate/internal/ffs"
 	"metaupdate/internal/fsck"
-	"metaupdate/internal/nvram"
 	"metaupdate/internal/ordering"
 )
 
@@ -108,17 +106,17 @@ var schemeTable = [...]schemeInfo{
 		// break its covered-update tracking, so it is forced off.
 		fixed: func(o *Options) { o.CB = false },
 		build: func(_ *Options, s *System) ffs.Ordering {
-			s.Soft = core.New()
+			s.Soft = ordering.NewSoftUpdates()
 			return s.Soft
 		},
 	},
 	NVRAM: {
 		name: "NVRAM", slugs: []string{"nvram"},
 		build: func(_ *Options, s *System) ffs.Ordering {
-			s.NV = nvram.New()
+			s.NV = ordering.NewNVRAM()
 			return s.NV
 		},
-		recover: func(s *System, img []byte) int { return s.NV.Log().Replay(img) },
+		recover: func(s *System, img []byte) int { return s.NV.Replay(img) },
 		replays: "NVRAM records", offMedia: true,
 	},
 	Journaling: {

@@ -16,7 +16,7 @@ func TestSchemeTable(t *testing.T) {
 	mounts := map[fsim.Scheme]string{
 		fsim.NoOrder: "*ordering.NoOrder", fsim.Conventional: "*ordering.Conventional",
 		fsim.SchedulerFlag: "*ordering.Flag", fsim.SchedulerChains: "*ordering.Chains",
-		fsim.SoftUpdates: "*core.SoftUpdates", fsim.NVRAM: "*nvram.Scheme",
+		fsim.SoftUpdates: "*ordering.SoftUpdates", fsim.NVRAM: "*ordering.NVRAM",
 		fsim.Journaling: "*ordering.Journal", fsim.AsyncDurability: "*ordering.Async",
 	}
 	slugs := strings.Split(fsim.SchemeUsage, "|")

@@ -136,6 +136,13 @@ func (b *Buf) Unhold() {
 // (ROADMAP item 1(a)).
 func (b *Buf) InFlight() bool { return b.write != nil && !b.c.cfg.CB }
 
+// Settled reports whether the buffer's state has gone home: it is clean and
+// no write of it is in flight. A scheme asks it before it waits for, or
+// writes, a buffer whose state must reach the media. Under -CB a write in
+// flight does not count (ROADMAP item 1(a)): a buffer whose -CB write is
+// still on its way to the media reports settled.
+func (b *Buf) Settled() bool { return !b.Dirty && !b.InFlight() }
+
 // WriteReq returns the ID of the newest write request issued from this
 // buffer, 0 once that request has completed (successfully or not). Under
 // -CB an older write may still be in flight; the newest one is ordered

@@ -477,6 +477,35 @@ func TestWriteReq(t *testing.T) {
 	})
 }
 
+// TestSettled holds Settled to its truth table without -CB: a buffer is
+// settled only when it is clean and no write of it is in flight.
+func TestSettled(t *testing.T) {
+	eng, _, _, c := newRig(Config{})
+	runIn(eng, func(p *sim.Proc) {
+		b := c.Getblk(p, 10, 1)
+		check := func(state string, want bool) {
+			t.Helper()
+			if got := b.Settled(); got != want {
+				t.Errorf("%s: Settled %v, want %v", state, got, want)
+			}
+		}
+		check("clean, no write", true)
+		c.Bdwrite(b)
+		check("dirty, no write", false)
+		r := c.Bawrite(p, b)
+		check("clean, write in flight", false)
+		c.Bdwrite(b)
+		check("dirty, write in flight", false)
+		r.Done.Wait(p)
+		c.Driver().Release(r)
+		check("dirty, write landed", false)
+		r = c.Bawrite(p, b)
+		r.Done.Wait(p)
+		c.Driver().Release(r)
+		check("clean, write landed", true)
+	})
+}
+
 func TestCopyPoolBackpressure(t *testing.T) {
 	// With a tiny snapshot pool, a burst of CB writes must block the issuer
 	// until completions release pool space — never exceeding the cap.

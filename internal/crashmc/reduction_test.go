@@ -113,14 +113,14 @@ func (o *definitionTee) BatchTorn(ids []uint64, sectors int, at sim.Time) {
 	o.def.BatchTorn(ids, sectors, at)
 }
 
-// attachTee puts a definitionTee between sys's driver and rec.
-func attachTee(t *testing.T, sys *fsim.System, rec *Recorder) *definitionTee {
+// attachTee puts a definitionTee between drv and rec.
+func attachTee(t *testing.T, drv *dev.Driver, rec *Recorder) *definitionTee {
 	tee := &definitionTee{
-		t: t, cfg: sys.Driver.Config(), wired: rec,
+		t: t, cfg: drv.Config(), wired: rec,
 		def:     &Recorder{nodes: map[uint64]*node{}, hseed: rec.hseed},
 		pending: map[uint64]*dev.Request{},
 	}
-	sys.Driver.SetObserver(tee)
+	drv.SetObserver(tee)
 	return tee
 }
 
@@ -196,7 +196,7 @@ func TestReducedGraphSameStateSpace(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var tee *definitionTee
 			got := exploreCreateRemove(t, tc.opt, func(sys *fsim.System, rec *Recorder) {
-				tee = attachTee(t, sys, rec)
+				tee = attachTee(t, sys.Driver, rec)
 			})
 			if tee.fewer == 0 {
 				t.Error("no submission was wired behind fewer requests than the definition names: nothing reduced, nothing tested")
@@ -213,7 +213,48 @@ func TestReducedGraphSameStateSpace(t *testing.T) {
 // conflicting request the driver leaves unwired because a later pending
 // write covers it must change no closure over the pending set (the tee
 // checks each submission), and the rule must have fired.
+//
+// The file system seldom reaches the rule's two limits, so a synthetic
+// stream submitted straight to a driver, under both modes, holds them too:
+// a read shadows nothing, and a write shadows only a request it covers.
 func TestShadowedConflictsSameClosure(t *testing.T) {
+	for name, cfg := range map[string]dev.Config{
+		"synthetic-flag":   {Mode: dev.ModeFlag, Sem: dev.SemPart, NR: true},
+		"synthetic-chains": {Mode: dev.ModeChains},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dsk := disk.New(disk.HPC2447(), 6<<20)
+			drv := dev.New(sim.NewEngine(), dsk, cfg)
+			tee := attachTee(t, drv, Attach(drv, dsk))
+			submit := func(op disk.Op, lbn int64, count int) {
+				r := &dev.Request{Op: op, LBN: lbn, Count: count, Buf: make([]byte, count*disk.SectorSize)}
+				if op == disk.Write {
+					r.Data, r.Buf = r.Buf, nil
+				}
+				drv.Submit(r) // the engine never runs: every request stays pending
+			}
+			// A block write covers a pending fragment write; a rewrite of
+			// the fragment then waits for the coverer alone.
+			submit(disk.Write, 0, 2)
+			submit(disk.Write, 0, 16)
+			submit(disk.Write, 0, 2)
+			// A read over a pending write, then a second read of the same
+			// sectors: the first read must not stand for the write.
+			submit(disk.Write, 64, 16)
+			submit(disk.Read, 64, 16)
+			submit(disk.Read, 64, 16)
+			// A fragment write inside a pending block write, then a write to
+			// the block's uncovered part: the fragment write must not stand
+			// for the block write.
+			submit(disk.Write, 128, 16)
+			submit(disk.Write, 130, 2)
+			submit(disk.Write, 136, 2)
+			if tee.shadowed == 0 {
+				t.Error("no conflicting request was left unwired behind a covering write")
+			}
+		})
+	}
+
 	for name, opt := range map[string]fsim.Options{
 		"flag":   {Scheme: fsim.SchedulerFlag},
 		"chains": {Scheme: fsim.SchedulerChains},
@@ -224,7 +265,7 @@ func TestShadowedConflictsSameClosure(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tee := attachTee(t, sys, Attach(sys.Driver, sys.Disk))
+			tee := attachTee(t, sys.Driver, Attach(sys.Driver, sys.Disk))
 			const users, files = 4, 240 // within the 1024 inodes
 			dirs := make([]fsim.Ino, users)
 			sys.Run(func(p *fsim.Proc) {

@@ -135,11 +135,11 @@ func (fs *FS) fsyncAwait(p *sim.Proc, ino Ino, dw DurabilityWaiter) error {
 	}
 	var frags []int64
 	for _, run := range runs.All() {
-		if b := fs.cache.Lookup(int64(run.Start)); b != nil && (b.Dirty || b.InFlight()) {
+		if b := fs.cache.Lookup(int64(run.Start)); b != nil && !b.Settled() {
 			frags = append(frags, int64(run.Start))
 		}
 	}
-	if ib.Dirty || ib.InFlight() {
+	if !ib.Settled() {
 		frags = append(frags, ib.Frag)
 	}
 	fs.rele(ib)

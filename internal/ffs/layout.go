@@ -4,8 +4,8 @@
 // entries, and bitmap free maps — everything the five metadata ordering
 // schemes operate on. Structural changes (block allocation, block freeing,
 // link addition, link removal) are routed through the Ordering strategy
-// (see order.go); package ordering and package core provide the five
-// implementations the paper compares.
+// (see order.go); package ordering provides the implementations: the five
+// the paper compares and the extensions.
 package ffs
 
 import (

@@ -10,9 +10,9 @@ import (
 )
 
 // sloppy is No Order with seeded protocol bugs, in the idiom of
-// core.SoftUpdates.DropEntryDeps: it runs the deferred half of a removal or
-// of a free twice, or never — the two ways to break the "exactly once" half
-// of order.go's contract. A record is a value: the Twice bugs finish the
+// ordering.SoftUpdates.DropEntryDeps: it runs the deferred half of a removal
+// or of a free twice, or never — the two ways to break the "exactly once"
+// half of order.go's contract. A record is a value: the Twice bugs finish the
 // copy No Order was handed and then the scheme's own, the OwnTwice bugs the
 // scheme's own copy twice.
 type sloppy struct {

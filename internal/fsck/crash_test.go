@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"metaupdate/internal/cache"
-	"metaupdate/internal/core"
 	"metaupdate/internal/dev"
 	"metaupdate/internal/disk"
 	"metaupdate/internal/ffs"
@@ -26,7 +25,7 @@ func buildScheme(name string) (ffs.Ordering, dev.Config) {
 	case "chains":
 		return ordering.NewChains(), dev.Config{Mode: dev.ModeChains}
 	case "softupdates":
-		return core.New(), dev.Config{Mode: dev.ModeIgnore}
+		return ordering.NewSoftUpdates(), dev.Config{Mode: dev.ModeIgnore}
 	}
 	panic("unknown scheme " + name)
 }

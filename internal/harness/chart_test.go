@@ -1,4 +1,4 @@
-package plot
+package harness
 
 import (
 	"strings"
@@ -6,17 +6,17 @@ import (
 )
 
 func TestBarChartRendersAllBars(t *testing.T) {
-	c := BarChart{
-		Title: "elapsed",
-		Unit:  "s",
-		Bars: []Bar{
+	c := barChart{
+		title: "elapsed",
+		unit:  "s",
+		bars: []bar{
 			{"Conventional", 80.2},
 			{"Soft Updates", 6.7},
 			{"No Order", 7.6},
 		},
 	}
 	var sb strings.Builder
-	c.Fprint(&sb)
+	c.fprint(&sb)
 	out := sb.String()
 	for _, want := range []string{"Conventional", "Soft Updates", "No Order", "80.2", "6.7", "elapsed"} {
 		if !strings.Contains(out, want) {
@@ -41,9 +41,9 @@ func TestBarChartRendersAllBars(t *testing.T) {
 }
 
 func TestBarChartTinyValuesVisible(t *testing.T) {
-	c := BarChart{Title: "t", Bars: []Bar{{"big", 1000}, {"tiny", 0.5}}}
+	c := barChart{title: "t", bars: []bar{{"big", 1000}, {"tiny", 0.5}}}
 	var sb strings.Builder
-	c.Fprint(&sb)
+	c.fprint(&sb)
 	for _, l := range strings.Split(sb.String(), "\n") {
 		if strings.Contains(l, "tiny") && !strings.Contains(l, "#") {
 			t.Fatal("non-zero value rendered with no bar")
@@ -52,26 +52,26 @@ func TestBarChartTinyValuesVisible(t *testing.T) {
 }
 
 func TestBarChartAllZeros(t *testing.T) {
-	c := BarChart{Title: "z", Bars: []Bar{{"a", 0}, {"b", 0}}}
+	c := barChart{title: "z", bars: []bar{{"a", 0}, {"b", 0}}}
 	var sb strings.Builder
-	c.Fprint(&sb) // must not divide by zero
+	c.fprint(&sb) // must not divide by zero
 	if !strings.Contains(sb.String(), "a") {
 		t.Fatal("labels missing")
 	}
 }
 
 func TestLineChartRendersSeriesAndLegend(t *testing.T) {
-	c := LineChart{
-		Title:   "throughput",
-		XLabels: []string{"1", "2", "4", "8"},
-		YUnit:   "files/s",
-		Series: []Series{
+	c := lineChart{
+		title:   "throughput",
+		xLabels: []string{"1", "2", "4", "8"},
+		yUnit:   "files/s",
+		series: []series{
 			{"No Order", []float64{20, 35, 50, 60}},
 			{"Conventional", []float64{18, 19, 20, 20}},
 		},
 	}
 	var sb strings.Builder
-	c.Fprint(&sb)
+	c.fprint(&sb)
 	out := sb.String()
 	for _, want := range []string{"throughput", "No Order", "Conventional", "files/s", "*", "o"} {
 		if !strings.Contains(out, want) {
@@ -100,9 +100,9 @@ func TestLineChartRendersSeriesAndLegend(t *testing.T) {
 }
 
 func TestLineChartEmptyX(t *testing.T) {
-	c := LineChart{Title: "e"}
+	c := lineChart{title: "e"}
 	var sb strings.Builder
-	c.Fprint(&sb) // no panic, no output
+	c.fprint(&sb) // no panic, no output
 	if sb.Len() != 0 {
 		t.Fatal("expected no output for empty chart")
 	}

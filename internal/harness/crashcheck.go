@@ -15,7 +15,7 @@ type CrashCheckOptions struct {
 	// paper's figure 5 metadata workload). Default 150.
 	Files int
 	// SeedBug deliberately breaks soft updates by dropping the directory
-	// entry -> inode initialization dependency (core.SoftUpdates
+	// entry -> inode initialization dependency (ordering.SoftUpdates
 	// DropEntryDeps), to demonstrate that the checker catches real ordering
 	// bugs. Only meaningful for fsim.SoftUpdates.
 	SeedBug bool

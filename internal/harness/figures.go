@@ -6,28 +6,27 @@ import (
 	"strconv"
 
 	"metaupdate/fsim"
-	"metaupdate/internal/plot"
 	"metaupdate/internal/workload"
 )
 
 // barChartOf builds a bar chart from a table's label and numeric column.
 func barChartOf(title, unit string, t *Table, col int) func(io.Writer) {
-	var bars []plot.Bar
+	var bars []bar
 	for _, row := range t.Rows {
 		v, err := strconv.ParseFloat(row[col], 64)
 		if err != nil {
 			continue
 		}
-		bars = append(bars, plot.Bar{Label: row[0], Value: v})
+		bars = append(bars, bar{label: row[0], value: v})
 	}
-	c := &plot.BarChart{Title: title, Unit: unit, Bars: bars}
-	return c.Fprint
+	c := &barChart{title: title, unit: unit, bars: bars}
+	return c.fprint
 }
 
 // lineChartOf builds a line chart from a table whose columns 1..n are the
 // series points.
 func lineChartOf(title, unit string, t *Table, xlabels []string) func(io.Writer) {
-	var series []plot.Series
+	var lines []series
 	for _, row := range t.Rows {
 		pts := make([]float64, 0, len(row)-1)
 		for _, cell := range row[1:] {
@@ -37,10 +36,10 @@ func lineChartOf(title, unit string, t *Table, xlabels []string) func(io.Writer)
 			}
 			pts = append(pts, v)
 		}
-		series = append(series, plot.Series{Name: row[0], Points: pts})
+		lines = append(lines, series{name: row[0], points: pts})
 	}
-	c := &plot.LineChart{Title: title, XLabels: xlabels, YUnit: unit, Series: series}
-	return c.Fprint
+	c := &lineChart{title: title, xLabels: xlabels, yUnit: unit, series: lines}
+	return c.fprint
 }
 
 // flagVariant builds a Scheduler Flag configuration.

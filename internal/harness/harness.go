@@ -12,8 +12,8 @@ import (
 	"strings"
 
 	"metaupdate/fsim"
-	"metaupdate/internal/core"
 	"metaupdate/internal/obs"
+	"metaupdate/internal/ordering"
 	"metaupdate/internal/sim"
 	"metaupdate/internal/workload"
 )
@@ -156,7 +156,7 @@ func prepTrees(sys *fsim.System, users int, scale Scale) workload.TreeSpec {
 type copyStats struct {
 	elapsed sim.Duration // mean per-user elapsed
 	stats   fsim.Stats
-	soft    core.Stats
+	soft    ordering.SoftStats
 	ops     []obs.OpDigest
 }
 
@@ -167,7 +167,7 @@ type copyStats struct {
 // statistics are "system-wide" as in the paper and the sync that flushes
 // them is profiled too (as the "sync" op row).
 func runPhase(sys *fsim.System, users int, work func(p *fsim.Proc, u int) error) copyStats {
-	var su0 core.Stats
+	var su0 ordering.SoftStats
 	if sys.Soft != nil {
 		su0 = sys.Soft.Stat
 	}
@@ -183,7 +183,7 @@ func runPhase(sys *fsim.System, users int, work func(p *fsim.Proc, u int) error)
 	cs.stats = sys.CollectStats()
 	if sys.Soft != nil {
 		su := sys.Soft.Stat
-		cs.soft = core.Stats{
+		cs.soft = ordering.SoftStats{
 			Rollbacks:     su.Rollbacks - su0.Rollbacks,
 			CancelledAdds: su.CancelledAdds - su0.CancelledAdds,
 			Workitems:     su.Workitems - su0.Workitems,

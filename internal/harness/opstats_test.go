@@ -7,8 +7,8 @@ import (
 	"testing"
 
 	"metaupdate/fsim"
-	"metaupdate/internal/core"
 	"metaupdate/internal/obs"
+	"metaupdate/internal/ordering"
 	"metaupdate/internal/sim"
 	"metaupdate/internal/workload"
 )
@@ -184,7 +184,7 @@ func TestCrossSchemeCounterInvariants(t *testing.T) {
 }
 
 // TestSoftUpdatesRollbackAccounting checks the phase's Soft Updates
-// counters against an independent snapshot diff of core.Stats taken around
+// counters against an independent snapshot diff of ordering.SoftStats taken around
 // a replica of the same deterministic benchmark — the reported numbers must
 // be exactly the scheme's own accounting, not a recomputation.
 func TestSoftUpdatesRollbackAccounting(t *testing.T) {
@@ -194,8 +194,8 @@ func TestSoftUpdatesRollbackAccounting(t *testing.T) {
 	defer sys.Shutdown()
 	prepTrees(sys, 4, opTestScale)
 	// replica runs one phase — every user's work, then the settle-sync —
-	// and returns what it added to core.Stats.
-	replica := func(work func(p *fsim.Proc, u int) error) core.Stats {
+	// and returns what it added to ordering.SoftStats.
+	replica := func(work func(p *fsim.Proc, u int) error) ordering.SoftStats {
 		before := sys.Soft.Stat
 		sys.RunUsers(4, func(p *fsim.Proc, u int) {
 			if err := work(p, u); err != nil {
@@ -204,7 +204,7 @@ func TestSoftUpdatesRollbackAccounting(t *testing.T) {
 		})
 		sys.Run(func(p *fsim.Proc) { sys.FS.Sync(p) })
 		after := sys.Soft.Stat
-		return core.Stats{
+		return ordering.SoftStats{
 			Rollbacks:     after.Rollbacks - before.Rollbacks,
 			CancelledAdds: after.CancelledAdds - before.CancelledAdds,
 			Workitems:     after.Workitems - before.Workitems,
@@ -218,13 +218,13 @@ func TestSoftUpdatesRollbackAccounting(t *testing.T) {
 		t.Error("independent copy run observed no rollbacks")
 	}
 	if got, want := su.Copy.soft.Rollbacks, copyDiff.Rollbacks; got != want {
-		t.Errorf("profile copy rollbacks = %d, core.Stats diff = %d", got, want)
+		t.Errorf("profile copy rollbacks = %d, ordering.SoftStats diff = %d", got, want)
 	}
 	if got, want := su.Copy.soft.CancelledAdds, copyDiff.CancelledAdds; got != want {
-		t.Errorf("profile copy cancelled adds = %d, core.Stats diff = %d", got, want)
+		t.Errorf("profile copy cancelled adds = %d, ordering.SoftStats diff = %d", got, want)
 	}
 	if got, want := su.Copy.soft.Workitems, copyDiff.Workitems; got != want {
-		t.Errorf("profile copy workitems = %d, core.Stats diff = %d", got, want)
+		t.Errorf("profile copy workitems = %d, ordering.SoftStats diff = %d", got, want)
 	}
 
 	sys.Run(func(p *fsim.Proc) { sys.FS.Sync(p) })
@@ -232,10 +232,10 @@ func TestSoftUpdatesRollbackAccounting(t *testing.T) {
 		return workload.RemoveTree(p, sys.FS, fsim.RootIno, fmt.Sprintf("dst%d", u))
 	})
 	if got, want := su.RemoveRes.soft.Rollbacks, remDiff.Rollbacks; got != want {
-		t.Errorf("profile remove rollbacks = %d, core.Stats diff = %d", got, want)
+		t.Errorf("profile remove rollbacks = %d, ordering.SoftStats diff = %d", got, want)
 	}
 	if got, want := su.RemoveRes.soft.Workitems, remDiff.Workitems; got != want {
-		t.Errorf("profile remove workitems = %d, core.Stats diff = %d", got, want)
+		t.Errorf("profile remove workitems = %d, ordering.SoftStats diff = %d", got, want)
 	}
 	if remDiff.Workitems == 0 {
 		t.Error("independent remove run observed no workitems")

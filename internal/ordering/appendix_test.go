@@ -1,4 +1,4 @@
-package core_test
+package ordering_test
 
 import (
 	"fmt"
@@ -15,7 +15,7 @@ import (
 // cache contents, we force them to stay resident and dirty while they have
 // pending dependencies."
 func TestIndirectBlockPinnedWhileDependent(t *testing.T) {
-	r := newRig(t)
+	r := newSoftRig(t)
 	r.run(t, func(p *sim.Proc) {
 		ino, _ := r.fs.Create(p, ffs.RootIno, "big")
 		// Write past the direct blocks so an indirect block exists with
@@ -48,7 +48,7 @@ func TestIndirectBlockPinnedWhileDependent(t *testing.T) {
 // — and the same annihilation must free the never-written inode with no
 // clearing write.
 func TestCancelFreesInodeWithNoWrites(t *testing.T) {
-	r := newRig(t)
+	r := newSoftRig(t)
 	r.run(t, func(p *sim.Proc) {
 		base := r.c.WritesIssued
 		ino, err := r.fs.Create(p, ffs.RootIno, "ephemeral")
@@ -81,7 +81,7 @@ func TestCancelFreesInodeWithNoWrites(t *testing.T) {
 // allocdirect dependency clears" — the vacated fragments stay allocated
 // until the retargeted pointer could be durable.
 func TestMovedFragmentsNotReusedBeforeResolution(t *testing.T) {
-	r := newRig(t)
+	r := newSoftRig(t)
 	r.run(t, func(p *sim.Proc) {
 		// A 1-fragment file whose neighbors get taken, forcing a move on
 		// extension.
@@ -120,7 +120,7 @@ func TestMovedFragmentsNotReusedBeforeResolution(t *testing.T) {
 // The dependency structures must all drain: after a sync with no further
 // activity, the scheme holds no per-buffer state at all.
 func TestDependencyStructuresDrainCompletely(t *testing.T) {
-	r := newRig(t)
+	r := newSoftRig(t)
 	r.run(t, func(p *sim.Proc) {
 		dir, _ := r.fs.Mkdir(p, ffs.RootIno, "d")
 		for i := 0; i < 25; i++ {
@@ -141,7 +141,7 @@ func TestDependencyStructuresDrainCompletely(t *testing.T) {
 // carry zeroed inode numbers on disk (rule 3 rollback), and the re-written
 // block after resolution must carry them for real.
 func TestDirectoryRollbackIsCopyBased(t *testing.T) {
-	r := newRig(t)
+	r := newSoftRig(t)
 	r.run(t, func(p *sim.Proc) {
 		ino, _ := r.fs.Create(p, ffs.RootIno, "target")
 		sb := r.fs.Superblock()

@@ -258,7 +258,7 @@ func (o *Async) throttle(p *sim.Proc) {
 			continue
 		}
 		b := c.Lookup(frag)
-		if b == nil || (!b.Dirty && !b.InFlight()) {
+		if b == nil || b.Settled() {
 			// Buffer dropped (freed) or its post-registration write
 			// already completed: the registered state is durable or moot.
 			o.fragDurableAsOf(frag, o.eng.Now())
@@ -296,7 +296,7 @@ func (o *Async) flusher(p *sim.Proc) {
 				continue // satisfied by a completion during this sweep
 			}
 			b := c.Lookup(frag)
-			if b == nil || (!b.Dirty && !b.InFlight()) {
+			if b == nil || b.Settled() {
 				o.fragDurableAsOf(frag, o.eng.Now())
 				continue
 			}

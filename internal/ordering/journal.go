@@ -156,7 +156,7 @@ var zeroFrag [ffs.FragSize]byte
 // driver configured with dev.ModeChains.
 func NewJournal() *Journal {
 	o := &Journal{byFrag: make(map[int64][]*jtxn), openSlot: make(map[int64]int), prev: make(map[int64]jprev)}
-	o.Sequenced = NewSequenced(o.stable, o.stable)
+	o.Sequenced = newSequenced(o.stable, o.stable)
 	o.logDone = o.logWriteDone
 	return o
 }
@@ -441,7 +441,7 @@ func (o *Journal) WaitDurable(p *sim.Proc, ino ffs.Ino, frags []int64) error {
 			}
 		}
 	}
-	if ib := c.Lookup(int64(iblk)); ib != nil && (ib.Dirty || ib.InFlight()) {
+	if ib := c.Lookup(int64(iblk)); ib != nil && !ib.Settled() {
 		// Held: stable reads its bytes again after waiting for log space.
 		o.stable(p, ib.Hold())
 		ib.Unhold()
@@ -561,7 +561,7 @@ func (o *Journal) flushOldest(p *sim.Proc) {
 			continue // already home
 		}
 		b := c.Lookup(m.Frag)
-		if b == nil || (!b.Dirty && !b.InFlight()) {
+		if b == nil || b.Settled() {
 			// Buffer gone (freed) or its state already durable: the image
 			// is moot.
 			o.retireFrag(m.Frag)

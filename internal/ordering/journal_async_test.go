@@ -6,7 +6,6 @@ import (
 
 	"metaupdate/internal/cache"
 	"metaupdate/internal/dev"
-	"metaupdate/internal/disk"
 	"metaupdate/internal/ffs"
 	"metaupdate/internal/jlog"
 	"metaupdate/internal/ordering"
@@ -25,26 +24,8 @@ func newJournaledRig(t *testing.T, ord ffs.Ordering, journalFrags int32) *rig {
 // (the zero value is the paper's).
 func newJournaledRigCosts(t *testing.T, ord ffs.Ordering, journalFrags int32, costs ffs.Costs) *rig {
 	t.Helper()
-	eng := sim.NewEngine()
-	dsk := disk.New(disk.HPC2447(), 64<<20)
-	if _, err := ffs.Format(dsk, ffs.FormatParams{
-		TotalBytes: 64 << 20, NInodes: 2048, JournalFrags: journalFrags,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	drv := dev.New(eng, dsk, dev.Config{Mode: dev.ModeChains})
-	cpu := &sim.CPU{}
-	c := cache.New(eng, drv, cpu, cache.Config{})
-	r := &rig{eng: eng, dsk: dsk, drv: drv, c: c}
-	var err error
-	eng.Spawn("mount", func(p *sim.Proc) {
-		r.fs, err = ffs.Mount(eng, cpu, c, ord, ffs.Config{Costs: costs}, p)
-	})
-	eng.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return r
+	fp := ffs.FormatParams{TotalBytes: 64 << 20, NInodes: 2048, JournalFrags: journalFrags}
+	return formatRig(t, ord, fp, dev.Config{Mode: dev.ModeChains}, cache.Config{}, ffs.Config{Costs: costs})
 }
 
 // TestJournalWrapReclaimAndBackpressure churns a journal region sized for

@@ -1,4 +1,4 @@
-package nvram_test
+package ordering_test
 
 import (
 	"fmt"
@@ -9,7 +9,7 @@ import (
 	"metaupdate/internal/sim"
 )
 
-func newSys(t *testing.T) *fsim.System {
+func newNVRAMSys(t *testing.T) *fsim.System {
 	t.Helper()
 	sys, err := fsim.New(fsim.Options{Scheme: fsim.NVRAM, DiskBytes: 64 << 20})
 	if err != nil {
@@ -19,7 +19,7 @@ func newSys(t *testing.T) *fsim.System {
 }
 
 func TestBasicOperations(t *testing.T) {
-	sys := newSys(t)
+	sys := newNVRAMSys(t)
 	sys.Run(func(p *fsim.Proc) {
 		dir, err := sys.FS.Mkdir(p, fsim.RootIno, "d")
 		if err != nil {
@@ -37,7 +37,7 @@ func TestBasicOperations(t *testing.T) {
 	if sys.NV == nil {
 		t.Fatal("NV handle missing")
 	}
-	if sys.NV.Log().Appends == 0 {
+	if sys.NV.Appends == 0 {
 		t.Fatal("nothing was journaled")
 	}
 }
@@ -45,7 +45,7 @@ func TestBasicOperations(t *testing.T) {
 func TestOperationsDoNotBlockOnDisk(t *testing.T) {
 	// Like No Order, the NVRAM scheme must run metadata updates at memory
 	// speed: no disk writes in the create path.
-	sys := newSys(t)
+	sys := newNVRAMSys(t)
 	sys.Run(func(p *fsim.Proc) {
 		base := sys.Cache.WritesIssued
 		start := p.Now()
@@ -64,25 +64,25 @@ func TestOperationsDoNotBlockOnDisk(t *testing.T) {
 }
 
 func TestLogRetiresAfterFlush(t *testing.T) {
-	sys := newSys(t)
+	sys := newNVRAMSys(t)
 	sys.Run(func(p *fsim.Proc) {
 		for i := 0; i < 20; i++ {
 			sys.FS.Create(p, fsim.RootIno, fmt.Sprintf("f%d", i))
 		}
-		if sys.NV.Log().Used() == 0 {
+		if sys.NV.Used() == 0 {
 			t.Fatal("log empty after creates")
 		}
 		sys.FS.Sync(p)
 	})
-	if used := sys.NV.Log().Used(); used != 0 {
+	if used := sys.NV.Used(); used != 0 {
 		t.Fatalf("log holds %d bytes after full sync", used)
 	}
 }
 
 func TestLogBackpressure(t *testing.T) {
 	// A tiny log forces flushes instead of growing without bound.
-	sys := newSys(t)
-	sys.NV.Log().Cap = 64 << 10
+	sys := newNVRAMSys(t)
+	sys.NV.Cap = 64 << 10
 	sys.Run(func(p *fsim.Proc) {
 		for i := 0; i < 300; i++ {
 			if _, err := sys.FS.Create(p, fsim.RootIno, fmt.Sprintf("f%d", i)); err != nil {
@@ -90,9 +90,8 @@ func TestLogBackpressure(t *testing.T) {
 			}
 		}
 	})
-	l := sys.NV.Log()
-	if l.PeakUsed > l.Cap {
-		t.Fatalf("log exceeded capacity: %d > %d", l.PeakUsed, l.Cap)
+	if nv := sys.NV; nv.PeakUsed > nv.Cap {
+		t.Fatalf("log exceeded capacity: %d > %d", nv.PeakUsed, nv.Cap)
 	}
 	if sys.Cache.WritesIssued == 0 {
 		t.Fatal("backpressure never forced a flush")
@@ -121,10 +120,10 @@ func TestCrashReplayPreservesIntegrity(t *testing.T) {
 	}
 	// Determine total... churn is infinite; sweep fixed crash times.
 	for _, at := range []fsim.Time{5 * fsim.Second, 33 * fsim.Second, 61 * fsim.Second} {
-		sys := newSys(t)
+		sys := newNVRAMSys(t)
 		churn(sys)
 		img := sys.Crash(at)
-		if sys.NV.Log().Replay(img) == 0 && at > 10*fsim.Second {
+		if sys.NV.Replay(img) == 0 && at > 10*fsim.Second {
 			t.Errorf("no records to replay at %v", at)
 		}
 		rep := fsck.Check(img)
@@ -156,7 +155,7 @@ func TestWithoutReplayIntegrityIsLost(t *testing.T) {
 	}
 	violations := 0
 	for _, at := range []fsim.Time{33 * fsim.Second, 47 * fsim.Second, 61 * fsim.Second, 75 * fsim.Second} {
-		sys := newSys(t)
+		sys := newNVRAMSys(t)
 		churn(sys)
 		img := sys.Crash(at)
 		violations += len(fsck.Check(img).Violations())

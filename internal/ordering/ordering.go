@@ -1,10 +1,10 @@
-// Package ordering implements six of the metadata update schemes compared
-// here: the paper's No Order (the unsafe delayed-write baseline),
-// Conventional synchronous writes, the scheduler-enforced ordering flag of
-// section 3.1 and scheduler chains (section 3.2), plus the two post-paper
-// schemes, write-ahead Journaling and Async Durability. Soft updates, the
-// paper's contribution, lives in package core; the NVRAM scheme of section
-// 7 in package nvram.
+// Package ordering implements every metadata update scheme compared here,
+// each an ffs.Ordering: the paper's No Order (the unsafe delayed-write
+// baseline), Conventional synchronous writes, the scheduler-enforced
+// ordering flag of section 3.1 (Flag), scheduler chains (Chains, section
+// 3.2) and soft updates (SoftUpdates, section 4.2 and the appendix, the
+// paper's contribution); NVRAM, the battery-backed log of section 7; and
+// two post-paper schemes, write-ahead Journaling and Async Durability.
 //
 // No Order, Conventional, Scheduler Flag, NVRAM and Journaling differ only
 // in the writes they use to keep the three ordering rules, so they share
@@ -37,17 +37,14 @@ type Sequenced struct {
 	ordered, last func(p *sim.Proc, b *cache.Buf)
 }
 
-// NewSequenced returns the protocol over a scheme's two writes. They are
+// newSequenced returns the protocol over a scheme's two writes. They are
 // bound here, once, not per hook call.
-func NewSequenced(ordered, last func(p *sim.Proc, b *cache.Buf)) Sequenced {
+func newSequenced(ordered, last func(p *sim.Proc, b *cache.Buf)) Sequenced {
 	return Sequenced{ordered: ordered, last: last}
 }
 
 // Start implements ffs.Ordering.
 func (s *Sequenced) Start(fs *ffs.FS) { s.fs = fs }
-
-// FS returns the file system the scheme was started on.
-func (s *Sequenced) FS() *ffs.FS { return s.fs }
 
 // delay is the delayed write, usable as either write of a scheme.
 func (s *Sequenced) delay(p *sim.Proc, b *cache.Buf) { s.fs.Cache().Bdwrite(b) }
@@ -109,7 +106,7 @@ type NoOrder struct{ Sequenced }
 // NewNoOrder returns the No Order scheme.
 func NewNoOrder() *NoOrder {
 	o := &NoOrder{}
-	o.Sequenced = NewSequenced(o.delay, o.delay)
+	o.Sequenced = newSequenced(o.delay, o.delay)
 	return o
 }
 
@@ -121,7 +118,7 @@ type Conventional struct{ Sequenced }
 // NewConventional returns the Conventional scheme.
 func NewConventional() *Conventional {
 	o := &Conventional{}
-	o.Sequenced = NewSequenced(o.syncWrite, o.delay)
+	o.Sequenced = newSequenced(o.syncWrite, o.delay)
 	return o
 }
 

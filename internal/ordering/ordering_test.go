@@ -22,9 +22,15 @@ type rig struct {
 
 func newRig(t *testing.T, ord ffs.Ordering, dcfg dev.Config, ccfg cache.Config, fscfg ffs.Config) *rig {
 	t.Helper()
+	return formatRig(t, ord, ffs.FormatParams{TotalBytes: 64 << 20, NInodes: 2048}, dcfg, ccfg, fscfg)
+}
+
+// formatRig mounts ord on a disk of fp.TotalBytes formatted with fp.
+func formatRig(t *testing.T, ord ffs.Ordering, fp ffs.FormatParams, dcfg dev.Config, ccfg cache.Config, fscfg ffs.Config) *rig {
+	t.Helper()
 	eng := sim.NewEngine()
-	dsk := disk.New(disk.HPC2447(), 64<<20)
-	if _, err := ffs.Format(dsk, ffs.FormatParams{TotalBytes: 64 << 20, NInodes: 2048}); err != nil {
+	dsk := disk.New(disk.HPC2447(), fp.TotalBytes)
+	if _, err := ffs.Format(dsk, fp); err != nil {
 		t.Fatal(err)
 	}
 	drv := dev.New(eng, dsk, dcfg)

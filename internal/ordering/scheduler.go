@@ -27,7 +27,7 @@ type Flag struct{ Sequenced }
 // with dev.ModeFlag.
 func NewFlag() *Flag {
 	o := &Flag{}
-	o.Sequenced = NewSequenced(o.flagWrite, o.delay)
+	o.Sequenced = newSequenced(o.flagWrite, o.delay)
 	return o
 }
 

@@ -1,13 +1,12 @@
-// Package core implements soft updates, the paper's contribution
-// (section 4.2 and the appendix): metadata updates use delayed writes, and
-// fine-grained per-update dependency records make any dirty block writable
-// at any time — updates with pending dependencies are rolled back in the
-// write *source*, so the block as written is always consistent with the
-// current on-disk state. Rollback operates on a copy of the buffer (the
-// copy-on-write refinement the paper's own footnote recommends over
-// in-place undo/redo), so the in-memory state is never perturbed and no
-// access inhibition or redo pass is needed; the on-disk images are the
-// same either way.
+// Soft updates, the paper's contribution (section 4.2 and the appendix):
+// metadata updates use delayed writes, and fine-grained per-update
+// dependency records make any dirty block writable at any time — updates
+// with pending dependencies are rolled back in the write *source*, so the
+// block as written is always consistent with the current on-disk state.
+// Rollback operates on a copy of the buffer (the copy-on-write refinement
+// the paper's own footnote recommends over in-place undo/redo), so the
+// in-memory state is never perturbed and no access inhibition or redo pass
+// is needed; the on-disk images are the same either way.
 //
 // The structure mirrors the appendix:
 //
@@ -29,7 +28,8 @@
 // approach, which is why soft updates can beat even No Order on the remove
 // benchmarks: the expensive freeing work leaves the system call path
 // entirely.
-package core
+
+package ordering
 
 import (
 	"encoding/binary"
@@ -41,8 +41,8 @@ import (
 	"metaupdate/internal/sim"
 )
 
-// Stats counts soft-updates activity, for tests and the harness.
-type Stats struct {
+// SoftStats counts soft-updates activity, for tests and the harness.
+type SoftStats struct {
 	Rollbacks     int64 // individual updates undone in a write image
 	CancelledAdds int64 // add+remove pairs serviced with no disk writes
 	Workitems     int64 // deferred tasks queued
@@ -54,7 +54,7 @@ type SoftUpdates struct {
 	cache.NopHooks
 	fs   *ffs.FS
 	deps map[*cache.Buf]*bufDep // parallel to Buf.Dep, for iteration
-	Stat Stats
+	Stat SoftStats
 
 	// Storage a removal reuses (DESIGN.md §9): emptied bufDeps, run
 	// workitems and cancelAllocsFor's set of runs.
@@ -71,8 +71,8 @@ type SoftUpdates struct {
 	DropEntryDeps bool
 }
 
-// New returns a soft updates instance.
-func New() *SoftUpdates {
+// NewSoftUpdates returns a soft updates instance.
+func NewSoftUpdates() *SoftUpdates {
 	return &SoftUpdates{deps: make(map[*cache.Buf]*bufDep), owned: make(map[int32]bool)}
 }
 

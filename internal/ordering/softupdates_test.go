@@ -1,4 +1,4 @@
-package core_test
+package ordering_test
 
 import (
 	"bytes"
@@ -6,55 +6,24 @@ import (
 	"testing"
 
 	"metaupdate/internal/cache"
-	"metaupdate/internal/core"
 	"metaupdate/internal/dev"
-	"metaupdate/internal/disk"
 	"metaupdate/internal/ffs"
+	"metaupdate/internal/ordering"
 	"metaupdate/internal/sim"
 )
 
-type rig struct {
-	eng *sim.Engine
-	dsk *disk.Disk
-	drv *dev.Driver
-	c   *cache.Cache
-	fs  *ffs.FS
-	su  *core.SoftUpdates
+// softRig is a rig mounted under Soft Updates, with allocation
+// initialization on and the driver ignoring order.
+type softRig struct {
+	*rig
+	su *ordering.SoftUpdates
 }
 
-func newRig(t *testing.T) *rig {
+func newSoftRig(t *testing.T) *softRig {
 	t.Helper()
-	eng := sim.NewEngine()
-	dsk := disk.New(disk.HPC2447(), 96<<20)
-	if _, err := ffs.Format(dsk, ffs.FormatParams{TotalBytes: 96 << 20, NInodes: 4096}); err != nil {
-		t.Fatal(err)
-	}
-	drv := dev.New(eng, dsk, dev.Config{Mode: dev.ModeIgnore})
-	cpu := &sim.CPU{}
-	c := cache.New(eng, drv, cpu, cache.Config{MaxBytes: 8 << 20})
-	r := &rig{eng: eng, dsk: dsk, drv: drv, c: c, su: core.New()}
-	var err error
-	eng.Spawn("mount", func(p *sim.Proc) {
-		r.fs, err = ffs.Mount(eng, cpu, c, r.su, ffs.Config{AllocInit: true}, p)
-	})
-	eng.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return r
-}
-
-func (r *rig) run(t *testing.T, fn func(p *sim.Proc)) {
-	t.Helper()
-	done := false
-	r.eng.Spawn("test", func(p *sim.Proc) {
-		fn(p)
-		done = true
-	})
-	r.eng.Run()
-	if !done {
-		t.Fatal("simulated process deadlocked (engine drained before it finished)")
-	}
+	su := ordering.NewSoftUpdates()
+	fp := ffs.FormatParams{TotalBytes: 96 << 20, NInodes: 4096}
+	return &softRig{formatRig(t, su, fp, dev.Config{Mode: dev.ModeIgnore}, cache.Config{MaxBytes: 8 << 20}, ffs.Config{AllocInit: true}), su}
 }
 
 func fileData(seed, n int) []byte {
@@ -66,7 +35,7 @@ func fileData(seed, n int) []byte {
 }
 
 func TestBasicOperationsUnderSoftUpdates(t *testing.T) {
-	r := newRig(t)
+	r := newSoftRig(t)
 	r.run(t, func(p *sim.Proc) {
 		dir, err := r.fs.Mkdir(p, ffs.RootIno, "d")
 		if err != nil {
@@ -95,7 +64,7 @@ func TestBasicOperationsUnderSoftUpdates(t *testing.T) {
 func TestCreateUsesNoSynchronousWrites(t *testing.T) {
 	// The defining property: metadata updates are delayed writes; a create
 	// issues zero disk writes in the system call path.
-	r := newRig(t)
+	r := newSoftRig(t)
 	r.run(t, func(p *sim.Proc) {
 		r.c.Driver().Trace.Reset()
 		before := r.c.WritesIssued
@@ -113,7 +82,7 @@ func TestCreateUsesNoSynchronousWrites(t *testing.T) {
 func TestCreateRemoveCancelsWithNoWrites(t *testing.T) {
 	// Create followed by immediate remove must be serviced with no disk
 	// writes at all (the paper's figure 5c effect).
-	r := newRig(t)
+	r := newSoftRig(t)
 	r.run(t, func(p *sim.Proc) {
 		base := r.c.WritesIssued
 		for i := 0; i < 100; i++ {
@@ -143,7 +112,7 @@ func TestRollbackKeepsDiskConsistent(t *testing.T) {
 	// Force the directory block to be written while the new inode is not
 	// yet on disk: the entry must be zeroed in the on-disk image (undone),
 	// and re-established afterwards.
-	r := newRig(t)
+	r := newSoftRig(t)
 	r.run(t, func(p *sim.Proc) {
 		ino, err := r.fs.Create(p, ffs.RootIno, "pending")
 		if err != nil {
@@ -192,7 +161,7 @@ func TestRollbackKeepsDiskConsistent(t *testing.T) {
 }
 
 func TestDeferredRemoveFreesAfterDirWrite(t *testing.T) {
-	r := newRig(t)
+	r := newSoftRig(t)
 	r.run(t, func(p *sim.Proc) {
 		ino, _ := r.fs.Create(p, ffs.RootIno, "f")
 		r.fs.WriteAt(p, ino, 0, fileData(1, 30<<10))
@@ -223,7 +192,7 @@ func TestDeferredRemoveFreesAfterDirWrite(t *testing.T) {
 }
 
 func TestSyncerDrivesRemovalWithoutExplicitSync(t *testing.T) {
-	r := newRig(t)
+	r := newSoftRig(t)
 	r.c.StartSyncer()
 	r.run(t, func(p *sim.Proc) {
 		ino, _ := r.fs.Create(p, ffs.RootIno, "f")
@@ -244,7 +213,7 @@ func TestFragmentExtensionUndo(t *testing.T) {
 	// Extend a file's tail fragment, then force the inode table block out
 	// before the new data block: the write image must carry the old
 	// size/pointer.
-	r := newRig(t)
+	r := newSoftRig(t)
 	r.run(t, func(p *sim.Proc) {
 		ino, _ := r.fs.Create(p, ffs.RootIno, "f")
 		r.fs.WriteAt(p, ino, 0, fileData(1, 1000))
@@ -286,7 +255,7 @@ func TestFragmentExtensionUndo(t *testing.T) {
 
 func TestRemoveThrottlesNothing(t *testing.T) {
 	// Removing a tree: the system call path issues no writes at all.
-	r := newRig(t)
+	r := newSoftRig(t)
 	r.run(t, func(p *sim.Proc) {
 		dir, _ := r.fs.Mkdir(p, ffs.RootIno, "d")
 		for i := 0; i < 30; i++ {
@@ -314,7 +283,7 @@ func TestRemoveThrottlesNothing(t *testing.T) {
 func TestMassChurnConverges(t *testing.T) {
 	// Heavy create/write/remove churn with the syncer running must leave a
 	// consistent, fully-drained system.
-	r := newRig(t)
+	r := newSoftRig(t)
 	r.c.StartSyncer()
 	r.run(t, func(p *sim.Proc) {
 		dir, _ := r.fs.Mkdir(p, ffs.RootIno, "churn")
@@ -350,7 +319,7 @@ func TestMassChurnConverges(t *testing.T) {
 }
 
 func TestHardLinkUnderSoftUpdates(t *testing.T) {
-	r := newRig(t)
+	r := newSoftRig(t)
 	r.run(t, func(p *sim.Proc) {
 		ino, _ := r.fs.Create(p, ffs.RootIno, "a")
 		r.fs.WriteAt(p, ino, 0, []byte("x"))
@@ -373,7 +342,7 @@ func TestHardLinkUnderSoftUpdates(t *testing.T) {
 }
 
 func TestRenameUnderSoftUpdates(t *testing.T) {
-	r := newRig(t)
+	r := newSoftRig(t)
 	r.run(t, func(p *sim.Proc) {
 		ino, _ := r.fs.Create(p, ffs.RootIno, "old")
 		r.fs.WriteAt(p, ino, 0, fileData(1, 500))
@@ -397,7 +366,7 @@ func TestRenameUnderSoftUpdates(t *testing.T) {
 }
 
 func TestMkdirRmdirUnderSoftUpdates(t *testing.T) {
-	r := newRig(t)
+	r := newSoftRig(t)
 	r.run(t, func(p *sim.Proc) {
 		for i := 0; i < 10; i++ {
 			d, err := r.fs.Mkdir(p, ffs.RootIno, fmt.Sprintf("d%d", i))
@@ -430,7 +399,7 @@ func TestMkdirRmdirUnderSoftUpdates(t *testing.T) {
 func TestNoCyclesNoAging(t *testing.T) {
 	// The core claim of section 4.2: any dirty block can be written at any
 	// time; repeated partial flushes always make progress and converge.
-	r := newRig(t)
+	r := newSoftRig(t)
 	r.run(t, func(p *sim.Proc) {
 		dir, _ := r.fs.Mkdir(p, ffs.RootIno, "d")
 		for i := 0; i < 25; i++ {
