@@ -132,16 +132,7 @@ func buildStack(eng *sim.Engine, opt Options, rec *obs.Recorder, p *sim.Proc) (*
 
 // Run executes fn as a simulated process against the cluster and drives
 // the engine until it finishes; returns fn's virtual elapsed time.
-func (s *DistSystem) Run(fn func(p *Proc)) Duration {
-	start := s.Eng.Now()
-	done := false
-	s.Eng.Spawn("main", func(p *Proc) {
-		fn(p)
-		done = true
-	})
-	s.Eng.RunWhile(func() bool { return !done })
-	return s.Eng.Now() - start
-}
+func (s *DistSystem) Run(fn func(p *Proc)) Duration { return runMain(s.Eng, fn) }
 
 // SyncAll flushes every node's delayed writes.
 func (s *DistSystem) SyncAll() { s.Cluster.SyncAll() }

@@ -248,22 +248,25 @@ func New(opt Options) (*System, error) {
 // Run executes fn as a simulated process and drives the engine until it
 // finishes (daemon processes keep running in the background). It returns
 // the virtual time fn took.
-func (s *System) Run(fn func(p *Proc)) Duration {
-	start := s.Eng.Now()
+func (s *System) Run(fn func(p *Proc)) Duration { return runMain(s.Eng, fn) }
+
+// runMain runs fn as the process "main" on eng until it returns, and
+// returns the virtual time it took.
+func runMain(eng *sim.Engine, fn func(p *Proc)) Duration {
+	start := eng.Now()
 	done := false
-	s.Eng.Spawn("main", func(p *Proc) {
+	eng.Spawn("main", func(p *Proc) {
 		fn(p)
 		done = true
 	})
-	s.Eng.RunWhile(func() bool { return !done })
-	return s.Eng.Now() - start
+	eng.RunWhile(func() bool { return !done })
+	return eng.Now() - start
 }
 
 // RunUsers executes fn concurrently for n "users" (the paper's benchmark
 // structure) and returns each user's elapsed time plus the overall wall
 // time, all in virtual time.
 func (s *System) RunUsers(n int, fn func(p *Proc, user int)) (each []Duration, wall Duration) {
-	start := s.Eng.Now()
 	each = make([]Duration, n)
 	var wg sim.WaitGroup
 	wg.Add(n)
@@ -276,13 +279,7 @@ func (s *System) RunUsers(n int, fn func(p *Proc, user int)) (each []Duration, w
 			wg.Done(s.Eng)
 		})
 	}
-	done := false
-	s.Eng.Spawn("join", func(p *Proc) {
-		wg.Wait(p)
-		done = true
-	})
-	s.Eng.RunWhile(func() bool { return !done })
-	return each, s.Eng.Now() - start
+	return each, s.Run(func(p *Proc) { wg.Wait(p) })
 }
 
 // Shutdown ends a System's life: it stops the syncer daemon, drains the

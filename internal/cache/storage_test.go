@@ -2,7 +2,6 @@ package cache
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -17,47 +16,53 @@ import (
 // modifyInFlight maps n 8-fragment buffers on c, issues a -CB write of
 // each and modifies every buffer while its write is in flight, then lets
 // the writes land and drops the buffers, which returns their storage and
-// the copies to the pool. It returns the mallocs the modifies took.
-func modifyInFlight(p *sim.Proc, c *Cache, drv *dev.Driver, n int) uint64 {
+// the copies to the pool. It returns how many slices the pool's 8-fragment
+// class lost to the modifies: n when every copy came from the pool, less
+// when a copy carved a slab (whose other pieces join the class).
+func modifyInFlight(p *sim.Proc, c *Cache, drv *dev.Driver, n int) int {
 	bufs := make([]*Buf, n)
 	reqs := make([]*dev.Request, n)
 	for i := range bufs {
 		bufs[i] = c.Getblk(p, int64(8*(i+1)), 8).Hold()
 		reqs[i] = issue(p, c, bufs[i], 1)
 	}
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
+	before := Pooled(8)
 	for _, b := range bufs {
 		c.PrepareModify(p, b)
 		b.Data[0] = 2
 	}
-	runtime.ReadMemStats(&m1)
+	taken := before - Pooled(8)
 	for i, r := range reqs {
 		r.Done.Wait(p)
 		drv.Release(r)
 		bufs[i].Unhold()
 		c.Drop(bufs[i].Frag)
 	}
-	return m1.Mallocs - m0.Mallocs
+	return taken
 }
 
 // TestAllocFreeAcrossCaches: the -CB copies a cache on one engine took, and
 // the buffers it dropped, serve a cache on a second engine: its modifies in
-// flight take their copies from the pool and allocate nothing. With a pool
-// per cache the second cache's copies would all be fresh.
+// flight take their copies from the pool, and no slab is carved. With a
+// pool per cache the second cache's copies would all be carved afresh. It
+// counts the pool, not the process's mallocs, which other goroutines of the
+// test binary move too.
 func TestAllocFreeAcrossCaches(t *testing.T) {
 	const n = 2 * slabPieces
 	DrainStorage()
 	engA, _, drvA, a := newRig(Config{CB: true})
-	var first, second uint64
+	var first, second int
 	runIn(engA, func(p *sim.Proc) { first = modifyInFlight(p, a, drvA, n) })
-	if first == 0 {
-		t.Fatal("setup: the first cache's copies came from a drained pool without allocating")
+	if first != 0 {
+		t.Fatalf("setup: the first cache's copies took %d slices from a drained pool, want 0 (each carved)", first)
+	}
+	if got := Pooled(8); got != 2*n {
+		t.Fatalf("setup: the first cache returned %d 8-fragment slices, want %d (its buffers and their copies)", got, 2*n)
 	}
 	engB, _, drvB, b := newRig(Config{CB: true})
 	runIn(engB, func(p *sim.Proc) { second = modifyInFlight(p, b, drvB, n) })
-	if second != 0 {
-		t.Errorf("%d modifies in flight on a second cache took %d mallocs, want 0: the first cache's copies did not serve them", n, second)
+	if second != n {
+		t.Errorf("%d modifies in flight on a second cache took %d slices from the pool, want exactly %d: the first cache's copies did not serve them all", n, second, n)
 	}
 }
 

@@ -378,21 +378,30 @@ func (c *Cluster) create(p *sim.Proc, parent uint64, name string, dir bool) (uin
 	t0 := p.Now()
 	ino := c.allocIno()
 	cross := c.ownerOf(ino) != c.ownerOf(parent)
-	if rp := c.call(p, ino, req{Kind: kCreate, Ino: ino, Dir: dir}); rp.Code != errOK {
-		err := rp.Code.err()
-		c.record(p, t0, cross, err)
+	_, err := c.prepareAdd(p, req{Kind: kCreate, Ino: ino, Dir: dir},
+		req{Kind: kAddDentry, Parent: parent, Name: name, Target: ino})
+	c.record(p, t0, cross, err)
+	if err != nil {
 		return 0, err
 	}
-	rp := c.call(p, parent, req{Kind: kAddDentry, Parent: parent, Name: name, Target: ino})
-	if rp.Code != errOK {
-		// Abort: unlink the prepared inode (it has no referent yet).
-		c.call(p, ino, req{Kind: kDecLink, Ino: ino})
-		err := rp.Code.err()
-		c.record(p, t0, cross, err)
-		return 0, err
-	}
-	c.record(p, t0, cross, nil)
 	return ino, nil
+}
+
+// prepareAdd is the two-phase step every name-adding operation shares:
+// prep on the inode's owner (a new inode, or a link-count bump) completes
+// before add, the dentry add on the parent's owner. When add fails, the
+// reference prep took is given back (for a new inode, which no dentry
+// names yet, that frees it). It returns add's reply and the first error.
+func (c *Cluster) prepareAdd(p *sim.Proc, prep, add req) (resp, error) {
+	if rp := c.call(p, prep.Ino, prep); rp.Code != errOK {
+		return rp, rp.Code.err()
+	}
+	ra := c.call(p, add.Parent, add)
+	if ra.Code != errOK {
+		c.call(p, prep.Ino, req{Kind: kDecLink, Ino: prep.Ino})
+		return ra, ra.Code.err()
+	}
+	return ra, nil
 }
 
 // Link adds (parent, name) as another reference to target. The
@@ -403,20 +412,10 @@ func (c *Cluster) Link(p *sim.Proc, target, parent uint64, name string) error {
 	defer c.obs.End(p, sp)
 	t0 := p.Now()
 	cross := c.ownerOf(target) != c.ownerOf(parent)
-	if rp := c.call(p, target, req{Kind: kIncLink, Ino: target, MustFile: true}); rp.Code != errOK {
-		err := rp.Code.err()
-		c.record(p, t0, cross, err)
-		return err
-	}
-	rp := c.call(p, parent, req{Kind: kAddDentry, Parent: parent, Name: name, Target: target})
-	if rp.Code != errOK {
-		c.call(p, target, req{Kind: kDecLink, Ino: target})
-		err := rp.Code.err()
-		c.record(p, t0, cross, err)
-		return err
-	}
-	c.record(p, t0, cross, nil)
-	return nil
+	_, err := c.prepareAdd(p, req{Kind: kIncLink, Ino: target, MustFile: true},
+		req{Kind: kAddDentry, Parent: parent, Name: name, Target: target})
+	c.record(p, t0, cross, err)
+	return err
 }
 
 // Unlink removes (parent, name); the target inode is freed when this was
@@ -475,15 +474,9 @@ func (c *Cluster) Rename(p *sim.Proc, sparent uint64, sname string, dparent uint
 		c.ownerOf(sparent) != c.ownerOf(dparent)
 	// Prepare: the count bump keeps the inode live while two names point
 	// at it; the destination add happens before the source removal.
-	if rp := c.call(p, ino, req{Kind: kIncLink, Ino: ino, MustFile: true}); rp.Code != errOK {
-		err := rp.Code.err()
-		c.record(p, t0, cross, err)
-		return err
-	}
-	ra := c.call(p, dparent, req{Kind: kAddDentry, Parent: dparent, Name: dname, Target: ino, Replace: true})
-	if ra.Code != errOK {
-		c.call(p, ino, req{Kind: kDecLink, Ino: ino})
-		err := ra.Code.err()
+	ra, err := c.prepareAdd(p, req{Kind: kIncLink, Ino: ino, MustFile: true},
+		req{Kind: kAddDentry, Parent: dparent, Name: dname, Target: ino, Replace: true})
+	if err != nil {
 		c.record(p, t0, cross, err)
 		return err
 	}

@@ -256,6 +256,58 @@ func TestRenameOntoItself(t *testing.T) {
 	checkUnion(t, s, parseImages(t, s.Cluster.Images()))
 }
 
+// TestLinkOntoExistingNameAborts: a Link onto a name that exists, with the
+// target's owner the parent's and with the two on different nodes, fails
+// with ErrExist after its prepare, and gives the link-count bump back: the
+// durable counts still equal the dentry references.
+func TestLinkOntoExistingNameAborts(t *testing.T) {
+	s := mustDist(t, distOpt(fsim.Conventional, 2, 7))
+	defer s.Shutdown()
+	c := s.Cluster
+	owner := func(key uint64) int {
+		for _, pt := range c.Parts() {
+			if key >= pt.Start && key < pt.End {
+				return pt.Node
+			}
+		}
+		t.Fatalf("key %d outside the partition map", key)
+		return 0
+	}
+	s.Run(func(p *fsim.Proc) {
+		taken, err := c.Create(p, dmeta.RootIno, "taken")
+		if err != nil {
+			t.Fatalf("create: %v", err)
+		}
+		targets := make(map[bool]uint64) // by whether the target's owner is the root's
+		for i := 0; len(targets) < 2; i++ {
+			if i == 64 {
+				t.Fatalf("64 creates found targets on one side only: %v", targets)
+			}
+			f, err := c.Create(p, dmeta.RootIno, fmt.Sprintf("f%d", i))
+			if err != nil {
+				t.Fatalf("create: %v", err)
+			}
+			if local := owner(f) == owner(dmeta.RootIno); targets[local] == 0 {
+				targets[local] = f
+			}
+		}
+		for _, local := range []bool{true, false} {
+			cross := c.CrossOps
+			if err := c.Link(p, targets[local], dmeta.RootIno, "taken"); err != fsim.ErrExist {
+				t.Errorf("link onto an existing name (same owner %v) = %v, want ErrExist", local, err)
+			}
+			if local != (c.CrossOps == cross) {
+				t.Errorf("link (same owner %v) counted %d cross-partition ops", local, c.CrossOps-cross)
+			}
+			if got, err := c.Lookup(p, dmeta.RootIno, "taken"); err != nil || got != taken {
+				t.Errorf("after the failed link the name resolves to %d, %v; want %d", got, err, taken)
+			}
+		}
+	})
+	s.SyncAll()
+	checkUnion(t, s, parseImages(t, s.Cluster.Images()))
+}
+
 // TestCrossPartitionConsistency is the satellite check: a multi-node run
 // with dynamic splits, then fsck over the union of per-node images.
 func TestCrossPartitionConsistency(t *testing.T) {

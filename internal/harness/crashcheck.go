@@ -117,7 +117,7 @@ func CrashCheckMatrix(schemes []fsim.Scheme, opt CrashCheckOptions, w io.Writer)
 	if w != nil {
 		t := &Table{
 			Title:   fmt.Sprintf("Crash-state model check: %d x 1 KB create/remove", opt.Files),
-			Columns: []string{"scheme", "writes", "instants", "explored", "checked", "violating", "chk/s", "verdict"},
+			Columns: sweepColumns("scheme", "verdict"),
 		}
 		for _, r := range rows {
 			if r.Err != nil {
@@ -134,16 +134,25 @@ func CrashCheckMatrix(schemes []fsim.Scheme, opt CrashCheckOptions, w io.Writer)
 			} else {
 				verdict += " (UNEXPECTED)"
 			}
-			t.AddRow(r.Scheme.String(),
-				fmt.Sprintf("%d", st.Writes),
-				fmt.Sprintf("%d", st.Instants),
-				fmt.Sprintf("%d", st.Explored),
-				fmt.Sprintf("%d", st.Checked),
-				fmt.Sprintf("%d", st.Violating),
-				fmt.Sprintf("%.0f", st.CheckedPerSec),
-				verdict)
+			t.AddRow(sweepRow(r.Scheme.String(), st, verdict)...)
 		}
 		t.Fprint(w)
 	}
 	return rows
+}
+
+// sweepColumns heads a crash-check table: a name column, one sweep's
+// counts, then tail; sweepRow fills a row of it.
+func sweepColumns(name string, tail ...string) []string {
+	return append([]string{name, "writes", "instants", "explored", "checked", "violating", "chk/s"}, tail...)
+}
+
+func sweepRow(name string, st crashmc.Stats, tail ...string) []string {
+	return append([]string{name,
+		fmt.Sprintf("%d", st.Writes),
+		fmt.Sprintf("%d", st.Instants),
+		fmt.Sprintf("%d", st.Explored),
+		fmt.Sprintf("%d", st.Checked),
+		fmt.Sprintf("%d", st.Violating),
+		fmt.Sprintf("%.0f", st.CheckedPerSec)}, tail...)
 }

@@ -275,17 +275,10 @@ func (r *DistCrashCheckResult) Fprint(w io.Writer) {
 	}
 	t := &Table{
 		Title:   "Cluster crash-state model check (per-node exploration + union scan)",
-		Columns: []string{"node", "writes", "instants", "explored", "checked", "violating", "chk/s"},
+		Columns: sweepColumns("node"),
 	}
 	for _, n := range r.Nodes {
-		st := n.Result.Stats
-		t.AddRow(fmt.Sprintf("%d", n.Node),
-			fmt.Sprintf("%d", st.Writes),
-			fmt.Sprintf("%d", st.Instants),
-			fmt.Sprintf("%d", st.Explored),
-			fmt.Sprintf("%d", st.Checked),
-			fmt.Sprintf("%d", st.Violating),
-			fmt.Sprintf("%.0f", st.CheckedPerSec))
+		t.AddRow(sweepRow(fmt.Sprintf("%d", n.Node), n.Result.Stats)...)
 	}
 	t.AddRow("union", "-", "-", "-",
 		fmt.Sprintf("%d", r.Checked),

@@ -42,6 +42,42 @@ func TestIndirectBlockPinnedWhileDependent(t *testing.T) {
 	})
 }
 
+// Allocations whose pointers live in a freed indirect block "no longer serve
+// any purpose" and are cancelled with it: a file removed, and one truncated
+// to nothing, while their indirect blocks still carry pending allocations
+// leave no dependency state after a sync, and a clean image.
+func TestFreedIndirectBlockCancelsItsAllocations(t *testing.T) {
+	r := newSoftRig(t)
+	r.run(t, func(p *sim.Proc) {
+		for i, name := range []string{"removed", "truncated"} {
+			ino, err := r.fs.Create(p, ffs.RootIno, name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := r.fs.WriteAt(p, ino, 0, fileData(i, (ffs.NDirect+8)*ffs.BlockSize)); err != nil {
+				t.Fatal(err)
+			}
+			if ip, err := r.fs.Stat(p, ino); err != nil || ip.Indir == 0 || !r.c.Lookup(int64(ip.Indir)).Pinned {
+				t.Fatalf("%s: no indirect block with pending allocations: %+v %v", name, ip, err)
+			}
+		}
+		if err := r.fs.Unlink(p, ffs.RootIno, "removed"); err != nil {
+			t.Fatal(err)
+		}
+		ino, _ := r.fs.Lookup(p, ffs.RootIno, "truncated")
+		if err := r.fs.Truncate(p, ino, 0); err != nil {
+			t.Fatal(err)
+		}
+		r.fs.Sync(p)
+	})
+	if n := r.su.DepCount(); n != 0 {
+		t.Fatalf("%d buffers still carry dependency state after sync: %v", n, r.su.DebugDeps())
+	}
+	if rep := fsck.Check(r.dsk.Image()); len(rep.Findings) != 0 {
+		t.Fatalf("fsck after the frees: %v", rep.Findings)
+	}
+}
+
 // "If the directory entry has a pending link addition dependency, the add
 // and addsafe structures are removed and the link removal proceeds
 // unhindered (the add and remove have been serviced with no disk writes!)"

@@ -28,11 +28,19 @@ func (o *Async) KeepNotices() *[]Notice {
 // PendingOps reports operations still inside the in-flight window.
 func (o *Async) PendingOps() int { return len(o.pending) }
 
-// DebugDeps describes the remaining dependency state (test diagnostics).
+// DebugDeps describes the remaining dependency state of the buffers the
+// cache maps (test diagnostics).
 func (s *SoftUpdates) DebugDeps() []string {
 	var out []string
-	for b, d := range s.deps {
-		desc := fmt.Sprintf("frag %d:", b.Frag)
+	for f := range int64(s.fs.Superblock().TotalFrags) {
+		var d *bufDep
+		if b := s.cache().Lookup(f); b != nil {
+			d = s.dep(b)
+		}
+		if d == nil {
+			continue
+		}
+		desc := fmt.Sprintf("frag %d:", f)
 		for ino, idep := range d.inodeDeps {
 			desc += fmt.Sprintf(" idep(%d w=%v adds=%d allocs=%d)", ino, idep.written, len(idep.waitingAdds), len(idep.waitingAllocs))
 		}

@@ -69,12 +69,10 @@ type Journal struct {
 	durTailSeq uint64
 	durTailOff int32
 
-	// open is the transaction absorbing stable() calls; openSlot maps a
-	// member's home fragment to its index in open.bufs. Log space for the
+	// open is the transaction absorbing stable() calls. Log space for the
 	// whole images is reserved as members are added, so closing never
 	// blocks.
-	open     *jtxn
-	openSlot map[int64]int
+	open *jtxn
 	// stalled holds the arguments of stable() calls blocked for log space:
 	// they carry a change that is not journaled yet.
 	stalled []*cache.Buf
@@ -134,6 +132,12 @@ type jtxn struct {
 	live    int
 }
 
+// slot returns the index of the open transaction's member whose home is
+// frag, or -1.
+func (t *jtxn) slot(frag int64) int {
+	return slices.IndexFunc(t.homes, func(h jlog.HomeRun) bool { return h.Frag == frag })
+}
+
 // jprev is the newest journaled image of buf, in a pooled slab.
 type jprev struct {
 	buf *cache.Buf
@@ -155,7 +159,7 @@ var zeroFrag [ffs.FragSize]byte
 // formatted with a journal region (ffs.FormatParams.JournalFrags) and the
 // driver configured with dev.ModeChains.
 func NewJournal() *Journal {
-	o := &Journal{byFrag: make(map[int64][]*jtxn), openSlot: make(map[int64]int), prev: make(map[int64]jprev)}
+	o := &Journal{byFrag: make(map[int64][]*jtxn), prev: make(map[int64]jprev)}
 	o.Sequenced = newSequenced(o.stable, o.stable)
 	o.logDone = o.logWriteDone
 	return o
@@ -186,7 +190,7 @@ func (o *Journal) Start(fs *ffs.FS) {
 // and names the newest log write, which by the chain covers every earlier
 // one.
 func (o *Journal) PrepareWrite(b *cache.Buf) {
-	if _, member := o.openSlot[b.Frag]; !member && !slices.Contains(o.stalled, b) {
+	if o.open.slot(b.Frag) < 0 && !slices.Contains(o.stalled, b) {
 		return
 	}
 	o.closeOpen()
@@ -227,8 +231,8 @@ func (o *Journal) stable(p *sim.Proc, b *cache.Buf) {
 	n := int32(b.NFrags())
 	for {
 		t := o.open
-		i, member := o.openSlot[b.Frag]
-		if member && t.homes[i].NFrags == n {
+		i := t.slot(b.Frag)
+		if i >= 0 && t.homes[i].NFrags == n {
 			at := int32(1) // past the begin fragment
 			for _, h := range t.homes[:i] {
 				at += h.NFrags
@@ -237,14 +241,13 @@ func (o *Journal) stable(p *sim.Proc, b *cache.Buf) {
 			t.bufs[i] = b
 			break
 		}
-		if member || len(t.homes) == jlog.MaxHomes ||
+		if i >= 0 || len(t.homes) == jlog.MaxHomes ||
 			(len(t.homes) > 0 && jlog.TxnFrags(t.payload+n) > o.maxTxn) {
 			// Resized member, or the transaction is at its cap.
 			o.closeOpen()
 			continue
 		}
 		if _, ok := o.place(jlog.TxnFrags(t.payload + n)); ok {
-			o.openSlot[b.Frag] = len(t.homes)
 			t.bufs = append(t.bufs, b)
 			t.homes = append(t.homes, jlog.HomeRun{Frag: b.Frag, NFrags: n})
 			t.frame = append(t.frame, b.Data...)
@@ -274,7 +277,6 @@ func (o *Journal) closeOpen() {
 	if len(t.bufs) == 0 {
 		return
 	}
-	clear(o.openSlot)
 	rd, wr, k := ffs.FragSize, ffs.FragSize, 0
 	t.payload = 0
 	for i, b := range t.bufs {

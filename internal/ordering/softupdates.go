@@ -52,15 +52,14 @@ type SoftStats struct {
 // rollback (BeforeWrite) and dependency resolution (WriteDone).
 type SoftUpdates struct {
 	cache.NopHooks
-	fs   *ffs.FS
-	deps map[*cache.Buf]*bufDep // parallel to Buf.Dep, for iteration
-	Stat SoftStats
+	fs      *ffs.FS
+	depBufs int // buffers whose Dep is a bufDep
+	Stat    SoftStats
 
-	// Storage a removal reuses (DESIGN.md §9): emptied bufDeps, run
-	// workitems and cancelAllocsFor's set of runs.
+	// Storage a removal reuses (DESIGN.md §9): emptied bufDeps and run
+	// workitems.
 	spareDeps []*bufDep
 	spareWork []*workItem
-	owned     map[int32]bool
 
 	// DropEntryDeps is a fault-injection hook for the crash-state model
 	// checker: when set, AddEntry registers no dependency at all, so a new
@@ -73,7 +72,7 @@ type SoftUpdates struct {
 
 // NewSoftUpdates returns a soft updates instance.
 func NewSoftUpdates() *SoftUpdates {
-	return &SoftUpdates{deps: make(map[*cache.Buf]*bufDep), owned: make(map[int32]bool)}
+	return &SoftUpdates{}
 }
 
 // Start implements ffs.Ordering.
@@ -231,7 +230,7 @@ func (s *SoftUpdates) ensureDep(b *cache.Buf) *bufDep {
 		d = &bufDep{inodeDeps: make(map[ffs.Ino]*inodeDep), adds: make(map[int]*dirAdd)}
 	}
 	b.Dep = d
-	s.deps[b] = d
+	s.depBufs++
 	return d
 }
 
@@ -239,7 +238,7 @@ func (s *SoftUpdates) ensureDep(b *cache.Buf) *bufDep {
 func (s *SoftUpdates) prune(b *cache.Buf) {
 	if d := s.dep(b); d != nil && d.empty() {
 		b.Dep = nil
-		delete(s.deps, b)
+		s.depBufs--
 		s.spareDeps = append(s.spareDeps, d)
 	}
 }
@@ -258,7 +257,7 @@ func (s *SoftUpdates) cache() *cache.Cache { return s.fs.Cache() }
 
 // DepCount reports how many buffers currently carry dependency state
 // (zero once every update has drained to the disk).
-func (s *SoftUpdates) DepCount() int { return len(s.deps) }
+func (s *SoftUpdates) DepCount() int { return s.depBufs }
 
 // ---------------------------------------------------------------------
 // Ordering hooks
@@ -443,48 +442,50 @@ func (s *SoftUpdates) FreeBlocks(p *sim.Proc, rec ffs.FreeRec) {
 }
 
 // cancelAllocsFor removes pending allocDirects that no longer serve any
-// purpose: those whose pointers lived in the freed inode (full free) or
-// whose new blocks are among the freed fragment runs (partial truncation),
-// plus anything owned by a freed indirect block. The moved-from runs those
-// allocations were still holding join rec's runs.
+// purpose. An allocation's pointer lives in its owner buffer, so only two
+// kinds of owner are visited: the freed inode's table block (its pointers
+// go on a full free, or when their block is among the freed runs: partial
+// truncation) and each freed indirect block (all of its pointers go). The
+// moved-from runs those allocations were still holding join rec's runs.
 func (s *SoftUpdates) cancelAllocsFor(rec *ffs.FreeRec) {
+	freed := rec.Frags.All() // as handed in: the vacated runs that join rec below own no pointers
 	fullFree := rec.FreeIno != 0 || allPointersCleared(rec)
-	owned := s.owned
-	clear(owned)
-	for _, run := range rec.Frags.All() {
-		owned[run.Start] = true
-	}
-	base := inodeBaseOff(rec.OwnerIno)
-	for b, d := range s.deps {
-		kept := d.allocs[:0]
-		for _, ad := range d.allocs {
-			mine := false
-			if ad.owner == rec.OwnerBuf && ad.sizeOff == base+ffs.InoSizeOff {
-				// Pointer in the truncated inode itself: cancelled on a
-				// full free, or when its block is among the freed runs.
-				if fullFree || owned[ad.newPtr] {
-					mine = true
-				}
-			}
-			if ad.owner != rec.OwnerBuf && owned[int32(ad.owner.Frag)] {
-				mine = true // pointer in one of the freed indirect blocks
-			}
-			if mine {
-				ad.cancelled = true
-				for _, run := range ad.vacated.Frags.All() {
-					rec.Frags.Add(run)
-				}
-				if nd := s.dep(ad.newBuf); nd != nil {
-					nd.initOf = slices.DeleteFunc(nd.initOf, func(a *allocDirect) bool { return a == ad })
-					s.prune(ad.newBuf)
-				}
-				continue
-			}
-			kept = append(kept, ad)
+	sizeOff := inodeBaseOff(rec.OwnerIno) + ffs.InoSizeOff
+	s.cancelAllocs(rec, rec.OwnerBuf, func(ad *allocDirect) bool {
+		return ad.sizeOff == sizeOff && (fullFree ||
+			slices.ContainsFunc(freed, func(run ffs.FragRun) bool { return run.Start == ad.newPtr }))
+	})
+	for _, run := range freed {
+		if b := s.cache().Lookup(int64(run.Start)); b != nil && b != rec.OwnerBuf {
+			s.cancelAllocs(rec, b, nil)
 		}
-		d.allocs = kept
-		s.prune(b)
 	}
+}
+
+// cancelAllocs cancels the allocations whose pointers live in b that mine
+// selects (every one for a nil mine).
+func (s *SoftUpdates) cancelAllocs(rec *ffs.FreeRec, b *cache.Buf, mine func(*allocDirect) bool) {
+	d := s.dep(b)
+	if d == nil {
+		return
+	}
+	kept := d.allocs[:0]
+	for _, ad := range d.allocs {
+		if mine != nil && !mine(ad) {
+			kept = append(kept, ad)
+			continue
+		}
+		ad.cancelled = true
+		for _, run := range ad.vacated.Frags.All() {
+			rec.Frags.Add(run)
+		}
+		if nd := s.dep(ad.newBuf); nd != nil {
+			nd.initOf = slices.DeleteFunc(nd.initOf, func(a *allocDirect) bool { return a == ad })
+			s.prune(ad.newBuf)
+		}
+	}
+	d.allocs = kept
+	s.prune(b)
 }
 
 // allPointersCleared reports whether rec describes a full truncation (the

@@ -12,8 +12,8 @@ import (
 // directory "work" — creates with stamped data, a removal every third
 // step, a rename every renameEvery-th, over a ring of `names` file names —
 // so any crash instant lands mid-update. It is what the crash drivers
-// (mdcrash, mdsim -exp faults, examples/crashrecovery) pull the plug on; step i
-// writes size(i) bytes.
+// (mdcrash, mdsim -exp faults) pull the plug on; step i writes size(i)
+// bytes.
 func Churn(eng *sim.Engine, fs *ffs.FS, names, renameEvery int, size func(i int) int) {
 	eng.Spawn("churn", func(p *sim.Proc) {
 		dir, err := fs.Mkdir(p, ffs.RootIno, "work")
